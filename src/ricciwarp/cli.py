@@ -1,7 +1,9 @@
 """Command-line front end: solve / certify / quotient / sweep.
 
 Workflows are driven by a JSON config with one block per subcommand plus
-``out_dir`` and ``schema_version``.  Unknown keys are rejected.  Outputs
+``out_dir`` and ``schema_version``.  Unknown keys are rejected, and the
+numbers of the solve, certify and sweep blocks are type-checked: integer
+keys take integers, real keys finite numbers, and booleans are neither.  Outputs
 are written atomically; CSV numbers carry 17 significant digits and JSON
 reports embed the tool version and a hash of the config, so identical
 configs give byte-identical outputs.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -56,6 +59,41 @@ _SWEEP_KEYS = {"k", "m", "lambda", "b0", "phi2", "epsilon", "t_max",
                "rtol", "atol", "grid_per_unit", "parallel", "workers"}
 
 
+# numeric keys of the solve, certify and sweep blocks; in sweep, the values
+# of k, m, lambda and b0 are lists whose elements are checked
+_INT_KEYS = {"k", "m", "grid_per_unit", "n_base", "n_product", "n_fiber",
+             "workers", "seed"}
+_REAL_KEYS = {"lambda", "b0", "phi2", "epsilon", "t_max", "rtol", "atol",
+              "h", "tolerance"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _check_numbers(block: dict, where: str):
+    """Reject numeric values of the wrong type: bools, non-integers where an
+    integer is needed, and anything but a finite number where a real is."""
+    for name, value in block.items():
+        if name not in _INT_KEYS and name not in _REAL_KEYS:
+            continue
+        values = value if where == "sweep" and isinstance(value, list) else [value]
+        is_valid, kind = ((_is_int, "an integer") if name in _INT_KEYS
+                          else (_is_real, "a finite number"))
+        for v in values:
+            if not is_valid(v):
+                raise ConfigError(f"'{name}' in '{where}' must be {kind}, got {v!r}")
+
+
 def _check_keys(block: dict, allowed: set, where: str):
     if not isinstance(block, dict):
         raise ConfigError(f"config section '{where}' must be an object")
@@ -80,6 +118,13 @@ def load_config(path: str) -> dict:
                        ("quotient", _QUOTIENT_KEYS), ("sweep", _SWEEP_KEYS)):
         if name in cfg:
             _check_keys(cfg[name], keys, name)
+            if name != "quotient":
+                _check_numbers(cfg[name], name)
+    certify = cfg.get("certify", {})
+    _positive(certify, "h", "tolerance", "n_base", "n_product", "n_fiber")
+    _positive(cfg.get("sweep", {}), "workers")
+    if certify.get("seed", 0) < 0:
+        raise ConfigError("'seed' must be nonnegative")
     return cfg
 
 

@@ -3,13 +3,23 @@
 This module is the measurement instrument of the package: Christoffel
 symbols, Ricci tensor, Hessian, gradient and Laplacian of scalar fields,
 and the gradient-soliton residual Ric + Hess(psi) - lam * g, all computed
-from pointwise metric evaluations with fourth-order stencils.  No closed
-form is assumed anywhere here, which is what lets these routines act as an
+from metric evaluations with fourth-order stencils.  No closed form is
+assumed anywhere here, which is what lets these routines act as an
 independent oracle for the structured formulas elsewhere in the package.
+
+Every operator takes one chart point ``(dim,)`` or a batch ``(N, dim)``
+and returns the matching shape.  The metric is differenced once per batch
+into a :class:`MetricJet`, which ``ricci_fd``, ``hessian_fd`` and
+``gradient_laplacian`` accept through ``jet=`` so that several operators
+at the same points share it.  A batch costs one call of the patch metric
+per ``fd`` chunk; declaring the patch and fields ``vectorized``
+(``g: (N, dim) -> (N, dim, dim)``, ``f: (N, dim) -> (N,)``) makes that call
+one array evaluation, while pointwise callables are still accepted.
 
 Index conventions.  ``christoffel`` returns ``Gamma[i, j, k]`` for
 Gamma^i_{jk}; derivative tensors are indexed with the derivative axes
-first, e.g. ``dg[c, a, b] = d_c g_{ab}``.
+first, e.g. ``dg[c, a, b] = d_c g_{ab}``.  Batched arrays carry the point
+index in front.
 """
 
 from __future__ import annotations
@@ -18,12 +28,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fd import value_grad, value_jet
-from .patches import DegenerateMetricError, MetricPatch, ScalarField
+from .fd import value_jet
+from .patches import DegenerateMetricError, MetricPatch, ScalarField, as_points
 
 __all__ = [
     "DEFAULT_STEP",
     "CONDITION_LIMIT",
+    "MetricJet",
+    "metric_jet",
     "christoffel",
     "ricci_fd",
     "hessian_fd",
@@ -42,28 +54,67 @@ _MARGIN_FIRST = 2   # christoffel, hessian, gradient
 _MARGIN_SECOND = 4  # ricci, soliton residual
 
 
-def _inverse_metric(g0: np.ndarray, label: str) -> np.ndarray:
-    if not np.all(np.isfinite(g0)):
-        raise DegenerateMetricError(f"metric of '{label}' is not finite")
-    if np.abs(g0 - g0.T).max() > 1e-9 * (1.0 + np.abs(g0).max()):
-        raise DegenerateMetricError(f"metric of '{label}' is not symmetric")
+def _check_step(h: float):
+    if h <= 0:
+        raise ValueError("step h must be positive")
+
+
+def _inverse_metric(g0: np.ndarray, X: np.ndarray, label: str) -> np.ndarray:
+    """Inverses of a batch of metric matrices, each checked at its point."""
+
+    def refuse(bad, problem):
+        i = int(np.argmax(bad))
+        raise DegenerateMetricError(
+            f"metric of '{label}' {problem(i)} at point {X[i]}")
+
+    bad = ~np.isfinite(g0).all(axis=(1, 2))
+    if bad.any():
+        refuse(bad, lambda i: "is not finite")
+    asym = np.abs(g0 - np.swapaxes(g0, 1, 2)).max(axis=(1, 2), initial=0.0)
+    bad = asym > 1e-9 * (1.0 + np.abs(g0).max(axis=(1, 2), initial=0.0))
+    if bad.any():
+        refuse(bad, lambda i: "is not symmetric")
     eigs = np.linalg.eigvalsh(g0)
-    if eigs[0] <= 0.0:
-        raise DegenerateMetricError(
-            f"metric of '{label}' is not positive definite "
-            f"(smallest eigenvalue {eigs[0]:.2e})")
-    if eigs[-1] > CONDITION_LIMIT * eigs[0]:
-        raise DegenerateMetricError(
-            f"metric of '{label}' has condition number "
-            f"{eigs[-1] / eigs[0]:.2e} (limit {CONDITION_LIMIT:.0e})")
+    lo, hi = eigs[:, 0], eigs[:, -1]
+    if np.any(lo <= 0.0):
+        refuse(lo <= 0.0, lambda i: "is not positive definite "
+               f"(smallest eigenvalue {lo[i]:.2e})")
+    if np.any(hi > CONDITION_LIMIT * lo):
+        refuse(hi > CONDITION_LIMIT * lo, lambda i: "has condition number "
+               f"{hi[i] / lo[i]:.2e} (limit {CONDITION_LIMIT:.0e})")
     return np.linalg.inv(g0)
 
 
-def _gamma_from_jet(g0: np.ndarray, dg: np.ndarray, label: str):
-    ginv = _inverse_metric(g0, label)
-    # T[j,k,l] = d_j g_{kl} + d_k g_{jl} - d_l g_{jk}
-    T = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (2, 1, 0))
-    return 0.5 * np.einsum("il,jkl->ijk", ginv, T), ginv, T
+class MetricJet(NamedTuple):
+    """Metric 2-jet and Levi-Civita connection at a batch of N points."""
+
+    g0: np.ndarray      # (N, dim, dim)        g_{ab}
+    dg: np.ndarray      # (N, dim, dim, dim)   d_c g_{ab}
+    d2g: np.ndarray     # (N, dim, dim, dim, dim)   d_c d_d g_{ab}
+    ginv: np.ndarray    # (N, dim, dim)        g^{ab}
+    Gamma: np.ndarray   # (N, dim, dim, dim)   Gamma^i_{jk}
+
+
+def _christoffel_tensor(dg: np.ndarray) -> np.ndarray:
+    # T[n,j,k,l] = d_j g_{kl} + d_k g_{jl} - d_l g_{jk}
+    return dg + np.transpose(dg, (0, 2, 1, 3)) - np.transpose(dg, (0, 3, 2, 1))
+
+
+def metric_jet(patch: MetricPatch, x, h: float = DEFAULT_STEP) -> MetricJet:
+    """Difference the metric once at a batch of points.
+
+    ``x`` has shape (N, dim) (a single point is taken as a batch of one)
+    and must keep the stencil reach ``2h`` from the boundary.  Raises
+    :class:`DegenerateMetricError` naming the first point where the metric
+    is not finite, symmetric, positive definite or well conditioned.
+    """
+    _check_step(h)
+    X, _ = as_points(x)
+    patch.require_interior(X, _MARGIN_FIRST * h)
+    g0, dg, d2g = value_jet(patch.metric, X, h)
+    ginv = _inverse_metric(g0, X, patch.label)
+    Gamma = 0.5 * np.einsum("nil,njkl->nijk", ginv, _christoffel_tensor(dg))
+    return MetricJet(g0, dg, d2g, ginv, Gamma)
 
 
 def christoffel(patch: MetricPatch, x, h: float = DEFAULT_STEP) -> np.ndarray:
@@ -73,24 +124,23 @@ def christoffel(patch: MetricPatch, x, h: float = DEFAULT_STEP) -> np.ndarray:
     ----------
     patch : MetricPatch
     x : array_like
-        Chart point, at least ``2h`` inside the domain.
+        Chart point (dim,) or batch (N, dim), at least ``2h`` inside the
+        domain.
     h : float
         Stencil step.
 
     Returns
     -------
-    ndarray, shape (dim, dim, dim)
+    ndarray, shape (dim, dim, dim) or (N, dim, dim, dim)
         ``Gamma[i, j, k]``, symmetric in (j, k).
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    patch.require_interior(x, _MARGIN_FIRST * h)
-    g0, dg = value_grad(patch.metric, x, h)
-    Gamma, _, _ = _gamma_from_jet(g0, dg, patch.label)
-    return Gamma
+    X, single = as_points(x)
+    Gamma = metric_jet(patch, X, h).Gamma
+    return Gamma[0] if single else Gamma
 
 
-def ricci_fd(patch: MetricPatch, x, h: float = DEFAULT_STEP) -> np.ndarray:
+def ricci_fd(patch: MetricPatch, x, h: float = DEFAULT_STEP,
+             jet: MetricJet | None = None) -> np.ndarray:
     """Ricci tensor components by finite differences.
 
     Uses the coordinate formula
@@ -101,70 +151,97 @@ def ricci_fd(patch: MetricPatch, x, h: float = DEFAULT_STEP) -> np.ndarray:
     The result is symmetrized before returning; truncation error is
     O(h^4) on smooth metrics, with an O(eps/h^2) rounding floor.
 
-    ``x`` must be at least ``4h`` inside the domain.
+    ``x`` is one point or a batch and must be at least ``4h`` inside the
+    domain.  ``jet``, when given, is the :func:`metric_jet` of ``patch``
+    at the same points and step.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    patch.require_interior(x, _MARGIN_SECOND * h)
-    g0, dg, d2g = value_jet(patch.metric, x, h)
-    Gamma, ginv, T = _gamma_from_jet(g0, dg, patch.label)
-    dginv = -np.einsum("ia,cab,bl->cil", ginv, dg, ginv)
-    # dT[c,j,k,l] = d_c (d_j g_{kl} + d_k g_{jl} - d_l g_{jk})
-    dT = d2g + np.transpose(d2g, (0, 2, 1, 3)) - np.transpose(d2g, (0, 3, 2, 1))
-    dGamma = 0.5 * (np.einsum("cil,jkl->cijk", dginv, T)
-                    + np.einsum("il,cjkl->cijk", ginv, dT))
-    R = (np.einsum("iijk->jk", dGamma)
-         - np.einsum("jiik->jk", dGamma)
-         + np.einsum("iip,pjk->jk", Gamma, Gamma)
-         - np.einsum("ijp,pik->jk", Gamma, Gamma))
-    return 0.5 * (R + R.T)
+    _check_step(h)
+    X, single = as_points(x)
+    patch.require_interior(X, _MARGIN_SECOND * h)
+    _, dg, d2g, ginv, Gamma = jet if jet is not None else metric_jet(patch, X, h)
+    # dginv[n,c,i,l] = -g^{ia} d_c g_{ab} g^{bl}
+    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
+    # dT[n,c,j,k,l] = d_c (d_j g_{kl} + d_k g_{jl} - d_l g_{jk})
+    dT = (d2g + np.transpose(d2g, (0, 1, 3, 2, 4))
+          - np.transpose(d2g, (0, 1, 4, 3, 2)))
+    dGamma = 0.5 * (np.einsum("ncil,njkl->ncijk", dginv, _christoffel_tensor(dg))
+                    + np.einsum("nil,ncjkl->ncijk", ginv, dT))
+    R = (np.einsum("niijk->njk", dGamma)
+         - np.einsum("njiik->njk", dGamma)
+         + np.einsum("niip,npjk->njk", Gamma, Gamma)
+         - np.einsum("nijp,npik->njk", Gamma, Gamma))
+    R = 0.5 * (R + np.swapaxes(R, 1, 2))
+    return R[0] if single else R
 
 
-def hessian_fd(patch: MetricPatch, u: ScalarField, x, h: float = DEFAULT_STEP) -> np.ndarray:
-    """Covariant Hessian of a scalar field: d^2 u - Gamma . du, componentwise."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    patch.require_interior(x, _MARGIN_FIRST * h)
-    g0, dg = value_grad(patch.metric, x, h)
-    Gamma, _, _ = _gamma_from_jet(g0, dg, patch.label)
-    _, du, d2u = value_jet(lambda p: u(p), x, h)
-    return d2u - np.einsum("ijk,i->jk", Gamma, du)
+def _field_hessian(patch, u, X, h, jet):
+    """Field jet and covariant Hessian d^2 u - Gamma . du at a batch."""
+    _check_step(h)
+    patch.require_interior(X, _MARGIN_FIRST * h)
+    if jet is None:
+        jet = metric_jet(patch, X, h)
+    u0, du, d2u = value_jet(u, X, h)
+    return jet, u0, du, d2u - np.einsum("nijk,ni->njk", jet.Gamma, du)
+
+
+def hessian_fd(patch: MetricPatch, u: ScalarField, x, h: float = DEFAULT_STEP,
+               jet: MetricJet | None = None) -> np.ndarray:
+    """Covariant Hessian of a scalar field: d^2 u - Gamma . du, componentwise.
+
+    ``x`` is one point or a batch, at least ``2h`` inside the domain;
+    ``jet`` is as in :func:`ricci_fd`.
+    """
+    X, single = as_points(x)
+    hess = _field_hessian(patch, u, X, h, jet)[3]
+    return hess[0] if single else hess
 
 
 class GradientData(NamedTuple):
+    """Per-point data of a scalar field; at a batch every field carries the
+    point index in front."""
+
     gradient: np.ndarray      # contravariant components g^{-1} du
     laplacian: float          # trace of the Hessian w.r.t. g
     grad_norm_sq: float       # |grad u|^2 = du . g^{-1} du
+    value: float              # u itself, from the same stencil call
 
 
 def gradient_laplacian(patch: MetricPatch, u: ScalarField, x,
-                       h: float = DEFAULT_STEP) -> GradientData:
-    """Gradient vector, Laplacian, and squared gradient norm of ``u`` at ``x``."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    patch.require_interior(x, _MARGIN_FIRST * h)
-    g0, dg = value_grad(patch.metric, x, h)
-    Gamma, ginv, _ = _gamma_from_jet(g0, dg, patch.label)
-    _, du, d2u = value_jet(lambda p: u(p), x, h)
-    hess = d2u - np.einsum("ijk,i->jk", Gamma, du)
-    grad = ginv @ du
-    return GradientData(gradient=grad,
-                        laplacian=float(np.einsum("ij,ij->", ginv, hess)),
-                        grad_norm_sq=float(du @ ginv @ du))
+                       h: float = DEFAULT_STEP,
+                       jet: MetricJet | None = None) -> GradientData:
+    """Gradient vector, Laplacian, squared gradient norm and value of ``u``.
+
+    ``x`` and ``jet`` are as in :func:`hessian_fd`.  At one point the
+    scalars are floats.
+    """
+    X, single = as_points(x)
+    jet, u0, du, hess = _field_hessian(patch, u, X, h, jet)
+    data = GradientData(gradient=np.einsum("nij,nj->ni", jet.ginv, du),
+                        laplacian=np.einsum("nij,nij->n", jet.ginv, hess),
+                        grad_norm_sq=np.einsum("ni,nij,nj->n", du, jet.ginv, du),
+                        value=u0)
+    if single:
+        return GradientData(data.gradient[0], float(data.laplacian[0]),
+                            float(data.grad_norm_sq[0]), float(u0[0]))
+    return data
 
 
 def soliton_residual(patch: MetricPatch, psi: ScalarField, lam: float, x,
                      h: float = DEFAULT_STEP):
-    """Gradient-soliton residual Ric + Hess(psi) - lam * g at a point.
+    """Gradient-soliton residual Ric + Hess(psi) - lam * g.
 
-    Returns ``(matrix, frobenius_norm)``.  A norm at the discretization
-    floor certifies the soliton equation at ``x``.
+    Returns ``(matrix, frobenius_norm)`` at one point, or arrays of shape
+    (N, dim, dim) and (N,) at a batch.  The metric is differenced once for
+    all three terms.  A norm at the discretization floor certifies the
+    soliton equation at ``x``.
     """
-    patch.require_interior(x, _MARGIN_SECOND * h)
-    R = ricci_fd(patch, x, h)
-    H = hessian_fd(patch, psi, x, h)
-    res = R + H - lam * patch.metric(x)
-    return res, float(np.linalg.norm(res))
+    X, single = as_points(x)
+    patch.require_interior(X, _MARGIN_SECOND * h)
+    jet = metric_jet(patch, X, h)
+    res = (ricci_fd(patch, X, h, jet=jet) + hessian_fd(patch, psi, X, h, jet=jet)
+           - lam * jet.g0)
+    norms = np.linalg.norm(res, axis=(1, 2))
+    return (res[0], float(norms[0])) if single else (res, norms)
 
 
 def transform_chart(patch: MetricPatch, A, label: str | None = None) -> MetricPatch:
@@ -192,8 +269,8 @@ def transform_chart(patch: MetricPatch, A, label: str | None = None) -> MetricPa
     y0 = Ainv @ x0
     dom = np.stack([y0 - rho, y0 + rho], axis=1)
 
-    def g(y):
-        return A.T @ patch.metric(A @ y) @ A
+    def g(Y):
+        return A.T @ patch.metric(Y @ A.T) @ A
 
     return MetricPatch(patch.dim, dom, g,
-                       label or f"{patch.label}|pullback")
+                       label or f"{patch.label}|pullback", vectorized=True)

@@ -1,10 +1,21 @@
-"""Fourth-order finite-difference stencils for pointwise jets and grid arrays.
+"""Fourth-order finite-difference stencils for batched jets and grid arrays.
 
-``value_jet`` differentiates an arbitrary array-valued function of a chart
-point: first derivatives use the 5-point central stencil, pure second
+``value_jet`` differentiates an array-valued function at a batch of chart
+points: first derivatives use the 5-point central stencil, pure second
 derivatives the matching 5-point stencil, and mixed second derivatives the
 nested product of first-derivative stencils (16 points per pair).  All are
 O(h^4) accurate; every stencil stays within 2h of the base point per axis.
+
+The stencils of all derivatives share their points, so each point needs
+the function at ``1 + 4 dim + 16 dim (dim - 1) / 2`` unique offsets (265
+at dim 6).  ``value_jet`` evaluates the function on all of them for all
+points in one vectorized call, ``func: (M, dim) -> (M,) + S``, split into
+chunks of at most ``_CHUNK_POINTS`` stencil points so memory stays bounded
+for any batch size, and contracts the values with the stencil weights.
+The curvature engine passes ``MetricPatch.metric`` and ``ScalarField``
+objects, whose adapters call a vectorized ``g: (N, dim) -> (N, dim, dim)``
+or ``f: (N, dim) -> (N,)`` once per chunk and a pointwise callable once
+per stencil point.
 
 ``grid_derivative`` differentiates uniformly sampled arrays with the same
 interior stencil and one-sided fourth-order stencils at the edges.
@@ -12,81 +23,90 @@ interior stencil and one-sided fourth-order stencils at the edges.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-__all__ = ["value_jet", "value_grad", "grid_derivative"]
+__all__ = ["value_jet", "grid_derivative"]
 
 # central first derivative: sum w_s f(x + s h) / (12 h)
 _D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 # central second derivative: sum w_s f(x + s h) / (12 h^2), s=0 term included
 _D2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))
 
+# stencil points per call of the differentiated function; bounds the memory
+# of one call for any batch size
+_CHUNK_POINTS = 1 << 15
 
-def value_jet(func, x, h: float):
-    """Value, gradient and Hessian of ``func`` at ``x``.
 
-    ``func`` may return a scalar or an ndarray of any fixed shape S.
-    Returns ``(f0, grad, hess)`` with shapes ``S``, ``(dim,) + S`` and
-    ``(dim, dim) + S``; ``hess`` is exactly symmetric in its two leading
-    axes by construction.
+@lru_cache(maxsize=None)
+def _stencil(dim: int):
+    """Unique stencil offsets and the weights that contract values on them.
+
+    Returns ``(offsets, w1, w2, (iu, ju))``: offsets of shape (S, dim) with
+    the zero offset first; ``w1`` (dim, S) gives the gradient as
+    ``w1 @ f / (12 h)`` and ``w2`` (P, S) the Hessian entries at the
+    upper-triangle indices ``(iu, ju)`` as ``w2 @ f / (144 h^2)``.
     """
-    x = np.asarray(x, dtype=float)
-    dim = x.size
-    f0 = np.asarray(func(x), dtype=float)
-    grad = np.zeros((dim,) + f0.shape)
-    hess = np.zeros((dim, dim) + f0.shape)
-    cache = {(0,) * dim: f0}
+    eye = np.eye(dim, dtype=int)
+    iu, ju = np.triu_indices(dim)
+    terms = [(c, s * eye[c], w) for c in range(dim) for s, w in _D1]
+    for r, (c, d) in enumerate(zip(iu, ju), start=dim):
+        if c == d:
+            terms += [(r, s * eye[c], 12.0 * w) for s, w in _D2]
+        else:
+            terms += [(r, s1 * eye[c] + s2 * eye[d], w1 * w2)
+                      for s1, w1 in _D1 for s2, w2 in _D1]
+    index = {(0,) * dim: 0}
+    cols = [index.setdefault(tuple(off), len(index)) for _, off, _ in terms]
+    weights = np.zeros((dim + iu.size, len(index)))
+    for (r, _, w), col in zip(terms, cols):
+        weights[r, col] += w
+    offsets = np.array(list(index), dtype=float)
+    for arr in (offsets, weights, iu, ju):
+        arr.flags.writeable = False
+    return offsets, weights[:dim], weights[dim:], (iu, ju)
 
-    def ev(steps):
-        if steps not in cache:
-            cache[steps] = np.asarray(func(x + h * np.asarray(steps, dtype=float)),
-                                      dtype=float)
-        return cache[steps]
 
-    def axis_steps(c, s):
-        t = [0] * dim
-        t[c] = s
-        return tuple(t)
+def value_jet(func, X, h: float):
+    """Values, gradients and Hessians of ``func`` at a batch of points.
 
-    for c in range(dim):
-        g_acc = np.zeros_like(f0)
-        h_acc = np.zeros_like(f0)
-        for s, w in _D1:
-            g_acc = g_acc + w * ev(axis_steps(c, s))
-        for s, w in _D2:
-            h_acc = h_acc + w * ev(axis_steps(c, s))
-        grad[c] = g_acc / (12.0 * h)
-        hess[c, c] = h_acc / (12.0 * h * h)
-
-    for c in range(dim):
-        for d in range(c + 1, dim):
-            acc = np.zeros_like(f0)
-            for s1, w1 in _D1:
-                for s2, w2 in _D1:
-                    t = [0] * dim
-                    t[c] = s1
-                    t[d] = s2
-                    acc = acc + (w1 * w2) * ev(tuple(t))
-            hess[c, d] = acc / (144.0 * h * h)
-            hess[d, c] = hess[c, d]
-
+    ``X`` has shape (N, dim); ``func`` maps an (M, dim) array of points to
+    an array of shape (M,) + S for a fixed shape S.  Returns
+    ``(f0, grad, hess)`` with shapes ``(N,) + S``, ``(N, dim) + S`` and
+    ``(N, dim, dim) + S``; ``hess`` is exactly symmetric in its two
+    derivative axes by construction.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"value_jet needs points of shape (N, dim), got {X.shape}")
+    n, dim = X.shape
+    offsets, w1, w2, (iu, ju) = _stencil(dim)
+    n_off = offsets.shape[0]
+    per_call = max(1, _CHUNK_POINTS // n_off)
+    f0 = grad = hess = None
+    for lo in range(0, max(n, 1), per_call):  # an empty batch still sets S
+        chunk = X[lo:lo + per_call]
+        pts = (chunk[:, None, :] + h * offsets[None, :, :]).reshape(-1, dim)
+        vals = np.asarray(func(pts), dtype=float)
+        shape = vals.shape[1:]
+        if f0 is None:
+            f0 = np.empty((n,) + shape)
+            grad = np.empty((n, dim) + shape)
+            hess = np.empty((n, dim, dim) + shape)
+        m = len(chunk)
+        F = vals.reshape(m, n_off, int(np.prod(shape)))
+        sl = slice(lo, lo + m)
+        f0[sl] = F[:, 0].reshape((m,) + shape)
+        # every stencil's weights sum to zero, so subtracting the centre
+        # value is exact in real arithmetic; in floating point it keeps a
+        # large constant part of f out of the rounding of the weighted sums
+        F = F - F[:, :1]
+        grad[sl] = (w1 @ F / (12.0 * h)).reshape((m, dim) + shape)
+        packed = (w2 @ F / (144.0 * h * h)).reshape((m, iu.size) + shape)
+        hess[sl, iu, ju] = packed
+        hess[sl, ju, iu] = packed
     return f0, grad, hess
-
-
-def value_grad(func, x, h: float):
-    """Value and gradient only (cheaper than :func:`value_jet`)."""
-    x = np.asarray(x, dtype=float)
-    dim = x.size
-    f0 = np.asarray(func(x), dtype=float)
-    grad = np.zeros((dim,) + f0.shape)
-    for c in range(dim):
-        acc = np.zeros_like(f0)
-        for s, w in _D1:
-            xo = x.copy()
-            xo[c] += s * h
-            acc = acc + w * np.asarray(func(xo), dtype=float)
-        grad[c] = acc / (12.0 * h)
-    return f0, grad
 
 
 def _derivative_weights(offsets):

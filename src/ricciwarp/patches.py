@@ -5,6 +5,14 @@ map from chart points to metric component matrices.  Everything downstream
 (curvature, warped assembly, certification) consumes patches through this
 interface, so any metric that can be evaluated pointwise plugs in.
 
+Patches and scalar fields evaluate one point ``(dim,)`` or a batch
+``(N, dim)``.  A callable declared ``vectorized=True`` takes the whole
+batch, ``g: (N, dim) -> (N, dim, dim)`` and ``f: (N, dim) -> (N,)``, and is
+called once per batch; a pointwise callable (the default) is called once
+per point.  The finite-difference engine evaluates every stencil point of
+a check in one batch, so vectorized charts are what make it fast.  The
+chart library below is vectorized.
+
 Charts are single boxes.  Coordinate singularities (sphere poles, the
 origin of a polar chart) must lie outside the box; finite-difference
 operators additionally require a stencil-width margin from the boundary,
@@ -51,6 +59,13 @@ class DegenerateMetricError(GeometryError):
     """The metric is non-invertible or too ill-conditioned at the point."""
 
 
+def as_points(x):
+    """``(X, single)``: ``x`` as an (N, dim) float batch, and whether ``x``
+    was a single (dim,) point."""
+    x = np.asarray(x, dtype=float)
+    return np.atleast_2d(x), x.ndim == 1
+
+
 @dataclass(frozen=True)
 class MetricPatch:
     """A coordinate chart with smooth metric components.
@@ -63,15 +78,19 @@ class MetricPatch:
         Axis-aligned box ``[lo_i, hi_i]`` of valid chart coordinates.
     g : callable
         Map from a chart point (array of length ``dim``) to the
-        ``dim x dim`` symmetric positive-definite component matrix.
+        ``dim x dim`` symmetric positive-definite component matrix, or,
+        when ``vectorized``, from an (N, dim) batch to (N, dim, dim).
     label : str
         Human-readable name used in reports.
+    vectorized : bool
+        Whether ``g`` takes batches of points.
     """
 
     dim: int
     domain: np.ndarray
     g: Callable[[np.ndarray], np.ndarray]
     label: str = "patch"
+    vectorized: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -82,25 +101,48 @@ class MetricPatch:
         object.__setattr__(self, "domain", dom)
 
     def metric(self, x) -> np.ndarray:
-        """Evaluate the metric components at ``x`` as a float ndarray."""
-        G = np.asarray(self.g(np.asarray(x, dtype=float)), dtype=float)
-        if G.shape != (self.dim, self.dim):
+        """Metric components at ``x`` as a float ndarray.
+
+        One point (dim,) gives a (dim, dim) matrix, a batch (N, dim) gives
+        an (N, dim, dim) array.
+        """
+        x = np.asarray(x, dtype=float)
+        expected = x.shape[:-1] + (self.dim, self.dim)
+        if self.vectorized:
+            G = np.asarray(self.g(np.atleast_2d(x)), dtype=float)
+            if x.ndim == 1 and G.shape == (1,) + expected:
+                G = G[0]
+        elif x.ndim == 1:
+            G = np.asarray(self.g(x), dtype=float)
+        else:
+            G = (np.array([self.g(p) for p in x], dtype=float) if len(x)
+                 else np.empty(expected))
+        if G.shape != expected:
             raise ValueError(
                 f"metric of patch '{self.label}' returned shape {G.shape}, "
-                f"expected {(self.dim, self.dim)}")
+                f"expected {expected}")
         return G
 
+    def _inside(self, X: np.ndarray, margin: float) -> np.ndarray:
+        return np.all((X >= self.domain[:, 0] + margin)
+                      & (X <= self.domain[:, 1] - margin), axis=-1)
+
     def contains(self, x, margin: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.domain[:, 0] + margin)
-                    and np.all(x <= self.domain[:, 1] - margin))
+        """Whether every point of ``x`` (one point or a batch) keeps the margin."""
+        return bool(np.all(self._inside(np.asarray(x, dtype=float), margin)))
 
     def require_interior(self, x, margin: float):
-        """Raise :class:`BoundaryProximityError` unless ``x`` keeps the margin."""
-        if not self.contains(x, margin):
+        """Raise :class:`BoundaryProximityError` unless every point keeps the margin.
+
+        ``x`` is one point or a batch; the message names the first point
+        that does not keep the margin.
+        """
+        X = np.atleast_2d(np.asarray(x, dtype=float))
+        inside = self._inside(X, margin)
+        if not inside.all():
             raise BoundaryProximityError(
-                f"point {np.asarray(x)} is within {margin} of the boundary "
-                f"of patch '{self.label}'")
+                f"point {X[np.argmin(inside)]} is within {margin} of the "
+                f"boundary of patch '{self.label}'")
 
     def center(self) -> np.ndarray:
         return self.domain.mean(axis=1)
@@ -108,13 +150,30 @@ class MetricPatch:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A smooth real-valued function on a chart, e.g. a warping or potential."""
+    """A smooth real-valued function on a chart, e.g. a warping or potential.
+
+    ``f`` maps a chart point to a number or, when ``vectorized``, an
+    (N, dim) batch of points to an (N,) array.
+    """
 
     f: Callable[[np.ndarray], float]
     label: str = "field"
+    vectorized: bool = False
 
-    def __call__(self, x) -> float:
-        return float(self.f(np.asarray(x, dtype=float)))
+    def __call__(self, x) -> float | np.ndarray:
+        """A float at one point (dim,), an (N,) array at a batch (N, dim)."""
+        x = np.asarray(x, dtype=float)
+        if self.vectorized:
+            X = np.atleast_2d(x)
+            v = np.asarray(self.f(X), dtype=float)
+            if v.shape != (len(X),):
+                raise ValueError(
+                    f"field '{self.label}' returned shape {v.shape}, "
+                    f"expected {(len(X),)}")
+            return float(v[0]) if x.ndim == 1 else v
+        if x.ndim == 1:
+            return float(self.f(x))
+        return np.array([float(self.f(p)) for p in x])
 
 
 @dataclass(frozen=True)
@@ -149,28 +208,39 @@ class SolitonConstants:
 # chart library
 # ---------------------------------------------------------------------------
 
+def _identity_metric(n: int):
+    eye = np.eye(n)
+    return lambda X: np.repeat(eye[None], len(X), axis=0)
+
+
 def euclidean_patch(n: int, half_width: float = 2.0, label: str | None = None) -> MetricPatch:
     """Flat R^n in Cartesian coordinates on ``[-half_width, half_width]^n``."""
-    eye = np.eye(n)
     dom = np.array([[-half_width, half_width]] * n)
-    return MetricPatch(n, dom, lambda x: eye.copy(),
-                       label or f"euclidean-{n}d")
+    return MetricPatch(n, dom, _identity_metric(n),
+                       label or f"euclidean-{n}d", vectorized=True)
 
 
 def polar_plane_patch(t_range=(0.3, 3.0)) -> MetricPatch:
     """Flat plane in polar coordinates (t, theta): dt^2 + t^2 dtheta^2."""
     dom = np.array([list(t_range), [0.3, 2 * np.pi - 0.3]])
-    return MetricPatch(2, dom, lambda x: np.diag([1.0, x[0] ** 2]),
-                       "polar-plane")
+
+    def g(X):
+        G = np.zeros((len(X), 2, 2))
+        G[:, 0, 0] = 1.0
+        G[:, 1, 1] = X[:, 0] ** 2
+        return G
+
+    return MetricPatch(2, dom, g, "polar-plane", vectorized=True)
 
 
-def _round_sphere_components(m: int, radius: float, y: np.ndarray) -> np.ndarray:
-    G = np.zeros((m, m))
-    s = radius * radius
+def _round_sphere_components(m: int, radius: float, Y: np.ndarray) -> np.ndarray:
+    """Round-sphere components at a batch Y of shape (N, m): (N, m, m)."""
+    G = np.zeros((len(Y), m, m))
+    s = np.full(len(Y), radius * radius)
     for i in range(m):
-        G[i, i] = s
+        G[:, i, i] = s
         if i < m - 1:
-            s *= np.sin(y[i]) ** 2
+            s = s * np.sin(Y[:, i]) ** 2
     return G
 
 
@@ -184,15 +254,15 @@ def sphere_patch(m: int, radius: float = 1.0, pad: float = 0.35) -> MetricPatch:
         raise ValueError("sphere dimension must be >= 1")
     dom = [[pad, np.pi - pad]] * (m - 1) + [[pad, 2 * np.pi - pad]]
     return MetricPatch(m, np.array(dom),
-                       lambda y: _round_sphere_components(m, radius, y),
-                       f"sphere-{m}d-r{radius:g}")
+                       lambda Y: _round_sphere_components(m, radius, Y),
+                       f"sphere-{m}d-r{radius:g}", vectorized=True)
 
 
 def torus_patch(m: int, half_width: float = np.pi) -> MetricPatch:
     """Flat m-torus chart: identity metric on a periodic box (Ricci = 0)."""
-    eye = np.eye(m)
     dom = np.array([[-half_width, half_width]] * m)
-    return MetricPatch(m, dom, lambda x: eye.copy(), f"torus-{m}d")
+    return MetricPatch(m, dom, _identity_metric(m), f"torus-{m}d",
+                       vectorized=True)
 
 
 def hyperbolic_patch(m: int, radius: float = 1.0) -> MetricPatch:
@@ -201,11 +271,13 @@ def hyperbolic_patch(m: int, radius: float = 1.0) -> MetricPatch:
         raise ValueError("hyperbolic model needs dimension >= 2")
     dom = np.array([[-1.0, 1.0]] * (m - 1) + [[0.5, 2.0]])
     r2 = radius * radius
+    eye = np.eye(m)
 
-    def g(y):
-        return (r2 / y[-1] ** 2) * np.eye(m)
+    def g(Y):
+        return (r2 / Y[:, -1] ** 2)[:, None, None] * eye
 
-    return MetricPatch(m, dom, g, f"hyperbolic-{m}d-r{radius:g}")
+    return MetricPatch(m, dom, g, f"hyperbolic-{m}d-r{radius:g}",
+                       vectorized=True)
 
 
 def einstein_model_fiber(m: int, mu: float, flat_tol: float = 1e-8):
@@ -231,22 +303,24 @@ def einstein_model_fiber(m: int, mu: float, flat_tol: float = 1e-8):
 def radial_profile_base(a, k: int, t_range, label: str = "radial-base") -> MetricPatch:
     """Base chart dt^2 + a(t)^2 g_{S^k} in coordinates (t, angles).
 
-    ``a`` is any callable of t.  For k = 0 the base is the line and the
-    chart is one-dimensional.
+    ``a`` maps an array of t values to the array of a(t) values, e.g. a
+    spline.  For k = 0 the base is the line, the chart is one-dimensional
+    and ``a`` is unused.
     """
     if k == 0:
-        return MetricPatch(1, np.array([list(t_range)]),
-                           lambda x: np.array([[1.0]]), label)
+        return MetricPatch(1, np.array([list(t_range)]), _identity_metric(1),
+                           label, vectorized=True)
     sphere_dom = [[0.35, np.pi - 0.35]] * (k - 1) + [[0.35, 2 * np.pi - 0.35]]
     dom = np.array([list(t_range)] + sphere_dom)
 
-    def g(x):
-        G = np.zeros((1 + k, 1 + k))
-        G[0, 0] = 1.0
-        G[1:, 1:] = float(a(x[0])) ** 2 * _round_sphere_components(k, 1.0, x[1:])
+    def g(X):
+        G = np.zeros((len(X), 1 + k, 1 + k))
+        G[:, 0, 0] = 1.0
+        a2 = np.asarray(a(X[:, 0]), dtype=float) ** 2
+        G[:, 1:, 1:] = a2[:, None, None] * _round_sphere_components(k, 1.0, X[:, 1:])
         return G
 
-    return MetricPatch(1 + k, dom, g, label)
+    return MetricPatch(1 + k, dom, g, label, vectorized=True)
 
 
 def cartesian_profile_base(a, k: int, t_range, label: str = "cartesian-base") -> MetricPatch:
@@ -279,12 +353,13 @@ def cartesian_profile_base(a, k: int, t_range, label: str = "cartesian-base") ->
 
 def quadratic_potential(lam: float, label: str | None = None) -> ScalarField:
     """The field (lam/2)|x|^2, whose Hessian is lam * identity on flat charts."""
-    return ScalarField(lambda x: 0.5 * lam * float(np.dot(x, x)),
-                       label or f"quadratic-{lam:g}")
+    return ScalarField(lambda X: 0.5 * lam * np.einsum("ni,ni->n", X, X),
+                       label or f"quadratic-{lam:g}", vectorized=True)
 
 
 def constant_field(value: float, label: str | None = None) -> ScalarField:
-    return ScalarField(lambda x: value, label or f"const-{value:g}")
+    return ScalarField(lambda X: np.full(len(X), float(value)),
+                       label or f"const-{value:g}", vectorized=True)
 
 
 def radial_field(fn, label: str = "radial") -> ScalarField:

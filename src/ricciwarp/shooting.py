@@ -517,12 +517,12 @@ def profile_geometry(profile: SolitonProfile, h: float = 1e-3):
     a_s, b_s, phi_s = profile.interpolants()
     fiber, rho = einstein_model_fiber(m, profile.mu_mean)
     base = radial_profile_base(
-        (lambda t: float(a_s(t))) if k >= 1 else (lambda t: 1.0),
-        k,
-        (float(profile.t[0]) + 8 * h, float(profile.t[-1]) - 8 * h),
+        a_s, k, (float(profile.t[0]) + 8 * h, float(profile.t[-1]) - 8 * h),
         label=f"profile-base-k{k}")
-    warp = ScalarField(lambda x: float(b_s(x[0])) / rho, "b-warping")
-    potential = ScalarField(lambda x: float(phi_s(x[0])), "phi-potential")
+    warp = ScalarField(lambda X: b_s(X[:, 0]) / rho, "b-warping",
+                       vectorized=True)
+    potential = ScalarField(lambda X: phi_s(X[:, 0]), "phi-potential",
+                            vectorized=True)
     constants = SolitonConstants(lam=params.lam, m=m, mu=None, c=None)
     return WarpedGeometry(base=base, fiber=fiber, f=warp, phi=potential,
                           constants=constants)

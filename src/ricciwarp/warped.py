@@ -32,6 +32,10 @@ to be a spatial constant, which must match the Einstein constant of the
 fiber (Ric_F = mu g_F).  ``certify_soliton`` checks the full chain and
 finishes with the finite-difference soliton residual of the assembled
 metric, which is the end-to-end oracle.
+
+The structure-equation functions take one base point or a batch of them
+and return the matching shape; ``certify_soliton`` calls each check once
+with its whole sample set, so each check differences the metric once.
 """
 
 from __future__ import annotations
@@ -45,10 +49,18 @@ from .curvature import (
     DEFAULT_STEP,
     gradient_laplacian,
     hessian_fd,
+    metric_jet,
     ricci_fd,
     soliton_residual,
 )
-from .patches import GeometryError, MetricPatch, ScalarField, SolitonConstants
+from .fd import value_jet
+from .patches import (
+    GeometryError,
+    MetricPatch,
+    ScalarField,
+    SolitonConstants,
+    as_points,
+)
 
 __all__ = [
     "WarpedGeometry",
@@ -87,10 +99,12 @@ class WarpedGeometry:
             raise ValueError(
                 f"constants.m = {self.constants.m} does not match the fiber "
                 f"dimension {self.fiber.dim}")
-        for x in _positivity_samples(self.base):
-            if self.f(x) <= 0.0:
-                raise ValueError(
-                    f"warping function '{self.f.label}' is not positive at {x}")
+        samples = _positivity_samples(self.base)
+        bad = self.f(samples) <= 0.0
+        if bad.any():
+            raise ValueError(
+                f"warping function '{self.f.label}' is not positive at "
+                f"{samples[np.argmax(bad)]}")
 
     @property
     def n(self) -> int:
@@ -103,10 +117,9 @@ class WarpedGeometry:
 
 def _positivity_samples(patch: MetricPatch, n_random: int = 32, seed: int = 0):
     lo, hi = patch.domain[:, 0], patch.domain[:, 1]
-    pts = [patch.center(), lo.copy(), hi.copy()]
     rng = np.random.default_rng(seed)
-    pts.extend(lo + (hi - lo) * rng.random((n_random, patch.dim)))
-    return pts
+    return np.vstack([patch.center(), lo, hi,
+                      lo + (hi - lo) * rng.random((n_random, patch.dim))])
 
 
 @dataclass
@@ -137,24 +150,27 @@ def assemble_warped(w: WarpedGeometry) -> MetricPatch:
     base_g, fiber_g, fwarp = w.base.metric, w.fiber.metric, w.f
     dom = np.vstack([w.base.domain, w.fiber.domain])
 
-    def g(x):
-        fv = fwarp(x[:n])
-        if fv <= 0.0:
+    def g(X):
+        fv = fwarp(X[:, :n])
+        bad = fv <= 0.0
+        if bad.any():
             raise GeometryError(
-                f"warping '{w.f.label}' is nonpositive at {x[:n]}")
-        G = np.zeros((n + m, n + m))
-        G[:n, :n] = base_g(x[:n])
-        G[n:, n:] = fv * fv * fiber_g(x[n:])
+                f"warping '{w.f.label}' is nonpositive at {X[np.argmax(bad), :n]}")
+        G = np.zeros((len(X), n + m, n + m))
+        G[:, :n, :n] = base_g(X[:, :n])
+        G[:, n:, n:] = (fv * fv)[:, None, None] * fiber_g(X[:, n:])
         return G
 
     return MetricPatch(n + m, dom, g,
-                       f"warped({w.base.label},{w.fiber.label};f={w.f.label})")
+                       f"warped({w.base.label},{w.fiber.label};f={w.f.label})",
+                       vectorized=True)
 
 
 def lifted_potential(w: WarpedGeometry) -> ScalarField:
     """The base potential phi pulled back to the product chart."""
     n, phi = w.n, w.phi
-    return ScalarField(lambda x: phi(x[:n]), f"{w.phi.label}|lift")
+    return ScalarField(lambda X: phi(X[:, :n]), f"{w.phi.label}|lift",
+                       vectorized=True)
 
 
 def ricci_closed_form(w: WarpedGeometry, x, h: float = DEFAULT_STEP) -> BlockMatrix:
@@ -169,15 +185,15 @@ def ricci_closed_form(w: WarpedGeometry, x, h: float = DEFAULT_STEP) -> BlockMat
     x = np.asarray(x, dtype=float)
     n, m = w.n, w.m
     xb, xf = x[:n], x[n:]
-    fv = w.f(xb)
-    ric_b = ricci_fd(w.base, xb, h)
-    hess_f = hessian_fd(w.base, w.f, xb, h)
-    gl = gradient_laplacian(w.base, w.f, xb, h)
-    ric_f = ricci_fd(w.fiber, xf, h)
-    g_f = w.fiber.metric(xf)
+    jet_b = metric_jet(w.base, xb, h)
+    jet_f = metric_jet(w.fiber, xf, h)
+    gl = gradient_laplacian(w.base, w.f, xb, h, jet=jet_b)
+    fv = gl.value
 
-    hh = ric_b - (m / fv) * hess_f
-    vv = ric_f - (fv * gl.laplacian + (m - 1) * gl.grad_norm_sq) * g_f
+    hess_f = hessian_fd(w.base, w.f, xb, h, jet=jet_b)
+    hh = ricci_fd(w.base, xb, h, jet=jet_b) - (m / fv) * hess_f
+    vv = (ricci_fd(w.fiber, xf, h, jet=jet_f)
+          - (fv * gl.laplacian + (m - 1) * gl.grad_norm_sq) * jet_f.g0[0])
     return BlockMatrix(hh=hh, vv=vv, hv=np.zeros((n, m)))
 
 
@@ -185,32 +201,37 @@ def base_equation_residual(w: WarpedGeometry, x_base, h: float = DEFAULT_STEP):
     """Residual of the tensor structure equation on the base.
 
     Returns ``(matrix, norm)`` of Ric_B + Hess(phi) - lam g_B - (m/f) Hess(f)
-    at the base point.
+    at a base point, or arrays of them at a batch of base points.
     """
-    xb = np.asarray(x_base, dtype=float)
-    fv = w.f(xb)
-    if fv <= 0.0:
-        raise GeometryError(f"warping '{w.f.label}' is nonpositive at {xb}")
-    res = (ricci_fd(w.base, xb, h)
-           + hessian_fd(w.base, w.phi, xb, h)
-           - w.constants.lam * w.base.metric(xb)
-           - (w.m / fv) * hessian_fd(w.base, w.f, xb, h))
-    return res, float(np.linalg.norm(res))
+    X, single = as_points(x_base)
+    fv = w.f(X)
+    bad = fv <= 0.0
+    if bad.any():
+        raise GeometryError(
+            f"warping '{w.f.label}' is nonpositive at {X[np.argmax(bad)]}")
+    jet = metric_jet(w.base, X, h)
+    res = (ricci_fd(w.base, X, h, jet=jet)
+           + hessian_fd(w.base, w.phi, X, h, jet=jet)
+           - w.constants.lam * jet.g0
+           - (w.m / fv)[:, None, None] * hessian_fd(w.base, w.f, X, h, jet=jet))
+    norms = np.linalg.norm(res, axis=(1, 2))
+    return (res[0], float(norms[0])) if single else (res, norms)
 
 
-def scalar_equation_value(w: WarpedGeometry, x_base, h: float = DEFAULT_STEP) -> float:
-    """Left side of the scalar structure equation at a base point."""
-    xb = np.asarray(x_base, dtype=float)
-    fv = w.f(xb)
+def scalar_equation_value(w: WarpedGeometry, x_base, h: float = DEFAULT_STEP):
+    """Left side of the scalar structure equation at a base point (a float)
+    or at a batch of base points (an array)."""
+    X, single = as_points(x_base)
     lam = w.constants.lam
-    gl_phi = gradient_laplacian(w.base, w.phi, xb, h)
-    _, df = _field_grad(w.f, xb, h)
-    dphi_of_f = float(gl_phi.gradient @ df)  # g(grad phi, grad f)
-    return (2.0 * lam * w.phi(xb) - gl_phi.grad_norm_sq + gl_phi.laplacian
-            + (w.m / fv) * dphi_of_f)
+    gl_phi = gradient_laplacian(w.base, w.phi, X, h)
+    fv, df, _ = value_jet(w.f, X, h)
+    dphi_of_f = np.einsum("ni,ni->n", gl_phi.gradient, df)  # g(grad phi, grad f)
+    val = (2.0 * lam * gl_phi.value - gl_phi.grad_norm_sq + gl_phi.laplacian
+           + (w.m / fv) * dphi_of_f)
+    return float(val[0]) if single else val
 
 
-def scalar_equation_residual(w: WarpedGeometry, x_base, h: float = DEFAULT_STEP) -> float:
+def scalar_equation_residual(w: WarpedGeometry, x_base, h: float = DEFAULT_STEP):
     """Left side of the scalar structure equation minus ``constants.c``.
 
     Requires ``constants.c`` to be set; use
@@ -228,40 +249,38 @@ def calibrate_scalar_constant(w: WarpedGeometry, base_points, h: float = DEFAULT
     mean over the sample set.  The additive normalization of phi is not
     fixed by the structure equations, so c is an output of the data.
     """
-    vals = np.array([scalar_equation_value(w, x, h) for x in base_points])
+    vals = scalar_equation_value(
+        w, np.asarray(base_points, dtype=float).reshape(-1, w.n), h)
     c = float(vals.mean())
     return c, float(np.abs(vals - c).max())
 
 
-def first_integral(w: WarpedGeometry, x_base, h: float = DEFAULT_STEP) -> float:
+def first_integral(w: WarpedGeometry, x_base, h: float = DEFAULT_STEP):
     """Pointwise value of lam f^2 + f Lap f + (m-1)|grad f|^2 - f grad phi(f).
 
-    Along solutions of the base structure equations this is a spatial
-    constant, and it must equal the Einstein constant of the fiber.
+    A float at one base point, an array at a batch.  Along solutions of
+    the base structure equations this is a spatial constant, and it must
+    equal the Einstein constant of the fiber.
     """
-    xb = np.asarray(x_base, dtype=float)
+    X, single = as_points(x_base)
     lam, m = w.constants.lam, w.m
-    gl_f = gradient_laplacian(w.base, w.f, xb, h)
-    _, dphi = _field_grad(w.phi, xb, h)
-    fv = w.f(xb)
-    dphi_of_f = float(dphi @ gl_f.gradient)  # dphi(grad f) = g(grad phi, grad f)
-    return (lam * fv * fv + fv * gl_f.laplacian
-            + (m - 1) * gl_f.grad_norm_sq - fv * dphi_of_f)
-
-
-def _field_grad(u: ScalarField, x, h):
-    from .fd import value_grad
-    return value_grad(lambda p: u(p), x, h)
+    gl_f = gradient_laplacian(w.base, w.f, X, h)
+    _, dphi, _ = value_jet(w.phi, X, h)
+    fv = gl_f.value
+    # dphi(grad f) = g(grad phi, grad f)
+    dphi_of_f = np.einsum("ni,ni->n", dphi, gl_f.gradient)
+    val = (lam * fv * fv + fv * gl_f.laplacian
+           + (m - 1) * gl_f.grad_norm_sq - fv * dphi_of_f)
+    return float(val[0]) if single else val
 
 
 def einstein_check(fiber: MetricPatch, mu: float, samples,
                    h: float = DEFAULT_STEP) -> float:
-    """Max over samples of || Ric_F - mu g_F ||_F."""
-    worst = 0.0
-    for x in samples:
-        res = ricci_fd(fiber, x, h) - mu * fiber.metric(x)
-        worst = max(worst, float(np.linalg.norm(res)))
-    return worst
+    """Max over samples of || Ric_F - mu g_F ||_F (0 without samples)."""
+    X = np.asarray(samples, dtype=float).reshape(-1, fiber.dim)
+    jet = metric_jet(fiber, X, h)
+    res = ricci_fd(fiber, X, h, jet=jet) - mu * jet.g0
+    return float(np.linalg.norm(res, axis=(1, 2)).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +378,21 @@ def certify_soliton(w: WarpedGeometry,
             "pass": bool(residual <= tolerance),
         }
 
-    base_res = max(base_equation_residual(w, x, h)[1] for x in base_samples)
+    base_samples = np.asarray(base_samples, dtype=float).reshape(-1, w.n)
+    product_samples = np.asarray(product_samples, dtype=float).reshape(
+        -1, w.n + w.m)
+
+    base_res = base_equation_residual(w, base_samples, h)[1].max()
     add("base_equation", base_res, len(base_samples))
 
     if w.constants.c is None:
         c_val, scal_res = calibrate_scalar_constant(w, base_samples, h)
     else:
         c_val = w.constants.c
-        scal_res = max(abs(scalar_equation_residual(w, x, h)) for x in base_samples)
+        scal_res = np.abs(scalar_equation_residual(w, base_samples, h)).max()
     add("scalar_equation", scal_res, len(base_samples))
 
-    mus = np.array([first_integral(w, x, h) for x in base_samples])
+    mus = first_integral(w, base_samples, h)
     mu_mean = float(mus.mean())
     mu_spread = float(mus.max() - mus.min())
     add("first_integral", mu_spread / (1.0 + abs(mu_mean)), len(base_samples))
@@ -380,8 +403,8 @@ def certify_soliton(w: WarpedGeometry,
 
     product = assemble_warped(w)
     psi = lifted_potential(w)
-    sol_res = max(soliton_residual(product, psi, w.constants.lam, x, h)[1]
-                  for x in product_samples)
+    sol_res = soliton_residual(product, psi, w.constants.lam,
+                               product_samples, h)[1].max()
     add("soliton_residual", sol_res, len(product_samples))
 
     return CertificationReport(

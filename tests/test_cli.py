@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ricciwarp.cli import main
 from ricciwarp.shooting import SolitonProfile
@@ -114,6 +115,18 @@ class TestCertify:
                                     "n_base": 6, "n_product": 6})
         assert main(["certify", "--config", str(cfg2)]) == 2
 
+    def test_reruns_byte_identical(self, tmp_path):
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
+                                      "b0": 1.0, "t_max": 3.0},
+                     certify={"n_base": 4, "n_product": 5, "seed": 7,
+                              "t_window": [0.2, 2.5]})
+        assert main(["certify", "--config", str(cfg_path)]) == 0
+        report = tmp_path / "out" / "certification.json"
+        first = report.read_bytes()
+        assert main(["certify", "--config", str(cfg_path)]) == 0
+        assert report.read_bytes() == first
+
     def test_certify_missing_profile_exits_4(self, tmp_path):
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, certify={"profile": str(tmp_path / "none.csv")})
@@ -196,3 +209,38 @@ class TestSweep:
         first = (tmp_path / "out" / "sweep.csv").read_bytes()
         assert main(["sweep", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == first
+
+
+_SOLVE = {"k": 1, "m": 2, "lambda": 0.0, "b0": 1.0, "t_max": 2.0}
+_SWEEP = {"k": [1], "m": [2], "lambda": [0.0], "b0": [1.0], "t_max": 2.0}
+
+
+class TestConfigValidation:
+    """Ill-typed numbers exit 2 before any work, and write nothing."""
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("solve", "lambda", "x"),
+        ("solve", "lambda", float("nan")),
+        ("solve", "lambda", float("inf")),
+        ("solve", "k", 1.5),
+        ("solve", "k", True),
+        ("solve", "b0", True),
+        ("solve", "grid_per_unit", 40.5),
+        ("sweep", "b0", [1.0, float("nan")]),
+        ("sweep", "m", [2, 2.5]),
+        ("sweep", "workers", 1.5),
+        ("certify", "h", float("inf")),
+        ("certify", "tolerance", "1e-5"),
+        ("certify", "n_product", 2.5),
+        ("certify", "n_base", 0),
+        ("certify", "seed", True),
+        ("certify", "seed", -1),
+    ])
+    def test_bad_number_exits_2_without_artifacts(self, tmp_path, command,
+                                                  key, value):
+        blocks = {"solve": dict(_SOLVE), "sweep": dict(_SWEEP), "certify": {}}
+        blocks[command][key] = value
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, **blocks)
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()

@@ -1,5 +1,7 @@
 """Finite-difference curvature engine against hand-computed oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -296,3 +298,93 @@ class TestTransformChart:
     def test_torus_flat(self):
         R = ricci_fd(torus_patch(3), np.zeros(3), H)
         assert np.abs(R).max() < 1e-12
+
+
+def _graph_gradient(X):
+    """Gradient of z = x0 x1 + x2^2 / 2 at a batch; g = I + dz dz^T."""
+    return np.stack([X[:, 1], X[:, 0], X[:, 2]], axis=1)
+
+
+def graph_patch(vectorized: bool) -> MetricPatch:
+    """The graph metric of z over a box, pointwise or vectorized.
+
+    Both forms do the same floating-point operations per point, so the
+    engine must return the same numbers for either.
+    """
+    dom = np.array([[-1.0, 1.0]] * 3)
+    if vectorized:
+        def g(X):
+            dz = _graph_gradient(X)
+            return np.eye(3) + dz[:, :, None] * dz[:, None, :]
+    else:
+        def g(x):
+            dz = _graph_gradient(x[None])[0]
+            return np.eye(3) + np.outer(dz, dz)
+    return MetricPatch(3, dom, g, "graph", vectorized=vectorized)
+
+
+def cubic_field(vectorized: bool) -> ScalarField:
+    if vectorized:
+        return ScalarField(lambda X: X[:, 0] ** 2 * X[:, 1] + X[:, 2] ** 3,
+                           "cubic", vectorized=True)
+    return ScalarField(lambda x: x[0] ** 2 * x[1] + x[2] ** 3, "cubic")
+
+
+def _all_operators(patch, u, X):
+    gl = gradient_laplacian(patch, u, X, H)
+    return [ricci_fd(patch, X, H), hessian_fd(patch, u, X, H),
+            gl.gradient, gl.laplacian, gl.grad_norm_sq, gl.value,
+            *soliton_residual(patch, u, 0.3, X, H)]
+
+
+class TestBatchedEngine:
+    def test_pointwise_and_vectorized_callables_agree(self):
+        X = np.random.default_rng(3).uniform(-0.5, 0.5, (7, 3))
+        pointwise = _all_operators(graph_patch(False), cubic_field(False), X)
+        vectorized = _all_operators(graph_patch(True), cubic_field(True), X)
+        for a, b in zip(pointwise, vectorized):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-12
+
+    def test_batch_equals_single_points_beyond_the_chunk_cap(self):
+        from ricciwarp import fd
+        calls = []
+        base = graph_patch(True)
+
+        def counted(X):
+            calls.append(len(X))
+            return base.g(X)
+
+        patch = MetricPatch(3, base.domain, counted, "graph", vectorized=True)
+        stencil_points = 1 + 4 * 3 + 8 * 3 * 2
+        n = fd._CHUNK_POINTS // stencil_points + 5
+        X = np.random.default_rng(4).uniform(-0.5, 0.5, (n, 3))
+        R = ricci_fd(patch, X, H)
+        assert len(calls) == 2 and max(calls) <= fd._CHUNK_POINTS
+        singles = np.array([ricci_fd(patch, x, H) for x in X[::23]])
+        assert R.shape == (n, 3, 3)
+        assert np.abs(R[::23] - singles).max() <= 1e-12
+
+    def test_single_point_shapes(self):
+        x = np.array([0.1, -0.2, 0.3])
+        patch, u = graph_patch(True), cubic_field(True)
+        assert christoffel(patch, x, H).shape == (3, 3, 3)
+        assert ricci_fd(patch, x, H).shape == (3, 3)
+        gl = gradient_laplacian(patch, u, x, H)
+        assert isinstance(gl.laplacian, float) and isinstance(gl.value, float)
+        res, norm = soliton_residual(patch, u, 0.3, x, H)
+        assert res.shape == (3, 3) and isinstance(norm, float)
+
+    def test_boundary_error_names_the_point(self):
+        X = np.zeros((4, 3))
+        X[2] = [0.2, 1.0 - 3 * H, 0.0]
+        with pytest.raises(BoundaryProximityError, match=re.escape(str(X[2]))):
+            ricci_fd(graph_patch(True), X, H)
+
+    def test_degenerate_error_names_the_point(self):
+        # the pointwise metric is singular where x0 = 0
+        p = MetricPatch(2, np.array([[-1, 1], [-1, 1]]),
+                        lambda x: np.diag([1.0, x[0] ** 2]), "pinched")
+        X = np.array([[0.5, 0.1], [0.4, -0.3], [0.0, 0.2], [-0.6, 0.0]])
+        with pytest.raises(DegenerateMetricError, match=re.escape(str(X[2]))):
+            soliton_residual(p, constant_field(0.0), 0.0, X, H)
