@@ -8,26 +8,16 @@ eigenspace samples in the freeness check.
 
 from ricciwarp import (
     AnsatzParams,
-    cartesian_profile_base,
     certify_quotient,
     is_free,
     make_cyclic_action,
-    radial_field,
     shoot,
 )
-
-
-def profile_data(k, m):
-    prof = shoot(AnsatzParams(k=k, m=m, lam=0.0, b0=1.0, t_max=6.0))
-    a_s, b_s, phi_s = prof.interpolants()
-    base = cartesian_profile_base(lambda t: float(a_s(t)), k, (0.3, 5.0))
-    return (base,
-            radial_field(lambda t: float(b_s(t)), "warping"),
-            radial_field(lambda t: float(phi_s(t)), "potential"))
-
+from ricciwarp.shooting import ambient_geometry
 
 for p, m, kind in [(2, 2, "antipodal"), (3, 3, "hopf")]:
-    base, f, phi = profile_data(1, m)
+    prof = shoot(AnsatzParams(k=1, m=m, lam=0.0, b0=1.0, t_max=6.0))
+    base, f, phi = ambient_geometry(prof)
     action = make_cyclic_action(p, 1, m, kind)
     cert = certify_quotient(action, base, f, phi)
     print(f"== Z_{p} {kind} on S^{m} ==")

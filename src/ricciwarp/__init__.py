@@ -87,4 +87,27 @@ from .quotient import (
     sphere_isometry_residual,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # patches
+    "BoundaryProximityError", "DegenerateMetricError", "GeometryError",
+    "MetricPatch", "ScalarField", "SolitonConstants", "cartesian_profile_base",
+    "einstein_model_fiber", "euclidean_patch", "hyperbolic_patch",
+    "polar_plane_patch", "quadratic_potential", "constant_field",
+    "radial_field", "radial_profile_base", "sphere_patch", "torus_patch",
+    # curvature
+    "DEFAULT_STEP", "GradientData", "christoffel", "gradient_laplacian",
+    "hessian_fd", "ricci_fd", "soliton_residual", "transform_chart",
+    # warped
+    "BlockMatrix", "CertificationReport", "WarpedGeometry", "assemble_warped",
+    "base_equation_residual", "calibrate_scalar_constant", "certify_soliton",
+    "einstein_check", "first_integral", "lifted_potential",
+    "ricci_closed_form", "scalar_equation_residual", "scalar_equation_value",
+    # shooting
+    "AnsatzParams", "IntegrationError", "SolitonProfile", "SweepRow",
+    "certify_profile", "params_grid", "profile_geometry",
+    "recompute_diagnostics", "reduced_rhs", "shoot", "sweep", "taylor_init",
+    # quotient
+    "GroupAction", "QuotientCertificate", "certify_quotient",
+    "fixed_point_candidates", "invariance_deviation", "is_free",
+    "isometry_residual", "make_cyclic_action", "sphere_isometry_residual",
+]

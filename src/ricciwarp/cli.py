@@ -1,12 +1,14 @@
 """Command-line front end: solve / certify / quotient / sweep.
 
 Workflows are driven by a JSON config with one block per subcommand plus
-``out_dir`` and ``schema_version``.  Unknown keys are rejected, and the
-numbers of the solve, certify and sweep blocks are type-checked: integer
-keys take integers, real keys finite numbers, and booleans are neither.  Outputs
-are written atomically; CSV numbers carry 17 significant digits and JSON
-reports embed the tool version and a hash of the config, so identical
-configs give byte-identical outputs.
+``out_dir`` and ``schema_version``.  One schema table gives each key of
+the four blocks its type and constraint: unknown keys are rejected,
+integer keys take integers, real keys finite numbers, booleans are
+neither, and the ``--tolerance``/``--seed`` overrides pass the same checks
+as the config keys they override.  Outputs are written atomically; CSV
+numbers carry 17 significant digits and JSON reports embed the tool
+version and a hash of the config, so identical configs give
+byte-identical outputs.
 
 Exit codes: 0 success/pass, 2 validation or certification failure,
 3 numeric failure, 4 I/O failure.
@@ -24,12 +26,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .patches import GeometryError, cartesian_profile_base, radial_field
+from .patches import GeometryError
 from .quotient import certify_quotient, make_cyclic_action
 from .shooting import (
     AnsatzParams,
-    IntegrationError,
     SolitonProfile,
+    ambient_geometry,
     certify_profile,
     params_grid,
     shoot,
@@ -48,27 +50,41 @@ class ConfigError(Exception):
     pass
 
 
-_TOP_KEYS = {"schema_version", "solve", "certify", "quotient", "sweep", "out_dir"}
-_SOLVE_KEYS = {"k", "m", "lambda", "b0", "phi2", "epsilon", "t_max",
-               "rtol", "atol", "grid_per_unit"}
-_CERTIFY_KEYS = {"profile", "tolerance", "h", "n_base", "n_product", "n_fiber",
-                 "t_window", "seed"}
-_QUOTIENT_KEYS = {"p", "k", "m", "kind", "n_samples", "seed", "profile",
-                  "tolerance", "freeness_tolerance", "t_range"}
-_SWEEP_KEYS = {"k", "m", "lambda", "b0", "phi2", "epsilon", "t_max",
-               "rtol", "atol", "grid_per_unit", "parallel", "workers"}
-
-
-# numeric keys of the solve, certify and sweep blocks; in sweep, the values
-# of k, m, lambda and b0 are lists whose elements are checked
-_INT_KEYS = {"k", "m", "grid_per_unit", "n_base", "n_product", "n_fiber",
-             "workers", "seed"}
-_REAL_KEYS = {"lambda", "b0", "phi2", "epsilon", "t_max", "rtol", "atol",
-              "h", "tolerance"}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# value types: integers, finite reals (booleans are neither), strings, and
+# None for a value taken as it is
+_INT, _REAL, _STR = "an integer", "a finite number", "a string"
+# the schema: block -> key -> (type, constraint), the constraint one of
+# None, "positive", "nonnegative" and "pair" (a list of two of the type)
+_ANSATZ = {
+    "k": (_INT, "nonnegative"), "m": (_INT, "positive"),
+    "lambda": (_REAL, None), "b0": (_REAL, "positive"), "phi2": (_REAL, None),
+    "epsilon": (_REAL, "positive"), "t_max": (_REAL, "positive"),
+    "rtol": (_REAL, "positive"), "atol": (_REAL, "positive"),
+    "grid_per_unit": (_INT, "positive"),
+}
+_SCHEMA = {
+    "solve": _ANSATZ,
+    "certify": {
+        "profile": (_STR, None), "tolerance": (_REAL, "positive"),
+        "h": (_REAL, "positive"), "n_base": (_INT, "positive"),
+        "n_product": (_INT, "positive"), "n_fiber": (_INT, "positive"),
+        "t_window": (_REAL, "pair"), "seed": (_INT, "nonnegative"),
+    },
+    "quotient": {
+        "p": (_INT, "positive"), "k": (_INT, "nonnegative"),
+        "m": (_INT, "positive"), "kind": (_STR, None),
+        "n_samples": (_INT, "nonnegative"), "seed": (_INT, "nonnegative"),
+        "profile": (_STR, None), "tolerance": (_REAL, "positive"),
+        "freeness_tolerance": (_REAL, "nonnegative"),
+        "t_range": (_REAL, "pair"),
+    },
+    "sweep": {**_ANSATZ, "parallel": (None, None),
+              "workers": (_INT, "positive")},
+}
+_TOP = dict.fromkeys(("schema_version", "out_dir", *_SCHEMA), (None, None))
+# a sweep runs the grid of the lists under these keys, each element
+# checked by the key's row
+_SWEEP_LISTS = ("k", "m", "lambda", "b0")
 
 
 def _is_real(value) -> bool:
@@ -80,26 +96,44 @@ def _is_real(value) -> bool:
         return False
 
 
-def _check_numbers(block: dict, where: str):
-    """Reject numeric values of the wrong type: bools, non-integers where an
-    integer is needed, and anything but a finite number where a real is."""
-    for name, value in block.items():
-        if name not in _INT_KEYS and name not in _REAL_KEYS:
-            continue
-        values = value if where == "sweep" and isinstance(value, list) else [value]
-        is_valid, kind = ((_is_int, "an integer") if name in _INT_KEYS
-                          else (_is_real, "a finite number"))
-        for v in values:
-            if not is_valid(v):
-                raise ConfigError(f"'{name}' in '{where}' must be {kind}, got {v!r}")
+_IS = {
+    _INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    _REAL: _is_real,
+    _STR: lambda v: isinstance(v, str),
+    None: lambda v: True,
+}
 
 
-def _check_keys(block: dict, allowed: set, where: str):
+def _check_block(block, schema: dict, where: str):
+    """Reject unknown keys and values of the wrong type or out of range."""
     if not isinstance(block, dict):
         raise ConfigError(f"config section '{where}' must be an object")
-    unknown = set(block) - allowed
+    unknown = set(block) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys in '{where}': {sorted(unknown)}")
+    for name, value in block.items():
+        kind, rule = schema[name]
+        values = [value]
+        if rule == "pair" or (where == "sweep" and name in _SWEEP_LISTS):
+            if not isinstance(value, list) or (rule == "pair" and len(value) != 2):
+                raise ConfigError(
+                    f"'{name}' in '{where}' must be a list"
+                    + (" of two numbers" if rule == "pair" else "")
+                    + f", got {value!r}")
+            values = value
+        for v in values:
+            if not _IS[kind](v):
+                raise ConfigError(f"'{name}' in '{where}' must be {kind}, got {v!r}")
+            if rule in ("positive", "nonnegative") and not (
+                    v > 0 if rule == "positive" else v >= 0):
+                raise ConfigError(f"'{name}' in '{where}' must be {rule}, got {v!r}")
+
+
+def _ansatz_kwargs(block: dict) -> dict:
+    """The AnsatzParams keywords of a solve or sweep block; only 'lambda'
+    is renamed."""
+    return {("lam" if key == "lambda" else key): value
+            for key, value in block.items() if key in _ANSATZ}
 
 
 def load_config(path: str) -> dict:
@@ -110,21 +144,13 @@ def load_config(path: str) -> dict:
         raise OSError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise OSError(f"config is not valid JSON: {exc}") from exc
-    _check_keys(cfg, _TOP_KEYS, "top level")
+    _check_block(cfg, _TOP, "top level")
     version = cfg.get("schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {version!r}")
-    for name, keys in (("solve", _SOLVE_KEYS), ("certify", _CERTIFY_KEYS),
-                       ("quotient", _QUOTIENT_KEYS), ("sweep", _SWEEP_KEYS)):
+    for name, schema in _SCHEMA.items():
         if name in cfg:
-            _check_keys(cfg[name], keys, name)
-            if name != "quotient":
-                _check_numbers(cfg[name], name)
-    certify = cfg.get("certify", {})
-    _positive(certify, "h", "tolerance", "n_base", "n_product", "n_fiber")
-    _positive(cfg.get("sweep", {}), "workers")
-    if certify.get("seed", 0) < 0:
-        raise ConfigError("'seed' must be nonnegative")
+            _check_block(cfg[name], schema, name)
     return cfg
 
 
@@ -133,11 +159,13 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _atomic_write(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+def _write(out_dir: str, name: str, text: str):
+    """Write ``out_dir/name`` atomically."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path + ".tmp", "w") as fh:
         fh.write(text)
-    os.replace(tmp, path)
+    os.replace(path + ".tmp", path)
 
 
 def _jsonable(obj):
@@ -151,38 +179,23 @@ def _jsonable(obj):
     return obj
 
 
-def _dump_json(doc: dict) -> str:
+def _dump_json(doc: dict, cfg: dict) -> str:
+    """A report as strict JSON, with the tool version and config hash."""
+    doc = {**doc, "tool_version": __version__, "config_hash": config_hash(cfg)}
     return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
-
-
-def _positive(block: dict, *names):
-    for name in names:
-        if name in block and not (isinstance(block[name], (int, float))
-                                  and block[name] > 0):
-            raise ConfigError(f"'{name}' must be a positive number")
 
 
 def _params_from_block(block: dict) -> AnsatzParams:
     for req in ("k", "m", "lambda", "b0"):
         if req not in block:
             raise ConfigError(f"solve block is missing '{req}'")
-    _positive(block, "b0", "epsilon", "t_max", "rtol", "atol")
-    kwargs = {
-        "k": block["k"], "m": block["m"], "lam": block["lambda"],
-        "b0": block["b0"],
-    }
-    for src, dst in (("phi2", "phi2"), ("epsilon", "epsilon"),
-                     ("t_max", "t_max"), ("rtol", "rtol"), ("atol", "atol"),
-                     ("grid_per_unit", "grid_per_unit")):
-        if src in block:
-            kwargs[dst] = block[src]
     try:
-        return AnsatzParams(**kwargs)
+        return AnsatzParams(**_ansatz_kwargs(block))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _summary(profile: SolitonProfile, cfg: dict) -> dict:
+def _summary(profile: SolitonProfile) -> dict:
     interior = slice(2, -2) if profile.t.size > 8 else slice(None)
     res_max = {
         "tt": float(np.nanmax(np.abs(profile.res_tt[interior]))),
@@ -192,8 +205,6 @@ def _summary(profile: SolitonProfile, cfg: dict) -> dict:
     }
     return {
         "schema_version": CONFIG_SCHEMA_VERSION,
-        "tool_version": __version__,
-        "config_hash": config_hash(cfg),
         "classification": profile.classification,
         "status": profile.status,
         "lifetime": profile.end_time,
@@ -206,16 +217,9 @@ def _summary(profile: SolitonProfile, cfg: dict) -> dict:
 def cmd_solve(cfg: dict, out_dir: str) -> int:
     if "solve" not in cfg:
         raise ConfigError("config has no 'solve' block")
-    params = _params_from_block(cfg["solve"])
-    try:
-        profile = shoot(params)
-    except IntegrationError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "profile.csv"), profile.to_csv())
-    _atomic_write(os.path.join(out_dir, "solve_summary.json"),
-                  _dump_json(_summary(profile, cfg)))
+    profile = shoot(_params_from_block(cfg["solve"]))
+    _write(out_dir, "profile.csv", profile.to_csv())
+    _write(out_dir, "solve_summary.json", _dump_json(_summary(profile), cfg))
     print(f"solve: status={profile.status} lifetime={profile.end_time:g} "
           f"mu={profile.mu_mean:.9g} ({profile.classification})")
     return EXIT_OK
@@ -238,35 +242,16 @@ def _load_profile_for(cfg: dict, block: dict) -> SolitonProfile:
 def cmd_certify(cfg: dict, out_dir: str, tolerance=None, seed=None) -> int:
     block = cfg.get("certify", {})
     profile = _load_profile_for(cfg, block)
-    kwargs = {}
-    if "tolerance" in block:
-        kwargs["tolerance"] = block["tolerance"]
+    kwargs = {key: value for key, value in block.items() if key != "profile"}
+    if "t_window" in kwargs:
+        kwargs["t_window"] = tuple(kwargs["t_window"])
     if tolerance is not None:
         kwargs["tolerance"] = tolerance
-    if "h" in block:
-        kwargs["h"] = block["h"]
-    if "t_window" in block:
-        kwargs["t_window"] = tuple(block["t_window"])
-    for name in ("n_base", "n_product", "n_fiber"):
-        if name in block:
-            kwargs[name] = block[name]
-    if "seed" in block:
-        kwargs["seed"] = block["seed"]
     if seed is not None:
         kwargs["seed"] = seed
-    if "tolerance" in kwargs and kwargs["tolerance"] <= 0:
-        raise ConfigError("'tolerance' must be positive")
-    try:
-        report = certify_profile(profile, **kwargs)
-    except IntegrationError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    report = certify_profile(profile, **kwargs)
     doc = report.to_dict()
-    doc["tool_version"] = __version__
-    doc["config_hash"] = config_hash(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "certification.json"),
-                  _dump_json(doc))
+    _write(out_dir, "certification.json", _dump_json(doc, cfg))
     print(f"certify: {doc['verdict']} "
           + " ".join(f"{k}={v['residual']:.3e}" for k, v in doc["checks"].items()))
     return EXIT_OK if report.verdict else EXIT_FAIL
@@ -293,26 +278,13 @@ def cmd_quotient(cfg: dict, out_dir: str, tolerance=None, seed=None) -> int:
         raise ConfigError(
             f"action dimensions (k={block['k']}, m={block['m']}) do not match "
             f"the profile (k={profile.params.k}, m={profile.params.m})")
-    a_s, b_s, phi_s = profile.interpolants()
-    t_lo = max(float(profile.t[0]) * 1.1, 0.05)
-    t_hi = float(profile.t[-1]) * 0.95
-    base = cartesian_profile_base(
-        (lambda t: float(a_s(t))) if profile.params.k >= 1 else (lambda t: 1.0),
-        profile.params.k, (t_lo, t_hi), label="quotient-base")
-    f = radial_field(lambda t: float(b_s(t)), "warping")
-    phi = radial_field(lambda t: float(phi_s(t)), "potential")
+    base, f, phi = ambient_geometry(profile)
 
     tol = tolerance if tolerance is not None else block.get("tolerance", 1e-10)
-    if tol <= 0:
-        raise ConfigError("'tolerance' must be positive")
     cert = certify_quotient(action, base, f, phi, tolerance=tol,
                             freeness_tolerance=block.get("freeness_tolerance", 1e-6))
     doc = cert.to_dict()
-    doc["tool_version"] = __version__
-    doc["config_hash"] = config_hash(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "quotient_certificate.json"),
-                  _dump_json(doc))
+    _write(out_dir, "quotient_certificate.json", _dump_json(doc, cfg))
     print(f"quotient: {doc['verdict']} freeness_margin={cert.freeness_margin:.6g}")
     return EXIT_OK if cert.verdict else EXIT_FAIL
 
@@ -325,15 +297,11 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     if "sweep" not in cfg:
         raise ConfigError("config has no 'sweep' block")
     block = cfg["sweep"]
-    for req in ("k", "m", "lambda", "b0"):
-        if req not in block or not isinstance(block[req], list):
+    for req in _SWEEP_LISTS:
+        if req not in block:
             raise ConfigError(f"sweep block needs a list under '{req}'")
-    common = {}
-    for src, dst in (("phi2", "phi2"), ("epsilon", "epsilon"), ("t_max", "t_max"),
-                     ("rtol", "rtol"), ("atol", "atol"),
-                     ("grid_per_unit", "grid_per_unit")):
-        if src in block:
-            common[dst] = block[src]
+    common = {key: value for key, value in _ansatz_kwargs(block).items()
+              if key not in ("k", "m", "lam", "b0")}
     try:
         grid = params_grid(block["k"], block["m"], block["lambda"], block["b0"],
                            **common)
@@ -348,8 +316,7 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
             str(r.k), str(r.m), f"{r.lam:.17g}", f"{r.b0:.17g}", r.status,
             f"{r.lifetime:.17g}", f"{r.mu_mean:.17g}", f"{r.mu_spread:.17g}",
             f"{r.exp_a:.17g}", f"{r.exp_b:.17g}"]))
-    os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
+    _write(out_dir, "sweep.csv", "\n".join(lines) + "\n")
     print(f"sweep: {len(rows)} rows")
     return EXIT_OK
 
@@ -372,6 +339,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        overrides = {"tolerance": args.tolerance, "seed": args.seed}
+        _check_block({k: v for k, v in overrides.items() if v is not None},
+                     _SCHEMA["certify"], "command line")
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -397,10 +367,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except IntegrationError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except GeometryError as exc:
+    except GeometryError as exc:  # integrator failures included
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -79,20 +79,14 @@ class GroupAction:
         if fs.size and np.abs(norms - np.linalg.norm(fs, axis=1)).max() > _GROUP_LAW_TOL:
             raise ValueError("fiber generator does not preserve the sphere")
 
-    def fiber_powers(self):
-        """Non-identity powers of the fiber generator."""
-        out, M = [], self.fiber_generator
-        for _ in range(self.order - 1):
-            out.append(M)
-            M = M @ self.fiber_generator
-        return out
 
-    def base_powers(self):
-        out, M = [], self.base_generator
-        for _ in range(self.order - 1):
-            out.append(M)
-            M = M @ self.base_generator
-        return out
+def _powers(generator: np.ndarray, count: int):
+    """The powers generator^1, ..., generator^count."""
+    out, M = [], generator
+    for _ in range(count):
+        out.append(M)
+        M = M @ generator
+    return out
 
 
 def fixed_point_candidates(mat: np.ndarray) -> np.ndarray:
@@ -131,12 +125,10 @@ def fiber_sample_set(generator: np.ndarray, order: int, n_random: int = 64,
     """Unit-sphere samples: basis axes, fixed-point candidates, random points."""
     q = generator.shape[0]
     pts = [np.eye(q), -np.eye(q)]
-    M = generator
-    for _ in range(order - 1):
+    for M in _powers(generator, order - 1):
         cand = fixed_point_candidates(M)
         if cand.size:
             pts.append(cand)
-        M = M @ generator
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n_random, q))
     pts.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
@@ -221,7 +213,7 @@ def is_free(action: GroupAction, tolerance: float = 1e-6):
     sample count.
     """
     margin = np.inf
-    for M in action.fiber_powers():
+    for M in _powers(action.fiber_generator, action.order - 1):
         disp = np.linalg.norm(action.fiber_samples @ M.T - action.fiber_samples,
                               axis=1)
         margin = min(margin, float(disp.min()))
@@ -266,14 +258,11 @@ def sphere_isometry_residual(mapmat: np.ndarray, radius: float, samples) -> floa
 def invariance_deviation(u: ScalarField, mapmat: np.ndarray, samples,
                          power: int = 1) -> float:
     """Max |u(A^j x) - u(x)| over samples and powers j = 1..power."""
-    A = np.asarray(mapmat, dtype=float)
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     worst = 0.0
-    M = A
-    for _ in range(power):
+    for M in _powers(np.asarray(mapmat, dtype=float), power):
         for x in pts:
             worst = max(worst, abs(u(M @ x) - u(x)))
-        M = M @ A
     return worst
 
 
@@ -346,12 +335,14 @@ def certify_quotient(action: GroupAction,
     linear maps of those coordinates); the fiber is the round sphere of
     ``fiber_radius`` carrying the action's fiber generator.
     """
-    free_ok, margin = is_free(action, freeness_tolerance)
+    _, margin = is_free(action, freeness_tolerance)
+    base_powers = _powers(action.base_generator, action.order - 1)
+    fiber_powers = _powers(action.fiber_generator, action.order - 1)
 
     base_res = max(isometry_residual(M, base_patch, action.base_samples)
-                   for M in action.base_powers())
+                   for M in base_powers)
     fiber_res = max(sphere_isometry_residual(M, fiber_radius, action.fiber_samples)
-                    for M in action.fiber_powers())
+                    for M in fiber_powers)
     f_dev = invariance_deviation(f, action.base_generator, action.base_samples,
                                  power=action.order - 1)
     phi_dev = invariance_deviation(phi, action.base_generator, action.base_samples,
@@ -361,7 +352,7 @@ def certify_quotient(action: GroupAction,
     diag_res = 0.0
     diag_margin = np.inf
     r2 = fiber_radius * fiber_radius
-    for Mb, Mf in zip(action.base_powers(), action.fiber_powers()):
+    for Mb, Mf in zip(base_powers, fiber_powers):
         for i in range(n_pairs):
             x = action.base_samples[i]
             y = action.fiber_samples[i]

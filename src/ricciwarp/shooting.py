@@ -13,9 +13,13 @@ first-order system in (a, a', b, b', phi'):
     phi''   = lam + k a''/a + m b''/b
 
 For k = 0 the base is the line; the a-equation and all a-terms drop out.
-These equations are not taken on faith: the test suite assembles the full
-product metric from integrated profiles and requires the finite-difference
-soliton residual to vanish to discretization accuracy (the closure gate).
+``_reduced_kernel`` is the single place where this system is written: the
+right side ``reduced_rhs``, its clamped integrator variant and the array
+diagnostics all call it.  These equations are not taken on faith: the test
+suite assembles the full product metric from integrated profiles and
+requires the finite-difference soliton residual to vanish to
+discretization accuracy (the closure gate), and it derives the system
+symbolically from the metric and compares it with the kernel.
 
 Smoothness of the metric across t = 0 forces a(0) = 0, a'(0) = 1,
 b'(0) = 0, phi'(0) = 0.  Matching even/odd Taylor series in the system
@@ -24,7 +28,8 @@ degree of freedom, the half Hessian phi2 = phi''(0)/2: the trace equation
 reproduces the sphere-block relation at leading order instead of fixing
 phi2.  Profiles with phi2 <= 0 are long lived with slowly growing a, b;
 positive phi2 drives finite-time blowup.  Integration starts from the
-series at t = epsilon to keep the right side total.
+series at t = epsilon (``_series_start``, for every k) to keep the right
+side total.
 
 Profile diagnostics (the first-integral series mu(t) and the per-equation
 residual columns) are computed by differentiating the stored grid arrays,
@@ -47,7 +52,9 @@ from .patches import (
     GeometryError,
     ScalarField,
     SolitonConstants,
+    cartesian_profile_base,
     einstein_model_fiber,
+    radial_field,
     radial_profile_base,
 )
 from .warped import CertificationReport, WarpedGeometry, certify_soliton
@@ -61,6 +68,7 @@ __all__ = [
     "shoot",
     "recompute_diagnostics",
     "profile_geometry",
+    "ambient_geometry",
     "certify_profile",
     "SweepRow",
     "sweep",
@@ -121,6 +129,25 @@ class AnsatzParams:
         return SolitonConstants(self.lam, self.m).classification
 
 
+def _reduced_kernel(params: AnsatzParams, a, ap, b, bp, phip):
+    """The reduced system: ``(s_a, s_b, phi'') = (a''/a, b''/b, phi'')``.
+
+    Plain arithmetic, so the same code runs on floats (the ODE right side)
+    and on arrays (the grid diagnostics).  For k = 0 the a-arguments are
+    not read and ``s_a`` is 0.
+    """
+    k, m, lam = params.k, params.m, params.lam
+    s_b = (m - 1) * (1.0 - bp * bp) / (b * b)
+    if k < 1:
+        s_a = 0.0
+    else:
+        s_a = ((k - 1) * (1.0 - ap * ap) / (a * a)
+               - m * ap * bp / (a * b) + phip * ap / a - lam)
+        s_b = s_b - k * ap * bp / (a * b)
+    s_b = s_b + phip * bp / b - lam
+    return s_a, s_b, lam + k * s_a + m * s_b
+
+
 def reduced_rhs(state, params: AnsatzParams):
     """Derivative of the reduced first-order system.
 
@@ -129,25 +156,27 @@ def reduced_rhs(state, params: AnsatzParams):
     return value is (b', b'', phi'').  phi itself decouples and is
     recovered by quadrature.
     """
-    k, m, lam = params.k, params.m, params.lam
-    if k >= 1:
+    if params.k >= 1:
         a, ap, b, bp, phip = state
         if a <= 0 or b <= 0:
             raise GeometryError(f"metric coefficient hit zero: a={a:g}, b={b:g}")
-        s_a = ((k - 1) * (1.0 - ap * ap) / (a * a)
-               - m * ap * bp / (a * b) + phip * ap / a - lam)
-        s_b = ((m - 1) * (1.0 - bp * bp) / (b * b)
-               - k * ap * bp / (a * b) + phip * bp / b - lam)
-        return (ap, a * s_a, bp, b * s_b, lam + k * s_a + m * s_b)
+        s_a, s_b, phipp = _reduced_kernel(params, a, ap, b, bp, phip)
+        return (ap, a * s_a, bp, b * s_b, phipp)
     b, bp, phip = state
     if b <= 0:
         raise GeometryError(f"metric coefficient hit zero: b={b:g}")
-    s_b = (m - 1) * (1.0 - bp * bp) / (b * b) + phip * bp / b - lam
-    return (bp, b * s_b, lam + m * s_b)
+    _, s_b, phipp = _reduced_kernel(params, None, None, b, bp, phip)
+    return (bp, b * s_b, phipp)
 
 
-def _series_coefficients(params: AnsatzParams):
-    """Taylor coefficients (a3, b2, phi2) of the smooth closure at t = 0."""
+def _series_start(params: AnsatzParams):
+    """Series state (a, a', b, b', phi') at t = epsilon for any k.
+
+    The odd/even series a = t + a3 t^3, b = b0 + b2 t^2, phi' = 2 phi2 t
+    of the smooth closure at t = 0; for k = 0, a3 = 0 and phi2 is fixed by
+    the b-series, and the a-slots are meaningless.  Raises when epsilon is
+    too large for the truncated series to be trustworthy.
+    """
     k, m, lam, b0 = params.k, params.m, params.lam, params.b0
     b2 = ((m - 1) / b0 - lam * b0) / (2.0 * (k + 1))
     if k >= 1:
@@ -156,20 +185,6 @@ def _series_coefficients(params: AnsatzParams):
     else:
         a3 = 0.0
         phi2 = 0.5 * (lam + 2.0 * m * b2 / b0)
-    return a3, b2, phi2
-
-
-def taylor_init(params: AnsatzParams):
-    """Series start state at t = epsilon for the smooth origin closure.
-
-    Returns the reduced state (a, a', b, b', phi') built from the odd/even
-    series a = t + a3 t^3, b = b0 + b2 t^2, phi' = 2 phi2 t.  Raises for
-    k = 0 (no origin closure on the line) and when epsilon is too large
-    for the truncated series to be trustworthy.
-    """
-    if params.k < 1:
-        raise ValueError("taylor_init applies to k >= 1 only")
-    a3, b2, phi2 = _series_coefficients(params)
     eps = params.epsilon
     tail = max(abs(a3), abs(b2), abs(phi2), 1.0) * eps ** 3
     if tail > 1e-8:
@@ -177,41 +192,36 @@ def taylor_init(params: AnsatzParams):
             f"epsilon={eps:g} too large: series tail estimate {tail:.2e} > 1e-8")
     return (eps + a3 * eps ** 3,
             1.0 + 3.0 * a3 * eps ** 2,
-            params.b0 + b2 * eps ** 2,
+            b0 + b2 * eps ** 2,
             2.0 * b2 * eps,
             2.0 * phi2 * eps)
 
 
-def _init_state_with_phi(params: AnsatzParams):
-    if params.k >= 1:
-        a, ap, b, bp, phip = taylor_init(params)
-        return np.array([a, ap, b, bp, 0.0, phip])
-    _, b2, phi2 = _series_coefficients(params)
-    eps = params.epsilon
-    if max(abs(b2), abs(phi2), 1.0) * eps ** 3 > 1e-8:
-        raise ValueError(f"epsilon={eps:g} too large for the series start")
-    return np.array([params.b0 + b2 * eps ** 2, 2.0 * b2 * eps,
-                     0.0, 2.0 * phi2 * eps])
+def taylor_init(params: AnsatzParams):
+    """Series start state (a, a', b, b', phi') at t = epsilon.
+
+    Raises for k = 0 (no origin closure on the line) and when epsilon is
+    too large for the truncated series to be trustworthy.
+    """
+    if params.k < 1:
+        raise ValueError("taylor_init applies to k >= 1 only")
+    return _series_start(params)
 
 
 def _rhs_with_phi(t, y, params: AnsatzParams):
     # Clamped variant of reduced_rhs: Runge-Kutta stages may probe past a
     # degeneration before the terminal event localizes it, so the right
     # side must stay evaluable slightly below the event floor.
-    k, m, lam = params.k, params.m, params.lam
-    if k >= 1:
+    if params.k >= 1:
         a, ap, b, bp, _, phip = y
         a = max(a, _EVAL_FLOOR)
         b = max(b, _EVAL_FLOOR)
-        s_a = ((k - 1) * (1.0 - ap * ap) / (a * a)
-               - m * ap * bp / (a * b) + phip * ap / a - lam)
-        s_b = ((m - 1) * (1.0 - bp * bp) / (b * b)
-               - k * ap * bp / (a * b) + phip * bp / b - lam)
-        return [ap, a * s_a, bp, b * s_b, phip, lam + k * s_a + m * s_b]
+        s_a, s_b, phipp = _reduced_kernel(params, a, ap, b, bp, phip)
+        return [ap, a * s_a, bp, b * s_b, phip, phipp]
     b, bp, _, phip = y
     b = max(b, _EVAL_FLOOR)
-    s_b = (m - 1) * (1.0 - bp * bp) / (b * b) + phip * bp / b - lam
-    return [bp, b * s_b, phip, lam + m * s_b]
+    _, s_b, phipp = _reduced_kernel(params, None, None, b, bp, phip)
+    return [bp, b * s_b, phip, phipp]
 
 
 @dataclass
@@ -330,7 +340,7 @@ class SolitonProfile:
         if rows.ndim != 2 or rows.shape[1] != len(CSV_COLUMNS):
             raise ValueError("profile CSV has malformed data rows")
         (t, a, ap, b, bp, phi, phip, mu, r_tt, r_sk, r_sm) = rows.T
-        phi_pp = _phi_pp_series(params, a, ap, b, bp, phip)
+        phi_pp = _reduced_kernel(params, a, ap, b, bp, phip)[2]
         return cls(params=params, t=t, a=a, a_prime=ap, b=b, b_prime=bp,
                    phi=phi, phi_prime=phip, phi_pp=phi_pp, mu=mu,
                    res_tt=r_tt, res_sk=r_sk, res_sm=r_sm,
@@ -343,26 +353,6 @@ def _params_to_dict(p: AnsatzParams) -> dict:
             "atol": p.atol, "grid_per_unit": p.grid_per_unit}
 
 
-def _second_derivative_series(params: AnsatzParams, a, ap, b, bp, phip):
-    """Vectorized (a'', b'', phi'') from the reduced system on state arrays."""
-    k, m, lam = params.k, params.m, params.lam
-    if k >= 1:
-        s_a = ((k - 1) * (1.0 - ap * ap) / (a * a)
-               - m * ap * bp / (a * b) + phip * ap / a - lam)
-    else:
-        s_a = np.zeros_like(b)
-    s_b = (m - 1) * (1.0 - bp * bp) / (b * b) + phip * bp / b - lam
-    if k >= 1:
-        s_b = s_b - k * ap * bp / (a * b)
-    return (a * s_a if k >= 1 else np.full_like(b, np.nan),
-            b * s_b,
-            lam + (k * s_a if k >= 1 else 0.0) + m * s_b)
-
-
-def _phi_pp_series(params, a, ap, b, bp, phip):
-    return _second_derivative_series(params, a, ap, b, bp, phip)[2]
-
-
 def _diagnostics(params: AnsatzParams, t, a, ap, b, bp, phip):
     """Grid-FD residual columns and first-integral series.
 
@@ -372,14 +362,14 @@ def _diagnostics(params: AnsatzParams, t, a, ap, b, bp, phip):
     """
     k, m, lam = params.k, params.m, params.lam
     dt = t[1] - t[0]
-    app_rhs, bpp_rhs, phipp_rhs = _second_derivative_series(params, a, ap, b, bp, phip)
+    s_a, s_b, phipp_rhs = _reduced_kernel(params, a, ap, b, bp, phip)
+    bpp_fd = grid_derivative(bp, dt)
     res_tt = grid_derivative(phip, dt) - phipp_rhs
-    res_sm = grid_derivative(bp, dt) - bpp_rhs
+    res_sm = bpp_fd - b * s_b
     if k >= 1:
-        res_sk = grid_derivative(ap, dt) - app_rhs
+        res_sk = grid_derivative(ap, dt) - a * s_a
     else:
         res_sk = np.full_like(t, np.nan)
-    bpp_fd = grid_derivative(bp, dt)
     lap_b = bpp_fd + (k * (ap / a) * bp if k >= 1 else 0.0)
     mu = lam * b * b + b * lap_b + (m - 1) * bp * bp - b * phip * bp
     return mu, res_tt, res_sk, res_sm
@@ -401,7 +391,8 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
     gauge-normalized to phi(epsilon) = 0.
     """
     k = params.k
-    y0 = _init_state_with_phi(params)
+    a, ap, b, bp, phip = _series_start(params)
+    y0 = np.array([a, ap, b, bp, 0.0, phip] if k >= 1 else [b, bp, 0.0, phip])
 
     i_a, i_b = (0, 2) if k >= 1 else (None, 0)
 
@@ -477,7 +468,7 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
         ap = np.full_like(t, np.nan)
 
     mu, res_tt, res_sk, res_sm = _diagnostics(params, t, a, ap, b, bp, phip)
-    phi_pp = _phi_pp_series(params, a, ap, b, bp, phip)
+    phi_pp = _reduced_kernel(params, a, ap, b, bp, phip)[2]
     return SolitonProfile(params=params, t=t, a=a, a_prime=ap, b=b,
                           b_prime=bp, phi=phi, phi_prime=phip, phi_pp=phi_pp,
                           mu=mu, res_tt=res_tt, res_sk=res_sk, res_sm=res_sm,
@@ -526,6 +517,24 @@ def profile_geometry(profile: SolitonProfile, h: float = 1e-3):
     constants = SolitonConstants(lam=params.lam, m=m, mu=None, c=None)
     return WarpedGeometry(base=base, fiber=fiber, f=warp, phi=potential,
                           constants=constants)
+
+
+def ambient_geometry(profile: SolitonProfile):
+    """``(base, f, phi)``: a profile's base metric, warping and potential in
+    ambient Cartesian coordinates on R^{k+1}, where linear group actions
+    act (the inputs of :func:`ricciwarp.quotient.certify_quotient`).
+
+    The base is valid on the radii [max(1.1 t_0, 0.05), 0.95 t_end] of the
+    profile span; for k = 0 it is the line.
+    """
+    a_s, b_s, phi_s = profile.interpolants()
+    k = profile.params.k
+    t_range = (max(float(profile.t[0]) * 1.1, 0.05), float(profile.t[-1]) * 0.95)
+    base = cartesian_profile_base(
+        (lambda t: float(a_s(t))) if k >= 1 else (lambda t: 1.0),
+        k, t_range, label="quotient-base")
+    return (base, radial_field(lambda t: float(b_s(t)), "warping"),
+            radial_field(lambda t: float(phi_s(t)), "potential"))
 
 
 def certify_profile(profile: SolitonProfile,

@@ -213,6 +213,7 @@ class TestSweep:
 
 _SOLVE = {"k": 1, "m": 2, "lambda": 0.0, "b0": 1.0, "t_max": 2.0}
 _SWEEP = {"k": [1], "m": [2], "lambda": [0.0], "b0": [1.0], "t_max": 2.0}
+_QUOTIENT = {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}
 
 
 class TestConfigValidation:
@@ -235,12 +236,27 @@ class TestConfigValidation:
         ("certify", "n_base", 0),
         ("certify", "seed", True),
         ("certify", "seed", -1),
+        ("quotient", "n_samples", "x"),
+        ("quotient", "n_samples", True),
+        ("quotient", "tolerance", "x"),
+        ("quotient", "freeness_tolerance", float("nan")),
+        ("certify", "t_window", [1]),
+        ("certify", "t_window", "ab"),
+        ("certify", "t_window", [0.2, "x"]),
+        ("certify", "--seed", -1),
+        ("certify", "--tolerance", float("nan")),
+        ("quotient", "--tolerance", float("nan")),
     ])
     def test_bad_number_exits_2_without_artifacts(self, tmp_path, command,
                                                   key, value):
-        blocks = {"solve": dict(_SOLVE), "sweep": dict(_SWEEP), "certify": {}}
-        blocks[command][key] = value
+        blocks = {"solve": dict(_SOLVE), "sweep": dict(_SWEEP), "certify": {},
+                  "quotient": dict(_QUOTIENT)}
+        flags = []
+        if key.startswith("--"):
+            flags = [key, str(value)]
+        else:
+            blocks[command][key] = value
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, **blocks)
-        assert main([command, "--config", str(cfg_path)]) == 2
+        assert main([command, "--config", str(cfg_path), *flags]) == 2
         assert not (tmp_path / "out").exists()
