@@ -5,10 +5,12 @@ Workflows are driven by a JSON config with one block per subcommand plus
 the four blocks its type and constraint: unknown keys are rejected,
 integer keys take integers, real keys finite numbers, booleans are
 neither, and the ``--tolerance``/``--seed`` overrides pass the same checks
-as the config keys they override.  Outputs are written atomically; CSV
-numbers carry 17 significant digits and JSON reports embed the tool
-version and a hash of the config, so identical configs give
-byte-identical outputs.
+as the config keys they override.  Sample counts and the output grid are
+capped (``MAX_SAMPLES``, ``MAX_GRID_POINTS``), and a certification window
+or quotient radial range that does not fit the profile is a config error
+too.  Outputs are written atomically; CSV numbers carry 17 significant
+digits and JSON reports embed the tool version and a hash of the config,
+so identical configs give byte-identical outputs.
 
 Exit codes: 0 success/pass, 2 validation or certification failure,
 3 numeric failure, 4 I/O failure.
@@ -30,8 +32,10 @@ from .patches import GeometryError
 from .quotient import certify_quotient, make_cyclic_action
 from .shooting import (
     AnsatzParams,
+    CertificationWindowError,
     SolitonProfile,
     ambient_geometry,
+    ambient_radial_range,
     certify_profile,
     params_grid,
     shoot,
@@ -44,6 +48,13 @@ EXIT_OK = 0
 EXIT_FAIL = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+
+# resource bounds: sample counts (the certify oracle holds a stencil of
+# values per sample) and points of the output grid of solve and of each
+# sweep row
+MAX_SAMPLES = 1024
+MAX_GRID_POINTS = 200_000
 
 
 class ConfigError(Exception):
@@ -81,6 +92,8 @@ _SCHEMA = {
     "sweep": {**_ANSATZ, "parallel": (None, None),
               "workers": (_INT, "positive")},
 }
+# keys capped at MAX_SAMPLES
+_SAMPLE_COUNTS = ("n_base", "n_product", "n_fiber", "n_samples")
 _TOP = dict.fromkeys(("schema_version", "out_dir", *_SCHEMA), (None, None))
 # a sweep runs the grid of the lists under these keys, each element
 # checked by the key's row
@@ -127,6 +140,9 @@ def _check_block(block, schema: dict, where: str):
             if rule in ("positive", "nonnegative") and not (
                     v > 0 if rule == "positive" else v >= 0):
                 raise ConfigError(f"'{name}' in '{where}' must be {rule}, got {v!r}")
+            if name in _SAMPLE_COUNTS and v > MAX_SAMPLES:
+                raise ConfigError(f"'{name}' in '{where}' must be at most "
+                                  f"{MAX_SAMPLES}, got {v!r}")
 
 
 def _ansatz_kwargs(block: dict) -> dict:
@@ -185,14 +201,24 @@ def _dump_json(doc: dict, cfg: dict) -> str:
     return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
 
 
+def _check_grid(params: AnsatzParams, where: str):
+    points = (params.t_max - params.epsilon) * params.grid_per_unit
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"output grid of '{where}' too large: (t_max - epsilon) * "
+            f"grid_per_unit = {points:.6g} points, at most {MAX_GRID_POINTS}")
+
+
 def _params_from_block(block: dict) -> AnsatzParams:
     for req in ("k", "m", "lambda", "b0"):
         if req not in block:
             raise ConfigError(f"solve block is missing '{req}'")
     try:
-        return AnsatzParams(**_ansatz_kwargs(block))
+        params = AnsatzParams(**_ansatz_kwargs(block))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
+    _check_grid(params, "solve")
+    return params
 
 
 def _summary(profile: SolitonProfile) -> dict:
@@ -249,7 +275,10 @@ def cmd_certify(cfg: dict, out_dir: str, tolerance=None, seed=None) -> int:
         kwargs["tolerance"] = tolerance
     if seed is not None:
         kwargs["seed"] = seed
-    report = certify_profile(profile, **kwargs)
+    try:
+        report = certify_profile(profile, **kwargs)
+    except CertificationWindowError as exc:
+        raise ConfigError(str(exc)) from exc
     doc = report.to_dict()
     _write(out_dir, "certification.json", _dump_json(doc, cfg))
     print(f"certify: {doc['verdict']} "
@@ -264,12 +293,13 @@ def cmd_quotient(cfg: dict, out_dir: str, tolerance=None, seed=None) -> int:
     for req in ("p", "k", "m", "kind"):
         if req not in block:
             raise ConfigError(f"quotient block is missing '{req}'")
+    t_range = tuple(block.get("t_range", (0.5, 2.0)))
     try:
         action = make_cyclic_action(
             p=block["p"], k=block["k"], m=block["m"], kind=block["kind"],
             n_samples=block.get("n_samples", 64),
             seed=seed if seed is not None else block.get("seed", 0),
-            t_range=tuple(block.get("t_range", (0.5, 2.0))))
+            t_range=t_range)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -278,6 +308,12 @@ def cmd_quotient(cfg: dict, out_dir: str, tolerance=None, seed=None) -> int:
         raise ConfigError(
             f"action dimensions (k={block['k']}, m={block['m']}) do not match "
             f"the profile (k={profile.params.k}, m={profile.params.m})")
+    valid = ambient_radial_range(profile)
+    if not valid[0] <= t_range[0] < t_range[1] <= valid[1]:
+        raise ConfigError(
+            f"quotient t_range [{t_range[0]:g}, {t_range[1]:g}] is not an "
+            f"interval inside the profile's radial range "
+            f"[{valid[0]:g}, {valid[1]:g}]")
     base, f, phi = ambient_geometry(profile)
 
     tol = tolerance if tolerance is not None else block.get("tolerance", 1e-10)
@@ -307,6 +343,8 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
                            **common)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
+    for params in grid:
+        _check_grid(params, "sweep")
     rows = sweep(grid, parallel=bool(block.get("parallel", False)),
                  workers=block.get("workers"))
     lines = [f"# schema_version={CONFIG_SCHEMA_VERSION}",

@@ -39,7 +39,6 @@ algebraically and report conservation even for corrupted data.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field, replace
 
@@ -61,6 +60,7 @@ from .warped import CertificationReport, WarpedGeometry, certify_soliton
 
 __all__ = [
     "IntegrationError",
+    "CertificationWindowError",
     "AnsatzParams",
     "SolitonProfile",
     "reduced_rhs",
@@ -68,6 +68,7 @@ __all__ = [
     "shoot",
     "recompute_diagnostics",
     "profile_geometry",
+    "ambient_radial_range",
     "ambient_geometry",
     "certify_profile",
     "SweepRow",
@@ -84,10 +85,16 @@ CSV_COLUMNS = ("t", "a", "a_prime", "b", "b_prime", "phi", "phi_prime",
 _POSITIVITY_FLOOR = 1e-6   # terminal event threshold for a, b
 _EVAL_FLOOR = 1e-7         # clamp inside the stepper so stages stay finite
 _BLOWUP_LIMIT = 1e10
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+_CSV_BLOCK_ROWS = 512
 
 
 class IntegrationError(GeometryError):
     """The ODE integrator failed (step underflow or internal error)."""
+
+
+class CertificationWindowError(GeometryError):
+    """A certification window or step does not fit the profile span."""
 
 
 @dataclass(frozen=True)
@@ -288,57 +295,77 @@ class SolitonProfile:
         """Profile as CSV text (written to ``path`` when given).
 
         Numbers carry 17 significant digits so the round trip is exact.
+        Rows are formatted a block at a time with one ``%`` operation;
+        for Python floats ``%.17g`` is the same text as
+        ``format(x, ".17g")``, including ``nan``, ``inf`` and ``-0``.
         """
-        buf = io.StringIO()
-        buf.write(f"# schema_version={PROFILE_SCHEMA_VERSION}\n")
-        buf.write("# params=" + json.dumps(_params_to_dict(self.params),
-                                           sort_keys=True) + "\n")
-        buf.write(f"# status={self.status} end_time={self.end_time:.17g}\n")
-        buf.write(",".join(CSV_COLUMNS) + "\n")
-        cols = [self.t, self.a, self.a_prime, self.b, self.b_prime,
-                self.phi, self.phi_prime, self.mu, self.res_tt,
-                self.res_sk, self.res_sm]
-        for i in range(self.t.size):
-            buf.write(",".join(f"{col[i]:.17g}" for col in cols) + "\n")
-        text = buf.getvalue()
+        parts = [
+            f"# schema_version={PROFILE_SCHEMA_VERSION}\n",
+            "# params=" + json.dumps(_params_to_dict(self.params),
+                                     sort_keys=True) + "\n",
+            f"# status={self.status} end_time={self.end_time:.17g}\n",
+            ",".join(CSV_COLUMNS) + "\n",
+        ]
+        rows = np.column_stack([self.t, self.a, self.a_prime, self.b,
+                                self.b_prime, self.phi, self.phi_prime,
+                                self.mu, self.res_tt, self.res_sk, self.res_sm])
+        # blocks bound the transient list of Python floats and strings
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            parts.append((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+        text = "".join(parts)
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text)
         return text
 
     @classmethod
-    def from_csv(cls, source) -> "SolitonProfile":
-        """Parse a profile written by :meth:`to_csv`.
+    def from_csv(cls, path) -> "SolitonProfile":
+        """Read a profile file written by :meth:`to_csv`.
 
-        ``source`` is a path or CSV text.  Raises ``ValueError`` on a
-        malformed or wrong-version file.
+        Raises ``OSError`` when the file cannot be read and ``ValueError``
+        on a malformed or wrong-version profile (see :meth:`parse_csv`).
         """
-        text = source
-        if "\n" not in str(source):
-            with open(source) as fh:
-                text = fh.read()
-        lines = [ln for ln in str(text).splitlines() if ln.strip()]
+        with open(path) as fh:
+            return cls.parse_csv(fh.read())
+
+    @classmethod
+    def parse_csv(cls, text: str) -> "SolitonProfile":
+        """Parse profile CSV text written by :meth:`to_csv`.
+
+        Raises ``ValueError`` on a malformed or wrong-version profile: a
+        missing or bad header line, a data row without exactly one number
+        per column, or no data rows at all.
+        """
+        lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# schema_version="):
             raise ValueError("not a profile CSV: missing schema_version line")
         version = int(lines[0].split("=", 1)[1])
         if version != PROFILE_SCHEMA_VERSION:
             raise ValueError(f"unsupported profile schema_version {version}")
-        if not lines[1].startswith("# params="):
+        if len(lines) < 2 or not lines[1].startswith("# params="):
             raise ValueError("profile CSV missing params line")
-        params = AnsatzParams(**json.loads(lines[1].split("=", 1)[1]))
+        params = _params_from_dict(json.loads(lines[1].split("=", 1)[1]))
         status, end_time = "completed", 0.0
         idx = 2
-        if lines[idx].startswith("# status="):
+        if idx < len(lines) and lines[idx].startswith("# status="):
             part = lines[idx][2:].split()
+            if len(part) != 2 or not part[1].startswith("end_time="):
+                raise ValueError("profile CSV has a malformed status line")
             status = part[0].split("=", 1)[1]
             end_time = float(part[1].split("=", 1)[1])
             idx += 1
-        if tuple(lines[idx].split(",")) != CSV_COLUMNS:
+        if idx >= len(lines) or tuple(lines[idx].split(",")) != CSV_COLUMNS:
             raise ValueError("profile CSV has an unexpected header row")
-        rows = np.array([[float(v) for v in ln.split(",")]
-                         for ln in lines[idx + 1:]])
-        if rows.ndim != 2 or rows.shape[1] != len(CSV_COLUMNS):
-            raise ValueError("profile CSV has malformed data rows")
+        data = lines[idx + 1:]
+        try:
+            rows = (np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+                    if data else np.empty((0, 0)))
+        except ValueError as exc:
+            raise ValueError(f"profile CSV has malformed data rows: {exc}") from exc
+        if rows.shape[1] != len(CSV_COLUMNS):
+            raise ValueError("profile CSV has malformed data rows: expected "
+                             f"rows of {len(CSV_COLUMNS)} numbers")
         (t, a, ap, b, bp, phi, phip, mu, r_tt, r_sk, r_sm) = rows.T
         phi_pp = _reduced_kernel(params, a, ap, b, bp, phip)[2]
         return cls(params=params, t=t, a=a, a_prime=ap, b=b, b_prime=bp,
@@ -351,6 +378,25 @@ def _params_to_dict(p: AnsatzParams) -> dict:
     return {"k": p.k, "m": p.m, "lam": p.lam, "b0": p.b0, "phi2": p.phi2,
             "epsilon": p.epsilon, "t_max": p.t_max, "rtol": p.rtol,
             "atol": p.atol, "grid_per_unit": p.grid_per_unit}
+
+
+def _params_from_dict(raw) -> AnsatzParams:
+    """Inverse of :func:`_params_to_dict` for a profile's params line.
+
+    Raises ``ValueError`` unless ``raw`` is an object of AnsatzParams
+    fields with integer k, m, grid_per_unit and finite numbers otherwise.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError("profile CSV params line is not an object")
+    for key, value in raw.items():
+        kind = int if key in ("k", "m", "grid_per_unit") else (int, float)
+        if (isinstance(value, bool) or not isinstance(value, kind)
+                or (isinstance(value, float) and not np.isfinite(value))):
+            raise ValueError(f"profile CSV param {key!r} has a bad value {value!r}")
+    try:
+        return AnsatzParams(**raw)
+    except TypeError as exc:
+        raise ValueError(f"profile CSV has bad params: {exc}") from exc
 
 
 def _diagnostics(params: AnsatzParams, t, a, ap, b, bp, phip):
@@ -519,20 +565,25 @@ def profile_geometry(profile: SolitonProfile, h: float = 1e-3):
                           constants=constants)
 
 
+def ambient_radial_range(profile: SolitonProfile):
+    """``(lo, hi)`` = (max(1.1 t_0, 0.05), 0.95 t_end): the radii of the
+    profile span on which :func:`ambient_geometry` is valid."""
+    return (max(float(profile.t[0]) * 1.1, 0.05), float(profile.t[-1]) * 0.95)
+
+
 def ambient_geometry(profile: SolitonProfile):
     """``(base, f, phi)``: a profile's base metric, warping and potential in
     ambient Cartesian coordinates on R^{k+1}, where linear group actions
     act (the inputs of :func:`ricciwarp.quotient.certify_quotient`).
 
-    The base is valid on the radii [max(1.1 t_0, 0.05), 0.95 t_end] of the
+    The base is valid on the radii :func:`ambient_radial_range` of the
     profile span; for k = 0 it is the line.
     """
     a_s, b_s, phi_s = profile.interpolants()
     k = profile.params.k
-    t_range = (max(float(profile.t[0]) * 1.1, 0.05), float(profile.t[-1]) * 0.95)
     base = cartesian_profile_base(
         (lambda t: float(a_s(t))) if k >= 1 else (lambda t: 1.0),
-        k, t_range, label="quotient-base")
+        k, ambient_radial_range(profile), label="quotient-base")
     return (base, radial_field(lambda t: float(b_s(t)), "warping"),
             radial_field(lambda t: float(phi_s(t)), "potential"))
 
@@ -550,18 +601,24 @@ def certify_profile(profile: SolitonProfile,
     The geometry from :func:`profile_geometry` is handed to the generic
     certification chain, including the finite-difference soliton residual
     of the full product metric, at sample points whose radial coordinates
-    lie in ``t_window``.
+    lie in ``t_window``.  Raises :class:`CertificationWindowError`, before
+    any patch is built, when ``t_window`` and ``h`` leave no room inside
+    the profile span.
     """
     params = profile.params
     k, m = params.k, params.m
+    # checked before any patch is built: the base chart of
+    # profile_geometry needs the span minus 8 h at either end
+    span = (float(profile.t[0]), float(profile.t[-1]))
+    t_lo = max(t_window[0], span[0] + 16 * h)
+    t_hi = min(t_window[1], span[1] - 16 * h)
+    if t_hi <= t_lo:
+        raise CertificationWindowError(
+            f"certification window {tuple(t_window)} with step h={h:g} does "
+            f"not fit the profile span [{span[0]:g}, {span[1]:g}] (the "
+            f"samples keep 16 h = {16 * h:g} from either end)")
     geom = profile_geometry(profile, h)
     base, fiber = geom.base, geom.fiber
-
-    t_lo = max(t_window[0], float(profile.t[0]) + 16 * h)
-    t_hi = min(t_window[1], float(profile.t[-1]) - 16 * h)
-    if t_hi <= t_lo:
-        raise GeometryError(
-            f"certification window {t_window} does not fit the profile span")
 
     rng = np.random.default_rng(seed)
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ricciwarp.cli import main
+from ricciwarp.cli import MAX_SAMPLES, main
 from ricciwarp.shooting import SolitonProfile
 
 
@@ -139,6 +139,33 @@ class TestCertify:
         write_config(cfg_path, certify={"profile": str(empty)})
         assert main(["certify", "--config", str(cfg_path)]) == 4
 
+    @pytest.mark.parametrize("mutate", [
+        lambda rows: rows[:1] + [rows[1].rsplit(",", 1)[0]] + rows[2:],
+        lambda rows: rows[:1] + [rows[1].replace(",", ",x", 1)] + rows[2:],
+        lambda rows: [],
+    ], ids=["ten-columns", "non-numeric-token", "no-data-rows"])
+    def test_malformed_profile_rows_exit_4(self, tmp_path, capsys, mutate):
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve=cylinder_solve_block(t_max=1.0))
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        lines = (tmp_path / "out" / "profile.csv").read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:4] + mutate(lines[4:])) + "\n")
+        write_config(cfg_path, certify={"profile": str(bad)})
+        assert main(["certify", "--config", str(cfg_path)]) == 4
+        assert "malformed data rows" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "certification.json").exists()
+
+    def test_step_too_large_for_span_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
+                                      "b0": 1.0, "t_max": 3.0},
+                     certify={"h": 0.5})
+        assert main(["certify", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "h=0.5" in err
+        assert not (tmp_path / "out").exists()
+
     def test_certify_without_source_exits_2(self, tmp_path):
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, certify={})
@@ -172,6 +199,26 @@ class TestQuotient:
                             "t_max": 6.0},
                      quotient={"p": 3, "k": 1, "m": 2, "kind": "hopf"})
         assert main(["quotient", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("t_max,t_range", [
+        (2.0, None), (6.0, [0.0, 1.0]), (6.0, [1.0, 5.8]), (6.0, [2.0, 1.0])])
+    def test_t_range_outside_radial_range_is_config_error(
+            self, tmp_path, capsys, t_max, t_range):
+        quotient = {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}
+        if t_range is not None:
+            quotient["t_range"] = t_range
+        cfg_path = tmp_path / "q.json"
+        write_config(cfg_path,
+                     solve={"k": 1, "m": 2, "lambda": 0.0, "b0": 1.0,
+                            "t_max": t_max},
+                     quotient=quotient)
+        assert main(["quotient", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        valid = f"[0.05, {0.95 * t_max:g}]"
+        assert err.startswith("config error:") and valid in err
+        lo, hi = t_range or (0.5, 2.0)
+        assert f"[{lo:g}, {hi:g}]" in err
+        assert not (tmp_path / "out").exists()
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         cfg_path = tmp_path / "q.json"
@@ -217,7 +264,8 @@ _QUOTIENT = {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}
 
 
 class TestConfigValidation:
-    """Ill-typed numbers exit 2 before any work, and write nothing."""
+    """Ill-typed numbers and numbers beyond the resource bounds exit 2
+    before any work, and write nothing."""
 
     @pytest.mark.parametrize("command,key,value", [
         ("solve", "lambda", "x"),
@@ -246,6 +294,13 @@ class TestConfigValidation:
         ("certify", "--seed", -1),
         ("certify", "--tolerance", float("nan")),
         ("quotient", "--tolerance", float("nan")),
+        ("certify", "n_fiber", 100_000_000),
+        ("certify", "n_base", MAX_SAMPLES + 1),
+        ("certify", "n_product", MAX_SAMPLES + 1),
+        ("quotient", "n_samples", MAX_SAMPLES + 1),
+        ("solve", "t_max", 1e9),
+        ("solve", "grid_per_unit", 10 ** 6),
+        ("sweep", "t_max", 1e9),
     ])
     def test_bad_number_exits_2_without_artifacts(self, tmp_path, command,
                                                   key, value):

@@ -20,7 +20,7 @@ from ricciwarp import (
     sweep,
     taylor_init,
 )
-from ricciwarp.shooting import _diagnostics, _rhs_with_phi
+from ricciwarp.shooting import CSV_COLUMNS, _diagnostics, _rhs_with_phi
 
 
 class TestReducedRhs:
@@ -254,7 +254,7 @@ class TestOracleClosure:
 class TestCsvRoundTrip:
     def test_bit_exact_round_trip(self, steady_profile_12):
         text = steady_profile_12.to_csv()
-        loaded = SolitonProfile.from_csv(text)
+        loaded = SolitonProfile.parse_csv(text)
         for name in ("t", "a", "a_prime", "b", "b_prime", "phi",
                      "phi_prime", "mu", "res_tt", "res_sk", "res_sm"):
             orig = getattr(steady_profile_12, name)
@@ -267,14 +267,102 @@ class TestCsvRoundTrip:
         prof = shoot(AnsatzParams(k=0, m=2, lam=0.5, b0=np.sqrt(2.0), t_max=2.0))
         assert np.isnan(prof.a).all()
         assert np.isnan(prof.res_sk).all()
-        loaded = SolitonProfile.from_csv(prof.to_csv())
+        loaded = SolitonProfile.parse_csv(prof.to_csv())
         assert np.isnan(loaded.a).all()
 
     def test_malformed_csv_rejected(self):
         with pytest.raises(ValueError):
-            SolitonProfile.from_csv("garbage,text\n1,2\n")
+            SolitonProfile.parse_csv("garbage,text\n1,2\n")
         with pytest.raises(ValueError):
-            SolitonProfile.from_csv("# schema_version=99\n# params={}\n")
+            SolitonProfile.parse_csv("# schema_version=99\n# params={}\n")
+
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_rows_match_per_cell_reference(self, k):
+        prof = shoot(AnsatzParams(k=k, m=2, lam=0.5 * (1 - k), b0=np.sqrt(2.0),
+                                  t_max=3.0))
+        cols = [getattr(prof, name) for name in CSV_COLUMNS]
+        reference = [",".join(f"{col[i]:.17g}" for col in cols) + "\n"
+                     for i in range(prof.t.size)]
+        head, rows = prof.to_csv().split(",".join(CSV_COLUMNS) + "\n")
+        assert head.count("\n") == 3
+        rows = rows.splitlines(keepends=True)
+        assert len(rows) == len(reference)
+        for i, (row, want) in enumerate(zip(rows, reference)):
+            assert row == want, f"row {i}"
+
+    def test_random_columns_round_trip_bit_exact(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from hypothesis.extra.numpy import arrays
+
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+
+        @hypothesis.settings(max_examples=60, deadline=2000, database=None)
+        @hypothesis.given(
+            data=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(11)),
+                        elements=finite),
+            nan_columns=st.sets(st.sampled_from(CSV_COLUMNS)),
+            end_time=finite)
+        def round_trip(data, nan_columns, end_time):
+            cols = {name: (np.full(len(data), np.nan) if name in nan_columns
+                           else data[:, j].copy())
+                    for j, name in enumerate(CSV_COLUMNS)}
+            prof = SolitonProfile(params=AnsatzParams(k=1, m=2, lam=0.0, b0=1.0),
+                                  phi_pp=np.zeros(len(data)), end_time=end_time,
+                                  **cols)
+            with np.errstate(all="ignore"):
+                back = SolitonProfile.parse_csv(prof.to_csv())
+            for name in CSV_COLUMNS:
+                assert (getattr(back, name).view(np.uint64)
+                        == cols[name].view(np.uint64)).all(), name
+            assert np.float64(back.end_time).view(np.uint64) == \
+                np.float64(end_time).view(np.uint64)
+
+        round_trip()
+
+    @pytest.mark.parametrize("mutate", [
+        lambda rows: rows[:1] + [rows[1].rsplit(",", 1)[0]] + rows[2:],
+        lambda rows: [row.rsplit(",", 1)[0] for row in rows],
+        lambda rows: rows[:1] + [rows[1].replace(",", ",x", 1)] + rows[2:],
+        lambda rows: rows[:1] + [rows[1] + ","] + rows[2:],
+        lambda rows: [],
+    ], ids=["ten-columns-in-one-row", "ten-columns", "non-numeric-token",
+            "empty-field", "no-data-rows"])
+    def test_malformed_rows_rejected(self, mutate):
+        prof = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0))
+        lines = prof.to_csv().splitlines()
+        text = "\n".join(lines[:4] + mutate(lines[4:])) + "\n"
+        with pytest.raises(ValueError, match="malformed data rows"):
+            SolitonProfile.parse_csv(text)
+
+    @pytest.mark.parametrize("text", [
+        "# schema_version=1\n",
+        "# schema_version=1\n# params=[1, 2]\n",
+    ], ids=["no-params-line", "params-not-an-object"])
+    def test_truncated_header_rejected(self, text):
+        with pytest.raises(ValueError):
+            SolitonProfile.parse_csv(text)
+
+    @pytest.mark.parametrize("old,new", [
+        ("# params=", "# parameters="), (" end_time=1\n", "\n"),
+        ("t,a,a_prime,", "t,a,"),
+        ('"k": 1,', '"k": 1.5,'), ('"k": 1,', '"k": true,'),
+        ('"lam": 0.0,', '"lam": "x",'), ('"b0": 1.0,', '"b0": NaN,'),
+        ('"b0": 1.0,', '"typo": 1.0,')])
+    def test_malformed_header_rejected(self, old, new):
+        text = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0)).to_csv()
+        assert old in text
+        with pytest.raises(ValueError):
+            SolitonProfile.parse_csv(text.replace(old, new))
+
+    def test_from_csv_reads_a_path(self, tmp_path):
+        prof = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0))
+        path = tmp_path / "p.csv"
+        text = prof.to_csv(path)
+        assert path.read_text() == text
+        assert np.array_equal(SolitonProfile.from_csv(path).b, prof.b)
+        with pytest.raises(OSError):
+            SolitonProfile.from_csv(text)
 
 
 class TestSweep:
