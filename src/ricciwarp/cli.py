@@ -5,10 +5,12 @@ Workflows are driven by a JSON config with one block per subcommand plus
 the four blocks its type and constraint: unknown keys are rejected,
 integer keys take integers, real keys finite numbers, booleans are
 neither, and the ``--tolerance``/``--seed`` overrides pass the same checks
-as the config keys they override.  Sample counts and the output grid are
-capped (``MAX_SAMPLES``, ``MAX_GRID_POINTS``), and a certification window
-or quotient radial range that does not fit the profile is a config error
-too.  Outputs are written atomically; CSV numbers carry 17 significant
+as the config keys they override.  Sample counts, the output grid, the
+sphere dimensions and the rows and workers of a sweep are capped
+(``MAX_SAMPLES``, ``MAX_GRID_POINTS``, ``MAX_DIMENSION``,
+``MAX_SWEEP_ROWS``, ``MAX_WORKERS``), and a certification window or step
+or a quotient radial range that does not fit the profile is a config
+error too.  Outputs are written atomically; CSV numbers carry 17 significant
 digits and JSON reports embed the tool version and a hash of the config,
 so identical configs give byte-identical outputs.
 
@@ -51,10 +53,15 @@ EXIT_IO = 4
 
 
 # resource bounds: sample counts (the certify oracle holds a stencil of
-# values per sample) and points of the output grid of solve and of each
-# sweep row
+# values per sample), points of the output grid of solve and of each sweep
+# row, the sphere dimensions k and m (the certify charts have 1 + k + m
+# coordinates), rows of a sweep, and its worker processes (a pool may
+# start all of them at once)
 MAX_SAMPLES = 1024
 MAX_GRID_POINTS = 200_000
+MAX_DIMENSION = 6
+MAX_SWEEP_ROWS = 4096
+MAX_WORKERS = 64
 
 
 class ConfigError(Exception):
@@ -92,8 +99,10 @@ _SCHEMA = {
     "sweep": {**_ANSATZ, "parallel": (None, None),
               "workers": (_INT, "positive")},
 }
-# keys capped at MAX_SAMPLES
-_SAMPLE_COUNTS = ("n_base", "n_product", "n_fiber", "n_samples")
+# key -> the largest value it takes
+_CAPS = {**dict.fromkeys(("n_base", "n_product", "n_fiber", "n_samples"),
+                         MAX_SAMPLES),
+         "k": MAX_DIMENSION, "m": MAX_DIMENSION, "workers": MAX_WORKERS}
 _TOP = dict.fromkeys(("schema_version", "out_dir", *_SCHEMA), (None, None))
 # a sweep runs the grid of the lists under these keys, each element
 # checked by the key's row
@@ -140,9 +149,9 @@ def _check_block(block, schema: dict, where: str):
             if rule in ("positive", "nonnegative") and not (
                     v > 0 if rule == "positive" else v >= 0):
                 raise ConfigError(f"'{name}' in '{where}' must be {rule}, got {v!r}")
-            if name in _SAMPLE_COUNTS and v > MAX_SAMPLES:
+            if name in _CAPS and v > _CAPS[name]:
                 raise ConfigError(f"'{name}' in '{where}' must be at most "
-                                  f"{MAX_SAMPLES}, got {v!r}")
+                                  f"{_CAPS[name]}, got {v!r}")
 
 
 def _ansatz_kwargs(block: dict) -> dict:
@@ -336,6 +345,10 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     for req in _SWEEP_LISTS:
         if req not in block:
             raise ConfigError(f"sweep block needs a list under '{req}'")
+    rows = math.prod(len(block[key]) for key in _SWEEP_LISTS)
+    if rows > MAX_SWEEP_ROWS:
+        raise ConfigError(f"sweep grid too large: {rows} rows, at most "
+                          f"{MAX_SWEEP_ROWS}")
     common = {key: value for key, value in _ansatz_kwargs(block).items()
               if key not in ("k", "m", "lam", "b0")}
     try:

@@ -128,9 +128,12 @@ def grid_derivative(values, dt: float) -> np.ndarray:
     """High-order first derivative of a uniformly spaced sample array.
 
     Fourth-order central stencil inside, fifth-order one-sided stencils on
-    the outermost two nodes of each end.
+    the outermost two nodes of each end.  The edge nodes are dot products,
+    whose last bits depend on the memory layout of their operands, so a
+    strided input (a column of a row-major table) is copied first: the
+    result depends on the values only.
     """
-    y = np.asarray(values, dtype=float)
+    y = np.ascontiguousarray(values, dtype=float)
     n = y.size
     if n < 6:
         raise ValueError("grid_derivative needs at least 6 samples")

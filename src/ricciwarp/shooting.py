@@ -40,12 +40,14 @@ algebraically and report conservation even for corrupted data.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import make_interp_spline
 
+from .curvature import _MARGIN_SECOND
 from .fd import grid_derivative
 from .patches import (
     GeometryError,
@@ -215,20 +217,67 @@ def taylor_init(params: AnsatzParams):
     return _series_start(params)
 
 
-def _rhs_with_phi(t, y, params: AnsatzParams):
-    # Clamped variant of reduced_rhs: Runge-Kutta stages may probe past a
-    # degeneration before the terminal event localizes it, so the right
-    # side must stay evaluable slightly below the event floor.
+def _rhs_with_phi(params: AnsatzParams):
+    """The integrator's right side ``rhs(t, y)`` for ``params``.
+
+    The state carries phi next to the reduced system: (a, a', b, b', phi,
+    phi') for k >= 1 and (b, b', phi, phi') for k = 0.  A clamped variant
+    of :func:`reduced_rhs`: Runge-Kutta stages may probe past a
+    degeneration before the terminal event localizes it, so a and b are
+    clamped at ``_EVAL_FLOOR`` as ``max(a, floor)`` clamps (a NaN stays
+    NaN) and the right side stays evaluable below the event floor.  The
+    closure works on Python floats from ``y.tolist()``: IEEE arithmetic
+    gives the same bits as on ``np.float64`` scalars at a fraction of the
+    per-call cost, and ``solve_ivp`` takes it without an ``args=`` wrapper.
+    """
+    floor = _EVAL_FLOOR
     if params.k >= 1:
-        a, ap, b, bp, _, phip = y
-        a = max(a, _EVAL_FLOOR)
-        b = max(b, _EVAL_FLOOR)
-        s_a, s_b, phipp = _reduced_kernel(params, a, ap, b, bp, phip)
-        return [ap, a * s_a, bp, b * s_b, phip, phipp]
-    b, bp, _, phip = y
-    b = max(b, _EVAL_FLOOR)
-    _, s_b, phipp = _reduced_kernel(params, None, None, b, bp, phip)
-    return [bp, b * s_b, phip, phipp]
+        def rhs(t, y):
+            a, ap, b, bp, _, phip = y.tolist()
+            a = floor if floor > a else a
+            b = floor if floor > b else b
+            s_a, s_b, phipp = _reduced_kernel(params, a, ap, b, bp, phip)
+            return [ap, a * s_a, bp, b * s_b, phip, phipp]
+        return rhs
+
+    def rhs(t, y):
+        b, bp, _, phip = y.tolist()
+        b = floor if floor > b else b
+        _, s_b, phipp = _reduced_kernel(params, None, None, b, bp, phip)
+        return [bp, b * s_b, phip, phipp]
+    return rhs
+
+
+def _dense_eval(segments, ts):
+    """The dense output of consecutive DOP853 runs at the times ``ts``.
+
+    One vectorized Horner pass over every step of every run, in place of
+    one ``OdeSolution.__call__`` per run (a Python call per step).  Each
+    time goes to the step that ``OdeSolution`` would choose, the first
+    whose end is >= t (``searchsorted(side="left")`` on the step ends), so
+    a step end and the junction of two runs go to the earlier step; times
+    outside the span go to the first or last step.  The polynomial is
+    ``Dop853DenseOutput._call_impl``'s, evaluated with its operations in
+    its order on the interpolants' ``t_old``, ``h``, ``F`` and ``y_old``,
+    so every value has the same bits.  Returns a C-contiguous
+    ``(n_state, len(ts))`` array, so the profile columns are its rows.
+    """
+    steps = [ip for seg in segments for ip in seg.sol.interpolants]
+    ends = np.concatenate([seg.sol.ts[1:] for seg in segments])
+    idx = np.minimum(np.searchsorted(ends, ts, side="left"), ends.size - 1)
+    t_old = np.array([ip.t_old for ip in steps])[idx]
+    h = np.array([ip.h for ip in steps])[idx]
+    coeffs = np.stack([ip.F for ip in steps])      # (steps, powers, n_state)
+    y = np.zeros((ts.size, coeffs.shape[2]))
+    x = ((ts - t_old) / h)[:, None]
+    for i in range(coeffs.shape[1]):
+        y += coeffs[idx, -1 - i]
+        if i % 2 == 0:
+            y *= x
+        else:
+            y *= 1 - x
+    y += np.stack([ip.y_old for ip in steps])[idx]
+    return np.ascontiguousarray(y.T)
 
 
 @dataclass
@@ -428,13 +477,12 @@ _LAUNCH_END = 0.1
 _LAUNCH_TOL = 1e-13
 
 
-def shoot(params: AnsatzParams) -> SolitonProfile:
-    """Integrate the reduced system from the series start.
+def _integrate(params: AnsatzParams):
+    """The DOP853 runs of :func:`shoot`: ``(segments, status, t_end)``.
 
-    Adaptive eighth-order explicit integration to ``t_max`` or until a
-    metric coefficient degenerates or the state blows up; the returned
-    profile records the outcome in ``status`` and ``end_time``.  phi is
-    gauge-normalized to phi(epsilon) = 0.
+    ``segments`` holds the ``solve_ivp`` result of the launch segment and,
+    unless that run ends early, the one of the rest of the span; the last
+    run's terminal event, if any, gives ``status`` and ``t_end``.
     """
     k = params.k
     a, ap, b, bp, phip = _series_start(params)
@@ -442,27 +490,29 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
 
     i_a, i_b = (0, 2) if k >= 1 else (None, 0)
 
-    def hit_b(t, y, *_):
+    def hit_b(t, y):
         return y[i_b] - _POSITIVITY_FLOOR
 
     hit_b.terminal = True
     events = [hit_b]
     if k >= 1:
-        def hit_a(t, y, *_):
+        def hit_a(t, y):
             return y[i_a] - _POSITIVITY_FLOOR
         hit_a.terminal = True
         events.append(hit_a)
 
-    def blow(t, y, *_):
+    def blow(t, y):
         return _BLOWUP_LIMIT - float(np.abs(y).max())
 
     blow.terminal = True
     events.append(blow)
 
+    rhs = _rhs_with_phi(params)
+
     def integrate(t0, t1, y_start, rtol, atol):
         # a capped first step keeps the dense output tight where the
         # differentiated diagnostics are most sensitive
-        sol = solve_ivp(_rhs_with_phi, (t0, t1), y_start, args=(params,),
+        sol = solve_ivp(rhs, (t0, t1), y_start,
                         method="DOP853", rtol=rtol, atol=atol,
                         dense_output=True, events=events,
                         first_step=min(1e-3, 0.01 * (t1 - t0)))
@@ -491,21 +541,29 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
             status = "hit_b_zero"
         else:
             status = "blowup"
+    return segments, status, t_end
 
-    def evaluate(ts):
-        if len(segments) == 1:
-            return segments[0].sol(ts)
-        early = ts <= t_switch
-        out = np.empty((y0.size, ts.size))
-        if early.any():
-            out[:, early] = segments[0].sol(ts[early])
-        if (~early).any():
-            out[:, ~early] = segments[1].sol(ts[~early])
-        return out
 
+def shoot(params: AnsatzParams) -> SolitonProfile:
+    """Integrate the reduced system from the series start.
+
+    Adaptive eighth-order explicit integration to ``t_max`` or until a
+    metric coefficient degenerates or the state blows up; the returned
+    profile records the outcome in ``status`` and ``end_time``.  phi is
+    gauge-normalized to phi(epsilon) = 0.
+
+    scipy's DOP853 runs the closure of :func:`_rhs_with_phi` on the launch
+    segment and, unless that run ends early, on the rest of the span
+    (:func:`_integrate`).  The output grid is read from their dense output
+    in one batched pass (:func:`_dense_eval`), which relies on the fields
+    ``t_old``, ``h``, ``F`` and ``y_old`` of scipy's ``Dop853DenseOutput``
+    interpolants.
+    """
+    k = params.k
+    segments, status, t_end = _integrate(params)
     n = max(int(np.ceil((t_end - params.epsilon) * params.grid_per_unit)) + 1, 16)
     t = np.linspace(params.epsilon, t_end, n)
-    Y = evaluate(t)
+    Y = _dense_eval(segments, t)
     if k >= 1:
         a, ap, b, bp, phi, phip = Y
     else:
@@ -588,6 +646,12 @@ def ambient_geometry(profile: SolitonProfile):
             radial_field(lambda t: float(phi_s(t)), "potential"))
 
 
+# base-angle samples of certify_profile lie within this share of each angle
+# range around its middle; fiber samples keep this share from either end
+_ANGLE_SPREAD = 0.25
+_FIBER_MARGIN = 0.2
+
+
 def certify_profile(profile: SolitonProfile,
                     h: float = 1e-3,
                     tolerance: float = 1e-5,
@@ -602,8 +666,9 @@ def certify_profile(profile: SolitonProfile,
     certification chain, including the finite-difference soliton residual
     of the full product metric, at sample points whose radial coordinates
     lie in ``t_window``.  Raises :class:`CertificationWindowError`, before
-    any patch is built, when ``t_window`` and ``h`` leave no room inside
-    the profile span.
+    any residual is computed, when ``t_window`` and ``h`` leave no room
+    inside the profile span, or when the stencils of step ``h`` do not fit
+    between the base-angle and fiber samples and the chart boundaries.
     """
     params = profile.params
     k, m = params.k, params.m
@@ -619,6 +684,17 @@ def certify_profile(profile: SolitonProfile,
             f"samples keep 16 h = {16 * h:g} from either end)")
     geom = profile_geometry(profile, h)
     base, fiber = geom.base, geom.fiber
+    # the samples keep a share of each base-angle and fiber range from the
+    # chart boundary; the curvature stencils need _MARGIN_SECOND h of it
+    room = min([(0.5 - _ANGLE_SPREAD) * (hi - lo)
+                for lo, hi in base.domain[1:]]
+               + [_FIBER_MARGIN * (hi - lo) for lo, hi in fiber.domain])
+    if _MARGIN_SECOND * h >= room:
+        raise CertificationWindowError(
+            f"certification step h={h:g} too large for the sample charts: "
+            f"the stencils need {_MARGIN_SECOND} h = {_MARGIN_SECOND * h:g} "
+            f"of room from the chart boundary, the base-angle and fiber "
+            f"samples keep {room:.6g} (fiber chart '{fiber.label}')")
 
     rng = np.random.default_rng(seed)
 
@@ -628,7 +704,7 @@ def certify_profile(profile: SolitonProfile,
         pts[:, 0] = ts
         for j in range(1, base.dim):
             lo, hi = base.domain[j]
-            mid, span = 0.5 * (lo + hi), 0.25 * (hi - lo)
+            mid, span = 0.5 * (lo + hi), _ANGLE_SPREAD * (hi - lo)
             pts[:, j] = mid + span * (2.0 * rng.random(count) - 1.0)
         return pts
 
@@ -646,7 +722,7 @@ def certify_profile(profile: SolitonProfile,
                                   f"b0={params.b0:g})"))
 
 
-def _interior_points(patch, count, rng, margin=0.2):
+def _interior_points(patch, count, rng, margin=_FIBER_MARGIN):
     lo = patch.domain[:, 0] + margin * (patch.domain[:, 1] - patch.domain[:, 0])
     hi = patch.domain[:, 1] - margin * (patch.domain[:, 1] - patch.domain[:, 0])
     return lo + (hi - lo) * rng.random((count, patch.dim))
@@ -695,8 +771,11 @@ def _sweep_row(params: AnsatzParams) -> SweepRow:
     try:
         prof = shoot(params)
     except (IntegrationError, GeometryError, ValueError) as exc:
+        # one CSV field: whitespace runs (newlines included) become one
+        # space and commas semicolons
+        reason = " ".join(str(exc).split()).replace(",", ";")
         return SweepRow(params.k, params.m, params.lam, params.b0,
-                        f"error:{type(exc).__name__}", 0.0,
+                        f"error:{type(exc).__name__}:{reason}", 0.0,
                         float("nan"), float("nan"), float("nan"), float("nan"))
     if prof.status == "completed":
         exp_a = _growth_exponent(prof.t, prof.a) if params.k >= 1 else float("nan")
@@ -708,10 +787,18 @@ def _sweep_row(params: AnsatzParams) -> SweepRow:
 
 
 def sweep(param_list, parallel: bool = False, workers: int | None = None):
-    """Run the grid; rows come back in grid order regardless of mode."""
+    """Run the grid; rows come back in grid order regardless of mode.
+
+    A row whose shooting raises has the status ``error:<Type>:<message>``,
+    the message on one line and without commas.  The parallel pool has
+    ``workers`` processes (default: the CPU count), at most one per row.
+    """
     param_list = list(param_list)
     if not parallel or len(param_list) < 2:
         return [_sweep_row(p) for p in param_list]
     import concurrent.futures as cf
-    with cf.ProcessPoolExecutor(max_workers=workers) as ex:
+    # the pool may start all its processes at once, so it gets no more
+    # than there are rows
+    pool_size = min(workers or os.cpu_count() or 1, len(param_list))
+    with cf.ProcessPoolExecutor(max_workers=pool_size) as ex:
         return list(ex.map(_sweep_row, param_list))

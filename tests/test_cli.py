@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from ricciwarp.cli import MAX_SAMPLES, main
+from ricciwarp.cli import (
+    MAX_DIMENSION,
+    MAX_SAMPLES,
+    MAX_SWEEP_ROWS,
+    MAX_WORKERS,
+    main,
+)
 from ricciwarp.shooting import SolitonProfile
 
 
@@ -166,6 +172,21 @@ class TestCertify:
         assert err.startswith("config error:") and "h=0.5" in err
         assert not (tmp_path / "out").exists()
 
+    def test_step_too_large_for_fiber_chart_is_config_error(self, tmp_path,
+                                                            capsys):
+        # h = 0.2 fits the span of a t_max 10 profile, but the stencils
+        # (4 h = 0.8) do not fit between the fiber samples and the edge of
+        # the unit 2-sphere chart
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
+                                      "b0": 1.0, "t_max": 10.0},
+                     certify={"h": 0.2})
+        assert main(["certify", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "h=0.2" in err
+        assert "sphere-2d-r1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_certify_without_source_exits_2(self, tmp_path):
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, certify={})
@@ -247,6 +268,19 @@ class TestSweep:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
         assert "hit_b_zero" in rows[0]
 
+    def test_error_row_keeps_the_message(self, tmp_path):
+        cfg_path = tmp_path / "s.json"
+        write_config(cfg_path, sweep={"k": [1], "m": [2], "lambda": [0.0],
+                                      "b0": [1e-5, 1.0], "t_max": 2.0})
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
+        assert len(rows) == 2
+        fields = rows[0].split(",")
+        assert len(fields) == 10
+        assert fields[4] == ("error:ValueError:epsilon=0.0001 too large: "
+                             "series tail estimate 1.67e-03 > 1e-8")
+        assert rows[1].split(",")[4] == "completed"
+
     def test_reruns_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "s.json"
         write_config(cfg_path, sweep={"k": [1], "m": [2], "lambda": [0.0],
@@ -265,7 +299,8 @@ _QUOTIENT = {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}
 
 class TestConfigValidation:
     """Ill-typed numbers and numbers beyond the resource bounds exit 2
-    before any work, and write nothing."""
+    before any work, and write nothing.  Only the rejection of a large
+    sweep or pool is run here, never the sweep or the pool itself."""
 
     @pytest.mark.parametrize("command,key,value", [
         ("solve", "lambda", "x"),
@@ -301,6 +336,14 @@ class TestConfigValidation:
         ("solve", "t_max", 1e9),
         ("solve", "grid_per_unit", 10 ** 6),
         ("sweep", "t_max", 1e9),
+        ("sweep", "workers", MAX_WORKERS + 1),
+        ("sweep", "workers", 10 ** 6),
+        ("sweep", "b0", [1.0 + i / MAX_SWEEP_ROWS
+                         for i in range(MAX_SWEEP_ROWS + 1)]),
+        ("sweep", "k", [1, MAX_DIMENSION + 1]),
+        ("sweep", "m", [MAX_DIMENSION + 1]),
+        ("solve", "k", MAX_DIMENSION + 1),
+        ("solve", "m", 10 ** 400),
     ])
     def test_bad_number_exits_2_without_artifacts(self, tmp_path, command,
                                                   key, value):

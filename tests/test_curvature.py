@@ -254,6 +254,20 @@ class TestGridDerivative:
         # edges use one-sided stencils of at least the interior accuracy
         assert np.abs(d - exact)[[0, 1, -2, -1]].max() < 1e-8
 
+    def test_strided_input_same_bits_as_contiguous(self):
+        from ricciwarp.fd import grid_derivative
+        t = np.linspace(0.0, 3.0, 301)
+        table = np.column_stack([np.exp(np.sin(t) * k) for k in range(1, 4)])
+        for col in table.T:
+            assert not col.flags.c_contiguous
+            got = grid_derivative(col, t[1] - t[0])
+            want = grid_derivative(col.copy(), t[1] - t[0])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # a reversed view too
+        rev = table[::-1, 0]
+        assert np.array_equal(grid_derivative(rev, 0.01),
+                              grid_derivative(rev.copy(), 0.01))
+
     def test_needs_enough_samples(self):
         from ricciwarp.fd import grid_derivative
         with pytest.raises(ValueError):

@@ -20,7 +20,13 @@ from ricciwarp import (
     sweep,
     taylor_init,
 )
-from ricciwarp.shooting import CSV_COLUMNS, _diagnostics, _rhs_with_phi
+from ricciwarp.shooting import (
+    CSV_COLUMNS,
+    _dense_eval,
+    _diagnostics,
+    _integrate,
+    _rhs_with_phi,
+)
 
 
 class TestReducedRhs:
@@ -164,6 +170,77 @@ class TestShoot:
         assert delta <= 1e-7
 
 
+def _per_run_reference(segments, ts):
+    """The grid values from ``OdeSolution.__call__`` of each run: the
+    launch run up to its end, the second run after it."""
+    if len(segments) == 1:
+        return segments[0].sol(ts)
+    early = ts <= segments[0].t[-1]
+    out = np.empty((segments[0].y.shape[0], ts.size))
+    out[:, early] = segments[0].sol(ts[early])
+    out[:, ~early] = segments[1].sol(ts[~early])
+    return out
+
+
+class TestDenseEval:
+    @pytest.mark.parametrize("params,status,runs", [
+        (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0), "completed", 2),
+        (AnsatzParams(k=2, m=3, lam=0.0, b0=1.0, t_max=3.0), "completed", 2),
+        (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=0.1), "completed", 1),
+        (AnsatzParams(k=0, m=2, lam=0.5, b0=float(np.sqrt(2.0)), t_max=3.0),
+         "completed", 2),
+        (AnsatzParams(k=0, m=2, lam=0.5, b0=2.0, t_max=5.0), "hit_b_zero", 2),
+        (AnsatzParams(k=3, m=2, lam=0.0, b0=1.0, phi2=0.3), "blowup", 2),
+        (AnsatzParams(k=1, m=2, lam=0.5, b0=1.0, t_max=5.0), "hit_a_zero", 2),
+    ])
+    def test_matches_ode_solution_bit_for_bit(self, params, status, runs):
+        segments, got_status, t_end = _integrate(params)
+        assert (got_status, len(segments)) == (status, runs)
+        # every step end (the launch run's last one is t_switch), every
+        # step middle and the output grid
+        ends = np.concatenate([seg.t for seg in segments])
+        ts = np.unique(np.concatenate([
+            ends, 0.5 * (ends[1:] + ends[:-1]),
+            np.linspace(params.epsilon, t_end, 2001)]))
+        got = _dense_eval(segments, ts)
+        want = np.ascontiguousarray(_per_run_reference(segments, ts))
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_step_ends_go_to_the_earlier_step(self):
+        # pieces that disagree at their common ends, so the choice of the
+        # piece at a step end and at the junction of two runs shows
+        from types import SimpleNamespace
+
+        from scipy.integrate import OdeSolution
+        from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+        rng = np.random.default_rng(5)
+
+        def run(ts):
+            pieces = [Dop853DenseOutput(t0, t1, rng.normal(size=3),
+                                        rng.normal(size=(7, 3)))
+                      for t0, t1 in zip(ts[:-1], ts[1:])]
+            return SimpleNamespace(sol=OdeSolution(ts, pieces), t=ts,
+                                   y=np.empty((3, ts.size)))
+
+        segments = [run(np.array([0.0, 0.3, 0.7, 1.0])),
+                    run(np.array([1.0, 1.5, 2.0]))]
+        ts = np.array([-0.1, 0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 1.2, 1.5, 2.0, 2.5])
+        got = _dense_eval(segments, ts)
+        want = _per_run_reference(segments, ts)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_shoot_columns_are_the_dense_output(self, steady_profile_12):
+        prof = steady_profile_12
+        segments, _, _ = _integrate(prof.params)
+        want = _per_run_reference(segments, prof.t)
+        got = np.array([prof.a, prof.a_prime, prof.b, prof.b_prime,
+                        prof.phi, prof.phi_prime])
+        assert np.array_equal(got.view(np.uint64),
+                              np.ascontiguousarray(want).view(np.uint64))
+
+
 class TestDiagnosticsIndependence:
     def test_perturbed_start_reported_nonconserved(self):
         # a start violating the smooth-closure series produces a profile
@@ -172,7 +249,7 @@ class TestDiagnosticsIndependence:
         state = list(taylor_init(p))
         state[3] += 0.01  # b'(eps) off the series value
         y0 = np.array(state[:4] + [0.0, state[4]])
-        sol = solve_ivp(_rhs_with_phi, (p.epsilon, 10.0), y0, args=(p,),
+        sol = solve_ivp(_rhs_with_phi(p), (p.epsilon, 10.0), y0,
                         method="DOP853", rtol=1e-10, atol=1e-10,
                         dense_output=True)
         t = np.linspace(p.epsilon, sol.t[-1], 2001)
@@ -262,6 +339,17 @@ class TestCsvRoundTrip:
             assert np.array_equal(orig, back, equal_nan=True), name
         assert loaded.params == steady_profile_12.params
         assert loaded.status == steady_profile_12.status
+
+    @pytest.mark.parametrize("k,m", [(1, 2), (2, 3), (0, 2)])
+    def test_recomputed_diagnostics_of_loaded_profile_bit_exact(self, k, m):
+        # the loaded columns are strided views of one table; the diagnostics
+        # must not depend on that
+        prof = shoot(AnsatzParams(k=k, m=m, lam=0.5 * (1 - k),
+                                  b0=float(np.sqrt(2.0)), t_max=3.0))
+        again = recompute_diagnostics(SolitonProfile.parse_csv(prof.to_csv()))
+        for name in ("mu", "res_tt", "res_sk", "res_sm"):
+            assert np.array_equal(getattr(prof, name).view(np.uint64),
+                                  getattr(again, name).view(np.uint64)), name
 
     def test_k0_columns_nan(self):
         prof = shoot(AnsatzParams(k=0, m=2, lam=0.5, b0=np.sqrt(2.0), t_max=2.0))
@@ -392,6 +480,47 @@ class TestSweep:
         rows = sweep(params_grid([0], [2], [0.5], [2.0], t_max=5.0))
         assert rows[0].status == "hit_b_zero"
         assert np.isnan(rows[0].exp_b)
+
+    def test_error_row_keeps_the_message(self):
+        # b0 = 1e-5 makes the series tail too large at the default epsilon
+        rows = sweep(params_grid([1], [2], [0.0], [1e-5, 1.0], t_max=2.0))
+        assert rows[0].status == ("error:ValueError:epsilon=0.0001 too large: "
+                                  "series tail estimate 1.67e-03 > 1e-8")
+        assert rows[0].lifetime == 0.0 and np.isnan(rows[0].mu_mean)
+        assert rows[1].status == "completed"
+
+    def test_error_message_is_one_csv_field(self, monkeypatch):
+        def fail(params):
+            raise GeometryError("a, b\n  c\r\nd")
+
+        monkeypatch.setattr("ricciwarp.shooting.shoot", fail)
+        rows = sweep(params_grid([1], [2], [0.0], [1.0]))
+        assert rows[0].status == "error:GeometryError:a; b c d"
+
+    def test_pool_has_at_most_one_worker_per_row(self, monkeypatch):
+        # a stand-in pool that records its size and starts no process
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+        grid = params_grid([1], [2], [0.0], [0.9, 1.1], t_max=0.5)
+        serial = sweep(grid)
+        assert sweep(grid, parallel=True, workers=10_000) == serial
+        assert sweep(grid, parallel=True) == serial
+        assert sweep(grid, parallel=True, workers=1) == serial
+        assert sizes == [2, 2, 1]
 
     def test_parallel_matches_serial(self):
         grid = params_grid([1], [2], [0.0, -0.1], [0.9, 1.1],
