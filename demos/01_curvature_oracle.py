@@ -50,7 +50,7 @@ Hq = hessian_fd(flat, quadratic_potential(0.7), np.array([0.3, -0.2, 0.5]))
 print(f"Hess((0.7/2)|x|^2) on flat R^3 = 0.7*I, max error "
       f"{np.abs(Hq - 0.7 * np.eye(3)).max():.2e}")
 
-u = ScalarField(lambda y: np.cos(y[0]), "cos-theta")
+u = ScalarField(lambda Y: np.cos(Y[:, 0]), "cos-theta")
 res = gradient_laplacian(sphere_patch(2), u, np.array([1.2, 1.0]))
 print(f"Laplacian of cos(theta) on S^2 at theta=1.2: {res.laplacian:+.10f} "
       f"(exact {-2 * np.cos(1.2):+.10f})")

@@ -35,7 +35,7 @@ geometries = {
         constants=SolitonConstants(lam=0.0, m=2)),
     "annulus (f = t)": WarpedGeometry(
         base=polar_plane_patch(t_range=(0.5, 2.5)), fiber=sphere_patch(1),
-        f=ScalarField(lambda x: x[0], "t"), phi=constant_field(0.0),
+        f=ScalarField(lambda X: X[:, 0], "t"), phi=constant_field(0.0),
         constants=SolitonConstants(lam=0.0, m=1)),
 }
 

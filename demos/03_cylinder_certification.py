@@ -23,7 +23,7 @@ from ricciwarp import (
 
 def cylinder(m, b0, lam):
     base = MetricPatch(1, np.array([[-2.5, 2.5]]),
-                       lambda x: np.array([[1.0]]), "line")
+                       lambda X: np.ones((len(X), 1, 1)), "line")
     return WarpedGeometry(base=base, fiber=sphere_patch(m),
                           f=constant_field(b0),
                           phi=quadratic_potential(lam),

@@ -6,13 +6,14 @@ the four blocks its type and constraint: unknown keys are rejected,
 integer keys take integers, real keys finite numbers, booleans are
 neither, and the ``--tolerance``/``--seed`` overrides pass the same checks
 as the config keys they override.  Sample counts, the output grid, the
-sphere dimensions and the rows and workers of a sweep are capped
-(``MAX_SAMPLES``, ``MAX_GRID_POINTS``, ``MAX_DIMENSION``,
-``MAX_SWEEP_ROWS``, ``MAX_WORKERS``), and a certification window or step
-or a quotient radial range that does not fit the profile is a config
-error too.  Outputs are written atomically; CSV numbers carry 17 significant
-digits and JSON reports embed the tool version and a hash of the config,
-so identical configs give byte-identical outputs.
+sphere dimensions, the rows and workers of a sweep and the quotient group
+order are capped (``MAX_SAMPLES``, ``MAX_GRID_POINTS``, ``MAX_DIMENSION``,
+``MAX_SWEEP_ROWS``, ``MAX_WORKERS``, ``MAX_GROUP_ORDER``), and a
+certification window or step or a quotient radial range that does not fit
+the profile is a config error too.  Outputs are written atomically; CSV
+numbers carry 17 significant digits and JSON reports embed the tool
+version and a hash of the config, so identical configs give
+byte-identical outputs.
 
 Exit codes: 0 success/pass, 2 validation or certification failure,
 3 numeric failure, 4 I/O failure.
@@ -55,13 +56,16 @@ EXIT_IO = 4
 # resource bounds: sample counts (the certify oracle holds a stencil of
 # values per sample), points of the output grid of solve and of each sweep
 # row, the sphere dimensions k and m (the certify charts have 1 + k + m
-# coordinates), rows of a sweep, and its worker processes (a pool may
-# start all of them at once)
+# coordinates), rows of a sweep, its worker processes (a pool may start
+# all of them at once), and the quotient group order p (the fiber samples
+# grow as p and every one of the p - 1 powers visits them all, so the
+# certificate costs about p^2)
 MAX_SAMPLES = 1024
 MAX_GRID_POINTS = 200_000
 MAX_DIMENSION = 6
 MAX_SWEEP_ROWS = 4096
 MAX_WORKERS = 64
+MAX_GROUP_ORDER = 256
 
 
 class ConfigError(Exception):
@@ -102,7 +106,8 @@ _SCHEMA = {
 # key -> the largest value it takes
 _CAPS = {**dict.fromkeys(("n_base", "n_product", "n_fiber", "n_samples"),
                          MAX_SAMPLES),
-         "k": MAX_DIMENSION, "m": MAX_DIMENSION, "workers": MAX_WORKERS}
+         "k": MAX_DIMENSION, "m": MAX_DIMENSION, "workers": MAX_WORKERS,
+         "p": MAX_GROUP_ORDER}
 _TOP = dict.fromkeys(("schema_version", "out_dir", *_SCHEMA), (None, None))
 # a sweep runs the grid of the lists under these keys, each element
 # checked by the key's row

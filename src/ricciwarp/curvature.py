@@ -12,9 +12,8 @@ and returns the matching shape.  The metric is differenced once per batch
 into a :class:`MetricJet`, which ``ricci_fd``, ``hessian_fd`` and
 ``gradient_laplacian`` accept through ``jet=`` so that several operators
 at the same points share it.  A batch costs one call of the patch metric
-per ``fd`` chunk; declaring the patch and fields ``vectorized``
-(``g: (N, dim) -> (N, dim, dim)``, ``f: (N, dim) -> (N,)``) makes that call
-one array evaluation, while pointwise callables are still accepted.
+``g: (N, dim) -> (N, dim, dim)`` per ``fd`` chunk, and one call of a field
+``f: (N, dim) -> (N,)`` per chunk for each field operator.
 
 Index conventions.  ``christoffel`` returns ``Gamma[i, j, k]`` for
 Gamma^i_{jk}; derivative tensors are indexed with the derivative axes
@@ -232,8 +231,15 @@ def soliton_residual(patch: MetricPatch, psi: ScalarField, lam: float, x,
 
     Returns ``(matrix, frobenius_norm)`` at one point, or arrays of shape
     (N, dim, dim) and (N,) at a batch.  The metric is differenced once for
-    all three terms.  A norm at the discretization floor certifies the
-    soliton equation at ``x``.
+    all three terms.
+
+    The norm is bounded below by the largest of three floors: stencil
+    truncation, O(h^4); rounding, O(eps/h^2); and the error of the data
+    the metric is built from.  On profiles shot at the default integrator
+    tolerances the third floor dominates: on the steady k = 1, m = 2
+    profile the worst residual over ``certify_profile``'s samples is
+    4.47e-7 to 4.48e-7 for every h from 4e-3 to 5e-4, and 8.9e-9 when the
+    profile is shot at rtol = atol = 1e-12.
     """
     X, single = as_points(x)
     patch.require_interior(X, _MARGIN_SECOND * h)
@@ -273,4 +279,4 @@ def transform_chart(patch: MetricPatch, A, label: str | None = None) -> MetricPa
         return A.T @ patch.metric(Y @ A.T) @ A
 
     return MetricPatch(patch.dim, dom, g,
-                       label or f"{patch.label}|pullback", vectorized=True)
+                       label or f"{patch.label}|pullback")

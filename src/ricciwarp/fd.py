@@ -9,13 +9,12 @@ O(h^4) accurate; every stencil stays within 2h of the base point per axis.
 The stencils of all derivatives share their points, so each point needs
 the function at ``1 + 4 dim + 16 dim (dim - 1) / 2`` unique offsets (265
 at dim 6).  ``value_jet`` evaluates the function on all of them for all
-points in one vectorized call, ``func: (M, dim) -> (M,) + S``, split into
+points in one batch call, ``func: (M, dim) -> (M,) + S``, split into
 chunks of at most ``_CHUNK_POINTS`` stencil points so memory stays bounded
 for any batch size, and contracts the values with the stencil weights.
 The curvature engine passes ``MetricPatch.metric`` and ``ScalarField``
-objects, whose adapters call a vectorized ``g: (N, dim) -> (N, dim, dim)``
-or ``f: (N, dim) -> (N,)`` once per chunk and a pointwise callable once
-per stencil point.
+objects, whose adapters call the batch callable ``g: (N, dim) ->
+(N, dim, dim)`` or ``f: (N, dim) -> (N,)`` once per chunk.
 
 ``grid_derivative`` differentiates uniformly sampled arrays with the same
 interior stencil and one-sided fourth-order stencils at the edges.

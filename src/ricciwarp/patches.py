@@ -3,15 +3,16 @@
 A :class:`MetricPatch` is a single coordinate box together with a smooth
 map from chart points to metric component matrices.  Everything downstream
 (curvature, warped assembly, certification) consumes patches through this
-interface, so any metric that can be evaluated pointwise plugs in.
+interface, so any metric that can be evaluated on an array of points plugs
+in.
 
-Patches and scalar fields evaluate one point ``(dim,)`` or a batch
-``(N, dim)``.  A callable declared ``vectorized=True`` takes the whole
-batch, ``g: (N, dim) -> (N, dim, dim)`` and ``f: (N, dim) -> (N,)``, and is
-called once per batch; a pointwise callable (the default) is called once
-per point.  The finite-difference engine evaluates every stencil point of
-a check in one batch, so vectorized charts are what make it fast.  The
-chart library below is vectorized.
+Metrics and scalar fields take batches: ``g: (N, dim) -> (N, dim, dim)``
+and ``f: (N, dim) -> (N,)``.  ``MetricPatch.metric`` and
+``ScalarField.__call__`` accept one point ``(dim,)`` or a batch
+``(N, dim)``, call the callable once on the batch (a single point is a
+batch of one) and check the shape of what it returns.  The
+finite-difference engine evaluates every stencil point of a check in one
+such call.
 
 Charts are single boxes.  Coordinate singularities (sphere poles, the
 origin of a polar chart) must lie outside the box; finite-difference
@@ -66,6 +67,23 @@ def as_points(x):
     return np.atleast_2d(x), x.ndim == 1
 
 
+def _batch_call(fn, X: np.ndarray, expected: tuple, what: str) -> np.ndarray:
+    """``fn(X)`` as a float array of shape ``expected``.
+
+    A callable written for one point fails on a batch or returns the wrong
+    shape; either way the ``ValueError`` names ``what`` and the shape
+    expected of a batch callable.
+    """
+    try:
+        out = np.asarray(fn(X), dtype=float)
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ValueError(f"{what} failed on a batch of shape {X.shape} "
+                         f"(expected to return {expected}): {exc}") from exc
+    if out.shape != expected:
+        raise ValueError(f"{what} returned shape {out.shape}, expected {expected}")
+    return out
+
+
 @dataclass(frozen=True)
 class MetricPatch:
     """A coordinate chart with smooth metric components.
@@ -77,20 +95,16 @@ class MetricPatch:
     domain : ndarray, shape (dim, 2)
         Axis-aligned box ``[lo_i, hi_i]`` of valid chart coordinates.
     g : callable
-        Map from a chart point (array of length ``dim``) to the
-        ``dim x dim`` symmetric positive-definite component matrix, or,
-        when ``vectorized``, from an (N, dim) batch to (N, dim, dim).
+        Map from an (N, dim) batch of chart points to the (N, dim, dim)
+        symmetric positive-definite component matrices.
     label : str
         Human-readable name used in reports.
-    vectorized : bool
-        Whether ``g`` takes batches of points.
     """
 
     dim: int
     domain: np.ndarray
     g: Callable[[np.ndarray], np.ndarray]
     label: str = "patch"
-    vectorized: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -106,22 +120,10 @@ class MetricPatch:
         One point (dim,) gives a (dim, dim) matrix, a batch (N, dim) gives
         an (N, dim, dim) array.
         """
-        x = np.asarray(x, dtype=float)
-        expected = x.shape[:-1] + (self.dim, self.dim)
-        if self.vectorized:
-            G = np.asarray(self.g(np.atleast_2d(x)), dtype=float)
-            if x.ndim == 1 and G.shape == (1,) + expected:
-                G = G[0]
-        elif x.ndim == 1:
-            G = np.asarray(self.g(x), dtype=float)
-        else:
-            G = (np.array([self.g(p) for p in x], dtype=float) if len(x)
-                 else np.empty(expected))
-        if G.shape != expected:
-            raise ValueError(
-                f"metric of patch '{self.label}' returned shape {G.shape}, "
-                f"expected {expected}")
-        return G
+        X, single = as_points(x)
+        G = _batch_call(self.g, X, (len(X), self.dim, self.dim),
+                        f"metric of patch '{self.label}'")
+        return G[0] if single else G
 
     def _inside(self, X: np.ndarray, margin: float) -> np.ndarray:
         return np.all((X >= self.domain[:, 0] + margin)
@@ -152,28 +154,17 @@ class MetricPatch:
 class ScalarField:
     """A smooth real-valued function on a chart, e.g. a warping or potential.
 
-    ``f`` maps a chart point to a number or, when ``vectorized``, an
-    (N, dim) batch of points to an (N,) array.
+    ``f`` maps an (N, dim) batch of chart points to an (N,) array.
     """
 
-    f: Callable[[np.ndarray], float]
+    f: Callable[[np.ndarray], np.ndarray]
     label: str = "field"
-    vectorized: bool = False
 
     def __call__(self, x) -> float | np.ndarray:
         """A float at one point (dim,), an (N,) array at a batch (N, dim)."""
-        x = np.asarray(x, dtype=float)
-        if self.vectorized:
-            X = np.atleast_2d(x)
-            v = np.asarray(self.f(X), dtype=float)
-            if v.shape != (len(X),):
-                raise ValueError(
-                    f"field '{self.label}' returned shape {v.shape}, "
-                    f"expected {(len(X),)}")
-            return float(v[0]) if x.ndim == 1 else v
-        if x.ndim == 1:
-            return float(self.f(x))
-        return np.array([float(self.f(p)) for p in x])
+        X, single = as_points(x)
+        v = _batch_call(self.f, X, (len(X),), f"field '{self.label}'")
+        return float(v[0]) if single else v
 
 
 @dataclass(frozen=True)
@@ -217,7 +208,7 @@ def euclidean_patch(n: int, half_width: float = 2.0, label: str | None = None) -
     """Flat R^n in Cartesian coordinates on ``[-half_width, half_width]^n``."""
     dom = np.array([[-half_width, half_width]] * n)
     return MetricPatch(n, dom, _identity_metric(n),
-                       label or f"euclidean-{n}d", vectorized=True)
+                       label or f"euclidean-{n}d")
 
 
 def polar_plane_patch(t_range=(0.3, 3.0)) -> MetricPatch:
@@ -230,7 +221,7 @@ def polar_plane_patch(t_range=(0.3, 3.0)) -> MetricPatch:
         G[:, 1, 1] = X[:, 0] ** 2
         return G
 
-    return MetricPatch(2, dom, g, "polar-plane", vectorized=True)
+    return MetricPatch(2, dom, g, "polar-plane")
 
 
 def _round_sphere_components(m: int, radius: float, Y: np.ndarray) -> np.ndarray:
@@ -255,14 +246,13 @@ def sphere_patch(m: int, radius: float = 1.0, pad: float = 0.35) -> MetricPatch:
     dom = [[pad, np.pi - pad]] * (m - 1) + [[pad, 2 * np.pi - pad]]
     return MetricPatch(m, np.array(dom),
                        lambda Y: _round_sphere_components(m, radius, Y),
-                       f"sphere-{m}d-r{radius:g}", vectorized=True)
+                       f"sphere-{m}d-r{radius:g}")
 
 
 def torus_patch(m: int, half_width: float = np.pi) -> MetricPatch:
     """Flat m-torus chart: identity metric on a periodic box (Ricci = 0)."""
     dom = np.array([[-half_width, half_width]] * m)
-    return MetricPatch(m, dom, _identity_metric(m), f"torus-{m}d",
-                       vectorized=True)
+    return MetricPatch(m, dom, _identity_metric(m), f"torus-{m}d")
 
 
 def hyperbolic_patch(m: int, radius: float = 1.0) -> MetricPatch:
@@ -276,8 +266,7 @@ def hyperbolic_patch(m: int, radius: float = 1.0) -> MetricPatch:
     def g(Y):
         return (r2 / Y[:, -1] ** 2)[:, None, None] * eye
 
-    return MetricPatch(m, dom, g, f"hyperbolic-{m}d-r{radius:g}",
-                       vectorized=True)
+    return MetricPatch(m, dom, g, f"hyperbolic-{m}d-r{radius:g}")
 
 
 def einstein_model_fiber(m: int, mu: float, flat_tol: float = 1e-8):
@@ -308,8 +297,7 @@ def radial_profile_base(a, k: int, t_range, label: str = "radial-base") -> Metri
     and ``a`` is unused.
     """
     if k == 0:
-        return MetricPatch(1, np.array([list(t_range)]), _identity_metric(1),
-                           label, vectorized=True)
+        return MetricPatch(1, np.array([list(t_range)]), _identity_metric(1), label)
     sphere_dom = [[0.35, np.pi - 0.35]] * (k - 1) + [[0.35, 2 * np.pi - 0.35]]
     dom = np.array([list(t_range)] + sphere_dom)
 
@@ -320,33 +308,36 @@ def radial_profile_base(a, k: int, t_range, label: str = "radial-base") -> Metri
         G[:, 1:, 1:] = a2[:, None, None] * _round_sphere_components(k, 1.0, X[:, 1:])
         return G
 
-    return MetricPatch(1 + k, dom, g, label, vectorized=True)
+    return MetricPatch(1 + k, dom, g, label)
 
 
 def cartesian_profile_base(a, k: int, t_range, label: str = "cartesian-base") -> MetricPatch:
     """Same base metric as :func:`radial_profile_base` but in ambient
     Cartesian coordinates on R^{k+1}, where linear isometries act.
 
-    The metric at x is ``P_rad + (a(t)/t)^2 P_tan`` with t = |x|.  The
-    domain box is the full cube ``[-hi, hi]^{k+1}`` so that rotations keep
-    sample points inside; validity is governed by the radial range, and
-    evaluation raises outside ``t_range``.  Intended for pointwise isometry
-    and invariance checks, not for stencil differentiation near the radial
-    bounds.
+    The metric at x is ``P_rad + (a(t)/t)^2 P_tan`` with t = |x|; ``a``
+    maps an array of t values to the array of a(t) values.  The domain box
+    is the full cube ``[-hi, hi]^{k+1}`` so that rotations keep sample
+    points inside; validity is governed by the radial range, and a batch
+    with a radius outside ``t_range`` raises, naming the first such radius.
+    Intended for isometry and invariance checks, not for stencil
+    differentiation near the radial bounds.
     """
     lo, hi = float(t_range[0]), float(t_range[1])
     n = k + 1
     dom = np.array([[-hi, hi]] * n)
 
-    def g(x):
-        t = float(np.linalg.norm(x))
-        if not lo <= t <= hi:
+    def g(X):
+        t = np.linalg.norm(X, axis=1)
+        outside = ~((t >= lo) & (t <= hi))
+        if outside.any():
             raise GeometryError(
-                f"point with radius {t:g} outside the radial range "
-                f"[{lo:g}, {hi:g}] of '{label}'")
-        u = x / t
-        P_rad = np.outer(u, u)
-        return P_rad + (float(a(t)) / t) ** 2 * (np.eye(n) - P_rad)
+                f"point with radius {t[np.argmax(outside)]:g} outside the radial "
+                f"range [{lo:g}, {hi:g}] of '{label}'")
+        U = X / t[:, None]
+        P_rad = U[:, :, None] * U[:, None, :]
+        s = (np.asarray(a(t), dtype=float) / t) ** 2
+        return P_rad + s[:, None, None] * (np.eye(n) - P_rad)
 
     return MetricPatch(n, dom, g, label)
 
@@ -354,14 +345,15 @@ def cartesian_profile_base(a, k: int, t_range, label: str = "cartesian-base") ->
 def quadratic_potential(lam: float, label: str | None = None) -> ScalarField:
     """The field (lam/2)|x|^2, whose Hessian is lam * identity on flat charts."""
     return ScalarField(lambda X: 0.5 * lam * np.einsum("ni,ni->n", X, X),
-                       label or f"quadratic-{lam:g}", vectorized=True)
+                       label or f"quadratic-{lam:g}")
 
 
 def constant_field(value: float, label: str | None = None) -> ScalarField:
     return ScalarField(lambda X: np.full(len(X), float(value)),
-                       label or f"const-{value:g}", vectorized=True)
+                       label or f"const-{value:g}")
 
 
 def radial_field(fn, label: str = "radial") -> ScalarField:
-    """Field x -> fn(|x|) on an ambient Cartesian chart."""
-    return ScalarField(lambda x: float(fn(float(np.linalg.norm(x)))), label)
+    """Field x -> fn(|x|) on an ambient Cartesian chart; ``fn`` maps an
+    array of radii to the array of values, e.g. a spline."""
+    return ScalarField(lambda X: fn(np.linalg.norm(X, axis=1)), label)

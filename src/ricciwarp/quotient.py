@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patches import GeometryError, MetricPatch, ScalarField
+from .patches import GeometryError, MetricPatch, ScalarField, as_points
 
 __all__ = [
     "GroupAction",
@@ -223,20 +223,20 @@ def is_free(action: GroupAction, tolerance: float = 1e-6):
 def isometry_residual(mapmat: np.ndarray, patch: MetricPatch, samples) -> float:
     """Max over samples of || A^T g(Ax) A - g(x) ||_F on a chart patch."""
     A = np.asarray(mapmat, dtype=float)
-    worst = 0.0
-    for x in np.atleast_2d(np.asarray(samples, dtype=float)):
-        Ax = A @ x
-        if not patch.contains(Ax):
-            raise GeometryError(
-                f"sample {x} maps outside the domain of '{patch.label}'")
-        res = A.T @ patch.metric(Ax) @ A - patch.metric(x)
-        worst = max(worst, float(np.linalg.norm(res)))
-    return worst
+    X, _ = as_points(samples)
+    AX = X @ A.T
+    inside = patch._inside(AX, 0.0)
+    if not inside.all():
+        raise GeometryError(
+            f"sample {X[np.argmin(inside)]} maps outside the domain of '{patch.label}'")
+    res = A.T @ patch.metric(AX) @ A - patch.metric(X)
+    return float(np.linalg.norm(res, axis=(1, 2)).max(initial=0.0))
 
 
-def _tangent_projector(y: np.ndarray) -> np.ndarray:
-    u = y / np.linalg.norm(y)
-    return np.eye(y.size) - np.outer(u, u)
+def _tangent_projector(Y: np.ndarray) -> np.ndarray:
+    """Projectors onto the tangent spaces of the sphere at a batch Y (N, q)."""
+    U = Y / np.linalg.norm(Y, axis=1, keepdims=True)
+    return np.eye(Y.shape[1]) - U[:, :, None] * U[:, None, :]
 
 
 def sphere_isometry_residual(mapmat: np.ndarray, radius: float, samples) -> float:
@@ -246,23 +246,20 @@ def sphere_isometry_residual(mapmat: np.ndarray, radius: float, samples) -> floa
     projector, so the test is chart free.
     """
     A = np.asarray(mapmat, dtype=float)
-    worst = 0.0
-    for y in np.atleast_2d(np.asarray(samples, dtype=float)):
-        P = _tangent_projector(y)
-        Ay = A @ y
-        res = P @ (A.T @ _tangent_projector(Ay) @ A - P) @ P
-        worst = max(worst, float(np.linalg.norm(res)) * radius * radius)
-    return worst
+    Y, _ = as_points(samples)
+    P = _tangent_projector(Y)
+    res = P @ (A.T @ _tangent_projector(Y @ A.T) @ A - P) @ P
+    return float(np.linalg.norm(res, axis=(1, 2)).max(initial=0.0)) * radius * radius
 
 
 def invariance_deviation(u: ScalarField, mapmat: np.ndarray, samples,
                          power: int = 1) -> float:
     """Max |u(A^j x) - u(x)| over samples and powers j = 1..power."""
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
+    X, _ = as_points(samples)
+    u0 = u(X)
     worst = 0.0
     for M in _powers(np.asarray(mapmat, dtype=float), power):
-        for x in pts:
-            worst = max(worst, abs(u(M @ x) - u(x)))
+        worst = max(worst, float(np.abs(u(X @ M.T) - u0).max(initial=0.0)))
     return worst
 
 
@@ -349,25 +346,26 @@ def certify_quotient(action: GroupAction,
                                    power=action.order - 1)
 
     n_pairs = min(len(action.base_samples), len(action.fiber_samples))
+    X = action.base_samples[:n_pairs]
+    Y = action.fiber_samples[:n_pairs]
+    r2 = fiber_radius * fiber_radius
+    fX = f(X)
+    gb = base_patch.metric(X)
+    P = _tangent_projector(Y)
+    gf = (fX * fX * r2)[:, None, None] * P
     diag_res = 0.0
     diag_margin = np.inf
-    r2 = fiber_radius * fiber_radius
     for Mb, Mf in zip(base_powers, fiber_powers):
-        for i in range(n_pairs):
-            x = action.base_samples[i]
-            y = action.fiber_samples[i]
-            Mx, My = Mb @ x, Mf @ y
-            fx, fMx = f(x), f(Mx)
-            gb = base_patch.metric(x)
-            gb_pull = Mb.T @ base_patch.metric(Mx) @ Mb
-            P = _tangent_projector(y)
-            gf = fx * fx * r2 * P
-            gf_pull = fMx * fMx * r2 * (Mf.T @ _tangent_projector(My) @ Mf)
-            block = np.linalg.norm(gb_pull - gb) ** 2 \
-                + np.linalg.norm(P @ (gf_pull - gf) @ P) ** 2
-            diag_res = max(diag_res, float(np.sqrt(block)))
-            disp = np.sqrt(np.linalg.norm(Mx - x) ** 2 + np.linalg.norm(My - y) ** 2)
-            diag_margin = min(diag_margin, float(disp))
+        MX, MY = X @ Mb.T, Y @ Mf.T
+        fMX = f(MX)
+        gb_pull = Mb.T @ base_patch.metric(MX) @ Mb
+        gf_pull = (fMX * fMX * r2)[:, None, None] * (Mf.T @ _tangent_projector(MY) @ Mf)
+        block = (np.linalg.norm(gb_pull - gb, axis=(1, 2)) ** 2
+                 + np.linalg.norm(P @ (gf_pull - gf) @ P, axis=(1, 2)) ** 2)
+        diag_res = max(diag_res, float(np.sqrt(block).max(initial=0.0)))
+        disp = np.sqrt(np.linalg.norm(MX - X, axis=1) ** 2
+                       + np.linalg.norm(MY - Y, axis=1) ** 2)
+        diag_margin = min(diag_margin, float(disp.min(initial=np.inf)))
 
     return QuotientCertificate(
         label=action.label,
@@ -378,7 +376,7 @@ def certify_quotient(action: GroupAction,
         f_invariance=f_dev,
         phi_invariance=phi_dev,
         diagonal_isometry_residual=diag_res,
-        diagonal_freeness_margin=float(diag_margin),
+        diagonal_freeness_margin=diag_margin,
         n_base_samples=len(action.base_samples),
         n_fiber_samples=len(action.fiber_samples),
         tolerance=tolerance,

@@ -614,10 +614,8 @@ def profile_geometry(profile: SolitonProfile, h: float = 1e-3):
     base = radial_profile_base(
         a_s, k, (float(profile.t[0]) + 8 * h, float(profile.t[-1]) - 8 * h),
         label=f"profile-base-k{k}")
-    warp = ScalarField(lambda X: b_s(X[:, 0]) / rho, "b-warping",
-                       vectorized=True)
-    potential = ScalarField(lambda X: phi_s(X[:, 0]), "phi-potential",
-                            vectorized=True)
+    warp = ScalarField(lambda X: b_s(X[:, 0]) / rho, "b-warping")
+    potential = ScalarField(lambda X: phi_s(X[:, 0]), "phi-potential")
     constants = SolitonConstants(lam=params.lam, m=m, mu=None, c=None)
     return WarpedGeometry(base=base, fiber=fiber, f=warp, phi=potential,
                           constants=constants)
@@ -639,11 +637,10 @@ def ambient_geometry(profile: SolitonProfile):
     """
     a_s, b_s, phi_s = profile.interpolants()
     k = profile.params.k
-    base = cartesian_profile_base(
-        (lambda t: float(a_s(t))) if k >= 1 else (lambda t: 1.0),
-        k, ambient_radial_range(profile), label="quotient-base")
-    return (base, radial_field(lambda t: float(b_s(t)), "warping"),
-            radial_field(lambda t: float(phi_s(t)), "potential"))
+    base = cartesian_profile_base(a_s if k >= 1 else np.ones_like, k,
+                                  ambient_radial_range(profile),
+                                  label="quotient-base")
+    return base, radial_field(b_s, "warping"), radial_field(phi_s, "potential")
 
 
 # base-angle samples of certify_profile lie within this share of each angle

@@ -162,15 +162,13 @@ def assemble_warped(w: WarpedGeometry) -> MetricPatch:
         return G
 
     return MetricPatch(n + m, dom, g,
-                       f"warped({w.base.label},{w.fiber.label};f={w.f.label})",
-                       vectorized=True)
+                       f"warped({w.base.label},{w.fiber.label};f={w.f.label})")
 
 
 def lifted_potential(w: WarpedGeometry) -> ScalarField:
     """The base potential phi pulled back to the product chart."""
     n, phi = w.n, w.phi
-    return ScalarField(lambda X: phi(X[:, :n]), f"{w.phi.label}|lift",
-                       vectorized=True)
+    return ScalarField(lambda X: phi(X[:, :n]), f"{w.phi.label}|lift")
 
 
 def ricci_closed_form(w: WarpedGeometry, x, h: float = DEFAULT_STEP) -> BlockMatrix:

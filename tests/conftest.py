@@ -23,7 +23,7 @@ def cylinder_geometry(m: int, b0: float, lam: float | None = None,
     if lam is None:
         lam = (m - 1) / (b0 * b0)
     base = MetricPatch(1, np.array([[-2.5, 2.5]]),
-                       lambda x: np.array([[1.0]]), "line")
+                       lambda X: np.ones((len(X), 1, 1)), "line")
     constants = SolitonConstants(lam=lam, m=m,
                                  mu=(m - 1) if set_constants else None,
                                  c=lam if set_constants else None)

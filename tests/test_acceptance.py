@@ -51,7 +51,7 @@ def _warped_fixtures(steady12, steady23):
     cylinder = cylinder_geometry(2, 1.0)
     annulus = WarpedGeometry(base=polar_plane_patch(t_range=(0.5, 2.5)),
                              fiber=sphere_patch(1),
-                             f=ScalarField(lambda x: x[0], "t"),
+                             f=ScalarField(lambda X: X[:, 0], "t"),
                              phi=constant_field(0.0),
                              constants=SolitonConstants(lam=0.0, m=1))
     return [("product", product), ("cylinder", cylinder),
@@ -139,9 +139,8 @@ def test_criterion_5_quotient_certificates(steady_profile_12,
 
     def data(prof):
         a_s, b_s, phi_s = prof.interpolants()
-        base = cartesian_profile_base(lambda t: float(a_s(t)), 1, (0.3, 5.0))
-        return (base, radial_field(lambda t: float(b_s(t))),
-                radial_field(lambda t: float(phi_s(t))))
+        base = cartesian_profile_base(a_s, 1, (0.3, 5.0))
+        return base, radial_field(b_s), radial_field(phi_s)
 
     base2, f2, phi2 = data(steady_profile_12)
     cert = certify_quotient(make_cyclic_action(2, 1, 2, "antipodal"),

@@ -7,6 +7,7 @@ import pytest
 
 from ricciwarp.cli import (
     MAX_DIMENSION,
+    MAX_GROUP_ORDER,
     MAX_SAMPLES,
     MAX_SWEEP_ROWS,
     MAX_WORKERS,
@@ -344,6 +345,7 @@ class TestConfigValidation:
         ("sweep", "m", [MAX_DIMENSION + 1]),
         ("solve", "k", MAX_DIMENSION + 1),
         ("solve", "m", 10 ** 400),
+        ("quotient", "p", MAX_GROUP_ORDER + 1),
     ])
     def test_bad_number_exits_2_without_artifacts(self, tmp_path, command,
                                                   key, value):

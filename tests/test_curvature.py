@@ -147,7 +147,8 @@ class TestRicci:
 
     def test_degenerate_metric_rejected(self):
         p = MetricPatch(2, np.array([[-1, 1], [-1, 1]]),
-                        lambda x: np.diag([1.0, 1e-12]), "degenerate")
+                        lambda X: np.diag([1.0, 1e-12]) * np.ones((len(X), 1, 1)),
+                        "degenerate")
         with pytest.raises(DegenerateMetricError):
             ricci_fd(p, np.zeros(2), H)
 
@@ -169,14 +170,14 @@ class TestHessian:
         # u = t^2/2 is |x|^2/2 in disguise; its flat-chart Hessian is the
         # identity, so in polar coordinates it must equal the metric.
         p = polar_plane_patch()
-        u = ScalarField(lambda x: 0.5 * x[0] ** 2, "t2/2")
+        u = ScalarField(lambda X: 0.5 * X[:, 0] ** 2, "t2/2")
         x = np.array([1.0, 2.0])
         Hs = hessian_fd(p, u, x, H)
         assert np.allclose(Hs, p.metric(x), atol=1e-9)
 
     def test_exactly_symmetric(self):
         p = sphere_patch(3)
-        u = ScalarField(lambda x: np.cos(x[0]) * np.sin(x[1]), "wave")
+        u = ScalarField(lambda X: np.cos(X[:, 0]) * np.sin(X[:, 1]), "wave")
         Hs = hessian_fd(p, u, np.array([1.2, 1.0, 2.2]), H)
         assert np.array_equal(Hs, Hs.T)
 
@@ -184,7 +185,7 @@ class TestHessian:
 class TestGradientLaplacian:
     def test_flat_coordinate_function(self):
         p = euclidean_patch(2)
-        res = gradient_laplacian(p, ScalarField(lambda x: x[0], "x1"),
+        res = gradient_laplacian(p, ScalarField(lambda X: X[:, 0], "x1"),
                                  np.array([0.4, 0.1]), H)
         assert np.allclose(res.gradient, [1.0, 0.0], atol=1e-12)
         assert abs(res.laplacian) < 1e-9
@@ -200,14 +201,14 @@ class TestGradientLaplacian:
     def test_sphere_first_eigenfunction(self):
         # u = cos(theta) satisfies Lap u = -2 u on the unit 2-sphere
         p = sphere_patch(2)
-        u = ScalarField(lambda x: np.cos(x[0]), "cos-theta")
+        u = ScalarField(lambda X: np.cos(X[:, 0]), "cos-theta")
         for theta in (0.7, 1.2, 2.0):
             res = gradient_laplacian(p, u, np.array([theta, 1.0]), H)
             assert abs(res.laplacian - (-2.0 * np.cos(theta))) < 1e-8
 
     def test_sphere_eigenfunction_stencil_refinement(self):
         p = sphere_patch(2)
-        u = ScalarField(lambda x: np.cos(x[0]), "cos-theta")
+        u = ScalarField(lambda X: np.cos(X[:, 0]), "cos-theta")
         x = np.array([1.1, 2.0])
         v1 = gradient_laplacian(p, u, x, 2e-3).laplacian
         v2 = gradient_laplacian(p, u, x, 1e-3).laplacian
@@ -224,7 +225,7 @@ class TestSolitonResidual:
     def test_gaussian_shrinker(self):
         # flat R^2 with psi = |x|^2/4 and lam = 1/2
         p = euclidean_patch(2)
-        psi = ScalarField(lambda x: 0.25 * float(np.dot(x, x)), "gaussian")
+        psi = ScalarField(lambda X: 0.25 * np.einsum("ni,ni->n", X, X), "gaussian")
         _, norm = soliton_residual(p, psi, 0.5, np.array([0.4, -0.2]), H)
         assert norm < 1e-9
 
@@ -232,9 +233,9 @@ class TestSolitonResidual:
         p = sphere_patch(2)
         x = np.array([1.3, 1.0])
         lam = 0.8
-        psi1 = ScalarField(lambda y: np.sin(y[0]), "s")
-        psi2 = ScalarField(lambda y: np.cos(y[0]) * y[1], "c")
-        psi12 = ScalarField(lambda y: np.sin(y[0]) + np.cos(y[0]) * y[1], "sc")
+        psi1 = ScalarField(lambda Y: np.sin(Y[:, 0]), "s")
+        psi2 = ScalarField(lambda Y: np.cos(Y[:, 0]) * Y[:, 1], "c")
+        psi12 = ScalarField(lambda Y: np.sin(Y[:, 0]) + np.cos(Y[:, 0]) * Y[:, 1], "sc")
         r0, _ = soliton_residual(p, constant_field(0.0), lam, x, H)
         r1, _ = soliton_residual(p, psi1, lam, x, H)
         r2, _ = soliton_residual(p, psi2, lam, x, H)
@@ -319,57 +320,29 @@ def _graph_gradient(X):
     return np.stack([X[:, 1], X[:, 0], X[:, 2]], axis=1)
 
 
-def graph_patch(vectorized: bool) -> MetricPatch:
-    """The graph metric of z over a box, pointwise or vectorized.
-
-    Both forms do the same floating-point operations per point, so the
-    engine must return the same numbers for either.
-    """
-    dom = np.array([[-1.0, 1.0]] * 3)
-    if vectorized:
-        def g(X):
-            dz = _graph_gradient(X)
-            return np.eye(3) + dz[:, :, None] * dz[:, None, :]
-    else:
-        def g(x):
-            dz = _graph_gradient(x[None])[0]
-            return np.eye(3) + np.outer(dz, dz)
-    return MetricPatch(3, dom, g, "graph", vectorized=vectorized)
+def graph_patch() -> MetricPatch:
+    """The graph metric of z over a box."""
+    def g(X):
+        dz = _graph_gradient(X)
+        return np.eye(3) + dz[:, :, None] * dz[:, None, :]
+    return MetricPatch(3, np.array([[-1.0, 1.0]] * 3), g, "graph")
 
 
-def cubic_field(vectorized: bool) -> ScalarField:
-    if vectorized:
-        return ScalarField(lambda X: X[:, 0] ** 2 * X[:, 1] + X[:, 2] ** 3,
-                           "cubic", vectorized=True)
-    return ScalarField(lambda x: x[0] ** 2 * x[1] + x[2] ** 3, "cubic")
-
-
-def _all_operators(patch, u, X):
-    gl = gradient_laplacian(patch, u, X, H)
-    return [ricci_fd(patch, X, H), hessian_fd(patch, u, X, H),
-            gl.gradient, gl.laplacian, gl.grad_norm_sq, gl.value,
-            *soliton_residual(patch, u, 0.3, X, H)]
+def cubic_field() -> ScalarField:
+    return ScalarField(lambda X: X[:, 0] ** 2 * X[:, 1] + X[:, 2] ** 3, "cubic")
 
 
 class TestBatchedEngine:
-    def test_pointwise_and_vectorized_callables_agree(self):
-        X = np.random.default_rng(3).uniform(-0.5, 0.5, (7, 3))
-        pointwise = _all_operators(graph_patch(False), cubic_field(False), X)
-        vectorized = _all_operators(graph_patch(True), cubic_field(True), X)
-        for a, b in zip(pointwise, vectorized):
-            assert a.shape == b.shape
-            assert np.abs(a - b).max() <= 1e-12
-
     def test_batch_equals_single_points_beyond_the_chunk_cap(self):
         from ricciwarp import fd
         calls = []
-        base = graph_patch(True)
+        base = graph_patch()
 
         def counted(X):
             calls.append(len(X))
             return base.g(X)
 
-        patch = MetricPatch(3, base.domain, counted, "graph", vectorized=True)
+        patch = MetricPatch(3, base.domain, counted, "graph")
         stencil_points = 1 + 4 * 3 + 8 * 3 * 2
         n = fd._CHUNK_POINTS // stencil_points + 5
         X = np.random.default_rng(4).uniform(-0.5, 0.5, (n, 3))
@@ -381,7 +354,7 @@ class TestBatchedEngine:
 
     def test_single_point_shapes(self):
         x = np.array([0.1, -0.2, 0.3])
-        patch, u = graph_patch(True), cubic_field(True)
+        patch, u = graph_patch(), cubic_field()
         assert christoffel(patch, x, H).shape == (3, 3, 3)
         assert ricci_fd(patch, x, H).shape == (3, 3)
         gl = gradient_laplacian(patch, u, x, H)
@@ -393,12 +366,38 @@ class TestBatchedEngine:
         X = np.zeros((4, 3))
         X[2] = [0.2, 1.0 - 3 * H, 0.0]
         with pytest.raises(BoundaryProximityError, match=re.escape(str(X[2]))):
-            ricci_fd(graph_patch(True), X, H)
+            ricci_fd(graph_patch(), X, H)
 
     def test_degenerate_error_names_the_point(self):
-        # the pointwise metric is singular where x0 = 0
-        p = MetricPatch(2, np.array([[-1, 1], [-1, 1]]),
-                        lambda x: np.diag([1.0, x[0] ** 2]), "pinched")
+        # the metric is singular where x0 = 0
+        def pinched(X):
+            G = np.zeros((len(X), 2, 2))
+            G[:, 0, 0] = 1.0
+            G[:, 1, 1] = X[:, 0] ** 2
+            return G
+        p = MetricPatch(2, np.array([[-1, 1], [-1, 1]]), pinched, "pinched")
         X = np.array([[0.5, 0.1], [0.4, -0.3], [0.0, 0.2], [-0.6, 0.0]])
         with pytest.raises(DegenerateMetricError, match=re.escape(str(X[2]))):
             soliton_residual(p, constant_field(0.0), 0.0, X, H)
+
+    @pytest.mark.parametrize("make", [
+        lambda: MetricPatch(2, np.array([[-1, 1], [-1, 1]]),
+                            lambda x: np.diag([1.0, x[0] ** 2]), "pinched"),
+        lambda: MetricPatch(2, np.array([[-1, 1], [-1, 1]]),
+                            lambda x: np.eye(2), "flat-pointwise"),
+    ], ids=["fails-inside", "wrong-shape"])
+    def test_pointwise_metric_rejected_on_a_batch(self, make):
+        p = make()
+        X = np.array([[0.5, 0.1], [0.4, -0.3], [0.2, 0.2]])
+        with pytest.raises(ValueError, match=re.escape(
+                f"metric of patch '{p.label}'") + ".*" + re.escape("(3, 2, 2)")):
+            p.metric(X)
+
+    @pytest.mark.parametrize("f", [lambda x: 3.3, lambda x: x[0]],
+                             ids=["scalar", "first-point"])
+    def test_pointwise_field_rejected_on_a_batch(self, f):
+        u = ScalarField(f, "scalar-valued")
+        X = np.array([[0.5, 0.1], [0.4, -0.3], [0.2, 0.2]])
+        with pytest.raises(ValueError, match=re.escape(
+                "field 'scalar-valued' returned shape") + ".*" + re.escape("(3,)")):
+            u(X)

@@ -141,7 +141,7 @@ class TestIsometryResidual:
 
     def test_rotation_preserves_profile_base(self, steady_profile_12):
         a_s, _, _ = steady_profile_12.interpolants()
-        base = cartesian_profile_base(lambda t: float(a_s(t)), 1, (0.3, 5.0))
+        base = cartesian_profile_base(a_s, 1, (0.3, 5.0))
         samples = base_sample_set(1, (0.5, 2.0), n_random=16, seed=1)
         res = isometry_residual(rotation(np.pi / 2, 2), base, samples)
         assert res <= 1e-10
@@ -165,20 +165,20 @@ class TestIsometryResidual:
 class TestInvariance:
     def test_radial_function_invariant(self, steady_profile_12):
         _, b_s, _ = steady_profile_12.interpolants()
-        f = radial_field(lambda t: float(b_s(t)))
+        f = radial_field(b_s)
         samples = base_sample_set(1, (0.5, 2.0), n_random=16, seed=2)
         dev = invariance_deviation(f, rotation(2 * np.pi / 3, 2), samples, power=2)
         assert dev < 1e-12
 
     def test_coordinate_function_detected(self):
-        u = ScalarField(lambda x: x[0], "x1")
+        u = ScalarField(lambda X: X[:, 0], "x1")
         samples = np.array([[1.0, 0.0], [0.5, 0.5]])
         dev = invariance_deviation(u, rotation(np.pi, 2), samples)
         # u(gx) - u(x) = -2 x1, so the deviation is max 2|x1| over samples
         assert abs(dev - 2.0) < 1e-14
 
     def test_constant_invariant(self):
-        u = ScalarField(lambda x: 3.3, "const")
+        u = ScalarField(lambda X: np.full(len(X), 3.3), "const")
         assert invariance_deviation(u, rotation(1.0, 2),
                                     np.array([[1.0, 0.0]])) == 0.0
 
@@ -186,11 +186,10 @@ class TestInvariance:
 class TestCertifyQuotient:
     def _profile_data(self, profile, k):
         a_s, b_s, phi_s = profile.interpolants()
-        base = cartesian_profile_base(
-            (lambda t: float(a_s(t))) if k >= 1 else (lambda t: 1.0),
-            k, (0.3, 5.0))
-        f = radial_field(lambda t: float(b_s(t)), "warping")
-        phi = radial_field(lambda t: float(phi_s(t)), "potential")
+        base = cartesian_profile_base(a_s if k >= 1 else np.ones_like, k,
+                                      (0.3, 5.0))
+        f = radial_field(b_s, "warping")
+        phi = radial_field(phi_s, "potential")
         return base, f, phi
 
     def test_antipodal_on_shot_profile_passes(self, steady_profile_12):
@@ -201,24 +200,27 @@ class TestCertifyQuotient:
         assert cert.freeness_margin > 0.1
         assert cert.diagonal_isometry_residual <= 1e-10
 
-    def test_hopf_on_odd_fiber_passes(self, steady_profile_13):
+    @pytest.mark.parametrize("p", [3, 50])
+    def test_hopf_on_odd_fiber_passes(self, steady_profile_13, p):
         base, f, phi = self._profile_data(steady_profile_13, 1)
-        act = make_cyclic_action(3, 1, 3, "hopf")
+        act = make_cyclic_action(p, 1, 3, "hopf")
         cert = certify_quotient(act, base, f, phi)
         assert cert.verdict
         assert cert.freeness_margin > 0.1
+        assert abs(cert.freeness_margin - 2 * np.sin(np.pi / p)) < 1e-12
 
     def test_nonradial_potential_fails(self, steady_profile_12):
         base, f, _ = self._profile_data(steady_profile_12, 1)
-        phi = ScalarField(lambda x: x[0], "nonradial")
+        phi = ScalarField(lambda X: X[:, 0], "nonradial")
         act = make_cyclic_action(2, 1, 2, "antipodal")
         cert = certify_quotient(act, base, f, phi)
         assert not cert.verdict
         assert cert.phi_invariance > 0.1
 
-    def test_fixed_point_action_fails(self, steady_profile_12):
+    @pytest.mark.parametrize("p", [2, 50])
+    def test_fixed_point_action_fails(self, steady_profile_12, p):
         base, f, phi = self._profile_data(steady_profile_12, 1)
-        act = make_cyclic_action(2, 1, 2, "axis_rotation")
+        act = make_cyclic_action(p, 1, 2, "axis_rotation")
         cert = certify_quotient(act, base, f, phi)
         assert not cert.verdict
         assert cert.freeness_margin == 0.0

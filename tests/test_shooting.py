@@ -115,13 +115,20 @@ class TestTaylorInit:
 
 class TestShoot:
     def test_cylinder_mode_constant_profile(self):
-        m, lam = 2, 0.5
-        b0 = float(np.sqrt((m - 1) / lam))
-        prof = shoot(AnsatzParams(k=0, m=m, lam=lam, b0=b0))
-        assert prof.status == "completed"
-        assert np.abs(prof.b - b0).max() < 1e-6
-        assert abs(prof.mu_mean - (m - 1)) < 1e-6
-        assert prof.mu_spread < 1e-6 * (1 + abs(prof.mu_mean))
+        # the Gaussian shrinker on R^{k+1} x S^m solves the ansatz exactly:
+        # a = t, b = sqrt((m-1)/lam), phi = lam t^2/2 (k = 0: the cylinder)
+        for k, m, lam in [(0, 2, 0.5), (1, 2, 0.5), (2, 3, 1.0), (3, 2, 0.25)]:
+            b0 = float(np.sqrt((m - 1) / lam))
+            prof = shoot(AnsatzParams(k=k, m=m, lam=lam, b0=b0, phi2=lam / 2,
+                                      t_max=5.0))
+            case = f"k={k} m={m} lam={lam}"
+            assert prof.status == "completed", case
+            if k >= 1:
+                assert np.abs(prof.a - prof.t).max() < 1e-7, case
+            assert np.abs(prof.b - b0).max() < 1e-7, case
+            assert np.abs(prof.phi - 0.5 * lam * prof.t ** 2).max() < 1e-7, case
+            assert abs(prof.mu_mean - (m - 1)) < 1e-6, case
+            assert prof.mu_spread < 1e-6 * (1 + abs(prof.mu_mean)), case
 
     def test_steady_conservation(self, steady_profile_12):
         prof = steady_profile_12

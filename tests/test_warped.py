@@ -47,7 +47,7 @@ def annulus_geometry():
     """Nontrivial warping f = t over the polar plane, circle fiber."""
     base = polar_plane_patch(t_range=(0.5, 2.5))
     return WarpedGeometry(base=base, fiber=sphere_patch(1),
-                          f=ScalarField(lambda x: x[0], "t"),
+                          f=ScalarField(lambda X: X[:, 0], "t"),
                           phi=constant_field(0.0),
                           constants=SolitonConstants(lam=0.0, m=1))
 
@@ -81,7 +81,7 @@ class TestAssemble:
         base = polar_plane_patch()
         with pytest.raises(ValueError):
             WarpedGeometry(base=base, fiber=sphere_patch(1),
-                           f=ScalarField(lambda x: x[0] - 2.0, "t-2"),
+                           f=ScalarField(lambda X: X[:, 0] - 2.0, "t-2"),
                            phi=constant_field(0.0),
                            constants=SolitonConstants(lam=0.0, m=1))
 
@@ -297,7 +297,7 @@ class TestCertifySoliton:
         perturbed.append(WarpedGeometry(
             base=base, fiber=sphere_patch(m),
             f=constant_field(b0),
-            phi=ScalarField(lambda x: 0.5 * lam * x[0] ** 2 + eps * x[0] ** 3, "bad"),
+            phi=ScalarField(lambda X: 0.5 * lam * X[:, 0] ** 2 + eps * X[:, 0] ** 3, "bad"),
             constants=SolitonConstants(lam=lam, m=m, mu=m - 1, c=lam)))
         # fiber perturbation: wrong radius
         perturbed.append(WarpedGeometry(
