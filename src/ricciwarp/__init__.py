@@ -47,19 +47,16 @@ from .curvature import (
     transform_chart,
 )
 from .warped import (
+    BaseStructure,
     BlockMatrix,
     CertificationReport,
     WarpedGeometry,
     assemble_warped,
-    base_equation_residual,
-    calibrate_scalar_constant,
+    base_structure,
     certify_soliton,
     einstein_check,
-    first_integral,
     lifted_potential,
     ricci_closed_form,
-    scalar_equation_residual,
-    scalar_equation_value,
 )
 from .shooting import (
     AnsatzParams,
@@ -98,10 +95,9 @@ __all__ = [
     "DEFAULT_STEP", "GradientData", "christoffel", "gradient_laplacian",
     "hessian_fd", "ricci_fd", "soliton_residual", "transform_chart",
     # warped
-    "BlockMatrix", "CertificationReport", "WarpedGeometry", "assemble_warped",
-    "base_equation_residual", "calibrate_scalar_constant", "certify_soliton",
-    "einstein_check", "first_integral", "lifted_potential",
-    "ricci_closed_form", "scalar_equation_residual", "scalar_equation_value",
+    "BaseStructure", "BlockMatrix", "CertificationReport", "WarpedGeometry",
+    "assemble_warped", "base_structure", "certify_soliton", "einstein_check",
+    "lifted_potential", "ricci_closed_form",
     # shooting
     "AnsatzParams", "IntegrationError", "SolitonProfile", "SweepRow",
     "certify_profile", "params_grid", "profile_geometry",

@@ -57,9 +57,10 @@ EXIT_IO = 4
 # values per sample), points of the output grid of solve and of each sweep
 # row, the sphere dimensions k and m (the certify charts have 1 + k + m
 # coordinates), rows of a sweep, its worker processes (a pool may start
-# all of them at once), and the quotient group order p (the fiber samples
-# grow as p and every one of the p - 1 powers visits them all, so the
-# certificate costs about p^2)
+# all of them at once), and the quotient group order p (each of the p - 1
+# powers visits every fiber sample; the samples hold the fixed-point
+# candidates of the powers whose exponent divides p, so the certificate
+# costs about p times the sample count)
 MAX_SAMPLES = 1024
 MAX_GRID_POINTS = 200_000
 MAX_DIMENSION = 6

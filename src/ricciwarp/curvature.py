@@ -11,7 +11,11 @@ Every operator takes one chart point ``(dim,)`` or a batch ``(N, dim)``
 and returns the matching shape.  The metric is differenced once per batch
 into a :class:`MetricJet`, which ``ricci_fd``, ``hessian_fd`` and
 ``gradient_laplacian`` accept through ``jet=`` so that several operators
-at the same points share it.  A batch costs one call of the patch metric
+at the same points share it.  A field is differenced once per batch by
+``gradient_laplacian``, whose :class:`GradientData` carries everything
+the structure formulas read of it: value, differential, gradient,
+covariant Hessian, Laplacian and squared gradient norm; ``hessian_fd``
+returns its Hessian.  A batch costs one call of the patch metric
 ``g: (N, dim) -> (N, dim, dim)`` per ``fd`` chunk, and one call of a field
 ``f: (N, dim) -> (N,)`` per chunk for each field operator.
 
@@ -173,28 +177,6 @@ def ricci_fd(patch: MetricPatch, x, h: float = DEFAULT_STEP,
     return R[0] if single else R
 
 
-def _field_hessian(patch, u, X, h, jet):
-    """Field jet and covariant Hessian d^2 u - Gamma . du at a batch."""
-    _check_step(h)
-    patch.require_interior(X, _MARGIN_FIRST * h)
-    if jet is None:
-        jet = metric_jet(patch, X, h)
-    u0, du, d2u = value_jet(u, X, h)
-    return jet, u0, du, d2u - np.einsum("nijk,ni->njk", jet.Gamma, du)
-
-
-def hessian_fd(patch: MetricPatch, u: ScalarField, x, h: float = DEFAULT_STEP,
-               jet: MetricJet | None = None) -> np.ndarray:
-    """Covariant Hessian of a scalar field: d^2 u - Gamma . du, componentwise.
-
-    ``x`` is one point or a batch, at least ``2h`` inside the domain;
-    ``jet`` is as in :func:`ricci_fd`.
-    """
-    X, single = as_points(x)
-    hess = _field_hessian(patch, u, X, h, jet)[3]
-    return hess[0] if single else hess
-
-
 class GradientData(NamedTuple):
     """Per-point data of a scalar field; at a batch every field carries the
     point index in front."""
@@ -203,26 +185,45 @@ class GradientData(NamedTuple):
     laplacian: float          # trace of the Hessian w.r.t. g
     grad_norm_sq: float       # |grad u|^2 = du . g^{-1} du
     value: float              # u itself, from the same stencil call
+    differential: np.ndarray  # covariant components du
+    hessian: np.ndarray       # covariant Hessian d^2 u - Gamma . du
 
 
 def gradient_laplacian(patch: MetricPatch, u: ScalarField, x,
                        h: float = DEFAULT_STEP,
                        jet: MetricJet | None = None) -> GradientData:
-    """Gradient vector, Laplacian, squared gradient norm and value of ``u``.
+    """Value, differential, gradient, Hessian, Laplacian and squared
+    gradient norm of ``u`` from one stencil call of the field.
 
-    ``x`` and ``jet`` are as in :func:`hessian_fd`.  At one point the
-    scalars are floats.
+    ``x`` is one point or a batch, at least ``2h`` inside the domain;
+    ``jet`` is as in :func:`ricci_fd`.  At one point the scalars are
+    floats.
     """
     X, single = as_points(x)
-    jet, u0, du, hess = _field_hessian(patch, u, X, h, jet)
+    _check_step(h)
+    patch.require_interior(X, _MARGIN_FIRST * h)
+    if jet is None:
+        jet = metric_jet(patch, X, h)
+    u0, du, d2u = value_jet(u, X, h)
+    hess = d2u - np.einsum("nijk,ni->njk", jet.Gamma, du)
     data = GradientData(gradient=np.einsum("nij,nj->ni", jet.ginv, du),
                         laplacian=np.einsum("nij,nij->n", jet.ginv, hess),
                         grad_norm_sq=np.einsum("ni,nij,nj->n", du, jet.ginv, du),
-                        value=u0)
+                        value=u0, differential=du, hessian=hess)
     if single:
         return GradientData(data.gradient[0], float(data.laplacian[0]),
-                            float(data.grad_norm_sq[0]), float(u0[0]))
+                            float(data.grad_norm_sq[0]), float(u0[0]),
+                            du[0], hess[0])
     return data
+
+
+def hessian_fd(patch: MetricPatch, u: ScalarField, x, h: float = DEFAULT_STEP,
+               jet: MetricJet | None = None) -> np.ndarray:
+    """Covariant Hessian of a scalar field: d^2 u - Gamma . du, componentwise.
+
+    The ``hessian`` of :func:`gradient_laplacian`, with the same arguments.
+    """
+    return gradient_laplacian(patch, u, x, h, jet).hessian
 
 
 def soliton_residual(patch: MetricPatch, psi: ScalarField, lam: float, x,

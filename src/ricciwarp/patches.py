@@ -72,7 +72,9 @@ def _batch_call(fn, X: np.ndarray, expected: tuple, what: str) -> np.ndarray:
 
     A callable written for one point fails on a batch or returns the wrong
     shape; either way the ``ValueError`` names ``what`` and the shape
-    expected of a batch callable.
+    expected of a batch callable.  On a square batch (N == dim >= 2) such a
+    callable can return the batch shape by accident, e.g. ``x[0]``, so the
+    first point is also tried as a batch of one.
     """
     try:
         out = np.asarray(fn(X), dtype=float)
@@ -81,6 +83,8 @@ def _batch_call(fn, X: np.ndarray, expected: tuple, what: str) -> np.ndarray:
                          f"(expected to return {expected}): {exc}") from exc
     if out.shape != expected:
         raise ValueError(f"{what} returned shape {out.shape}, expected {expected}")
+    if len(X) == X.shape[1] >= 2:
+        _batch_call(fn, X[:1], (1,) + expected[1:], what)
     return out
 
 
@@ -128,10 +132,6 @@ class MetricPatch:
     def _inside(self, X: np.ndarray, margin: float) -> np.ndarray:
         return np.all((X >= self.domain[:, 0] + margin)
                       & (X <= self.domain[:, 1] - margin), axis=-1)
-
-    def contains(self, x, margin: float = 0.0) -> bool:
-        """Whether every point of ``x`` (one point or a batch) keeps the margin."""
-        return bool(np.all(self._inside(np.asarray(x, dtype=float), margin)))
 
     def require_interior(self, x, margin: float):
         """Raise :class:`BoundaryProximityError` unless every point keeps the margin.

@@ -11,8 +11,9 @@ each hypothesis numerically on sample sets.
 
 Freeness is sampled, not proved: the sample sets deterministically include
 the fixed-point candidates of every non-identity power (unit eigenvectors
-with eigenvalue 1), which for linear actions on spheres makes the sampled
-check exhaustive for the shipped action families, plus seeded quasi-random
+with eigenvalue 1, taken from the powers whose exponent divides the group
+order), which for linear actions on spheres makes the sampled check
+exhaustive for the shipped action families, plus seeded quasi-random
 points.  Certificates record sample counts.
 """
 
@@ -122,10 +123,16 @@ def _rotation_block(p: int, size: int, planes) -> np.ndarray:
 
 def fiber_sample_set(generator: np.ndarray, order: int, n_random: int = 64,
                      seed: int = 0) -> np.ndarray:
-    """Unit-sphere samples: basis axes, fixed-point candidates, random points."""
+    """Unit-sphere samples: basis axes, fixed-point candidates, random points.
+
+    In a cyclic group Fix(g^j) = Fix(g^gcd(j, order)), so the candidates of
+    the powers g^d with d a proper divisor of the order cover every
+    non-identity power.
+    """
     q = generator.shape[0]
     pts = [np.eye(q), -np.eye(q)]
-    for M in _powers(generator, order - 1):
+    powers = _powers(generator, order - 1)
+    for M in (powers[d - 1] for d in range(1, order) if order % d == 0):
         cand = fixed_point_candidates(M)
         if cand.size:
             pts.append(cand)

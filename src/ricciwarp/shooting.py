@@ -297,7 +297,6 @@ class SolitonProfile:
     b_prime: np.ndarray
     phi: np.ndarray
     phi_prime: np.ndarray
-    phi_pp: np.ndarray
     mu: np.ndarray
     res_tt: np.ndarray
     res_sk: np.ndarray
@@ -416,9 +415,8 @@ class SolitonProfile:
             raise ValueError("profile CSV has malformed data rows: expected "
                              f"rows of {len(CSV_COLUMNS)} numbers")
         (t, a, ap, b, bp, phi, phip, mu, r_tt, r_sk, r_sm) = rows.T
-        phi_pp = _reduced_kernel(params, a, ap, b, bp, phip)[2]
         return cls(params=params, t=t, a=a, a_prime=ap, b=b, b_prime=bp,
-                   phi=phi, phi_prime=phip, phi_pp=phi_pp, mu=mu,
+                   phi=phi, phi_prime=phip, mu=mu,
                    res_tt=r_tt, res_sk=r_sk, res_sm=r_sm,
                    status=status, end_time=end_time)
 
@@ -572,10 +570,9 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
         ap = np.full_like(t, np.nan)
 
     mu, res_tt, res_sk, res_sm = _diagnostics(params, t, a, ap, b, bp, phip)
-    phi_pp = _reduced_kernel(params, a, ap, b, bp, phip)[2]
     return SolitonProfile(params=params, t=t, a=a, a_prime=ap, b=b,
-                          b_prime=bp, phi=phi, phi_prime=phip, phi_pp=phi_pp,
-                          mu=mu, res_tt=res_tt, res_sk=res_sk, res_sm=res_sm,
+                          b_prime=bp, phi=phi, phi_prime=phip, mu=mu,
+                          res_tt=res_tt, res_sk=res_sk, res_sm=res_sm,
                           status=status, end_time=t_end)
 
 

@@ -33,27 +33,27 @@ fiber (Ric_F = mu g_F).  ``certify_soliton`` checks the full chain and
 finishes with the finite-difference soliton residual of the assembled
 metric, which is the end-to-end oracle.
 
-The structure-equation functions take one base point or a batch of them
-and return the matching shape; ``certify_soliton`` calls each check once
-with its whole sample set, so each check differences the metric once.
+``base_structure`` evaluates all three base conditions at one base point
+or a batch of them.  It differences the base metric once and each of f
+and phi once, and every condition reads those jets.  ``certify_soliton``
+calls it once with its whole base sample set.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .curvature import (
     DEFAULT_STEP,
     gradient_laplacian,
-    hessian_fd,
     metric_jet,
     ricci_fd,
     soliton_residual,
 )
-from .fd import value_jet
 from .patches import (
     GeometryError,
     MetricPatch,
@@ -68,11 +68,8 @@ __all__ = [
     "assemble_warped",
     "lifted_potential",
     "ricci_closed_form",
-    "base_equation_residual",
-    "scalar_equation_value",
-    "scalar_equation_residual",
-    "calibrate_scalar_constant",
-    "first_integral",
+    "BaseStructure",
+    "base_structure",
     "einstein_check",
     "certify_soliton",
     "CertificationReport",
@@ -188,88 +185,58 @@ def ricci_closed_form(w: WarpedGeometry, x, h: float = DEFAULT_STEP) -> BlockMat
     gl = gradient_laplacian(w.base, w.f, xb, h, jet=jet_b)
     fv = gl.value
 
-    hess_f = hessian_fd(w.base, w.f, xb, h, jet=jet_b)
-    hh = ricci_fd(w.base, xb, h, jet=jet_b) - (m / fv) * hess_f
+    hh = ricci_fd(w.base, xb, h, jet=jet_b) - (m / fv) * gl.hessian
     vv = (ricci_fd(w.fiber, xf, h, jet=jet_f)
           - (fv * gl.laplacian + (m - 1) * gl.grad_norm_sq) * jet_f.g0[0])
     return BlockMatrix(hh=hh, vv=vv, hv=np.zeros((n, m)))
 
 
-def base_equation_residual(w: WarpedGeometry, x_base, h: float = DEFAULT_STEP):
-    """Residual of the tensor structure equation on the base.
+class BaseStructure(NamedTuple):
+    """The base structure conditions at one base point (a matrix and
+    floats) or at a batch (arrays with the point index in front)."""
 
-    Returns ``(matrix, norm)`` of Ric_B + Hess(phi) - lam g_B - (m/f) Hess(f)
-    at a base point, or arrays of them at a batch of base points.
+    residual: np.ndarray   # Ric_B + Hess(phi) - lam g_B - (m/f) Hess(f)
+    residual_norm: float   # its Frobenius norm
+    scalar: float          # 2 lam phi - |grad phi|^2 + Lap phi + (m/f) grad phi(f)
+    first_integral: float  # lam f^2 + f Lap f + (m-1)|grad f|^2 - f grad phi(f)
+
+
+def base_structure(w: WarpedGeometry, x_base, h: float = DEFAULT_STEP) -> BaseStructure:
+    """The three base conditions of warped soliton data at base points.
+
+    ``residual`` is the tensor equation's residual; ``scalar`` is a spatial
+    constant c along solutions (the additive normalization of phi is free,
+    so c is an output of the data); ``first_integral`` is a spatial
+    constant that must equal the Einstein constant of the fiber.  One
+    :func:`metric_jet` of the base and one :func:`gradient_laplacian` of
+    each of f and phi, sharing that jet, feed all three.  Raises
+    :class:`GeometryError` where f is not positive.
     """
     X, single = as_points(x_base)
-    fv = w.f(X)
+    lam, m = w.constants.lam, w.m
+    jet = metric_jet(w.base, X, h)
+    gl_f = gradient_laplacian(w.base, w.f, X, h, jet=jet)
+    fv = gl_f.value
     bad = fv <= 0.0
     if bad.any():
         raise GeometryError(
             f"warping '{w.f.label}' is nonpositive at {X[np.argmax(bad)]}")
-    jet = metric_jet(w.base, X, h)
-    res = (ricci_fd(w.base, X, h, jet=jet)
-           + hessian_fd(w.base, w.phi, X, h, jet=jet)
-           - w.constants.lam * jet.g0
-           - (w.m / fv)[:, None, None] * hessian_fd(w.base, w.f, X, h, jet=jet))
+    gl_phi = gradient_laplacian(w.base, w.phi, X, h, jet=jet)
+    res = (ricci_fd(w.base, X, h, jet=jet) + gl_phi.hessian - lam * jet.g0
+           - (m / fv)[:, None, None] * gl_f.hessian)
     norms = np.linalg.norm(res, axis=(1, 2))
-    return (res[0], float(norms[0])) if single else (res, norms)
-
-
-def scalar_equation_value(w: WarpedGeometry, x_base, h: float = DEFAULT_STEP):
-    """Left side of the scalar structure equation at a base point (a float)
-    or at a batch of base points (an array)."""
-    X, single = as_points(x_base)
-    lam = w.constants.lam
-    gl_phi = gradient_laplacian(w.base, w.phi, X, h)
-    fv, df, _ = value_jet(w.f, X, h)
-    dphi_of_f = np.einsum("ni,ni->n", gl_phi.gradient, df)  # g(grad phi, grad f)
-    val = (2.0 * lam * gl_phi.value - gl_phi.grad_norm_sq + gl_phi.laplacian
-           + (w.m / fv) * dphi_of_f)
-    return float(val[0]) if single else val
-
-
-def scalar_equation_residual(w: WarpedGeometry, x_base, h: float = DEFAULT_STEP):
-    """Left side of the scalar structure equation minus ``constants.c``.
-
-    Requires ``constants.c`` to be set; use
-    :func:`calibrate_scalar_constant` when the constant is to be fitted.
-    """
-    if w.constants.c is None:
-        raise ValueError("constants.c is unset; use calibrate_scalar_constant")
-    return scalar_equation_value(w, x_base, h) - w.constants.c
-
-
-def calibrate_scalar_constant(w: WarpedGeometry, base_points, h: float = DEFAULT_STEP):
-    """Fit c as the spatial mean of the scalar equation's left side.
-
-    Returns ``(c, spread)`` where spread is the max deviation from the
-    mean over the sample set.  The additive normalization of phi is not
-    fixed by the structure equations, so c is an output of the data.
-    """
-    vals = scalar_equation_value(
-        w, np.asarray(base_points, dtype=float).reshape(-1, w.n), h)
-    c = float(vals.mean())
-    return c, float(np.abs(vals - c).max())
-
-
-def first_integral(w: WarpedGeometry, x_base, h: float = DEFAULT_STEP):
-    """Pointwise value of lam f^2 + f Lap f + (m-1)|grad f|^2 - f grad phi(f).
-
-    A float at one base point, an array at a batch.  Along solutions of
-    the base structure equations this is a spatial constant, and it must
-    equal the Einstein constant of the fiber.
-    """
-    X, single = as_points(x_base)
-    lam, m = w.constants.lam, w.m
-    gl_f = gradient_laplacian(w.base, w.f, X, h)
-    _, dphi, _ = value_jet(w.phi, X, h)
-    fv = gl_f.value
-    # dphi(grad f) = g(grad phi, grad f)
-    dphi_of_f = np.einsum("ni,ni->n", dphi, gl_f.gradient)
-    val = (lam * fv * fv + fv * gl_f.laplacian
-           + (m - 1) * gl_f.grad_norm_sq - fv * dphi_of_f)
-    return float(val[0]) if single else val
+    # g(grad phi, grad f) as dphi(grad f) and as df(grad phi); the two
+    # contractions round differently, and each formula keeps its own
+    dphi_of_f = np.einsum("ni,ni->n", gl_phi.differential, gl_f.gradient)
+    df_of_phi = np.einsum("ni,ni->n", gl_phi.gradient, gl_f.differential)
+    scalar = (2.0 * lam * gl_phi.value - gl_phi.grad_norm_sq + gl_phi.laplacian
+              + (m / fv) * df_of_phi)
+    mu = (lam * fv * fv + fv * gl_f.laplacian + (m - 1) * gl_f.grad_norm_sq
+          - fv * dphi_of_f)
+    if single:
+        return BaseStructure(res[0], float(norms[0]), float(scalar[0]),
+                             float(mu[0]))
+    return BaseStructure(res, norms, scalar, mu)
 
 
 def einstein_check(fiber: MetricPatch, mu: float, samples,
@@ -380,17 +347,14 @@ def certify_soliton(w: WarpedGeometry,
     product_samples = np.asarray(product_samples, dtype=float).reshape(
         -1, w.n + w.m)
 
-    base_res = base_equation_residual(w, base_samples, h)[1].max()
-    add("base_equation", base_res, len(base_samples))
+    base = base_structure(w, base_samples, h)
+    add("base_equation", base.residual_norm.max(), len(base_samples))
 
-    if w.constants.c is None:
-        c_val, scal_res = calibrate_scalar_constant(w, base_samples, h)
-    else:
-        c_val = w.constants.c
-        scal_res = np.abs(scalar_equation_residual(w, base_samples, h)).max()
-    add("scalar_equation", scal_res, len(base_samples))
+    c_val = (float(base.scalar.mean()) if w.constants.c is None
+             else w.constants.c)
+    add("scalar_equation", np.abs(base.scalar - c_val).max(), len(base_samples))
 
-    mus = first_integral(w, base_samples, h)
+    mus = base.first_integral
     mu_mean = float(mus.mean())
     mu_spread = float(mus.max() - mus.min())
     add("first_integral", mu_spread / (1.0 + abs(mu_mean)), len(base_samples))

@@ -13,8 +13,7 @@ from ricciwarp import (
 )
 
 
-def cylinder_geometry(m: int, b0: float, lam: float | None = None,
-                      set_constants: bool = True) -> WarpedGeometry:
+def cylinder_geometry(m: int, b0: float, lam: float | None = None) -> WarpedGeometry:
     """Round cylinder data: base line, fiber unit S^m, f = b0, phi = lam t^2/2.
 
     With lam = (m-1)/b0^2 this is an exact warped soliton; the scalar
@@ -24,9 +23,7 @@ def cylinder_geometry(m: int, b0: float, lam: float | None = None,
         lam = (m - 1) / (b0 * b0)
     base = MetricPatch(1, np.array([[-2.5, 2.5]]),
                        lambda X: np.ones((len(X), 1, 1)), "line")
-    constants = SolitonConstants(lam=lam, m=m,
-                                 mu=(m - 1) if set_constants else None,
-                                 c=lam if set_constants else None)
+    constants = SolitonConstants(lam=lam, m=m, mu=m - 1, c=lam)
     return WarpedGeometry(base=base, fiber=sphere_patch(m),
                           f=constant_field(b0, "b0"),
                           phi=quadratic_potential(lam),
@@ -36,6 +33,11 @@ def cylinder_geometry(m: int, b0: float, lam: float | None = None,
 @pytest.fixture(scope="session")
 def steady_profile_12():
     return shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0))
+
+
+@pytest.fixture(scope="session")
+def steady_profile_02():
+    return shoot(AnsatzParams(k=0, m=2, lam=0.0, b0=1.0))
 
 
 @pytest.fixture(scope="session")

@@ -393,11 +393,13 @@ class TestBatchedEngine:
                 f"metric of patch '{p.label}'") + ".*" + re.escape("(3, 2, 2)")):
             p.metric(X)
 
-    @pytest.mark.parametrize("f", [lambda x: 3.3, lambda x: x[0]],
-                             ids=["scalar", "first-point"])
-    def test_pointwise_field_rejected_on_a_batch(self, f):
+    @pytest.mark.parametrize("f, X, expected", [
+        (lambda x: 3.3, [[0.5, 0.1], [0.4, -0.3], [0.2, 0.2]], "(3,)"),
+        (lambda x: x[0], [[0.5, 0.1], [0.4, -0.3], [0.2, 0.2]], "(3,)"),
+        (lambda x: x[0], [[1.0, 2.0], [3.0, 4.0]], "(1,)"),
+    ], ids=["scalar", "first-point", "first-point-square"])
+    def test_pointwise_field_rejected_on_a_batch(self, f, X, expected):
         u = ScalarField(f, "scalar-valued")
-        X = np.array([[0.5, 0.1], [0.4, -0.3], [0.2, 0.2]])
         with pytest.raises(ValueError, match=re.escape(
-                "field 'scalar-valued' returned shape") + ".*" + re.escape("(3,)")):
-            u(X)
+                "field 'scalar-valued' returned shape") + ".*" + re.escape(expected)):
+            u(np.array(X))

@@ -103,6 +103,13 @@ class TestFreeness:
         assert not free
         assert margin == 0.0
 
+    def test_fixed_points_sampled_from_divisor_powers(self):
+        # Fix(g^j) = Fix(g^gcd(j, p)): the divisors 1, 2, 5, 10, 25 of 50
+        # add the pole pair once each to 6 axes and 8 random points
+        act = make_cyclic_action(50, 1, 2, "axis_rotation", n_samples=8)
+        assert len(act.fiber_samples) == 24
+        assert is_free(act)[1] == 0.0
+
     def test_fixed_point_candidates_contain_pole(self):
         M = rotation(np.pi, 3)
         cand = fixed_point_candidates(M)

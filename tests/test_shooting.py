@@ -271,7 +271,7 @@ class TestDiagnosticsIndependence:
         tampered = SolitonProfile(
             params=prof.params, t=prof.t, a=prof.a, a_prime=prof.a_prime,
             b=prof.b, b_prime=prof.b_prime + 1e-3, phi=prof.phi,
-            phi_prime=prof.phi_prime, phi_pp=prof.phi_pp, mu=prof.mu,
+            phi_prime=prof.phi_prime, mu=prof.mu,
             res_tt=prof.res_tt, res_sk=prof.res_sk, res_sm=prof.res_sm,
             status=prof.status, end_time=prof.end_time)
         flagged = recompute_diagnostics(tampered)
@@ -284,7 +284,7 @@ class TestDiagnosticsIndependence:
         tampered = SolitonProfile(
             params=prof.params, t=prof.t, a=prof.a, a_prime=prof.a_prime,
             b=b_bad, b_prime=prof.b_prime, phi=prof.phi,
-            phi_prime=prof.phi_prime, phi_pp=prof.phi_pp, mu=prof.mu,
+            phi_prime=prof.phi_prime, mu=prof.mu,
             res_tt=prof.res_tt, res_sk=prof.res_sk, res_sm=prof.res_sm,
             status=prof.status, end_time=prof.end_time)
         report = certify_profile(tampered, n_base=6, n_product=6)
@@ -403,8 +403,7 @@ class TestCsvRoundTrip:
                            else data[:, j].copy())
                     for j, name in enumerate(CSV_COLUMNS)}
             prof = SolitonProfile(params=AnsatzParams(k=1, m=2, lam=0.0, b0=1.0),
-                                  phi_pp=np.zeros(len(data)), end_time=end_time,
-                                  **cols)
+                                  end_time=end_time, **cols)
             with np.errstate(all="ignore"):
                 back = SolitonProfile.parse_csv(prof.to_csv())
             for name in CSV_COLUMNS:

@@ -1,6 +1,7 @@
 """Warped assembly, closed-form blocks vs the oracle, structure residuals."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,22 +13,19 @@ from ricciwarp import (
     SolitonConstants,
     WarpedGeometry,
     assemble_warped,
-    base_equation_residual,
-    calibrate_scalar_constant,
+    base_structure,
     certify_soliton,
     constant_field,
     einstein_check,
     einstein_model_fiber,
     euclidean_patch,
-    first_integral,
     hyperbolic_patch,
     lifted_potential,
     polar_plane_patch,
+    profile_geometry,
     quadratic_potential,
     ricci_closed_form,
     ricci_fd,
-    scalar_equation_residual,
-    scalar_equation_value,
     soliton_residual,
     sphere_patch,
     torus_patch,
@@ -148,26 +146,27 @@ class TestStructureResiduals:
         w = WarpedGeometry(base=euclidean_patch(2), fiber=sphere_patch(2),
                            f=constant_field(1.5), phi=quadratic_potential(lam),
                            constants=SolitonConstants(lam=lam, m=2))
-        _, norm = base_equation_residual(w, np.array([0.4, -0.3]), H)
+        norm = base_structure(w, np.array([0.4, -0.3]), H).residual_norm
         assert norm < 1e-9
 
     def test_base_equation_flat_steady(self):
         w = WarpedGeometry(base=euclidean_patch(2), fiber=torus_patch(2),
                            f=constant_field(1.0), phi=constant_field(0.0),
                            constants=SolitonConstants(lam=0.0, m=2, mu=0.0, c=0.0))
-        _, norm = base_equation_residual(w, np.array([0.2, 0.1]), H)
+        norm = base_structure(w, np.array([0.2, 0.1]), H).residual_norm
         assert norm < 1e-12
 
     def test_base_equation_cylinder(self):
         w = cylinder_geometry(2, 1.0)
-        _, norm = base_equation_residual(w, np.array([0.7]), H)
+        norm = base_structure(w, np.array([0.7]), H).residual_norm
         assert norm < 1e-8
 
     def test_scalar_equation_zero_potential(self):
         w = WarpedGeometry(base=euclidean_patch(2), fiber=torus_patch(2),
                            f=constant_field(1.0), phi=constant_field(0.0),
                            constants=SolitonConstants(lam=0.3, m=2, c=0.0))
-        assert abs(scalar_equation_residual(w, np.array([0.3, 0.1]), H)) < 1e-10
+        scalar = base_structure(w, np.array([0.3, 0.1]), H).scalar
+        assert abs(scalar - w.constants.c) < 1e-10
 
     def test_scalar_equation_cylinder_constant_is_lambda(self):
         # phi = (lam/2) t^2 gives 2 lam phi - |grad phi|^2 + Lap phi = lam:
@@ -176,19 +175,17 @@ class TestStructureResiduals:
         w = cylinder_geometry(m, b0)
         lam = w.constants.lam
         for t in (0.0, 0.8, -1.2):
-            val = scalar_equation_value(w, np.array([t]), H)
+            val = base_structure(w, np.array([t]), H).scalar
             assert abs(val - lam) < 1e-9
-        assert abs(scalar_equation_residual(w, np.array([0.8]), H)) < 1e-9
-
-    def test_scalar_equation_requires_constant(self):
-        w = cylinder_geometry(2, 1.0, set_constants=False)
-        with pytest.raises(ValueError):
-            scalar_equation_residual(w, np.array([0.3]), H)
+        scalar = base_structure(w, np.array([0.8]), H).scalar
+        assert abs(scalar - w.constants.c) < 1e-9
 
     def test_calibrate_scalar_constant_cylinder(self):
         w = cylinder_geometry(3, 1.2)
         pts = [np.array([t]) for t in np.linspace(-1.5, 1.5, 7)]
-        c, spread = calibrate_scalar_constant(w, pts, H)
+        scalar = base_structure(w, np.array(pts), H).scalar
+        c = scalar.mean()
+        spread = np.abs(scalar - c).max()
         assert abs(c - w.constants.lam) < 1e-9
         assert spread < 1e-9
 
@@ -198,14 +195,14 @@ class TestStructureResiduals:
         w = WarpedGeometry(base=euclidean_patch(2), fiber=sphere_patch(2),
                            f=constant_field(f0), phi=constant_field(2.0),
                            constants=SolitonConstants(lam=lam, m=2))
-        val = first_integral(w, np.array([0.3, -0.2]), H)
+        val = base_structure(w, np.array([0.3, -0.2]), H).first_integral
         assert abs(val - lam * f0 * f0) < 1e-9
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_first_integral_cylinder_matches_fiber_constant(self, m):
         b0 = 1.0
         w = cylinder_geometry(m, b0)
-        val = first_integral(w, np.array([0.6]), H)
+        val = base_structure(w, np.array([0.6]), H).first_integral
         assert abs(val - (m - 1)) < 1e-8
 
 
@@ -325,3 +322,32 @@ class TestCertifySoliton:
         x = np.array([0.4, 1.2, 2.4])
         _, norm = soliton_residual(patch, psi, w.constants.lam, x, H)
         assert norm < 1e-8
+
+
+class TestCertifyEvaluationCounts:
+    """One certificate evaluates each callable of the data twice: the base
+    metric, f and phi once for the base conditions and the fiber metric
+    once for the Einstein check, then each once more inside the soliton
+    residual of the assembled product."""
+
+    @pytest.mark.parametrize("profile", ["steady_profile_12", "steady_profile_23",
+                                         "steady_profile_02"])
+    def test_each_callable_evaluated_twice(self, profile, request):
+        w = profile_geometry(request.getfixturevalue(profile))
+        counts = dict.fromkeys(("base", "fiber", "f", "phi"), 0)
+
+        def counting(key, fn):
+            def call(X):
+                counts[key] += 1
+                return fn(X)
+            return call
+
+        counted = WarpedGeometry(
+            base=replace(w.base, g=counting("base", w.base.g)),
+            fiber=replace(w.fiber, g=counting("fiber", w.fiber.g)),
+            f=replace(w.f, f=counting("f", w.f.f)),
+            phi=replace(w.phi, f=counting("phi", w.phi.f)),
+            constants=w.constants)
+        counts.update(dict.fromkeys(counts, 0))  # construction samples f
+        certify_soliton(counted)
+        assert counts == {"base": 2, "fiber": 2, "f": 2, "phi": 2}
