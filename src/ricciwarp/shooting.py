@@ -29,7 +29,9 @@ reproduces the sphere-block relation at leading order instead of fixing
 phi2.  Profiles with phi2 <= 0 are long lived with slowly growing a, b;
 positive phi2 drives finite-time blowup.  Integration starts from the
 series at t = epsilon (``_series_start``, for every k) to keep the right
-side total.
+side total.  It is an adaptive DOP853 loop (``_dop853``: Hairer, Norsett &
+Wanner, *Solving ODEs I*, II.10) with the steps, dense output and event
+roots of scipy's ``solve_ivp(method="DOP853")``.
 
 Profile diagnostics (the first-integral series mu(t) and the per-equation
 residual columns) are computed by differentiating the stored grid arrays,
@@ -44,8 +46,9 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 from scipy.interpolate import make_interp_spline
+from scipy.optimize import brentq
 
 from .curvature import _MARGIN_SECOND
 from .fd import grid_derivative
@@ -106,6 +109,10 @@ class AnsatzParams:
     ``phi2`` is the free closure coefficient phi''(0)/2 (ignored for k = 0,
     where the even-series start is fully determined).  The default -0.5
     lies in the long-lived branch for the shipped parameter ranges.
+    ``rtol`` and ``atol`` are the integrator tolerances; an ``rtol`` below
+    100 machine epsilons (about 2.2e-14) is raised to 100 eps, as scipy's
+    ``solve_ivp`` does, and the launch segment up to t = 0.1 runs at
+    tolerances of at most 1e-13.
     """
 
     k: int
@@ -228,7 +235,8 @@ def _rhs_with_phi(params: AnsatzParams):
     NaN) and the right side stays evaluable below the event floor.  The
     closure works on Python floats from ``y.tolist()``: IEEE arithmetic
     gives the same bits as on ``np.float64`` scalars at a fraction of the
-    per-call cost, and ``solve_ivp`` takes it without an ``args=`` wrapper.
+    per-call cost.  It returns a list, which :func:`_dop853` writes into
+    its stage table as it is.
     """
     floor = _EVAL_FLOOR
     if params.k >= 1:
@@ -248,35 +256,43 @@ def _rhs_with_phi(params: AnsatzParams):
     return rhs
 
 
-def _dense_eval(segments, ts):
-    """The dense output of consecutive DOP853 runs at the times ``ts``.
+def _horner(rows, y_old, x):
+    """The DOP853 dense-output polynomial of a step at ``x = (t - t_old)/h``.
 
-    One vectorized Horner pass over every step of every run, in place of
-    one ``OdeSolution.__call__`` per run (a Python call per step).  Each
-    time goes to the step that ``OdeSolution`` would choose, the first
-    whose end is >= t (``searchsorted(side="left")`` on the step ends), so
-    a step end and the junction of two runs go to the earlier step; times
-    outside the span go to the first or last step.  The polynomial is
-    ``Dop853DenseOutput._call_impl``'s, evaluated with its operations in
-    its order on the interpolants' ``t_old``, ``h``, ``F`` and ``y_old``,
-    so every value has the same bits.  Returns a C-contiguous
-    ``(n_state, len(ts))`` array, so the profile columns are its rows.
+    ``rows`` yields the rows ``F[-1], ..., F[0]`` of the step's coefficient
+    table.  ``Dop853DenseOutput._call_impl``'s operations in its order, so
+    every value has its bits.  The one implementation of the polynomial:
+    :func:`_dense_eval` calls it for the output grid, with one coefficient
+    row and one ``x`` per time, and :func:`_dop853` for locating events.
     """
-    steps = [ip for seg in segments for ip in seg.sol.interpolants]
-    ends = np.concatenate([seg.sol.ts[1:] for seg in segments])
-    idx = np.minimum(np.searchsorted(ends, ts, side="left"), ends.size - 1)
-    t_old = np.array([ip.t_old for ip in steps])[idx]
-    h = np.array([ip.h for ip in steps])[idx]
-    coeffs = np.stack([ip.F for ip in steps])      # (steps, powers, n_state)
-    y = np.zeros((ts.size, coeffs.shape[2]))
-    x = ((ts - t_old) / h)[:, None]
-    for i in range(coeffs.shape[1]):
-        y += coeffs[idx, -1 - i]
+    y = np.zeros_like(y_old)
+    for i, f in enumerate(rows):
+        y += f
         if i % 2 == 0:
             y *= x
         else:
             y *= 1 - x
-    y += np.stack([ip.y_old for ip in steps])[idx]
+    return y + y_old
+
+
+def _dense_eval(runs, ts):
+    """The dense output of consecutive :func:`_dop853` runs at the times ``ts``.
+
+    One vectorized Horner pass over every step of every run.  Each time
+    goes to the step that ``OdeSolution`` would choose, the first whose end
+    is >= t (``searchsorted(side="left")`` on the step ends), so a step end
+    and the junction of two runs go to the earlier step; times outside the
+    span go to the first or last step.  Returns a C-contiguous
+    ``(n_state, len(ts))`` array, so the profile columns are its rows.
+    """
+    ends = np.concatenate([run.t[1:] for run in runs])
+    idx = np.minimum(np.searchsorted(ends, ts, side="left"), ends.size - 1)
+    t_old = np.concatenate([run.t_old for run in runs])[idx]
+    h = np.concatenate([run.h for run in runs])[idx]
+    F = np.concatenate([run.F for run in runs])    # (steps, powers, n_state)
+    y_old = np.concatenate([run.y_old for run in runs])[idx]
+    rows = (F[idx, j] for j in range(F.shape[1] - 1, -1, -1))
+    y = _horner(rows, y_old, ((ts - t_old) / h)[:, None])
     return np.ascontiguousarray(y.T)
 
 
@@ -475,12 +491,171 @@ _LAUNCH_END = 0.1
 _LAUNCH_TOL = 1e-13
 
 
-def _integrate(params: AnsatzParams):
-    """The DOP853 runs of :func:`shoot`: ``(segments, status, t_end)``.
+@dataclass
+class _Run:
+    """One :func:`_dop853` run.
 
-    ``segments`` holds the ``solve_ivp`` result of the launch segment and,
-    unless that run ends early, the one of the rest of the span; the last
-    run's terminal event, if any, gives ``status`` and ``t_end``.
+    ``t`` is the start followed by the accepted step ends, the last
+    replaced by a terminal event's root; step ``i`` carries the dense
+    output polynomial ``t_old[i]``, ``h[i]``, ``F[i]``, ``y_old[i]`` (see
+    :func:`_horner`) and ``y`` is the state at the last accepted step's
+    end.  ``status`` is ``solve_ivp``'s: 0 at the end of the span, 1 at
+    the terminal event ``event`` (its index), -1 on a failed step, which
+    ``message`` names.  ``nfev`` counts the right-side calls.
+    """
+
+    t: np.ndarray
+    t_old: np.ndarray
+    h: np.ndarray
+    F: np.ndarray
+    y_old: np.ndarray
+    y: np.ndarray
+    nfev: int
+    status: int
+    event: int | None = None
+    message: str | None = None
+
+
+_EPS = np.finfo(float).eps
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _dop853(fun, t0, t1, y0, rtol, atol, first_step, events):
+    """Integrate ``y' = fun(t, y)`` from ``t0`` to ``t1 > t0`` with DOP853.
+
+    The method of Hairer, Norsett & Wanner, *Solving ODEs I*, II.10, as
+    ``solve_ivp(method="DOP853", dense_output=True, events=events)`` runs
+    it: the operations of scipy's ``DOP853._step_impl``, ``rk_step``,
+    ``_estimate_error_norm`` and ``_dense_output_impl`` in their order, on
+    the coefficients of ``scipy.integrate.DOP853``, so the steps, the
+    dense output and the event roots have ``solve_ivp``'s bits.  ``fun``
+    is called directly (its list is written into the stage table), the
+    stage views are built once, and every event is terminal and is
+    located by ``brentq`` on the step's polynomial, the earliest root
+    ending the run.  An ``rtol`` below 100 eps is raised to 100 eps, as
+    scipy does.  Returns a :class:`_Run`.
+    """
+    if not t1 > t0:
+        raise ValueError(f"integration runs forward only: need t1 > t0, "
+                         f"got t0={t0!r}, t1={t1!r}")
+    if not np.isfinite(y0).all():
+        raise ValueError(
+            "All components of the initial state `y0` must be finite.")
+    M = DOP853
+    rtol = max(rtol, 100 * _EPS)
+    exponent = -1 / (M.error_estimator_order + 1)
+    n_stages = M.n_stages
+    K_ext = np.empty((n_stages + 1 + len(M.C_EXTRA), y0.size))
+    K = K_ext[:n_stages + 1]
+    # (stage row, the rows before it as columns, its A row and C node)
+    stages = [(K_ext[s], K_ext[:s].T, a[:s], c) for s, (a, c)
+              in enumerate(zip(M.A[1:], M.C[1:]), start=1)]
+    extra = [(K_ext[s], K_ext[:s].T, a[:s], c) for s, (a, c)
+             in enumerate(zip(M.A_EXTRA, M.C_EXTRA), start=n_stages + 1)]
+    K_B, K_E = K[:-1].T, K.T
+
+    t, y, h_abs = t0, y0, first_step
+    K[0] = fun(t, y)
+    nfev = 1
+    g = [event(t, y) for event in events]
+    ts, t_olds, hs, Fs, y_olds = [t0], [], [], [], []
+    status = event = None
+    while status is None:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = t + h_abs
+            if t_new > t1:
+                t_new = t1
+            h = t_new - t
+            h_abs = np.abs(h)
+            for Ks, K_prev, a, c in stages:
+                dy = np.dot(K_prev, a) * h
+                Ks[:] = fun(t + c * h, y + dy)
+            y_new = y + h * np.dot(K_B, M.B)
+            K[-1] = fun(t + h, y_new)
+            nfev += n_stages
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.dot(K_E, M.E5) / scale
+            err3 = np.dot(K_E, M.E3) / scale
+            # np.linalg.norm's operations on a vector, without its checks
+            err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
+            err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = (np.abs(h) * err5_norm_2
+                              / np.sqrt(denom * len(scale)))
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** exponent)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** exponent)
+            rejected = True
+        if status == -1:
+            break
+        t_old, y_old, t, y = t, y, t_new, y_new
+        if t >= t1:
+            status = 0
+
+        for Ks, K_prev, a, c in extra:
+            dy = np.dot(K_prev, a) * h
+            Ks[:] = fun(t_old + c * h, y_old + dy)
+        nfev += len(extra)
+        F = np.empty((3 + len(M.D), y.size))
+        f_old = K[0]
+        delta_y = y - y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (K[-1] + f_old)
+        F[3:] = h * np.dot(M.D, K_ext)
+        K[0] = K[-1]
+
+        t_step = t
+        g_new = [event(t, y) for event in events]
+        active = [i for i, (lo, hi) in enumerate(zip(g, g_new))
+                  if lo <= 0 <= hi or lo >= 0 >= hi]
+        if active:
+            roots = [brentq(lambda s, e=events[i]: e(s, _horner(
+                                reversed(F), y_old, (s - t_old) / h)),
+                            t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+                     for i in active]
+            first = np.argsort(roots)[0]
+            status, event, t_step = 1, active[first], roots[first]
+        g = g_new
+        if len(ts) > 1 and ts[-1] == t_step:
+            continue    # solve_ivp drops a step whose root is the last end
+        ts.append(t_step)
+        t_olds.append(t_old)
+        hs.append(h)
+        Fs.append(F)
+        y_olds.append(y_old)
+
+    return _Run(t=np.array(ts), t_old=np.array(t_olds), h=np.array(hs),
+                F=np.array(Fs), y_old=np.array(y_olds), y=y, nfev=nfev,
+                status=status, event=event,
+                message=_TOO_SMALL_STEP if status == -1 else None)
+
+
+def _integrate(params: AnsatzParams):
+    """The DOP853 runs of :func:`shoot`: ``(runs, status, t_end)``.
+
+    ``runs`` holds the :class:`_Run` of the launch segment and, unless that
+    run ends early, the one of the rest of the span; the last run's
+    terminal event, if any, gives ``status`` and ``t_end``.
     """
     k = params.k
     a, ap, b, bp, phip = _series_start(params)
@@ -491,55 +666,40 @@ def _integrate(params: AnsatzParams):
     def hit_b(t, y):
         return y[i_b] - _POSITIVITY_FLOOR
 
-    hit_b.terminal = True
-    events = [hit_b]
-    if k >= 1:
-        def hit_a(t, y):
-            return y[i_a] - _POSITIVITY_FLOOR
-        hit_a.terminal = True
-        events.append(hit_a)
+    def hit_a(t, y):
+        return y[i_a] - _POSITIVITY_FLOOR
 
     def blow(t, y):
         return _BLOWUP_LIMIT - float(np.abs(y).max())
 
-    blow.terminal = True
-    events.append(blow)
+    # in solve_ivp's order, which breaks ties between equal roots
+    events, outcomes = ([hit_b, hit_a, blow],
+                        ["hit_b_zero", "hit_a_zero", "blowup"])
+    if k < 1:
+        del events[1], outcomes[1]
 
     rhs = _rhs_with_phi(params)
 
     def integrate(t0, t1, y_start, rtol, atol):
         # a capped first step keeps the dense output tight where the
         # differentiated diagnostics are most sensitive
-        sol = solve_ivp(rhs, (t0, t1), y_start,
-                        method="DOP853", rtol=rtol, atol=atol,
-                        dense_output=True, events=events,
-                        first_step=min(1e-3, 0.01 * (t1 - t0)))
-        if sol.status == -1:
-            raise IntegrationError(f"integrator failed: {sol.message}")
-        return sol
+        run = _dop853(rhs, t0, t1, y_start, rtol, atol,
+                      min(1e-3, 0.01 * (t1 - t0)), events)
+        if run.status == -1:
+            raise IntegrationError(f"integrator failed: {run.message}")
+        return run
 
     t_switch = min(_LAUNCH_END, params.t_max)
     rtol_launch = min(params.rtol, _LAUNCH_TOL)
     atol_launch = min(params.atol, _LAUNCH_TOL)
-    sol_a = integrate(params.epsilon, t_switch, y0, rtol_launch, atol_launch)
-    segments = [sol_a]
-    if sol_a.status == 0 and t_switch < params.t_max:
-        sol_b = integrate(t_switch, params.t_max, sol_a.y[:, -1],
-                          params.rtol, params.atol)
-        segments.append(sol_b)
-    sol = segments[-1]
-
-    status = "completed"
-    t_end = params.t_max
-    if sol.status == 1:
-        t_end = float(sol.t[-1])
-        if k >= 1 and sol.t_events[1].size:
-            status = "hit_a_zero"
-        elif sol.t_events[0].size:
-            status = "hit_b_zero"
-        else:
-            status = "blowup"
-    return segments, status, t_end
+    runs = [integrate(params.epsilon, t_switch, y0, rtol_launch, atol_launch)]
+    if runs[0].status == 0 and t_switch < params.t_max:
+        runs.append(integrate(t_switch, params.t_max, runs[0].y,
+                              params.rtol, params.atol))
+    run = runs[-1]
+    if run.status == 1:
+        return runs, outcomes[run.event], float(run.t[-1])
+    return runs, "completed", params.t_max
 
 
 def shoot(params: AnsatzParams) -> SolitonProfile:
@@ -550,18 +710,18 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
     profile records the outcome in ``status`` and ``end_time``.  phi is
     gauge-normalized to phi(epsilon) = 0.
 
-    scipy's DOP853 runs the closure of :func:`_rhs_with_phi` on the launch
-    segment and, unless that run ends early, on the rest of the span
-    (:func:`_integrate`).  The output grid is read from their dense output
-    in one batched pass (:func:`_dense_eval`), which relies on the fields
-    ``t_old``, ``h``, ``F`` and ``y_old`` of scipy's ``Dop853DenseOutput``
-    interpolants.
+    The DOP853 loop :func:`_dop853` runs the closure of
+    :func:`_rhs_with_phi` on the launch segment and, unless that run ends
+    early, on the rest of the span (:func:`_integrate`), with the steps
+    and bits of ``scipy.integrate.solve_ivp``.  The output grid is read
+    from the step polynomials the runs record, in one batched pass
+    (:func:`_dense_eval`).
     """
     k = params.k
-    segments, status, t_end = _integrate(params)
+    runs, status, t_end = _integrate(params)
     n = max(int(np.ceil((t_end - params.epsilon) * params.grid_per_unit)) + 1, 16)
     t = np.linspace(params.epsilon, t_end, n)
-    Y = _dense_eval(segments, t)
+    Y = _dense_eval(runs, t)
     if k >= 1:
         a, ap, b, bp, phi, phip = Y
     else:

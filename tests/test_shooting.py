@@ -1,5 +1,7 @@
 """Reduced system, series closure, shooting, diagnostics, sweeps."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -7,6 +9,7 @@ from scipy.integrate import solve_ivp
 from ricciwarp import (
     AnsatzParams,
     GeometryError,
+    IntegrationError,
     SolitonProfile,
     assemble_warped,
     certify_profile,
@@ -20,12 +23,20 @@ from ricciwarp import (
     sweep,
     taylor_init,
 )
+from ricciwarp import shooting
 from ricciwarp.shooting import (
+    _BLOWUP_LIMIT,
+    _LAUNCH_END,
+    _LAUNCH_TOL,
+    _POSITIVITY_FLOOR,
     CSV_COLUMNS,
     _dense_eval,
     _diagnostics,
+    _dop853,
     _integrate,
     _rhs_with_phi,
+    _Run,
+    _series_start,
 )
 
 
@@ -177,16 +188,75 @@ class TestShoot:
         assert delta <= 1e-7
 
 
-def _per_run_reference(segments, ts):
+def _solve_ivp_runs(params):
+    """``solve_ivp``'s DOP853 runs of the integration that ``_integrate``
+    does: the same right side, terminal events (in the same order),
+    tolerances and first steps, on the launch segment and, unless that run
+    ends early, on the rest of the span.  The reference for ``_dop853``."""
+    k = params.k
+    a, ap, b, bp, phip = _series_start(params)
+    y0 = np.array([a, ap, b, bp, 0.0, phip] if k >= 1 else [b, bp, 0.0, phip])
+    i_a, i_b = (0, 2) if k >= 1 else (None, 0)
+
+    def hit_b(t, y):
+        return y[i_b] - _POSITIVITY_FLOOR
+
+    def hit_a(t, y):
+        return y[i_a] - _POSITIVITY_FLOOR
+
+    def blow(t, y):
+        return _BLOWUP_LIMIT - float(np.abs(y).max())
+
+    events = [hit_b, hit_a, blow] if k >= 1 else [hit_b, blow]
+    for event in events:
+        event.terminal = True
+    rhs = _rhs_with_phi(params)
+
+    def run(t0, t1, y, rtol, atol):
+        with warnings.catch_warnings():
+            # solve_ivp warns where it raises rtol to 100 eps
+            warnings.simplefilter("ignore", UserWarning)
+            return solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=rtol,
+                             atol=atol, dense_output=True, events=events,
+                             first_step=min(1e-3, 0.01 * (t1 - t0)))
+
+    t_switch = min(_LAUNCH_END, params.t_max)
+    sols = [run(params.epsilon, t_switch, y0, min(params.rtol, _LAUNCH_TOL),
+                min(params.atol, _LAUNCH_TOL))]
+    if sols[0].status == 0 and t_switch < params.t_max:
+        sols.append(run(t_switch, params.t_max, sols[0].y[:, -1],
+                        params.rtol, params.atol))
+    return sols
+
+
+def _solve_ivp_outcome(params, sols):
+    """``(status, t_end)`` of a profile from its ``solve_ivp`` runs."""
+    sol = sols[-1]
+    if sol.status != 1:
+        return "completed", params.t_max
+    if params.k >= 1 and sol.t_events[1].size:
+        return "hit_a_zero", float(sol.t[-1])
+    if sol.t_events[0].size:
+        return "hit_b_zero", float(sol.t[-1])
+    return "blowup", float(sol.t[-1])
+
+
+def _per_run_reference(solutions, ts):
     """The grid values from ``OdeSolution.__call__`` of each run: the
     launch run up to its end, the second run after it."""
-    if len(segments) == 1:
-        return segments[0].sol(ts)
-    early = ts <= segments[0].t[-1]
-    out = np.empty((segments[0].y.shape[0], ts.size))
-    out[:, early] = segments[0].sol(ts[early])
-    out[:, ~early] = segments[1].sol(ts[~early])
+    if len(solutions) == 1:
+        return solutions[0](ts)
+    early = ts <= solutions[0].ts[-1]
+    out = np.empty((solutions[0](ts[0]).size, ts.size))
+    out[:, early] = solutions[0](ts[early])
+    out[:, ~early] = solutions[1](ts[~early])
     return out
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return (got.shape == want.shape
+            and np.array_equal(got.view(np.uint64), want.view(np.uint64)))
 
 
 class TestDenseEval:
@@ -199,53 +269,114 @@ class TestDenseEval:
         (AnsatzParams(k=0, m=2, lam=0.5, b0=2.0, t_max=5.0), "hit_b_zero", 2),
         (AnsatzParams(k=3, m=2, lam=0.0, b0=1.0, phi2=0.3), "blowup", 2),
         (AnsatzParams(k=1, m=2, lam=0.5, b0=1.0, t_max=5.0), "hit_a_zero", 2),
+        # below 100 eps, where rtol is raised to 100 eps
+        (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0, rtol=1e-15,
+                      atol=1e-15), "completed", 2),
     ])
     def test_matches_ode_solution_bit_for_bit(self, params, status, runs):
-        segments, got_status, t_end = _integrate(params)
-        assert (got_status, len(segments)) == (status, runs)
+        got_runs, got_status, t_end = _integrate(params)
+        sols = _solve_ivp_runs(params)
+        assert (got_status, len(got_runs)) == (status, runs)
+        assert (got_status, t_end) == _solve_ivp_outcome(params, sols)
+        assert len(sols) == runs
+        for run, sol in zip(got_runs, sols):
+            steps = sol.sol.interpolants
+            assert run.nfev == sol.nfev and run.status == sol.status
+            assert _same_bits(run.t, sol.t)
+            assert _same_bits(run.t_old, [ip.t_old for ip in steps])
+            assert _same_bits(run.h, [ip.h for ip in steps])
+            assert _same_bits(run.F, [ip.F for ip in steps])
+            assert _same_bits(run.y_old, [ip.y_old for ip in steps])
         # every step end (the launch run's last one is t_switch), every
         # step middle and the output grid
-        ends = np.concatenate([seg.t for seg in segments])
+        ends = np.concatenate([run.t for run in got_runs])
         ts = np.unique(np.concatenate([
             ends, 0.5 * (ends[1:] + ends[:-1]),
             np.linspace(params.epsilon, t_end, 2001)]))
-        got = _dense_eval(segments, ts)
-        want = np.ascontiguousarray(_per_run_reference(segments, ts))
-        assert got.flags.c_contiguous and got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        got = _dense_eval(got_runs, ts)
+        want = _per_run_reference([sol.sol for sol in sols], ts)
+        assert got.flags.c_contiguous and _same_bits(got, want)
 
     def test_step_ends_go_to_the_earlier_step(self):
         # pieces that disagree at their common ends, so the choice of the
         # piece at a step end and at the junction of two runs shows
-        from types import SimpleNamespace
-
         from scipy.integrate import OdeSolution
         from scipy.integrate._ivp.rk import Dop853DenseOutput
 
         rng = np.random.default_rng(5)
 
         def run(ts):
-            pieces = [Dop853DenseOutput(t0, t1, rng.normal(size=3),
-                                        rng.normal(size=(7, 3)))
-                      for t0, t1 in zip(ts[:-1], ts[1:])]
-            return SimpleNamespace(sol=OdeSolution(ts, pieces), t=ts,
-                                   y=np.empty((3, ts.size)))
+            F, y_old = rng.normal(size=(ts.size - 1, 7, 3)), rng.normal(
+                size=(ts.size - 1, 3))
+            pieces = [Dop853DenseOutput(t0, t1, y, f)
+                      for t0, t1, y, f in zip(ts[:-1], ts[1:], y_old, F)]
+            return (_Run(t=ts, t_old=ts[:-1], h=np.diff(ts), F=F, y_old=y_old,
+                         y=y_old[-1], nfev=0, status=0),
+                    OdeSolution(ts, pieces))
 
-        segments = [run(np.array([0.0, 0.3, 0.7, 1.0])),
-                    run(np.array([1.0, 1.5, 2.0]))]
+        (run_a, sol_a), (run_b, sol_b) = (run(np.array([0.0, 0.3, 0.7, 1.0])),
+                                          run(np.array([1.0, 1.5, 2.0])))
         ts = np.array([-0.1, 0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 1.2, 1.5, 2.0, 2.5])
-        got = _dense_eval(segments, ts)
-        want = _per_run_reference(segments, ts)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        got = _dense_eval([run_a, run_b], ts)
+        assert _same_bits(got, _per_run_reference([sol_a, sol_b], ts))
 
     def test_shoot_columns_are_the_dense_output(self, steady_profile_12):
         prof = steady_profile_12
-        segments, _, _ = _integrate(prof.params)
-        want = _per_run_reference(segments, prof.t)
+        sols = _solve_ivp_runs(prof.params)
+        want = _per_run_reference([sol.sol for sol in sols], prof.t)
         got = np.array([prof.a, prof.a_prime, prof.b, prof.b_prime,
                         prof.phi, prof.phi_prime])
-        assert np.array_equal(got.view(np.uint64),
-                              np.ascontiguousarray(want).view(np.uint64))
+        assert _same_bits(got, want)
+
+
+class TestIntegratorWork:
+    @pytest.mark.parametrize("k,m,lam,nfev,steps", [
+        (1, 2, 0.0, 755, 47),
+        (2, 3, 0.0, 1526, 96),
+        (1, 3, -0.1, 977, 61),
+    ])
+    def test_work_per_shoot(self, k, m, lam, nfev, steps):
+        # solve_ivp's counts on these shoots: a change to the step control
+        # or the stage scheme moves them
+        runs, _, _ = _integrate(AnsatzParams(k=k, m=m, lam=lam, b0=1.0))
+        assert sum(run.nfev for run in runs) == nfev
+        assert sum(run.t.size - 1 for run in runs) == steps
+
+    def test_step_underflow_matches_solve_ivp(self):
+        # y' = y^2 blows up at t = 1, where the step size underflows
+        def fun(t, y):
+            return [y[0] * y[0]]
+
+        sol = solve_ivp(fun, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10,
+                        atol=1e-10, first_step=1e-3, dense_output=True)
+        run = _dop853(fun, 0.0, 2.0, np.array([1.0]), 1e-10, 1e-10, 1e-3, [])
+        assert (sol.status, sol.nfev) == (-1, 7255)
+        assert (run.status, run.nfev, run.message) == (-1, 7255, sol.message)
+        assert run.message == ("Required step size is less than spacing "
+                               "between numbers.")
+        assert run.t[-1] == sol.t[-1] == 1.00000000001075
+
+    def test_integrate_reports_step_underflow(self, monkeypatch):
+        # a right side that is never finite rejects every step until the
+        # step size underflows
+        monkeypatch.setattr(shooting, "_rhs_with_phi",
+                            lambda params: lambda t, y: [np.nan] * y.size)
+        params = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)
+        message = ("integrator failed: Required step size is less than "
+                   "spacing between numbers.")
+        with pytest.raises(IntegrationError) as info:
+            _integrate(params)
+        assert str(info.value) == message
+        [row] = sweep([params])
+        assert row.status == "error:IntegrationError:" + message
+
+    def test_bad_runs_rejected(self):
+        with pytest.raises(ValueError, match="forward only"):
+            _dop853(lambda t, y: [0.0], 1.0, 1.0, np.array([1.0]),
+                    1e-10, 1e-10, 1e-3, [])
+        # b0 = inf passes AnsatzParams but gives a non-finite series start
+        with pytest.raises(ValueError, match="initial state .* must be finite"):
+            shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=float("inf")))
 
 
 class TestDiagnosticsIndependence:
