@@ -272,7 +272,9 @@ def _load_profile_for(cfg: dict, block: dict) -> SolitonProfile:
         if not os.path.exists(path):
             raise OSError(f"profile file not found: {path}")
         try:
-            return SolitonProfile.from_csv(path)
+            profile = SolitonProfile.from_csv(path)
+            profile.interpolants()   # cached for the certificate
+            return profile
         except (ValueError, OSError) as exc:
             raise OSError(f"ill-formed profile file {path}: {exc}") from exc
     if "solve" in cfg:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import DOP853
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import BSpline, make_interp_spline
 from scipy.optimize import brentq
 
 from .curvature import _MARGIN_SECOND
@@ -338,19 +338,39 @@ class SolitonProfile:
         return self.params.classification
 
     def interpolants(self):
-        """Quintic splines (a, b, phi) through the grid arrays.
+        """Quintic splines (a, b, phi) through the grid arrays (cubic
+        below 6 rows), fitted once and cached.
 
-        Built from the stored arrays only, so a profile loaded from CSV
-        reproduces them exactly.  For k = 0 the a-slot is None.
+        The columns share their knots, degree and collocation matrix, so
+        one collocation solve fits them all; each spline has the same bits
+        as its own single-column ``make_interp_spline`` fit.  Built from
+        the stored arrays only, so a profile loaded from CSV reproduces
+        them exactly.  For k = 0 the a-slot is None.
+
+        Raises ``ValueError`` when the arrays cannot be fitted: fewer than
+        4 rows, ``t`` not finite and strictly increasing, or a non-finite
+        value in a (k >= 1), b or phi.
         """
         if not self._splines:
-            kq = 5 if self.t.size > 5 else 3
-            self._splines["b"] = make_interp_spline(self.t, self.b, k=kq)
-            self._splines["phi"] = make_interp_spline(self.t, self.phi, k=kq)
-            if self.params.k >= 1:
-                self._splines["a"] = make_interp_spline(self.t, self.a, k=kq)
-            else:
-                self._splines["a"] = None
+            names = ("b", "phi", "a") if self.params.k >= 1 else ("b", "phi")
+            t = self.t
+            if t.size < 4:
+                raise ValueError(f"profile has {t.size} rows; its splines "
+                                 "need at least 4")
+            if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+                raise ValueError("profile column t is not finite and "
+                                 "strictly increasing")
+            columns = [getattr(self, name) for name in names]
+            for name, column in zip(names, columns):
+                if not np.isfinite(column).all():
+                    raise ValueError(f"profile column {name} has a "
+                                     "non-finite value")
+            kq = 5 if t.size > 5 else 3
+            fit = make_interp_spline(t, np.column_stack(columns), k=kq)
+            self._splines["a"] = None
+            for j, name in enumerate(names):
+                self._splines[name] = BSpline(fit.t, fit.c[:, j], kq,
+                                              extrapolate=True)
         return self._splines["a"], self._splines["b"], self._splines["phi"]
 
     # -- serialization ------------------------------------------------------

@@ -251,6 +251,50 @@ class TestQuotient:
         assert main(["quotient", "--config", str(cfg_path)]) == 2
 
 
+def _set_cell(rows, row, column, value):
+    cells = rows[row].split(",")
+    cells[column] = value
+    return rows[:row] + [",".join(cells)] + rows[row + 1:]
+
+
+class TestUnfittableProfile:
+    """Profiles that parse but whose splines cannot be fitted exit 4."""
+
+    @pytest.mark.parametrize("command,block", [
+        ("certify", {}),
+        ("quotient", {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}),
+    ])
+    @pytest.mark.parametrize("mutate,reason", [
+        (lambda rows: _set_cell(rows, 100, 3, "nan"),
+         "column b has a non-finite value"),
+        (lambda rows: _set_cell(rows, 100, 5, "inf"),
+         "column phi has a non-finite value"),
+        (lambda rows: rows[:100] + [rows[101], rows[100]] + rows[102:],
+         "column t is not finite and strictly increasing"),
+        (lambda rows: [rows[0], rows[-1]], "has 2 rows"),
+        (lambda rows: [rows[0], rows[len(rows) // 2], rows[-1]],
+         "has 3 rows"),
+    ], ids=["nan-in-b", "inf-in-phi", "swapped-t-rows", "two-rows",
+            "three-rows"])
+    def test_exits_4_without_artifact(self, tmp_path, capsys, command, block,
+                                      mutate, reason):
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
+                                      "b0": 1.0, "t_max": 3.0})
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        lines = (tmp_path / "out" / "profile.csv").read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:4] + mutate(lines[4:])) + "\n")
+        write_config(cfg_path, **{command: dict(block, profile=str(bad))})
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O failure: ill-formed profile file")
+        assert reason in err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "profile.csv", "solve_summary.json"]
+
+
 class TestSweep:
     def test_empty_grid_empty_table(self, tmp_path):
         cfg_path = tmp_path / "s.json"

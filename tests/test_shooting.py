@@ -1,10 +1,12 @@
 """Reduced system, series closure, shooting, diagnostics, sweeps."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import make_interp_spline
 
 from ricciwarp import (
     AnsatzParams,
@@ -464,6 +466,75 @@ class TestOracleClosure:
                                 geom.fiber.center() + 0.2 * rng.random(geom.fiber.dim)])
             _, norm = soliton_residual(patch, psi, prof.lam, x, 1e-3)
             assert norm <= 1e-5
+
+
+def _rows(profile, index):
+    """The grid rows ``index`` of ``profile``, with no cached splines."""
+    return SolitonProfile(params=profile.params,
+                          **{name: getattr(profile, name)[index].copy()
+                             for name in CSV_COLUMNS})
+
+
+class TestInterpolants:
+    @pytest.fixture(params=["k1m2", "k2m3", "k0m2", "k1m2-five-rows"])
+    def profile(self, request, steady_profile_12, steady_profile_23,
+                steady_profile_02):
+        if request.param == "k1m2-five-rows":   # the cubic branch
+            prof = _rows(steady_profile_12, slice(None, None, 1000))
+            assert prof.t.size == 5
+            return prof
+        prof = {"k1m2": steady_profile_12, "k2m3": steady_profile_23,
+                "k0m2": steady_profile_02}[request.param]
+        return replace(prof, _splines={})
+
+    def test_one_fit_cached(self, profile, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return make_interp_spline(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "make_interp_spline", counting)
+        first = profile.interpolants()
+        assert len(calls) == 1
+        assert profile.interpolants() == first
+        assert len(calls) == 1
+
+    def test_each_spline_is_its_own_fit_bit_for_bit(self, profile):
+        t = profile.t
+        kq = 5 if t.size > 5 else 3
+        x = np.concatenate([t, 0.5 * (t[1:] + t[:-1])])
+        splines = profile.interpolants()
+        assert (splines[0] is None) == (profile.params.k == 0)
+        for spline, column in zip(splines, (profile.a, profile.b, profile.phi)):
+            if spline is None:
+                continue
+            own = make_interp_spline(t, column, k=kq)
+            assert spline.k == own.k == kq and spline.extrapolate
+            for got, want in ((spline.t, own.t), (spline.c, own.c),
+                              (spline(x), own(x))):
+                assert got.shape == want.shape
+                assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+    @pytest.mark.parametrize("column,value,message", [
+        ("b", np.nan, "column b has a non-finite value"),
+        ("phi", np.inf, "column phi has a non-finite value"),
+        ("a", -np.inf, "column a has a non-finite value"),
+        ("t", np.nan, "column t is not finite and strictly increasing"),
+        ("t", 0.0, "column t is not finite and strictly increasing"),
+    ])
+    def test_unfittable_column_rejected(self, steady_profile_12, column,
+                                        value, message):
+        prof = _rows(steady_profile_12, slice(None, None, 100))
+        getattr(prof, column)[7] = value
+        with pytest.raises(ValueError, match=message):
+            prof.interpolants()
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_too_few_rows_rejected(self, steady_profile_12, rows):
+        prof = _rows(steady_profile_12, slice(rows))
+        with pytest.raises(ValueError, match=f"has {rows} rows"):
+            prof.interpolants()
 
 
 class TestCsvRoundTrip:
