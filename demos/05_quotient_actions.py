@@ -8,12 +8,12 @@ eigenspace samples in the freeness check.
 
 from ricciwarp import (
     AnsatzParams,
+    ambient_geometry,
     certify_quotient,
     is_free,
     make_cyclic_action,
     shoot,
 )
-from ricciwarp.shooting import ambient_geometry
 
 for p, m, kind in [(2, 2, "antipodal"), (3, 3, "hopf")]:
     prof = shoot(AnsatzParams(k=1, m=m, lam=0.0, b0=1.0, t_max=6.0))

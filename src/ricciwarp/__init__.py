@@ -17,93 +17,13 @@ The package has four layers:
 
 __version__ = "0.1.0"
 
-from .patches import (
-    BoundaryProximityError,
-    DegenerateMetricError,
-    GeometryError,
-    MetricPatch,
-    ScalarField,
-    SolitonConstants,
-    cartesian_profile_base,
-    einstein_model_fiber,
-    euclidean_patch,
-    hyperbolic_patch,
-    polar_plane_patch,
-    quadratic_potential,
-    constant_field,
-    radial_field,
-    radial_profile_base,
-    sphere_patch,
-    torus_patch,
-)
-from .curvature import (
-    DEFAULT_STEP,
-    GradientData,
-    christoffel,
-    gradient_laplacian,
-    hessian_fd,
-    ricci_fd,
-    soliton_residual,
-    transform_chart,
-)
-from .warped import (
-    BaseStructure,
-    BlockMatrix,
-    CertificationReport,
-    WarpedGeometry,
-    assemble_warped,
-    base_structure,
-    certify_soliton,
-    einstein_check,
-    lifted_potential,
-    ricci_closed_form,
-)
-from .shooting import (
-    AnsatzParams,
-    IntegrationError,
-    SolitonProfile,
-    SweepRow,
-    certify_profile,
-    params_grid,
-    profile_geometry,
-    recompute_diagnostics,
-    reduced_rhs,
-    shoot,
-    sweep,
-    taylor_init,
-)
-from .quotient import (
-    GroupAction,
-    QuotientCertificate,
-    certify_quotient,
-    fixed_point_candidates,
-    invariance_deviation,
-    is_free,
-    isometry_residual,
-    make_cyclic_action,
-    sphere_isometry_residual,
-)
+from . import curvature, patches, quotient, shooting, warped
+from .patches import *  # noqa: F401,F403
+from .curvature import *  # noqa: F401,F403
+from .warped import *  # noqa: F401,F403
+from .shooting import *  # noqa: F401,F403
+from .quotient import *  # noqa: F401,F403
 
-__all__ = [
-    # patches
-    "BoundaryProximityError", "DegenerateMetricError", "GeometryError",
-    "MetricPatch", "ScalarField", "SolitonConstants", "cartesian_profile_base",
-    "einstein_model_fiber", "euclidean_patch", "hyperbolic_patch",
-    "polar_plane_patch", "quadratic_potential", "constant_field",
-    "radial_field", "radial_profile_base", "sphere_patch", "torus_patch",
-    # curvature
-    "DEFAULT_STEP", "GradientData", "christoffel", "gradient_laplacian",
-    "hessian_fd", "ricci_fd", "soliton_residual", "transform_chart",
-    # warped
-    "BaseStructure", "BlockMatrix", "CertificationReport", "WarpedGeometry",
-    "assemble_warped", "base_structure", "certify_soliton", "einstein_check",
-    "lifted_potential", "ricci_closed_form",
-    # shooting
-    "AnsatzParams", "IntegrationError", "SolitonProfile", "SweepRow",
-    "certify_profile", "params_grid", "profile_geometry",
-    "recompute_diagnostics", "reduced_rhs", "shoot", "sweep", "taylor_init",
-    # quotient
-    "GroupAction", "QuotientCertificate", "certify_quotient",
-    "fixed_point_candidates", "invariance_deviation", "is_free",
-    "isometry_residual", "make_cyclic_action", "sphere_isometry_residual",
-]
+# each submodule's __all__ is the one list of its public names
+__all__ = [*patches.__all__, *curvature.__all__, *warped.__all__,
+           *shooting.__all__, *quotient.__all__]

@@ -401,18 +401,9 @@ def main(argv=None) -> int:
         overrides = {"tolerance": args.tolerance, "seed": args.seed}
         _check_block({k: v for k, v in overrides.items() if v is not None},
                      _SCHEMA["certify"], "command line")
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-
-    out_dir = args.out or cfg.get("out_dir", "out")
-    if not isinstance(out_dir, str) or not out_dir:
-        print("config error: 'out_dir' must be a non-empty string", file=sys.stderr)
-        return EXIT_FAIL
-    try:
+        out_dir = args.out or cfg.get("out_dir", "out")
+        if not isinstance(out_dir, str) or not out_dir:
+            raise ConfigError("'out_dir' must be a non-empty string")
         if args.command == "solve":
             return cmd_solve(cfg, out_dir)
         if args.command == "certify":

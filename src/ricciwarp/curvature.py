@@ -36,9 +36,6 @@ from .patches import DegenerateMetricError, MetricPatch, ScalarField, as_points
 
 __all__ = [
     "DEFAULT_STEP",
-    "CONDITION_LIMIT",
-    "MetricJet",
-    "metric_jet",
     "christoffel",
     "ricci_fd",
     "hessian_fd",

@@ -269,15 +269,20 @@ def hyperbolic_patch(m: int, radius: float = 1.0) -> MetricPatch:
     return MetricPatch(m, dom, g, f"hyperbolic-{m}d-r{radius:g}")
 
 
-def einstein_model_fiber(m: int, mu: float, flat_tol: float = 1e-8):
+# an Einstein constant of at most this size gets the flat model fiber
+_FLAT_TOL = 1e-8
+
+
+def einstein_model_fiber(m: int, mu: float):
     """Model fiber with Ricci = mu * g, plus its scale factor.
 
     Returns ``(patch, rho)`` where ``rho`` is the model scale: a round
     sphere of radius ``rho`` for mu > 0, a flat torus (``rho = 1``) for
-    mu ~ 0, and a hyperbolic space of radius ``rho`` for mu < 0.
-    One-dimensional fibers are flat, so only mu ~ 0 is admissible there.
+    |mu| <= ``_FLAT_TOL``, and a hyperbolic space of radius ``rho`` for
+    mu < 0.  One-dimensional fibers are flat, so only the flat case is
+    admissible there.
     """
-    if abs(mu) <= flat_tol:
+    if abs(mu) <= _FLAT_TOL:
         return torus_patch(m), 1.0
     if m == 1:
         raise GeometryError(

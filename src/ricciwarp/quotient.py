@@ -20,7 +20,7 @@ points.  Certificates record sample counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -246,8 +246,8 @@ def _tangent_projector(Y: np.ndarray) -> np.ndarray:
     return np.eye(Y.shape[1]) - U[:, :, None] * U[:, None, :]
 
 
-def sphere_isometry_residual(mapmat: np.ndarray, radius: float, samples) -> float:
-    """Pullback residual of the round metric on the sphere of given radius.
+def sphere_isometry_residual(mapmat: np.ndarray, samples) -> float:
+    """Pullback residual of the round metric on the unit sphere.
 
     The induced metric is compared on tangent spaces through the ambient
     projector, so the test is chart free.
@@ -256,7 +256,7 @@ def sphere_isometry_residual(mapmat: np.ndarray, radius: float, samples) -> floa
     Y, _ = as_points(samples)
     P = _tangent_projector(Y)
     res = P @ (A.T @ _tangent_projector(Y @ A.T) @ A - P) @ P
-    return float(np.linalg.norm(res, axis=(1, 2)).max(initial=0.0)) * radius * radius
+    return float(np.linalg.norm(res, axis=(1, 2)).max(initial=0.0))
 
 
 def invariance_deviation(u: ScalarField, mapmat: np.ndarray, samples,
@@ -298,23 +298,8 @@ class QuotientCertificate:
                 and all(r <= self.tolerance for r in residuals))
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": CERTIFICATE_SCHEMA_VERSION,
-            "label": self.label,
-            "order": self.order,
-            "freeness_margin": self.freeness_margin,
-            "base_isometry_residual": self.base_isometry_residual,
-            "fiber_isometry_residual": self.fiber_isometry_residual,
-            "f_invariance": self.f_invariance,
-            "phi_invariance": self.phi_invariance,
-            "diagonal_isometry_residual": self.diagonal_isometry_residual,
-            "diagonal_freeness_margin": self.diagonal_freeness_margin,
-            "n_base_samples": self.n_base_samples,
-            "n_fiber_samples": self.n_fiber_samples,
-            "tolerance": self.tolerance,
-            "freeness_tolerance": self.freeness_tolerance,
-            "verdict": "pass" if self.verdict else "fail",
-        }
+        return {**asdict(self), "schema_version": CERTIFICATE_SCHEMA_VERSION,
+                "verdict": "pass" if self.verdict else "fail"}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -324,7 +309,6 @@ def certify_quotient(action: GroupAction,
                      base_patch: MetricPatch,
                      f: ScalarField,
                      phi: ScalarField,
-                     fiber_radius: float = 1.0,
                      tolerance: float = 1e-10,
                      freeness_tolerance: float = 1e-6) -> QuotientCertificate:
     """Certify the quotient hypotheses for a warped product.
@@ -336,8 +320,8 @@ def certify_quotient(action: GroupAction,
     fixed-point free on sampled product points.
 
     The base patch must be an ambient-coordinate chart (the generators are
-    linear maps of those coordinates); the fiber is the round sphere of
-    ``fiber_radius`` carrying the action's fiber generator.
+    linear maps of those coordinates); the fiber is the unit round sphere
+    carrying the action's fiber generator.
     """
     _, margin = is_free(action, freeness_tolerance)
     base_powers = _powers(action.base_generator, action.order - 1)
@@ -345,7 +329,7 @@ def certify_quotient(action: GroupAction,
 
     base_res = max(isometry_residual(M, base_patch, action.base_samples)
                    for M in base_powers)
-    fiber_res = max(sphere_isometry_residual(M, fiber_radius, action.fiber_samples)
+    fiber_res = max(sphere_isometry_residual(M, action.fiber_samples)
                     for M in fiber_powers)
     f_dev = invariance_deviation(f, action.base_generator, action.base_samples,
                                  power=action.order - 1)
@@ -355,18 +339,17 @@ def certify_quotient(action: GroupAction,
     n_pairs = min(len(action.base_samples), len(action.fiber_samples))
     X = action.base_samples[:n_pairs]
     Y = action.fiber_samples[:n_pairs]
-    r2 = fiber_radius * fiber_radius
     fX = f(X)
     gb = base_patch.metric(X)
     P = _tangent_projector(Y)
-    gf = (fX * fX * r2)[:, None, None] * P
+    gf = (fX * fX)[:, None, None] * P
     diag_res = 0.0
     diag_margin = np.inf
     for Mb, Mf in zip(base_powers, fiber_powers):
         MX, MY = X @ Mb.T, Y @ Mf.T
         fMX = f(MX)
         gb_pull = Mb.T @ base_patch.metric(MX) @ Mb
-        gf_pull = (fMX * fMX * r2)[:, None, None] * (Mf.T @ _tangent_projector(MY) @ Mf)
+        gf_pull = (fMX * fMX)[:, None, None] * (Mf.T @ _tangent_projector(MY) @ Mf)
         block = (np.linalg.norm(gb_pull - gb, axis=(1, 2)) ** 2
                  + np.linalg.norm(P @ (gf_pull - gf) @ P, axis=(1, 2)) ** 2)
         diag_res = max(diag_res, float(np.sqrt(block).max(initial=0.0)))

@@ -14,12 +14,12 @@ first-order system in (a, a', b, b', phi'):
 
 For k = 0 the base is the line; the a-equation and all a-terms drop out.
 ``_reduced_kernel`` is the single place where this system is written: the
-right side ``reduced_rhs``, its clamped integrator variant and the array
-diagnostics all call it.  These equations are not taken on faith: the test
-suite assembles the full product metric from integrated profiles and
-requires the finite-difference soliton residual to vanish to
-discretization accuracy (the closure gate), and it derives the system
-symbolically from the metric and compares it with the kernel.
+integrator's right side ``_rhs_with_phi`` and the array diagnostics both
+call it.  These equations are not taken on faith: the test suite
+assembles the full product metric from integrated profiles and requires
+the finite-difference soliton residual to vanish to discretization
+accuracy (the closure gate), and it derives the system symbolically from
+the metric and compares it with the kernel and the right side.
 
 Smoothness of the metric across t = 0 forces a(0) = 0, a'(0) = 1,
 b'(0) = 0, phi'(0) = 0.  Matching even/odd Taylor series in the system
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -61,25 +61,25 @@ from .patches import (
     radial_field,
     radial_profile_base,
 )
-from .warped import CertificationReport, WarpedGeometry, certify_soliton
+from .warped import (
+    CertificationReport,
+    WarpedGeometry,
+    _interior_points,
+    certify_soliton,
+)
 
 __all__ = [
-    "IntegrationError",
-    "CertificationWindowError",
     "AnsatzParams",
+    "IntegrationError",
     "SolitonProfile",
-    "reduced_rhs",
-    "taylor_init",
-    "shoot",
-    "recompute_diagnostics",
-    "profile_geometry",
-    "ambient_radial_range",
-    "ambient_geometry",
-    "certify_profile",
     "SweepRow",
-    "sweep",
+    "certify_profile",
     "params_grid",
-    "PROFILE_SCHEMA_VERSION",
+    "profile_geometry",
+    "recompute_diagnostics",
+    "shoot",
+    "sweep",
+    "ambient_geometry",
     "CSV_COLUMNS",
 ]
 
@@ -164,27 +164,6 @@ def _reduced_kernel(params: AnsatzParams, a, ap, b, bp, phip):
     return s_a, s_b, lam + k * s_a + m * s_b
 
 
-def reduced_rhs(state, params: AnsatzParams):
-    """Derivative of the reduced first-order system.
-
-    For k >= 1 the state is (a, a', b, b', phi') and the return value is
-    (a', a'', b', b'', phi''); for k = 0 the state is (b, b', phi') and the
-    return value is (b', b'', phi'').  phi itself decouples and is
-    recovered by quadrature.
-    """
-    if params.k >= 1:
-        a, ap, b, bp, phip = state
-        if a <= 0 or b <= 0:
-            raise GeometryError(f"metric coefficient hit zero: a={a:g}, b={b:g}")
-        s_a, s_b, phipp = _reduced_kernel(params, a, ap, b, bp, phip)
-        return (ap, a * s_a, bp, b * s_b, phipp)
-    b, bp, phip = state
-    if b <= 0:
-        raise GeometryError(f"metric coefficient hit zero: b={b:g}")
-    _, s_b, phipp = _reduced_kernel(params, None, None, b, bp, phip)
-    return (bp, b * s_b, phipp)
-
-
 def _series_start(params: AnsatzParams):
     """Series state (a, a', b, b', phi') at t = epsilon for any k.
 
@@ -213,30 +192,19 @@ def _series_start(params: AnsatzParams):
             2.0 * phi2 * eps)
 
 
-def taylor_init(params: AnsatzParams):
-    """Series start state (a, a', b, b', phi') at t = epsilon.
-
-    Raises for k = 0 (no origin closure on the line) and when epsilon is
-    too large for the truncated series to be trustworthy.
-    """
-    if params.k < 1:
-        raise ValueError("taylor_init applies to k >= 1 only")
-    return _series_start(params)
-
-
 def _rhs_with_phi(params: AnsatzParams):
     """The integrator's right side ``rhs(t, y)`` for ``params``.
 
-    The state carries phi next to the reduced system: (a, a', b, b', phi,
-    phi') for k >= 1 and (b, b', phi, phi') for k = 0.  A clamped variant
-    of :func:`reduced_rhs`: Runge-Kutta stages may probe past a
-    degeneration before the terminal event localizes it, so a and b are
-    clamped at ``_EVAL_FLOOR`` as ``max(a, floor)`` clamps (a NaN stays
-    NaN) and the right side stays evaluable below the event floor.  The
-    closure works on Python floats from ``y.tolist()``: IEEE arithmetic
-    gives the same bits as on ``np.float64`` scalars at a fraction of the
-    per-call cost.  It returns a list, which :func:`_dop853` writes into
-    its stage table as it is.
+    The one right side of the reduced system.  The state carries phi next
+    to it: (a, a', b, b', phi, phi') for k >= 1 and (b, b', phi, phi') for
+    k = 0, and ``rhs`` returns the state's derivative, phi' in phi's slot.
+    Runge-Kutta stages may probe past a degeneration before the terminal
+    event localizes it, so a and b are clamped at ``_EVAL_FLOOR`` as
+    ``max(a, floor)`` clamps (a NaN stays NaN) and the right side stays
+    evaluable below the event floor.  The closure works on Python floats
+    from ``y.tolist()``: IEEE arithmetic gives the same bits as on
+    ``np.float64`` scalars at a fraction of the per-call cost.  It returns
+    a list, which :func:`_dop853` writes into its stage table as it is.
     """
     floor = _EVAL_FLOOR
     if params.k >= 1:
@@ -319,7 +287,9 @@ class SolitonProfile:
     res_sm: np.ndarray
     status: str = "completed"
     end_time: float = 0.0
-    _splines: dict = field(default_factory=dict, repr=False, compare=False)
+    # not an init field, so a dataclasses.replace copy fits its own splines
+    _splines: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def lam(self) -> float:
@@ -385,8 +355,7 @@ class SolitonProfile:
         """
         parts = [
             f"# schema_version={PROFILE_SCHEMA_VERSION}\n",
-            "# params=" + json.dumps(_params_to_dict(self.params),
-                                     sort_keys=True) + "\n",
+            "# params=" + json.dumps(asdict(self.params), sort_keys=True) + "\n",
             f"# status={self.status} end_time={self.end_time:.17g}\n",
             ",".join(CSV_COLUMNS) + "\n",
         ]
@@ -457,14 +426,8 @@ class SolitonProfile:
                    status=status, end_time=end_time)
 
 
-def _params_to_dict(p: AnsatzParams) -> dict:
-    return {"k": p.k, "m": p.m, "lam": p.lam, "b0": p.b0, "phi2": p.phi2,
-            "epsilon": p.epsilon, "t_max": p.t_max, "rtol": p.rtol,
-            "atol": p.atol, "grid_per_unit": p.grid_per_unit}
-
-
 def _params_from_dict(raw) -> AnsatzParams:
-    """Inverse of :func:`_params_to_dict` for a profile's params line.
+    """Inverse of ``dataclasses.asdict`` for a profile's params line.
 
     Raises ``ValueError`` unless ``raw`` is an object of AnsatzParams
     fields with integer k, m, grid_per_unit and finite numbers otherwise.
@@ -770,8 +733,7 @@ def recompute_diagnostics(profile: SolitonProfile) -> SolitonProfile:
     p = profile
     mu, res_tt, res_sk, res_sm = _diagnostics(
         p.params, p.t, p.a, p.a_prime, p.b, p.b_prime, p.phi_prime)
-    return replace(p, mu=mu, res_tt=res_tt, res_sk=res_sk, res_sm=res_sm,
-                   _splines={})
+    return replace(p, mu=mu, res_tt=res_tt, res_sk=res_sk, res_sm=res_sm)
 
 
 def profile_geometry(profile: SolitonProfile, h: float = 1e-3):
@@ -882,9 +844,10 @@ def certify_profile(profile: SolitonProfile,
             pts[:, j] = mid + span * (2.0 * rng.random(count) - 1.0)
         return pts
 
-    fiber_pts = _interior_points(fiber, n_fiber, rng)
+    fiber_pts = _interior_points(fiber, n_fiber, rng, _FIBER_MARGIN)
     product_pts = np.hstack([base_points(n_product),
-                             _interior_points(fiber, n_product, rng)])
+                             _interior_points(fiber, n_product, rng,
+                                              _FIBER_MARGIN)])
 
     return certify_soliton(geom,
                            base_samples=base_points(n_base),
@@ -894,12 +857,6 @@ def certify_profile(profile: SolitonProfile,
                            tolerance=tolerance,
                            label=(f"profile(k={k},m={m},lam={params.lam:g},"
                                   f"b0={params.b0:g})"))
-
-
-def _interior_points(patch, count, rng, margin=_FIBER_MARGIN):
-    lo = patch.domain[:, 0] + margin * (patch.domain[:, 1] - patch.domain[:, 0])
-    hi = patch.domain[:, 1] - margin * (patch.domain[:, 1] - patch.domain[:, 0])
-    return lo + (hi - lo) * rng.random((count, patch.dim))
 
 
 # ---------------------------------------------------------------------------

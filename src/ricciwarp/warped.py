@@ -73,9 +73,6 @@ __all__ = [
     "einstein_check",
     "certify_soliton",
     "CertificationReport",
-    "default_base_samples",
-    "default_fiber_samples",
-    "default_product_samples",
 ]
 
 REPORT_SCHEMA_VERSION = 1
@@ -112,11 +109,25 @@ class WarpedGeometry:
         return self.fiber.dim
 
 
-def _positivity_samples(patch: MetricPatch, n_random: int = 32, seed: int = 0):
-    lo, hi = patch.domain[:, 0], patch.domain[:, 1]
-    rng = np.random.default_rng(seed)
-    return np.vstack([patch.center(), lo, hi,
-                      lo + (hi - lo) * rng.random((n_random, patch.dim))])
+def _interior_points(patch: MetricPatch, count: int, rng, margin: float = 0.0):
+    """``count`` uniform points of the chart box less ``margin`` of each
+    axis's width at either end, from one ``rng.random((count, dim))``."""
+    width = patch.domain[:, 1] - patch.domain[:, 0]
+    lo = patch.domain[:, 0] + margin * width
+    hi = patch.domain[:, 1] - margin * width
+    return lo + (hi - lo) * rng.random((count, patch.dim))
+
+
+def _default_samples(patch: MetricPatch, n: int, seed: int, margin: float):
+    """The chart centre and ``n - 1`` seeded interior points."""
+    pts = _interior_points(patch, n - 1, np.random.default_rng(seed), margin)
+    return np.vstack([patch.center()[None, :], pts])
+
+
+def _positivity_samples(patch: MetricPatch):
+    """The centre, the two extreme corners and 32 seeded points of a chart."""
+    return np.vstack([patch.center(), patch.domain[:, 0], patch.domain[:, 1],
+                      _interior_points(patch, 32, np.random.default_rng(0))])
 
 
 @dataclass
@@ -289,26 +300,6 @@ class CertificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def default_base_samples(base: MetricPatch, n: int = 8, seed: int = 0,
-                         margin: float = 0.05):
-    """Deterministic interior sample points of a base patch."""
-    lo = base.domain[:, 0] + margin * (base.domain[:, 1] - base.domain[:, 0])
-    hi = base.domain[:, 1] - margin * (base.domain[:, 1] - base.domain[:, 0])
-    rng = np.random.default_rng(seed)
-    pts = lo + (hi - lo) * rng.random((max(0, n - 1), base.dim))
-    return np.vstack([base.center()[None, :], pts])
-
-
-def default_fiber_samples(fiber: MetricPatch, n: int = 4, seed: int = 1):
-    return default_base_samples(fiber, n, seed, margin=0.15)
-
-
-def default_product_samples(w: WarpedGeometry, n: int = 8, seed: int = 2):
-    bs = default_base_samples(w.base, n, seed)
-    fs = default_base_samples(w.fiber, n, seed + 1, margin=0.15)
-    return np.hstack([bs, fs])
-
-
 def certify_soliton(w: WarpedGeometry,
                     base_samples=None,
                     fiber_samples=None,
@@ -325,14 +316,17 @@ def certify_soliton(w: WarpedGeometry,
     finite-difference soliton residual of the assembled product metric
     with the lifted potential.  The verdict is pass iff every residual is
     within the tolerance; first-integral spread is compared in the
-    relative form spread/(1 + |mu|).
+    relative form spread/(1 + |mu|).  Sample sets not given are the chart
+    centre and seeded interior points: 8 on the base, 4 on the fiber and 8
+    on each factor of the product.
     """
     if base_samples is None:
-        base_samples = default_base_samples(w.base)
+        base_samples = _default_samples(w.base, 8, 0, 0.05)
     if fiber_samples is None:
-        fiber_samples = default_fiber_samples(w.fiber)
+        fiber_samples = _default_samples(w.fiber, 4, 1, 0.15)
     if product_samples is None:
-        product_samples = default_product_samples(w)
+        product_samples = np.hstack([_default_samples(w.base, 8, 2, 0.05),
+                                     _default_samples(w.fiber, 8, 3, 0.15)])
 
     checks: dict = {}
 

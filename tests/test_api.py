@@ -22,3 +22,40 @@ def test_submodule_all_names_resolve(module):
     assert len(mod.__all__) == len(set(mod.__all__))
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
+
+
+# the names the CLI, the demos and the tests use
+EXPORTS = {
+    # patches
+    "BoundaryProximityError", "DegenerateMetricError", "GeometryError",
+    "MetricPatch", "ScalarField", "SolitonConstants", "cartesian_profile_base",
+    "einstein_model_fiber", "euclidean_patch", "hyperbolic_patch",
+    "polar_plane_patch", "quadratic_potential", "constant_field",
+    "radial_field", "radial_profile_base", "sphere_patch", "torus_patch",
+    # curvature
+    "DEFAULT_STEP", "GradientData", "christoffel", "gradient_laplacian",
+    "hessian_fd", "ricci_fd", "soliton_residual", "transform_chart",
+    # warped
+    "BaseStructure", "BlockMatrix", "CertificationReport", "WarpedGeometry",
+    "assemble_warped", "base_structure", "certify_soliton", "einstein_check",
+    "lifted_potential", "ricci_closed_form",
+    # shooting
+    "AnsatzParams", "IntegrationError", "SolitonProfile", "SweepRow",
+    "certify_profile", "params_grid", "profile_geometry",
+    "recompute_diagnostics", "shoot", "sweep", "ambient_geometry",
+    "CSV_COLUMNS",
+    # quotient
+    "GroupAction", "QuotientCertificate", "certify_quotient",
+    "fixed_point_candidates", "invariance_deviation", "is_free",
+    "isometry_residual", "make_cyclic_action", "sphere_isometry_residual",
+    "fiber_sample_set", "base_sample_set",
+}
+
+
+def test_package_all_is_the_submodule_lists():
+    lists = [importlib.import_module(f"ricciwarp.{module}").__all__
+             for module in ("patches", "curvature", "warped", "shooting",
+                            "quotient")]
+    assert ricciwarp.__all__ == [name for names in lists for name in names]
+    assert len(ricciwarp.__all__) == len(set(ricciwarp.__all__)) == 58
+    assert set(ricciwarp.__all__) == EXPORTS

@@ -161,12 +161,12 @@ class TestIsometryResidual:
 
     def test_sphere_residual_zero_for_orthogonal(self):
         samples = fiber_sample_set(-np.eye(3), 2, n_random=8, seed=0)
-        assert sphere_isometry_residual(rotation(1.0, 3), 1.0, samples) < 1e-14
+        assert sphere_isometry_residual(rotation(1.0, 3), samples) < 1e-14
 
     def test_sphere_residual_positive_for_non_isometry(self):
         scale = np.array([[0.0, 2.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]])
         samples = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        assert sphere_isometry_residual(scale, 1.0, samples) > 0.1
+        assert sphere_isometry_residual(scale, samples) > 0.1
 
 
 class TestInvariance:

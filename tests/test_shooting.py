@@ -19,15 +19,14 @@ from ricciwarp import (
     params_grid,
     profile_geometry,
     recompute_diagnostics,
-    reduced_rhs,
     shoot,
     soliton_residual,
     sweep,
-    taylor_init,
 )
 from ricciwarp import shooting
 from ricciwarp.shooting import (
     _BLOWUP_LIMIT,
+    _EVAL_FLOOR,
     _LAUNCH_END,
     _LAUNCH_TOL,
     _POSITIVITY_FLOOR,
@@ -48,7 +47,8 @@ class TestReducedRhs:
         m, lam = 2, 0.5
         b0 = np.sqrt((m - 1) / lam)
         p = AnsatzParams(k=0, m=m, lam=lam, b0=b0)
-        bp, bpp, phipp = reduced_rhs((b0, 0.0, lam * 0.7), p)
+        bp, bpp, _, phipp = _rhs_with_phi(p)(
+            0.0, np.array([b0, 0.0, 0.0, lam * 0.7]))
         assert bp == 0.0
         assert abs(bpp) < 1e-14
         assert abs(phipp - lam) < 1e-14
@@ -56,7 +56,8 @@ class TestReducedRhs:
     def test_flat_state_stays_flat(self):
         # k >= 1, m = 1, a = t, b = 1, phi' = 0, lam = 0: everything rests
         p = AnsatzParams(k=1, m=1, lam=0.0, b0=1.0)
-        ap, app, bp, bpp, phipp = reduced_rhs((0.7, 1.0, 1.0, 0.0, 0.0), p)
+        ap, app, bp, bpp, _, phipp = _rhs_with_phi(p)(
+            0.0, np.array([0.7, 1.0, 1.0, 0.0, 0.0, 0.0]))
         assert (ap, bp) == (1.0, 0.0)
         assert abs(app) < 1e-14 and abs(bpp) < 1e-14 and abs(phipp) < 1e-14
 
@@ -66,18 +67,21 @@ class TestReducedRhs:
         # when m = 1, leaving b'' = -lam b
         lam, t, b = 0.3, 1.7, 1.4
         p1 = AnsatzParams(k=1, m=1, lam=lam, b0=1.0)
-        _, _, _, bpp, _ = reduced_rhs((t, 1.0, b, 0.0, 0.0), p1)
+        bpp = _rhs_with_phi(p1)(0.0, np.array([t, 1.0, b, 0.0, 0.0, 0.0]))[3]
         assert abs(bpp - (-lam * b)) < 1e-14
         p3 = AnsatzParams(k=1, m=3, lam=lam, b0=1.0)
-        _, _, _, bpp3, _ = reduced_rhs((t, 1.0, b, 0.0, 0.0), p3)
+        bpp3 = _rhs_with_phi(p3)(0.0, np.array([t, 1.0, b, 0.0, 0.0, 0.0]))[3]
         assert abs(bpp3 - b * ((3 - 1) / b ** 2 - lam)) < 1e-14
 
-    def test_degeneration_raises(self):
-        p = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)
-        with pytest.raises(GeometryError):
-            reduced_rhs((-0.1, 1.0, 1.0, 0.0, 0.0), p)
-        with pytest.raises(GeometryError):
-            reduced_rhs((1.0, 1.0, 0.0, 0.0, 0.0), p)
+    def test_degeneration_clamped(self):
+        # stages may probe past a degeneration before the terminal event
+        # stops the run: a <= 0 or b <= 0 is evaluated at the floor
+        rhs = _rhs_with_phi(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0))
+        for state, clamped in (([-0.1, 1.0, 1.0], [_EVAL_FLOOR, 1.0, 1.0]),
+                               ([1.0, 1.0, 0.0], [1.0, 1.0, _EVAL_FLOOR])):
+            out = rhs(0.0, np.array(state + [0.0, 0.0, 0.0]))
+            assert np.isfinite(out).all()
+            assert out == rhs(0.0, np.array(clamped + [0.0, 0.0, 0.0]))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -91,20 +95,29 @@ class TestReducedRhs:
 class TestTaylorInit:
     def test_epsilon_to_zero_limit(self):
         p = AnsatzParams(k=1, m=2, lam=0.0, b0=1.3, epsilon=1e-7)
-        a, ap, b, bp, phip = taylor_init(p)
+        a, ap, b, bp, phip = _series_start(p)
         assert abs(a - 1e-7) < 1e-20
         assert abs(ap - 1.0) < 1e-13
         assert abs(b - 1.3) < 1e-13
         assert abs(bp) < 1e-6
         assert abs(phip) < 1e-6
 
-    def test_k0_rejected(self):
-        with pytest.raises(ValueError):
-            taylor_init(AnsatzParams(k=0, m=2, lam=0.0, b0=1.0))
+    def test_k0_start(self):
+        # for k = 0 the b-series fixes phi2 = (lam + 2 m b2 / b0) / 2,
+        # whatever params.phi2 says, and phi' = 2 phi2 eps
+        m, lam, b0 = 2, 0.3, 1.2
+        p = AnsatzParams(k=0, m=m, lam=lam, b0=b0, phi2=7.0)
+        _, _, b, bp, phip = _series_start(p)
+        eps = p.epsilon
+        b2 = ((m - 1) / b0 - lam * b0) / 2.0
+        phi2 = (lam + 2.0 * m * b2 / b0) / 2.0
+        assert b == pytest.approx(b0 + b2 * eps ** 2, rel=1e-15)
+        assert bp == pytest.approx(2.0 * b2 * eps, rel=1e-15)
+        assert phip == pytest.approx(2.0 * phi2 * eps, rel=1e-15)
 
     def test_epsilon_too_large_rejected(self):
         with pytest.raises(ValueError):
-            taylor_init(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, epsilon=0.5))
+            _series_start(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, epsilon=0.5))
 
     @pytest.mark.parametrize("k,m", [(1, 2), (2, 3)])
     def test_epsilon_halving_consistency(self, k, m):
@@ -386,7 +399,7 @@ class TestDiagnosticsIndependence:
         # a start violating the smooth-closure series produces a profile
         # whose reported first integral is visibly non-constant
         p = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)
-        state = list(taylor_init(p))
+        state = list(_series_start(p))
         state[3] += 0.01  # b'(eps) off the series value
         y0 = np.array(state[:4] + [0.0, state[4]])
         sol = solve_ivp(_rhs_with_phi(p), (p.epsilon, 10.0), y0,
@@ -422,6 +435,17 @@ class TestDiagnosticsIndependence:
             status=prof.status, end_time=prof.end_time)
         report = certify_profile(tampered, n_base=6, n_product=6)
         assert not report.verdict
+
+    def test_replaced_profile_fits_its_own_splines(self, steady_profile_12):
+        # a dataclasses.replace copy does not share the original's cache,
+        # so tampered arrays reach the certificate
+        prof = steady_profile_12
+        b_spline = prof.interpolants()[1]
+        tampered = replace(prof, b=1.05 * prof.b)
+        assert tampered.interpolants()[1] is not b_spline
+        assert float(tampered.interpolants()[1](3.0)) == pytest.approx(
+            1.05 * float(b_spline(3.0)), rel=1e-12)
+        assert not certify_profile(tampered, n_base=6, n_product=6).verdict
 
 
 class TestCertifyProfile:
@@ -485,7 +509,7 @@ class TestInterpolants:
             return prof
         prof = {"k1m2": steady_profile_12, "k2m3": steady_profile_23,
                 "k0m2": steady_profile_02}[request.param]
-        return replace(prof, _splines={})
+        return replace(prof)   # a copy without the fixture's splines
 
     def test_one_fit_cached(self, profile, monkeypatch):
         calls = []

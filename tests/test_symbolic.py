@@ -3,14 +3,15 @@
 Derives Ric + Hess(phi) - lam g for dt^2 + a(t)^2 g_{S^k} + b(t)^2 g_{S^m}
 in spherical coordinates from the metric alone, solves the t-, S^k- and
 S^m-components for a'', b'' and phi'', and compares the result with the
-kernel and with ``reduced_rhs`` at seeded random states.
+kernel and with the integrator's right side ``_rhs_with_phi`` at seeded
+random states.
 """
 
 import numpy as np
 import pytest
 
-from ricciwarp import AnsatzParams, reduced_rhs
-from ricciwarp.shooting import _reduced_kernel
+from ricciwarp import AnsatzParams
+from ricciwarp.shooting import _reduced_kernel, _rhs_with_phi
 
 sp = pytest.importorskip("sympy")
 
@@ -83,11 +84,13 @@ def test_kernel_matches_symbolic_derivation(k, m):
 
         s_a, s_b, phipp = _reduced_kernel(params, a, ap, b, bp, phip)
         kernel = [a * s_a, b * s_b, phipp]
+        # the a'', b'' and phi'' slots of the state derivative
         if k >= 1:
-            _, app, _, bpp, phipp = reduced_rhs((a, ap, b, bp, phip), params)
-            rhs = [app, bpp, phipp]
+            dy = _rhs_with_phi(params)(0.0, np.array([a, ap, b, bp, 0.0, phip]))
+            rhs = [dy[1], dy[3], dy[5]]
         else:
-            rhs = reduced_rhs((b, bp, phip), params)[1:]
+            dy = _rhs_with_phi(params)(0.0, np.array([b, bp, 0.0, phip]))
+            rhs = [dy[1], dy[3]]
         np.testing.assert_allclose(kernel[3 - len(want):], want,
                                    rtol=1e-12, atol=0)
         np.testing.assert_allclose(rhs, want, rtol=1e-12, atol=0)
