@@ -121,6 +121,7 @@ def _derivative_weights(offsets):
 # stencil's so the edges never dominate differentiated diagnostics
 _EDGE0 = _derivative_weights(range(0, 6))    # derivative at node 0
 _EDGE1 = _derivative_weights(range(-1, 5))   # derivative at node 1
+_MIN_SAMPLES = _EDGE0.size                   # the shortest grid it takes
 
 
 def grid_derivative(values, dt: float) -> np.ndarray:
@@ -134,8 +135,8 @@ def grid_derivative(values, dt: float) -> np.ndarray:
     """
     y = np.ascontiguousarray(values, dtype=float)
     n = y.size
-    if n < 6:
-        raise ValueError("grid_derivative needs at least 6 samples")
+    if n < _MIN_SAMPLES:
+        raise ValueError(f"grid_derivative needs {_MIN_SAMPLES} samples or more")
     d = np.empty(n)
     d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * dt)
     d[0] = np.dot(_EDGE0, y[:6]) / dt

@@ -33,9 +33,10 @@ side total.  It is an adaptive DOP853 loop (``_dop853``: Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.10) with the steps, dense output and event
 roots of scipy's ``solve_ivp(method="DOP853")``.
 
-Profile diagnostics (the first-integral series mu(t) and the per-equation
-residual columns) are computed by differentiating the stored grid arrays,
-never by substituting the right side back in; substituting would cancel
+A profile stores only its integrated state, the grid arrays.  Its
+diagnostics (the first-integral series mu(t) and the per-equation residual
+columns) are derived by differentiating those arrays, never by
+substituting the right side back in; substituting would cancel
 algebraically and report conservation even for corrupted data.
 """
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -51,7 +52,7 @@ from scipy.interpolate import BSpline, make_interp_spline
 from scipy.optimize import brentq
 
 from .curvature import _MARGIN_SECOND
-from .fd import grid_derivative
+from .fd import _MIN_SAMPLES, grid_derivative
 from .patches import (
     GeometryError,
     ScalarField,
@@ -76,16 +77,18 @@ __all__ = [
     "certify_profile",
     "params_grid",
     "profile_geometry",
-    "recompute_diagnostics",
     "shoot",
     "sweep",
     "ambient_geometry",
     "CSV_COLUMNS",
 ]
 
-PROFILE_SCHEMA_VERSION = 1
-CSV_COLUMNS = ("t", "a", "a_prime", "b", "b_prime", "phi", "phi_prime",
-               "mu", "res_tt", "res_sk", "res_sm")
+PROFILE_SCHEMA_VERSION = 2
+CSV_COLUMNS = ("t", "a", "a_prime", "b", "b_prime", "phi", "phi_prime")
+# the header row of each schema version that loads; version 1 also stored
+# the derived diagnostics, four trailing columns whose values are dropped
+_CSV_HEADERS = {1: CSV_COLUMNS + ("mu", "res_tt", "res_sk", "res_sm"),
+                2: CSV_COLUMNS}
 
 _POSITIVITY_FLOOR = 1e-6   # terminal event threshold for a, b
 _EVAL_FLOOR = 1e-7         # clamp inside the stepper so stages stay finite
@@ -266,11 +269,12 @@ def _dense_eval(runs, ts):
 
 @dataclass
 class SolitonProfile:
-    """Discretized profile with conservation and residual diagnostics.
+    """A profile: its parameters, state arrays (``CSV_COLUMNS``) and outcome.
 
-    ``a``/``a_prime``/``res_sk`` are NaN-filled for k = 0.  ``mu`` and the
-    residual columns are recomputed from the grid arrays (see the module
-    docstring), so corrupting the arrays shows up in them.
+    ``a``/``a_prime`` are NaN-filled for k = 0.  There are at least 6 rows,
+    the stencil of :func:`_diagnostics`, which derives ``mu``, ``res_tt``,
+    ``res_sk`` (NaN for k = 0) and ``res_sm`` from the arrays on first read
+    and caches them beside the splines, so corrupted arrays show in them.
     """
 
     params: AnsatzParams
@@ -281,15 +285,28 @@ class SolitonProfile:
     b_prime: np.ndarray
     phi: np.ndarray
     phi_prime: np.ndarray
-    mu: np.ndarray
-    res_tt: np.ndarray
-    res_sk: np.ndarray
-    res_sm: np.ndarray
     status: str = "completed"
     end_time: float = 0.0
-    # not an init field, so a dataclasses.replace copy fits its own splines
-    _splines: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    # not an init field, so a dataclasses.replace copy derives its own
+    # splines and diagnostics
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def __post_init__(self):
+        if self.t.size < _MIN_SAMPLES:
+            raise ValueError(f"profile has {self.t.size} rows; it needs {_MIN_SAMPLES}")
+
+    def _diagnostic(self, i: int) -> np.ndarray:
+        if "diagnostics" not in self._cache:
+            self._cache["diagnostics"] = _diagnostics(
+                self.params, self.t, self.a, self.a_prime, self.b,
+                self.b_prime, self.phi_prime)
+        return self._cache["diagnostics"][i]
+
+    mu = property(lambda self: self._diagnostic(0))
+    res_tt = property(lambda self: self._diagnostic(1))
+    res_sk = property(lambda self: self._diagnostic(2))
+    res_sm = property(lambda self: self._diagnostic(3))
 
     @property
     def lam(self) -> float:
@@ -308,8 +325,8 @@ class SolitonProfile:
         return self.params.classification
 
     def interpolants(self):
-        """Quintic splines (a, b, phi) through the grid arrays (cubic
-        below 6 rows), fitted once and cached.
+        """Quintic splines (a, b, phi) through the grid arrays, fitted
+        once and cached.
 
         The columns share their knots, degree and collocation matrix, so
         one collocation solve fits them all; each spline has the same bits
@@ -317,16 +334,13 @@ class SolitonProfile:
         the stored arrays only, so a profile loaded from CSV reproduces
         them exactly.  For k = 0 the a-slot is None.
 
-        Raises ``ValueError`` when the arrays cannot be fitted: fewer than
-        4 rows, ``t`` not finite and strictly increasing, or a non-finite
-        value in a (k >= 1), b or phi.
+        Raises ``ValueError`` when the arrays cannot be fitted: ``t`` not
+        finite and strictly increasing, or a non-finite value in a
+        (k >= 1), b or phi.
         """
-        if not self._splines:
+        if "splines" not in self._cache:
             names = ("b", "phi", "a") if self.params.k >= 1 else ("b", "phi")
             t = self.t
-            if t.size < 4:
-                raise ValueError(f"profile has {t.size} rows; its splines "
-                                 "need at least 4")
             if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
                 raise ValueError("profile column t is not finite and "
                                  "strictly increasing")
@@ -335,13 +349,11 @@ class SolitonProfile:
                 if not np.isfinite(column).all():
                     raise ValueError(f"profile column {name} has a "
                                      "non-finite value")
-            kq = 5 if t.size > 5 else 3
-            fit = make_interp_spline(t, np.column_stack(columns), k=kq)
-            self._splines["a"] = None
-            for j, name in enumerate(names):
-                self._splines[name] = BSpline(fit.t, fit.c[:, j], kq,
-                                              extrapolate=True)
-        return self._splines["a"], self._splines["b"], self._splines["phi"]
+            fit = make_interp_spline(t, np.column_stack(columns), k=5)
+            fits = {name: BSpline(fit.t, fit.c[:, j], 5, extrapolate=True)
+                    for j, name in enumerate(names)}
+            self._cache["splines"] = fits.get("a"), fits["b"], fits["phi"]
+        return self._cache["splines"]
 
     # -- serialization ------------------------------------------------------
 
@@ -359,9 +371,7 @@ class SolitonProfile:
             f"# status={self.status} end_time={self.end_time:.17g}\n",
             ",".join(CSV_COLUMNS) + "\n",
         ]
-        rows = np.column_stack([self.t, self.a, self.a_prime, self.b,
-                                self.b_prime, self.phi, self.phi_prime,
-                                self.mu, self.res_tt, self.res_sk, self.res_sm])
+        rows = np.column_stack([getattr(self, name) for name in CSV_COLUMNS])
         # blocks bound the transient list of Python floats and strings
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
             block = rows[start:start + _CSV_BLOCK_ROWS]
@@ -386,16 +396,18 @@ class SolitonProfile:
     def parse_csv(cls, text: str) -> "SolitonProfile":
         """Parse profile CSV text written by :meth:`to_csv`.
 
+        Reads each version of ``_CSV_HEADERS``, keeping ``CSV_COLUMNS``.
         Raises ``ValueError`` on a malformed or wrong-version profile: a
-        missing or bad header line, a data row without exactly one number
-        per column, or no data rows at all.
+        missing or bad header line, a header row not of its version, a
+        data row without one number per column, or fewer than 6 rows.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# schema_version="):
             raise ValueError("not a profile CSV: missing schema_version line")
         version = int(lines[0].split("=", 1)[1])
-        if version != PROFILE_SCHEMA_VERSION:
+        if version not in _CSV_HEADERS:
             raise ValueError(f"unsupported profile schema_version {version}")
+        header = _CSV_HEADERS[version]
         if len(lines) < 2 or not lines[1].startswith("# params="):
             raise ValueError("profile CSV missing params line")
         params = _params_from_dict(json.loads(lines[1].split("=", 1)[1]))
@@ -408,22 +420,20 @@ class SolitonProfile:
             status = part[0].split("=", 1)[1]
             end_time = float(part[1].split("=", 1)[1])
             idx += 1
-        if idx >= len(lines) or tuple(lines[idx].split(",")) != CSV_COLUMNS:
-            raise ValueError("profile CSV has an unexpected header row")
+        if idx >= len(lines) or tuple(lines[idx].split(",")) != header:
+            raise ValueError("profile CSV has an unexpected header row for "
+                             f"schema_version {version}")
         data = lines[idx + 1:]
         try:
             rows = (np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
                     if data else np.empty((0, 0)))
         except ValueError as exc:
             raise ValueError(f"profile CSV has malformed data rows: {exc}") from exc
-        if rows.shape[1] != len(CSV_COLUMNS):
+        if rows.shape[1] != len(header):
             raise ValueError("profile CSV has malformed data rows: expected "
-                             f"rows of {len(CSV_COLUMNS)} numbers")
-        (t, a, ap, b, bp, phi, phip, mu, r_tt, r_sk, r_sm) = rows.T
-        return cls(params=params, t=t, a=a, a_prime=ap, b=b, b_prime=bp,
-                   phi=phi, phi_prime=phip, mu=mu,
-                   res_tt=r_tt, res_sk=r_sk, res_sm=r_sm,
-                   status=status, end_time=end_time)
+                             f"rows of {len(header)} numbers")
+        return cls(params=params, status=status, end_time=end_time,
+                   **dict(zip(CSV_COLUMNS, rows.T)))
 
 
 def _params_from_dict(raw) -> AnsatzParams:
@@ -446,11 +456,13 @@ def _params_from_dict(raw) -> AnsatzParams:
 
 
 def _diagnostics(params: AnsatzParams, t, a, ap, b, bp, phip):
-    """Grid-FD residual columns and first-integral series.
+    """A profile's derived series ``(mu, res_tt, res_sk, res_sm)``.
 
-    b'' is obtained by differentiating the b' array; with b'' from the
-    right side the first integral collapses to the constant m - 1
-    identically and the conservation check would be vacuous.
+    The first-integral series and the per-equation residual columns, by
+    grid finite differences of the state arrays.  b'' is obtained by
+    differentiating the b' array; with b'' from the right side the first
+    integral collapses to the constant m - 1 identically and the
+    conservation check would be vacuous.
     """
     k, m, lam = params.k, params.m, params.lam
     dt = t[1] - t[0]
@@ -712,29 +724,14 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
         a = np.full_like(t, np.nan)
         ap = np.full_like(t, np.nan)
 
-    mu, res_tt, res_sk, res_sm = _diagnostics(params, t, a, ap, b, bp, phip)
     return SolitonProfile(params=params, t=t, a=a, a_prime=ap, b=b,
-                          b_prime=bp, phi=phi, phi_prime=phip, mu=mu,
-                          res_tt=res_tt, res_sk=res_sk, res_sm=res_sm,
+                          b_prime=bp, phi=phi, phi_prime=phip,
                           status=status, end_time=t_end)
 
 
 # ---------------------------------------------------------------------------
 # certification of profiles
 # ---------------------------------------------------------------------------
-
-def recompute_diagnostics(profile: SolitonProfile) -> SolitonProfile:
-    """Rebuild the mu and residual series from the stored state arrays.
-
-    Detects tampered or inconsistent profile data: the recomputed series
-    reflect whatever the arrays actually contain, so a corrupted column
-    shows a non-constant first integral or large equation residuals.
-    """
-    p = profile
-    mu, res_tt, res_sk, res_sm = _diagnostics(
-        p.params, p.t, p.a, p.a_prime, p.b, p.b_prime, p.phi_prime)
-    return replace(p, mu=mu, res_tt=res_tt, res_sk=res_sk, res_sm=res_sm)
-
 
 def profile_geometry(profile: SolitonProfile, h: float = 1e-3):
     """Warped geometry carrying a profile's data.

@@ -96,7 +96,7 @@ class WarpedGeometry:
         samples = _positivity_samples(self.base)
         bad = self.f(samples) <= 0.0
         if bad.any():
-            raise ValueError(
+            raise GeometryError(
                 f"warping function '{self.f.label}' is not positive at "
                 f"{samples[np.argmax(bad)]}")
 

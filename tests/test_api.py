@@ -41,9 +41,8 @@ EXPORTS = {
     "lifted_potential", "ricci_closed_form",
     # shooting
     "AnsatzParams", "IntegrationError", "SolitonProfile", "SweepRow",
-    "certify_profile", "params_grid", "profile_geometry",
-    "recompute_diagnostics", "shoot", "sweep", "ambient_geometry",
-    "CSV_COLUMNS",
+    "certify_profile", "params_grid", "profile_geometry", "shoot", "sweep",
+    "ambient_geometry", "CSV_COLUMNS",
     # quotient
     "GroupAction", "QuotientCertificate", "certify_quotient",
     "fixed_point_candidates", "invariance_deviation", "is_free",
@@ -57,5 +56,5 @@ def test_package_all_is_the_submodule_lists():
              for module in ("patches", "curvature", "warped", "shooting",
                             "quotient")]
     assert ricciwarp.__all__ == [name for names in lists for name in names]
-    assert len(ricciwarp.__all__) == len(set(ricciwarp.__all__)) == 58
+    assert len(ricciwarp.__all__) == len(set(ricciwarp.__all__)) == 57
     assert set(ricciwarp.__all__) == EXPORTS

@@ -13,7 +13,8 @@ from ricciwarp.cli import (
     MAX_WORKERS,
     main,
 )
-from ricciwarp.shooting import SolitonProfile
+from ricciwarp import shooting
+from ricciwarp.shooting import CSV_COLUMNS, SolitonProfile
 
 
 def write_config(path, extra=None, **blocks):
@@ -147,7 +148,7 @@ class TestCertify:
         assert main(["certify", "--config", str(cfg_path)]) == 4
 
     @pytest.mark.parametrize("mutate", [
-        lambda rows: rows[:1] + [rows[1].rsplit(",", 1)[0]] + rows[2:],
+        lambda rows: rows[:1] + [rows[1] + ",0,0,0"] + rows[2:],
         lambda rows: rows[:1] + [rows[1].replace(",", ",x", 1)] + rows[2:],
         lambda rows: [],
     ], ids=["ten-columns", "non-numeric-token", "no-data-rows"])
@@ -186,6 +187,20 @@ class TestCertify:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "h=0.2" in err
         assert "sphere-2d-r1" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid_per_unit", [100, 200])
+    def test_warping_dip_exits_3(self, tmp_path, capsys, grid_per_unit):
+        # this profile blows up at t = 1.95; at these grids the quintic
+        # spline of b dips below 0 at a positivity sample of the warping
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve={"k": 0, "m": 2, "lambda": 0.0,
+                                      "b0": 1.0,
+                                      "grid_per_unit": grid_per_unit},
+                     certify={})
+        assert main(["certify", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: warping function")
         assert not (tmp_path / "out").exists()
 
     def test_certify_without_source_exits_2(self, tmp_path):
@@ -258,7 +273,8 @@ def _set_cell(rows, row, column, value):
 
 
 class TestUnfittableProfile:
-    """Profiles that parse but whose splines cannot be fitted exit 4."""
+    """Profiles whose splines cannot be fitted or that have fewer than the
+    6 rows of the diagnostics stencil exit 4."""
 
     @pytest.mark.parametrize("command,block", [
         ("certify", {}),
@@ -274,8 +290,10 @@ class TestUnfittableProfile:
         (lambda rows: [rows[0], rows[-1]], "has 2 rows"),
         (lambda rows: [rows[0], rows[len(rows) // 2], rows[-1]],
          "has 3 rows"),
+        (lambda rows: rows[::len(rows) // 3][:4], "has 4 rows"),
+        (lambda rows: rows[::len(rows) // 4][:5], "has 5 rows"),
     ], ids=["nan-in-b", "inf-in-phi", "swapped-t-rows", "two-rows",
-            "three-rows"])
+            "three-rows", "four-rows", "five-rows"])
     def test_exits_4_without_artifact(self, tmp_path, capsys, command, block,
                                       mutate, reason):
         cfg_path = tmp_path / "c.json"
@@ -293,6 +311,154 @@ class TestUnfittableProfile:
         assert reason in err
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "profile.csv", "solve_summary.json"]
+
+
+    @pytest.mark.parametrize("command,block", [
+        ("certify", {}),
+        ("quotient", {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}),
+    ])
+    def test_no_row_count_exits_1(self, tmp_path, capsys, command, block):
+        # n rows spread over the span: too few exit 4, the rest give a
+        # verdict or a documented failure
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
+                                      "b0": 1.0, "t_max": 3.0})
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        lines = (tmp_path / "out" / "profile.csv").read_text().splitlines()
+        rows = lines[4:]
+        bad = tmp_path / "bad.csv"
+        write_config(cfg_path, **{command: dict(block, profile=str(bad))})
+        for n in range(9):
+            picked = [rows[i * (len(rows) - 1) // max(n - 1, 1)]
+                      for i in range(n)]
+            bad.write_text("\n".join(lines[:4] + picked) + "\n")
+            code = main([command, "--config", str(cfg_path)])
+            assert code == 4 if n < 6 else code in (0, 2, 3), n
+        capsys.readouterr()
+
+
+def _v1_text(text, mu=None):
+    """Schema 2 profile text rewritten in schema 1, which also stored the
+    derived columns mu, res_tt, res_sk and res_sm; ``mu``, when given,
+    replaces the text of every mu cell."""
+    prof = SolitonProfile.parse_csv(text)
+    lines = text.splitlines()
+    assert lines[0] == "# schema_version=2"
+    derived = np.column_stack([prof.mu, prof.res_tt, prof.res_sk, prof.res_sm])
+    rows = []
+    for row, values in zip(lines[4:], derived.tolist()):
+        cells = [f"{x:.17g}" for x in values]
+        if mu is not None:
+            cells[0] = mu
+        rows.append(",".join([row, *cells]))
+    return "\n".join(["# schema_version=1", *lines[1:3],
+                      lines[3] + ",mu,res_tt,res_sk,res_sm", *rows]) + "\n"
+
+
+class TestProfileSchemaV1:
+    """Version 1 files, which also stored the diagnostics, still load; the
+    stored diagnostics are dropped and derived from the state anew."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """``run(text)``: certify ``text`` as one fixed profile path and
+        return the exit code and the certification.json bytes."""
+        tmp = tmp_path_factory.mktemp("v1")
+        cfg_path = tmp / "c.json"
+        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
+                                      "b0": 1.0, "t_max": 4.0})
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        v2 = (tmp / "out" / "profile.csv").read_text()
+        profile = tmp / "p.csv"
+        write_config(cfg_path, certify={"profile": str(profile), "n_base": 6,
+                                        "n_product": 8})
+        report = tmp / "out" / "certification.json"
+
+        def run(text):
+            profile.write_text(text)
+            report.unlink(missing_ok=True)
+            code = main(["certify", "--config", str(cfg_path)])
+            return code, report.read_bytes() if report.exists() else None
+
+        run.v2 = v2
+        return run
+
+    def test_v1_loads_the_v2_state_bit_for_bit(self, run):
+        v2 = SolitonProfile.parse_csv(run.v2)
+        v1 = SolitonProfile.parse_csv(_v1_text(run.v2))
+        assert (v1.params, v1.status, v1.end_time) == (
+            v2.params, v2.status, v2.end_time)
+        for name in CSV_COLUMNS:
+            assert (getattr(v1, name).view(np.uint64)
+                    == getattr(v2, name).view(np.uint64)).all(), name
+
+    def test_v1_and_v2_certify_byte_identical(self, run):
+        code, v2_report = run(run.v2)
+        assert code == 0
+        assert run(_v1_text(run.v2)) == (0, v2_report)
+
+    @pytest.mark.parametrize("mu", ["-1", "0", "nan", "5"])
+    def test_edited_diagnostics_change_nothing(self, run, mu):
+        code, report = run(_v1_text(run.v2))
+        assert code == 0
+        edited = _v1_text(run.v2, mu=mu)
+        assert f",{mu}," in edited
+        assert run(edited) == (0, report)
+
+    @pytest.mark.parametrize("version,table", [(1, 2), (2, 1)])
+    def test_header_row_of_another_version_rejected(self, run, capsys,
+                                                    version, table):
+        text = run.v2 if table == 2 else _v1_text(run.v2)
+        head, rest = text.split("\n", 1)
+        text = f"# schema_version={version}\n{rest}"
+        with pytest.raises(ValueError, match="unexpected header row for "
+                                             f"schema_version {version}"):
+            SolitonProfile.parse_csv(text)
+        assert run(text) == (4, None)
+        assert "unexpected header row" in capsys.readouterr().err
+
+
+class TestDiagnosticsCalls:
+    """Each workflow derives a profile's diagnostics at most once, and a
+    quotient, which never reads them, not at all."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, diagnostics = [], shooting._diagnostics
+
+        def counting(*args):
+            calls.append(args[0])
+            return diagnostics(*args)
+
+        monkeypatch.setattr(shooting, "_diagnostics", counting)
+        return calls
+
+    def test_per_workflow(self, tmp_path, calls):
+        cfg_path = tmp_path / "c.json"
+        solve = {"k": 1, "m": 2, "lambda": 0.0, "b0": 1.0, "t_max": 3.0}
+        write_config(cfg_path, solve=solve, certify={"n_base": 4,
+                                                     "n_product": 4})
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        assert len(calls) == 1
+        assert main(["certify", "--config", str(cfg_path)]) == 0
+        assert len(calls) == 2
+        profile = str(tmp_path / "out" / "profile.csv")
+        write_config(cfg_path, certify={"profile": profile, "n_base": 4,
+                                        "n_product": 4},
+                     quotient={"p": 2, "k": 1, "m": 2, "kind": "antipodal",
+                               "profile": profile})
+        assert main(["certify", "--config", str(cfg_path)]) == 0
+        assert len(calls) == 3
+        assert main(["quotient", "--config", str(cfg_path)]) == 0
+        assert len(calls) == 3
+
+    def test_one_per_sweep_row(self, tmp_path, calls):
+        cfg_path = tmp_path / "s.json"
+        write_config(cfg_path, sweep={"k": [0, 1], "m": [2], "lambda": [0.0],
+                                      "b0": [0.9, 1.0], "t_max": 2.0})
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert [(p.k, p.b0) for p in calls] == [
+            (0, 0.9), (0, 1.0), (1, 0.9), (1, 1.0)]
 
 
 class TestSweep:

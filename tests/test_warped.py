@@ -77,7 +77,7 @@ class TestAssemble:
 
     def test_nonpositive_warping_rejected(self):
         base = polar_plane_patch()
-        with pytest.raises(ValueError):
+        with pytest.raises(GeometryError):
             WarpedGeometry(base=base, fiber=sphere_patch(1),
                            f=ScalarField(lambda X: X[:, 0] - 2.0, "t-2"),
                            phi=constant_field(0.0),
