@@ -14,7 +14,6 @@ import numpy as np
 
 from ricciwarp import (
     ScalarField,
-    SolitonConstants,
     WarpedGeometry,
     assemble_warped,
     constant_field,
@@ -27,16 +26,14 @@ from ricciwarp import (
 geometries = {
     "product (f = 1)": WarpedGeometry(
         base=polar_plane_patch(), fiber=sphere_patch(2),
-        f=constant_field(1.0), phi=constant_field(0.0),
-        constants=SolitonConstants(lam=0.0, m=2)),
+        f=constant_field(1.0), phi=constant_field(0.0), lam=0.0),
     "cylinder (f = b0)": WarpedGeometry(
         base=polar_plane_patch(), fiber=sphere_patch(2),
-        f=constant_field(1.3), phi=constant_field(0.0),
-        constants=SolitonConstants(lam=0.0, m=2)),
+        f=constant_field(1.3), phi=constant_field(0.0), lam=0.0),
     "annulus (f = t)": WarpedGeometry(
         base=polar_plane_patch(t_range=(0.5, 2.5)), fiber=sphere_patch(1),
         f=ScalarField(lambda X: X[:, 0], "t"), phi=constant_field(0.0),
-        constants=SolitonConstants(lam=0.0, m=1)),
+        lam=0.0),
 }
 
 for name, geom in geometries.items():

@@ -22,7 +22,7 @@ enforced by :meth:`MetricPatch.require_interior`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,13 +33,11 @@ __all__ = [
     "DegenerateMetricError",
     "MetricPatch",
     "ScalarField",
-    "SolitonConstants",
     "euclidean_patch",
     "polar_plane_patch",
     "sphere_patch",
     "torus_patch",
     "hyperbolic_patch",
-    "einstein_model_fiber",
     "radial_profile_base",
     "cartesian_profile_base",
     "quadratic_potential",
@@ -167,34 +165,6 @@ class ScalarField:
         return float(v[0]) if single else v
 
 
-@dataclass(frozen=True)
-class SolitonConstants:
-    """Scalar data of a warped soliton structure.
-
-    ``lam`` is the soliton constant (shrinking > 0, steady = 0, expanding < 0),
-    ``m`` the fiber dimension, ``mu`` the fiber Einstein constant, and ``c``
-    the constant of the scalar structure equation.  ``mu`` and ``c`` may be
-    left ``None`` and calibrated from the data.
-    """
-
-    lam: float
-    m: int
-    mu: float | None = None
-    c: float | None = None
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("fiber dimension m must be >= 1")
-
-    @property
-    def classification(self) -> str:
-        if self.lam > 0:
-            return "shrinking"
-        if self.lam < 0:
-            return "expanding"
-        return "steady"
-
-
 # ---------------------------------------------------------------------------
 # chart library
 # ---------------------------------------------------------------------------
@@ -267,31 +237,6 @@ def hyperbolic_patch(m: int, radius: float = 1.0) -> MetricPatch:
         return (r2 / Y[:, -1] ** 2)[:, None, None] * eye
 
     return MetricPatch(m, dom, g, f"hyperbolic-{m}d-r{radius:g}")
-
-
-# an Einstein constant of at most this size gets the flat model fiber
-_FLAT_TOL = 1e-8
-
-
-def einstein_model_fiber(m: int, mu: float):
-    """Model fiber with Ricci = mu * g, plus its scale factor.
-
-    Returns ``(patch, rho)`` where ``rho`` is the model scale: a round
-    sphere of radius ``rho`` for mu > 0, a flat torus (``rho = 1``) for
-    |mu| <= ``_FLAT_TOL``, and a hyperbolic space of radius ``rho`` for
-    mu < 0.  One-dimensional fibers are flat, so only the flat case is
-    admissible there.
-    """
-    if abs(mu) <= _FLAT_TOL:
-        return torus_patch(m), 1.0
-    if m == 1:
-        raise GeometryError(
-            f"a 1-dimensional fiber is flat; Einstein constant {mu:g} is unattainable")
-    if mu > 0:
-        rho = float(np.sqrt((m - 1) / mu))
-        return sphere_patch(m, radius=rho), rho
-    rho = float(np.sqrt((m - 1) / (-mu)))
-    return hyperbolic_patch(m, radius=rho), rho
 
 
 def radial_profile_base(a, k: int, t_range, label: str = "radial-base") -> MetricPatch:

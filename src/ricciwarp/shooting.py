@@ -56,11 +56,10 @@ from .fd import _MIN_SAMPLES, grid_derivative
 from .patches import (
     GeometryError,
     ScalarField,
-    SolitonConstants,
     cartesian_profile_base,
-    einstein_model_fiber,
     radial_field,
     radial_profile_base,
+    sphere_patch,
 )
 from .warped import (
     CertificationReport,
@@ -145,7 +144,11 @@ class AnsatzParams:
 
     @property
     def classification(self) -> str:
-        return SolitonConstants(self.lam, self.m).classification
+        if self.lam > 0:
+            return "shrinking"
+        if self.lam < 0:
+            return "expanding"
+        return "steady"
 
 
 def _reduced_kernel(params: AnsatzParams, a, ap, b, bp, phip):
@@ -462,9 +465,16 @@ def _diagnostics(params: AnsatzParams, t, a, ap, b, bp, phip):
     grid finite differences of the state arrays.  b'' is obtained by
     differentiating the b' array; with b'' from the right side the first
     integral collapses to the constant m - 1 identically and the
-    conservation check would be vacuous.
+    conservation check would be vacuous.  The stencils take one step for
+    the whole grid, so ``t`` must be uniform: a spacing that differs from
+    the mean spacing by more than 1e-9 of it raises ``ValueError``.
     """
     k, m, lam = params.k, params.m, params.lam
+    steps = np.diff(t)
+    mean = (t[-1] - t[0]) / steps.size
+    if np.abs(steps - mean).max() > 1e-9 * abs(mean):
+        raise ValueError("profile column t is not uniformly spaced; the "
+                         "diagnostics difference it with one step")
     dt = t[1] - t[0]
     s_a, s_b, phipp_rhs = _reduced_kernel(params, a, ap, b, bp, phip)
     bpp_fd = grid_derivative(bp, dt)
@@ -734,27 +744,25 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
 # ---------------------------------------------------------------------------
 
 def profile_geometry(profile: SolitonProfile, h: float = 1e-3):
-    """Warped geometry carrying a profile's data.
+    """Warped geometry carrying a profile's data: the ansatz itself.
 
-    The base patch is dt^2 + a^2 g_{S^k} over the profile span; the fiber
-    is the model Einstein space whose constant is the mean of the
-    first-integral series, and the warping is b(t) scaled to the model
-    fiber so the assembled product metric is exactly the ansatz metric.
+    The base patch is dt^2 + a^2 g_{S^k} over the profile span, the fiber
+    the unit m-sphere, the warping b(t) and the potential phi(t), all read
+    from the splines of the a, b and phi columns; nothing is derived from
+    the profile's diagnostics.
     """
     if profile.b.min() <= 0 or (profile.params.k >= 1 and profile.a.min() <= 0):
         raise GeometryError("profile has nonpositive metric coefficients")
     params = profile.params
-    k, m = params.k, params.m
+    k = params.k
     a_s, b_s, phi_s = profile.interpolants()
-    fiber, rho = einstein_model_fiber(m, profile.mu_mean)
     base = radial_profile_base(
         a_s, k, (float(profile.t[0]) + 8 * h, float(profile.t[-1]) - 8 * h),
         label=f"profile-base-k{k}")
-    warp = ScalarField(lambda X: b_s(X[:, 0]) / rho, "b-warping")
+    warp = ScalarField(lambda X: b_s(X[:, 0]), "b-warping")
     potential = ScalarField(lambda X: phi_s(X[:, 0]), "phi-potential")
-    constants = SolitonConstants(lam=params.lam, m=m, mu=None, c=None)
-    return WarpedGeometry(base=base, fiber=fiber, f=warp, phi=potential,
-                          constants=constants)
+    return WarpedGeometry(base=base, fiber=sphere_patch(params.m), f=warp,
+                          phi=potential, lam=params.lam)
 
 
 def ambient_radial_range(profile: SolitonProfile):
@@ -798,13 +806,20 @@ def certify_profile(profile: SolitonProfile,
     The geometry from :func:`profile_geometry` is handed to the generic
     certification chain, including the finite-difference soliton residual
     of the full product metric, at sample points whose radial coordinates
-    lie in ``t_window``.  Raises :class:`CertificationWindowError`, before
-    any residual is computed, when ``t_window`` and ``h`` leave no room
-    inside the profile span, or when the stencils of step ``h`` do not fit
-    between the base-angle and fiber samples and the chart boundaries.
+    lie in ``t_window``.  Raises :class:`GeometryError` for a profile whose
+    ``status`` is not ``completed``: near a degeneration or blow-up its
+    splines need not keep b (or a) positive.  Raises
+    :class:`CertificationWindowError`, before any residual is computed,
+    when ``t_window`` and ``h`` leave no room inside the profile span, or
+    when the stencils of step ``h`` do not fit between the base-angle and
+    fiber samples and the chart boundaries.
     """
     params = profile.params
     k, m = params.k, params.m
+    if profile.status != "completed":
+        raise GeometryError(
+            f"profile status is '{profile.status}' (ended at t = "
+            f"{profile.end_time:g}); only completed profiles are certified")
     # checked before any patch is built: the base chart of
     # profile_geometry needs the span minus 8 h at either end
     span = (float(profile.t[0]), float(profile.t[-1]))

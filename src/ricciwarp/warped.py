@@ -31,7 +31,8 @@ and these force the pointwise quantity
 to be a spatial constant, which must match the Einstein constant of the
 fiber (Ric_F = mu g_F).  ``certify_soliton`` checks the full chain and
 finishes with the finite-difference soliton residual of the assembled
-metric, which is the end-to-end oracle.
+metric, which is the end-to-end oracle.  Only lam is an input: c and mu
+are measured from the data, so each condition is checked, not assumed.
 
 ``base_structure`` evaluates all three base conditions at one base point
 or a batch of them.  It differences the base metric once and each of f
@@ -58,7 +59,6 @@ from .patches import (
     GeometryError,
     MetricPatch,
     ScalarField,
-    SolitonConstants,
     as_points,
 )
 
@@ -80,19 +80,16 @@ REPORT_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class WarpedGeometry:
-    """Base + fiber + warping f + potential phi + scalar constants."""
+    """Base + fiber + warping f + potential phi + soliton constant lam
+    (shrinking > 0, steady = 0, expanding < 0)."""
 
     base: MetricPatch
     fiber: MetricPatch
     f: ScalarField
     phi: ScalarField
-    constants: SolitonConstants
+    lam: float
 
     def __post_init__(self):
-        if self.constants.m != self.fiber.dim:
-            raise ValueError(
-                f"constants.m = {self.constants.m} does not match the fiber "
-                f"dimension {self.fiber.dim}")
         samples = _positivity_samples(self.base)
         bad = self.f(samples) <= 0.0
         if bad.any():
@@ -224,7 +221,7 @@ def base_structure(w: WarpedGeometry, x_base, h: float = DEFAULT_STEP) -> BaseSt
     :class:`GeometryError` where f is not positive.
     """
     X, single = as_points(x_base)
-    lam, m = w.constants.lam, w.m
+    lam, m = w.lam, w.m
     jet = metric_jet(w.base, X, h)
     gl_f = gradient_laplacian(w.base, w.f, X, h, jet=jet)
     fv = gl_f.value
@@ -310,15 +307,15 @@ def certify_soliton(w: WarpedGeometry,
     """Run the full certification chain for a warped soliton candidate.
 
     Checks, in order: the tensor structure equation on the base, constancy
-    of the scalar equation's left side (with c calibrated unless fixed in
-    the constants), spatial constancy of the first integral, the Einstein
-    property of the fiber at the first integral's mean, and finally the
-    finite-difference soliton residual of the assembled product metric
-    with the lifted potential.  The verdict is pass iff every residual is
-    within the tolerance; first-integral spread is compared in the
-    relative form spread/(1 + |mu|).  Sample sets not given are the chart
-    centre and seeded interior points: 8 on the base, 4 on the fiber and 8
-    on each factor of the product.
+    of the scalar equation's left side about its mean c, spatial constancy
+    of the first integral, the Einstein property of the fiber at the first
+    integral's mean mu, and finally the finite-difference soliton residual
+    of the assembled product metric with the lifted potential.  The
+    verdict is pass iff every residual is within the tolerance;
+    first-integral spread is compared in the relative form
+    spread/(1 + |mu|).  Sample sets not given are the chart centre and
+    seeded interior points: 8 on the base, 4 on the fiber and 8 on each
+    factor of the product.
     """
     if base_samples is None:
         base_samples = _default_samples(w.base, 8, 0, 0.05)
@@ -344,8 +341,7 @@ def certify_soliton(w: WarpedGeometry,
     base = base_structure(w, base_samples, h)
     add("base_equation", base.residual_norm.max(), len(base_samples))
 
-    c_val = (float(base.scalar.mean()) if w.constants.c is None
-             else w.constants.c)
+    c_val = float(base.scalar.mean())
     add("scalar_equation", np.abs(base.scalar - c_val).max(), len(base_samples))
 
     mus = base.first_integral
@@ -353,13 +349,12 @@ def certify_soliton(w: WarpedGeometry,
     mu_spread = float(mus.max() - mus.min())
     add("first_integral", mu_spread / (1.0 + abs(mu_mean)), len(base_samples))
 
-    mu_ref = w.constants.mu if w.constants.mu is not None else mu_mean
-    ein_res = einstein_check(w.fiber, mu_ref, fiber_samples, h)
+    ein_res = einstein_check(w.fiber, mu_mean, fiber_samples, h)
     add("einstein_fiber", ein_res, len(fiber_samples))
 
     product = assemble_warped(w)
     psi = lifted_potential(w)
-    sol_res = soliton_residual(product, psi, w.constants.lam,
+    sol_res = soliton_residual(product, psi, w.lam,
                                product_samples, h)[1].max()
     add("soliton_residual", sol_res, len(product_samples))
 
@@ -367,7 +362,7 @@ def certify_soliton(w: WarpedGeometry,
         label=label or product.label,
         tolerance=tolerance,
         h=h,
-        lam=w.constants.lam,
+        lam=w.lam,
         m=w.m,
         mu_mean=mu_mean,
         mu_spread=mu_spread,

@@ -4,7 +4,6 @@ import pytest
 from ricciwarp import (
     AnsatzParams,
     MetricPatch,
-    SolitonConstants,
     WarpedGeometry,
     constant_field,
     quadratic_potential,
@@ -23,11 +22,9 @@ def cylinder_geometry(m: int, b0: float, lam: float | None = None) -> WarpedGeom
         lam = (m - 1) / (b0 * b0)
     base = MetricPatch(1, np.array([[-2.5, 2.5]]),
                        lambda X: np.ones((len(X), 1, 1)), "line")
-    constants = SolitonConstants(lam=lam, m=m, mu=m - 1, c=lam)
     return WarpedGeometry(base=base, fiber=sphere_patch(m),
                           f=constant_field(b0, "b0"),
-                          phi=quadratic_potential(lam),
-                          constants=constants)
+                          phi=quadratic_potential(lam), lam=lam)
 
 
 @pytest.fixture(scope="session")

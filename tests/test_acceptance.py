@@ -30,7 +30,6 @@ from ricciwarp import (
     soliton_residual,
     sphere_patch,
     ScalarField,
-    SolitonConstants,
     WarpedGeometry,
 )
 from ricciwarp.cli import main
@@ -47,13 +46,12 @@ def _announce(num, name, t0, budget):
 def _warped_fixtures(steady12, steady23):
     product = WarpedGeometry(base=polar_plane_patch(), fiber=sphere_patch(2),
                              f=constant_field(1.0), phi=constant_field(0.0),
-                             constants=SolitonConstants(lam=0.0, m=2))
+                             lam=0.0)
     cylinder = cylinder_geometry(2, 1.0)
     annulus = WarpedGeometry(base=polar_plane_patch(t_range=(0.5, 2.5)),
                              fiber=sphere_patch(1),
                              f=ScalarField(lambda X: X[:, 0], "t"),
-                             phi=constant_field(0.0),
-                             constants=SolitonConstants(lam=0.0, m=1))
+                             phi=constant_field(0.0), lam=0.0)
     return [("product", product), ("cylinder", cylinder),
             ("annulus-warped", annulus),
             ("shot-steady-k1m2", profile_geometry(steady12)),

@@ -28,8 +28,8 @@ def test_submodule_all_names_resolve(module):
 EXPORTS = {
     # patches
     "BoundaryProximityError", "DegenerateMetricError", "GeometryError",
-    "MetricPatch", "ScalarField", "SolitonConstants", "cartesian_profile_base",
-    "einstein_model_fiber", "euclidean_patch", "hyperbolic_patch",
+    "MetricPatch", "ScalarField", "cartesian_profile_base",
+    "euclidean_patch", "hyperbolic_patch",
     "polar_plane_patch", "quadratic_potential", "constant_field",
     "radial_field", "radial_profile_base", "sphere_patch", "torus_patch",
     # curvature
@@ -56,5 +56,5 @@ def test_package_all_is_the_submodule_lists():
              for module in ("patches", "curvature", "warped", "shooting",
                             "quotient")]
     assert ricciwarp.__all__ == [name for names in lists for name in names]
-    assert len(ricciwarp.__all__) == len(set(ricciwarp.__all__)) == 57
+    assert len(ricciwarp.__all__) == len(set(ricciwarp.__all__)) == 55
     assert set(ricciwarp.__all__) == EXPORTS

@@ -418,6 +418,19 @@ class TestDiagnosticsIndependence:
         assert tampered.mu_spread > 1e-3
         assert prof.mu_spread <= 1e-6 * (1 + abs(prof.mu_mean))
 
+    def test_non_uniform_grid_rejected(self, steady_profile_12):
+        # the diagnostics difference every row with one step: a t_max 3
+        # grid (1201 rows) keeping every row of its first half and every
+        # second row of its second half (901 rows) is refused
+        prof = shoot(replace(steady_profile_12.params, t_max=3.0))
+        assert prof.t.size == 1201
+        index = np.r_[0:600, 600:1201:2]
+        assert index.size == 901
+        with pytest.raises(ValueError, match="not uniformly spaced"):
+            _rows(prof, index).mu
+        uniform = _rows(prof, np.r_[0:1201:2])
+        assert uniform.mu_spread <= 1e-6 * (1 + abs(uniform.mu_mean))
+
     def test_corrupted_profile_fails_certification(self, steady_profile_12):
         prof = steady_profile_12
         b_bad = prof.b.copy()
@@ -450,7 +463,8 @@ class TestCertifyProfile:
 
     def test_flat_product_profile_passes(self):
         # k = 1, m = 1, phi2 = 0 shoots the flat metric a = t, b = 1,
-        # phi = 0; its first integral vanishes and the model fiber is flat
+        # phi = 0; its first integral vanishes, as does the Ricci tensor of
+        # the unit circle fiber
         prof = shoot(AnsatzParams(k=1, m=1, lam=0.0, b0=1.0, phi2=0.0))
         assert np.abs(prof.b - 1.0).max() < 1e-10
         report = certify_profile(prof, n_base=6, n_product=8)
@@ -465,6 +479,22 @@ class TestCertifyProfile:
     def test_window_must_fit(self, steady_profile_12):
         with pytest.raises(GeometryError):
             certify_profile(steady_profile_12, t_window=(50.0, 60.0))
+
+    @pytest.mark.parametrize("status", ["hit_a_zero", "hit_b_zero", "blowup"])
+    def test_unfinished_profile_refused(self, steady_profile_12, status):
+        unfinished = replace(steady_profile_12, status=status)
+        with pytest.raises(GeometryError, match=f"status is '{status}'"):
+            certify_profile(unfinished)
+
+    @pytest.mark.parametrize("column", ["a_prime", "b_prime", "phi_prime"])
+    def test_derivative_columns_do_not_reach_the_certificate(
+            self, steady_profile_12, column):
+        # the geometry reads the splines of a, b and phi only
+        prof = steady_profile_12
+        edited = replace(prof, **{column: getattr(prof, column) + 3.0})
+        assert edited.mu_mean != prof.mu_mean
+        assert (certify_profile(edited, n_base=6, n_product=6).to_json()
+                == certify_profile(prof, n_base=6, n_product=6).to_json())
 
 
 class TestOracleClosure:

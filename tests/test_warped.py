@@ -8,16 +8,16 @@ import pytest
 
 from conftest import cylinder_geometry
 from ricciwarp import (
+    AnsatzParams,
     GeometryError,
     ScalarField,
-    SolitonConstants,
     WarpedGeometry,
     assemble_warped,
     base_structure,
+    certify_profile,
     certify_soliton,
     constant_field,
     einstein_check,
-    einstein_model_fiber,
     euclidean_patch,
     hyperbolic_patch,
     lifted_potential,
@@ -26,6 +26,7 @@ from ricciwarp import (
     quadratic_potential,
     ricci_closed_form,
     ricci_fd,
+    shoot,
     soliton_residual,
     sphere_patch,
     torus_patch,
@@ -38,7 +39,7 @@ def product_geometry():
     """Trivial warping: polar-plane base times round 2-sphere."""
     return WarpedGeometry(base=polar_plane_patch(), fiber=sphere_patch(2),
                           f=constant_field(1.0), phi=constant_field(0.0),
-                          constants=SolitonConstants(lam=0.0, m=2))
+                          lam=0.0)
 
 
 def annulus_geometry():
@@ -46,8 +47,7 @@ def annulus_geometry():
     base = polar_plane_patch(t_range=(0.5, 2.5))
     return WarpedGeometry(base=base, fiber=sphere_patch(1),
                           f=ScalarField(lambda X: X[:, 0], "t"),
-                          phi=constant_field(0.0),
-                          constants=SolitonConstants(lam=0.0, m=1))
+                          phi=constant_field(0.0), lam=0.0)
 
 
 class TestAssemble:
@@ -80,14 +80,7 @@ class TestAssemble:
         with pytest.raises(GeometryError):
             WarpedGeometry(base=base, fiber=sphere_patch(1),
                            f=ScalarField(lambda X: X[:, 0] - 2.0, "t-2"),
-                           phi=constant_field(0.0),
-                           constants=SolitonConstants(lam=0.0, m=1))
-
-    def test_fiber_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            WarpedGeometry(base=polar_plane_patch(), fiber=sphere_patch(2),
-                           f=constant_field(1.0), phi=constant_field(0.0),
-                           constants=SolitonConstants(lam=0.0, m=3))
+                           phi=constant_field(0.0), lam=0.0)
 
 
 class TestClosedFormBlocks:
@@ -145,14 +138,14 @@ class TestStructureResiduals:
         lam = 0.7
         w = WarpedGeometry(base=euclidean_patch(2), fiber=sphere_patch(2),
                            f=constant_field(1.5), phi=quadratic_potential(lam),
-                           constants=SolitonConstants(lam=lam, m=2))
+                           lam=lam)
         norm = base_structure(w, np.array([0.4, -0.3]), H).residual_norm
         assert norm < 1e-9
 
     def test_base_equation_flat_steady(self):
         w = WarpedGeometry(base=euclidean_patch(2), fiber=torus_patch(2),
                            f=constant_field(1.0), phi=constant_field(0.0),
-                           constants=SolitonConstants(lam=0.0, m=2, mu=0.0, c=0.0))
+                           lam=0.0)
         norm = base_structure(w, np.array([0.2, 0.1]), H).residual_norm
         assert norm < 1e-12
 
@@ -164,21 +157,19 @@ class TestStructureResiduals:
     def test_scalar_equation_zero_potential(self):
         w = WarpedGeometry(base=euclidean_patch(2), fiber=torus_patch(2),
                            f=constant_field(1.0), phi=constant_field(0.0),
-                           constants=SolitonConstants(lam=0.3, m=2, c=0.0))
+                           lam=0.3)
         scalar = base_structure(w, np.array([0.3, 0.1]), H).scalar
-        assert abs(scalar - w.constants.c) < 1e-10
+        assert scalar == pytest.approx(0.0, abs=1e-10)
 
     def test_scalar_equation_cylinder_constant_is_lambda(self):
         # phi = (lam/2) t^2 gives 2 lam phi - |grad phi|^2 + Lap phi = lam:
         # lam^2 t^2 - lam^2 t^2 + lam
         m, b0 = 2, 1.0
         w = cylinder_geometry(m, b0)
-        lam = w.constants.lam
+        lam = w.lam
         for t in (0.0, 0.8, -1.2):
             val = base_structure(w, np.array([t]), H).scalar
             assert abs(val - lam) < 1e-9
-        scalar = base_structure(w, np.array([0.8]), H).scalar
-        assert abs(scalar - w.constants.c) < 1e-9
 
     def test_calibrate_scalar_constant_cylinder(self):
         w = cylinder_geometry(3, 1.2)
@@ -186,7 +177,7 @@ class TestStructureResiduals:
         scalar = base_structure(w, np.array(pts), H).scalar
         c = scalar.mean()
         spread = np.abs(scalar - c).max()
-        assert abs(c - w.constants.lam) < 1e-9
+        assert abs(c - w.lam) < 1e-9
         assert spread < 1e-9
 
     def test_first_integral_constant_data(self):
@@ -194,7 +185,7 @@ class TestStructureResiduals:
         lam, f0 = 0.4, 1.7
         w = WarpedGeometry(base=euclidean_patch(2), fiber=sphere_patch(2),
                            f=constant_field(f0), phi=constant_field(2.0),
-                           constants=SolitonConstants(lam=lam, m=2))
+                           lam=lam)
         val = base_structure(w, np.array([0.3, -0.2]), H).first_integral
         assert abs(val - lam * f0 * f0) < 1e-9
 
@@ -212,17 +203,6 @@ class TestEinsteinCheck:
             fiber = sphere_patch(m)
             samples = [fiber.center(), fiber.center() + 0.3]
             assert einstein_check(fiber, m - 1.0, samples, H) < 1e-6
-
-    def test_model_fiber_selection(self):
-        fiber, rho = einstein_model_fiber(2, 0.25)
-        assert "sphere" in fiber.label and abs(rho - 2.0) < 1e-14
-        fiber, rho = einstein_model_fiber(3, 0.0)
-        assert "torus" in fiber.label and rho == 1.0
-        fiber, rho = einstein_model_fiber(2, -1.0)
-        assert "hyperbolic" in fiber.label and abs(rho - 1.0) < 1e-14
-        assert einstein_check(fiber, -1.0, [fiber.center()], H) < 1e-7
-        with pytest.raises(GeometryError):
-            einstein_model_fiber(1, 0.5)  # 1-dim fibers are flat
 
     def test_flat_torus(self):
         fiber = torus_patch(2)
@@ -242,7 +222,7 @@ class TestCertifySoliton:
     def test_flat_steady_product_passes(self):
         w = WarpedGeometry(base=euclidean_patch(2), fiber=torus_patch(2),
                            f=constant_field(1.0), phi=constant_field(0.0),
-                           constants=SolitonConstants(lam=0.0, m=2, mu=0.0, c=0.0))
+                           lam=0.0)
         report = certify_soliton(w, tolerance=1e-6)
         assert report.verdict
         assert abs(report.mu_mean) < 1e-9
@@ -264,7 +244,7 @@ class TestCertifySoliton:
         fiber = hyperbolic_patch(2, radius=float(np.sqrt((2 - 1) / -mu)))
         w = WarpedGeometry(base=euclidean_patch(2), fiber=fiber,
                            f=constant_field(f0), phi=quadratic_potential(lam),
-                           constants=SolitonConstants(lam=lam, m=2, mu=mu))
+                           lam=lam)
         report = certify_soliton(w, tolerance=1e-6)
         assert report.verdict
         assert abs(report.mu_mean - mu) < 1e-8
@@ -280,30 +260,34 @@ class TestCertifySoliton:
 
     def test_equivalence_each_perturbed_hypothesis_fails(self):
         # perturbing any single hypothesis by >= 10 * tolerance must flip
-        # the verdict
+        # the verdict, in the structure check of the broken condition
         m, b0, tol = 2, 1.0, 1e-5
         eps = 10 * tol * 100  # comfortably above threshold, scale ~ |g|
         lam = (m - 1) / b0 ** 2
+        base = cylinder_geometry(m, b0).base
 
         perturbed = [
-            cylinder_geometry(m, b0, lam=lam + eps),   # lambda
-            cylinder_geometry(m, b0 + eps, lam=lam),   # warping, lambda held
+            # lambda, and the warping with lambda held: the first integral
+            # lam f^2 stays constant but misses the fiber's constant
+            (cylinder_geometry(m, b0, lam=lam + eps), "einstein_fiber"),
+            (cylinder_geometry(m, b0 + eps, lam=lam), "einstein_fiber"),
+            # potential: phi no longer solves the base equation
+            (WarpedGeometry(
+                base=base, fiber=sphere_patch(m), f=constant_field(b0),
+                phi=ScalarField(lambda X: 0.5 * lam * X[:, 0] ** 2
+                                + eps * X[:, 0] ** 3, "bad"),
+                lam=lam), "base_equation"),
+            # fiber: wrong radius
+            (WarpedGeometry(
+                base=base, fiber=sphere_patch(m, radius=1.0 + eps),
+                f=constant_field(b0), phi=quadratic_potential(lam),
+                lam=lam), "einstein_fiber"),
         ]
-        base = cylinder_geometry(m, b0).base
-        # potential perturbation: phi no longer solves the base equation
-        perturbed.append(WarpedGeometry(
-            base=base, fiber=sphere_patch(m),
-            f=constant_field(b0),
-            phi=ScalarField(lambda X: 0.5 * lam * X[:, 0] ** 2 + eps * X[:, 0] ** 3, "bad"),
-            constants=SolitonConstants(lam=lam, m=m, mu=m - 1, c=lam)))
-        # fiber perturbation: wrong radius
-        perturbed.append(WarpedGeometry(
-            base=base, fiber=sphere_patch(m, radius=1.0 + eps),
-            f=constant_field(b0), phi=quadratic_potential(lam),
-            constants=SolitonConstants(lam=lam, m=m, mu=m - 1, c=lam)))
 
-        for w in perturbed:
-            assert not certify_soliton(w, tolerance=tol).verdict
+        for w, check in perturbed:
+            report = certify_soliton(w, tolerance=tol)
+            assert not report.verdict
+            assert not report.checks[check]["pass"], check
 
     def test_report_json_structure(self):
         report = certify_soliton(cylinder_geometry(2, 1.0), tolerance=1e-6)
@@ -320,7 +304,7 @@ class TestCertifySoliton:
         patch = assemble_warped(w)
         psi = lifted_potential(w)
         x = np.array([0.4, 1.2, 2.4])
-        _, norm = soliton_residual(patch, psi, w.constants.lam, x, H)
+        _, norm = soliton_residual(patch, psi, w.lam, x, H)
         assert norm < 1e-8
 
 
@@ -347,7 +331,103 @@ class TestCertifyEvaluationCounts:
             fiber=replace(w.fiber, g=counting("fiber", w.fiber.g)),
             f=replace(w.f, f=counting("f", w.f.f)),
             phi=replace(w.phi, f=counting("phi", w.phi.f)),
-            constants=w.constants)
+            lam=w.lam)
         counts.update(dict.fromkeys(counts, 0))  # construction samples f
         certify_soliton(counted)
         assert counts == {"base": 2, "fiber": 2, "f": 2, "phi": 2}
+
+
+# the four structure checks; soliton_residual is the end-to-end oracle
+STRUCTURE = {"base_equation", "scalar_equation", "first_integral",
+             "einstein_fiber"}
+LOCAL = STRUCTURE - {"einstein_fiber"}
+EPS = 1e-3
+
+
+def _bump(t):
+    return EPS * np.exp(-((t - 2.0) / 0.5) ** 2)
+
+
+def _cylinder_phi(extra):
+    """The potential t^2 / 2 of the unit round cylinder plus ``extra(t)``."""
+    return ScalarField(lambda X: 0.5 * X[:, 0] ** 2 + extra(X[:, 0]), "phi")
+
+
+CYLINDER_ROWS = {  # the unit round cylinder over S^2 (lam = 1) with one error
+    "lambda": lambda: cylinder_geometry(2, 1.0, lam=1.0 + EPS),
+    "warping-b0": lambda: cylinder_geometry(2, 1.0 + EPS, lam=1.0),
+    "potential": lambda: replace(cylinder_geometry(2, 1.0),
+                                 phi=_cylinder_phi(lambda t: EPS * t ** 3)),
+    "fiber-radius": lambda: replace(cylinder_geometry(2, 1.0),
+                                    fiber=sphere_patch(2, 1.0 + EPS)),
+    "phi+0.3": lambda: replace(cylinder_geometry(2, 1.0),
+                               phi=_cylinder_phi(lambda t: 0.3)),
+}
+
+TAMPERS = {
+    "b*1.05": lambda p: replace(p, b=1.05 * p.b),
+    "b-bump": lambda p: replace(p, b=p.b + _bump(p.t)),
+    "phi-bump": lambda p: replace(p, phi=p.phi + _bump(p.t)),
+    "a-bump": lambda p: replace(p, a=p.a + _bump(p.t)),
+    "phi+0.3": lambda p: replace(p, phi=p.phi + 0.3),
+    "a*1.05": lambda p: replace(p, a=1.05 * p.a),
+}
+
+
+@pytest.fixture(scope="module")
+def round_cylinder_profile():
+    """The shot round cylinder: k = 0, m = 2, lam = 0.5, b = sqrt(2)."""
+    return shoot(AnsatzParams(k=0, m=2, lam=0.5, b0=float(np.sqrt(2.0)),
+                              t_max=6.0))
+
+
+class TestExplanationMatrix:
+    """A broken hypothesis fails the structure check of the condition it
+    breaks, and the soliton residual fails exactly when some structure
+    check does (the conditions are sufficient on the samples)."""
+
+    @staticmethod
+    def explained(report, fails, passes):
+        failing = {name for name in STRUCTURE if not report.checks[name]["pass"]}
+        assert fails <= failing and not passes & failing, failing
+        assert report.checks["soliton_residual"]["pass"] == (not failing)
+
+    @pytest.mark.parametrize("row,fails", [
+        ("lambda", {"einstein_fiber"}),
+        ("warping-b0", {"einstein_fiber"}),
+        ("potential", {"base_equation", "scalar_equation"}),
+        ("fiber-radius", {"einstein_fiber"}),
+        ("phi+0.3", set()),
+    ])
+    def test_cylinder(self, row, fails):
+        self.explained(certify_soliton(CYLINDER_ROWS[row]()), fails,
+                       STRUCTURE - fails)
+
+    # a bump leaves einstein_fiber open: it fails when the bump moves the
+    # first integral's mean over the samples by more than the tolerance;
+    # a*1.05 at k = 1 rescales the angle of the base circle, a local isometry
+    @pytest.mark.parametrize("profile,tamper,fails,passes", [
+        ("k1m2", "b*1.05", {"einstein_fiber"}, LOCAL),
+        ("k1m2", "b-bump", LOCAL, set()),
+        ("k1m2", "phi-bump", LOCAL, set()),
+        ("k1m2", "a-bump", LOCAL, set()),
+        ("k1m2", "phi+0.3", set(), STRUCTURE),
+        ("k1m2", "a*1.05", set(), STRUCTURE),
+        ("k2m3", "b*1.05", {"einstein_fiber"}, LOCAL),
+        ("k2m3", "b-bump", LOCAL, set()),
+        ("k2m3", "phi-bump", LOCAL, set()),
+        ("k2m3", "a-bump", LOCAL, set()),
+        ("k2m3", "phi+0.3", set(), STRUCTURE),
+        ("k2m3", "a*1.05", {"base_equation"}, STRUCTURE - {"base_equation"}),
+        ("k0m2", "b*1.05", {"einstein_fiber"}, LOCAL),
+        ("k0m2", "b-bump", LOCAL, set()),
+        # b is constant, so phi does not enter the first integral
+        ("k0m2", "phi-bump", {"base_equation", "scalar_equation"},
+         {"first_integral", "einstein_fiber"}),
+        ("k0m2", "phi+0.3", set(), STRUCTURE),
+    ])
+    def test_shot_profile(self, request, profile, tamper, fails, passes):
+        prof = request.getfixturevalue({"k1m2": "steady_profile_12",
+                                        "k2m3": "steady_profile_23",
+                                        "k0m2": "round_cylinder_profile"}[profile])
+        self.explained(certify_profile(TAMPERS[tamper](prof)), fails, passes)
