@@ -37,6 +37,7 @@ from .shooting import (
     AnsatzParams,
     CertificationWindowError,
     SolitonProfile,
+    _series_start,
     ambient_geometry,
     ambient_radial_range,
     certify_profile,
@@ -230,6 +231,7 @@ def _params_from_block(block: dict) -> AnsatzParams:
             raise ConfigError(f"solve block is missing '{req}'")
     try:
         params = AnsatzParams(**_ansatz_kwargs(block))
+        _series_start(params)   # refuses an epsilon too large for the series
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     _check_grid(params, "solve")

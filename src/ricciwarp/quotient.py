@@ -7,7 +7,10 @@ diagonal action on the product is then free and isometric for the warped
 metric.  This module represents such actions by orthogonal generators in
 ambient coordinates (the fiber is the unit round sphere S^m in R^{m+1},
 the base is R^{k+1} with a rotationally symmetric metric) and certifies
-each hypothesis numerically on sample sets.
+each hypothesis numerically on sample sets: :func:`certify_quotient`
+reads all of them from one pass over the p - 1 non-identity powers, which
+evaluates the base metric, warping and potential once at the samples and
+once per power.
 
 Freeness is sampled, not proved: the sample sets deterministically include
 the fixed-point candidates of every non-identity power (unit eigenvectors
@@ -24,16 +27,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .patches import GeometryError, MetricPatch, ScalarField, as_points
+from .patches import GeometryError, MetricPatch, ScalarField
 
 __all__ = [
     "GroupAction",
     "QuotientCertificate",
     "make_cyclic_action",
-    "is_free",
-    "isometry_residual",
-    "sphere_isometry_residual",
-    "invariance_deviation",
     "certify_quotient",
     "fixed_point_candidates",
     "fiber_sample_set",
@@ -211,63 +210,10 @@ def make_cyclic_action(p: int, k: int, m: int, kind: str,
     )
 
 
-def is_free(action: GroupAction, tolerance: float = 1e-6):
-    """Sampled freeness of the fiber action.
-
-    Returns ``(free, margin)`` with margin the minimum displacement
-    |g^j x - x| over non-identity powers and fiber samples.  A positive
-    sampled margin is evidence, not proof; the certificate records the
-    sample count.
-    """
-    margin = np.inf
-    for M in _powers(action.fiber_generator, action.order - 1):
-        disp = np.linalg.norm(action.fiber_samples @ M.T - action.fiber_samples,
-                              axis=1)
-        margin = min(margin, float(disp.min()))
-    return bool(margin > tolerance), float(margin)
-
-
-def isometry_residual(mapmat: np.ndarray, patch: MetricPatch, samples) -> float:
-    """Max over samples of || A^T g(Ax) A - g(x) ||_F on a chart patch."""
-    A = np.asarray(mapmat, dtype=float)
-    X, _ = as_points(samples)
-    AX = X @ A.T
-    inside = patch._inside(AX, 0.0)
-    if not inside.all():
-        raise GeometryError(
-            f"sample {X[np.argmin(inside)]} maps outside the domain of '{patch.label}'")
-    res = A.T @ patch.metric(AX) @ A - patch.metric(X)
-    return float(np.linalg.norm(res, axis=(1, 2)).max(initial=0.0))
-
-
 def _tangent_projector(Y: np.ndarray) -> np.ndarray:
     """Projectors onto the tangent spaces of the sphere at a batch Y (N, q)."""
     U = Y / np.linalg.norm(Y, axis=1, keepdims=True)
     return np.eye(Y.shape[1]) - U[:, :, None] * U[:, None, :]
-
-
-def sphere_isometry_residual(mapmat: np.ndarray, samples) -> float:
-    """Pullback residual of the round metric on the unit sphere.
-
-    The induced metric is compared on tangent spaces through the ambient
-    projector, so the test is chart free.
-    """
-    A = np.asarray(mapmat, dtype=float)
-    Y, _ = as_points(samples)
-    P = _tangent_projector(Y)
-    res = P @ (A.T @ _tangent_projector(Y @ A.T) @ A - P) @ P
-    return float(np.linalg.norm(res, axis=(1, 2)).max(initial=0.0))
-
-
-def invariance_deviation(u: ScalarField, mapmat: np.ndarray, samples,
-                         power: int = 1) -> float:
-    """Max |u(A^j x) - u(x)| over samples and powers j = 1..power."""
-    X, _ = as_points(samples)
-    u0 = u(X)
-    worst = 0.0
-    for M in _powers(np.asarray(mapmat, dtype=float), power):
-        worst = max(worst, float(np.abs(u(X @ M.T) - u0).max(initial=0.0)))
-    return worst
 
 
 @dataclass
@@ -313,62 +259,74 @@ def certify_quotient(action: GroupAction,
                      freeness_tolerance: float = 1e-6) -> QuotientCertificate:
     """Certify the quotient hypotheses for a warped product.
 
-    Bundles the freeness check on the fiber, isometry residuals on both
-    factors, invariance of the warping and potential under every group
-    power, and two derived checks on the diagonal action: that it is an
-    isometry of the ambient form of the warped metric, and that it is
-    fixed-point free on sampled product points.
+    One pass over the non-identity powers g^j = (B^j, F^j), j = 1..p-1,
+    of the base and fiber generators.  The base metric g, f and phi are
+    evaluated at the base samples X and the sphere's tangent projector P at
+    the fiber samples Y once, then at B^j X and F^j Y once per power, and
+    every residual is read from those arrays:
+
+    * freeness margin -- min |F^j y - y| over the fiber samples;
+    * base and fiber isometry residuals -- max ||(B^j)^T g(B^j x) B^j - g(x)||_F,
+      and the same pullback of the round metric compared on tangent spaces
+      through P, which keeps the fiber test chart free;
+    * f and phi invariance -- max |u(B^j x) - u(x)|;
+    * the diagonal action on the first min(#X, #Y) pairs (x, y): its
+      residual as an isometry of the ambient form g + f^2 P of the warped
+      metric, and its margin as a fixed-point free map.
 
     The base patch must be an ambient-coordinate chart (the generators are
-    linear maps of those coordinates); the fiber is the unit round sphere
-    carrying the action's fiber generator.
+    linear maps of those coordinates), and a sample that a power maps
+    outside its domain raises :class:`GeometryError`; the fiber is the
+    unit round sphere carrying the action's fiber generator.
     """
-    _, margin = is_free(action, freeness_tolerance)
-    base_powers = _powers(action.base_generator, action.order - 1)
-    fiber_powers = _powers(action.fiber_generator, action.order - 1)
-
-    base_res = max(isometry_residual(M, base_patch, action.base_samples)
-                   for M in base_powers)
-    fiber_res = max(sphere_isometry_residual(M, action.fiber_samples)
-                    for M in fiber_powers)
-    f_dev = invariance_deviation(f, action.base_generator, action.base_samples,
-                                 power=action.order - 1)
-    phi_dev = invariance_deviation(phi, action.base_generator, action.base_samples,
-                                   power=action.order - 1)
-
-    n_pairs = min(len(action.base_samples), len(action.fiber_samples))
-    X = action.base_samples[:n_pairs]
-    Y = action.fiber_samples[:n_pairs]
-    fX = f(X)
-    gb = base_patch.metric(X)
+    X, Y = action.base_samples, action.fiber_samples
+    n = min(len(X), len(Y))    # the (x, y) pairs of the diagonal checks
+    gX, fX, phiX = base_patch.metric(X), f(X), phi(X)
     P = _tangent_projector(Y)
-    gf = (fX * fX)[:, None, None] * P
-    diag_res = 0.0
-    diag_margin = np.inf
-    for Mb, Mf in zip(base_powers, fiber_powers):
+    gf = (fX[:n] * fX[:n])[:, None, None] * P[:n]
+    margin = diag_margin = np.inf
+    f_dev = phi_dev = diag_res = 0.0
+    base_res, fiber_res = [], []
+    for Mb, Mf in zip(_powers(action.base_generator, action.order - 1),
+                      _powers(action.fiber_generator, action.order - 1)):
         MX, MY = X @ Mb.T, Y @ Mf.T
+        inside = base_patch._inside(MX, 0.0)
+        if not inside.all():
+            raise GeometryError(f"sample {X[np.argmin(inside)]} maps outside "
+                                f"the domain of '{base_patch.label}'")
+        base_dev = np.linalg.norm(Mb.T @ base_patch.metric(MX) @ Mb - gX,
+                                  axis=(1, 2))
         fMX = f(MX)
-        gb_pull = Mb.T @ base_patch.metric(MX) @ Mb
-        gf_pull = (fMX * fMX)[:, None, None] * (Mf.T @ _tangent_projector(MY) @ Mf)
-        block = (np.linalg.norm(gb_pull - gb, axis=(1, 2)) ** 2
-                 + np.linalg.norm(P @ (gf_pull - gf) @ P, axis=(1, 2)) ** 2)
+        pull = Mf.T @ _tangent_projector(MY) @ Mf
+        disp = np.linalg.norm(MY - Y, axis=1)
+
+        margin = min(margin, float(disp.min()))
+        base_res.append(float(base_dev.max(initial=0.0)))
+        fiber_res.append(float(np.linalg.norm(P @ (pull - P) @ P, axis=(1, 2))
+                               .max(initial=0.0)))
+        f_dev = max(f_dev, float(np.abs(fMX - fX).max(initial=0.0)))
+        phi_dev = max(phi_dev, float(np.abs(phi(MX) - phiX).max(initial=0.0)))
+
+        gf_pull = (fMX[:n] * fMX[:n])[:, None, None] * pull[:n]
+        block = (base_dev[:n] ** 2
+                 + np.linalg.norm(P[:n] @ (gf_pull - gf) @ P[:n], axis=(1, 2)) ** 2)
         diag_res = max(diag_res, float(np.sqrt(block).max(initial=0.0)))
-        disp = np.sqrt(np.linalg.norm(MX - X, axis=1) ** 2
-                       + np.linalg.norm(MY - Y, axis=1) ** 2)
-        diag_margin = min(diag_margin, float(disp.min(initial=np.inf)))
+        diag_disp = np.sqrt(np.linalg.norm(MX[:n] - X[:n], axis=1) ** 2
+                            + disp[:n] ** 2)
+        diag_margin = min(diag_margin, float(diag_disp.min(initial=np.inf)))
 
     return QuotientCertificate(
         label=action.label,
         order=action.order,
         freeness_margin=margin,
-        base_isometry_residual=base_res,
-        fiber_isometry_residual=fiber_res,
+        base_isometry_residual=max(base_res),
+        fiber_isometry_residual=max(fiber_res),
         f_invariance=f_dev,
         phi_invariance=phi_dev,
         diagonal_isometry_residual=diag_res,
         diagonal_freeness_margin=diag_margin,
-        n_base_samples=len(action.base_samples),
-        n_fiber_samples=len(action.fiber_samples),
+        n_base_samples=len(X),
+        n_fiber_samples=len(Y),
         tolerance=tolerance,
         freeness_tolerance=freeness_tolerance,
     )

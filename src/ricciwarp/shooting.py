@@ -261,7 +261,7 @@ def _dense_eval(runs, ts):
     """
     ends = np.concatenate([run.t[1:] for run in runs])
     idx = np.minimum(np.searchsorted(ends, ts, side="left"), ends.size - 1)
-    t_old = np.concatenate([run.t_old for run in runs])[idx]
+    t_old = np.concatenate([run.t[:-1] for run in runs])[idx]
     h = np.concatenate([run.h for run in runs])[idx]
     F = np.concatenate([run.F for run in runs])    # (steps, powers, n_state)
     y_old = np.concatenate([run.y_old for run in runs])[idx]
@@ -501,16 +501,16 @@ class _Run:
     """One :func:`_dop853` run.
 
     ``t`` is the start followed by the accepted step ends, the last
-    replaced by a terminal event's root; step ``i`` carries the dense
-    output polynomial ``t_old[i]``, ``h[i]``, ``F[i]``, ``y_old[i]`` (see
-    :func:`_horner`) and ``y`` is the state at the last accepted step's
-    end.  ``status`` is ``solve_ivp``'s: 0 at the end of the span, 1 at
-    the terminal event ``event`` (its index), -1 on a failed step, which
-    ``message`` names.  ``nfev`` counts the right-side calls.
+    replaced by a terminal event's root; step ``i`` starts at ``t[i]`` and
+    carries the dense output polynomial ``t[i]``, ``h[i]``, ``F[i]``,
+    ``y_old[i]`` (see :func:`_horner`), and ``y`` is the state at the last
+    accepted step's end.  ``status`` is ``solve_ivp``'s: 0 at the end of
+    the span, 1 at the terminal event ``event`` (its index), -1 on a
+    failed step, which ``message`` names.  ``nfev`` counts the right-side
+    calls.
     """
 
     t: np.ndarray
-    t_old: np.ndarray
     h: np.ndarray
     F: np.ndarray
     y_old: np.ndarray
@@ -564,7 +564,7 @@ def _dop853(fun, t0, t1, y0, rtol, atol, first_step, events):
     K[0] = fun(t, y)
     nfev = 1
     g = [event(t, y) for event in events]
-    ts, t_olds, hs, Fs, y_olds = [t0], [], [], [], []
+    ts, hs, Fs, y_olds = [t0], [], [], []
     status = event = None
     while status is None:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -644,15 +644,13 @@ def _dop853(fun, t0, t1, y0, rtol, atol, first_step, events):
         if len(ts) > 1 and ts[-1] == t_step:
             continue    # solve_ivp drops a step whose root is the last end
         ts.append(t_step)
-        t_olds.append(t_old)
         hs.append(h)
         Fs.append(F)
         y_olds.append(y_old)
 
-    return _Run(t=np.array(ts), t_old=np.array(t_olds), h=np.array(hs),
-                F=np.array(Fs), y_old=np.array(y_olds), y=y, nfev=nfev,
-                status=status, event=event,
-                message=_TOO_SMALL_STEP if status == -1 else None)
+    return _Run(t=np.array(ts), h=np.array(hs), F=np.array(Fs),
+                y_old=np.array(y_olds), y=y, nfev=nfev, status=status,
+                event=event, message=_TOO_SMALL_STEP if status == -1 else None)
 
 
 def _integrate(params: AnsatzParams):

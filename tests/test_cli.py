@@ -1,5 +1,6 @@
 """CLI workflows: configs, outputs, exit codes, determinism."""
 
+import itertools
 import json
 
 import numpy as np
@@ -571,3 +572,80 @@ class TestConfigValidation:
         write_config(cfg_path, **blocks)
         assert main([command, "--config", str(cfg_path), *flags]) == 2
         assert not (tmp_path / "out").exists()
+
+
+class TestRefusedSeriesStart:
+    """A solve block whose series start is refused (epsilon too large for
+    the truncated series) is a config error in every command that shoots,
+    before any output is written."""
+
+    @pytest.mark.parametrize("command", ["solve", "certify", "quotient"])
+    @pytest.mark.parametrize("solve", [
+        {"k": 1, "m": 2, "lambda": 0, "b0": 1, "epsilon": 0.01},
+        {"k": 1, "m": 2, "lambda": 0, "b0": 1e-5},
+    ])
+    def test_exits_2_without_artifacts(self, tmp_path, capsys, command, solve):
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve=solve, quotient=dict(_QUOTIENT))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "too large" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestQuotientFuzz:
+    """Random quotient configs end in a documented exit code, and a config
+    error or a numeric or I/O failure writes nothing.  Each example carries
+    at most one deliberate flaw: a refused series start (epsilon too large
+    or b0 too small), too coarse a grid, or a radial range past the
+    profile; the action arguments are drawn valid (p = 2 for the antipodal
+    map and on the line, odd m for Hopf), since their refusals are pinned
+    above and would otherwise stop most examples before the shooting."""
+
+    def test_exit_codes_and_artifacts(self, tmp_path, capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        runs = itertools.count()
+
+        @hypothesis.settings(max_examples=30, deadline=None, database=None)
+        @hypothesis.given(
+            k=st.integers(0, 3), m=st.integers(1, 4),
+            lam=st.sampled_from([0.0, -0.5, 0.5]),
+            b0=st.sampled_from([1.0, 0.3, 2.0]),
+            t_max=st.floats(0.2, 2.0),
+            grid_per_unit=st.sampled_from([100, 64, 40]),
+            p=st.integers(2, 7),
+            kind=st.sampled_from(["hopf", "antipodal", "axis_rotation"]),
+            n_samples=st.integers(0, 16), seed=st.integers(0, 3),
+            lo=st.sampled_from([0.1, 0.3]),
+            flaw=st.sampled_from([None, None, None, "epsilon", "b0",
+                                  "grid_per_unit", "t_range"]))
+        def run(k, m, lam, b0, t_max, grid_per_unit, p, kind, n_samples,
+                seed, lo, flaw):
+            if kind == "antipodal" or k == 0:
+                p = 2
+            if kind == "hopf":
+                m |= 1
+            solve = {"k": k, "m": m, "lambda": lam, "b0": b0, "t_max": t_max,
+                     "grid_per_unit": grid_per_unit}
+            # the profile's radial range is [0.05, 0.95 t_end], t_end <= t_max
+            t_range = [lo, 0.9 * t_max]
+            if flaw == "t_range":
+                t_range = [0.02, 0.5] if lo < 0.2 else [lo, 1.2 * t_max]
+            elif flaw:
+                solve[flaw] = {"epsilon": 0.01, "b0": 1e-5,
+                               "grid_per_unit": 30}[flaw]
+            work = tmp_path / str(next(runs))
+            work.mkdir()
+            write_config(work / "q.json", solve=solve, quotient={
+                "p": p, "k": k, "m": m, "kind": kind, "n_samples": n_samples,
+                "seed": seed, "t_range": t_range})
+            code = main(["quotient", "--config", str(work / "q.json")])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4)
+            if code in (3, 4) or err.startswith("config error:"):
+                assert not (work / "out").exists()
+            else:
+                assert (work / "out" / "quotient_certificate.json").exists()
+
+        run()

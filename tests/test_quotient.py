@@ -1,6 +1,7 @@
 """Group actions: freeness, isometry, invariance, quotient certificates."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,14 +12,11 @@ from ricciwarp import (
     ScalarField,
     cartesian_profile_base,
     certify_quotient,
+    constant_field,
     euclidean_patch,
     fixed_point_candidates,
-    invariance_deviation,
-    is_free,
-    isometry_residual,
     make_cyclic_action,
     radial_field,
-    sphere_isometry_residual,
 )
 from ricciwarp.quotient import base_sample_set, fiber_sample_set
 
@@ -81,34 +79,51 @@ class TestGroupAction:
             make_cyclic_action(2, 1, 2, "mystery")
 
 
+def flat_certificate(action, patch=None, f=None, phi=None):
+    """The certificate of ``action`` on flat R^{k+1} (half-width 3) with
+    constant warping and potential unless given."""
+    patch = patch or euclidean_patch(action.base_generator.shape[0], 3.0)
+    return certify_quotient(action, patch, f or constant_field(1.0),
+                            phi or constant_field(0.0))
+
+
+def action_of(order, base_gen, base_samples, fiber_gen=None, fiber_samples=None):
+    """A GroupAction; the fiber defaults to the free rotation of S^1 by
+    2 pi / order."""
+    if fiber_gen is None:
+        fiber_gen = rotation(2 * np.pi / order, 2)
+    if fiber_samples is None:
+        fiber_samples = fiber_sample_set(fiber_gen, order, n_random=4, seed=0)
+    return GroupAction(order=order, base_generator=base_gen,
+                       fiber_generator=fiber_gen, base_samples=base_samples,
+                       fiber_samples=fiber_samples)
+
+
 class TestFreeness:
     def test_antipodal_margin_is_diameter(self):
-        act = make_cyclic_action(2, 1, 2, "antipodal")
-        free, margin = is_free(act)
-        assert free
-        assert abs(margin - 2.0) < 1e-12
+        cert = flat_certificate(make_cyclic_action(2, 1, 2, "antipodal"))
+        assert cert.verdict
+        assert abs(cert.freeness_margin - 2.0) < 1e-12
 
     def test_hopf_margin_matches_rotation_displacement(self):
         # block rotation by 2 pi j / p displaces every unit vector by
         # exactly 2 |sin(pi j / p)|; the margin is the j = 1 value
         for p in (3, 5):
-            act = make_cyclic_action(p, 1, 3, "hopf")
-            free, margin = is_free(act)
-            assert free
-            assert abs(margin - 2 * np.sin(np.pi / p)) < 1e-12
+            cert = flat_certificate(make_cyclic_action(p, 1, 3, "hopf"))
+            assert cert.verdict
+            assert abs(cert.freeness_margin - 2 * np.sin(np.pi / p)) < 1e-12
 
     def test_pole_fixing_rotation_caught_exactly(self):
-        act = make_cyclic_action(2, 1, 2, "axis_rotation")
-        free, margin = is_free(act)
-        assert not free
-        assert margin == 0.0
+        cert = flat_certificate(make_cyclic_action(2, 1, 2, "axis_rotation"))
+        assert not cert.verdict
+        assert cert.freeness_margin == 0.0
 
     def test_fixed_points_sampled_from_divisor_powers(self):
         # Fix(g^j) = Fix(g^gcd(j, p)): the divisors 1, 2, 5, 10, 25 of 50
         # add the pole pair once each to 6 axes and 8 random points
         act = make_cyclic_action(50, 1, 2, "axis_rotation", n_samples=8)
         assert len(act.fiber_samples) == 24
-        assert is_free(act)[1] == 0.0
+        assert flat_certificate(act).freeness_margin == 0.0
 
     def test_fixed_point_candidates_contain_pole(self):
         M = rotation(np.pi, 3)
@@ -121,73 +136,88 @@ class TestFreeness:
 
     def test_margin_monotone_under_sample_growth(self):
         act = make_cyclic_action(5, 1, 3, "hopf", n_samples=16)
-        _, margin_small = is_free(act)
-        bigger = GroupAction(
-            order=act.order, base_generator=act.base_generator,
-            fiber_generator=act.fiber_generator,
-            base_samples=act.base_samples,
-            fiber_samples=np.vstack([act.fiber_samples,
-                                     fiber_sample_set(act.fiber_generator, 5,
-                                                      n_random=128, seed=9)]))
-        _, margin_big = is_free(bigger)
-        assert margin_big <= margin_small + 1e-15
+        bigger = replace(act, fiber_samples=np.vstack([
+            act.fiber_samples,
+            fiber_sample_set(act.fiber_generator, 5, n_random=128, seed=9)]))
+        margin_small = flat_certificate(act).freeness_margin
+        assert flat_certificate(bigger).freeness_margin <= margin_small + 1e-15
 
 
 class TestIsometryResidual:
     def test_orthogonal_on_flat_metric(self):
-        patch = euclidean_patch(2, half_width=3.0)
         samples = base_sample_set(1, (0.5, 2.0), n_random=16, seed=0)
-        res = isometry_residual(rotation(2 * np.pi / 5, 2), patch, samples)
-        assert res < 1e-14
+        act = action_of(5, rotation(2 * np.pi / 5, 2), samples)
+        assert flat_certificate(act).base_isometry_residual < 1e-14
 
-    def test_shear_is_not_an_isometry(self):
-        patch = euclidean_patch(2, half_width=3.0)
-        shear = np.array([[1.0, 0.3], [0.0, 1.0]])
-        res = isometry_residual(shear, patch, np.array([[1.0, 0.0]]))
-        assert res > 0.1
+    def test_non_orthogonal_involution_is_not_an_isometry(self):
+        swap_scale = np.array([[0.0, 2.0], [0.5, 0.0]])  # squares to the identity
+        cert = flat_certificate(action_of(2, swap_scale, np.array([[1.0, 0.0]])))
+        assert cert.base_isometry_residual > 0.1
+        assert not cert.verdict
 
     def test_rotation_preserves_profile_base(self, steady_profile_12):
         a_s, _, _ = steady_profile_12.interpolants()
         base = cartesian_profile_base(a_s, 1, (0.3, 5.0))
         samples = base_sample_set(1, (0.5, 2.0), n_random=16, seed=1)
-        res = isometry_residual(rotation(np.pi / 2, 2), base, samples)
-        assert res <= 1e-10
+        act = action_of(4, rotation(np.pi / 2, 2), samples)
+        assert flat_certificate(act, patch=base).base_isometry_residual <= 1e-10
 
     def test_domain_escape_raises(self):
-        patch = euclidean_patch(2, half_width=1.0)
-        with pytest.raises(GeometryError):
-            isometry_residual(rotation(np.pi / 4, 2), patch,
-                              np.array([[0.95, 0.95]]))
+        act = action_of(8, rotation(np.pi / 4, 2), np.array([[0.95, 0.95]]))
+        with pytest.raises(GeometryError, match="maps outside the domain"):
+            flat_certificate(act, patch=euclidean_patch(2, half_width=1.0))
 
     def test_sphere_residual_zero_for_orthogonal(self):
         samples = fiber_sample_set(-np.eye(3), 2, n_random=8, seed=0)
-        assert sphere_isometry_residual(rotation(1.0, 3), samples) < 1e-14
-
-    def test_sphere_residual_positive_for_non_isometry(self):
-        scale = np.array([[0.0, 2.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        samples = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        assert sphere_isometry_residual(scale, samples) > 0.1
+        act = action_of(7, rotation(2 * np.pi / 7, 2), base_sample_set(1, n_random=4),
+                        fiber_gen=rotation(2 * np.pi / 7, 3), fiber_samples=samples)
+        assert flat_certificate(act).fiber_isometry_residual < 1e-14
 
 
 class TestInvariance:
     def test_radial_function_invariant(self, steady_profile_12):
         _, b_s, _ = steady_profile_12.interpolants()
-        f = radial_field(b_s)
         samples = base_sample_set(1, (0.5, 2.0), n_random=16, seed=2)
-        dev = invariance_deviation(f, rotation(2 * np.pi / 3, 2), samples, power=2)
-        assert dev < 1e-12
+        act = action_of(3, rotation(2 * np.pi / 3, 2), samples)
+        assert flat_certificate(act, f=radial_field(b_s)).f_invariance < 1e-12
 
     def test_coordinate_function_detected(self):
         u = ScalarField(lambda X: X[:, 0], "x1")
-        samples = np.array([[1.0, 0.0], [0.5, 0.5]])
-        dev = invariance_deviation(u, rotation(np.pi, 2), samples)
+        act = action_of(2, rotation(np.pi, 2), np.array([[1.0, 0.0], [0.5, 0.5]]))
+        cert = flat_certificate(act, phi=u)
         # u(gx) - u(x) = -2 x1, so the deviation is max 2|x1| over samples
-        assert abs(dev - 2.0) < 1e-14
+        assert abs(cert.phi_invariance - 2.0) < 1e-14
+        assert not cert.verdict
 
     def test_constant_invariant(self):
-        u = ScalarField(lambda X: np.full(len(X), 3.3), "const")
-        assert invariance_deviation(u, rotation(1.0, 2),
-                                    np.array([[1.0, 0.0]])) == 0.0
+        act = action_of(5, rotation(2 * np.pi / 5, 2), np.array([[1.0, 0.0]]))
+        cert = flat_certificate(act, f=constant_field(3.3))
+        assert cert.f_invariance == cert.phi_invariance == 0.0
+
+
+class TestQuotientEvaluationCounts:
+    """One certificate evaluates the base metric, f and phi p times each:
+    once at the base samples and once per non-identity power."""
+
+    @pytest.mark.parametrize("p", [2, 3, 50])
+    def test_each_callable_evaluated_p_times(self, steady_profile_13, p):
+        a_s, b_s, phi_s = steady_profile_13.interpolants()
+        base = cartesian_profile_base(a_s, 1, (0.3, 5.0))
+        f, phi = radial_field(b_s), radial_field(phi_s)
+        counts = dict.fromkeys(("metric", "f", "phi"), 0)
+
+        def counting(key, fn):
+            def call(X):
+                counts[key] += 1
+                return fn(X)
+            return call
+
+        cert = certify_quotient(make_cyclic_action(p, 1, 3, "hopf"),
+                                replace(base, g=counting("metric", base.g)),
+                                replace(f, f=counting("f", f.f)),
+                                replace(phi, f=counting("phi", phi.f)))
+        assert cert.verdict
+        assert counts == {"metric": p, "f": p, "phi": p}
 
 
 class TestCertifyQuotient:
