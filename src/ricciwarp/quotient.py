@@ -274,6 +274,9 @@ def certify_quotient(action: GroupAction,
       residual as an isometry of the ambient form g + f^2 P of the warped
       metric, and its margin as a fixed-point free map.
 
+    A NaN in the metric, f or phi makes the residuals it enters NaN, and a
+    NaN residual or margin fails the verdict.
+
     The base patch must be an ambient-coordinate chart (the generators are
     linear maps of those coordinates), and a sample that a power maps
     outside its domain raises :class:`GeometryError`; the fiber is the
@@ -284,9 +287,9 @@ def certify_quotient(action: GroupAction,
     gX, fX, phiX = base_patch.metric(X), f(X), phi(X)
     P = _tangent_projector(Y)
     gf = (fX[:n] * fX[:n])[:, None, None] * P[:n]
-    margin = diag_margin = np.inf
-    f_dev = phi_dev = diag_res = 0.0
-    base_res, fiber_res = [], []
+    # per power: freeness margin, base, fiber, f, phi and diagonal
+    # residuals, diagonal margin; numpy folds keep a NaN, which fails
+    worst = []
     for Mb, Mf in zip(_powers(action.base_generator, action.order - 1),
                       _powers(action.fiber_generator, action.order - 1)):
         MX, MY = X @ Mb.T, Y @ Mf.T
@@ -299,32 +302,32 @@ def certify_quotient(action: GroupAction,
         fMX = f(MX)
         pull = Mf.T @ _tangent_projector(MY) @ Mf
         disp = np.linalg.norm(MY - Y, axis=1)
-
-        margin = min(margin, float(disp.min()))
-        base_res.append(float(base_dev.max(initial=0.0)))
-        fiber_res.append(float(np.linalg.norm(P @ (pull - P) @ P, axis=(1, 2))
-                               .max(initial=0.0)))
-        f_dev = max(f_dev, float(np.abs(fMX - fX).max(initial=0.0)))
-        phi_dev = max(phi_dev, float(np.abs(phi(MX) - phiX).max(initial=0.0)))
-
         gf_pull = (fMX[:n] * fMX[:n])[:, None, None] * pull[:n]
         block = (base_dev[:n] ** 2
                  + np.linalg.norm(P[:n] @ (gf_pull - gf) @ P[:n], axis=(1, 2)) ** 2)
-        diag_res = max(diag_res, float(np.sqrt(block).max(initial=0.0)))
         diag_disp = np.sqrt(np.linalg.norm(MX[:n] - X[:n], axis=1) ** 2
                             + disp[:n] ** 2)
-        diag_margin = min(diag_margin, float(diag_disp.min(initial=np.inf)))
+        worst.append((
+            disp.min(),
+            base_dev.max(initial=0.0),
+            np.linalg.norm(P @ (pull - P) @ P, axis=(1, 2)).max(initial=0.0),
+            np.abs(fMX - fX).max(initial=0.0),
+            np.abs(phi(MX) - phiX).max(initial=0.0),
+            np.sqrt(block).max(initial=0.0),
+            diag_disp.min(initial=np.inf)))
+    (margin, base_res, fiber_res, f_dev, phi_dev, diag_res,
+     diag_margin) = np.array(worst).T
 
     return QuotientCertificate(
         label=action.label,
         order=action.order,
-        freeness_margin=margin,
-        base_isometry_residual=max(base_res),
-        fiber_isometry_residual=max(fiber_res),
-        f_invariance=f_dev,
-        phi_invariance=phi_dev,
-        diagonal_isometry_residual=diag_res,
-        diagonal_freeness_margin=diag_margin,
+        freeness_margin=float(margin.min()),
+        base_isometry_residual=float(base_res.max()),
+        fiber_isometry_residual=float(fiber_res.max()),
+        f_invariance=float(f_dev.max()),
+        phi_invariance=float(phi_dev.max()),
+        diagonal_isometry_residual=float(diag_res.max()),
+        diagonal_freeness_margin=float(diag_margin.min()),
         n_base_samples=len(X),
         n_fiber_samples=len(Y),
         tolerance=tolerance,

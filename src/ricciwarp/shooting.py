@@ -114,7 +114,10 @@ class AnsatzParams:
     ``rtol`` and ``atol`` are the integrator tolerances; an ``rtol`` below
     100 machine epsilons (about 2.2e-14) is raised to 100 eps, as scipy's
     ``solve_ivp`` does, and the launch segment up to t = 0.1 runs at
-    tolerances of at most 1e-13.
+    tolerances of at most 1e-13.  ``grid_per_unit`` is the density of the
+    output grid in rows per unit of t; at the default 200 the certificate
+    residuals and ``mu_spread`` read as at twice the density, while at 100
+    the worst residual of some classes doubles.
     """
 
     k: int
@@ -126,7 +129,7 @@ class AnsatzParams:
     t_max: float = 10.0
     rtol: float = 1e-10
     atol: float = 1e-10
-    grid_per_unit: int = 400
+    grid_per_unit: int = 200
 
     def __post_init__(self):
         if self.k < 0:

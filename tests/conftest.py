@@ -38,6 +38,12 @@ def steady_profile_02():
 
 
 @pytest.fixture(scope="session")
+def cylinder_profile_02():
+    """The unit round cylinder R x S^2 shot as a profile: completed to t_max."""
+    return shoot(AnsatzParams(k=0, m=2, lam=1.0, b0=1.0))
+
+
+@pytest.fixture(scope="session")
 def steady_profile_23():
     return shoot(AnsatzParams(k=2, m=3, lam=0.0, b0=1.0))
 

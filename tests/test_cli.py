@@ -649,3 +649,52 @@ class TestQuotientFuzz:
                 assert (work / "out" / "quotient_certificate.json").exists()
 
         run()
+
+
+class TestSolveFuzz:
+    """Random solve configs end in a documented exit code, and only a
+    successful solve writes its outputs: both of them.  Each example
+    carries at most one deliberate flaw, which must be a config error: a
+    refused series start (epsilon too large or b0 too small), too coarse a
+    grid, or a value of the wrong type under one key."""
+
+    def test_exit_codes_and_artifacts(self, tmp_path, capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        runs = itertools.count()
+        keys = ("k", "m", "lambda", "b0", "phi2", "t_max", "grid_per_unit")
+
+        @hypothesis.settings(max_examples=30, deadline=None, database=None)
+        @hypothesis.given(
+            k=st.integers(0, 3), m=st.integers(1, 4),
+            lam=st.floats(-1.0, 1.0), b0=st.floats(0.3, 3.0),
+            phi2=st.floats(-1.0, 0.5), t_max=st.floats(0.2, 3.0),
+            grid_per_unit=st.integers(40, 200),
+            flaw=st.sampled_from([None, None, None, "epsilon", "b0",
+                                  "grid_per_unit", "type"]),
+            coarse=st.integers(1, 39), key=st.sampled_from(keys),
+            wrong=st.sampled_from(["1", True, None, [1]]))
+        def run(k, m, lam, b0, phi2, t_max, grid_per_unit, flaw, coarse,
+                key, wrong):
+            solve = dict(zip(keys, (k, m, lam, b0, phi2, t_max,
+                                    grid_per_unit)))
+            if flaw == "type":
+                solve[key] = wrong
+            elif flaw:
+                solve[flaw] = {"epsilon": 0.01, "b0": 1e-5,
+                               "grid_per_unit": coarse}[flaw]
+                if flaw == "b0":   # the circle fiber (m = 1) takes any b0
+                    solve["m"] = max(m, 2)
+            work = tmp_path / str(next(runs))
+            work.mkdir()
+            write_config(work / "s.json", solve=solve)
+            code = main(["solve", "--config", str(work / "s.json")])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4)
+            outputs = [(work / "out" / name).exists()
+                       for name in ("profile.csv", "solve_summary.json")]
+            assert outputs == [code == 0] * 2
+            if flaw:
+                assert code == 2 and err.startswith("config error:")
+
+        run()

@@ -195,6 +195,42 @@ class TestInvariance:
         assert cert.f_invariance == cert.phi_invariance == 0.0
 
 
+def _nan_where_x1_positive(values, X):
+    return np.where((X[:, 0] > 0).reshape((-1,) + (1,) * (values.ndim - 1)),
+                    np.nan, values)
+
+
+class TestNonFiniteFails:
+    """A NaN in the data reaches the residual it spoils and fails the
+    certificate, at every power and for every quantity it enters."""
+
+    SPOILED = {"phi": ("phi_invariance",),
+               "f": ("f_invariance", "diagonal_isometry_residual"),
+               "metric": ("base_isometry_residual",
+                          "diagonal_isometry_residual")}
+
+    @pytest.mark.parametrize("order", [2, 5])
+    @pytest.mark.parametrize("nan_in", list(SPOILED))
+    def test_nan_fails(self, order, nan_in):
+        action = make_cyclic_action(order, 1, 1,
+                                    "antipodal" if order == 2 else "hopf")
+        if nan_in == "metric":
+            patch = euclidean_patch(2, 3.0)
+            data = {"patch": replace(
+                patch, g=lambda X: _nan_where_x1_positive(patch.g(X), X))}
+        else:
+            data = {nan_in: ScalarField(
+                lambda X: _nan_where_x1_positive(np.ones(len(X)), X), nan_in)}
+        doc = flat_certificate(action, **data).to_dict()
+        for name in ("base_isometry_residual", "fiber_isometry_residual",
+                     "f_invariance", "phi_invariance",
+                     "diagonal_isometry_residual"):
+            assert np.isnan(doc[name]) == (name in self.SPOILED[nan_in]), name
+        assert doc["freeness_margin"] > 0.1
+        assert doc["verdict"] == "fail"
+        assert flat_certificate(action).verdict   # the same on finite data
+
+
 class TestQuotientEvaluationCounts:
     """One certificate evaluates the base metric, f and phi p times each:
     once at the base samples and once per non-identity power."""

@@ -422,7 +422,8 @@ class TestDiagnosticsIndependence:
         # the diagnostics difference every row with one step: a t_max 3
         # grid (1201 rows) keeping every row of its first half and every
         # second row of its second half (901 rows) is refused
-        prof = shoot(replace(steady_profile_12.params, t_max=3.0))
+        prof = shoot(replace(steady_profile_12.params, t_max=3.0,
+                             grid_per_unit=400))
         assert prof.t.size == 1201
         index = np.r_[0:600, 600:1201:2]
         assert index.size == 901
@@ -485,6 +486,31 @@ class TestCertifyProfile:
         unfinished = replace(steady_profile_12, status=status)
         with pytest.raises(GeometryError, match=f"status is '{status}'"):
             certify_profile(unfinished)
+
+    def test_blowup_profile_has_no_geometry(self, steady_profile_02):
+        # the steady k = 0 profile blows up near t = 1.95; its grid keeps b
+        # positive, but the quintic spline of b dips below 0 between rows
+        prof = steady_profile_02
+        assert prof.status == "blowup" and prof.b.min() > 0
+        with pytest.raises(GeometryError, match="'b-warping' is not positive"):
+            profile_geometry(prof)
+
+    @pytest.mark.parametrize("k, m, lam", [(1, 2, 0.0), (2, 3, 0.0),
+                                           (1, 3, -0.1)])
+    def test_default_grid_resolves_the_certificate(self, k, m, lam):
+        # the default grid density against twice of it, on the same shot:
+        # the worst certificate residual moves by less than 15% and
+        # mu_spread by less than 10%
+        params = AnsatzParams(k=k, m=m, lam=lam, b0=1.0)
+        fine = replace(params, grid_per_unit=2 * params.grid_per_unit)
+        worst, spread = {}, {}
+        for p in (params, fine):
+            prof = shoot(p)
+            checks = certify_profile(prof).checks.values()
+            worst[p] = max(c["residual"] for c in checks)
+            spread[p] = prof.mu_spread
+        assert abs(worst[params] - worst[fine]) <= 0.15 * worst[fine]
+        assert abs(spread[params] - spread[fine]) <= 0.10 * spread[fine]
 
     @pytest.mark.parametrize("column", ["a_prime", "b_prime", "phi_prime"])
     def test_derivative_columns_do_not_reach_the_certificate(

@@ -314,8 +314,10 @@ class TestCertifyEvaluationCounts:
     once for the Einstein check, then each once more inside the soliton
     residual of the assembled product."""
 
+    # k = 0 on the round cylinder: the steady k = 0 profile blows up near
+    # t = 1.95 and is never certified (test_blowup_profile_has_no_geometry)
     @pytest.mark.parametrize("profile", ["steady_profile_12", "steady_profile_23",
-                                         "steady_profile_02"])
+                                         "cylinder_profile_02"])
     def test_each_callable_evaluated_twice(self, profile, request):
         w = profile_geometry(request.getfixturevalue(profile))
         counts = dict.fromkeys(("base", "fiber", "f", "phi"), 0)
