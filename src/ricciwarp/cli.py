@@ -4,7 +4,7 @@ Workflows are driven by a JSON config with one block per subcommand plus
 ``out_dir`` and ``schema_version``.  One schema table gives each key of
 the four blocks its type and constraint: unknown keys are rejected,
 integer keys take integers, real keys finite numbers, booleans are
-neither, and the ``--tolerance``/``--seed`` overrides pass the same checks
+neither, the sweep's ``parallel`` takes a boolean, and the ``--tolerance``/``--seed`` overrides pass the same checks
 as the config keys they override.  Sample counts, the output grid, the
 sphere dimensions, the rows and workers of a sweep and the quotient group
 order are capped (``MAX_SAMPLES``, ``MAX_GRID_POINTS``, ``MAX_DIMENSION``,
@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .patches import GeometryError
+from .patches import GeometryError, _strict_json
 from .quotient import certify_quotient, make_cyclic_action
 from .shooting import (
     AnsatzParams,
@@ -74,9 +74,10 @@ class ConfigError(Exception):
     pass
 
 
-# value types: integers, finite reals (booleans are neither), strings, and
-# None for a value taken as it is
-_INT, _REAL, _STR = "an integer", "a finite number", "a string"
+# value types: integers, finite reals (booleans are neither), strings,
+# booleans, and None for a value taken as it is
+_INT, _REAL, _STR, _BOOL = ("an integer", "a finite number", "a string",
+                            "a boolean")
 # the schema: block -> key -> (type, constraint), the constraint one of
 # None, "positive", "nonnegative" and "pair" (a list of two of the type)
 _ANSATZ = {
@@ -102,7 +103,7 @@ _SCHEMA = {
         "freeness_tolerance": (_REAL, "nonnegative"),
         "t_range": (_REAL, "pair"),
     },
-    "sweep": {**_ANSATZ, "parallel": (None, None),
+    "sweep": {**_ANSATZ, "parallel": (_BOOL, None),
               "workers": (_INT, "positive")},
 }
 # key -> the largest value it takes
@@ -129,6 +130,7 @@ _IS = {
     _INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
     _REAL: _is_real,
     _STR: lambda v: isinstance(v, str),
+    _BOOL: lambda v: isinstance(v, bool),
     None: lambda v: True,
 }
 
@@ -200,21 +202,10 @@ def _write(out_dir: str, name: str, text: str):
     os.replace(path + ".tmp", path)
 
 
-def _jsonable(obj):
-    """Replace non-finite floats by None so reports stay strict JSON."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    return obj
-
-
 def _dump_json(doc: dict, cfg: dict) -> str:
     """A report as strict JSON, with the tool version and config hash."""
     doc = {**doc, "tool_version": __version__, "config_hash": config_hash(cfg)}
-    return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
+    return _strict_json(doc) + "\n"
 
 
 def _check_grid(params: AnsatzParams, where: str):
@@ -368,7 +359,7 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
         raise ConfigError(str(exc)) from exc
     for params in grid:
         _check_grid(params, "sweep")
-    rows = sweep(grid, parallel=bool(block.get("parallel", False)),
+    rows = sweep(grid, parallel=block.get("parallel", False),
                  workers=block.get("workers"))
     lines = [f"# schema_version={CONFIG_SCHEMA_VERSION}",
              ",".join(_SWEEP_HEADER)]

@@ -22,6 +22,8 @@ enforced by :meth:`MetricPatch.require_interior`.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,6 +46,26 @@ __all__ = [
     "constant_field",
     "radial_field",
 ]
+
+
+def _jsonable(obj):
+    """``obj`` with each non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _strict_json(doc) -> str:
+    """A report as strict JSON, indented with sorted keys: a non-finite
+    float is written as null, never as the bare ``NaN`` or ``Infinity``
+    that a strict parser refuses.  Certificates and the CLI's reports
+    all go through it."""
+    return json.dumps(_jsonable(doc), indent=2, sort_keys=True,
+                      allow_nan=False)
 
 
 class GeometryError(Exception):

@@ -22,12 +22,11 @@ points.  Certificates record sample counts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .patches import GeometryError, MetricPatch, ScalarField
+from .patches import GeometryError, MetricPatch, ScalarField, _strict_json
 
 __all__ = [
     "GroupAction",
@@ -248,7 +247,7 @@ class QuotientCertificate:
                 "verdict": "pass" if self.verdict else "fail"}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _strict_json(self.to_dict())
 
 
 def certify_quotient(action: GroupAction,

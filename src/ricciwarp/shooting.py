@@ -31,7 +31,16 @@ positive phi2 drives finite-time blowup.  Integration starts from the
 series at t = epsilon (``_series_start``, for every k) to keep the right
 side total.  It is an adaptive DOP853 loop (``_dop853``: Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.10) with the steps, dense output and event
-roots of scipy's ``solve_ivp(method="DOP853")``.
+roots of scipy's ``solve_ivp(method="DOP853")``.  The loop advances a
+batch of rows in lockstep, each with its own t, step size and events:
+``shoot`` is a batch of one row and ``sweep`` integrates its grid in
+batches.  A row keeps the bits it has alone, whatever else is in its
+batch: the batch's stage sums, error estimates and dense-output products
+are stacked ``np.matmul`` products over the rows' own stage tables, which
+give each row the bits of its ``np.dot`` (folding the rows into one wide
+product would not), the rest of a step is elementwise IEEE arithmetic,
+and the step-size control, whose ``pow`` an array form need not round as
+the scalar one does, runs row by row on Python floats.
 
 A profile stores only its integrated state, the grid arrays.  Its
 diagnostics (the first-integral series mu(t) and the per-equation residual
@@ -43,6 +52,7 @@ algebraically and report conservation even for corrupted data.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -154,16 +164,17 @@ class AnsatzParams:
         return "steady"
 
 
-def _reduced_kernel(params: AnsatzParams, a, ap, b, bp, phip):
+def _reduced_kernel(k, m, lam, a, ap, b, bp, phip):
     """The reduced system: ``(s_a, s_b, phi'') = (a''/a, b''/b, phi'')``.
 
-    Plain arithmetic, so the same code runs on floats (the ODE right side)
-    and on arrays (the grid diagnostics).  For k = 0 the a-arguments are
-    not read and ``s_a`` is 0.
+    Plain arithmetic, so the same code runs on Python floats (the right
+    side of one row), on arrays of one value per row, ``k``, ``m`` and
+    ``lam`` included (the right side of a batch), and on a profile's grid
+    arrays (its diagnostics).  For the line base (k = 0) ``a`` and ``ap``
+    are None and ``s_a`` is 0.
     """
-    k, m, lam = params.k, params.m, params.lam
     s_b = (m - 1) * (1.0 - bp * bp) / (b * b)
-    if k < 1:
+    if a is None:
         s_a = 0.0
     else:
         s_a = ((k - 1) * (1.0 - ap * ap) / (a * a)
@@ -201,36 +212,79 @@ def _series_start(params: AnsatzParams):
             2.0 * phi2 * eps)
 
 
-def _rhs_with_phi(params: AnsatzParams):
-    """The integrator's right side ``rhs(t, y)`` for ``params``.
+# from this many rows on, a batch evaluates its right side as one pass of
+# array arithmetic over the rows; fewer rows run each row's Python-float
+# closure (see :func:`_rhs_with_phi`)
+_ARRAY_RHS_ROWS = 24
 
-    The one right side of the reduced system.  The state carries phi next
-    to it: (a, a', b, b', phi, phi') for k >= 1 and (b, b', phi, phi') for
-    k = 0, and ``rhs`` returns the state's derivative, phi' in phi's slot.
+
+def _rhs_with_phi(rows):
+    """The integrator's right side ``rhs(Y)`` of a batch of ``rows``.
+
+    The one right side of the reduced system.  ``rows`` are the batch's
+    AnsatzParams, all with k >= 1 or all with k = 0, and ``Y`` holds one
+    state per row: (a, a', b, b', phi, phi') for k >= 1 and (b, b', phi,
+    phi') for k = 0.  ``rhs`` returns each state's derivative, phi' in
+    phi's slot, as rows that :func:`_dop853` writes into its stage table.
     Runge-Kutta stages may probe past a degeneration before the terminal
     event localizes it, so a and b are clamped at ``_EVAL_FLOOR`` as
     ``max(a, floor)`` clamps (a NaN stays NaN) and the right side stays
-    evaluable below the event floor.  The closure works on Python floats
-    from ``y.tolist()``: IEEE arithmetic gives the same bits as on
-    ``np.float64`` scalars at a fraction of the per-call cost.  It returns
-    a list, which :func:`_dop853` writes into its stage table as it is.
+    evaluable below the event floor.  The system is autonomous, so ``rhs``
+    takes no time.
+
+    Below ``_ARRAY_RHS_ROWS`` rows each row runs a closure on the Python
+    floats of ``Y.tolist()``: IEEE arithmetic gives the same bits as on
+    ``np.float64`` scalars at a fraction of the per-call cost.  From there
+    on, one pass of elementwise array arithmetic over the rows, with
+    arrays of their k, m and lam, costs less than the closures.  Both run
+    :func:`_reduced_kernel`'s operations in its order, so a row's
+    derivative has the same bits either way.
     """
     floor = _EVAL_FLOOR
-    if params.k >= 1:
-        def rhs(t, y):
-            a, ap, b, bp, _, phip = y.tolist()
-            a = floor if floor > a else a
-            b = floor if floor > b else b
-            s_a, s_b, phipp = _reduced_kernel(params, a, ap, b, bp, phip)
-            return [ap, a * s_a, bp, b * s_b, phip, phipp]
+    line = rows[0].k < 1
+    if len(rows) >= _ARRAY_RHS_ROWS:
+        k, m, lam = (np.array([getattr(p, name) for p in rows], dtype=float)
+                     for name in ("k", "m", "lam"))
+        if line:
+            def rhs(Y):
+                b, bp, _, phip = Y.T
+                b = np.maximum(b, floor)
+                _, s_b, phipp = _reduced_kernel(k, m, lam, None, None, b, bp,
+                                                phip)
+                return np.stack((bp, b * s_b, phip, phipp), axis=1)
+            return rhs
+
+        def rhs(Y):
+            a, ap, b, bp, _, phip = Y.T
+            a = np.maximum(a, floor)
+            b = np.maximum(b, floor)
+            s_a, s_b, phipp = _reduced_kernel(k, m, lam, a, ap, b, bp, phip)
+            return np.stack((ap, a * s_a, bp, b * s_b, phip, phipp), axis=1)
         return rhs
 
-    def rhs(t, y):
-        b, bp, _, phip = y.tolist()
-        b = floor if floor > b else b
-        _, s_b, phipp = _reduced_kernel(params, None, None, b, bp, phip)
-        return [bp, b * s_b, phip, phipp]
-    return rhs
+    def closure(k, m, lam):
+        if line:
+            def row_rhs(y):
+                b, bp, _, phip = y
+                b = floor if floor > b else b
+                _, s_b, phipp = _reduced_kernel(k, m, lam, None, None, b, bp,
+                                                phip)
+                return [bp, b * s_b, phip, phipp]
+            return row_rhs
+
+        def row_rhs(y):
+            a, ap, b, bp, _, phip = y
+            a = floor if floor > a else a
+            b = floor if floor > b else b
+            s_a, s_b, phipp = _reduced_kernel(k, m, lam, a, ap, b, bp, phip)
+            return [ap, a * s_a, bp, b * s_b, phip, phipp]
+        return row_rhs
+
+    closures = [closure(p.k, p.m, p.lam) for p in rows]
+    if len(closures) == 1:
+        [row_rhs] = closures
+        return lambda y: row_rhs(y.tolist())
+    return lambda Y: [f(y) for f, y in zip(closures, Y.tolist())]
 
 
 def _horner(rows, y_old, x):
@@ -479,7 +533,8 @@ def _diagnostics(params: AnsatzParams, t, a, ap, b, bp, phip):
         raise ValueError("profile column t is not uniformly spaced; the "
                          "diagnostics difference it with one step")
     dt = t[1] - t[0]
-    s_a, s_b, phipp_rhs = _reduced_kernel(params, a, ap, b, bp, phip)
+    s_a, s_b, phipp_rhs = _reduced_kernel(k, m, lam, a if k >= 1 else None,
+                                          ap, b, bp, phip)
     bpp_fd = grid_derivative(bp, dt)
     res_tt = grid_derivative(phip, dt) - phipp_rhs
     res_sm = bpp_fd - b * s_b
@@ -529,183 +584,366 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
-def _dop853(fun, t0, t1, y0, rtol, atol, first_step, events):
-    """Integrate ``y' = fun(t, y)`` from ``t0`` to ``t1 > t0`` with DOP853.
-
-    The method of Hairer, Norsett & Wanner, *Solving ODEs I*, II.10, as
-    ``solve_ivp(method="DOP853", dense_output=True, events=events)`` runs
-    it: the operations of scipy's ``DOP853._step_impl``, ``rk_step``,
-    ``_estimate_error_norm`` and ``_dense_output_impl`` in their order, on
-    the coefficients of ``scipy.integrate.DOP853``, so the steps, the
-    dense output and the event roots have ``solve_ivp``'s bits.  ``fun``
-    is called directly (its list is written into the stage table), the
-    stage views are built once, and every event is terminal and is
-    located by ``brentq`` on the step's polynomial, the earliest root
-    ending the run.  An ``rtol`` below 100 eps is raised to 100 eps, as
-    scipy does.  Returns a :class:`_Run`.
-    """
+def _check_run(t0, t1, y0):
+    """Refuse a run that :func:`_dop853` cannot start, as ``solve_ivp``
+    would: ``ValueError`` unless ``t1 > t0`` and ``y0`` is finite."""
     if not t1 > t0:
         raise ValueError(f"integration runs forward only: need t1 > t0, "
                          f"got t0={t0!r}, t1={t1!r}")
     if not np.isfinite(y0).all():
         raise ValueError(
             "All components of the initial state `y0` must be finite.")
+
+
+def _dop853(rhs_for, t0, t1, y0, rtol, atol, first_step, events):
+    """Integrate a batch of rows of ``y' = f(y)`` with DOP853, in lockstep.
+
+    The method of Hairer, Norsett & Wanner, *Solving ODEs I*, II.10, as
+    ``solve_ivp(method="DOP853", dense_output=True, events=...)`` runs it
+    on each row alone: the operations of scipy's ``DOP853._step_impl``,
+    ``rk_step``, ``_estimate_error_norm`` and ``_dense_output_impl`` in
+    their order, on the coefficients of ``scipy.integrate.DOP853``, so
+    every row's steps, dense output and event roots have ``solve_ivp``'s
+    bits.  Row i runs from ``t0[i]`` to ``t1[i]`` from the state ``y0[i]``
+    (``y0`` is a rows x n array) at its own ``rtol[i]``, ``atol[i]`` and
+    ``first_step[i]``, and keeps its own t, step size, accept/reject state
+    and events; an ``rtol`` below 100 eps is raised to 100 eps, as scipy
+    does.  Each pass of the loop makes one step attempt for every row
+    still running.  ``rhs_for(live)`` gives the right side of the rows
+    ``live`` (a list of row indices): for one row a map of its state to
+    its derivative, for several a map of their ``len(live) x n`` states
+    to their derivative rows; it is asked again whenever rows finish.
+    ``events(Y)`` gives the values of the terminal events (the last axis)
+    of one state or of a stack of states; a row's earliest root, located
+    by ``brentq`` on the step's polynomial, ends it.  Returns one
+    :class:`_Run` per row, or the exception that ``brentq`` raised for it.
+
+    A row's bits do not depend on the other rows.  The stage sums
+    ``K^T a``, the error estimates and the dense-output products ``D K``
+    of several rows are stacked products, ``np.matmul`` over the rows' own
+    stage tables, which give each row the bits of its ``np.dot`` (one
+    BLAS call per row; folding the rows into one wide product would not).
+    The rest of a step is elementwise IEEE arithmetic, except the
+    step-size control, whose ``pow`` an array form need not round as the
+    scalar one does: it runs row by row on Python floats.  Floating-point
+    warnings are off inside the loop, since the values that a batch
+    computes for its rejected rows are discarded.
+    """
     M = DOP853
-    rtol = max(rtol, 100 * _EPS)
+    n_rows, n = y0.shape
+    for i in range(n_rows):
+        _check_run(t0[i], t1[i], y0[i])
     exponent = -1 / (M.error_estimator_order + 1)
-    n_stages = M.n_stages
-    K_ext = np.empty((n_stages + 1 + len(M.C_EXTRA), y0.size))
-    K = K_ext[:n_stages + 1]
-    # (stage row, the rows before it as columns, its A row and C node)
-    stages = [(K_ext[s], K_ext[:s].T, a[:s], c) for s, (a, c)
-              in enumerate(zip(M.A[1:], M.C[1:]), start=1)]
-    extra = [(K_ext[s], K_ext[:s].T, a[:s], c) for s, (a, c)
-             in enumerate(zip(M.A_EXTRA, M.C_EXTRA), start=n_stages + 1)]
-    K_B, K_E = K[:-1].T, K.T
+    n_stages, n_extra = M.n_stages, len(M.C_EXTRA)
+    t = [float(v) for v in t0]
+    t_end = [float(v) for v in t1]
+    t_next = t[:]
+    h_abs = [float(v) for v in first_step]
+    min_step = [0.0] * n_rows
+    fresh = [True] * n_rows
+    rejected = [False] * n_rows
+    nfev = [1] * n_rows
+    records = [([v], [], [], []) for v in t]   # t, h, F, y_old per row
+    runs = [None] * n_rows
+    rtol = np.maximum(np.asarray(rtol, dtype=float), 100 * _EPS)
+    atol = np.asarray(atol, dtype=float)
+    live = list(range(n_rows))
+    K_ext = np.empty((n_rows, n_stages + 1 + n_extra, n))
 
-    t, y, h_abs = t0, y0, first_step
-    K[0] = fun(t, y)
-    nfev = 1
-    g = [event(t, y) for event in events]
-    ts, hs, Fs, y_olds = [t0], [], [], []
-    status = event = None
-    while status is None:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                status = -1
-                break
-            t_new = t + h_abs
-            if t_new > t1:
-                t_new = t1
-            h = t_new - t
-            h_abs = np.abs(h)
-            for Ks, K_prev, a, c in stages:
-                dy = np.dot(K_prev, a) * h
-                Ks[:] = fun(t + c * h, y + dy)
-            y_new = y + h * np.dot(K_B, M.B)
-            K[-1] = fun(t + h, y_new)
-            nfev += n_stages
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(K_E, M.E5) / scale
-            err3 = np.dot(K_E, M.E3) / scale
-            # np.linalg.norm's operations on a vector, without its checks
-            err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
-            err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
-            if err5_norm_2 == 0 and err3_norm_2 == 0:
-                error_norm = 0.0
-            else:
-                denom = err5_norm_2 + 0.01 * err3_norm_2
-                error_norm = (np.abs(h) * err5_norm_2
-                              / np.sqrt(denom * len(scale)))
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
+    def batch():
+        """The right side, products and stage views of the rows ``live``.
+
+        A one-row batch keeps its row alone: its state and stage rows are
+        1-D, its step and tolerances floats and its products ``np.dot``,
+        which cost less than their stacked forms.
+        """
+        if len(live) == 1:
+            K, dot = K_ext[0], np.dot
+            tol = float(atol[live[0]]), float(rtol[live[0]])
+
+            def stage(s):
+                return K[s], K[:s].T
+
+            def norm2(err):
+                return [err.dot(err)]
+        else:
+            K, dot = K_ext, np.matmul
+            tol = atol[live][:, None], rtol[live][:, None]
+
+            def stage(s):
+                return K[:, s], K[:, :s].transpose(0, 2, 1)
+
+            def norm2(err):
+                return np.matmul(err[:, None, :],
+                                 err[:, :, None]).ravel().tolist()
+        # (stage rows, the stage table before them as columns, the A row)
+        stages = [(*stage(s), a[:s]) for s, a in enumerate(M.A[1:], start=1)]
+        extra = [(*stage(s), a[:s])
+                 for s, a in enumerate(M.A_EXTRA, start=n_stages + 1)]
+        first, last = stage(0)[0], stage(n_stages)
+        return (rhs_for(live), dot, norm2, tol, stages, extra, first, last[0],
+                last[1], stage(n_stages + 1)[1])
+
+    with np.errstate(all="ignore"):
+        (fun, dot, norm2, (atol_, rtol_), stages, extra, K_first, K_last,
+         K_B, K_E) = batch()
+        y = np.array(y0[0] if n_rows == 1 else y0, dtype=float)
+        K_first[:] = fun(y)
+        g = events(y).tolist()
+        while live:
+            # the start of each row's attempt, as in solve_ivp's step loop;
+            # a row whose step size underflowed finishes
+            single = len(live) == 1
+            h = []
+            for j, i in enumerate(live):
+                if runs[i] is not None:
+                    continue
+                if fresh[i]:
+                    fresh[i] = rejected[i] = False
+                    min_step[i] = 10 * abs(math.nextafter(t[i], math.inf) - t[i])
+                    if h_abs[i] < min_step[i]:
+                        h_abs[i] = min_step[i]
+                elif h_abs[i] < min_step[i]:
+                    runs[i] = _finish(records[i], y if single else y[j],
+                                      nfev[i], -1, None)
+                    continue
+                t_new = t[i] + h_abs[i]
+                if t_new > t_end[i]:
+                    t_new = t_end[i]
+                t_next[i] = t_new
+                h.append(t_new - t[i])
+                h_abs[i] = abs(h[-1])
+            if len(h) < len(live):   # rows finished: the batch shrinks
+                keep = [j for j, i in enumerate(live) if runs[i] is None]
+                live = [live[j] for j in keep]
+                if not live:
+                    break
+                y, K_ext = y[keep], K_ext[keep]
+                g = [g[j] for j in keep]
+                (fun, dot, norm2, (atol_, rtol_), stages, extra, K_first,
+                 K_last, K_B, K_E) = batch()
+                single = len(live) == 1
+                if single:
+                    y, g = y[0], g[0]
+
+            H = h[0] if single else np.array(h)[:, None]
+            for Ks, K_prev, a in stages:
+                Ks[:] = fun(y + dot(K_prev, a) * H)
+            y_new = y + H * dot(K_B, M.B)
+            K_last[:] = fun(y_new)
+            scale = atol_ + np.maximum(np.abs(y), np.abs(y_new)) * rtol_
+            err5 = norm2(dot(K_E, M.E5) / scale)
+            err3 = norm2(dot(K_E, M.E3) / scale)
+
+            # step-size control, row by row on Python floats
+            accepted = []
+            for j, i in enumerate(live):
+                nfev[i] += n_stages
+                # np.linalg.norm's operations on a vector, squared
+                err5_norm_2 = math.sqrt(err5[j]) ** 2
+                err3_norm_2 = math.sqrt(err3[j]) ** 2
+                if err5_norm_2 == 0 and err3_norm_2 == 0:
+                    error_norm = 0.0
                 else:
-                    factor = min(_MAX_FACTOR,
-                                 _SAFETY * error_norm ** exponent)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** exponent)
-            rejected = True
-        if status == -1:
-            break
-        t_old, y_old, t, y = t, y, t_new, y_new
-        if t >= t1:
-            status = 0
+                    denom = err5_norm_2 + 0.01 * err3_norm_2
+                    error_norm = (abs(h[j]) * err5_norm_2
+                                  / math.sqrt(denom * n))
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = _MAX_FACTOR
+                    else:
+                        factor = min(_MAX_FACTOR,
+                                     _SAFETY * error_norm ** exponent)
+                    if rejected[i]:
+                        factor = min(1, factor)
+                    h_abs[i] *= factor
+                    accepted.append(j)
+                else:
+                    h_abs[i] *= max(_MIN_FACTOR,
+                                    _SAFETY * error_norm ** exponent)
+                    rejected[i] = True
+            if not accepted:
+                continue
 
-        for Ks, K_prev, a, c in extra:
-            dy = np.dot(K_prev, a) * h
-            Ks[:] = fun(t_old + c * h, y_old + dy)
-        nfev += len(extra)
-        F = np.empty((3 + len(M.D), y.size))
-        f_old = K[0]
-        delta_y = y - y_old
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (K[-1] + f_old)
-        F[3:] = h * np.dot(M.D, K_ext)
-        K[0] = K[-1]
+            # the dense output and events of the accepted steps
+            y_old = y
+            if len(accepted) == len(live):
+                y = y_new
+            else:
+                y = y.copy()
+                y[accepted] = y_new[accepted]
+            for Ks, K_prev, a in extra:
+                Ks[:] = fun(y_old + dot(K_prev, a) * H)
+            F = np.empty(y.shape[:-1] + (3 + len(M.D), n))
+            delta_y = y_new - y_old
+            F[..., 0, :] = delta_y
+            F[..., 1, :] = H * K_first - delta_y
+            F[..., 2, :] = 2 * delta_y - H * (K_last + K_first)
+            F[..., 3:, :] = ((H if single else H[:, :, None])
+                             * dot(M.D, K_ext[0] if single else K_ext))
+            if y is y_new:
+                K_first[:] = K_last
+            else:
+                K_ext[accepted, 0] = K_ext[accepted, n_stages]
+            g_old, g = g, events(y).tolist()
+            for j in accepted:
+                i = live[j]
+                F_j, y_old_j = (F, y_old) if single else (F[j], y_old[j])
+                nfev[i] += n_extra
+                fresh[i] = True
+                t_old, t[i] = t[i], t_next[i]
+                status = 0 if t[i] >= t_end[i] else None
+                event, t_step = None, t[i]
+                active = [e for e, (lo, hi) in enumerate(
+                              zip(*((g_old, g) if single else (g_old[j], g[j]))))
+                          if lo <= 0 <= hi or lo >= 0 >= hi]
+                if active:
+                    try:
+                        roots = [brentq(lambda s, e=e: events(_horner(
+                                            F_j[::-1], y_old_j,
+                                            (s - t_old) / h[j]))[e],
+                                        t_old, t[i], xtol=4 * _EPS,
+                                        rtol=4 * _EPS)
+                                 for e in active]
+                    except (ValueError, RuntimeError) as exc:
+                        runs[i] = exc   # this row alone ends
+                        continue
+                    first = np.argsort(roots)[0]
+                    status, event, t_step = 1, active[first], roots[first]
+                ts, hs, Fs, y_olds = records[i]
+                # solve_ivp drops a step whose root is the last end
+                if not (len(ts) > 1 and ts[-1] == t_step):
+                    ts.append(t_step)
+                    hs.append(h[j])
+                    Fs.append(F_j)
+                    y_olds.append(y_old_j)
+                if status is not None:
+                    runs[i] = _finish(records[i], y if single else y[j],
+                                      nfev[i], status, event)
+    return runs
 
-        t_step = t
-        g_new = [event(t, y) for event in events]
-        active = [i for i, (lo, hi) in enumerate(zip(g, g_new))
-                  if lo <= 0 <= hi or lo >= 0 >= hi]
-        if active:
-            roots = [brentq(lambda s, e=events[i]: e(s, _horner(
-                                reversed(F), y_old, (s - t_old) / h)),
-                            t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
-                     for i in active]
-            first = np.argsort(roots)[0]
-            status, event, t_step = 1, active[first], roots[first]
-        g = g_new
-        if len(ts) > 1 and ts[-1] == t_step:
-            continue    # solve_ivp drops a step whose root is the last end
-        ts.append(t_step)
-        hs.append(h)
-        Fs.append(F)
-        y_olds.append(y_old)
 
+def _finish(record, y, nfev, status, event):
+    """The :class:`_Run` of a row's record ``(t, h, F, y_old)``."""
+    ts, hs, Fs, y_olds = record
     return _Run(t=np.array(ts), h=np.array(hs), F=np.array(Fs),
-                y_old=np.array(y_olds), y=y, nfev=nfev, status=status,
+                y_old=np.array(y_olds), y=y.copy(), nfev=nfev, status=status,
                 event=event, message=_TOO_SMALL_STEP if status == -1 else None)
 
 
-def _integrate(params: AnsatzParams):
-    """The DOP853 runs of :func:`shoot`: ``(runs, status, t_end)``.
+def _events(k):
+    """``(events, outcomes)``: the terminal events of the state of a k row
+    and the profile status each gives.
 
-    ``runs`` holds the :class:`_Run` of the launch segment and, unless that
-    run ends early, the one of the rest of the span; the last run's
-    terminal event, if any, gives ``status`` and ``t_end``.
+    ``events(Y)`` has one column per event, in solve_ivp's order, which
+    breaks ties between equal roots: b and (for k >= 1) a reach the
+    positivity floor, and the state leaves the blow-up box.  ``Y`` may be
+    one state or a rows x n array.
     """
-    k = params.k
-    a, ap, b, bp, phip = _series_start(params)
-    y0 = np.array([a, ap, b, bp, 0.0, phip] if k >= 1 else [b, bp, 0.0, phip])
+    floors = slice(2, None, -2) if k >= 1 else slice(0, 1)   # (b, a) or b
 
-    i_a, i_b = (0, 2) if k >= 1 else (None, 0)
+    def events(Y):
+        g = np.empty(Y.shape[:-1] + (3 if k >= 1 else 2,))
+        g[..., :-1] = Y[..., floors] - _POSITIVITY_FLOOR
+        g[..., -1] = _BLOWUP_LIMIT - np.abs(Y).max(axis=-1)
+        return g
 
-    def hit_b(t, y):
-        return y[i_b] - _POSITIVITY_FLOOR
+    return events, (["hit_b_zero", "hit_a_zero", "blowup"] if k >= 1
+                    else ["hit_b_zero", "blowup"])
 
-    def hit_a(t, y):
-        return y[i_a] - _POSITIVITY_FLOOR
 
-    def blow(t, y):
-        return _BLOWUP_LIMIT - float(np.abs(y).max())
+def _integrate(rows):
+    """The DOP853 runs of a batch of ``rows``: one outcome per row.
 
-    # in solve_ivp's order, which breaks ties between equal roots
-    events, outcomes = ([hit_b, hit_a, blow],
-                        ["hit_b_zero", "hit_a_zero", "blowup"])
-    if k < 1:
-        del events[1], outcomes[1]
+    ``rows`` are AnsatzParams sharing a state size (all k >= 1 or all
+    k = 0), each with its own epsilon, t_max, rtol and atol.  A row's
+    outcome is ``(runs, status, t_end)``: ``runs`` holds the :class:`_Run`
+    of its launch segment and, unless that run ends early, the one of the
+    rest of its span, and the last run's terminal event, if any, gives
+    ``status`` and ``t_end``.  A row that cannot run has the exception
+    instead: the ``ValueError`` of a refused series start or a non-finite
+    start, the ``IntegrationError`` of a step size that underflowed, or
+    the error of ``brentq`` locating an event.
+    The other rows of the batch run on unaffected; each segment is one
+    :func:`_dop853` batch, so a row's runs have the bits of the row
+    integrated alone (its stacked ``np.matmul`` products are its
+    ``np.dot`` products).
+    """
+    events, outcomes = _events(rows[0].k)
+    results = [None] * len(rows)
+    launch, starts = [], []
+    for i, p in enumerate(rows):
+        try:
+            a, ap, b, bp, phip = _series_start(p)
+            y0 = np.array([a, ap, b, bp, 0.0, phip] if p.k >= 1
+                          else [b, bp, 0.0, phip])
+            _check_run(p.epsilon, min(_LAUNCH_END, p.t_max), y0)
+        except ValueError as exc:
+            results[i] = exc
+        else:
+            launch.append(i)
+            starts.append(y0)
 
-    rhs = _rhs_with_phi(params)
-
-    def integrate(t0, t1, y_start, rtol, atol):
+    def segment(idx, t0, t1, y0, rtol, atol):
         # a capped first step keeps the dense output tight where the
         # differentiated diagnostics are most sensitive
-        run = _dop853(rhs, t0, t1, y_start, rtol, atol,
-                      min(1e-3, 0.01 * (t1 - t0)), events)
-        if run.status == -1:
-            raise IntegrationError(f"integrator failed: {run.message}")
-        return run
+        return _dop853(lambda live: _rhs_with_phi([rows[idx[j]] for j in live]),
+                       t0, t1, np.array(y0), rtol, atol,
+                       [min(1e-3, 0.01 * (b - a)) for a, b in zip(t0, t1)],
+                       events)
 
-    t_switch = min(_LAUNCH_END, params.t_max)
-    rtol_launch = min(params.rtol, _LAUNCH_TOL)
-    atol_launch = min(params.atol, _LAUNCH_TOL)
-    runs = [integrate(params.epsilon, t_switch, y0, rtol_launch, atol_launch)]
-    if runs[0].status == 0 and t_switch < params.t_max:
-        runs.append(integrate(t_switch, params.t_max, runs[0].y,
-                              params.rtol, params.atol))
-    run = runs[-1]
-    if run.status == 1:
-        return runs, outcomes[run.event], float(run.t[-1])
-    return runs, "completed", params.t_max
+    runs = {}
+    if launch:
+        t_switch = {i: min(_LAUNCH_END, rows[i].t_max) for i in launch}
+        for i, run in zip(launch, segment(
+                launch, [rows[i].epsilon for i in launch],
+                list(t_switch.values()), starts,
+                [min(rows[i].rtol, _LAUNCH_TOL) for i in launch],
+                [min(rows[i].atol, _LAUNCH_TOL) for i in launch])):
+            runs[i] = [run]
+        rest = [i for i in launch if not isinstance(runs[i][0], Exception)
+                and runs[i][0].status == 0 and t_switch[i] < rows[i].t_max]
+        if rest:
+            for i, run in zip(rest, segment(
+                    rest, [t_switch[i] for i in rest],
+                    [rows[i].t_max for i in rest],
+                    [runs[i][0].y for i in rest],
+                    [rows[i].rtol for i in rest],
+                    [rows[i].atol for i in rest])):
+                runs[i].append(run)
+    for i, row_runs in runs.items():
+        run = row_runs[-1]
+        if isinstance(run, Exception):
+            results[i] = run
+        elif run.status == -1:
+            results[i] = IntegrationError(
+                f"integrator failed: {_TOO_SMALL_STEP}")
+        elif run.status == 1:
+            results[i] = (row_runs, outcomes[run.event], float(run.t[-1]))
+        else:
+            results[i] = (row_runs, "completed", rows[i].t_max)
+    return results
+
+
+def _profile(params: AnsatzParams, outcome) -> SolitonProfile:
+    """The profile of a row's :func:`_integrate` outcome: raises the row's
+    exception, or reads the output grid from the step polynomials of its
+    runs in one batched pass (:func:`_dense_eval`)."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    runs, status, t_end = outcome
+    n = max(int(np.ceil((t_end - params.epsilon) * params.grid_per_unit)) + 1, 16)
+    t = np.linspace(params.epsilon, t_end, n)
+    Y = _dense_eval(runs, t)
+    if params.k >= 1:
+        a, ap, b, bp, phi, phip = Y
+    else:
+        b, bp, phi, phip = Y
+        a = np.full_like(t, np.nan)
+        ap = np.full_like(t, np.nan)
+    return SolitonProfile(params=params, t=t, a=a, a_prime=ap, b=b,
+                          b_prime=bp, phi=phi, phi_prime=phip,
+                          status=status, end_time=t_end)
 
 
 def shoot(params: AnsatzParams) -> SolitonProfile:
@@ -716,28 +954,15 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
     profile records the outcome in ``status`` and ``end_time``.  phi is
     gauge-normalized to phi(epsilon) = 0.
 
-    The DOP853 loop :func:`_dop853` runs the closure of
-    :func:`_rhs_with_phi` on the launch segment and, unless that run ends
-    early, on the rest of the span (:func:`_integrate`), with the steps
-    and bits of ``scipy.integrate.solve_ivp``.  The output grid is read
-    from the step polynomials the runs record, in one batched pass
-    (:func:`_dense_eval`).
+    A batch of one row: the DOP853 loop :func:`_dop853` runs the closure
+    of :func:`_rhs_with_phi` on the launch segment and, unless that run
+    ends early, on the rest of the span (:func:`_integrate`), with the
+    steps and bits of ``scipy.integrate.solve_ivp``.  Raises
+    ``ValueError`` for a refused series start and
+    :class:`IntegrationError` when the step size underflows.
     """
-    k = params.k
-    runs, status, t_end = _integrate(params)
-    n = max(int(np.ceil((t_end - params.epsilon) * params.grid_per_unit)) + 1, 16)
-    t = np.linspace(params.epsilon, t_end, n)
-    Y = _dense_eval(runs, t)
-    if k >= 1:
-        a, ap, b, bp, phi, phip = Y
-    else:
-        b, bp, phi, phip = Y
-        a = np.full_like(t, np.nan)
-        ap = np.full_like(t, np.nan)
-
-    return SolitonProfile(params=params, t=t, a=a, a_prime=ap, b=b,
-                          b_prime=bp, phi=phi, phi_prime=phip,
-                          status=status, end_time=t_end)
+    [outcome] = _integrate([params])
+    return _profile(params, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -911,9 +1136,10 @@ def _growth_exponent(t, y):
     return float(np.polyfit(np.log(t[sel]), np.log(y[sel]), 1)[0])
 
 
-def _sweep_row(params: AnsatzParams) -> SweepRow:
+def _sweep_row(params: AnsatzParams, outcome) -> SweepRow:
+    """The sweep row of a row's :func:`_integrate` outcome."""
     try:
-        prof = shoot(params)
+        prof = _profile(params, outcome)
     except (IntegrationError, GeometryError, ValueError) as exc:
         # one CSV field: whitespace runs (newlines included) become one
         # space and commas semicolons
@@ -930,19 +1156,58 @@ def _sweep_row(params: AnsatzParams) -> SweepRow:
                     prof.end_time, prof.mu_mean, prof.mu_spread, exp_a, exp_b)
 
 
+# rows of one lockstep batch: bounds the stage tables and run records that
+# a sweep holds at once, whatever the grid (cli.MAX_SWEEP_ROWS rows); a row
+# of a few hundred steps records about 0.1 MB until it becomes a sweep row
+_BATCH_ROWS = 32
+
+
+def _sweep_rows(param_list) -> list:
+    """The sweep rows of ``param_list``, in its order.
+
+    The rows that share a state size (k >= 1, or k = 0) integrate in
+    batches of up to ``_BATCH_ROWS`` rows, in the order of their first
+    row; each batch's runs become sweep rows before the next batch starts.
+    """
+    out = [None] * len(param_list)
+    groups = {}
+    for i, params in enumerate(param_list):
+        groups.setdefault(params.k >= 1, []).append(i)
+    for idx in groups.values():
+        for start in range(0, len(idx), _BATCH_ROWS):
+            chunk = idx[start:start + _BATCH_ROWS]
+            rows = [param_list[i] for i in chunk]
+            for i, params, outcome in zip(chunk, rows, _integrate(rows)):
+                out[i] = _sweep_row(params, outcome)
+    return out
+
+
 def sweep(param_list, parallel: bool = False, workers: int | None = None):
     """Run the grid; rows come back in grid order regardless of mode.
 
     A row whose shooting raises has the status ``error:<Type>:<message>``,
-    the message on one line and without commas.  The parallel pool has
-    ``workers`` processes (default: the CPU count), at most one per row.
+    the message on one line and without commas.  Rows integrate in
+    lockstep batches (:func:`_sweep_rows`, :func:`_dop853`), and a row's
+    numbers have the bits of the row shot alone, whatever the other rows
+    of its batch: the batch's products are stacked ``np.matmul`` products
+    over the rows' own stage tables, which give each row the bits of its
+    ``np.dot``, and the step-size control runs row by row.  So neither the
+    grid nor its split into batches and shares changes a row.  The
+    parallel pool has
+    ``workers`` processes (default: the CPU count), at most one per row:
+    each process integrates one share of the grid, every ``workers``-th
+    row, as one batch per state size (:func:`_sweep_rows`).
     """
     param_list = list(param_list)
     if not parallel or len(param_list) < 2:
-        return [_sweep_row(p) for p in param_list]
+        return _sweep_rows(param_list)
     import concurrent.futures as cf
     # the pool may start all its processes at once, so it gets no more
-    # than there are rows
-    pool_size = min(workers or os.cpu_count() or 1, len(param_list))
-    with cf.ProcessPoolExecutor(max_workers=pool_size) as ex:
-        return list(ex.map(_sweep_row, param_list))
+    # than it has shares
+    n_shares = min(workers or os.cpu_count() or 1, len(param_list))
+    shares = [param_list[i::n_shares] for i in range(n_shares)]
+    out = [None] * len(param_list)
+    with cf.ProcessPoolExecutor(max_workers=n_shares) as ex:
+        for i, rows in enumerate(ex.map(_sweep_rows, shares)):
+            out[i::n_shares] = rows
+    return out

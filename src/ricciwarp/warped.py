@@ -42,7 +42,6 @@ calls it once with its whole base sample set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -59,6 +58,7 @@ from .patches import (
     GeometryError,
     MetricPatch,
     ScalarField,
+    _strict_json,
     as_points,
 )
 
@@ -294,7 +294,7 @@ class CertificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _strict_json(self.to_dict())
 
 
 def certify_soliton(w: WarpedGeometry,

@@ -558,6 +558,10 @@ class TestConfigValidation:
         ("solve", "k", MAX_DIMENSION + 1),
         ("solve", "m", 10 ** 400),
         ("quotient", "p", MAX_GROUP_ORDER + 1),
+        ("sweep", "parallel", "false"),
+        ("sweep", "parallel", 0),
+        ("sweep", "parallel", 1),
+        ("sweep", "parallel", None),
     ])
     def test_bad_number_exits_2_without_artifacts(self, tmp_path, command,
                                                   key, value):
@@ -696,5 +700,66 @@ class TestSolveFuzz:
             assert outputs == [code == 0] * 2
             if flaw:
                 assert code == 2 and err.startswith("config error:")
+
+        run()
+
+
+class TestSweepFuzz:
+    """Random sweep grids of at most 8 rows end in exit 0 or a config
+    error; a config error writes nothing, a sweep writes one row per grid
+    point, and a parallel sweep writes the serial sweep's bytes.  The
+    grids hold refused starts (b0 = 1e-5 on a sphere fiber) among their
+    rows; an example may carry one flaw: a grid below 40 rows per unit or
+    a non-boolean ``parallel`` (config errors), or an epsilon that every
+    row's series refuses (an error row each)."""
+
+    def test_exit_codes_and_artifacts(self, tmp_path, capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        runs = itertools.count()
+
+        def pair(values):
+            return st.lists(values, min_size=1, max_size=2, unique=True)
+
+        @hypothesis.settings(max_examples=30, deadline=None, database=None)
+        @hypothesis.given(
+            ks=pair(st.integers(0, 3)), ms=pair(st.integers(1, 4)),
+            lam=st.floats(-1.0, 1.0),
+            b0s=pair(st.sampled_from([1e-5, 0.5, 1.0, 1.7])),
+            t_max=st.floats(0.2, 2.0), grid_per_unit=st.integers(40, 200),
+            parallel=st.booleans(), workers=st.sampled_from([None, 1, 2]),
+            flaw=st.sampled_from([None, None, None, "grid_per_unit",
+                                  "parallel", "epsilon"]))
+        def run(ks, ms, lam, b0s, t_max, grid_per_unit, parallel, workers,
+                flaw):
+            block = {"k": ks, "m": ms, "lambda": [lam], "b0": b0s,
+                     "t_max": t_max, "grid_per_unit": grid_per_unit,
+                     "parallel": parallel}
+            if workers is not None:
+                block["workers"] = workers
+            if flaw:
+                block[flaw] = {"grid_per_unit": 39, "parallel": "false",
+                               "epsilon": 0.01}[flaw]
+            work = tmp_path / str(next(runs))
+            work.mkdir()
+            write_config(work / "s.json", sweep=block)
+            code = main(["sweep", "--config", str(work / "s.json")])
+            err = capsys.readouterr().err
+            assert code in (0, 2)
+            if code == 2:
+                assert err.startswith("config error:")
+                assert not (work / "out").exists()
+                assert flaw in ("grid_per_unit", "parallel")
+                return
+            text = (work / "out" / "sweep.csv").read_bytes()
+            rows = text.decode().splitlines()[2:]
+            assert len(rows) == len(ks) * len(ms) * len(b0s)
+            if flaw == "epsilon":
+                assert all(",error:ValueError:" in row for row in rows)
+            if block["parallel"] is True:
+                write_config(work / "s.json", sweep=dict(block, parallel=False),
+                             extra={"out_dir": str(work / "serial")})
+                assert main(["sweep", "--config", str(work / "s.json")]) == 0
+                assert (work / "serial" / "sweep.csv").read_bytes() == text
 
         run()

@@ -231,6 +231,21 @@ class TestNonFiniteFails:
         assert flat_certificate(action).verdict   # the same on finite data
 
 
+    def test_to_json_is_strict(self):
+        # a NaN residual is written as null, never as a bare NaN token
+        action = make_cyclic_action(2, 1, 1, "antipodal")
+        phi = ScalarField(
+            lambda X: _nan_where_x1_positive(np.ones(len(X)), X), "phi")
+        cert = flat_certificate(action, phi=phi)
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        doc = json.loads(cert.to_json(), parse_constant=refuse)
+        assert doc["phi_invariance"] is None and doc["verdict"] == "fail"
+        assert np.isnan(cert.to_dict()["phi_invariance"])
+
+
 class TestQuotientEvaluationCounts:
     """One certificate evaluates the base metric, f and phi p times each:
     once at the base samples and once per non-identity power."""

@@ -46,8 +46,8 @@ class TestReducedRhs:
         m, lam = 2, 0.5
         b0 = np.sqrt((m - 1) / lam)
         p = AnsatzParams(k=0, m=m, lam=lam, b0=b0)
-        bp, bpp, _, phipp = _rhs_with_phi(p)(
-            0.0, np.array([b0, 0.0, 0.0, lam * 0.7]))
+        bp, bpp, _, phipp = _rhs_with_phi([p])(
+            np.array([b0, 0.0, 0.0, lam * 0.7]))
         assert bp == 0.0
         assert abs(bpp) < 1e-14
         assert abs(phipp - lam) < 1e-14
@@ -55,8 +55,8 @@ class TestReducedRhs:
     def test_flat_state_stays_flat(self):
         # k >= 1, m = 1, a = t, b = 1, phi' = 0, lam = 0: everything rests
         p = AnsatzParams(k=1, m=1, lam=0.0, b0=1.0)
-        ap, app, bp, bpp, _, phipp = _rhs_with_phi(p)(
-            0.0, np.array([0.7, 1.0, 1.0, 0.0, 0.0, 0.0]))
+        ap, app, bp, bpp, _, phipp = _rhs_with_phi([p])(
+            np.array([0.7, 1.0, 1.0, 0.0, 0.0, 0.0]))
         assert (ap, bp) == (1.0, 0.0)
         assert abs(app) < 1e-14 and abs(bpp) < 1e-14 and abs(phipp) < 1e-14
 
@@ -66,21 +66,21 @@ class TestReducedRhs:
         # when m = 1, leaving b'' = -lam b
         lam, t, b = 0.3, 1.7, 1.4
         p1 = AnsatzParams(k=1, m=1, lam=lam, b0=1.0)
-        bpp = _rhs_with_phi(p1)(0.0, np.array([t, 1.0, b, 0.0, 0.0, 0.0]))[3]
+        bpp = _rhs_with_phi([p1])(np.array([t, 1.0, b, 0.0, 0.0, 0.0]))[3]
         assert abs(bpp - (-lam * b)) < 1e-14
         p3 = AnsatzParams(k=1, m=3, lam=lam, b0=1.0)
-        bpp3 = _rhs_with_phi(p3)(0.0, np.array([t, 1.0, b, 0.0, 0.0, 0.0]))[3]
+        bpp3 = _rhs_with_phi([p3])(np.array([t, 1.0, b, 0.0, 0.0, 0.0]))[3]
         assert abs(bpp3 - b * ((3 - 1) / b ** 2 - lam)) < 1e-14
 
     def test_degeneration_clamped(self):
         # stages may probe past a degeneration before the terminal event
         # stops the run: a <= 0 or b <= 0 is evaluated at the floor
-        rhs = _rhs_with_phi(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0))
+        rhs = _rhs_with_phi([AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)])
         for state, clamped in (([-0.1, 1.0, 1.0], [_EVAL_FLOOR, 1.0, 1.0]),
                                ([1.0, 1.0, 0.0], [1.0, 1.0, _EVAL_FLOOR])):
-            out = rhs(0.0, np.array(state + [0.0, 0.0, 0.0]))
+            out = rhs(np.array(state + [0.0, 0.0, 0.0]))
             assert np.isfinite(out).all()
-            assert out == rhs(0.0, np.array(clamped + [0.0, 0.0, 0.0]))
+            assert out == rhs(np.array(clamped + [0.0, 0.0, 0.0]))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -224,7 +224,10 @@ def _solve_ivp_runs(params):
     events = [hit_b, hit_a, blow] if k >= 1 else [hit_b, blow]
     for event in events:
         event.terminal = True
-    rhs = _rhs_with_phi(params)
+    row_rhs = _rhs_with_phi([params])
+
+    def rhs(t, y):
+        return row_rhs(y)
 
     def run(t0, t1, y, rtol, atol):
         with warnings.catch_warnings():
@@ -267,6 +270,10 @@ def _per_run_reference(solutions, ts):
     return out
 
 
+def _no_events(Y):
+    return np.empty(Y.shape[:-1] + (0,))
+
+
 def _same_bits(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     return (got.shape == want.shape
@@ -288,7 +295,7 @@ class TestDenseEval:
                       atol=1e-15), "completed", 2),
     ])
     def test_matches_ode_solution_bit_for_bit(self, params, status, runs):
-        got_runs, got_status, t_end = _integrate(params)
+        [(got_runs, got_status, t_end)] = _integrate([params])
         sols = _solve_ivp_runs(params)
         assert (got_status, len(got_runs)) == (status, runs)
         assert (got_status, t_end) == _solve_ivp_outcome(params, sols)
@@ -352,7 +359,7 @@ class TestIntegratorWork:
     def test_work_per_shoot(self, k, m, lam, nfev, steps):
         # solve_ivp's counts on these shoots: a change to the step control
         # or the stage scheme moves them
-        runs, _, _ = _integrate(AnsatzParams(k=k, m=m, lam=lam, b0=1.0))
+        [(runs, _, _)] = _integrate([AnsatzParams(k=k, m=m, lam=lam, b0=1.0)])
         assert sum(run.nfev for run in runs) == nfev
         assert sum(run.t.size - 1 for run in runs) == steps
 
@@ -363,7 +370,8 @@ class TestIntegratorWork:
 
         sol = solve_ivp(fun, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10,
                         atol=1e-10, first_step=1e-3, dense_output=True)
-        run = _dop853(fun, 0.0, 2.0, np.array([1.0]), 1e-10, 1e-10, 1e-3, [])
+        [run] = _dop853(lambda live: lambda y: fun(None, y), [0.0], [2.0],
+                        np.array([[1.0]]), [1e-10], [1e-10], [1e-3], _no_events)
         assert (sol.status, sol.nfev) == (-1, 7255)
         assert (run.status, run.nfev, run.message) == (-1, 7255, sol.message)
         assert run.message == ("Required step size is less than spacing "
@@ -374,23 +382,168 @@ class TestIntegratorWork:
         # a right side that is never finite rejects every step until the
         # step size underflows
         monkeypatch.setattr(shooting, "_rhs_with_phi",
-                            lambda params: lambda t, y: [np.nan] * y.size)
+                            lambda rows: lambda y: [np.nan] * y.size)
         params = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)
         message = ("integrator failed: Required step size is less than "
                    "spacing between numbers.")
         with pytest.raises(IntegrationError) as info:
-            _integrate(params)
+            shoot(params)
         assert str(info.value) == message
         [row] = sweep([params])
         assert row.status == "error:IntegrationError:" + message
 
+    def test_work_per_shoot_in_a_mixed_batch(self, monkeypatch):
+        # the three pinned classes keep their counts inside one sweep of
+        # rows that end every other way: a k = 0 row (its own batch),
+        # rows that blow up, hit a = 0 and hit b = 0, a refused start and
+        # a row whose step size underflows
+        _nan_rhs_for(monkeypatch, _UNDERFLOW)
+        outcomes = {}
+        integrate = shooting._integrate
+
+        def recording(rows):
+            got = integrate(rows)
+            outcomes.update(zip(rows, got))
+            return got
+
+        monkeypatch.setattr(shooting, "_integrate", recording)
+        pinned = {AnsatzParams(k=1, m=2, lam=0.0, b0=1.0): (755, 47),
+                  AnsatzParams(k=2, m=3, lam=0.0, b0=1.0): (1526, 96),
+                  AnsatzParams(k=1, m=3, lam=-0.1, b0=1.0): (977, 61)}
+        others = {AnsatzParams(k=0, m=2, lam=1.0, b0=1.0): "completed",
+                  AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, phi2=0.5): "blowup",
+                  AnsatzParams(k=1, m=2, lam=2.0, b0=1.0): "hit_a_zero",
+                  AnsatzParams(k=1, m=2, lam=1.0, b0=3.0): "hit_b_zero",
+                  AnsatzParams(k=2, m=2, lam=0.0, b0=1e-5): "error:ValueError",
+                  AnsatzParams(k=2, m=2, lam=0.0, b0=1.0, phi2=_UNDERFLOW):
+                      "error:IntegrationError"}
+        grid = list(others)[:3] + list(pinned) + list(others)[3:]
+        rows = sweep(grid)
+        assert [row.status[:len(want)] for row, want in zip(
+            rows[:3] + rows[6:], others.values())] == list(others.values())
+        for params, (nfev, steps) in pinned.items():
+            runs, status, _ = outcomes[params]
+            assert status == "completed"
+            assert sum(run.nfev for run in runs) == nfev
+            assert sum(run.t.size - 1 for run in runs) == steps
+
+    def test_failed_event_location_ends_its_row_alone(self, monkeypatch):
+        # brentq refuses the first bracket it gets: the hit_a_zero row's
+        # event; that row alone ends, with the error, and the other row of
+        # the batch runs on to its end
+        calls = []
+
+        def refusing(*args, **kwargs):
+            calls.append(args[1:])
+            if len(calls) == 1:
+                raise ValueError("f(a) and f(b) must have different signs")
+            return brentq(*args, **kwargs)
+
+        from scipy.optimize import brentq
+        collapse = AnsatzParams(k=1, m=2, lam=2.0, b0=1.0, t_max=3.5)
+        steady = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=3.5)
+        [alone] = _integrate([steady])
+        monkeypatch.setattr(shooting, "brentq", refusing)
+        failed, completed = _integrate([collapse, steady])
+        assert isinstance(failed, ValueError) and len(calls) == 1
+        assert _outcome_bits(completed) == _outcome_bits(alone)
+        calls.clear()
+        rows = sweep([collapse, steady])
+        assert rows[0].status == ("error:ValueError:f(a) and f(b) must "
+                                  "have different signs")
+        assert (rows[1].status, rows[1].lifetime) == ("completed", 3.5)
+
     def test_bad_runs_rejected(self):
         with pytest.raises(ValueError, match="forward only"):
-            _dop853(lambda t, y: [0.0], 1.0, 1.0, np.array([1.0]),
-                    1e-10, 1e-10, 1e-3, [])
+            _dop853(lambda live: lambda y: [0.0], [1.0], [1.0],
+                    np.array([[1.0]]), [1e-10], [1e-10], [1e-3], _no_events)
         # b0 = inf passes AnsatzParams but gives a non-finite series start
         with pytest.raises(ValueError, match="initial state .* must be finite"):
             shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=float("inf")))
+
+
+# the phi2 of rows whose right side _nan_rhs_for makes NaN: every step is
+# rejected until the step size underflows
+_UNDERFLOW = -0.123
+
+
+def _nan_rhs_for(monkeypatch, marker):
+    """Patch ``_rhs_with_phi`` so that rows whose phi2 is ``marker`` get a
+    NaN right side, alone or in a batch; the other rows keep theirs."""
+    real = shooting._rhs_with_phi
+
+    def patched(rows):
+        rhs, bad = real(rows), [p.phi2 == marker for p in rows]
+        if len(rows) == 1:
+            return (lambda y: [np.nan] * y.size) if bad[0] else rhs
+
+        def batch_rhs(Y):
+            out = np.array(rhs(Y), dtype=float)
+            out[bad] = np.nan
+            return out
+        return batch_rhs
+
+    monkeypatch.setattr(shooting, "_rhs_with_phi", patched)
+
+
+def _outcome_bits(outcome):
+    """A row's ``_integrate`` outcome as comparable bits: the exception's
+    type and message, or the status, end and every run's record."""
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    runs, status, t_end = outcome
+    return status, np.float64(t_end).tobytes(), [
+        (run.nfev, run.status, run.event, run.message,
+         *(np.asarray(getattr(run, name), dtype=float).tobytes()
+           + str(np.shape(getattr(run, name))).encode()
+           for name in ("t", "h", "F", "y_old", "y")))
+        for run in runs]
+
+
+class TestBatchesKeepBits:
+    """A row integrated in a batch has the bits of the row integrated
+    alone, whatever the other rows of the batch and however they end."""
+
+    SPECIAL = [   # rows that end every way (k, m, lam, b0, phi2)
+        (1, 2, 0.0, 1.0, 0.5), (0, 2, 0.0, 1.0, -0.5),          # blowup
+        (1, 2, 2.0, 1.0, -0.5),                                  # hit a = 0
+        (1, 2, 1.0, 3.0, -0.5), (0, 2, 0.5, 2.0, -0.5),          # hit b = 0
+        (2, 3, 0.0, 1e-5, -0.5), (0, 3, 0.0, 1e-5, -0.5),        # refused
+        (2, 2, 0.0, 1.0, _UNDERFLOW), (0, 2, 0.5, 1.2, _UNDERFLOW),
+    ]
+
+    def test_random_batches(self, monkeypatch):
+        _nan_rhs_for(monkeypatch, _UNDERFLOW)
+        rng = np.random.default_rng(15)
+        pool = [AnsatzParams(k=k, m=m, lam=lam, b0=b0, phi2=phi2, t_max=3.5)
+                for k, m, lam, b0, phi2 in self.SPECIAL]
+        pool += [AnsatzParams(k=int(rng.integers(0, 4)), m=int(rng.integers(1, 4)),
+                              lam=float(rng.choice([0.0, -0.1, 0.3])),
+                              b0=float(rng.uniform(0.7, 1.5)),
+                              phi2=float(rng.uniform(-1.0, 0.2)),
+                              t_max=float(rng.choice([0.05, 1.0, 3.0])))
+                 for _ in range(40)]
+        alone, seen, largest = {}, set(), 0
+        for _ in range(20):
+            rows = [pool[i] for i in rng.choice(
+                len(pool), size=rng.choice([2, 3, 5, 9, 17, 40]),
+                replace=False)]
+            for line in (False, True):
+                batch = [p for p in rows if (p.k < 1) == line]
+                if not batch:
+                    continue
+                largest = max(largest, len(batch))
+                for params, outcome in zip(batch, _integrate(batch)):
+                    if params not in alone:
+                        [alone[params]] = _integrate([params])
+                    assert (_outcome_bits(outcome)
+                            == _outcome_bits(alone[params])), params
+                    seen.add(type(outcome).__name__
+                             if isinstance(outcome, Exception) else outcome[1])
+        assert seen == {"completed", "blowup", "hit_a_zero", "hit_b_zero",
+                        "ValueError", "IntegrationError"}
+        # some batch evaluates its right side as one array pass
+        assert largest >= shooting._ARRAY_RHS_ROWS
 
 
 class TestDiagnosticsIndependence:
@@ -401,7 +554,8 @@ class TestDiagnosticsIndependence:
         state = list(_series_start(p))
         state[3] += 0.01  # b'(eps) off the series value
         y0 = np.array(state[:4] + [0.0, state[4]])
-        sol = solve_ivp(_rhs_with_phi(p), (p.epsilon, 10.0), y0,
+        rhs = _rhs_with_phi([p])
+        sol = solve_ivp(lambda t, y: rhs(y), (p.epsilon, 10.0), y0,
                         method="DOP853", rtol=1e-10, atol=1e-10,
                         dense_output=True)
         t = np.linspace(p.epsilon, sol.t[-1], 2001)
@@ -770,10 +924,10 @@ class TestSweep:
         assert rows[1].status == "completed"
 
     def test_error_message_is_one_csv_field(self, monkeypatch):
-        def fail(params):
+        def fail(params, outcome):
             raise GeometryError("a, b\n  c\r\nd")
 
-        monkeypatch.setattr("ricciwarp.shooting.shoot", fail)
+        monkeypatch.setattr("ricciwarp.shooting._profile", fail)
         rows = sweep(params_grid([1], [2], [0.0], [1.0]))
         assert rows[0].status == "error:GeometryError:a; b c d"
 
@@ -801,6 +955,38 @@ class TestSweep:
         assert sweep(grid, parallel=True) == serial
         assert sweep(grid, parallel=True, workers=1) == serial
         assert sizes == [2, 2, 1]
+
+    def test_pool_gets_one_batch_per_process(self, monkeypatch):
+        # a stand-in pool that records its size and the batches it maps
+        # and starts no process
+        pools = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                self.size, self.batches = max_workers, []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                self.batches = list(items)
+                return map(fn, self.batches)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+        grid = params_grid([0, 1], [2], [0.0], [0.9, 1.0, 1.1], t_max=0.2)
+        serial = sweep(grid)
+        for rows in range(2, len(grid) + 1):
+            for workers in (1, 2, 3, 5, 64):
+                got = sweep(grid[:rows], parallel=True, workers=workers)
+                assert list(map(repr, got)) == list(map(repr, serial[:rows]))
+                pool = pools[-1]
+                assert pool.size == len(pool.batches) == min(workers, rows)
+                mapped = [p for batch in pool.batches for p in batch]
+                assert sorted(map(grid.index, mapped)) == list(range(rows))
 
     def test_parallel_matches_serial(self):
         grid = params_grid([1], [2], [0.0, -0.1], [0.9, 1.1],
