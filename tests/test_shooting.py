@@ -517,22 +517,25 @@ class TestBatchesKeepBits:
         rng = np.random.default_rng(15)
         pool = [AnsatzParams(k=k, m=m, lam=lam, b0=b0, phi2=phi2, t_max=3.5)
                 for k, m, lam, b0, phi2 in self.SPECIAL]
-        pool += [AnsatzParams(k=int(rng.integers(0, 4)), m=int(rng.integers(1, 4)),
+        # half of the random rows have k = 0, so both state sizes can
+        # fill a batch that evaluates its right side as one array pass
+        pool += [AnsatzParams(k=int(rng.integers(1, 4)) * (i % 2),
+                              m=int(rng.integers(1, 4)),
                               lam=float(rng.choice([0.0, -0.1, 0.3])),
                               b0=float(rng.uniform(0.7, 1.5)),
                               phi2=float(rng.uniform(-1.0, 0.2)),
                               t_max=float(rng.choice([0.05, 1.0, 3.0])))
-                 for _ in range(40)]
-        alone, seen, largest = {}, set(), 0
+                 for i in range(50)]
+        alone, seen, largest = {}, set(), {False: 0, True: 0}
         for _ in range(20):
             rows = [pool[i] for i in rng.choice(
-                len(pool), size=rng.choice([2, 3, 5, 9, 17, 40]),
+                len(pool), size=rng.choice([2, 3, 5, 9, 17, len(pool)]),
                 replace=False)]
             for line in (False, True):
                 batch = [p for p in rows if (p.k < 1) == line]
                 if not batch:
                     continue
-                largest = max(largest, len(batch))
+                largest[line] = max(largest[line], len(batch))
                 for params, outcome in zip(batch, _integrate(batch)):
                     if params not in alone:
                         [alone[params]] = _integrate([params])
@@ -542,8 +545,7 @@ class TestBatchesKeepBits:
                              if isinstance(outcome, Exception) else outcome[1])
         assert seen == {"completed", "blowup", "hit_a_zero", "hit_b_zero",
                         "ValueError", "IntegrationError"}
-        # some batch evaluates its right side as one array pass
-        assert largest >= shooting._ARRAY_RHS_ROWS
+        assert min(largest.values()) >= shooting._ARRAY_RHS_ROWS
 
 
 class TestDiagnosticsIndependence:
