@@ -164,17 +164,16 @@ class AnsatzParams:
         return "steady"
 
 
-def _reduced_kernel(k, m, lam, a, ap, b, bp, phip):
+def _reduced_kernel(params: AnsatzParams, a, ap, b, bp, phip):
     """The reduced system: ``(s_a, s_b, phi'') = (a''/a, b''/b, phi'')``.
 
-    Plain arithmetic, so the same code runs on Python floats (the right
-    side of one row), on arrays of one value per row, ``k``, ``m`` and
-    ``lam`` included (the right side of a batch), and on a profile's grid
-    arrays (its diagnostics).  For the line base (k = 0) ``a`` and ``ap``
-    are None and ``s_a`` is 0.
+    Plain arithmetic, so the same code runs on floats (the ODE right side)
+    and on arrays (the grid diagnostics).  For k = 0 the a-arguments are
+    not read and ``s_a`` is 0.
     """
+    k, m, lam = params.k, params.m, params.lam
     s_b = (m - 1) * (1.0 - bp * bp) / (b * b)
-    if a is None:
+    if k < 1:
         s_a = 0.0
     else:
         s_a = ((k - 1) * (1.0 - ap * ap) / (a * a)
@@ -212,79 +211,37 @@ def _series_start(params: AnsatzParams):
             2.0 * phi2 * eps)
 
 
-# from this many rows on, a batch evaluates its right side as one pass of
-# array arithmetic over the rows; fewer rows run each row's Python-float
-# closure (see :func:`_rhs_with_phi`)
-_ARRAY_RHS_ROWS = 24
+def _rhs_with_phi(params: AnsatzParams):
+    """The integrator's right side ``rhs(y)`` for ``params``.
 
-
-def _rhs_with_phi(rows):
-    """The integrator's right side ``rhs(Y)`` of a batch of ``rows``.
-
-    The one right side of the reduced system.  ``rows`` are the batch's
-    AnsatzParams, all with k >= 1 or all with k = 0, and ``Y`` holds one
-    state per row: (a, a', b, b', phi, phi') for k >= 1 and (b, b', phi,
-    phi') for k = 0.  ``rhs`` returns each state's derivative, phi' in
-    phi's slot, as rows that :func:`_dop853` writes into its stage table.
+    The one right side of the reduced system.  The state carries phi next
+    to it: (a, a', b, b', phi, phi') for k >= 1 and (b, b', phi, phi') for
+    k = 0, and ``rhs`` returns the state's derivative, phi' in phi's slot.
     Runge-Kutta stages may probe past a degeneration before the terminal
     event localizes it, so a and b are clamped at ``_EVAL_FLOOR`` as
     ``max(a, floor)`` clamps (a NaN stays NaN) and the right side stays
     evaluable below the event floor.  The system is autonomous, so ``rhs``
-    takes no time.
-
-    Below ``_ARRAY_RHS_ROWS`` rows each row runs a closure on the Python
-    floats of ``Y.tolist()``: IEEE arithmetic gives the same bits as on
-    ``np.float64`` scalars at a fraction of the per-call cost.  From there
-    on, one pass of elementwise array arithmetic over the rows, with
-    arrays of their k, m and lam, costs less than the closures.  Both run
-    :func:`_reduced_kernel`'s operations in its order, so a row's
-    derivative has the same bits either way.
+    takes no time.  :func:`_dop853` hands it the Python floats of a row of
+    ``Y.tolist()``: IEEE arithmetic gives the same bits as on
+    ``np.float64`` scalars at a fraction of the per-call cost.  It returns
+    a list, which :func:`_dop853` writes into its stage table as it is.
     """
     floor = _EVAL_FLOOR
-    line = rows[0].k < 1
-    if len(rows) >= _ARRAY_RHS_ROWS:
-        k, m, lam = (np.array([getattr(p, name) for p in rows], dtype=float)
-                     for name in ("k", "m", "lam"))
-        if line:
-            def rhs(Y):
-                b, bp, _, phip = Y.T
-                b = np.maximum(b, floor)
-                _, s_b, phipp = _reduced_kernel(k, m, lam, None, None, b, bp,
-                                                phip)
-                return np.stack((bp, b * s_b, phip, phipp), axis=1)
-            return rhs
-
-        def rhs(Y):
-            a, ap, b, bp, _, phip = Y.T
-            a = np.maximum(a, floor)
-            b = np.maximum(b, floor)
-            s_a, s_b, phipp = _reduced_kernel(k, m, lam, a, ap, b, bp, phip)
-            return np.stack((ap, a * s_a, bp, b * s_b, phip, phipp), axis=1)
-        return rhs
-
-    def closure(k, m, lam):
-        if line:
-            def row_rhs(y):
-                b, bp, _, phip = y
-                b = floor if floor > b else b
-                _, s_b, phipp = _reduced_kernel(k, m, lam, None, None, b, bp,
-                                                phip)
-                return [bp, b * s_b, phip, phipp]
-            return row_rhs
-
-        def row_rhs(y):
+    if params.k >= 1:
+        def rhs(y):
             a, ap, b, bp, _, phip = y
             a = floor if floor > a else a
             b = floor if floor > b else b
-            s_a, s_b, phipp = _reduced_kernel(k, m, lam, a, ap, b, bp, phip)
+            s_a, s_b, phipp = _reduced_kernel(params, a, ap, b, bp, phip)
             return [ap, a * s_a, bp, b * s_b, phip, phipp]
-        return row_rhs
+        return rhs
 
-    closures = [closure(p.k, p.m, p.lam) for p in rows]
-    if len(closures) == 1:
-        [row_rhs] = closures
-        return lambda y: row_rhs(y.tolist())
-    return lambda Y: [f(y) for f, y in zip(closures, Y.tolist())]
+    def rhs(y):
+        b, bp, _, phip = y
+        b = floor if floor > b else b
+        _, s_b, phipp = _reduced_kernel(params, None, None, b, bp, phip)
+        return [bp, b * s_b, phip, phipp]
+    return rhs
 
 
 def _horner(rows, y_old, x):
@@ -533,8 +490,7 @@ def _diagnostics(params: AnsatzParams, t, a, ap, b, bp, phip):
         raise ValueError("profile column t is not uniformly spaced; the "
                          "diagnostics difference it with one step")
     dt = t[1] - t[0]
-    s_a, s_b, phipp_rhs = _reduced_kernel(k, m, lam, a if k >= 1 else None,
-                                          ap, b, bp, phip)
+    s_a, s_b, phipp_rhs = _reduced_kernel(params, a, ap, b, bp, phip)
     bpp_fd = grid_derivative(bp, dt)
     res_tt = grid_derivative(phip, dt) - phipp_rhs
     res_sm = bpp_fd - b * s_b
@@ -595,7 +551,7 @@ def _check_run(t0, t1, y0):
             "All components of the initial state `y0` must be finite.")
 
 
-def _dop853(rhs_for, t0, t1, y0, rtol, atol, first_step, events):
+def _dop853(funs, t0, t1, y0, rtol, atol, first_step, events):
     """Integrate a batch of rows of ``y' = f(y)`` with DOP853, in lockstep.
 
     The method of Hairer, Norsett & Wanner, *Solving ODEs I*, II.10, as
@@ -604,30 +560,30 @@ def _dop853(rhs_for, t0, t1, y0, rtol, atol, first_step, events):
     ``rk_step``, ``_estimate_error_norm`` and ``_dense_output_impl`` in
     their order, on the coefficients of ``scipy.integrate.DOP853``, so
     every row's steps, dense output and event roots have ``solve_ivp``'s
-    bits.  Row i runs from ``t0[i]`` to ``t1[i]`` from the state ``y0[i]``
-    (``y0`` is a rows x n array) at its own ``rtol[i]``, ``atol[i]`` and
-    ``first_step[i]``, and keeps its own t, step size, accept/reject state
-    and events; an ``rtol`` below 100 eps is raised to 100 eps, as scipy
-    does.  Each pass of the loop makes one step attempt for every row
-    still running.  ``rhs_for(live)`` gives the right side of the rows
-    ``live`` (a list of row indices): for one row a map of its state to
-    its derivative, for several a map of their ``len(live) x n`` states
-    to their derivative rows; it is asked again whenever rows finish.
-    ``events(Y)`` gives the values of the terminal events (the last axis)
-    of one state or of a stack of states; a row's earliest root, located
-    by ``brentq`` on the step's polynomial, ends it.  Returns one
-    :class:`_Run` per row, or the exception that ``brentq`` raised for it.
+    bits.  Row i runs ``y' = funs[i](y)`` from ``t0[i]`` to ``t1[i]`` from
+    the state ``y0[i]`` (``y0`` is a rows x n array) at its own
+    ``rtol[i]``, ``atol[i]`` and ``first_step[i]``, and keeps its own t,
+    step size, accept/reject state and events; an ``rtol`` below 100 eps
+    is raised to 100 eps, as scipy does.  ``funs[i]`` maps the Python
+    floats of a state to its derivative, a list written into the stage
+    table as it is.  Each pass of the loop makes one step attempt for
+    every row still running.  ``events(Y)`` gives the values of the
+    terminal events (the last axis) of one state or of a stack of states;
+    a row's earliest root, located by ``brentq`` on the step's polynomial,
+    ends it.  Returns one :class:`_Run` per row, or the exception that
+    ``brentq`` raised for it.
 
     A row's bits do not depend on the other rows.  The stage sums
     ``K^T a``, the error estimates and the dense-output products ``D K``
     of several rows are stacked products, ``np.matmul`` over the rows' own
     stage tables, which give each row the bits of its ``np.dot`` (one
-    BLAS call per row; folding the rows into one wide product would not).
-    The rest of a step is elementwise IEEE arithmetic, except the
-    step-size control, whose ``pow`` an array form need not round as the
-    scalar one does: it runs row by row on Python floats.  Floating-point
-    warnings are off inside the loop, since the values that a batch
-    computes for its rejected rows are discarded.
+    BLAS call per row; folding the rows into one wide product would not);
+    a batch of one row calls ``np.dot``, which costs less.  The rest of a
+    step is elementwise IEEE arithmetic, except the step-size control,
+    whose ``pow`` an array form need not round as the scalar one does: it
+    runs row by row on Python floats.  Floating-point warnings are off
+    inside the loop, since the values that a batch computes for its
+    rejected rows are discarded.
     """
     M = DOP853
     n_rows, n = y0.shape
@@ -643,7 +599,8 @@ def _dop853(rhs_for, t0, t1, y0, rtol, atol, first_step, events):
     fresh = [True] * n_rows
     rejected = [False] * n_rows
     nfev = [1] * n_rows
-    records = [([v], [], [], []) for v in t]   # t, h, F, y_old per row
+    # the t, h, F and y_old of each running row's accepted steps
+    records = {i: ([v], [], [], []) for i, v in enumerate(t)}
     runs = [None] * n_rows
     rtol = np.maximum(np.asarray(rtol, dtype=float), 100 * _EPS)
     atol = np.asarray(atol, dtype=float)
@@ -651,49 +608,46 @@ def _dop853(rhs_for, t0, t1, y0, rtol, atol, first_step, events):
     K_ext = np.empty((n_rows, n_stages + 1 + n_extra, n))
 
     def batch():
-        """The right side, products and stage views of the rows ``live``.
+        """The right side, tolerances, products and stage views of the
+        rows ``live``; the products of one row are ``np.dot``, which
+        costs less than its stacked form."""
+        row_funs = [funs[i] for i in live]
 
-        A one-row batch keeps its row alone: its state and stage rows are
-        1-D, its step and tolerances floats and its products ``np.dot``,
-        which cost less than their stacked forms.
-        """
+        def fun(Y):
+            return [f(y) for f, y in zip(row_funs, Y.tolist())]
+
         if len(live) == 1:
-            K, dot = K_ext[0], np.dot
-            tol = float(atol[live[0]]), float(rtol[live[0]])
-
-            def stage(s):
-                return K[s], K[:s].T
+            dot, table = np.dot, K_ext[0]
 
             def norm2(err):
-                return [err.dot(err)]
+                return [err[0].dot(err[0])]
         else:
-            K, dot = K_ext, np.matmul
-            tol = atol[live][:, None], rtol[live][:, None]
-
-            def stage(s):
-                return K[:, s], K[:, :s].transpose(0, 2, 1)
+            dot, table = np.matmul, K_ext
 
             def norm2(err):
                 return np.matmul(err[:, None, :],
                                  err[:, :, None]).ravel().tolist()
-        # (stage rows, the stage table before them as columns, the A row)
-        stages = [(*stage(s), a[:s]) for s, a in enumerate(M.A[1:], start=1)]
-        extra = [(*stage(s), a[:s])
+
+        def before(s):   # the stage table before stage s, as columns
+            return table[..., :s, :].swapaxes(-1, -2)
+
+        # (stage rows, the stage table before them, the A row)
+        stages = [(K_ext[:, s], before(s), a[:s])
+                  for s, a in enumerate(M.A[1:], start=1)]
+        extra = [(K_ext[:, s], before(s), a[:s])
                  for s, a in enumerate(M.A_EXTRA, start=n_stages + 1)]
-        first, last = stage(0)[0], stage(n_stages)
-        return (rhs_for(live), dot, norm2, tol, stages, extra, first, last[0],
-                last[1], stage(n_stages + 1)[1])
+        return (fun, atol[live][:, None], rtol[live][:, None], dot, norm2,
+                table, stages, extra, before(n_stages), before(n_stages + 1))
 
     with np.errstate(all="ignore"):
-        (fun, dot, norm2, (atol_, rtol_), stages, extra, K_first, K_last,
-         K_B, K_E) = batch()
-        y = np.array(y0[0] if n_rows == 1 else y0, dtype=float)
-        K_first[:] = fun(y)
+        (fun, atol_, rtol_, dot, norm2, table, stages, extra, K_B,
+         K_E) = batch()
+        y = np.array(y0, dtype=float)
+        K_ext[:, 0] = fun(y)
         g = events(y).tolist()
         while live:
             # the start of each row's attempt, as in solve_ivp's step loop;
             # a row whose step size underflowed finishes
-            single = len(live) == 1
             h = []
             for j, i in enumerate(live):
                 if runs[i] is not None:
@@ -704,8 +658,7 @@ def _dop853(rhs_for, t0, t1, y0, rtol, atol, first_step, events):
                     if h_abs[i] < min_step[i]:
                         h_abs[i] = min_step[i]
                 elif h_abs[i] < min_step[i]:
-                    runs[i] = _finish(records[i], y if single else y[j],
-                                      nfev[i], -1, None)
+                    runs[i] = _finish(records.pop(i), y[j], nfev[i], -1, None)
                     continue
                 t_new = t[i] + h_abs[i]
                 if t_new > t_end[i]:
@@ -720,17 +673,14 @@ def _dop853(rhs_for, t0, t1, y0, rtol, atol, first_step, events):
                     break
                 y, K_ext = y[keep], K_ext[keep]
                 g = [g[j] for j in keep]
-                (fun, dot, norm2, (atol_, rtol_), stages, extra, K_first,
-                 K_last, K_B, K_E) = batch()
-                single = len(live) == 1
-                if single:
-                    y, g = y[0], g[0]
+                (fun, atol_, rtol_, dot, norm2, table, stages, extra, K_B,
+                 K_E) = batch()
 
-            H = h[0] if single else np.array(h)[:, None]
+            H = np.array(h)[:, None]
             for Ks, K_prev, a in stages:
                 Ks[:] = fun(y + dot(K_prev, a) * H)
             y_new = y + H * dot(K_B, M.B)
-            K_last[:] = fun(y_new)
+            K_ext[:, n_stages] = fun(y_new)
             scale = atol_ + np.maximum(np.abs(y), np.abs(y_new)) * rtol_
             err5 = norm2(dot(K_E, M.E5) / scale)
             err3 = norm2(dot(K_E, M.E3) / scale)
@@ -767,46 +717,43 @@ def _dop853(rhs_for, t0, t1, y0, rtol, atol, first_step, events):
 
             # the dense output and events of the accepted steps
             y_old = y
+            for Ks, K_prev, a in extra:
+                Ks[:] = fun(y_old + dot(K_prev, a) * H)
+            F = np.empty((len(live), 3 + len(M.D), n))
+            delta_y = y_new - y_old
+            K_first = K_ext[:, 0]
+            F[:, 0] = delta_y
+            F[:, 1] = H * K_first - delta_y
+            F[:, 2] = 2 * delta_y - H * (K_ext[:, n_stages] + K_first)
+            F[:, 3:] = H[:, :, None] * dot(M.D, table)
             if len(accepted) == len(live):
                 y = y_new
+                K_first[:] = K_ext[:, n_stages]
             else:
                 y = y.copy()
                 y[accepted] = y_new[accepted]
-            for Ks, K_prev, a in extra:
-                Ks[:] = fun(y_old + dot(K_prev, a) * H)
-            F = np.empty(y.shape[:-1] + (3 + len(M.D), n))
-            delta_y = y_new - y_old
-            F[..., 0, :] = delta_y
-            F[..., 1, :] = H * K_first - delta_y
-            F[..., 2, :] = 2 * delta_y - H * (K_last + K_first)
-            F[..., 3:, :] = ((H if single else H[:, :, None])
-                             * dot(M.D, K_ext[0] if single else K_ext))
-            if y is y_new:
-                K_first[:] = K_last
-            else:
                 K_ext[accepted, 0] = K_ext[accepted, n_stages]
             g_old, g = g, events(y).tolist()
             for j in accepted:
                 i = live[j]
-                F_j, y_old_j = (F, y_old) if single else (F[j], y_old[j])
                 nfev[i] += n_extra
                 fresh[i] = True
                 t_old, t[i] = t[i], t_next[i]
                 status = 0 if t[i] >= t_end[i] else None
                 event, t_step = None, t[i]
-                active = [e for e, (lo, hi) in enumerate(
-                              zip(*((g_old, g) if single else (g_old[j], g[j]))))
+                active = [e for e, (lo, hi) in enumerate(zip(g_old[j], g[j]))
                           if lo <= 0 <= hi or lo >= 0 >= hi]
                 if active:
                     try:
                         roots = [brentq(lambda s, e=e: events(_horner(
-                                            F_j[::-1], y_old_j,
+                                            F[j, ::-1], y_old[j],
                                             (s - t_old) / h[j]))[e],
                                         t_old, t[i], xtol=4 * _EPS,
                                         rtol=4 * _EPS)
                                  for e in active]
                     except (ValueError, RuntimeError) as exc:
                         runs[i] = exc   # this row alone ends
+                        del records[i]
                         continue
                     first = np.argsort(roots)[0]
                     status, event, t_step = 1, active[first], roots[first]
@@ -815,11 +762,11 @@ def _dop853(rhs_for, t0, t1, y0, rtol, atol, first_step, events):
                 if not (len(ts) > 1 and ts[-1] == t_step):
                     ts.append(t_step)
                     hs.append(h[j])
-                    Fs.append(F_j)
-                    y_olds.append(y_old_j)
+                    Fs.append(F[j])
+                    y_olds.append(y_old[j])
                 if status is not None:
-                    runs[i] = _finish(records[i], y if single else y[j],
-                                      nfev[i], status, event)
+                    runs[i] = _finish(records.pop(i), y[j], nfev[i], status,
+                                      event)
     return runs
 
 
@@ -884,11 +831,13 @@ def _integrate(rows):
             launch.append(i)
             starts.append(y0)
 
+    funs = [_rhs_with_phi(p) for p in rows]
+
     def segment(idx, t0, t1, y0, rtol, atol):
         # a capped first step keeps the dense output tight where the
         # differentiated diagnostics are most sensitive
-        return _dop853(lambda live: _rhs_with_phi([rows[idx[j]] for j in live]),
-                       t0, t1, np.array(y0), rtol, atol,
+        return _dop853([funs[i] for i in idx], t0, t1, np.array(y0), rtol,
+                       atol,
                        [min(1e-3, 0.01 * (b - a)) for a, b in zip(t0, t1)],
                        events)
 

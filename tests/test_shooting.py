@@ -46,7 +46,7 @@ class TestReducedRhs:
         m, lam = 2, 0.5
         b0 = np.sqrt((m - 1) / lam)
         p = AnsatzParams(k=0, m=m, lam=lam, b0=b0)
-        bp, bpp, _, phipp = _rhs_with_phi([p])(
+        bp, bpp, _, phipp = _rhs_with_phi(p)(
             np.array([b0, 0.0, 0.0, lam * 0.7]))
         assert bp == 0.0
         assert abs(bpp) < 1e-14
@@ -55,7 +55,7 @@ class TestReducedRhs:
     def test_flat_state_stays_flat(self):
         # k >= 1, m = 1, a = t, b = 1, phi' = 0, lam = 0: everything rests
         p = AnsatzParams(k=1, m=1, lam=0.0, b0=1.0)
-        ap, app, bp, bpp, _, phipp = _rhs_with_phi([p])(
+        ap, app, bp, bpp, _, phipp = _rhs_with_phi(p)(
             np.array([0.7, 1.0, 1.0, 0.0, 0.0, 0.0]))
         assert (ap, bp) == (1.0, 0.0)
         assert abs(app) < 1e-14 and abs(bpp) < 1e-14 and abs(phipp) < 1e-14
@@ -66,16 +66,16 @@ class TestReducedRhs:
         # when m = 1, leaving b'' = -lam b
         lam, t, b = 0.3, 1.7, 1.4
         p1 = AnsatzParams(k=1, m=1, lam=lam, b0=1.0)
-        bpp = _rhs_with_phi([p1])(np.array([t, 1.0, b, 0.0, 0.0, 0.0]))[3]
+        bpp = _rhs_with_phi(p1)(np.array([t, 1.0, b, 0.0, 0.0, 0.0]))[3]
         assert abs(bpp - (-lam * b)) < 1e-14
         p3 = AnsatzParams(k=1, m=3, lam=lam, b0=1.0)
-        bpp3 = _rhs_with_phi([p3])(np.array([t, 1.0, b, 0.0, 0.0, 0.0]))[3]
+        bpp3 = _rhs_with_phi(p3)(np.array([t, 1.0, b, 0.0, 0.0, 0.0]))[3]
         assert abs(bpp3 - b * ((3 - 1) / b ** 2 - lam)) < 1e-14
 
     def test_degeneration_clamped(self):
         # stages may probe past a degeneration before the terminal event
         # stops the run: a <= 0 or b <= 0 is evaluated at the floor
-        rhs = _rhs_with_phi([AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)])
+        rhs = _rhs_with_phi(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0))
         for state, clamped in (([-0.1, 1.0, 1.0], [_EVAL_FLOOR, 1.0, 1.0]),
                                ([1.0, 1.0, 0.0], [1.0, 1.0, _EVAL_FLOOR])):
             out = rhs(np.array(state + [0.0, 0.0, 0.0]))
@@ -224,10 +224,10 @@ def _solve_ivp_runs(params):
     events = [hit_b, hit_a, blow] if k >= 1 else [hit_b, blow]
     for event in events:
         event.terminal = True
-    row_rhs = _rhs_with_phi([params])
+    row_rhs = _rhs_with_phi(params)
 
     def rhs(t, y):
-        return row_rhs(y)
+        return row_rhs(y.tolist())
 
     def run(t0, t1, y, rtol, atol):
         with warnings.catch_warnings():
@@ -370,7 +370,7 @@ class TestIntegratorWork:
 
         sol = solve_ivp(fun, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10,
                         atol=1e-10, first_step=1e-3, dense_output=True)
-        [run] = _dop853(lambda live: lambda y: fun(None, y), [0.0], [2.0],
+        [run] = _dop853([lambda y: fun(None, y)], [0.0], [2.0],
                         np.array([[1.0]]), [1e-10], [1e-10], [1e-3], _no_events)
         assert (sol.status, sol.nfev) == (-1, 7255)
         assert (run.status, run.nfev, run.message) == (-1, 7255, sol.message)
@@ -382,7 +382,7 @@ class TestIntegratorWork:
         # a right side that is never finite rejects every step until the
         # step size underflows
         monkeypatch.setattr(shooting, "_rhs_with_phi",
-                            lambda rows: lambda y: [np.nan] * y.size)
+                            lambda params: lambda y: [np.nan] * len(y))
         params = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)
         message = ("integrator failed: Required step size is less than "
                    "spacing between numbers.")
@@ -455,7 +455,7 @@ class TestIntegratorWork:
 
     def test_bad_runs_rejected(self):
         with pytest.raises(ValueError, match="forward only"):
-            _dop853(lambda live: lambda y: [0.0], [1.0], [1.0],
+            _dop853([lambda y: [0.0]], [1.0], [1.0],
                     np.array([[1.0]]), [1e-10], [1e-10], [1e-3], _no_events)
         # b0 = inf passes AnsatzParams but gives a non-finite series start
         with pytest.raises(ValueError, match="initial state .* must be finite"):
@@ -469,19 +469,13 @@ _UNDERFLOW = -0.123
 
 def _nan_rhs_for(monkeypatch, marker):
     """Patch ``_rhs_with_phi`` so that rows whose phi2 is ``marker`` get a
-    NaN right side, alone or in a batch; the other rows keep theirs."""
+    NaN right side; the other rows keep theirs."""
     real = shooting._rhs_with_phi
 
-    def patched(rows):
-        rhs, bad = real(rows), [p.phi2 == marker for p in rows]
-        if len(rows) == 1:
-            return (lambda y: [np.nan] * y.size) if bad[0] else rhs
-
-        def batch_rhs(Y):
-            out = np.array(rhs(Y), dtype=float)
-            out[bad] = np.nan
-            return out
-        return batch_rhs
+    def patched(params):
+        if params.phi2 == marker:
+            return lambda y: [np.nan] * len(y)
+        return real(params)
 
     monkeypatch.setattr(shooting, "_rhs_with_phi", patched)
 
@@ -517,8 +511,8 @@ class TestBatchesKeepBits:
         rng = np.random.default_rng(15)
         pool = [AnsatzParams(k=k, m=m, lam=lam, b0=b0, phi2=phi2, t_max=3.5)
                 for k, m, lam, b0, phi2 in self.SPECIAL]
-        # half of the random rows have k = 0, so both state sizes can
-        # fill a batch that evaluates its right side as one array pass
+        # half of the random rows have k = 0, so batches of both state
+        # sizes run with many rows
         pool += [AnsatzParams(k=int(rng.integers(1, 4)) * (i % 2),
                               m=int(rng.integers(1, 4)),
                               lam=float(rng.choice([0.0, -0.1, 0.3])),
@@ -545,7 +539,7 @@ class TestBatchesKeepBits:
                              if isinstance(outcome, Exception) else outcome[1])
         assert seen == {"completed", "blowup", "hit_a_zero", "hit_b_zero",
                         "ValueError", "IntegrationError"}
-        assert min(largest.values()) >= shooting._ARRAY_RHS_ROWS
+        assert min(largest.values()) >= 24, largest
 
 
 class TestDiagnosticsIndependence:
@@ -556,7 +550,7 @@ class TestDiagnosticsIndependence:
         state = list(_series_start(p))
         state[3] += 0.01  # b'(eps) off the series value
         y0 = np.array(state[:4] + [0.0, state[4]])
-        rhs = _rhs_with_phi([p])
+        rhs = _rhs_with_phi(p)
         sol = solve_ivp(lambda t, y: rhs(y), (p.epsilon, 10.0), y0,
                         method="DOP853", rtol=1e-10, atol=1e-10,
                         dense_output=True)

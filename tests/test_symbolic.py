@@ -82,15 +82,14 @@ def test_kernel_matches_symbolic_derivation(k, m):
         params = AnsatzParams(k=k, m=m, lam=lm, b0=1.0)
         want = second(a, ap, b, bp, phip, lm)   # [a'',] b'', phi''
 
-        s_a, s_b, phipp = _reduced_kernel(k, m, lm, a if k >= 1 else None,
-                                          ap, b, bp, phip)
+        s_a, s_b, phipp = _reduced_kernel(params, a, ap, b, bp, phip)
         kernel = [a * s_a, b * s_b, phipp]
         # the a'', b'' and phi'' slots of the state derivative
         if k >= 1:
-            dy = _rhs_with_phi([params])(np.array([a, ap, b, bp, 0.0, phip]))
+            dy = _rhs_with_phi(params)(np.array([a, ap, b, bp, 0.0, phip]))
             rhs = [dy[1], dy[3], dy[5]]
         else:
-            dy = _rhs_with_phi([params])(np.array([b, bp, 0.0, phip]))
+            dy = _rhs_with_phi(params)(np.array([b, bp, 0.0, phip]))
             rhs = [dy[1], dy[3]]
         np.testing.assert_allclose(kernel[3 - len(want):], want,
                                    rtol=1e-12, atol=0)
