@@ -608,43 +608,60 @@ def _dop853(funs, t0, t1, y0, rtol, atol, first_step, events):
     K_ext = np.empty((n_rows, n_stages + 1 + n_extra, n))
 
     def batch():
-        """The right side, tolerances, products and stage views of the
-        rows ``live``; the products of one row are ``np.dot``, which
-        costs less than its stacked form."""
-        row_funs = [funs[i] for i in live]
+        """The right side, tolerances, step sizes, products and stage
+        views of the rows ``live``, and the shape of their state.
 
-        def fun(Y):
-            return [f(y) for f, y in zip(row_funs, Y.tolist())]
-
+        A batch of one row keeps its row alone: a 1-D state, float
+        tolerances and step and ``np.dot`` products, which cost less than
+        their stacked forms (a one-row solve integrates about a quarter
+        slower as a stack of one).  ``steps(h)`` gives the step sizes as
+        the stage sums and the dense-output block take them.  The loop
+        reads the rows of any batch through ``reshape(len(live), ...)``.
+        """
         if len(live) == 1:
-            dot, table = np.dot, K_ext[0]
+            [f] = [funs[i] for i in live]
+            K, dot, shape = K_ext[0], np.dot, (n,)
+            tol = float(atol[live[0]]), float(rtol[live[0]])
+
+            def steps(h):
+                return h[0], h[0]
+
+            def fun(y):
+                return f(y.tolist())
 
             def norm2(err):
-                return [err[0].dot(err[0])]
+                return [err.dot(err)]
         else:
-            dot, table = np.matmul, K_ext
+            row_funs = [funs[i] for i in live]
+            K, dot, shape = K_ext, np.matmul, (len(live), n)
+            tol = atol[live][:, None], rtol[live][:, None]
+
+            def steps(h):
+                H = np.array(h)[:, None]
+                return H, H[:, :, None]
+
+            def fun(Y):
+                return [f(y) for f, y in zip(row_funs, Y.tolist())]
 
             def norm2(err):
                 return np.matmul(err[:, None, :],
                                  err[:, :, None]).ravel().tolist()
 
-        def before(s):   # the stage table before stage s, as columns
-            return table[..., :s, :].swapaxes(-1, -2)
+        def stage(s):   # its rows, and the stage table before it as columns
+            return K[..., s, :], K[..., :s, :].swapaxes(-1, -2)
 
-        # (stage rows, the stage table before them, the A row)
-        stages = [(K_ext[:, s], before(s), a[:s])
-                  for s, a in enumerate(M.A[1:], start=1)]
-        extra = [(K_ext[:, s], before(s), a[:s])
+        stages = [(*stage(s), a[:s]) for s, a in enumerate(M.A[1:], start=1)]
+        extra = [(*stage(s), a[:s])
                  for s, a in enumerate(M.A_EXTRA, start=n_stages + 1)]
-        return (fun, atol[live][:, None], rtol[live][:, None], dot, norm2,
-                table, stages, extra, before(n_stages), before(n_stages + 1))
+        return (fun, tol, steps, dot, norm2, K, shape, stages, extra,
+                stage(n_stages), stage(n_stages + 1)[1])
 
     with np.errstate(all="ignore"):
-        (fun, atol_, rtol_, dot, norm2, table, stages, extra, K_B,
-         K_E) = batch()
-        y = np.array(y0, dtype=float)
-        K_ext[:, 0] = fun(y)
-        g = events(y).tolist()
+        (fun, (atol_, rtol_), steps, dot, norm2, K, shape, stages, extra,
+         (K_last, K_B), K_E) = batch()
+        y = np.array(y0, dtype=float).reshape(shape)
+        K[..., 0, :] = fun(y)
+        g = events(y).reshape(n_rows, -1).tolist()
         while live:
             # the start of each row's attempt, as in solve_ivp's step loop;
             # a row whose step size underflowed finishes
@@ -658,7 +675,8 @@ def _dop853(funs, t0, t1, y0, rtol, atol, first_step, events):
                     if h_abs[i] < min_step[i]:
                         h_abs[i] = min_step[i]
                 elif h_abs[i] < min_step[i]:
-                    runs[i] = _finish(records.pop(i), y[j], nfev[i], -1, None)
+                    runs[i] = _finish(records.pop(i), y.reshape(-1, n)[j],
+                                      nfev[i], -1, None)
                     continue
                 t_new = t[i] + h_abs[i]
                 if t_new > t_end[i]:
@@ -673,14 +691,15 @@ def _dop853(funs, t0, t1, y0, rtol, atol, first_step, events):
                     break
                 y, K_ext = y[keep], K_ext[keep]
                 g = [g[j] for j in keep]
-                (fun, atol_, rtol_, dot, norm2, table, stages, extra, K_B,
-                 K_E) = batch()
+                (fun, (atol_, rtol_), steps, dot, norm2, K, shape, stages,
+                 extra, (K_last, K_B), K_E) = batch()
+                y = y.reshape(shape)
 
-            H = np.array(h)[:, None]
+            H, H_D = steps(h)
             for Ks, K_prev, a in stages:
                 Ks[:] = fun(y + dot(K_prev, a) * H)
             y_new = y + H * dot(K_B, M.B)
-            K_ext[:, n_stages] = fun(y_new)
+            K_last[:] = fun(y_new)
             scale = atol_ + np.maximum(np.abs(y), np.abs(y_new)) * rtol_
             err5 = norm2(dot(K_E, M.E5) / scale)
             err3 = norm2(dot(K_E, M.E3) / scale)
@@ -719,21 +738,24 @@ def _dop853(funs, t0, t1, y0, rtol, atol, first_step, events):
             y_old = y
             for Ks, K_prev, a in extra:
                 Ks[:] = fun(y_old + dot(K_prev, a) * H)
-            F = np.empty((len(live), 3 + len(M.D), n))
+            F = np.empty(shape[:-1] + (3 + len(M.D), n))
             delta_y = y_new - y_old
-            K_first = K_ext[:, 0]
-            F[:, 0] = delta_y
-            F[:, 1] = H * K_first - delta_y
-            F[:, 2] = 2 * delta_y - H * (K_ext[:, n_stages] + K_first)
-            F[:, 3:] = H[:, :, None] * dot(M.D, table)
+            K_first = K[..., 0, :]
+            F[..., 0, :] = delta_y
+            F[..., 1, :] = H * K_first - delta_y
+            F[..., 2, :] = 2 * delta_y - H * (K_last + K_first)
+            F[..., 3:, :] = H_D * dot(M.D, K)
             if len(accepted) == len(live):
                 y = y_new
-                K_first[:] = K_ext[:, n_stages]
+                K_first[:] = K_last
             else:
                 y = y.copy()
                 y[accepted] = y_new[accepted]
                 K_ext[accepted, 0] = K_ext[accepted, n_stages]
-            g_old, g = g, events(y).tolist()
+            g_old, g = g, events(y).reshape(len(live), -1).tolist()
+            # each row's view of the batch
+            F, y_old, y_rows = (F.reshape(len(live), -1, n),
+                                y_old.reshape(-1, n), y.reshape(-1, n))
             for j in accepted:
                 i = live[j]
                 nfev[i] += n_extra
@@ -765,8 +787,8 @@ def _dop853(funs, t0, t1, y0, rtol, atol, first_step, events):
                     Fs.append(F[j])
                     y_olds.append(y_old[j])
                 if status is not None:
-                    runs[i] = _finish(records.pop(i), y[j], nfev[i], status,
-                                      event)
+                    runs[i] = _finish(records.pop(i), y_rows[j], nfev[i],
+                                      status, event)
     return runs
 
 
