@@ -29,14 +29,20 @@ import os
 import sys
 
 import numpy as np
+# not used here: bench/tracing.py wraps scipy.interpolate.BSpline.__call__
+# and looks the module up in sys.modules, so a traced benchmark run fails
+# unless the CLI has imported it (ROADMAP item 1 removes that wrapper)
+import scipy.interpolate  # noqa: F401
 
 from . import __version__
 from .patches import GeometryError, _strict_json
 from .quotient import certify_quotient, make_cyclic_action
 from .shooting import (
+    MAX_GRID_POINTS,
     AnsatzParams,
     CertificationWindowError,
     SolitonProfile,
+    _check_grid_size,
     _series_start,
     ambient_geometry,
     ambient_radial_range,
@@ -55,15 +61,15 @@ EXIT_IO = 4
 
 
 # resource bounds: sample counts (the certify oracle holds a stencil of
-# values per sample), points of the output grid of solve and of each sweep
-# row, the sphere dimensions k and m (the certify charts have 1 + k + m
-# coordinates), rows of a sweep, its worker processes (a pool may start
-# all of them at once), and the quotient group order p (each of the p - 1
-# powers visits every fiber sample; the samples hold the fixed-point
-# candidates of the powers whose exponent divides p, so the certificate
-# costs about p times the sample count)
+# values per sample), points of the output grid of solve, of each sweep
+# row and of a loaded profile (MAX_GRID_POINTS, imported from shooting,
+# whose reader applies it too), the sphere dimensions k and m (the
+# certify charts have 1 + k + m coordinates), rows of a sweep, its worker
+# processes (a pool may start all of them at once), and the quotient
+# group order p (each of the p - 1 powers visits every fiber sample; the
+# samples hold the fixed-point candidates of the powers whose exponent
+# divides p, so the certificate costs about p times the sample count)
 MAX_SAMPLES = 1024
-MAX_GRID_POINTS = 200_000
 MAX_DIMENSION = 6
 MAX_SWEEP_ROWS = 4096
 MAX_WORKERS = 64
@@ -209,11 +215,10 @@ def _dump_json(doc: dict, cfg: dict) -> str:
 
 
 def _check_grid(params: AnsatzParams, where: str):
-    points = (params.t_max - params.epsilon) * params.grid_per_unit
-    if points > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"output grid of '{where}' too large: (t_max - epsilon) * "
-            f"grid_per_unit = {points:.6g} points, at most {MAX_GRID_POINTS}")
+    try:
+        _check_grid_size(params, params.t_max)
+    except ValueError as exc:
+        raise ConfigError(f"'{where}': {exc}") from exc
 
 
 def _params_from_block(block: dict) -> AnsatzParams:
@@ -265,9 +270,7 @@ def _load_profile_for(cfg: dict, block: dict) -> SolitonProfile:
         if not os.path.exists(path):
             raise OSError(f"profile file not found: {path}")
         try:
-            profile = SolitonProfile.from_csv(path)
-            profile.interpolants()   # cached for the certificate
-            return profile
+            return SolitonProfile.from_csv(path)
         except (ValueError, OSError) as exc:
             raise OSError(f"ill-formed profile file {path}: {exc}") from exc
     if "solve" in cfg:

@@ -265,8 +265,8 @@ def radial_profile_base(a, k: int, t_range, label: str = "radial-base") -> Metri
     """Base chart dt^2 + a(t)^2 g_{S^k} in coordinates (t, angles).
 
     ``a`` maps an array of t values to the array of a(t) values, e.g. a
-    spline.  For k = 0 the base is the line, the chart is one-dimensional
-    and ``a`` is unused.
+    profile's stored polynomial.  For k = 0 the base is the line, the
+    chart is one-dimensional and ``a`` is unused.
     """
     if k == 0:
         return MetricPatch(1, np.array([list(t_range)]), _identity_metric(1), label)
@@ -327,5 +327,6 @@ def constant_field(value: float, label: str | None = None) -> ScalarField:
 
 def radial_field(fn, label: str = "radial") -> ScalarField:
     """Field x -> fn(|x|) on an ambient Cartesian chart; ``fn`` maps an
-    array of radii to the array of values, e.g. a spline."""
+    array of radii to the array of values, e.g. a profile's stored
+    polynomial."""
     return ScalarField(lambda X: fn(np.linalg.norm(X, axis=1)), label)

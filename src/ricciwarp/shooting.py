@@ -42,11 +42,32 @@ product would not), the rest of a step is elementwise IEEE arithmetic,
 and the step-size control, whose ``pow`` an array form need not round as
 the scalar one does, runs row by row on Python floats.
 
-A profile stores only its integrated state, the grid arrays.  Its
-diagnostics (the first-integral series mu(t) and the per-equation residual
-columns) are derived by differentiating those arrays, never by
-substituting the right side back in; substituting would cancel
-algebraically and report conservation even for corrupted data.
+A profile is its integration: the step table of its DOP853 runs, one row
+per accepted step holding the step's start ``t_old``, its size ``h``, the
+state ``y_old`` at its start and the 7 rows ``F`` of its dense-output
+table.  At ``x = (t - t_old) / h`` the step's polynomial is
+
+    y(t) = y_old + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3
+                 + x (F4 + (1-x) (F5 + x F6))))))
+
+evaluated by Horner's rule (``_horner``).  A step ends where the next one
+starts and the last one at ``end_time``.  The certificate and the quotient
+check read a, b and phi from these polynomials (``interpolants``); the
+uniform grid columns (``GRID_COLUMNS``) are samples of them, derived on
+first read, and the diagnostics (the first-integral series mu(t) and the
+per-equation residual columns) difference those samples with grid
+stencils, never substituting the right side back in; substituting would
+cancel algebraically and report conservation even for corrupted data.
+
+``profile.csv`` (schema 3) is the step table in ``%.17g`` text, so it
+round-trips bit for bit: 2 + 8n numbers per step, n = 6 state columns
+for k >= 1 and 4 for k = 0.  A completed ``t_max = 10`` profile of the
+README's classes takes 47 to 96 steps, 53 to 110 KB, where the 2,001-row
+grid of schema 2 took 272-277 KB; a profile that ends in a blow-up takes
+many short steps, and its file can be larger than its grid was.
+Schema 1 and 2 files, which stored a sampled grid, are refused with a
+message to re-run ``solve``: reading them would need a second
+representation of a profile (a spline fit of the grid) beside this one.
 """
 
 from __future__ import annotations
@@ -58,11 +79,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import DOP853
-from scipy.interpolate import BSpline, make_interp_spline
 from scipy.optimize import brentq
 
 from .curvature import _MARGIN_SECOND
-from .fd import _MIN_SAMPLES, grid_derivative
+from .fd import grid_derivative
 from .patches import (
     GeometryError,
     ScalarField,
@@ -89,20 +109,20 @@ __all__ = [
     "shoot",
     "sweep",
     "ambient_geometry",
-    "CSV_COLUMNS",
+    "GRID_COLUMNS",
 ]
 
-PROFILE_SCHEMA_VERSION = 2
-CSV_COLUMNS = ("t", "a", "a_prime", "b", "b_prime", "phi", "phi_prime")
-# the header row of each schema version that loads; version 1 also stored
-# the derived diagnostics, four trailing columns whose values are dropped
-_CSV_HEADERS = {1: CSV_COLUMNS + ("mu", "res_tt", "res_sk", "res_sm"),
-                2: CSV_COLUMNS}
+PROFILE_SCHEMA_VERSION = 3
+GRID_COLUMNS = ("t", "a", "a_prime", "b", "b_prime", "phi", "phi_prime")
+# the most points of the output grid of a profile (of solve, of each sweep
+# row, and of a loaded file, whose params line sets its grid): the grid
+# and its diagnostics hold a dozen arrays of this length
+MAX_GRID_POINTS = 200_000
+_N_COEFFS = 3 + len(DOP853.D)   # rows of a step's dense-output table F
 
 _POSITIVITY_FLOOR = 1e-6   # terminal event threshold for a, b
 _EVAL_FLOOR = 1e-7         # clamp inside the stepper so stages stay finite
 _BLOWUP_LIMIT = 1e10
-_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 _CSV_BLOCK_ROWS = 512
 
 
@@ -249,69 +269,201 @@ def _horner(rows, y_old, x):
 
     ``rows`` yields the rows ``F[-1], ..., F[0]`` of the step's coefficient
     table.  ``Dop853DenseOutput._call_impl``'s operations in its order, so
-    every value has its bits.  The one implementation of the polynomial:
-    :func:`_dense_eval` calls it for the output grid, with one coefficient
-    row and one ``x`` per time, and :func:`_dop853` for locating events.
+    every value has its bits (``1 - x`` is formed once; it has the same
+    bits each time).  The one implementation of the polynomial: a
+    profile's polynomials (:class:`_StepPolynomials`) call it with one
+    coefficient row and one ``x`` per time, and :func:`_dop853` for
+    locating events.
     """
     y = np.zeros_like(y_old)
+    u = 1 - x
     for i, f in enumerate(rows):
         y += f
-        if i % 2 == 0:
-            y *= x
-        else:
-            y *= 1 - x
+        y *= x if i % 2 == 0 else u
     return y + y_old
 
 
-def _dense_eval(runs, ts):
-    """The dense output of consecutive :func:`_dop853` runs at the times ``ts``.
+class _StepPolynomials:
+    """The stored polynomials of a profile's step table, built once per
+    profile: the step ends, and each state column's values at the step
+    starts and coefficient rows ``F[-1], ..., F[0]`` as contiguous arrays
+    over the steps.
 
-    One vectorized Horner pass over every step of every run.  Each time
-    goes to the step that ``OdeSolution`` would choose, the first whose end
-    is >= t (``searchsorted(side="left")`` on the step ends), so a step end
-    and the junction of two runs go to the earlier step; times outside the
-    span go to the first or last step.  Returns a C-contiguous
-    ``(n_state, len(ts))`` array, so the profile columns are its rows.
+    :meth:`locate` finds each time's step, the one ``OdeSolution`` would
+    choose: the first whose end is >= t (``searchsorted(side="left")``),
+    so a step end and the junction of two runs go to the earlier step,
+    and times outside the span go to the first or last step.
+    :meth:`value` is :func:`_horner` there with one coefficient row and
+    one ``x`` per time, so a column has the bits of ``solve_ivp``'s dense
+    output.
     """
-    ends = np.concatenate([run.t[1:] for run in runs])
-    idx = np.minimum(np.searchsorted(ends, ts, side="left"), ends.size - 1)
-    t_old = np.concatenate([run.t[:-1] for run in runs])[idx]
-    h = np.concatenate([run.h for run in runs])[idx]
-    F = np.concatenate([run.F for run in runs])    # (steps, powers, n_state)
-    y_old = np.concatenate([run.y_old for run in runs])[idx]
-    rows = (F[idx, j] for j in range(F.shape[1] - 1, -1, -1))
-    y = _horner(rows, y_old, ((ts - t_old) / h)[:, None])
-    return np.ascontiguousarray(y.T)
+
+    def __init__(self, profile: "SolitonProfile"):
+        self.ends = np.append(profile.t_old[1:], profile.end_time)
+        self.t_old, self.h = profile.t_old, profile.h
+        rows = profile.F[:, ::-1].T   # column, F[-1] ... F[0], step
+        self.columns = {
+            name: (np.ascontiguousarray(profile.y_old[:, c]),
+                   np.ascontiguousarray(rows[c]))
+            for c, name in enumerate(_state_columns(profile.params.k))}
+
+    def locate(self, t):
+        """``(idx, x)``: the step of each time and ``(t - t_old) / h``."""
+        idx = np.minimum(np.searchsorted(self.ends, t, side="left"),
+                         self.ends.size - 1)
+        return idx, (t - self.t_old[idx]) / self.h[idx]
+
+    def value(self, name: str, idx, x):
+        """Column ``name`` at the located times."""
+        y_old, rows = self.columns[name]
+        return _horner(rows[:, idx], y_old[idx], x)
+
+    def function(self, name: str):
+        """Column ``name`` as a callable of t (an array or a number)."""
+        def evaluate(t):
+            return self.value(name, *self.locate(np.asarray(t, dtype=float)))
+        return evaluate
+
+
+def _state_columns(k: int):
+    """The names of the state columns of a k profile, in its state order."""
+    return GRID_COLUMNS[1:] if k >= 1 else GRID_COLUMNS[3:]
+
+
+def _csv_header(k: int):
+    """The header row of a k step table: each step's start ``t`` and state
+    there, its size ``h``, then the coefficient rows ``F0`` to ``F6``."""
+    names = _state_columns(k)
+    return ("t", *names, "h",
+            *(f"F{j}.{name}" for j in range(_N_COEFFS) for name in names))
+
+
+def _check_grid_size(params: AnsatzParams, t_end: float):
+    """Raise ``ValueError`` when a profile of ``params`` ending at
+    ``t_end`` would derive a grid of more than ``MAX_GRID_POINTS``
+    points (``(t_end - epsilon) * grid_per_unit``, the rows but one)."""
+    try:
+        points = (t_end - params.epsilon) * params.grid_per_unit
+    except OverflowError:   # a grid_per_unit beyond the float range
+        points = math.inf
+    if not points <= MAX_GRID_POINTS:
+        raise ValueError(f"output grid too large: (t_end - epsilon) * "
+                         f"grid_per_unit = {points:.6g} points with t_end = "
+                         f"{t_end:g}, at most {MAX_GRID_POINTS}")
 
 
 @dataclass
 class SolitonProfile:
-    """A profile: its parameters, state arrays (``CSV_COLUMNS``) and outcome.
+    """A profile: its parameters, its step table and its outcome.
 
-    ``a``/``a_prime`` are NaN-filled for k = 0.  There are at least 6 rows,
-    the stencil of :func:`_diagnostics`, which derives ``mu``, ``res_tt``,
-    ``res_sk`` (NaN for k = 0) and ``res_sm`` from the arrays on first read
-    and caches them beside the splines, so corrupted arrays show in them.
+    The step table of the DOP853 runs from ``params.epsilon`` to
+    ``end_time``: step i starts at ``t_old[i]`` with the state
+    ``y_old[i]`` (a, a', b, b', phi, phi' for k >= 1, the last four for
+    k = 0), has the size ``h[i]`` and the coefficient rows ``F[i]`` of its
+    polynomial (see :func:`_horner`), and ends where step i + 1 starts or,
+    the last one, at ``end_time``.  Construction refuses (``ValueError``)
+    a table that is not one piecewise polynomial over that span: see
+    :meth:`_check_steps`.
+
+    The grid columns ``GRID_COLUMNS`` are samples of the polynomials on
+    the uniform grid of ``grid_per_unit`` rows per unit of t
+    (``a``/``a_prime`` NaN-filled for k = 0), and ``mu``, ``res_tt``,
+    ``res_sk`` (NaN for k = 0) and ``res_sm`` are derived from them by
+    :func:`_diagnostics`; each is computed on first read and cached
+    beside the polynomials, so corrupted coefficients show in them.
     """
 
     params: AnsatzParams
-    t: np.ndarray
-    a: np.ndarray
-    a_prime: np.ndarray
-    b: np.ndarray
-    b_prime: np.ndarray
-    phi: np.ndarray
-    phi_prime: np.ndarray
-    status: str = "completed"
-    end_time: float = 0.0
-    # not an init field, so a dataclasses.replace copy derives its own
-    # splines and diagnostics
+    t_old: np.ndarray
+    h: np.ndarray
+    y_old: np.ndarray
+    F: np.ndarray
+    status: str
+    end_time: float
+    # not an init field, so a dataclasses.replace copy builds its own
+    # polynomials, grid and diagnostics
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     def __post_init__(self):
-        if self.t.size < _MIN_SAMPLES:
-            raise ValueError(f"profile has {self.t.size} rows; it needs {_MIN_SAMPLES}")
+        self._check_steps()
+
+    def _check_steps(self):
+        """Raise ``ValueError`` unless the step table is one piecewise
+        polynomial from epsilon to ``end_time``: at least one step, arrays
+        of the shapes of the params' k, finite numbers, ``t`` strictly
+        increasing from epsilon, ``h`` positive, each step ending within 4
+        ulps of where the next starts, and ``end_time`` in the last step.
+        The messages name the columns of :meth:`to_csv`."""
+        k, eps = self.params.k, self.params.epsilon
+        n = len(_state_columns(k))
+        shapes = [np.shape(x) for x in (self.t_old, self.h, self.y_old, self.F)]
+        s = shapes[0][0] if len(shapes[0]) == 1 else 0
+        if s < 1 or shapes != [(s,), (s,), (s, n), (s, _N_COEFFS, n)]:
+            raise ValueError(
+                f"profile step table of a k = {k} profile needs t_old, h, "
+                f"y_old of {n} and F of {_N_COEFFS} x {n} values per step, "
+                f"at least one step; got the shapes {shapes}")
+        t_old, h = self.t_old, self.h
+        if not (np.isfinite(t_old).all() and (np.diff(t_old) > 0).all()):
+            raise ValueError("profile column t is not finite and strictly "
+                             "increasing")
+        finite = np.isfinite(self._table()).all(axis=0)
+        if not finite.all():
+            raise ValueError(f"profile column {_csv_header(k)[finite.argmin()]}"
+                             " has a non-finite value")
+        if not (h > 0).all():
+            raise ValueError("profile column h is not positive")
+        if t_old[0] != eps:
+            raise ValueError(f"profile column t starts at {t_old[0]:.17g}, "
+                             f"not at epsilon = {eps:.17g}")
+        ends = t_old + h
+        apart = np.abs(ends[:-1] - t_old[1:]) > 4 * np.spacing(np.abs(t_old[1:]))
+        if apart.any():
+            i = int(apart.argmax())
+            raise ValueError(f"profile steps {i} and {i + 1} do not meet: "
+                             f"step {i} ends at {ends[i]:.17g}, step {i + 1} "
+                             f"starts at {t_old[i + 1]:.17g}")
+        if not t_old[-1] < self.end_time <= ends[-1] + 4 * np.spacing(ends[-1]):
+            raise ValueError(f"profile end_time {self.end_time:.17g} does not "
+                             f"lie in its last step [{t_old[-1]:.17g}, "
+                             f"{ends[-1]:.17g}]")
+
+    def _table(self) -> np.ndarray:
+        """The step table as the rows of :meth:`to_csv`: per step t_old,
+        y_old, h and F (row by row)."""
+        return np.column_stack([self.t_old, self.y_old, self.h,
+                                self.F.reshape(len(self.t_old), -1)])
+
+    def _polynomials(self) -> _StepPolynomials:
+        if "polynomials" not in self._cache:
+            self._cache["polynomials"] = _StepPolynomials(self)
+        return self._cache["polynomials"]
+
+    def _sample(self, name: str) -> np.ndarray:
+        """A grid column: the stored polynomial sampled on the uniform grid
+        of ``grid_per_unit`` rows per unit from epsilon to ``end_time``
+        (at least 16 rows); each column is computed on its first read."""
+        grid = self._cache.setdefault("grid", {})
+        if not grid:
+            eps, per_unit = self.params.epsilon, self.params.grid_per_unit
+            rows = int(np.ceil((self.end_time - eps) * per_unit)) + 1
+            grid["t"] = np.linspace(eps, self.end_time, max(rows, 16))
+            grid["steps"] = self._polynomials().locate(grid["t"])
+        if name not in grid:
+            polys = self._polynomials()
+            grid[name] = (polys.value(name, *grid["steps"])
+                          if name in polys.columns
+                          else np.full_like(grid["t"], np.nan))
+        return grid[name]
+
+    t = property(lambda self: self._sample("t"))
+    a = property(lambda self: self._sample("a"))
+    a_prime = property(lambda self: self._sample("a_prime"))
+    b = property(lambda self: self._sample("b"))
+    b_prime = property(lambda self: self._sample("b_prime"))
+    phi = property(lambda self: self._sample("phi"))
+    phi_prime = property(lambda self: self._sample("phi_prime"))
 
     def _diagnostic(self, i: int) -> np.ndarray:
         if "diagnostics" not in self._cache:
@@ -342,57 +494,42 @@ class SolitonProfile:
         return self.params.classification
 
     def interpolants(self):
-        """Quintic splines (a, b, phi) through the grid arrays, fitted
-        once and cached.
-
-        The columns share their knots, degree and collocation matrix, so
-        one collocation solve fits them all; each spline has the same bits
-        as its own single-column ``make_interp_spline`` fit.  Built from
-        the stored arrays only, so a profile loaded from CSV reproduces
-        them exactly.  For k = 0 the a-slot is None.
-
-        Raises ``ValueError`` when the arrays cannot be fitted: ``t`` not
-        finite and strictly increasing, or a non-finite value in a
-        (k >= 1), b or phi.
-        """
-        if "splines" not in self._cache:
-            names = ("b", "phi", "a") if self.params.k >= 1 else ("b", "phi")
-            t = self.t
-            if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
-                raise ValueError("profile column t is not finite and "
-                                 "strictly increasing")
-            columns = [getattr(self, name) for name in names]
-            for name, column in zip(names, columns):
-                if not np.isfinite(column).all():
-                    raise ValueError(f"profile column {name} has a "
-                                     "non-finite value")
-            fit = make_interp_spline(t, np.column_stack(columns), k=5)
-            fits = {name: BSpline(fit.t, fit.c[:, j], 5, extrapolate=True)
-                    for j, name in enumerate(names)}
-            self._cache["splines"] = fits.get("a"), fits["b"], fits["phi"]
-        return self._cache["splines"]
+        """``(a, b, phi)``: the stored polynomials of the a, b and phi
+        columns as callables of t (arrays or numbers), built once and
+        cached.  They have the bits of the dense output of the runs the
+        profile was shot from.  For k = 0 the a-slot is None."""
+        if "interpolants" not in self._cache:
+            polys = self._polynomials()
+            self._cache["interpolants"] = (
+                polys.function("a") if "a" in polys.columns else None,
+                polys.function("b"), polys.function("phi"))
+        return self._cache["interpolants"]
 
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path=None) -> str:
         """Profile as CSV text (written to ``path`` when given).
 
+        Three header lines (schema version, params, status and end time),
+        the header row of :func:`_csv_header` and one row per step.
         Numbers carry 17 significant digits so the round trip is exact.
         Rows are formatted a block at a time with one ``%`` operation;
         for Python floats ``%.17g`` is the same text as
         ``format(x, ".17g")``, including ``nan``, ``inf`` and ``-0``.
         """
+        header = _csv_header(self.params.k)
         parts = [
             f"# schema_version={PROFILE_SCHEMA_VERSION}\n",
             "# params=" + json.dumps(asdict(self.params), sort_keys=True) + "\n",
             f"# status={self.status} end_time={self.end_time:.17g}\n",
-            ",".join(CSV_COLUMNS) + "\n",
+            ",".join(header) + "\n",
         ]
-        rows = np.column_stack([getattr(self, name) for name in CSV_COLUMNS])
+        row = ",".join(["%.17g"] * len(header)) + "\n"
+        rows = self._table()
         # blocks bound the transient list of Python floats and strings
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
             block = rows[start:start + _CSV_BLOCK_ROWS]
-            parts.append((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+            parts.append((row * len(block)) % tuple(block.ravel().tolist()))
         text = "".join(parts)
         if path is not None:
             with open(path, "w") as fh:
@@ -413,34 +550,43 @@ class SolitonProfile:
     def parse_csv(cls, text: str) -> "SolitonProfile":
         """Parse profile CSV text written by :meth:`to_csv`.
 
-        Reads each version of ``_CSV_HEADERS``, keeping ``CSV_COLUMNS``.
         Raises ``ValueError`` on a malformed or wrong-version profile: a
-        missing or bad header line, a header row not of its version, a
-        data row without one number per column, or fewer than 6 rows.
+        missing or bad header line, a schema 1 or 2 file (a sampled grid:
+        re-run ``solve``), a grid of more than ``MAX_GRID_POINTS`` points
+        (checked before the data rows are read), a header row not of the
+        params' k, a data row without one number per column, or a step
+        table that construction refuses.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# schema_version="):
             raise ValueError("not a profile CSV: missing schema_version line")
         version = int(lines[0].split("=", 1)[1])
-        if version not in _CSV_HEADERS:
+        if version in (1, 2):
+            raise ValueError(
+                f"profile schema_version {version} stores a sampled grid, "
+                f"which is no longer read; re-run 'solve' to write schema_"
+                f"version {PROFILE_SCHEMA_VERSION}, the DOP853 step table")
+        if version != PROFILE_SCHEMA_VERSION:
             raise ValueError(f"unsupported profile schema_version {version}")
-        header = _CSV_HEADERS[version]
         if len(lines) < 2 or not lines[1].startswith("# params="):
             raise ValueError("profile CSV missing params line")
         params = _params_from_dict(json.loads(lines[1].split("=", 1)[1]))
-        status, end_time = "completed", 0.0
-        idx = 2
-        if idx < len(lines) and lines[idx].startswith("# status="):
-            part = lines[idx][2:].split()
-            if len(part) != 2 or not part[1].startswith("end_time="):
-                raise ValueError("profile CSV has a malformed status line")
-            status = part[0].split("=", 1)[1]
-            end_time = float(part[1].split("=", 1)[1])
-            idx += 1
-        if idx >= len(lines) or tuple(lines[idx].split(",")) != header:
+        status_line = lines[2] if len(lines) > 2 else ""
+        part = status_line[2:].split()
+        if (not status_line.startswith("# status=") or len(part) != 2
+                or not part[1].startswith("end_time=")):
+            raise ValueError("profile CSV has a missing or malformed status line")
+        status = part[0].split("=", 1)[1]
+        end_time = float(part[1].split("=", 1)[1])
+        if not math.isfinite(end_time):
+            raise ValueError("profile CSV has a malformed status line: "
+                             f"end_time {end_time} is not finite")
+        _check_grid_size(params, end_time)
+        header = _csv_header(params.k)
+        if len(lines) < 4 or tuple(lines[3].split(",")) != header:
             raise ValueError("profile CSV has an unexpected header row for "
-                             f"schema_version {version}")
-        data = lines[idx + 1:]
+                             f"k = {params.k}")
+        data = lines[4:]
         try:
             rows = (np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
                     if data else np.empty((0, 0)))
@@ -449,8 +595,11 @@ class SolitonProfile:
         if rows.shape[1] != len(header):
             raise ValueError("profile CSV has malformed data rows: expected "
                              f"rows of {len(header)} numbers")
-        return cls(params=params, status=status, end_time=end_time,
-                   **dict(zip(CSV_COLUMNS, rows.T)))
+        n = len(_state_columns(params.k))
+        return cls(params=params, t_old=rows[:, 0], y_old=rows[:, 1:1 + n],
+                   h=rows[:, 1 + n],
+                   F=rows[:, 2 + n:].reshape(len(rows), _N_COEFFS, n),
+                   status=status, end_time=end_time)
 
 
 def _params_from_dict(raw) -> AnsatzParams:
@@ -898,23 +1047,16 @@ def _integrate(rows):
 
 def _profile(params: AnsatzParams, outcome) -> SolitonProfile:
     """The profile of a row's :func:`_integrate` outcome: raises the row's
-    exception, or reads the output grid from the step polynomials of its
-    runs in one batched pass (:func:`_dense_eval`)."""
+    exception, or stores the steps of its runs as one step table."""
     if isinstance(outcome, Exception):
         raise outcome
     runs, status, t_end = outcome
-    n = max(int(np.ceil((t_end - params.epsilon) * params.grid_per_unit)) + 1, 16)
-    t = np.linspace(params.epsilon, t_end, n)
-    Y = _dense_eval(runs, t)
-    if params.k >= 1:
-        a, ap, b, bp, phi, phip = Y
-    else:
-        b, bp, phi, phip = Y
-        a = np.full_like(t, np.nan)
-        ap = np.full_like(t, np.nan)
-    return SolitonProfile(params=params, t=t, a=a, a_prime=ap, b=b,
-                          b_prime=bp, phi=phi, phi_prime=phip,
-                          status=status, end_time=t_end)
+    return SolitonProfile(
+        params=params, t_old=np.concatenate([run.t[:-1] for run in runs]),
+        h=np.concatenate([run.h for run in runs]),
+        y_old=np.concatenate([run.y_old for run in runs]),
+        F=np.concatenate([run.F for run in runs]), status=status,
+        end_time=t_end)
 
 
 def shoot(params: AnsatzParams) -> SolitonProfile:
@@ -945,8 +1087,9 @@ def profile_geometry(profile: SolitonProfile, h: float = 1e-3):
 
     The base patch is dt^2 + a^2 g_{S^k} over the profile span, the fiber
     the unit m-sphere, the warping b(t) and the potential phi(t), all read
-    from the splines of the a, b and phi columns; nothing is derived from
-    the profile's diagnostics.
+    from the stored polynomials of the a, b and phi columns
+    (:meth:`SolitonProfile.interpolants`); nothing is derived from the
+    profile's diagnostics.
     """
     if profile.b.min() <= 0 or (profile.params.k >= 1 and profile.a.min() <= 0):
         raise GeometryError("profile has nonpositive metric coefficients")
@@ -964,8 +1107,10 @@ def profile_geometry(profile: SolitonProfile, h: float = 1e-3):
 
 def ambient_radial_range(profile: SolitonProfile):
     """``(lo, hi)`` = (max(1.1 t_0, 0.05), 0.95 t_end): the radii of the
-    profile span on which :func:`ambient_geometry` is valid."""
-    return (max(float(profile.t[0]) * 1.1, 0.05), float(profile.t[-1]) * 0.95)
+    profile span [epsilon, end_time] on which :func:`ambient_geometry` is
+    valid."""
+    return (max(float(profile.params.epsilon) * 1.1, 0.05),
+            float(profile.end_time) * 0.95)
 
 
 def ambient_geometry(profile: SolitonProfile):
@@ -1005,7 +1150,7 @@ def certify_profile(profile: SolitonProfile,
     of the full product metric, at sample points whose radial coordinates
     lie in ``t_window``.  Raises :class:`GeometryError` for a profile whose
     ``status`` is not ``completed``: near a degeneration or blow-up its
-    splines need not keep b (or a) positive.  Raises
+    polynomials need not keep b (or a) positive.  Raises
     :class:`CertificationWindowError`, before any residual is computed,
     when ``t_window`` and ``h`` leave no room inside the profile span, or
     when the stencils of step ``h`` do not fit between the base-angle and

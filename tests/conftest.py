@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ricciwarp import (
     shoot,
     sphere_patch,
 )
+from ricciwarp.shooting import _state_columns
 
 
 def cylinder_geometry(m: int, b0: float, lam: float | None = None) -> WarpedGeometry:
@@ -25,6 +28,26 @@ def cylinder_geometry(m: int, b0: float, lam: float | None = None) -> WarpedGeom
     return WarpedGeometry(base=base, fiber=sphere_patch(m),
                           f=constant_field(b0, "b0"),
                           phi=quadratic_potential(lam), lam=lam)
+
+
+def edit_column(profile, column, scale=1.0, shift=0.0, bump=0.0,
+                window=(1.5, 2.5)):
+    """A copy of ``profile`` with the stored polynomial of one state column
+    edited through its step coefficients.
+
+    ``scale`` multiplies the column's ``y_old`` and ``F`` of every step,
+    so its whole polynomial; ``shift`` adds a constant to its ``y_old``;
+    ``bump`` is added to ``F[1]`` of the steps that overlap ``window``,
+    which adds ``bump * x (1 - x)`` to each such step (x = (t - t_old)/h)
+    and leaves the step ends where they were.
+    """
+    c = _state_columns(profile.params.k).index(column)
+    y_old, F = profile.y_old.copy(), profile.F.copy()
+    y_old[:, c] = scale * y_old[:, c] + shift
+    F[:, :, c] *= scale
+    t_old, h = profile.t_old, profile.h
+    F[(t_old < window[1]) & (t_old + h > window[0]), 1, c] += bump
+    return replace(profile, y_old=y_old, F=F)
 
 
 @pytest.fixture(scope="session")

@@ -42,7 +42,7 @@ EXPORTS = {
     # shooting
     "AnsatzParams", "IntegrationError", "SolitonProfile", "SweepRow",
     "certify_profile", "params_grid", "profile_geometry", "shoot", "sweep",
-    "ambient_geometry", "CSV_COLUMNS",
+    "ambient_geometry", "GRID_COLUMNS",
     # quotient
     "GroupAction", "QuotientCertificate", "certify_quotient",
     "fixed_point_candidates", "make_cyclic_action",

@@ -8,6 +8,7 @@ import pytest
 
 from ricciwarp.cli import (
     MAX_DIMENSION,
+    MAX_GRID_POINTS,
     MAX_GROUP_ORDER,
     MAX_SAMPLES,
     MAX_SWEEP_ROWS,
@@ -15,7 +16,7 @@ from ricciwarp.cli import (
     main,
 )
 from ricciwarp import shooting
-from ricciwarp.shooting import CSV_COLUMNS, SolitonProfile
+from ricciwarp.shooting import GRID_COLUMNS, SolitonProfile
 
 
 def write_config(path, extra=None, **blocks):
@@ -192,9 +193,8 @@ class TestCertify:
 
     @pytest.mark.parametrize("grid_per_unit", [50, 100, 200, 400, 800])
     def test_warping_dip_exits_3(self, tmp_path, capsys, grid_per_unit):
-        # this profile blows up at t = 1.95, where at grids 100 and 200 the
-        # quintic spline of b dips below 0; a profile that is not completed
-        # is refused at every grid before any geometry is built
+        # this profile blows up at t = 1.95; a profile that is not
+        # completed is refused at every grid before any geometry is built
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, solve={"k": 0, "m": 2, "lambda": 0.0,
                                       "b0": 1.0,
@@ -274,37 +274,44 @@ def _set_cell(rows, row, column, value):
     return rows[:row] + [",".join(cells)] + rows[row + 1:]
 
 
+def _solved_profile(tmp_path, t_max=3.0):
+    """Solve k1m2 into ``tmp_path/out``; returns the lines of its
+    profile.csv (three header lines, the header row, one row per step)."""
+    cfg_path = tmp_path / "c.json"
+    write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
+                                  "b0": 1.0, "t_max": t_max})
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    return (tmp_path / "out" / "profile.csv").read_text().splitlines()
+
+
 class TestUnfittableProfile:
-    """Profiles whose splines cannot be fitted or that have fewer than the
-    6 rows of the diagnostics stencil exit 4."""
+    """Profiles whose step table is not one piecewise polynomial from
+    epsilon to end_time exit 4 and write nothing."""
 
     @pytest.mark.parametrize("command,block", [
         ("certify", {}),
         ("quotient", {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}),
     ])
     @pytest.mark.parametrize("mutate,reason", [
-        (lambda rows: _set_cell(rows, 100, 3, "nan"),
+        (lambda rows: _set_cell(rows, 7, 3, "nan"),
          "column b has a non-finite value"),
-        (lambda rows: _set_cell(rows, 100, 5, "inf"),
+        (lambda rows: _set_cell(rows, 7, 5, "inf"),
          "column phi has a non-finite value"),
-        (lambda rows: rows[:100] + [rows[101], rows[100]] + rows[102:],
+        (lambda rows: rows[:7] + [rows[8], rows[7]] + rows[9:],
          "column t is not finite and strictly increasing"),
-        (lambda rows: [rows[0], rows[-1]], "has 2 rows"),
+        (lambda rows: [rows[0], rows[-1]], "steps 0 and 1 do not meet"),
         (lambda rows: [rows[0], rows[len(rows) // 2], rows[-1]],
-         "has 3 rows"),
-        (lambda rows: rows[::len(rows) // 3][:4], "has 4 rows"),
-        (lambda rows: rows[::len(rows) // 4][:5], "has 5 rows"),
+         "steps 0 and 1 do not meet"),
+        (lambda rows: rows[::len(rows) // 3][:4], "steps 0 and 1 do not meet"),
+        (lambda rows: rows[:5] + rows[6:], "steps 4 and 5 do not meet"),
     ], ids=["nan-in-b", "inf-in-phi", "swapped-t-rows", "two-rows",
             "three-rows", "four-rows", "five-rows"])
     def test_exits_4_without_artifact(self, tmp_path, capsys, command, block,
                                       mutate, reason):
-        cfg_path = tmp_path / "c.json"
-        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
-                                      "b0": 1.0, "t_max": 3.0})
-        assert main(["solve", "--config", str(cfg_path)]) == 0
-        lines = (tmp_path / "out" / "profile.csv").read_text().splitlines()
+        lines = _solved_profile(tmp_path)
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines[:4] + mutate(lines[4:])) + "\n")
+        cfg_path = tmp_path / "c.json"
         write_config(cfg_path, **{command: dict(block, profile=str(bad))})
         capsys.readouterr()
         assert main([command, "--config", str(cfg_path)]) == 4
@@ -320,109 +327,86 @@ class TestUnfittableProfile:
         ("quotient", {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}),
     ])
     def test_no_row_count_exits_1(self, tmp_path, capsys, command, block):
-        # n rows spread over the span: too few exit 4, the rest give a
-        # verdict or a documented failure
-        cfg_path = tmp_path / "c.json"
-        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
-                                      "b0": 1.0, "t_max": 3.0})
-        assert main(["solve", "--config", str(cfg_path)]) == 0
-        lines = (tmp_path / "out" / "profile.csv").read_text().splitlines()
+        # n step rows spread over the table: every strict part of it exits
+        # 4, the whole table gives a verdict
+        lines = _solved_profile(tmp_path)
         rows = lines[4:]
         bad = tmp_path / "bad.csv"
+        cfg_path = tmp_path / "c.json"
         write_config(cfg_path, **{command: dict(block, profile=str(bad))})
-        for n in range(9):
+        for n in [*range(9), len(rows)]:
             picked = [rows[i * (len(rows) - 1) // max(n - 1, 1)]
                       for i in range(n)]
             bad.write_text("\n".join(lines[:4] + picked) + "\n")
             code = main([command, "--config", str(cfg_path)])
-            assert code == 4 if n < 6 else code in (0, 2, 3), n
+            assert code == 4 if n < len(rows) else code == 0, n
         capsys.readouterr()
 
 
-def _v1_text(text, mu=None):
-    """Schema 2 profile text rewritten in schema 1, which also stored the
-    derived columns mu, res_tt, res_sk and res_sm; ``mu``, when given,
-    replaces the text of every mu cell."""
-    prof = SolitonProfile.parse_csv(text)
-    lines = text.splitlines()
-    assert lines[0] == "# schema_version=2"
-    derived = np.column_stack([prof.mu, prof.res_tt, prof.res_sk, prof.res_sm])
-    rows = []
-    for row, values in zip(lines[4:], derived.tolist()):
-        cells = [f"{x:.17g}" for x in values]
-        if mu is not None:
-            cells[0] = mu
-        rows.append(",".join([row, *cells]))
-    return "\n".join(["# schema_version=1", *lines[1:3],
-                      lines[3] + ",mu,res_tt,res_sk,res_sm", *rows]) + "\n"
+def _grid_text(profile, version):
+    """``profile`` in the sampled-grid layout of schema 2, or of schema 1,
+    which also stored mu, res_tt, res_sk and res_sm."""
+    names = GRID_COLUMNS + (("mu", "res_tt", "res_sk", "res_sm")
+                            if version == 1 else ())
+    table = np.column_stack([getattr(profile, name) for name in names])
+    head = profile.to_csv().splitlines()[1:3]
+    return "\n".join([f"# schema_version={version}", *head, ",".join(names),
+                      *(",".join(f"{x:.17g}" for x in row)
+                        for row in table)]) + "\n"
 
 
-class TestProfileSchemaV1:
-    """Version 1 files, which also stored the diagnostics, still load; the
-    stored diagnostics are dropped and derived from the state anew."""
+class TestOldProfileSchemas:
+    """Schema 1 and 2 files, a sampled grid, are refused with exit 4, a
+    message that names schema 3 and says to re-run solve, and no
+    artifact; so is a grid beyond MAX_GRID_POINTS."""
 
-    @pytest.fixture(scope="class")
-    def run(self, tmp_path_factory):
-        """``run(text)``: certify ``text`` as one fixed profile path and
-        return the exit code and the certification.json bytes."""
-        tmp = tmp_path_factory.mktemp("v1")
-        cfg_path = tmp / "c.json"
-        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
-                                      "b0": 1.0, "t_max": 4.0})
-        assert main(["solve", "--config", str(cfg_path)]) == 0
-        v2 = (tmp / "out" / "profile.csv").read_text()
-        profile = tmp / "p.csv"
-        write_config(cfg_path, certify={"profile": str(profile), "n_base": 6,
-                                        "n_product": 8})
-        report = tmp / "out" / "certification.json"
+    @pytest.mark.parametrize("command,block", [
+        ("certify", {}),
+        ("quotient", {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}),
+    ])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_exits_4_naming_schema_3(self, tmp_path, capsys, command, block,
+                                     version):
+        _solved_profile(tmp_path)
+        profile = SolitonProfile.from_csv(tmp_path / "out" / "profile.csv")
+        old = tmp_path / "old.csv"
+        old.write_text(_grid_text(profile, version))
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, **{command: dict(block, profile=str(old))})
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O failure: ill-formed profile file")
+        assert (f"schema_version {version} stores a sampled grid" in err
+                and "re-run 'solve' to write schema_version 3" in err)
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "profile.csv", "solve_summary.json"]
 
-        def run(text):
-            profile.write_text(text)
-            report.unlink(missing_ok=True)
-            code = main(["certify", "--config", str(cfg_path)])
-            return code, report.read_bytes() if report.exists() else None
-
-        run.v2 = v2
-        return run
-
-    def test_v1_loads_the_v2_state_bit_for_bit(self, run):
-        v2 = SolitonProfile.parse_csv(run.v2)
-        v1 = SolitonProfile.parse_csv(_v1_text(run.v2))
-        assert (v1.params, v1.status, v1.end_time) == (
-            v2.params, v2.status, v2.end_time)
-        for name in CSV_COLUMNS:
-            assert (getattr(v1, name).view(np.uint64)
-                    == getattr(v2, name).view(np.uint64)).all(), name
-
-    def test_v1_and_v2_certify_byte_identical(self, run):
-        code, v2_report = run(run.v2)
-        assert code == 0
-        assert run(_v1_text(run.v2)) == (0, v2_report)
-
-    @pytest.mark.parametrize("mu", ["-1", "0", "nan", "5"])
-    def test_edited_diagnostics_change_nothing(self, run, mu):
-        code, report = run(_v1_text(run.v2))
-        assert code == 0
-        edited = _v1_text(run.v2, mu=mu)
-        assert f",{mu}," in edited
-        assert run(edited) == (0, report)
-
-    @pytest.mark.parametrize("version,table", [(1, 2), (2, 1)])
-    def test_header_row_of_another_version_rejected(self, run, capsys,
-                                                    version, table):
-        text = run.v2 if table == 2 else _v1_text(run.v2)
-        head, rest = text.split("\n", 1)
-        text = f"# schema_version={version}\n{rest}"
-        with pytest.raises(ValueError, match="unexpected header row for "
-                                             f"schema_version {version}"):
-            SolitonProfile.parse_csv(text)
-        assert run(text) == (4, None)
-        assert "unexpected header row" in capsys.readouterr().err
+    @pytest.mark.parametrize("grid_per_unit", [
+        int(MAX_GRID_POINTS / 2.9999) + 1, 10 ** 12, 10 ** 400])
+    def test_grid_beyond_the_cap_exits_4(self, tmp_path, capsys,
+                                         grid_per_unit):
+        # the params line sets the grid of a loaded profile: a t_max 3
+        # profile at more than a third of the cap per unit is refused
+        lines = _solved_profile(tmp_path)
+        assert '"grid_per_unit": 200' in lines[1]
+        lines[1] = lines[1].replace('"grid_per_unit": 200',
+                                    f'"grid_per_unit": {grid_per_unit}')
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join(lines) + "\n")
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, certify={"profile": str(big)})
+        capsys.readouterr()
+        assert main(["certify", "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O failure: ill-formed profile file")
+        assert "output grid too large" in err
+        assert not (tmp_path / "out" / "certification.json").exists()
 
 
 class TestDiagnosticsCalls:
     """A solve derives a profile's diagnostics once; a certificate and a
-    quotient, which read only the splines of a, b and phi, never do."""
+    quotient, which read only the polynomials of a, b and phi, never do."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -562,6 +546,8 @@ class TestConfigValidation:
         ("sweep", "parallel", 0),
         ("sweep", "parallel", 1),
         ("sweep", "parallel", None),
+        ("solve", "grid_per_unit", 10 ** 400),
+        ("sweep", "grid_per_unit", 10 ** 400),
     ])
     def test_bad_number_exits_2_without_artifacts(self, tmp_path, command,
                                                   key, value):
@@ -763,3 +749,118 @@ class TestSweepFuzz:
                 assert (work / "serial" / "sweep.csv").read_bytes() == text
 
         run()
+
+
+class TestCertifyFuzz:
+    """Mutated schema-3 profile files and random certify keys within the
+    caps end in a documented exit code; a config error or a numeric or
+    I/O failure writes nothing, and a verdict writes the certificate and
+    no temporary file.  Each example edits at most one part of a shot
+    profile file: a cell, a row (dropped, repeated or swapped), a column
+    scaled, the text cut short, or a header line (the schema version, a
+    params value, the status or end_time); and it may carry one flawed
+    certify key (a sample count past ``MAX_SAMPLES``, a step too large or
+    a window outside the span)."""
+
+    @pytest.fixture(scope="class")
+    def profiles(self, tmp_path_factory):
+        out = {}
+        for label, solve in {
+                "k1m2": {"k": 1, "m": 2, "lambda": 0.0, "b0": 1.0,
+                         "t_max": 2.0},
+                "k0m2": {"k": 0, "m": 2, "lambda": 0.5,
+                         "b0": float(np.sqrt(2.0)), "t_max": 2.0},
+                "k2m3": {"k": 2, "m": 3, "lambda": -0.1, "b0": 1.0,
+                         "t_max": 1.5}}.items():
+            tmp = tmp_path_factory.mktemp(label)
+            write_config(tmp / "c.json", solve=solve)
+            assert main(["solve", "--config", str(tmp / "c.json")]) == 0
+            out[label] = (tmp / "out" / "profile.csv").read_text()
+        return out
+
+    def test_exit_codes_and_artifacts(self, tmp_path, capsys, profiles):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        runs = itertools.count()
+        params_edits = {"lam": lambda v: 1.05 * v, "k": lambda v: v + 1,
+                        "epsilon": lambda v: 2 * v,
+                        "grid_per_unit": lambda v: 10 ** 6 * v,
+                        "t_max": lambda v: 0.5 * v}
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None)
+        @hypothesis.given(
+            label=st.sampled_from(sorted(profiles)),
+            edit=st.sampled_from([None, "cell", "drop", "repeat", "swap",
+                                  "scale", "cut", "schema", "params",
+                                  "status", "end_time"]),
+            row=st.integers(0, 10 ** 6), column=st.integers(0, 10 ** 6),
+            token=st.sampled_from(["nan", "inf", "-0", "1e308", "x", "",
+                                   "0", "-1"]),
+            key=st.sampled_from(sorted(params_edits)),
+            status=st.sampled_from(["blowup", "hit_b_zero", "done"]),
+            end_time=st.sampled_from(["nan", "0", "1e300", "1.999", "x"]),
+            schema=st.sampled_from(["1", "2", "4", "three"]),
+            cut=st.floats(0.0, 1.0),
+            n_base=st.integers(1, 4), n_product=st.integers(1, 4),
+            n_fiber=st.integers(1, 3), seed=st.integers(0, 5),
+            h=st.sampled_from([1e-3, 2e-3, 5e-4]),
+            tolerance=st.sampled_from([1e-5, 1e-8, 1.0]),
+            flaw=st.sampled_from([None, None, None, "n_product", "h",
+                                  "t_window"]))
+        def run(label, edit, row, column, token, key, status,
+                end_time, schema, cut, n_base, n_product, n_fiber, seed, h,
+                tolerance, flaw):
+            lines = profiles[label].splitlines()
+            head, rows = lines[:4], lines[4:]
+            i, j = row % len(rows), column % len(head[3].split(","))
+            if edit == "cell":
+                rows = _set_cell(rows, i, j, token)
+            elif edit == "drop":
+                rows = rows[:i] + rows[i + 1:]
+            elif edit == "repeat":
+                rows = rows[:i + 1] + rows[i:]
+            elif edit == "swap" and len(rows) > 1:
+                i = min(i, len(rows) - 2)
+                rows = rows[:i] + [rows[i + 1], rows[i]] + rows[i + 2:]
+            elif edit == "scale":
+                rows = [",".join(f"{float(x) * (1.05 if c == j else 1):.17g}"
+                                 for c, x in enumerate(r.split(",")))
+                        for r in rows]
+            elif edit == "schema":
+                head[0] = f"# schema_version={schema}"
+            elif edit == "params":
+                params = json.loads(head[1].split("=", 1)[1])
+                params[key] = params_edits[key](params[key])
+                head[1] = "# params=" + json.dumps(params, sort_keys=True)
+            elif edit == "status":
+                head[2] = head[2].replace("status=completed",
+                                          f"status={status}")
+            elif edit == "end_time":
+                head[2] = head[2].split(" end_time=")[0] + f" end_time={end_time}"
+            text = "\n".join(head + rows) + "\n"
+            if edit == "cut":
+                text = text[:int(cut * len(text))]
+            block = {"n_base": n_base, "n_product": n_product,
+                     "n_fiber": n_fiber, "seed": seed, "h": h,
+                     "tolerance": tolerance}
+            if flaw:
+                block[flaw] = {"n_product": MAX_SAMPLES + 1, "h": 0.5,
+                               "t_window": [30.0, 40.0]}[flaw]
+            work = tmp_path / str(next(runs))
+            work.mkdir()
+            (work / "p.csv").write_text(text)
+            write_config(work / "c.json",
+                         certify=dict(block, profile=str(work / "p.csv")))
+            code = main(["certify", "--config", str(work / "c.json")])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4)
+            written = sorted(p.name for p in work.glob("out/*"))
+            if code in (3, 4) or err.startswith("config error:"):
+                assert written == []
+            else:
+                assert written == ["certification.json"]
+            if edit is None and not flaw:
+                assert code == 0 or tolerance == 1e-8
+
+        run()
+

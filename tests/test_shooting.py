@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.interpolate import make_interp_spline
 
 from ricciwarp import (
     AnsatzParams,
@@ -22,21 +21,24 @@ from ricciwarp import (
     soliton_residual,
     sweep,
 )
+from conftest import edit_column
 from ricciwarp import shooting
 from ricciwarp.shooting import (
     _BLOWUP_LIMIT,
     _EVAL_FLOOR,
     _LAUNCH_END,
     _LAUNCH_TOL,
+    _N_COEFFS,
     _POSITIVITY_FLOOR,
-    CSV_COLUMNS,
-    _dense_eval,
+    _csv_header,
     _diagnostics,
     _dop853,
     _integrate,
+    _profile,
     _rhs_with_phi,
     _Run,
     _series_start,
+    _state_columns,
 )
 
 
@@ -274,6 +276,12 @@ def _no_events(Y):
     return np.empty(Y.shape[:-1] + (0,))
 
 
+def _dense(profile, ts):
+    """Every state column's stored polynomial at the times ``ts``."""
+    polys = profile._polynomials()
+    return np.array([polys.function(name)(ts) for name in polys.columns])
+
+
 def _same_bits(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     return (got.shape == want.shape
@@ -295,7 +303,8 @@ class TestDenseEval:
                       atol=1e-15), "completed", 2),
     ])
     def test_matches_ode_solution_bit_for_bit(self, params, status, runs):
-        [(got_runs, got_status, t_end)] = _integrate([params])
+        [outcome] = _integrate([params])
+        got_runs, got_status, t_end = outcome
         sols = _solve_ivp_runs(params)
         assert (got_status, len(got_runs)) == (status, runs)
         assert (got_status, t_end) == _solve_ivp_outcome(params, sols)
@@ -308,15 +317,19 @@ class TestDenseEval:
             assert _same_bits(run.h, [ip.h for ip in steps])
             assert _same_bits(run.F, [ip.F for ip in steps])
             assert _same_bits(run.y_old, [ip.y_old for ip in steps])
+        # the profile's step table needs no column for the step ends: they
+        # are the next step's start and, for the last step, end_time
+        prof = _profile(params, outcome)
+        assert _same_bits(np.append(prof.t_old[1:], prof.end_time),
+                          np.concatenate([run.t[1:] for run in got_runs]))
         # every step end (the launch run's last one is t_switch), every
         # step middle and the output grid
         ends = np.concatenate([run.t for run in got_runs])
         ts = np.unique(np.concatenate([
             ends, 0.5 * (ends[1:] + ends[:-1]),
             np.linspace(params.epsilon, t_end, 2001)]))
-        got = _dense_eval(got_runs, ts)
         want = _per_run_reference([sol.sol for sol in sols], ts)
-        assert got.flags.c_contiguous and _same_bits(got, want)
+        assert _same_bits(_dense(prof, ts), want)
 
     def test_step_ends_go_to_the_earlier_step(self):
         # pieces that disagree at their common ends, so the choice of the
@@ -327,19 +340,21 @@ class TestDenseEval:
         rng = np.random.default_rng(5)
 
         def run(ts):
-            F, y_old = rng.normal(size=(ts.size - 1, 7, 3)), rng.normal(
-                size=(ts.size - 1, 3))
+            F, y_old = rng.normal(size=(ts.size - 1, 7, 4)), rng.normal(
+                size=(ts.size - 1, 4))
             pieces = [Dop853DenseOutput(t0, t1, y, f)
                       for t0, t1, y, f in zip(ts[:-1], ts[1:], y_old, F)]
             return (_Run(t=ts, h=np.diff(ts), F=F, y_old=y_old, y=y_old[-1],
                          nfev=0, status=0),
                     OdeSolution(ts, pieces))
 
-        (run_a, sol_a), (run_b, sol_b) = (run(np.array([0.0, 0.3, 0.7, 1.0])),
-                                          run(np.array([1.0, 1.5, 2.0])))
-        ts = np.array([-0.1, 0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 1.2, 1.5, 2.0, 2.5])
-        got = _dense_eval([run_a, run_b], ts)
-        assert _same_bits(got, _per_run_reference([sol_a, sol_b], ts))
+        (run_a, sol_a), (run_b, sol_b) = (run(np.array([0.5, 0.8, 1.2, 1.5])),
+                                          run(np.array([1.5, 2.0, 2.5])))
+        prof = _profile(AnsatzParams(k=0, m=2, lam=0.0, b0=1.0, epsilon=0.5),
+                        ([run_a, run_b], "completed", 2.5))
+        ts = np.array([0.4, 0.5, 0.6, 0.8, 1.0, 1.2, 1.5, 1.7, 2.0, 2.5, 3.0])
+        assert _same_bits(_dense(prof, ts),
+                          _per_run_reference([sol_a, sol_b], ts))
 
     def test_shoot_columns_are_the_dense_output(self, steady_profile_12):
         prof = steady_profile_12
@@ -564,7 +579,7 @@ class TestDiagnosticsIndependence:
         # than reusing the original's cached ones
         prof = steady_profile_12
         assert prof.mu_spread <= 1e-6 * (1 + abs(prof.mu_mean))  # clean data
-        tampered = replace(prof, b_prime=prof.b_prime + 1e-3)
+        tampered = edit_column(prof, "b_prime", shift=1e-3)
         assert tampered.mu_spread > 1e-3
         assert prof.mu_spread <= 1e-6 * (1 + abs(prof.mu_mean))
 
@@ -575,34 +590,37 @@ class TestDiagnosticsIndependence:
         prof = shoot(replace(steady_profile_12.params, t_max=3.0,
                              grid_per_unit=400))
         assert prof.t.size == 1201
+
+        def mu(index):
+            return _diagnostics(prof.params, *(
+                getattr(prof, name)[index] for name in
+                ("t", "a", "a_prime", "b", "b_prime", "phi_prime")))[0]
+
         index = np.r_[0:600, 600:1201:2]
         assert index.size == 901
         with pytest.raises(ValueError, match="not uniformly spaced"):
-            _rows(prof, index).mu
-        uniform = _rows(prof, np.r_[0:1201:2])
-        assert uniform.mu_spread <= 1e-6 * (1 + abs(uniform.mu_mean))
+            mu(index)
+        uniform = mu(np.r_[0:1201:2])
+        assert uniform.max() - uniform.min() <= 1e-6 * (1 + abs(uniform.mean()))
 
     def test_corrupted_profile_fails_certification(self, steady_profile_12):
-        prof = steady_profile_12
-        b_bad = prof.b.copy()
-        b_bad[len(b_bad) // 2] += 1e-3
-        tampered = SolitonProfile(
-            params=prof.params, t=prof.t, a=prof.a, a_prime=prof.a_prime,
-            b=b_bad, b_prime=prof.b_prime, phi=prof.phi,
-            phi_prime=prof.phi_prime, status=prof.status,
-            end_time=prof.end_time)
+        # b raised by at most 1e-3 on the one step that holds t = 3
+        tampered = edit_column(steady_profile_12, "b", bump=4e-3,
+                               window=(3.0, 3.0))
+        assert np.abs(tampered.b - steady_profile_12.b).max() > 9e-4
         report = certify_profile(tampered, n_base=6, n_product=6)
         assert not report.verdict
 
-    def test_replaced_profile_fits_its_own_splines(self, steady_profile_12):
+    def test_replaced_profile_builds_its_own_polynomials(
+            self, steady_profile_12):
         # a dataclasses.replace copy does not share the original's cache,
-        # so tampered arrays reach the certificate
+        # so tampered coefficients reach the certificate
         prof = steady_profile_12
-        b_spline = prof.interpolants()[1]
-        tampered = replace(prof, b=1.05 * prof.b)
-        assert tampered.interpolants()[1] is not b_spline
+        b_poly = prof.interpolants()[1]
+        tampered = edit_column(prof, "b", scale=1.05)
+        assert tampered.interpolants()[1] is not b_poly
         assert float(tampered.interpolants()[1](3.0)) == pytest.approx(
-            1.05 * float(b_spline(3.0)), rel=1e-12)
+            1.05 * float(b_poly(3.0)), rel=1e-12)
         assert not certify_profile(tampered, n_base=6, n_product=6).verdict
 
 
@@ -637,37 +655,40 @@ class TestCertifyProfile:
         with pytest.raises(GeometryError, match=f"status is '{status}'"):
             certify_profile(unfinished)
 
-    def test_blowup_profile_has_no_geometry(self, steady_profile_02):
-        # the steady k = 0 profile blows up near t = 1.95; its grid keeps b
-        # positive, but the quintic spline of b dips below 0 between rows
+    def test_blowup_profile_keeps_b_positive(self, steady_profile_02):
+        # the steady k = 0 profile blows up near t = 1.95; the stored
+        # polynomial of b stays positive on the whole base chart, so it has
+        # a geometry, and certify refuses it for its status alone
         prof = steady_profile_02
         assert prof.status == "blowup" and prof.b.min() > 0
-        with pytest.raises(GeometryError, match="'b-warping' is not positive"):
-            profile_geometry(prof)
+        geom = profile_geometry(prof)
+        lo, hi = geom.base.domain[0]
+        assert (prof.interpolants()[1](np.linspace(lo, hi, 100_001)) > 0).all()
+        with pytest.raises(GeometryError, match="status is 'blowup'"):
+            certify_profile(prof)
 
     @pytest.mark.parametrize("k, m, lam", [(1, 2, 0.0), (2, 3, 0.0),
                                            (1, 3, -0.1)])
     def test_default_grid_resolves_the_certificate(self, k, m, lam):
         # the default grid density against twice of it, on the same shot:
-        # the worst certificate residual moves by less than 15% and
-        # mu_spread by less than 10%
+        # the certificate reads the stored polynomials, not the grid, so it
+        # is the same report, and mu_spread moves by less than 10%
         params = AnsatzParams(k=k, m=m, lam=lam, b0=1.0)
         fine = replace(params, grid_per_unit=2 * params.grid_per_unit)
-        worst, spread = {}, {}
+        report, spread = {}, {}
         for p in (params, fine):
             prof = shoot(p)
-            checks = certify_profile(prof).checks.values()
-            worst[p] = max(c["residual"] for c in checks)
+            report[p] = certify_profile(prof).to_json()
             spread[p] = prof.mu_spread
-        assert abs(worst[params] - worst[fine]) <= 0.15 * worst[fine]
+        assert report[params] == report[fine]
         assert abs(spread[params] - spread[fine]) <= 0.10 * spread[fine]
 
     @pytest.mark.parametrize("column", ["a_prime", "b_prime", "phi_prime"])
     def test_derivative_columns_do_not_reach_the_certificate(
             self, steady_profile_12, column):
-        # the geometry reads the splines of a, b and phi only
+        # the geometry reads the polynomials of a, b and phi only
         prof = steady_profile_12
-        edited = replace(prof, **{column: getattr(prof, column) + 3.0})
+        edited = edit_column(prof, column, shift=3.0)
         assert edited.mu_mean != prof.mu_mean
         assert (certify_profile(edited, n_base=6, n_product=6).to_json()
                 == certify_profile(prof, n_base=6, n_product=6).to_json())
@@ -692,11 +713,11 @@ class TestOracleClosure:
             assert norm <= 1e-5
 
 
-def _rows(profile, index):
-    """The grid rows ``index`` of ``profile``, with no cached splines."""
-    return SolitonProfile(params=profile.params,
-                          **{name: getattr(profile, name)[index].copy()
-                             for name in CSV_COLUMNS})
+def _steps(profile, index, **changes):
+    """A copy of ``profile`` with the step rows ``index`` of its table (and
+    any other ``changes``): the construction checks the new table."""
+    return replace(profile, t_old=profile.t_old[index], h=profile.h[index],
+                   y_old=profile.y_old[index], F=profile.F[index], **changes)
 
 
 class TestInterpolants:
@@ -705,35 +726,39 @@ class TestInterpolants:
                 steady_profile_02):
         prof = {"k1m2": steady_profile_12, "k2m3": steady_profile_23,
                 "k0m2": steady_profile_02}[request.param]
-        return replace(prof)   # a copy without the fixture's splines
+        return replace(prof)   # a copy without the fixture's polynomials
 
-    def test_one_fit_cached(self, profile, monkeypatch):
+    def test_polynomials_built_once(self, profile, monkeypatch):
+        # the coefficient arrays are built once per profile, and the
+        # interpolants and the grid share them
         calls = []
+        build = shooting._StepPolynomials
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return make_interp_spline(*args, **kwargs)
+        def counting(prof):
+            calls.append(prof)
+            return build(prof)
 
-        monkeypatch.setattr(shooting, "make_interp_spline", counting)
+        monkeypatch.setattr(shooting, "_StepPolynomials", counting)
         first = profile.interpolants()
-        assert len(calls) == 1
+        assert calls == [profile]
         assert profile.interpolants() == first
-        assert len(calls) == 1
+        assert profile.b is profile.b and profile.mu.size == profile.t.size
+        assert calls == [profile]
 
-    def test_each_spline_is_its_own_fit_bit_for_bit(self, profile):
+    def test_loaded_polynomials_bit_for_bit(self, profile):
+        # the polynomials of a loaded profile are the shot ones, and the
+        # grid columns are their samples
+        loaded = SolitonProfile.parse_csv(profile.to_csv())
         t = profile.t
-        x = np.concatenate([t, 0.5 * (t[1:] + t[:-1])])
-        splines = profile.interpolants()
-        assert (splines[0] is None) == (profile.params.k == 0)
-        for spline, column in zip(splines, (profile.a, profile.b, profile.phi)):
-            if spline is None:
+        x = np.concatenate([t, 0.5 * (t[1:] + t[:-1]), [0.0, 20.0]])
+        shot, back = profile.interpolants(), loaded.interpolants()
+        assert (shot[0] is None) == (back[0] is None) == (profile.params.k == 0)
+        for name, poly, again in zip(("a", "b", "phi"), shot, back):
+            if poly is None:
                 continue
-            own = make_interp_spline(t, column, k=5)
-            assert spline.k == own.k == 5 and spline.extrapolate
-            for got, want in ((spline.t, own.t), (spline.c, own.c),
-                              (spline(x), own(x))):
-                assert got.shape == want.shape
-                assert (got.view(np.uint64) == want.view(np.uint64)).all()
+            assert _same_bits(poly(t), getattr(profile, name)), name
+            assert _same_bits(again(x), poly(x)), name
+            assert _same_bits(again(3.0), poly(3.0)), name
 
     @pytest.mark.parametrize("column,value,message", [
         ("b", np.nan, "column b has a non-finite value"),
@@ -744,30 +769,90 @@ class TestInterpolants:
     ])
     def test_unfittable_column_rejected(self, steady_profile_12, column,
                                         value, message):
-        prof = _rows(steady_profile_12, slice(None, None, 100))
-        getattr(prof, column)[7] = value
+        # a step table that is no piecewise polynomial is refused
+        prof = steady_profile_12
+        t_old, y_old = prof.t_old.copy(), prof.y_old.copy()
+        if column == "t":
+            t_old[7] = value
+        else:
+            y_old[7, _state_columns(1).index(column)] = value
         with pytest.raises(ValueError, match=message):
-            prof.interpolants()
+            replace(prof, t_old=t_old, y_old=y_old)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
     def test_too_few_rows_rejected(self, steady_profile_12, rows):
-        # the diagnostics stencil needs 6 rows; no profile is shorter
-        with pytest.raises(ValueError, match=f"has {rows} rows; it needs 6"):
-            _rows(steady_profile_12, slice(rows))
-        assert _rows(steady_profile_12, slice(6)).mu.size == 6
+        # the first steps of a table alone do not reach its end_time; with
+        # the end of their last step as end_time they are a profile, whose
+        # grid keeps at least 16 rows
+        prof = steady_profile_12
+        with pytest.raises(ValueError, match="does not lie in its last step"):
+            _steps(prof, slice(rows))
+        short = _steps(prof, slice(rows), end_time=float(prof.t_old[rows]))
+        assert short.t[-1] == prof.t_old[rows]
+        assert short.mu.size == short.t.size == 16
+
+
+class TestStepTable:
+    """Construction (and so every reader) refuses a step table that is not
+    one piecewise polynomial from epsilon to end_time."""
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: _steps(p, [0, 2, 1, *range(3, p.t_old.size)]),
+         "column t is not finite and strictly increasing"),
+        (lambda p: _steps(p, np.r_[0:20, 21:p.t_old.size]),
+         "steps 19 and 20 do not meet"),
+        (lambda p: replace(p, h=np.where(np.arange(p.h.size) == 9, -p.h, p.h)),
+         "column h is not positive"),
+        (lambda p: replace(p, h=p.h * (1 + 1e-15)), "do not meet"),
+        (lambda p: replace(p, end_time=p.end_time + 1e-12),
+         "does not lie in its last step"),
+        (lambda p: replace(p, end_time=float(p.t_old[-1])),
+         "does not lie in its last step"),
+        (lambda p: replace(p, params=replace(p.params, epsilon=2e-4)),
+         "starts at 0.0001, not at epsilon = 0.0002"),
+        (lambda p: replace(p, params=replace(p.params, k=0)),
+         "profile step table of a k = 0 profile needs"),
+        (lambda p: _steps(p, slice(0)), "at least one step"),
+        (lambda p: replace(p, F=p.F[:, :6]), "F of 7 x 6 values"),
+        (lambda p: replace(p, F=np.where(np.arange(7)[:, None] == 6, np.nan,
+                                         p.F)),
+         "column F6.a has a non-finite value"),
+    ], ids=["swapped-rows", "dropped-row", "negative-h", "long-steps",
+            "end-past-last-step", "end-at-last-start", "other-epsilon",
+            "other-k", "no-steps", "six-coefficient-rows", "nan-in-F6"])
+    def test_refused(self, steady_profile_12, edit, message):
+        with pytest.raises(ValueError, match=message):
+            edit(steady_profile_12)
+
+    def test_shot_tables_pass(self):
+        # every outcome: the step ends, a terminal event in the launch or
+        # in the second run, and a span inside the launch segment
+        for params, status in [
+                (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=0.05),
+                 "completed"),
+                (AnsatzParams(k=0, m=2, lam=0.0, b0=1.0), "blowup"),
+                (AnsatzParams(k=3, m=2, lam=0.0, b0=1.0, phi2=0.3), "blowup"),
+                (AnsatzParams(k=0, m=2, lam=0.5, b0=2.0), "hit_b_zero"),
+                (AnsatzParams(k=1, m=2, lam=2.0, b0=1.0), "hit_a_zero")]:
+            prof = shoot(params)
+            assert prof.status == status
+            again = SolitonProfile.parse_csv(prof.to_csv())
+            assert again.end_time == prof.end_time == prof.t[-1]
 
 
 class TestCsvRoundTrip:
     def test_bit_exact_round_trip(self, steady_profile_12):
         text = steady_profile_12.to_csv()
         loaded = SolitonProfile.parse_csv(text)
-        for name in ("t", "a", "a_prime", "b", "b_prime", "phi",
-                     "phi_prime", "mu", "res_tt", "res_sk", "res_sm"):
+        for name in ("t_old", "h", "y_old", "F", "t", "a", "a_prime", "b",
+                     "b_prime", "phi", "phi_prime", "mu", "res_tt", "res_sk",
+                     "res_sm"):
             orig = getattr(steady_profile_12, name)
             back = getattr(loaded, name)
-            assert np.array_equal(orig, back, equal_nan=True), name
+            assert _same_bits(back, orig), name
         assert loaded.params == steady_profile_12.params
         assert loaded.status == steady_profile_12.status
+        assert loaded.end_time == steady_profile_12.end_time
 
     @pytest.mark.parametrize("k,m", [(1, 2), (2, 3), (0, 2)])
     def test_recomputed_diagnostics_of_loaded_profile_bit_exact(self, k, m):
@@ -797,10 +882,11 @@ class TestCsvRoundTrip:
     def test_rows_match_per_cell_reference(self, k):
         prof = shoot(AnsatzParams(k=k, m=2, lam=0.5 * (1 - k), b0=np.sqrt(2.0),
                                   t_max=3.0))
-        cols = [getattr(prof, name) for name in CSV_COLUMNS]
-        reference = [",".join(f"{col[i]:.17g}" for col in cols) + "\n"
-                     for i in range(prof.t.size)]
-        head, rows = prof.to_csv().split(",".join(CSV_COLUMNS) + "\n")
+        table = np.column_stack([prof.t_old, prof.y_old, prof.h,
+                                 prof.F.reshape(prof.h.size, -1)])
+        assert table.shape[1] == len(_csv_header(k)) == 2 + 8 * (4 + 2 * (k > 0))
+        reference = [",".join(f"{x:.17g}" for x in row) + "\n" for row in table]
+        head, rows = prof.to_csv().split(",".join(_csv_header(k)) + "\n")
         assert head.count("\n") == 3
         rows = rows.splitlines(keepends=True)
         assert len(rows) == len(reference)
@@ -813,29 +899,34 @@ class TestCsvRoundTrip:
         from hypothesis.extra.numpy import arrays
 
         finite = st.floats(allow_nan=False, allow_infinity=False)
+        params = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)
 
+        # any finite state and coefficients, including -0 and subnormals,
+        # on steps that meet
         @hypothesis.settings(max_examples=60, deadline=2000, database=None)
         @hypothesis.given(
-            data=arrays(np.float64, st.tuples(st.integers(6, 12), st.just(7)),
-                        elements=finite),
-            nan_columns=st.sets(st.sampled_from(CSV_COLUMNS)),
-            end_time=finite)
-        def round_trip(data, nan_columns, end_time):
-            cols = {name: (np.full(len(data), np.nan) if name in nan_columns
-                           else data[:, j].copy())
-                    for j, name in enumerate(CSV_COLUMNS)}
-            prof = SolitonProfile(params=AnsatzParams(k=1, m=2, lam=0.0, b0=1.0),
-                                  end_time=end_time, **cols)
-            with np.errstate(all="ignore"):
-                back = SolitonProfile.parse_csv(prof.to_csv())
-            for name in CSV_COLUMNS:
-                assert (getattr(back, name).view(np.uint64)
-                        == cols[name].view(np.uint64)).all(), name
-            assert np.float64(back.end_time).view(np.uint64) == \
-                np.float64(end_time).view(np.uint64)
+            steps=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=12),
+            data=arrays(np.float64, (12, 1 + _N_COEFFS, 6), elements=finite),
+            share=st.floats(0.01, 1.0))
+        def round_trip(steps, data, share):
+            t_old = [params.epsilon]
+            for h in steps[:-1]:
+                t_old.append(t_old[-1] + h)
+            s = len(steps)
+            prof = SolitonProfile(
+                params=params, t_old=np.array(t_old), h=np.array(steps),
+                y_old=data[:s, 0].copy(), F=data[:s, 1:].copy(),
+                status="completed",
+                end_time=t_old[-1] + steps[-1] * share)
+            back = SolitonProfile.parse_csv(prof.to_csv())
+            for name in ("t_old", "h", "y_old", "F"):
+                assert _same_bits(getattr(back, name), getattr(prof, name)), name
+            assert _same_bits(back.end_time, prof.end_time)
 
         round_trip()
 
+    # the ids count the 7 columns of a grid row; a step row has 2 + 8n:
+    # three cells more or one fewer in one row or in every row
     @pytest.mark.parametrize("mutate", [
         lambda rows: rows[:1] + [rows[1] + ",0,0,0"] + rows[2:],
         lambda rows: [row + ",0,0,0" for row in rows],
@@ -854,8 +945,8 @@ class TestCsvRoundTrip:
             SolitonProfile.parse_csv(text)
 
     @pytest.mark.parametrize("text", [
-        "# schema_version=1\n",
-        "# schema_version=1\n# params=[1, 2]\n",
+        "# schema_version=3\n",
+        "# schema_version=3\n# params=[1, 2]\n",
     ], ids=["no-params-line", "params-not-an-object"])
     def test_truncated_header_rejected(self, text):
         with pytest.raises(ValueError):
@@ -871,6 +962,27 @@ class TestCsvRoundTrip:
         text = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0)).to_csv()
         assert old in text
         with pytest.raises(ValueError):
+            SolitonProfile.parse_csv(text.replace(old, new))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_schema_refused(self, version):
+        # schema 1 and 2 stored a sampled grid: the message says what to do
+        text = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0)).to_csv()
+        old = text.replace("# schema_version=3", f"# schema_version={version}")
+        with pytest.raises(ValueError, match=f"schema_version {version} stores "
+                           "a sampled grid.*re-run 'solve' to write "
+                           "schema_version 3"):
+            SolitonProfile.parse_csv(old)
+
+    @pytest.mark.parametrize("old,new", [
+        ('"grid_per_unit": 200', '"grid_per_unit": 300000'),
+        ('"grid_per_unit": 200', '"grid_per_unit": ' + "9" * 400),
+        ("end_time=1\n", "end_time=1e300\n")])
+    def test_grid_beyond_the_cap_refused(self, old, new):
+        # the grid a file would derive is bounded before its rows are read
+        text = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0)).to_csv()
+        assert old in text
+        with pytest.raises(ValueError, match="output grid too large"):
             SolitonProfile.parse_csv(text.replace(old, new))
 
     def test_from_csv_reads_a_path(self, tmp_path):

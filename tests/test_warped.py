@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import cylinder_geometry
+from conftest import cylinder_geometry, edit_column
 from ricciwarp import (
     AnsatzParams,
     GeometryError,
@@ -346,10 +346,6 @@ LOCAL = STRUCTURE - {"einstein_fiber"}
 EPS = 1e-3
 
 
-def _bump(t):
-    return EPS * np.exp(-((t - 2.0) / 0.5) ** 2)
-
-
 def _cylinder_phi(extra):
     """The potential t^2 / 2 of the unit round cylinder plus ``extra(t)``."""
     return ScalarField(lambda X: 0.5 * X[:, 0] ** 2 + extra(X[:, 0]), "phi")
@@ -366,13 +362,15 @@ CYLINDER_ROWS = {  # the unit round cylinder over S^2 (lam = 1) with one error
                                phi=_cylinder_phi(lambda t: 0.3)),
 }
 
+# edits of the stored polynomials: a bump adds 4 EPS x (1 - x), at most
+# EPS, to each step that overlaps [1.5, 2.5]
 TAMPERS = {
-    "b*1.05": lambda p: replace(p, b=1.05 * p.b),
-    "b-bump": lambda p: replace(p, b=p.b + _bump(p.t)),
-    "phi-bump": lambda p: replace(p, phi=p.phi + _bump(p.t)),
-    "a-bump": lambda p: replace(p, a=p.a + _bump(p.t)),
-    "phi+0.3": lambda p: replace(p, phi=p.phi + 0.3),
-    "a*1.05": lambda p: replace(p, a=1.05 * p.a),
+    "b*1.05": lambda p: edit_column(p, "b", scale=1.05),
+    "b-bump": lambda p: edit_column(p, "b", bump=4 * EPS),
+    "phi-bump": lambda p: edit_column(p, "phi", bump=4 * EPS),
+    "a-bump": lambda p: edit_column(p, "a", bump=4 * EPS),
+    "phi+0.3": lambda p: edit_column(p, "phi", shift=0.3),
+    "a*1.05": lambda p: edit_column(p, "a", scale=1.05),
 }
 
 
