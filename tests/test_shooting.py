@@ -611,10 +611,10 @@ class TestDiagnosticsIndependence:
         report = certify_profile(tampered, n_base=6, n_product=6)
         assert not report.verdict
 
-    def test_replaced_profile_builds_its_own_polynomials(
-            self, steady_profile_12):
+    def test_replaced_profile_fits_its_own_splines(self, steady_profile_12):
         # a dataclasses.replace copy does not share the original's cache,
-        # so tampered coefficients reach the certificate
+        # so its piecewise polynomials are its own and tampered
+        # coefficients reach the certificate
         prof = steady_profile_12
         b_poly = prof.interpolants()[1]
         tampered = edit_column(prof, "b", scale=1.05)
@@ -728,9 +728,9 @@ class TestInterpolants:
                 "k0m2": steady_profile_02}[request.param]
         return replace(prof)   # a copy without the fixture's polynomials
 
-    def test_polynomials_built_once(self, profile, monkeypatch):
-        # the coefficient arrays are built once per profile, and the
-        # interpolants and the grid share them
+    def test_one_fit_cached(self, profile, monkeypatch):
+        # the coefficient arrays of the piecewise polynomials are built once
+        # per profile, and the interpolants and the grid share them
         calls = []
         build = shooting._StepPolynomials
 
@@ -745,17 +745,37 @@ class TestInterpolants:
         assert profile.b is profile.b and profile.mu.size == profile.t.size
         assert calls == [profile]
 
-    def test_loaded_polynomials_bit_for_bit(self, profile):
-        # the polynomials of a loaded profile are the shot ones, and the
-        # grid columns are their samples
+    def test_each_spline_is_its_own_fit_bit_for_bit(self, profile):
+        # each interpolant is the piecewise polynomial of its column alone:
+        # an OdeSolution of one-column DOP853 pieces has its bits (a piece
+        # keeps the stored h: a profile that ends at an event ends inside
+        # its last step); the polynomials of a loaded profile are the shot
+        # ones, and the grid columns are their samples
+        from scipy.integrate import OdeSolution
+        from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+        def piece(t0, t1, h, y, f):
+            dense = Dop853DenseOutput(t0, t1, y, f)
+            dense.h = h
+            return dense
+
         loaded = SolitonProfile.parse_csv(profile.to_csv())
         t = profile.t
         x = np.concatenate([t, 0.5 * (t[1:] + t[:-1]), [0.0, 20.0]])
+        ends = np.append(profile.t_old[1:], profile.end_time)
         shot, back = profile.interpolants(), loaded.interpolants()
         assert (shot[0] is None) == (back[0] is None) == (profile.params.k == 0)
+        columns = _state_columns(profile.params.k)
         for name, poly, again in zip(("a", "b", "phi"), shot, back):
             if poly is None:
                 continue
+            c = columns.index(name)
+            own = OdeSolution(
+                np.append(profile.t_old[:1], ends),
+                [piece(t0, t1, h, y[c:c + 1], f[:, c:c + 1])
+                 for t0, t1, h, y, f in zip(profile.t_old, ends, profile.h,
+                                            profile.y_old, profile.F)])
+            assert _same_bits(poly(x), own(x)[0]), name
             assert _same_bits(poly(t), getattr(profile, name)), name
             assert _same_bits(again(x), poly(x)), name
             assert _same_bits(again(3.0), poly(3.0)), name

@@ -315,7 +315,7 @@ class TestCertifyEvaluationCounts:
     residual of the assembled product."""
 
     # k = 0 on the round cylinder: the steady k = 0 profile blows up near
-    # t = 1.95 and is never certified (test_blowup_profile_has_no_geometry)
+    # t = 1.95 and is never certified (test_blowup_profile_keeps_b_positive)
     @pytest.mark.parametrize("profile", ["steady_profile_12", "steady_profile_23",
                                          "cylinder_profile_02"])
     def test_each_callable_evaluated_twice(self, profile, request):
