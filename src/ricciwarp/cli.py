@@ -43,6 +43,7 @@ from .shooting import (
     CertificationWindowError,
     SolitonProfile,
     _check_grid_size,
+    _log_slopes,
     _series_start,
     ambient_geometry,
     ambient_radial_range,
@@ -53,6 +54,9 @@ from .shooting import (
 )
 
 CONFIG_SCHEMA_VERSION = 1
+# the version of the sweep.csv table; 2 reports log-slopes in place of the
+# growth exponents of 1
+SWEEP_SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -249,6 +253,7 @@ def _summary(profile: SolitonProfile) -> dict:
         "lifetime": profile.end_time,
         "mu_mean": profile.mu_mean,
         "mu_spread": profile.mu_spread,
+        **_log_slopes(profile),
         "reduced_equation_residual_max": res_max,
     }
 
@@ -339,7 +344,8 @@ def cmd_quotient(cfg: dict, out_dir: str, tolerance=None, seed=None) -> int:
 
 
 _SWEEP_HEADER = ("k", "m", "lambda", "b0", "status", "lifetime",
-                 "mu_mean", "mu_spread", "exp_a", "exp_b")
+                 "mu_mean", "mu_spread", "slope_a", "slope_b", "slope_a_mid",
+                 "slope_b_mid")
 
 
 def cmd_sweep(cfg: dict, out_dir: str) -> int:
@@ -364,13 +370,14 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
         _check_grid(params, "sweep")
     rows = sweep(grid, parallel=block.get("parallel", False),
                  workers=block.get("workers"))
-    lines = [f"# schema_version={CONFIG_SCHEMA_VERSION}",
+    lines = [f"# schema_version={SWEEP_SCHEMA_VERSION}",
              ",".join(_SWEEP_HEADER)]
     for r in rows:
         lines.append(",".join([
             str(r.k), str(r.m), f"{r.lam:.17g}", f"{r.b0:.17g}", r.status,
             f"{r.lifetime:.17g}", f"{r.mu_mean:.17g}", f"{r.mu_spread:.17g}",
-            f"{r.exp_a:.17g}", f"{r.exp_b:.17g}"]))
+            f"{r.slope_a:.17g}", f"{r.slope_b:.17g}", f"{r.slope_a_mid:.17g}",
+            f"{r.slope_b_mid:.17g}"]))
     _write(out_dir, "sweep.csv", "\n".join(lines) + "\n")
     print(f"sweep: {len(rows)} rows")
     return EXIT_OK

@@ -1219,7 +1219,8 @@ def certify_profile(profile: SolitonProfile,
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep result: shooting data, outcome, and growth diagnostics."""
+    """One sweep result: shooting data, outcome, the first-integral
+    statistics and the log-slopes of :func:`_log_slopes`."""
 
     k: int
     m: int
@@ -1229,8 +1230,10 @@ class SweepRow:
     lifetime: float
     mu_mean: float
     mu_spread: float
-    exp_a: float
-    exp_b: float
+    slope_a: float
+    slope_b: float
+    slope_a_mid: float
+    slope_b_mid: float
 
 
 def params_grid(ks, ms, lams, b0s, **common):
@@ -1244,12 +1247,33 @@ def params_grid(ks, ms, lams, b0s, **common):
     return out
 
 
-def _growth_exponent(t, y):
-    """Log-log slope over the last decade of the grid."""
-    sel = t >= t[-1] / 10.0
-    if sel.sum() < 10 or np.any(y[sel] <= 0):
-        return float("nan")
-    return float(np.polyfit(np.log(t[sel]), np.log(y[sel]), 1)[0])
+# the names of the log-slopes, in the order of SweepRow and sweep.csv
+_SLOPES = ("slope_a", "slope_b", "slope_a_mid", "slope_b_mid")
+
+
+def _log_slopes(profile: SolitonProfile) -> dict:
+    """The local log-slopes ``t y'/y`` of a and b on a profile's grid, by
+    name (``_SLOPES``): ``slope_a`` and ``slope_b`` at its last row
+    (``end_time``), ``slope_a_mid`` and ``slope_b_mid`` at its middle row
+    (t about ``end_time / 2``).
+
+    All are NaN unless the profile is ``completed``, and the a-slopes are
+    NaN for k = 0, which has no a.  ``y ~ t^p`` has the slope p at every
+    t; a negative end slope says the coefficient is shrinking at
+    ``t_max``, and a drift between the middle and end slopes that the
+    growth has not settled.  They read grid columns that the diagnostics
+    derive anyway.
+    """
+    slopes = dict.fromkeys(_SLOPES, math.nan)
+    if profile.status == "completed":
+        t = profile.t
+        for suffix, i in (("", t.size - 1), ("_mid", (t.size - 1) // 2)):
+            slopes["slope_b" + suffix] = float(
+                t[i] * profile.b_prime[i] / profile.b[i])
+            if profile.params.k >= 1:
+                slopes["slope_a" + suffix] = float(
+                    t[i] * profile.a_prime[i] / profile.a[i])
+    return slopes
 
 
 def _sweep_row(params: AnsatzParams, outcome) -> SweepRow:
@@ -1262,14 +1286,10 @@ def _sweep_row(params: AnsatzParams, outcome) -> SweepRow:
         reason = " ".join(str(exc).split()).replace(",", ";")
         return SweepRow(params.k, params.m, params.lam, params.b0,
                         f"error:{type(exc).__name__}:{reason}", 0.0,
-                        float("nan"), float("nan"), float("nan"), float("nan"))
-    if prof.status == "completed":
-        exp_a = _growth_exponent(prof.t, prof.a) if params.k >= 1 else float("nan")
-        exp_b = _growth_exponent(prof.t, prof.b)
-    else:
-        exp_a = exp_b = float("nan")
+                        math.nan, math.nan, **dict.fromkeys(_SLOPES, math.nan))
     return SweepRow(params.k, params.m, params.lam, params.b0, prof.status,
-                    prof.end_time, prof.mu_mean, prof.mu_spread, exp_a, exp_b)
+                    prof.end_time, prof.mu_mean, prof.mu_spread,
+                    **_log_slopes(prof))
 
 
 # rows of one lockstep batch: bounds the stage tables and run records that
@@ -1298,29 +1318,42 @@ def _sweep_rows(param_list) -> list:
     return out
 
 
+# the fewest rows a pool process gets.  One process against a 2-process
+# pool, start-up included, on k = 1 grids at t_max 10 (wall ms on 2
+# cores): 8 rows 48 vs 62, 16 rows 81 vs 82, 24 rows 115 vs 100, 32 rows
+# 147 vs 117, 48 rows 222 vs 155.  The pool breaks even near 8 rows a
+# process and saves a fifth from 16 on; it starts only where it clearly
+# wins
+_SHARE_ROWS = 16
+
+
 def sweep(param_list, parallel: bool = False, workers: int | None = None):
     """Run the grid; rows come back in grid order regardless of mode.
 
     A row whose shooting raises has the status ``error:<Type>:<message>``,
-    the message on one line and without commas.  Rows integrate in
-    lockstep batches (:func:`_sweep_rows`, :func:`_dop853`), and a row's
-    numbers have the bits of the row shot alone, whatever the other rows
-    of its batch: the batch's products are stacked ``np.matmul`` products
-    over the rows' own stage tables, which give each row the bits of its
-    ``np.dot``, and the step-size control runs row by row.  So neither the
-    grid nor its split into batches and shares changes a row.  The
-    parallel pool has
-    ``workers`` processes (default: the CPU count), at most one per row:
-    each process integrates one share of the grid, every ``workers``-th
-    row, as one batch per state size (:func:`_sweep_rows`).
+    the message on one line and without commas, and NaN numbers.  A
+    completed row reports the log-slopes of :func:`_log_slopes`; the
+    others report NaN slopes.  Rows integrate in lockstep batches
+    (:func:`_sweep_rows`, :func:`_dop853`), and a row's numbers have the
+    bits of the row shot alone, whatever the other rows of its batch: the
+    batch's products are stacked ``np.matmul`` products over the rows'
+    own stage tables, which give each row the bits of its ``np.dot``, and
+    the step-size control runs row by row.  So neither the grid nor its
+    split into batches and shares changes a row.
+
+    ``parallel`` permits a process pool and ``workers`` caps it (default:
+    the CPU count).  The pool has ``min(workers, rows // _SHARE_ROWS)``
+    processes, so each gets at least ``_SHARE_ROWS`` rows; below two the
+    grid runs serially in the calling process.  Each process integrates
+    one share of the grid, every n-th row of n shares, as one batch
+    per state size (:func:`_sweep_rows`).
     """
     param_list = list(param_list)
-    if not parallel or len(param_list) < 2:
+    n_shares = (min(workers or os.cpu_count() or 1,
+                    len(param_list) // _SHARE_ROWS) if parallel else 1)
+    if n_shares < 2:
         return _sweep_rows(param_list)
     import concurrent.futures as cf
-    # the pool may start all its processes at once, so it gets no more
-    # than it has shares
-    n_shares = min(workers or os.cpu_count() or 1, len(param_list))
     shares = [param_list[i::n_shares] for i in range(n_shares)]
     out = [None] * len(param_list)
     with cf.ProcessPoolExecutor(max_workers=n_shares) as ex:

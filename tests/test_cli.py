@@ -45,6 +45,9 @@ class TestSolve:
         assert summary["status"] == "completed"
         assert summary["classification"] == "shrinking"
         assert "config_hash" in summary and "tool_version" in summary
+        # k = 0 has no a, and strict JSON writes its NaN slopes as null
+        assert summary["slope_a"] is None and summary["slope_a_mid"] is None
+        assert abs(summary["slope_b"]) < 1e-6
 
     def test_flat_config_zero_residual_columns(self, tmp_path):
         cfg_path = tmp_path / "f.json"
@@ -56,6 +59,12 @@ class TestSolve:
         assert np.abs(prof.res_tt).max() < 1e-12
         assert np.abs(prof.res_sk).max() < 1e-12
         assert np.abs(prof.res_sm).max() < 1e-12
+        # a = t and b = 1: the log-slopes of a are 1 and those of b 0
+        summary = json.loads((tmp_path / "out" / "solve_summary.json")
+                             .read_text())
+        for name, want in (("slope_a", 1.0), ("slope_a_mid", 1.0),
+                           ("slope_b", 0.0), ("slope_b_mid", 0.0)):
+            assert abs(summary[name] - want) < 1e-6, name
 
     def test_invalid_b0_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -454,8 +463,10 @@ class TestSweep:
                                       "b0": [1.0]})
         assert main(["sweep", "--config", str(cfg_path)]) == 0
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
-        assert lines[1].startswith("k,m,lambda,b0")
-        assert len(lines) == 2
+        assert lines == [
+            "# schema_version=2",
+            "k,m,lambda,b0,status,lifetime,mu_mean,mu_spread,slope_a,slope_b,"
+            "slope_a_mid,slope_b_mid"]
 
     def test_degenerate_row_flagged_exit_zero(self, tmp_path):
         cfg_path = tmp_path / "s.json"
@@ -473,7 +484,7 @@ class TestSweep:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
         assert len(rows) == 2
         fields = rows[0].split(",")
-        assert len(fields) == 10
+        assert len(fields) == 12
         assert fields[4] == ("error:ValueError:epsilon=0.0001 too large: "
                              "series tail estimate 1.67e-03 > 1e-8")
         assert rows[1].split(",")[4] == "completed"
@@ -693,11 +704,13 @@ class TestSolveFuzz:
 class TestSweepFuzz:
     """Random sweep grids of at most 8 rows end in exit 0 or a config
     error; a config error writes nothing, a sweep writes one row per grid
-    point, and a parallel sweep writes the serial sweep's bytes.  The
-    grids hold refused starts (b0 = 1e-5 on a sphere fiber) among their
-    rows; an example may carry one flaw: a grid below 40 rows per unit or
-    a non-boolean ``parallel`` (config errors), or an epsilon that every
-    row's series refuses (an error row each)."""
+    point, and a parallel sweep writes the serial sweep's bytes (grids
+    this small run in the calling process either way: ``sweep`` builds no
+    pool below 2 * ``_SHARE_ROWS`` rows).  The grids hold refused starts
+    (b0 = 1e-5 on a sphere fiber) among their rows; an example may carry
+    one flaw: a grid below 40 rows per unit or a non-boolean ``parallel``
+    (config errors), or an epsilon that every row's series refuses (an
+    error row each)."""
 
     def test_exit_codes_and_artifacts(self, tmp_path, capsys):
         hypothesis = pytest.importorskip("hypothesis")

@@ -30,10 +30,13 @@ from ricciwarp.shooting import (
     _LAUNCH_TOL,
     _N_COEFFS,
     _POSITIVITY_FLOOR,
+    _SHARE_ROWS,
+    _SLOPES,
     _csv_header,
     _diagnostics,
     _dop853,
     _integrate,
+    _log_slopes,
     _profile,
     _rhs_with_phi,
     _Run,
@@ -1023,14 +1026,27 @@ class TestSweep:
         row = rows[0]
         assert row.status == "completed"
         assert row.lifetime == 5.0
-        assert np.isnan(row.exp_a)
-        assert abs(row.exp_b) < 1e-6
+        # k = 0 has no a; the round cylinder's b is constant
+        assert np.isnan(row.slope_a) and np.isnan(row.slope_a_mid)
+        assert abs(row.slope_b) < 1e-6 and abs(row.slope_b_mid) < 1e-6
 
     def test_flat_row_exponents(self):
+        # a = t and b = 1: the slopes of a are 1 and those of b 0, at the
+        # end and in the middle
         rows = sweep(params_grid([1], [1], [0.0], [1.0], phi2=0.0, t_max=5.0))
         row = rows[0]
-        assert abs(row.exp_a - 1.0) < 1e-6
-        assert abs(row.exp_b) < 1e-6
+        assert abs(row.slope_a - 1.0) < 1e-6
+        assert abs(row.slope_a_mid - 1.0) < 1e-6
+        assert abs(row.slope_b) < 1e-6 and abs(row.slope_b_mid) < 1e-6
+
+    def test_shrinking_completed_row_warns_by_its_end_slope(self):
+        # k1m2 with lambda 0.1 is positive up to t_max = 10, but a is
+        # shrinking there (it hits 0 before t = 20), and more steeply at
+        # the end than in the middle
+        [row] = sweep(params_grid([1], [2], [0.1], [1.0]))
+        assert row.status == "completed"
+        assert row.slope_a < row.slope_a_mid < 0
+        assert abs(row.slope_a + 1.47) < 0.01
 
     def test_steady_family_long_lived_growing(self, steady_profile_12):
         prof = steady_profile_12
@@ -1041,7 +1057,41 @@ class TestSweep:
     def test_degenerate_row_flagged(self):
         rows = sweep(params_grid([0], [2], [0.5], [2.0], t_max=5.0))
         assert rows[0].status == "hit_b_zero"
-        assert np.isnan(rows[0].exp_b)
+        assert np.isnan(rows[0].slope_b) and np.isnan(rows[0].slope_b_mid)
+
+    def test_rows_keep_the_bits_of_shoot(self, monkeypatch):
+        # a mixed grid, k 0-2, one row of each outcome: status, lifetime,
+        # mu_mean and mu_spread of every row are those of shoot(params)
+        # run alone, and its slopes those of that profile
+        _nan_rhs_for(monkeypatch, _UNDERFLOW)
+        grid = [AnsatzParams(k=0, m=2, lam=0.5, b0=2.0, t_max=5.0),
+                AnsatzParams(k=0, m=2, lam=0.5, b0=float(np.sqrt(2.0)),
+                             t_max=3.0),
+                AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=3.0),
+                AnsatzParams(k=1, m=2, lam=0.1, b0=1.0),
+                AnsatzParams(k=2, m=3, lam=0.0, b0=1e-5),
+                AnsatzParams(k=2, m=2, lam=0.0, b0=1.0, phi2=0.3),
+                AnsatzParams(k=2, m=3, lam=-0.1, b0=1.0, t_max=3.0),
+                AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, phi2=_UNDERFLOW)]
+        statuses = []
+        for params, row in zip(grid, sweep(grid)):
+            try:
+                prof = shoot(params)
+            except (ValueError, IntegrationError) as exc:
+                status = f"error:{type(exc).__name__}:{exc}"
+                want = [0.0] + [np.nan] * (2 + len(_SLOPES))
+            else:
+                status = prof.status
+                want = [prof.end_time, prof.mu_mean, prof.mu_spread,
+                        *_log_slopes(prof).values()]
+            got = [row.lifetime, row.mu_mean, row.mu_spread,
+                   *(getattr(row, name) for name in _SLOPES)]
+            assert row.status == status
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            statuses.append(status.split(":")[0])
+        assert statuses == ["hit_b_zero", "completed", "completed",
+                            "completed", "error", "blowup", "completed",
+                            "error"]
 
     def test_error_row_keeps_the_message(self):
         # b0 = 1e-5 makes the series tail too large at the default epsilon
@@ -1060,65 +1110,81 @@ class TestSweep:
         assert rows[0].status == "error:GeometryError:a; b c d"
 
     def test_pool_has_at_most_one_worker_per_row(self, monkeypatch):
-        # a stand-in pool that records its size and starts no process
-        sizes = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
-        grid = params_grid([1], [2], [0.0], [0.9, 1.1], t_max=0.5)
+        # the pool gets min(workers, rows // _SHARE_ROWS) processes, so
+        # each gets at least _SHARE_ROWS rows
+        pools = _stand_in_pools(monkeypatch)
+        grid = params_grid([1], [2], [0.0], _b0s(3 * _SHARE_ROWS), t_max=0.1)
         serial = sweep(grid)
         assert sweep(grid, parallel=True, workers=10_000) == serial
-        assert sweep(grid, parallel=True) == serial
-        assert sweep(grid, parallel=True, workers=1) == serial
-        assert sizes == [2, 2, 1]
+        assert sweep(grid, parallel=True, workers=2) == serial
+        assert sweep(grid[:3 * _SHARE_ROWS - 1], parallel=True,
+                     workers=64) == serial[:-1]
+        assert [pool.size for pool in pools] == [3, 2, 2]
+
+    def test_small_grid_runs_without_a_pool(self, monkeypatch):
+        # below 2 * _SHARE_ROWS rows, or with one worker, no pool is built
+        pools = _stand_in_pools(monkeypatch)
+        grid = params_grid([0, 1], [2], [0.0], _b0s(_SHARE_ROWS), t_max=0.1)
+        serial = sweep(grid)
+        for rows, workers in ((2 * _SHARE_ROWS - 1, 64), (3, 2), (2, None),
+                              (len(grid), 1)):
+            assert sweep(grid[:rows], parallel=True,
+                         workers=workers) == serial[:rows]
+        assert pools == []
+        assert sweep(grid, parallel=True, workers=64) == serial
+        assert [pool.size for pool in pools] == [2]
 
     def test_pool_gets_one_batch_per_process(self, monkeypatch):
-        # a stand-in pool that records its size and the batches it maps
-        # and starts no process
-        pools = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                self.size, self.batches = max_workers, []
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                self.batches = list(items)
-                return map(fn, self.batches)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
-        grid = params_grid([0, 1], [2], [0.0], [0.9, 1.0, 1.1], t_max=0.2)
+        pools = _stand_in_pools(monkeypatch)
+        grid = params_grid([0, 1], [2], [0.0, -0.1], _b0s(_SHARE_ROWS),
+                           t_max=0.1)
         serial = sweep(grid)
-        for rows in range(2, len(grid) + 1):
-            for workers in (1, 2, 3, 5, 64):
+        for rows in (2 * _SHARE_ROWS, 3 * _SHARE_ROWS - 1, 3 * _SHARE_ROWS,
+                     len(grid)):
+            for workers in (2, 3, 5, 64):
                 got = sweep(grid[:rows], parallel=True, workers=workers)
                 assert list(map(repr, got)) == list(map(repr, serial[:rows]))
                 pool = pools[-1]
-                assert pool.size == len(pool.batches) == min(workers, rows)
+                assert (pool.size == len(pool.batches)
+                        == min(workers, rows // _SHARE_ROWS))
                 mapped = [p for batch in pool.batches for p in batch]
                 assert sorted(map(grid.index, mapped)) == list(range(rows))
 
     def test_parallel_matches_serial(self):
-        grid = params_grid([1], [2], [0.0, -0.1], [0.9, 1.1],
-                           t_max=2.0, rtol=1e-9, atol=1e-9)
+        # a grid of 2 * _SHARE_ROWS rows runs on a real 2-process pool
+        grid = params_grid([1], [2], [0.0, -0.1], _b0s(_SHARE_ROWS),
+                           t_max=0.5, rtol=1e-9, atol=1e-9)
+        assert len(grid) == 2 * _SHARE_ROWS
         serial = sweep(grid, parallel=False)
         parallel = sweep(grid, parallel=True, workers=2)
-        assert serial == parallel
+        assert list(map(repr, serial)) == list(map(repr, parallel))
+
+
+def _b0s(count):
+    """``count`` distinct b0 values from 0.9 to 1.1."""
+    return [0.9 + 0.2 * i / count for i in range(count)]
+
+
+def _stand_in_pools(monkeypatch):
+    """Replace the process pool of ``sweep`` with a stand-in that starts
+    no process; returns the list of the pools built, each recording its
+    size and the batches it maps."""
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.size, self.batches = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            self.batches = list(items)
+            return map(fn, self.batches)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+    return pools
