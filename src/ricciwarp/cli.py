@@ -4,16 +4,18 @@ Workflows are driven by a JSON config with one block per subcommand plus
 ``out_dir`` and ``schema_version``.  One schema table gives each key of
 the four blocks its type and constraint: unknown keys are rejected,
 integer keys take integers, real keys finite numbers, booleans are
-neither, the sweep's ``parallel`` takes a boolean, and the ``--tolerance``/``--seed`` overrides pass the same checks
-as the config keys they override.  Sample counts, the output grid, the
-sphere dimensions, the rows and workers of a sweep and the quotient group
-order are capped (``MAX_SAMPLES``, ``MAX_GRID_POINTS``, ``MAX_DIMENSION``,
-``MAX_SWEEP_ROWS``, ``MAX_WORKERS``, ``MAX_GROUP_ORDER``), and a
-certification window or step or a quotient radial range that does not fit
-the profile is a config error too.  Outputs are written atomically; CSV
-numbers carry 17 significant digits and JSON reports embed the tool
-version and a hash of the config, so identical configs give
-byte-identical outputs.
+neither, and the sweep's ``parallel`` takes a boolean.  The config is
+the only source of a run's settings (``--out`` only moves the outputs),
+and ``AnsatzParams`` checks the shooting parameters of a solve or sweep
+block and of a loaded profile alike, bounding the output grid.  Sample
+counts, the sphere dimensions (of a loaded profile too), the rows and
+workers of a sweep and the quotient group order are capped
+(``MAX_SAMPLES``, ``MAX_DIMENSION``, ``MAX_SWEEP_ROWS``, ``MAX_WORKERS``,
+``MAX_GROUP_ORDER``), and a certification window or step or a quotient
+radial range that does not fit the profile is a config error too.
+Outputs are written atomically; CSV numbers carry 17 significant digits
+and JSON reports embed the tool version and a hash of the config, so
+identical configs give byte-identical outputs.
 
 Exit codes: 0 success/pass, 2 validation or certification failure,
 3 numeric failure, 4 I/O failure.
@@ -38,13 +40,12 @@ from . import __version__
 from .patches import GeometryError, _strict_json
 from .quotient import certify_quotient, make_cyclic_action
 from .shooting import (
-    MAX_GRID_POINTS,
     AnsatzParams,
     CertificationWindowError,
     SolitonProfile,
-    _check_grid_size,
+    _is_int,
+    _is_real,
     _log_slopes,
-    _series_start,
     ambient_geometry,
     ambient_radial_range,
     certify_profile,
@@ -64,15 +65,15 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-# resource bounds: sample counts (the certify oracle holds a stencil of
-# values per sample), points of the output grid of solve, of each sweep
-# row and of a loaded profile (MAX_GRID_POINTS, imported from shooting,
-# whose reader applies it too), the sphere dimensions k and m (the
-# certify charts have 1 + k + m coordinates), rows of a sweep, its worker
-# processes (a pool may start all of them at once), and the quotient
-# group order p (each of the p - 1 powers visits every fiber sample; the
-# samples hold the fixed-point candidates of the powers whose exponent
-# divides p, so the certificate costs about p times the sample count)
+# resource bounds (AnsatzParams bounds the output grid of every profile by
+# shooting.MAX_GRID_POINTS): sample counts (the certify oracle holds a
+# stencil of values per sample), the sphere dimensions k and m of a block
+# and of a loaded profile (the certify charts have 1 + k + m
+# coordinates), rows of a sweep, its worker processes (a pool may start
+# all of them at once), and the quotient group order p (each of the p - 1
+# powers visits every fiber sample; the samples hold the fixed-point
+# candidates of the powers whose exponent divides p, so the certificate
+# costs about p times the sample count)
 MAX_SAMPLES = 1024
 MAX_DIMENSION = 6
 MAX_SWEEP_ROWS = 4096
@@ -127,17 +128,8 @@ _TOP = dict.fromkeys(("schema_version", "out_dir", *_SCHEMA), (None, None))
 _SWEEP_LISTS = ("k", "m", "lambda", "b0")
 
 
-def _is_real(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 _IS = {
-    _INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    _INT: _is_int,
     _REAL: _is_real,
     _STR: lambda v: isinstance(v, str),
     _BOOL: lambda v: isinstance(v, bool),
@@ -218,28 +210,20 @@ def _dump_json(doc: dict, cfg: dict) -> str:
     return _strict_json(doc) + "\n"
 
 
-def _check_grid(params: AnsatzParams, where: str):
-    try:
-        _check_grid_size(params, params.t_max)
-    except ValueError as exc:
-        raise ConfigError(f"'{where}': {exc}") from exc
-
-
-def _params_from_block(block: dict) -> AnsatzParams:
+def _shoot(block: dict) -> SolitonProfile:
+    """The profile of a solve block; parameters that ``shoot`` refuses
+    (``ValueError``) are a config error."""
     for req in ("k", "m", "lambda", "b0"):
         if req not in block:
             raise ConfigError(f"solve block is missing '{req}'")
     try:
-        params = AnsatzParams(**_ansatz_kwargs(block))
-        _series_start(params)   # refuses an epsilon too large for the series
-    except (ValueError, TypeError) as exc:
+        return shoot(AnsatzParams(**_ansatz_kwargs(block)))
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_grid(params, "solve")
-    return params
 
 
 def _summary(profile: SolitonProfile) -> dict:
-    interior = slice(2, -2) if profile.t.size > 8 else slice(None)
+    interior = slice(2, -2)   # a profile's grid has at least 16 rows
     res_max = {
         "tt": float(np.nanmax(np.abs(profile.res_tt[interior]))),
         "sk": float(np.nanmax(np.abs(profile.res_sk[interior])))
@@ -261,7 +245,7 @@ def _summary(profile: SolitonProfile) -> dict:
 def cmd_solve(cfg: dict, out_dir: str) -> int:
     if "solve" not in cfg:
         raise ConfigError("config has no 'solve' block")
-    profile = shoot(_params_from_block(cfg["solve"]))
+    profile = _shoot(cfg["solve"])
     _write(out_dir, "profile.csv", profile.to_csv())
     _write(out_dir, "solve_summary.json", _dump_json(_summary(profile), cfg))
     print(f"solve: status={profile.status} lifetime={profile.end_time:g} "
@@ -275,24 +259,25 @@ def _load_profile_for(cfg: dict, block: dict) -> SolitonProfile:
         if not os.path.exists(path):
             raise OSError(f"profile file not found: {path}")
         try:
-            return SolitonProfile.from_csv(path)
+            profile = SolitonProfile.from_csv(path)
+            k, m = profile.params.k, profile.params.m
+            if max(k, m) > MAX_DIMENSION:
+                raise ValueError(f"sphere dimensions k = {k}, m = {m}: at "
+                                 f"most {MAX_DIMENSION}")
         except (ValueError, OSError) as exc:
             raise OSError(f"ill-formed profile file {path}: {exc}") from exc
+        return profile
     if "solve" in cfg:
-        return shoot(_params_from_block(cfg["solve"]))
+        return _shoot(cfg["solve"])
     raise ConfigError("no 'profile' path given and no 'solve' block to run")
 
 
-def cmd_certify(cfg: dict, out_dir: str, tolerance=None, seed=None) -> int:
+def cmd_certify(cfg: dict, out_dir: str) -> int:
     block = cfg.get("certify", {})
     profile = _load_profile_for(cfg, block)
     kwargs = {key: value for key, value in block.items() if key != "profile"}
     if "t_window" in kwargs:
         kwargs["t_window"] = tuple(kwargs["t_window"])
-    if tolerance is not None:
-        kwargs["tolerance"] = tolerance
-    if seed is not None:
-        kwargs["seed"] = seed
     try:
         report = certify_profile(profile, **kwargs)
     except CertificationWindowError as exc:
@@ -304,7 +289,7 @@ def cmd_certify(cfg: dict, out_dir: str, tolerance=None, seed=None) -> int:
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 
-def cmd_quotient(cfg: dict, out_dir: str, tolerance=None, seed=None) -> int:
+def cmd_quotient(cfg: dict, out_dir: str) -> int:
     if "quotient" not in cfg:
         raise ConfigError("config has no 'quotient' block")
     block = cfg["quotient"]
@@ -316,7 +301,7 @@ def cmd_quotient(cfg: dict, out_dir: str, tolerance=None, seed=None) -> int:
         action = make_cyclic_action(
             p=block["p"], k=block["k"], m=block["m"], kind=block["kind"],
             n_samples=block.get("n_samples", 64),
-            seed=seed if seed is not None else block.get("seed", 0),
+            seed=block.get("seed", 0),
             t_range=t_range)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -334,8 +319,8 @@ def cmd_quotient(cfg: dict, out_dir: str, tolerance=None, seed=None) -> int:
             f"[{valid[0]:g}, {valid[1]:g}]")
     base, f, phi = ambient_geometry(profile)
 
-    tol = tolerance if tolerance is not None else block.get("tolerance", 1e-10)
-    cert = certify_quotient(action, base, f, phi, tolerance=tol,
+    cert = certify_quotient(action, base, f, phi,
+                            tolerance=block.get("tolerance", 1e-10),
                             freeness_tolerance=block.get("freeness_tolerance", 1e-6))
     doc = cert.to_dict()
     _write(out_dir, "quotient_certificate.json", _dump_json(doc, cfg))
@@ -364,10 +349,8 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     try:
         grid = params_grid(block["k"], block["m"], block["lambda"], block["b0"],
                            **common)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for params in grid:
-        _check_grid(params, "sweep")
     rows = sweep(grid, parallel=block.get("parallel", False),
                  workers=block.get("workers"))
     lines = [f"# schema_version={SWEEP_SCHEMA_VERSION}",
@@ -390,10 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=["solve", "certify", "quotient", "sweep"])
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="certification tolerance override")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="sampling seed override")
     return parser
 
 
@@ -401,18 +380,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        overrides = {"tolerance": args.tolerance, "seed": args.seed}
-        _check_block({k: v for k, v in overrides.items() if v is not None},
-                     _SCHEMA["certify"], "command line")
         out_dir = args.out or cfg.get("out_dir", "out")
         if not isinstance(out_dir, str) or not out_dir:
             raise ConfigError("'out_dir' must be a non-empty string")
         if args.command == "solve":
             return cmd_solve(cfg, out_dir)
         if args.command == "certify":
-            return cmd_certify(cfg, out_dir, args.tolerance, args.seed)
+            return cmd_certify(cfg, out_dir)
         if args.command == "quotient":
-            return cmd_quotient(cfg, out_dir, args.tolerance, args.seed)
+            return cmd_quotient(cfg, out_dir)
         return cmd_sweep(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -127,11 +127,29 @@ _CSV_BLOCK_ROWS = 512
 
 
 class IntegrationError(GeometryError):
-    """The ODE integrator failed (step underflow or internal error)."""
+    """The ODE integrator failed (step underflow or a failed event
+    location)."""
 
 
 class CertificationWindowError(GeometryError):
     """A certification window or step does not fit the profile span."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite int or float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+_INT_FIELDS = ("k", "m", "grid_per_unit")
 
 
 @dataclass(frozen=True)
@@ -148,6 +166,11 @@ class AnsatzParams:
     output grid in rows per unit of t; at the default 200 the certificate
     residuals and ``mu_spread`` read as at twice the density, while at 100
     the worst residual of some classes doubles.
+
+    Construction refuses (``ValueError``) a k, m or grid_per_unit that is
+    not an integer, another field that is not a finite real (a bool is
+    neither), values out of range and an output grid of more than
+    ``MAX_GRID_POINTS`` points: a config, a file and Python alike.
     """
 
     k: int
@@ -162,6 +185,11 @@ class AnsatzParams:
     grid_per_unit: int = 200
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            kind = "an integer" if name in _INT_FIELDS else "a finite number"
+            if not (_is_int if name in _INT_FIELDS else _is_real)(value):
+                raise ValueError(f"AnsatzParams {name} must be {kind}, got "
+                                 f"{value!r}")
         if self.k < 0:
             raise ValueError("base sphere dimension k must be >= 0")
         if self.m < 1:
@@ -174,6 +202,7 @@ class AnsatzParams:
             raise ValueError("integrator tolerances must be positive")
         if self.grid_per_unit < 40:
             raise ValueError("grid_per_unit too coarse for the diagnostics")
+        _check_grid_size(self, self.t_max)
 
     @property
     def classification(self) -> str:
@@ -208,8 +237,11 @@ def _series_start(params: AnsatzParams):
 
     The odd/even series a = t + a3 t^3, b = b0 + b2 t^2, phi' = 2 phi2 t
     of the smooth closure at t = 0; for k = 0, a3 = 0 and phi2 is fixed by
-    the b-series, and the a-slots are meaningless.  Raises when epsilon is
-    too large for the truncated series to be trustworthy.
+    the b-series, and the a-slots are meaningless.  Raises ``ValueError``
+    when epsilon is too large for the truncated series to be trustworthy
+    or the start is not finite (an epsilon whose cube underflows hides
+    huge coefficients from the tail estimate), so a start it returns is
+    finite, at an epsilon of at most 1e-8 ** (1/3), about 2.2e-3.
     """
     k, m, lam, b0 = params.k, params.m, params.lam, params.b0
     b2 = ((m - 1) / b0 - lam * b0) / (2.0 * (k + 1))
@@ -224,11 +256,15 @@ def _series_start(params: AnsatzParams):
     if tail > 1e-8:
         raise ValueError(
             f"epsilon={eps:g} too large: series tail estimate {tail:.2e} > 1e-8")
-    return (eps + a3 * eps ** 3,
-            1.0 + 3.0 * a3 * eps ** 2,
-            b0 + b2 * eps ** 2,
-            2.0 * b2 * eps,
-            2.0 * phi2 * eps)
+    start = (eps + a3 * eps ** 3,
+             1.0 + 3.0 * a3 * eps ** 2,
+             b0 + b2 * eps ** 2,
+             2.0 * b2 * eps,
+             2.0 * phi2 * eps)
+    if not all(map(math.isfinite, start)):
+        raise ValueError(f"epsilon={eps:g}: the series start {start} is not "
+                         f"finite")
+    return start
 
 
 def _rhs_with_phi(params: AnsatzParams):
@@ -606,18 +642,13 @@ def _params_from_dict(raw) -> AnsatzParams:
     """Inverse of ``dataclasses.asdict`` for a profile's params line.
 
     Raises ``ValueError`` unless ``raw`` is an object of AnsatzParams
-    fields with integer k, m, grid_per_unit and finite numbers otherwise.
+    fields that :class:`AnsatzParams` accepts.
     """
     if not isinstance(raw, dict):
         raise ValueError("profile CSV params line is not an object")
-    for key, value in raw.items():
-        kind = int if key in ("k", "m", "grid_per_unit") else (int, float)
-        if (isinstance(value, bool) or not isinstance(value, kind)
-                or (isinstance(value, float) and not np.isfinite(value))):
-            raise ValueError(f"profile CSV param {key!r} has a bad value {value!r}")
     try:
         return AnsatzParams(**raw)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"profile CSV has bad params: {exc}") from exc
 
 
@@ -979,9 +1010,11 @@ def _integrate(rows):
     of its launch segment and, unless that run ends early, the one of the
     rest of its span, and the last run's terminal event, if any, gives
     ``status`` and ``t_end``.  A row that cannot run has the exception
-    instead: the ``ValueError`` of a refused series start or a non-finite
-    start, the ``IntegrationError`` of a step size that underflowed, or
-    the error of ``brentq`` locating an event.
+    instead: the ``ValueError`` of a refused series start, or the
+    ``IntegrationError`` of a step size that underflowed or of an event
+    that ``brentq`` failed to locate.  A start that ``_series_start``
+    returns is finite and its epsilon below ``_LAUNCH_END`` and ``t_max``,
+    so :func:`_dop853` accepts every segment.
     The other rows of the batch run on unaffected; each segment is one
     :func:`_dop853` batch, so a row's runs have the bits of the row
     integrated alone (its stacked ``np.matmul`` products are its
@@ -993,14 +1026,12 @@ def _integrate(rows):
     for i, p in enumerate(rows):
         try:
             a, ap, b, bp, phip = _series_start(p)
-            y0 = np.array([a, ap, b, bp, 0.0, phip] if p.k >= 1
-                          else [b, bp, 0.0, phip])
-            _check_run(p.epsilon, min(_LAUNCH_END, p.t_max), y0)
         except ValueError as exc:
             results[i] = exc
         else:
             launch.append(i)
-            starts.append(y0)
+            starts.append([a, ap, b, bp, 0.0, phip] if p.k >= 1
+                          else [b, bp, 0.0, phip])
 
     funs = [_rhs_with_phi(p) for p in rows]
 
@@ -1033,8 +1064,8 @@ def _integrate(rows):
                 runs[i].append(run)
     for i, row_runs in runs.items():
         run = row_runs[-1]
-        if isinstance(run, Exception):
-            results[i] = run
+        if isinstance(run, Exception):   # raised by brentq
+            results[i] = IntegrationError(f"event location failed: {run}")
         elif run.status == -1:
             results[i] = IntegrationError(
                 f"integrator failed: {_TOO_SMALL_STEP}")
@@ -1071,8 +1102,10 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
     of :func:`_rhs_with_phi` on the launch segment and, unless that run
     ends early, on the rest of the span (:func:`_integrate`), with the
     steps and bits of ``scipy.integrate.solve_ivp``.  Raises
-    ``ValueError`` for a refused series start and
-    :class:`IntegrationError` when the step size underflows.
+    ``ValueError`` for parameters it refuses (a refused series start;
+    :class:`AnsatzParams` refuses the rest when built), and
+    :class:`IntegrationError` when the step size underflows or an event
+    cannot be located.
     """
     [outcome] = _integrate([params])
     return _profile(params, outcome)

@@ -8,7 +8,6 @@ import pytest
 
 from ricciwarp.cli import (
     MAX_DIMENSION,
-    MAX_GRID_POINTS,
     MAX_GROUP_ORDER,
     MAX_SAMPLES,
     MAX_SWEEP_ROWS,
@@ -16,7 +15,7 @@ from ricciwarp.cli import (
     main,
 )
 from ricciwarp import shooting
-from ricciwarp.shooting import GRID_COLUMNS, SolitonProfile
+from ricciwarp.shooting import GRID_COLUMNS, MAX_GRID_POINTS, SolitonProfile
 
 
 def write_config(path, extra=None, **blocks):
@@ -90,6 +89,23 @@ class TestSolve:
         alt = tmp_path / "elsewhere"
         assert main(["solve", "--config", str(cfg_path), "--out", str(alt)]) == 0
         assert (alt / "profile.csv").exists()
+
+    def test_failed_event_location_exits_3(self, tmp_path, capsys,
+                                           monkeypatch):
+        # brentq refuses the bracket of the hit_a_zero event: a numeric
+        # failure, not a traceback
+        def refusing(*args, **kwargs):
+            raise ValueError("f(a) and f(b) must have different signs")
+
+        monkeypatch.setattr(shooting, "brentq", refusing)
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 2.0,
+                                      "b0": 1.0, "t_max": 3.5})
+        assert main(["solve", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: event location failed: "
+                              "f(a) and f(b) must have different signs")
+        assert not (tmp_path / "out").exists()
 
 
 class TestCertify:
@@ -413,6 +429,40 @@ class TestOldProfileSchemas:
         assert not (tmp_path / "out" / "certification.json").exists()
 
 
+class TestLoadedParams:
+    """A profile file's params line passes the checks of AnsatzParams, and
+    its sphere dimensions the cap of a config: a number beyond the float
+    range or a dimension past MAX_DIMENSION exits 4 and writes nothing."""
+
+    @pytest.mark.parametrize("command,block", [
+        ("certify", {}),
+        ("quotient", {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}),
+    ])
+    @pytest.mark.parametrize("key,value,reason", [
+        ("lam", 10 ** 400, "lam must be a finite number"),
+        ("b0", 10 ** 400, "b0 must be a finite number"),
+        ("k", MAX_DIMENSION + 1, "sphere dimensions k = 7, m = 2"),
+        ("m", MAX_DIMENSION + 1, "sphere dimensions k = 1, m = 7"),
+    ])
+    def test_exits_4_without_artifact(self, tmp_path, capsys, command, block,
+                                      key, value, reason):
+        lines = _solved_profile(tmp_path)
+        params = json.loads(lines[1].split("=", 1)[1])
+        params[key] = value
+        lines[1] = "# params=" + json.dumps(params)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, **{command: dict(block, profile=str(bad))})
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O failure: ill-formed profile file")
+        assert reason in err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "profile.csv", "solve_summary.json"]
+
+
 class TestDiagnosticsCalls:
     """A solve derives a profile's diagnostics once; a certificate and a
     quotient, which read only the polynomials of a, b and phi, never do."""
@@ -534,9 +584,9 @@ class TestConfigValidation:
         ("certify", "t_window", [1]),
         ("certify", "t_window", "ab"),
         ("certify", "t_window", [0.2, "x"]),
-        ("certify", "--seed", -1),
-        ("certify", "--tolerance", float("nan")),
-        ("quotient", "--tolerance", float("nan")),
+        ("quotient", "seed", -1),
+        ("certify", "tolerance", float("nan")),
+        ("quotient", "tolerance", float("nan")),
         ("certify", "n_fiber", 100_000_000),
         ("certify", "n_base", MAX_SAMPLES + 1),
         ("certify", "n_product", MAX_SAMPLES + 1),
@@ -564,14 +614,25 @@ class TestConfigValidation:
                                                   key, value):
         blocks = {"solve": dict(_SOLVE), "sweep": dict(_SWEEP), "certify": {},
                   "quotient": dict(_QUOTIENT)}
-        flags = []
-        if key.startswith("--"):
-            flags = [key, str(value)]
-        else:
-            blocks[command][key] = value
+        blocks[command][key] = value
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, **blocks)
-        assert main([command, "--config", str(cfg_path), *flags]) == 2
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["certify", "quotient"])
+    @pytest.mark.parametrize("flag,value", [("--tolerance", "1e-3"),
+                                            ("--seed", "1")])
+    def test_settings_come_from_the_config_alone(self, tmp_path, capsys,
+                                                 command, flag, value):
+        # the config hash of a report covers every setting behind it: the
+        # tolerance and the seed have no flag
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve=dict(_SOLVE), quotient=dict(_QUOTIENT))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_path), flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -798,7 +859,8 @@ class TestCertifyFuzz:
         params_edits = {"lam": lambda v: 1.05 * v, "k": lambda v: v + 1,
                         "epsilon": lambda v: 2 * v,
                         "grid_per_unit": lambda v: 10 ** 6 * v,
-                        "t_max": lambda v: 0.5 * v}
+                        "t_max": lambda v: 0.5 * v,
+                        "b0": lambda v: 10 ** 400}
 
         @hypothesis.settings(max_examples=40, deadline=None, database=None)
         @hypothesis.given(

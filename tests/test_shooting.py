@@ -95,6 +95,20 @@ class TestReducedRhs:
         with pytest.raises(ValueError):
             AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, epsilon=0.0)
 
+    @pytest.mark.parametrize("change,reason", [
+        ({"t_max": float("inf")}, "t_max must be a finite number"),
+        ({"lam": float("nan")}, "lam must be a finite number"),
+        ({"lam": 10 ** 400}, "lam must be a finite number"),
+        ({"k": True}, "k must be an integer"),
+        ({"k": 1.5}, "k must be an integer"),
+        ({"t_max": 1e9}, "output grid too large"),
+    ])
+    def test_construction_refuses(self, change, reason):
+        # refused when built, before anything integrates: an infinite
+        # t_max never ends, a huge integer overflows a float later on
+        with pytest.raises(ValueError, match=reason):
+            AnsatzParams(**{"k": 1, "m": 2, "lam": 0.0, "b0": 1.0, **change})
+
 
 class TestTaylorInit:
     def test_epsilon_to_zero_limit(self):
@@ -122,6 +136,37 @@ class TestTaylorInit:
     def test_epsilon_too_large_rejected(self):
         with pytest.raises(ValueError):
             _series_start(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, epsilon=0.5))
+
+    def test_accepted_start_can_run(self):
+        # what lets _integrate launch without checking the run: finite
+        # params whose series start is accepted give a finite start at an
+        # epsilon below the end of the launch segment
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        reals = st.floats(allow_nan=False, allow_infinity=False)
+        positive = st.floats(min_value=0.0, exclude_min=True,
+                             allow_infinity=False)
+        accepted = []
+
+        @hypothesis.settings(max_examples=400, deadline=None, database=None)
+        @hypothesis.given(k=st.integers(0, 6), m=st.integers(1, 6),
+                          lam=reals, b0=positive, phi2=reals,
+                          epsilon=st.one_of(positive,
+                                            st.floats(1e-300, 3e-3)),
+                          t_max=st.one_of(positive, st.floats(1e-3, 100.0)))
+        def run(k, m, lam, b0, phi2, epsilon, t_max):
+            try:
+                p = AnsatzParams(k=k, m=m, lam=lam, b0=b0, phi2=phi2,
+                                 epsilon=epsilon, t_max=t_max)
+                start = _series_start(p)
+            except ValueError:
+                return
+            accepted.append(p)
+            assert all(np.isfinite(start))
+            assert min(_LAUNCH_END, p.t_max) > p.epsilon
+
+        run()
+        assert len(accepted) >= 20
 
     @pytest.mark.parametrize("k,m", [(1, 2), (2, 3)])
     def test_epsilon_halving_consistency(self, k, m):
@@ -463,21 +508,23 @@ class TestIntegratorWork:
         [alone] = _integrate([steady])
         monkeypatch.setattr(shooting, "brentq", refusing)
         failed, completed = _integrate([collapse, steady])
-        assert isinstance(failed, ValueError) and len(calls) == 1
+        assert isinstance(failed, IntegrationError) and len(calls) == 1
         assert _outcome_bits(completed) == _outcome_bits(alone)
         calls.clear()
         rows = sweep([collapse, steady])
-        assert rows[0].status == ("error:ValueError:f(a) and f(b) must "
-                                  "have different signs")
+        assert rows[0].status == ("error:IntegrationError:event location "
+                                  "failed: f(a) and f(b) must have "
+                                  "different signs")
         assert (rows[1].status, rows[1].lifetime) == ("completed", 3.5)
 
     def test_bad_runs_rejected(self):
         with pytest.raises(ValueError, match="forward only"):
             _dop853([lambda y: [0.0]], [1.0], [1.0],
                     np.array([[1.0]]), [1e-10], [1e-10], [1e-3], _no_events)
-        # b0 = inf passes AnsatzParams but gives a non-finite series start
-        with pytest.raises(ValueError, match="initial state .* must be finite"):
-            shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=float("inf")))
+        # b0 = inf, which would give a non-finite series start, is refused
+        # when the params are built
+        with pytest.raises(ValueError, match="b0 must be a finite number"):
+            AnsatzParams(k=1, m=2, lam=0.0, b0=float("inf"))
 
 
 # the phi2 of rows whose right side _nan_rhs_for makes NaN: every step is
@@ -980,7 +1027,9 @@ class TestCsvRoundTrip:
         ("t,a,a_prime,", "t,a,"),
         ('"k": 1,', '"k": 1.5,'), ('"k": 1,', '"k": true,'),
         ('"lam": 0.0,', '"lam": "x",'), ('"b0": 1.0,', '"b0": NaN,'),
-        ('"b0": 1.0,', '"typo": 1.0,')])
+        ('"b0": 1.0,', '"typo": 1.0,'),
+        ('"lam": 0.0,', '"lam": 1' + "0" * 400 + ','),
+        ('"b0": 1.0,', '"b0": 1' + "0" * 400 + ',')])
     def test_malformed_header_rejected(self, old, new):
         text = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0)).to_csv()
         assert old in text
