@@ -38,7 +38,7 @@ import scipy.interpolate  # noqa: F401
 
 from . import __version__
 from .patches import GeometryError, _strict_json
-from .quotient import certify_quotient, make_cyclic_action
+from .quotient import T_RANGE, certify_quotient, make_cyclic_action
 from .shooting import (
     AnsatzParams,
     CertificationWindowError,
@@ -246,8 +246,11 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
     if "solve" not in cfg:
         raise ConfigError("config has no 'solve' block")
     profile = _shoot(cfg["solve"])
+    # the summary derives the diagnostics, which may fail: nothing is
+    # written until it is made
+    summary = _dump_json(_summary(profile), cfg)
     _write(out_dir, "profile.csv", profile.to_csv())
-    _write(out_dir, "solve_summary.json", _dump_json(_summary(profile), cfg))
+    _write(out_dir, "solve_summary.json", summary)
     print(f"solve: status={profile.status} lifetime={profile.end_time:g} "
           f"mu={profile.mu_mean:.9g} ({profile.classification})")
     return EXIT_OK
@@ -296,13 +299,13 @@ def cmd_quotient(cfg: dict, out_dir: str) -> int:
     for req in ("p", "k", "m", "kind"):
         if req not in block:
             raise ConfigError(f"quotient block is missing '{req}'")
-    t_range = tuple(block.get("t_range", (0.5, 2.0)))
+    t_range = tuple(block.get("t_range", T_RANGE))
     try:
         action = make_cyclic_action(
             p=block["p"], k=block["k"], m=block["m"], kind=block["kind"],
-            n_samples=block.get("n_samples", 64),
-            seed=block.get("seed", 0),
-            t_range=t_range)
+            t_range=t_range,
+            **{key: block[key] for key in ("n_samples", "seed")
+               if key in block})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -319,9 +322,10 @@ def cmd_quotient(cfg: dict, out_dir: str) -> int:
             f"[{valid[0]:g}, {valid[1]:g}]")
     base, f, phi = ambient_geometry(profile)
 
-    cert = certify_quotient(action, base, f, phi,
-                            tolerance=block.get("tolerance", 1e-10),
-                            freeness_tolerance=block.get("freeness_tolerance", 1e-6))
+    cert = certify_quotient(
+        action, base, f, phi,
+        **{key: block[key] for key in ("tolerance", "freeness_tolerance")
+           if key in block})
     doc = cert.to_dict()
     _write(out_dir, "quotient_certificate.json", _dump_json(doc, cfg))
     print(f"quotient: {doc['verdict']} freeness_margin={cert.freeness_margin:.6g}")

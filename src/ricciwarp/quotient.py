@@ -140,7 +140,11 @@ def fiber_sample_set(generator: np.ndarray, order: int, n_random: int = 64,
     return np.vstack(pts)
 
 
-def base_sample_set(k: int, t_range=(0.5, 2.0), n_random: int = 32,
+# the default radial range of the base samples
+T_RANGE = (0.5, 2.0)
+
+
+def base_sample_set(k: int, t_range=T_RANGE, n_random: int = 32,
                     seed: int = 0) -> np.ndarray:
     """Ambient R^{k+1} samples with radii inside ``t_range``."""
     n = k + 1
@@ -161,7 +165,7 @@ def base_sample_set(k: int, t_range=(0.5, 2.0), n_random: int = 32,
 
 def make_cyclic_action(p: int, k: int, m: int, kind: str,
                        n_samples: int = 64, seed: int = 0,
-                       t_range=(0.5, 2.0)) -> GroupAction:
+                       t_range=T_RANGE) -> GroupAction:
     """Standard order-p actions on the fiber sphere S^m and base R^{k+1}.
 
     Kinds:

@@ -170,7 +170,8 @@ class AnsatzParams:
     Construction refuses (``ValueError``) a k, m or grid_per_unit that is
     not an integer, another field that is not a finite real (a bool is
     neither), values out of range and an output grid of more than
-    ``MAX_GRID_POINTS`` points: a config, a file and Python alike.
+    ``MAX_GRID_POINTS`` points up to ``t_max``, past which no profile
+    ends: a config, a file and Python alike.
     """
 
     k: int
@@ -202,7 +203,14 @@ class AnsatzParams:
             raise ValueError("integrator tolerances must be positive")
         if self.grid_per_unit < 40:
             raise ValueError("grid_per_unit too coarse for the diagnostics")
-        _check_grid_size(self, self.t_max)
+        try:
+            points = (self.t_max - self.epsilon) * self.grid_per_unit
+        except OverflowError:   # a grid_per_unit beyond the float range
+            points = math.inf
+        if not points <= MAX_GRID_POINTS:
+            raise ValueError(f"output grid too large: (t_max - epsilon) * "
+                             f"grid_per_unit = {points:.6g} points, at most "
+                             f"{MAX_GRID_POINTS}")
 
     @property
     def classification(self) -> str:
@@ -238,10 +246,15 @@ def _series_start(params: AnsatzParams):
     The odd/even series a = t + a3 t^3, b = b0 + b2 t^2, phi' = 2 phi2 t
     of the smooth closure at t = 0; for k = 0, a3 = 0 and phi2 is fixed by
     the b-series, and the a-slots are meaningless.  Raises ``ValueError``
-    when epsilon is too large for the truncated series to be trustworthy
-    or the start is not finite (an epsilon whose cube underflows hides
-    huge coefficients from the tail estimate), so a start it returns is
-    finite, at an epsilon of at most 1e-8 ** (1/3), about 2.2e-3.
+    when epsilon is too large for the truncated series to be trustworthy,
+    when the start is not finite (an epsilon whose cube underflows hides
+    huge coefficients from the tail estimate), or when its b or (for
+    k >= 1) its a is at or below ``_POSITIVITY_FLOOR``: the right side
+    clamps them at ``_EVAL_FLOOR`` and the events read them as a
+    degeneration, so such a start would integrate another system.  A
+    start it returns is finite with a and b above the floor, at an
+    epsilon of at most 1e-8 ** (1/3), about 2.2e-3 (and, for k >= 1,
+    above about 1e-6).
     """
     k, m, lam, b0 = params.k, params.m, params.lam, params.b0
     b2 = ((m - 1) / b0 - lam * b0) / (2.0 * (k + 1))
@@ -264,6 +277,14 @@ def _series_start(params: AnsatzParams):
     if not all(map(math.isfinite, start)):
         raise ValueError(f"epsilon={eps:g}: the series start {start} is not "
                          f"finite")
+    coefficients = ({"a": start[0], "b": start[2]} if k >= 1
+                    else {"b": start[2]})
+    if min(coefficients.values()) <= _POSITIVITY_FLOOR:
+        values = ", ".join(f"{name} = {value:.6g}"
+                           for name, value in coefficients.items())
+        raise ValueError(f"epsilon={eps:g}: the series start ({values}) is "
+                         f"not above the positivity floor "
+                         f"{_POSITIVITY_FLOOR:g}, where a profile degenerates")
     return start
 
 
@@ -374,20 +395,6 @@ def _csv_header(k: int):
             *(f"F{j}.{name}" for j in range(_N_COEFFS) for name in names))
 
 
-def _check_grid_size(params: AnsatzParams, t_end: float):
-    """Raise ``ValueError`` when a profile of ``params`` ending at
-    ``t_end`` would derive a grid of more than ``MAX_GRID_POINTS``
-    points (``(t_end - epsilon) * grid_per_unit``, the rows but one)."""
-    try:
-        points = (t_end - params.epsilon) * params.grid_per_unit
-    except OverflowError:   # a grid_per_unit beyond the float range
-        points = math.inf
-    if not points <= MAX_GRID_POINTS:
-        raise ValueError(f"output grid too large: (t_end - epsilon) * "
-                         f"grid_per_unit = {points:.6g} points with t_end = "
-                         f"{t_end:g}, at most {MAX_GRID_POINTS}")
-
-
 @dataclass
 class SolitonProfile:
     """A profile: its parameters, its step table and its outcome.
@@ -429,8 +436,11 @@ class SolitonProfile:
         polynomial from epsilon to ``end_time``: at least one step, arrays
         of the shapes of the params' k, finite numbers, ``t`` strictly
         increasing from epsilon, ``h`` positive, each step ending within 4
-        ulps of where the next starts, and ``end_time`` in the last step.
-        The messages name the columns of :meth:`to_csv`."""
+        ulps of where the next starts, and ``end_time`` in the last step
+        and at most ``t_max``.  Every shot profile ends by ``t_max``, and
+        :class:`AnsatzParams` bounds the grid up to ``t_max``, so this
+        bounds the grid of every table, shot or loaded.  The messages name
+        the columns of :meth:`to_csv`."""
         k, eps = self.params.k, self.params.epsilon
         n = len(_state_columns(k))
         shapes = [np.shape(x) for x in (self.t_old, self.h, self.y_old, self.F)]
@@ -460,6 +470,9 @@ class SolitonProfile:
             raise ValueError(f"profile steps {i} and {i + 1} do not meet: "
                              f"step {i} ends at {ends[i]:.17g}, step {i + 1} "
                              f"starts at {t_old[i + 1]:.17g}")
+        if not self.end_time <= self.params.t_max:
+            raise ValueError(f"profile end_time {self.end_time:.17g} is not "
+                             f"at most its t_max = {self.params.t_max:.17g}")
         if not t_old[-1] < self.end_time <= ends[-1] + 4 * np.spacing(ends[-1]):
             raise ValueError(f"profile end_time {self.end_time:.17g} does not "
                              f"lie in its last step [{t_old[-1]:.17g}, "
@@ -588,10 +601,12 @@ class SolitonProfile:
 
         Raises ``ValueError`` on a malformed or wrong-version profile: a
         missing or bad header line, a schema 1 or 2 file (a sampled grid:
-        re-run ``solve``), a grid of more than ``MAX_GRID_POINTS`` points
-        (checked before the data rows are read), a header row not of the
+        re-run ``solve``), a params line that is not an object of fields
+        that :class:`AnsatzParams` accepts (which bounds the grid up to
+        ``t_max``, before the data rows are read), a header row not of the
         params' k, a data row without one number per column, or a step
-        table that construction refuses.
+        table that construction refuses (an ``end_time`` past ``t_max``,
+        NaN and inf included, among them).
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# schema_version="):
@@ -606,7 +621,13 @@ class SolitonProfile:
             raise ValueError(f"unsupported profile schema_version {version}")
         if len(lines) < 2 or not lines[1].startswith("# params="):
             raise ValueError("profile CSV missing params line")
-        params = _params_from_dict(json.loads(lines[1].split("=", 1)[1]))
+        raw = json.loads(lines[1].split("=", 1)[1])
+        if not isinstance(raw, dict):
+            raise ValueError("profile CSV params line is not an object")
+        try:
+            params = AnsatzParams(**raw)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"profile CSV has bad params: {exc}") from exc
         status_line = lines[2] if len(lines) > 2 else ""
         part = status_line[2:].split()
         if (not status_line.startswith("# status=") or len(part) != 2
@@ -614,10 +635,6 @@ class SolitonProfile:
             raise ValueError("profile CSV has a missing or malformed status line")
         status = part[0].split("=", 1)[1]
         end_time = float(part[1].split("=", 1)[1])
-        if not math.isfinite(end_time):
-            raise ValueError("profile CSV has a malformed status line: "
-                             f"end_time {end_time} is not finite")
-        _check_grid_size(params, end_time)
         header = _csv_header(params.k)
         if len(lines) < 4 or tuple(lines[3].split(",")) != header:
             raise ValueError("profile CSV has an unexpected header row for "
@@ -638,20 +655,6 @@ class SolitonProfile:
                    status=status, end_time=end_time)
 
 
-def _params_from_dict(raw) -> AnsatzParams:
-    """Inverse of ``dataclasses.asdict`` for a profile's params line.
-
-    Raises ``ValueError`` unless ``raw`` is an object of AnsatzParams
-    fields that :class:`AnsatzParams` accepts.
-    """
-    if not isinstance(raw, dict):
-        raise ValueError("profile CSV params line is not an object")
-    try:
-        return AnsatzParams(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"profile CSV has bad params: {exc}") from exc
-
-
 def _diagnostics(params: AnsatzParams, t, a, ap, b, bp, phip):
     """A profile's derived series ``(mu, res_tt, res_sk, res_sm)``.
 
@@ -659,16 +662,11 @@ def _diagnostics(params: AnsatzParams, t, a, ap, b, bp, phip):
     grid finite differences of the state arrays.  b'' is obtained by
     differentiating the b' array; with b'' from the right side the first
     integral collapses to the constant m - 1 identically and the
-    conservation check would be vacuous.  The stencils take one step for
-    the whole grid, so ``t`` must be uniform: a spacing that differs from
-    the mean spacing by more than 1e-9 of it raises ``ValueError``.
+    conservation check would be vacuous.  The stencils take one step,
+    ``t[1] - t[0]``, for the whole grid: ``t`` is the uniform
+    ``np.linspace`` grid of :meth:`SolitonProfile._sample`.
     """
     k, m, lam = params.k, params.m, params.lam
-    steps = np.diff(t)
-    mean = (t[-1] - t[0]) / steps.size
-    if np.abs(steps - mean).max() > 1e-9 * abs(mean):
-        raise ValueError("profile column t is not uniformly spaced; the "
-                         "diagnostics difference it with one step")
     dt = t[1] - t[0]
     s_a, s_b, phipp_rhs = _reduced_kernel(params, a, ap, b, bp, phip)
     bpp_fd = grid_derivative(bp, dt)
@@ -987,7 +985,9 @@ def _events(k):
     ``events(Y)`` has one column per event, in solve_ivp's order, which
     breaks ties between equal roots: b and (for k >= 1) a reach the
     positivity floor, and the state leaves the blow-up box.  ``Y`` may be
-    one state or a rows x n array.
+    one state or a rows x n array.  :func:`_series_start` refuses a start
+    at or below the floor, so the floor events start positive and fire
+    only by falling to it: no event needs a direction.
     """
     floors = slice(2, None, -2) if k >= 1 else slice(0, 1)   # (b, a) or b
 
@@ -1013,8 +1013,9 @@ def _integrate(rows):
     instead: the ``ValueError`` of a refused series start, or the
     ``IntegrationError`` of a step size that underflowed or of an event
     that ``brentq`` failed to locate.  A start that ``_series_start``
-    returns is finite and its epsilon below ``_LAUNCH_END`` and ``t_max``,
-    so :func:`_dop853` accepts every segment.
+    returns is finite, its a and b above the positivity floor, and its
+    epsilon below ``_LAUNCH_END`` and ``t_max``, so :func:`_dop853`
+    accepts every segment and the floor events start positive.
     The other rows of the batch run on unaffected; each segment is one
     :func:`_dop853` batch, so a row's runs have the bits of the row
     integrated alone (its stacked ``np.matmul`` products are its

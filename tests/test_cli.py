@@ -14,7 +14,9 @@ from ricciwarp.cli import (
     MAX_WORKERS,
     main,
 )
-from ricciwarp import shooting
+from conftest import edit_column
+from ricciwarp import GeometryError, shooting
+from ricciwarp.quotient import T_RANGE
 from ricciwarp.shooting import GRID_COLUMNS, MAX_GRID_POINTS, SolitonProfile
 
 
@@ -105,6 +107,22 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: event location failed: "
                               "f(a) and f(b) must have different signs")
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_summary_writes_nothing(self, tmp_path, capsys,
+                                           monkeypatch):
+        # the summary, which derives the diagnostics, is made before
+        # either file is written
+        def failing(*args):
+            raise GeometryError("diagnostics failed")
+
+        monkeypatch.setattr(shooting, "_diagnostics", failing)
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
+                                      "b0": 1.0, "t_max": 1.0})
+        assert main(["solve", "--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: diagnostics failed")
         assert not (tmp_path / "out").exists()
 
 
@@ -230,6 +248,23 @@ class TestCertify:
         assert err.startswith("numeric failure: profile status is 'blowup'")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("column,shift", [("b", -1.5), ("a", -1.0)])
+    def test_nonpositive_coefficient_exits_3(self, tmp_path, capsys, column,
+                                             shift):
+        # a completed file whose a or b column is shifted below zero: the
+        # geometry refuses it before any residual is computed
+        lines = _solved_profile(tmp_path)
+        profile = SolitonProfile.parse_csv("\n".join(lines))
+        bad = tmp_path / "bad.csv"
+        edit_column(profile, column, shift=shift).to_csv(bad)
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, certify={"profile": str(bad)})
+        capsys.readouterr()
+        assert main(["certify", "--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: profile has nonpositive metric coefficients\n")
+        assert not (tmp_path / "out" / "certification.json").exists()
+
     def test_certify_without_source_exits_2(self, tmp_path):
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, certify={})
@@ -280,9 +315,29 @@ class TestQuotient:
         err = capsys.readouterr().err
         valid = f"[0.05, {0.95 * t_max:g}]"
         assert err.startswith("config error:") and valid in err
-        lo, hi = t_range or (0.5, 2.0)
+        lo, hi = t_range or T_RANGE
         assert f"[{lo:g}, {hi:g}]" in err
         assert not (tmp_path / "out").exists()
+
+    def test_unset_keys_take_the_library_defaults(self, tmp_path):
+        # a block without the optional keys gives the certificate of the
+        # block that spells out the defaults of make_cyclic_action and
+        # certify_quotient
+        solve = {"k": 1, "m": 3, "lambda": 0.0, "b0": 1.0, "t_max": 3.0}
+        docs = []
+        for extra in ({}, {"n_samples": 64, "seed": 0,
+                           "t_range": list(T_RANGE), "tolerance": 1e-10,
+                           "freeness_tolerance": 1e-6}):
+            cfg_path = tmp_path / "q.json"
+            write_config(cfg_path, solve=solve, quotient={
+                "p": 3, "k": 1, "m": 3, "kind": "hopf", **extra})
+            assert main(["quotient", "--config", str(cfg_path)]) == 0
+            doc = json.loads((tmp_path / "out" / "quotient_certificate.json")
+                             .read_text())
+            doc.pop("config_hash")
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert docs[0]["n_fiber_samples"] > 0
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         cfg_path = tmp_path / "q.json"
@@ -450,6 +505,74 @@ class TestLoadedParams:
         params = json.loads(lines[1].split("=", 1)[1])
         params[key] = value
         lines[1] = "# params=" + json.dumps(params)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, **{command: dict(block, profile=str(bad))})
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O failure: ill-formed profile file")
+        assert reason in err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "profile.csv", "solve_summary.json"]
+
+
+class TestProfileBounds:
+    """A profile is bounded by its own parameters: its series start lies
+    above the positivity floor (a config error or an error row), a span
+    just past epsilon is differenced like any other, and a file whose
+    end_time passes its t_max exits 4."""
+
+    @pytest.mark.parametrize("epsilon", [5e-7, 1e-6, 1e-300])
+    def test_start_at_the_floor_refused(self, tmp_path, capsys, epsilon):
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve=dict(_SOLVE, epsilon=epsilon),
+                     sweep=dict(_SWEEP, epsilon=epsilon))
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "is not above the positivity floor 1e-06" in err
+        assert not (tmp_path / "out").exists()
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        [row] = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
+        status = row.split(",")[4]
+        assert status.startswith(f"error:ValueError:epsilon={epsilon:g}: ")
+        assert "is not above the positivity floor 1e-06" in status
+
+    def test_span_just_past_epsilon(self, tmp_path):
+        span = {"epsilon": 1e-4, "t_max": 1e-4 + 1e-10}
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve=dict(_SOLVE, **span),
+                     sweep=dict(_SWEEP, **span))
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        summary = json.loads((tmp_path / "out" / "solve_summary.json")
+                             .read_text())
+        assert summary["status"] == "completed"
+        assert abs(summary["mu_mean"] - 1.0) < 1e-6
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        [row] = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
+        fields = row.split(",")
+        assert fields[4] == "completed"
+        assert float(fields[6]) == summary["mu_mean"]
+
+    @pytest.mark.parametrize("command,block", [
+        ("certify", {}),
+        ("quotient", {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}),
+    ])
+    @pytest.mark.parametrize("line,old,new,reason", [
+        (2, "end_time=3", "end_time=3.5", "end_time 3.5 is not at most its "
+         "t_max = 3"),
+        (2, "end_time=3", "end_time=nan", "end_time nan is not at most"),
+        (2, "end_time=3", "end_time=inf", "end_time inf is not at most"),
+        (1, '"t_max": 3.0', '"t_max": 2.5', "end_time 3 is not at most its "
+         "t_max = 2.5"),
+    ], ids=["end_time-3.5", "end_time-nan", "end_time-inf", "t_max-2.5"])
+    def test_end_past_t_max_exits_4(self, tmp_path, capsys, command, block,
+                                    line, old, new, reason):
+        lines = _solved_profile(tmp_path)
+        assert old in lines[line]
+        lines[line] = lines[line].replace(old, new)
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
         cfg_path = tmp_path / "c.json"
