@@ -24,6 +24,7 @@ Exit codes: 0 success/pass, 2 validation or certification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -43,6 +44,7 @@ from .shooting import (
     AnsatzParams,
     CertificationWindowError,
     SolitonProfile,
+    SweepRow,
     _is_int,
     _is_real,
     _log_slopes,
@@ -332,9 +334,8 @@ def cmd_quotient(cfg: dict, out_dir: str) -> int:
     return EXIT_OK if cert.verdict else EXIT_FAIL
 
 
-_SWEEP_HEADER = ("k", "m", "lambda", "b0", "status", "lifetime",
-                 "mu_mean", "mu_spread", "slope_a", "slope_b", "slope_a_mid",
-                 "slope_b_mid")
+_SWEEP_HEADER = tuple("lambda" if f.name == "lam" else f.name
+                      for f in dataclasses.fields(SweepRow))
 
 
 def cmd_sweep(cfg: dict, out_dir: str) -> int:
@@ -360,11 +361,9 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     lines = [f"# schema_version={SWEEP_SCHEMA_VERSION}",
              ",".join(_SWEEP_HEADER)]
     for r in rows:
-        lines.append(",".join([
-            str(r.k), str(r.m), f"{r.lam:.17g}", f"{r.b0:.17g}", r.status,
-            f"{r.lifetime:.17g}", f"{r.mu_mean:.17g}", f"{r.mu_spread:.17g}",
-            f"{r.slope_a:.17g}", f"{r.slope_b:.17g}", f"{r.slope_a_mid:.17g}",
-            f"{r.slope_b_mid:.17g}"]))
+        # .17g writes the small ints k and m as str does
+        lines.append(",".join(v if isinstance(v, str) else f"{v:.17g}"
+                              for v in dataclasses.astuple(r)))
     _write(out_dir, "sweep.csv", "\n".join(lines) + "\n")
     print(f"sweep: {len(rows)} rows")
     return EXIT_OK

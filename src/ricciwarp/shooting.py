@@ -75,7 +75,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -169,9 +170,11 @@ class AnsatzParams:
 
     Construction refuses (``ValueError``) a k, m or grid_per_unit that is
     not an integer, another field that is not a finite real (a bool is
-    neither), values out of range and an output grid of more than
-    ``MAX_GRID_POINTS`` points up to ``t_max``, past which no profile
-    ends: a config, a file and Python alike.
+    neither), values out of range, a span shorter than epsilon
+    (``t_max < 2 epsilon``: across a few ulps of t the grid's differences
+    are rounding, and its diagnostics meaningless) and an output grid of
+    more than ``MAX_GRID_POINTS`` points up to ``t_max``, past which no
+    profile ends: a config, a file and Python alike.
     """
 
     k: int
@@ -197,8 +200,8 @@ class AnsatzParams:
             raise ValueError("fiber dimension m must be >= 1")
         if self.b0 <= 0:
             raise ValueError("b0 must be positive")
-        if not 0 < self.epsilon < self.t_max:
-            raise ValueError("need 0 < epsilon < t_max")
+        if not 0 < 2 * self.epsilon <= self.t_max:
+            raise ValueError("need 0 < epsilon and 2 epsilon <= t_max")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("integrator tolerances must be positive")
         if self.grid_per_unit < 40:
@@ -247,13 +250,15 @@ def _series_start(params: AnsatzParams):
     of the smooth closure at t = 0; for k = 0, a3 = 0 and phi2 is fixed by
     the b-series, and the a-slots are meaningless.  Raises ``ValueError``
     when epsilon is too large for the truncated series to be trustworthy,
-    when the start is not finite (an epsilon whose cube underflows hides
-    huge coefficients from the tail estimate), or when its b or (for
-    k >= 1) its a is at or below ``_POSITIVITY_FLOOR``: the right side
-    clamps them at ``_EVAL_FLOOR`` and the events read them as a
-    degeneration, so such a start would integrate another system.  A
-    start it returns is finite with a and b above the floor, at an
-    epsilon of at most 1e-8 ** (1/3), about 2.2e-3 (and, for k >= 1,
+    when the start is not finite or not inside the blow-up box, every
+    component below ``_BLOWUP_LIMIT`` in size (an epsilon whose cube
+    underflows hides huge coefficients from the tail estimate, and a huge
+    b0 starts outside the box, where the blow-up event cannot fire), or
+    when its b or (for k >= 1) its a is at or below ``_POSITIVITY_FLOOR``:
+    the right side clamps them at ``_EVAL_FLOOR`` and the events read them
+    as a degeneration, so such a start would integrate another system.  A
+    start it returns lies inside the box with a and b above the floor, at
+    an epsilon of at most 1e-8 ** (1/3), about 2.2e-3 (and, for k >= 1,
     above about 1e-6).
     """
     k, m, lam, b0 = params.k, params.m, params.lam, params.b0
@@ -274,9 +279,9 @@ def _series_start(params: AnsatzParams):
              b0 + b2 * eps ** 2,
              2.0 * b2 * eps,
              2.0 * phi2 * eps)
-    if not all(map(math.isfinite, start)):
+    if not all(abs(value) < _BLOWUP_LIMIT for value in start):
         raise ValueError(f"epsilon={eps:g}: the series start {start} is not "
-                         f"finite")
+                         f"inside the blow-up box |y| < {_BLOWUP_LIMIT:g}")
     coefficients = ({"a": start[0], "b": start[2]} if k >= 1
                     else {"b": start[2]})
     if min(coefficients.values()) <= _POSITIVITY_FLOOR:
@@ -328,9 +333,8 @@ def _horner(rows, y_old, x):
     table.  ``Dop853DenseOutput._call_impl``'s operations in its order, so
     every value has its bits (``1 - x`` is formed once; it has the same
     bits each time).  The one implementation of the polynomial: a
-    profile's polynomials (:class:`_StepPolynomials`) call it with one
-    coefficient row and one ``x`` per time, and :func:`_dop853` for
-    locating events.
+    profile's columns (:func:`_evaluate`) call it with one coefficient row
+    and one ``x`` per time, and :func:`_dop853` for locating events.
     """
     y = np.zeros_like(y_old)
     u = 1 - x
@@ -340,46 +344,23 @@ def _horner(rows, y_old, x):
     return y + y_old
 
 
-class _StepPolynomials:
-    """The stored polynomials of a profile's step table, built once per
-    profile: the step ends, and each state column's values at the step
-    starts and coefficient rows ``F[-1], ..., F[0]`` as contiguous arrays
-    over the steps.
+def _locate(steps, t):
+    """``(idx, x)``: the step of each time in a profile's ``_steps`` and
+    ``(t - t_old) / h``.  The step ``OdeSolution`` would choose: the first
+    whose end is >= t (``searchsorted(side="left")``), so a step end and
+    the junction of two runs go to the earlier step, and times outside the
+    span go to the first or last step."""
+    ends, t_old, h, _ = steps
+    idx = np.minimum(np.searchsorted(ends, t, side="left"), ends.size - 1)
+    return idx, (t - t_old[idx]) / h[idx]
 
-    :meth:`locate` finds each time's step, the one ``OdeSolution`` would
-    choose: the first whose end is >= t (``searchsorted(side="left")``),
-    so a step end and the junction of two runs go to the earlier step,
-    and times outside the span go to the first or last step.
-    :meth:`value` is :func:`_horner` there with one coefficient row and
-    one ``x`` per time, so a column has the bits of ``solve_ivp``'s dense
-    output.
-    """
 
-    def __init__(self, profile: "SolitonProfile"):
-        self.ends = np.append(profile.t_old[1:], profile.end_time)
-        self.t_old, self.h = profile.t_old, profile.h
-        rows = profile.F[:, ::-1].T   # column, F[-1] ... F[0], step
-        self.columns = {
-            name: (np.ascontiguousarray(profile.y_old[:, c]),
-                   np.ascontiguousarray(rows[c]))
-            for c, name in enumerate(_state_columns(profile.params.k))}
-
-    def locate(self, t):
-        """``(idx, x)``: the step of each time and ``(t - t_old) / h``."""
-        idx = np.minimum(np.searchsorted(self.ends, t, side="left"),
-                         self.ends.size - 1)
-        return idx, (t - self.t_old[idx]) / self.h[idx]
-
-    def value(self, name: str, idx, x):
-        """Column ``name`` at the located times."""
-        y_old, rows = self.columns[name]
-        return _horner(rows[:, idx], y_old[idx], x)
-
-    def function(self, name: str):
-        """Column ``name`` as a callable of t (an array or a number)."""
-        def evaluate(t):
-            return self.value(name, *self.locate(np.asarray(t, dtype=float)))
-        return evaluate
+def _evaluate(steps, name: str, idx, x):
+    """State column ``name`` at the times that :func:`_locate` placed:
+    :func:`_horner` with one coefficient row and one ``x`` per time, so a
+    column has the bits of ``solve_ivp``'s dense output."""
+    y_old, rows = steps[3][name]
+    return _horner(rows[:, idx], y_old[idx], x)
 
 
 def _state_columns(k: int):
@@ -412,8 +393,10 @@ class SolitonProfile:
     the uniform grid of ``grid_per_unit`` rows per unit of t
     (``a``/``a_prime`` NaN-filled for k = 0), and ``mu``, ``res_tt``,
     ``res_sk`` (NaN for k = 0) and ``res_sm`` are derived from them by
-    :func:`_diagnostics`; each is computed on first read and cached
-    beside the polynomials, so corrupted coefficients show in them.
+    :func:`_diagnostics`, so corrupted coefficients show in them.  These
+    views, the polynomials' arrays and the interpolants are each computed
+    once per object, on first read (``functools.cached_property``); a
+    ``dataclasses.replace`` copy computes its own.
     """
 
     params: AnsatzParams
@@ -423,10 +406,6 @@ class SolitonProfile:
     F: np.ndarray
     status: str
     end_time: float
-    # not an init field, so a dataclasses.replace copy builds its own
-    # polynomials, grid and diagnostics
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         self._check_steps()
@@ -484,47 +463,54 @@ class SolitonProfile:
         return np.column_stack([self.t_old, self.y_old, self.h,
                                 self.F.reshape(len(self.t_old), -1)])
 
-    def _polynomials(self) -> _StepPolynomials:
-        if "polynomials" not in self._cache:
-            self._cache["polynomials"] = _StepPolynomials(self)
-        return self._cache["polynomials"]
+    @cached_property
+    def _steps(self):
+        """``(ends, t_old, h, columns)``: the step ends, starts and sizes,
+        and by name each state column's ``y_old`` and rows ``F[-1], ...,
+        F[0]``, contiguous over the steps."""
+        rows = self.F[:, ::-1].T   # column, F[-1] ... F[0], step
+        return (np.append(self.t_old[1:], self.end_time), self.t_old, self.h,
+                {name: (np.ascontiguousarray(self.y_old[:, c]),
+                        np.ascontiguousarray(rows[c]))
+                 for c, name in enumerate(_state_columns(self.params.k))})
 
-    def _sample(self, name: str) -> np.ndarray:
-        """A grid column: the stored polynomial sampled on the uniform grid
-        of ``grid_per_unit`` rows per unit from epsilon to ``end_time``
-        (at least 16 rows); each column is computed on its first read."""
-        grid = self._cache.setdefault("grid", {})
-        if not grid:
-            eps, per_unit = self.params.epsilon, self.params.grid_per_unit
-            rows = int(np.ceil((self.end_time - eps) * per_unit)) + 1
-            grid["t"] = np.linspace(eps, self.end_time, max(rows, 16))
-            grid["steps"] = self._polynomials().locate(grid["t"])
-        if name not in grid:
-            polys = self._polynomials()
-            grid[name] = (polys.value(name, *grid["steps"])
-                          if name in polys.columns
-                          else np.full_like(grid["t"], np.nan))
-        return grid[name]
+    @cached_property
+    def t(self) -> np.ndarray:
+        """The uniform grid of ``grid_per_unit`` rows per unit from epsilon
+        to ``end_time``, at least 16 rows; ``np.linspace`` stores both
+        ends exactly."""
+        eps, per_unit = self.params.epsilon, self.params.grid_per_unit
+        rows = int(np.ceil((self.end_time - eps) * per_unit)) + 1
+        return np.linspace(eps, self.end_time, max(rows, 16))
 
-    t = property(lambda self: self._sample("t"))
-    a = property(lambda self: self._sample("a"))
-    a_prime = property(lambda self: self._sample("a_prime"))
-    b = property(lambda self: self._sample("b"))
-    b_prime = property(lambda self: self._sample("b_prime"))
-    phi = property(lambda self: self._sample("phi"))
-    phi_prime = property(lambda self: self._sample("phi_prime"))
+    @cached_property
+    def _grid_steps(self):
+        """The grid's steps (:func:`_locate`), which its columns share."""
+        return _locate(self._steps, self.t)
 
-    def _diagnostic(self, i: int) -> np.ndarray:
-        if "diagnostics" not in self._cache:
-            self._cache["diagnostics"] = _diagnostics(
-                self.params, self.t, self.a, self.a_prime, self.b,
-                self.b_prime, self.phi_prime)
-        return self._cache["diagnostics"][i]
+    def _column(self, name: str) -> np.ndarray:
+        """Column ``name`` sampled on the grid; NaN where k lacks it."""
+        if name not in self._steps[3]:
+            return np.full_like(self.t, np.nan)
+        return _evaluate(self._steps, name, *self._grid_steps)
 
-    mu = property(lambda self: self._diagnostic(0))
-    res_tt = property(lambda self: self._diagnostic(1))
-    res_sk = property(lambda self: self._diagnostic(2))
-    res_sm = property(lambda self: self._diagnostic(3))
+    a = cached_property(lambda self: self._column("a"))
+    a_prime = cached_property(lambda self: self._column("a_prime"))
+    b = cached_property(lambda self: self._column("b"))
+    b_prime = cached_property(lambda self: self._column("b_prime"))
+    phi = cached_property(lambda self: self._column("phi"))
+    phi_prime = cached_property(lambda self: self._column("phi_prime"))
+
+    @cached_property
+    def _derived(self):
+        """``(mu, res_tt, res_sk, res_sm)`` of :func:`_diagnostics`."""
+        return _diagnostics(self.params, self.t, self.a, self.a_prime, self.b,
+                            self.b_prime, self.phi_prime)
+
+    mu = property(lambda self: self._derived[0])
+    res_tt = property(lambda self: self._derived[1])
+    res_sk = property(lambda self: self._derived[2])
+    res_sm = property(lambda self: self._derived[3])
 
     @property
     def lam(self) -> float:
@@ -542,17 +528,27 @@ class SolitonProfile:
     def classification(self) -> str:
         return self.params.classification
 
+    @cached_property
+    def _interpolants(self):
+        # closures over the step arrays: one over self, cached in self,
+        # would hold each profile in a cycle until the cyclic collector runs
+        steps = self._steps
+
+        def function(name):
+            def evaluate(t):
+                return _evaluate(steps, name,
+                                 *_locate(steps, np.asarray(t, dtype=float)))
+            return evaluate
+
+        return (function("a") if "a" in steps[3] else None, function("b"),
+                function("phi"))
+
     def interpolants(self):
         """``(a, b, phi)``: the stored polynomials of the a, b and phi
         columns as callables of t (arrays or numbers), built once and
         cached.  They have the bits of the dense output of the runs the
         profile was shot from.  For k = 0 the a-slot is None."""
-        if "interpolants" not in self._cache:
-            polys = self._polynomials()
-            self._cache["interpolants"] = (
-                polys.function("a") if "a" in polys.columns else None,
-                polys.function("b"), polys.function("phi"))
-        return self._cache["interpolants"]
+        return self._interpolants
 
     # -- serialization ------------------------------------------------------
 
@@ -664,7 +660,7 @@ def _diagnostics(params: AnsatzParams, t, a, ap, b, bp, phip):
     integral collapses to the constant m - 1 identically and the
     conservation check would be vacuous.  The stencils take one step,
     ``t[1] - t[0]``, for the whole grid: ``t`` is the uniform
-    ``np.linspace`` grid of :meth:`SolitonProfile._sample`.
+    ``np.linspace`` grid of :attr:`SolitonProfile.t`.
     """
     k, m, lam = params.k, params.m, params.lam
     dt = t[1] - t[0]
@@ -986,8 +982,9 @@ def _events(k):
     breaks ties between equal roots: b and (for k >= 1) a reach the
     positivity floor, and the state leaves the blow-up box.  ``Y`` may be
     one state or a rows x n array.  :func:`_series_start` refuses a start
-    at or below the floor, so the floor events start positive and fire
-    only by falling to it: no event needs a direction.
+    at or below the floor or outside the box, so every event starts
+    positive and fires only by falling to zero: no event needs a
+    direction.
     """
     floors = slice(2, None, -2) if k >= 1 else slice(0, 1)   # (b, a) or b
 
@@ -1013,9 +1010,9 @@ def _integrate(rows):
     instead: the ``ValueError`` of a refused series start, or the
     ``IntegrationError`` of a step size that underflowed or of an event
     that ``brentq`` failed to locate.  A start that ``_series_start``
-    returns is finite, its a and b above the positivity floor, and its
-    epsilon below ``_LAUNCH_END`` and ``t_max``, so :func:`_dop853`
-    accepts every segment and the floor events start positive.
+    returns lies inside the blow-up box, its a and b above the positivity
+    floor, and its epsilon below ``_LAUNCH_END`` and ``t_max``, so
+    :func:`_dop853` accepts every segment and every event starts positive.
     The other rows of the batch run on unaffected; each segment is one
     :func:`_dop853` batch, so a row's runs have the bits of the row
     integrated alone (its stacked ``np.matmul`` products are its
@@ -1131,7 +1128,8 @@ def profile_geometry(profile: SolitonProfile, h: float = 1e-3):
     k = params.k
     a_s, b_s, phi_s = profile.interpolants()
     base = radial_profile_base(
-        a_s, k, (float(profile.t[0]) + 8 * h, float(profile.t[-1]) - 8 * h),
+        a_s, k, (float(params.epsilon) + 8 * h,
+                 float(profile.end_time) - 8 * h),
         label=f"profile-base-k{k}")
     warp = ScalarField(lambda X: b_s(X[:, 0]), "b-warping")
     potential = ScalarField(lambda X: phi_s(X[:, 0]), "phi-potential")
@@ -1198,7 +1196,7 @@ def certify_profile(profile: SolitonProfile,
             f"{profile.end_time:g}); only completed profiles are certified")
     # checked before any patch is built: the base chart of
     # profile_geometry needs the span minus 8 h at either end
-    span = (float(profile.t[0]), float(profile.t[-1]))
+    span = (float(params.epsilon), float(profile.end_time))
     t_lo = max(t_window[0], span[0] + 16 * h)
     t_hi = min(t_window[1], span[1] - 16 * h)
     if t_hi <= t_lo:

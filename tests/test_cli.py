@@ -80,6 +80,13 @@ class TestSolve:
     def test_missing_config_file_exits_4(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 4
 
+    def test_invalid_json_exits_4(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text('{"schema_version": 1, "solve": {')
+        assert main(["solve", "--config", str(cfg_path)]) == 4
+        assert "config is not valid JSON" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_wrong_schema_version_exits_2(self, tmp_path):
         cfg_path = tmp_path / "v.json"
         cfg_path.write_text(json.dumps({"schema_version": 99, "solve": {}}))
@@ -520,8 +527,8 @@ class TestLoadedParams:
 
 class TestProfileBounds:
     """A profile is bounded by its own parameters: its series start lies
-    above the positivity floor (a config error or an error row), a span
-    just past epsilon is differenced like any other, and a file whose
+    above the positivity floor and inside the blow-up box (a config error
+    or an error row), its span is at least epsilon, and a file whose
     end_time passes its t_max exits 4."""
 
     @pytest.mark.parametrize("epsilon", [5e-7, 1e-6, 1e-300])
@@ -540,8 +547,27 @@ class TestProfileBounds:
         assert status.startswith(f"error:ValueError:epsilon={epsilon:g}: ")
         assert "is not above the positivity floor 1e-06" in status
 
-    def test_span_just_past_epsilon(self, tmp_path):
-        span = {"epsilon": 1e-4, "t_max": 1e-4 + 1e-10}
+    @pytest.mark.parametrize("b0", [1e10, 1e200])
+    def test_start_outside_the_box_refused(self, tmp_path, capsys, b0):
+        # a start outside the blow-up box would start the blow-up event
+        # at or below zero, where it never fires
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve=dict(_SOLVE, b0=b0),
+                     sweep=dict(_SWEEP, b0=[b0]))
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "is not inside the blow-up box" in err
+        assert not (tmp_path / "out").exists()
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        [row] = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
+        status = row.split(",")[4]
+        assert status.startswith("error:ValueError:")
+        assert "is not inside the blow-up box" in status
+
+    def test_span_of_two_epsilon(self, tmp_path):
+        # the shortest span accepted is differenced like any other
+        span = {"epsilon": 1e-4, "t_max": 2e-4}
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, solve=dict(_SOLVE, **span),
                      sweep=dict(_SWEEP, **span))
@@ -555,6 +581,19 @@ class TestProfileBounds:
         fields = row.split(",")
         assert fields[4] == "completed"
         assert float(fields[6]) == summary["mu_mean"]
+
+    def test_span_just_past_epsilon(self, tmp_path, capsys):
+        # a span shorter than epsilon is refused, solve and sweep alike:
+        # across a few ulps of t the grid's differences are rounding
+        span = {"epsilon": 1e-4, "t_max": 1e-4 + 1e-10}
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve=dict(_SOLVE, **span),
+                     sweep=dict(_SWEEP, **span))
+        for command in ("solve", "sweep"):
+            assert main([command, "--config", str(cfg_path)]) == 2
+            assert ("need 0 < epsilon and 2 epsilon <= t_max"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,block", [
         ("certify", {}),
@@ -742,6 +781,38 @@ class TestConfigValidation:
         write_config(cfg_path, **blocks)
         assert main([command, "--config", str(cfg_path)]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,edit,reason", [
+        ("solve", lambda cfg: cfg.update(solve=[1.0]),
+         "config section 'solve' must be an object"),
+        ("solve", lambda cfg: cfg.pop("solve"), "config has no 'solve' block"),
+        ("quotient", lambda cfg: cfg.pop("quotient"),
+         "config has no 'quotient' block"),
+        ("sweep", lambda cfg: cfg.pop("sweep"), "config has no 'sweep' block"),
+        ("solve", lambda cfg: cfg["solve"].pop("b0"),
+         "solve block is missing 'b0'"),
+        ("quotient", lambda cfg: cfg["quotient"].pop("kind"),
+         "quotient block is missing 'kind'"),
+        ("sweep", lambda cfg: cfg["sweep"].pop("lambda"),
+         "sweep block needs a list under 'lambda'"),
+        ("solve", lambda cfg: cfg.update(out_dir=""),
+         "'out_dir' must be a non-empty string"),
+        ("solve", lambda cfg: cfg.update(out_dir=7),
+         "'out_dir' must be a non-empty string"),
+    ], ids=["section-not-object", "no-solve", "no-quotient", "no-sweep",
+            "solve-without-b0", "quotient-without-kind",
+            "sweep-without-lambda", "empty-out_dir", "out_dir-not-string"])
+    def test_incomplete_config_exits_2_without_artifacts(
+            self, tmp_path, capsys, command, edit, reason):
+        cfg = {"schema_version": 1, "out_dir": str(tmp_path / "out"),
+               "solve": dict(_SOLVE), "sweep": dict(_SWEEP),
+               "quotient": dict(_QUOTIENT)}
+        edit(cfg)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {reason}\n"
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     @pytest.mark.parametrize("command", ["certify", "quotient"])
     @pytest.mark.parametrize("flag,value", [("--tolerance", "1e-3"),

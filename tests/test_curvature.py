@@ -145,6 +145,22 @@ class TestRicci:
         with pytest.raises(BoundaryProximityError):
             ricci_fd(p, np.array([1.0 - 3 * H, 0.0]), H)
 
+    @pytest.mark.parametrize("entry,problem", [
+        (np.nan, "is not finite"), (0.5, "is not symmetric"),
+    ])
+    def test_bad_metric_rejected_naming_the_point(self, entry, problem):
+        # entry (0, 1) of the metric at the point x0 = 0.25 only
+        def g(X):
+            G = np.eye(2) * np.ones((len(X), 1, 1))
+            G[X[:, 0] == 0.25, 0, 1] = entry
+            return G
+
+        p = MetricPatch(2, np.array([[-1, 1], [-1, 1]]), g, "bad")
+        X = np.array([[0.5, 0.1], [0.25, -0.25]])
+        with pytest.raises(DegenerateMetricError, match=re.escape(
+                f"metric of 'bad' {problem} at point {X[1]}")):
+            christoffel(p, X, H)
+
     def test_degenerate_metric_rejected(self):
         p = MetricPatch(2, np.array([[-1, 1], [-1, 1]]),
                         lambda X: np.diag([1.0, 1e-12]) * np.ones((len(X), 1, 1)),

@@ -162,6 +162,14 @@ class TestIsometryResidual:
         act = action_of(4, rotation(np.pi / 2, 2), samples)
         assert flat_certificate(act, patch=base).base_isometry_residual <= 1e-10
 
+    def test_profile_base_refuses_a_radius_outside_its_range(
+            self, steady_profile_12):
+        a_s, _, _ = steady_profile_12.interpolants()
+        base = cartesian_profile_base(a_s, 1, (0.3, 5.0), label="b")
+        with pytest.raises(GeometryError, match=r"point with radius 0\.2 "
+                           r"outside the radial range \[0\.3, 5\] of 'b'"):
+            base.metric(np.array([[1.0, 0.0], [0.0, 0.2]]))
+
     def test_domain_escape_raises(self):
         act = action_of(8, rotation(np.pi / 4, 2), np.array([[0.95, 0.95]]))
         with pytest.raises(GeometryError, match="maps outside the domain"):

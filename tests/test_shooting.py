@@ -1,7 +1,10 @@
 """Reduced system, series closure, shooting, diagnostics, sweeps."""
 
+import gc
 import warnings
+import weakref
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -35,7 +38,9 @@ from ricciwarp.shooting import (
     _csv_header,
     _diagnostics,
     _dop853,
+    _evaluate,
     _integrate,
+    _locate,
     _log_slopes,
     _profile,
     _rhs_with_phi,
@@ -102,6 +107,10 @@ class TestReducedRhs:
         ({"k": True}, "k must be an integer"),
         ({"k": 1.5}, "k must be an integer"),
         ({"t_max": 1e9}, "output grid too large"),
+        ({"k": -1}, "base sphere dimension k must be >= 0"),
+        ({"rtol": 0.0}, "integrator tolerances must be positive"),
+        ({"atol": -1e-10}, "integrator tolerances must be positive"),
+        ({"epsilon": 1e-4, "t_max": 1.5e-4}, r"2 epsilon <= t_max"),
     ])
     def test_construction_refuses(self, change, reason):
         # refused when built, before anything integrates: an infinite
@@ -163,9 +172,9 @@ class TestTaylorInit:
 
     def test_accepted_start_can_run(self):
         # what lets _integrate launch without checking the run: finite
-        # params whose series start is accepted give a finite start, its a
-        # (k >= 1) and b above the positivity floor, at an epsilon below
-        # the end of the launch segment
+        # params whose series start is accepted give a start inside the
+        # blow-up box, its a (k >= 1) and b above the positivity floor, at
+        # an epsilon below the end of the launch segment
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         reals = st.floats(allow_nan=False, allow_infinity=False)
@@ -194,7 +203,8 @@ class TestTaylorInit:
             except ValueError:
                 return
             accepted.append(p)
-            assert all(np.isfinite(start))
+            # inside the blow-up box, so finite
+            assert max(map(abs, start)) < _BLOWUP_LIMIT
             assert min(_LAUNCH_END, p.t_max) > p.epsilon
             a, _, b, _, _ = start
             assert b > _POSITIVITY_FLOOR
@@ -361,8 +371,9 @@ def _no_events(Y):
 
 def _dense(profile, ts):
     """Every state column's stored polynomial at the times ``ts``."""
-    polys = profile._polynomials()
-    return np.array([polys.function(name)(ts) for name in polys.columns])
+    steps = profile._steps
+    return np.array([_evaluate(steps, name, *_locate(steps, ts))
+                     for name in _state_columns(profile.params.k)])
 
 
 def _same_bits(got, want):
@@ -794,21 +805,40 @@ class TestInterpolants:
         return replace(prof)   # a copy without the fixture's polynomials
 
     def test_one_fit_cached(self, profile, monkeypatch):
-        # the coefficient arrays of the piecewise polynomials are built once
-        # per profile, and the interpolants and the grid share them
+        # the coefficient arrays of the piecewise polynomials (_steps) are
+        # built once per profile, and the interpolants and the grid share
+        # them
         calls = []
-        build = shooting._StepPolynomials
+        build = SolitonProfile.__dict__["_steps"].func
 
         def counting(prof):
             calls.append(prof)
             return build(prof)
 
-        monkeypatch.setattr(shooting, "_StepPolynomials", counting)
+        steps = cached_property(counting)
+        steps.__set_name__(SolitonProfile, "_steps")
+        monkeypatch.setattr(SolitonProfile, "_steps", steps)
         first = profile.interpolants()
         assert calls == [profile]
-        assert profile.interpolants() == first
+        assert profile.interpolants() is first
         assert profile.b is profile.b and profile.mu.size == profile.t.size
         assert calls == [profile]
+
+    def test_views_freed_with_the_profile(self, profile):
+        # the cached views hold the step arrays, not the profile, so a
+        # profile forms no reference cycle: with the cyclic collector off
+        # it is freed with its last reference
+        prof = replace(profile)
+        gc.disable()
+        try:
+            prof.interpolants()
+            assert np.isfinite(prof.mu).all()
+            profile_geometry(prof)
+            ref = weakref.ref(prof)
+            del prof
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_each_spline_is_its_own_fit_bit_for_bit(self, profile):
         # each interpolant is the piecewise polynomial of its column alone:

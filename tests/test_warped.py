@@ -82,6 +82,25 @@ class TestAssemble:
                            f=ScalarField(lambda X: X[:, 0] - 2.0, "t-2"),
                            phi=constant_field(0.0), lam=0.0)
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda w, x: assemble_warped(w).metric(x),
+        lambda w, x: base_structure(w, x[:, :w.n], H),
+    ], ids=["assemble_warped", "base_structure"])
+    def test_nonpositive_warping_at_an_evaluation_point(self, evaluate):
+        # f passes the construction samples and is nonpositive at one
+        # point that only the evaluation visits
+        base, fiber = polar_plane_patch(), sphere_patch(1)
+        dip = base.center() + 0.01
+        w = WarpedGeometry(
+            base=base, fiber=fiber,
+            f=ScalarField(lambda X: np.where((X == dip).all(axis=1), 0.0, 1.0),
+                          "dip"),
+            phi=constant_field(0.0), lam=0.0)
+        x = np.concatenate([dip, fiber.center()])[None, :]
+        with pytest.raises(GeometryError,
+                           match=r"warping 'dip' is nonpositive at \["):
+            evaluate(w, x)
+
 
 class TestClosedFormBlocks:
     def test_product_case_blocks(self):
