@@ -59,15 +59,15 @@ per-equation residual columns) difference those samples with grid
 stencils, never substituting the right side back in; substituting would
 cancel algebraically and report conservation even for corrupted data.
 
-``profile.csv`` (schema 3) is the step table in ``%.17g`` text, so it
-round-trips bit for bit: 2 + 8n numbers per step, n = 6 state columns
-for k >= 1 and 4 for k = 0.  A completed ``t_max = 10`` profile of the
-README's classes takes 47 to 96 steps, 53 to 110 KB, where the 2,001-row
-grid of schema 2 took 272-277 KB; a profile that ends in a blow-up takes
-many short steps, and its file can be larger than its grid was.
-Schema 1 and 2 files, which stored a sampled grid, are refused with a
-message to re-run ``solve``: reading them would need a second
-representation of a profile (a spline fit of the grid) beside this one.
+``profile.csv`` (schema 4) is the step table, each cell the 16 hex
+digits of its float64 bits, so it round-trips bit for bit with no
+decimal conversion: 2 + 8n cells per step, n = 6 state columns for
+k >= 1 and 4 for k = 0.  A completed ``t_max = 10`` profile of the
+README's classes takes 47 to 96 steps, 41 to 82 KB; a profile that ends
+in a blow-up takes many short steps.  Older files are refused with a
+message to re-run ``solve``: schemas 1 and 2 stored a sampled grid, which
+would need a spline fit beside the polynomials, and schema 3 decimal
+text, which would need a second reader.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ __all__ = [
     "GRID_COLUMNS",
 ]
 
-PROFILE_SCHEMA_VERSION = 3
+PROFILE_SCHEMA_VERSION = 4
 GRID_COLUMNS = ("t", "a", "a_prime", "b", "b_prime", "phi", "phi_prime")
 # the most points of the output grid of a profile (of solve, of each sweep
 # row, and of a loaded file, whose params line sets its grid): the grid
@@ -124,7 +124,6 @@ _N_COEFFS = 3 + len(DOP853.D)   # rows of a step's dense-output table F
 _POSITIVITY_FLOOR = 1e-6   # terminal event threshold for a, b
 _EVAL_FLOOR = 1e-7         # clamp inside the stepper so stages stay finite
 _BLOWUP_LIMIT = 1e10
-_CSV_BLOCK_ROWS = 512
 
 
 class IntegrationError(GeometryError):
@@ -556,11 +555,10 @@ class SolitonProfile:
         """Profile as CSV text (written to ``path`` when given).
 
         Three header lines (schema version, params, status and end time),
-        the header row of :func:`_csv_header` and one row per step.
-        Numbers carry 17 significant digits so the round trip is exact.
-        Rows are formatted a block at a time with one ``%`` operation;
-        for Python floats ``%.17g`` is the same text as
-        ``format(x, ".17g")``, including ``nan``, ``inf`` and ``-0``.
+        the header row of :func:`_csv_header` and one row per step.  A
+        cell is the 16 lowercase hex digits of its float64 bits, most
+        significant first (``struct.pack(">d", x).hex()``), so the round
+        trip is exact.
         """
         header = _csv_header(self.params.k)
         parts = [
@@ -569,12 +567,8 @@ class SolitonProfile:
             f"# status={self.status} end_time={self.end_time:.17g}\n",
             ",".join(header) + "\n",
         ]
-        row = ",".join(["%.17g"] * len(header)) + "\n"
-        rows = self._table()
-        # blocks bound the transient list of Python floats and strings
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
-            parts.append((row * len(block)) % tuple(block.ravel().tolist()))
+        parts += (bytes(row).hex(",", 8) + "\n"
+                  for row in self._table().astype(">f8"))
         text = "".join(parts)
         if path is not None:
             with open(path, "w") as fh:
@@ -596,23 +590,24 @@ class SolitonProfile:
         """Parse profile CSV text written by :meth:`to_csv`.
 
         Raises ``ValueError`` on a malformed or wrong-version profile: a
-        missing or bad header line, a schema 1 or 2 file (a sampled grid:
-        re-run ``solve``), a params line that is not an object of fields
-        that :class:`AnsatzParams` accepts (which bounds the grid up to
+        missing or bad header line, a schema 1, 2 or 3 file (re-run
+        ``solve``), a params line that is not an object of fields that
+        :class:`AnsatzParams` accepts (which bounds the grid up to
         ``t_max``, before the data rows are read), a header row not of the
-        params' k, a data row without one number per column, or a step
-        table that construction refuses (an ``end_time`` past ``t_max``,
-        NaN and inf included, among them).
+        params' k, a data row that is not one word of 16 lowercase hex
+        digits per column, or a step table that construction refuses (a
+        NaN or inf bit pattern, or an ``end_time`` past ``t_max``, among
+        them).
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# schema_version="):
             raise ValueError("not a profile CSV: missing schema_version line")
         version = int(lines[0].split("=", 1)[1])
-        if version in (1, 2):
+        if version in (1, 2, 3):
             raise ValueError(
-                f"profile schema_version {version} stores a sampled grid, "
-                f"which is no longer read; re-run 'solve' to write schema_"
-                f"version {PROFILE_SCHEMA_VERSION}, the DOP853 step table")
+                f"profile schema_version {version} is no longer read; re-run "
+                f"'solve' to write schema_version {PROFILE_SCHEMA_VERSION}, "
+                "the DOP853 step table in float64 bit words")
         if version != PROFILE_SCHEMA_VERSION:
             raise ValueError(f"unsupported profile schema_version {version}")
         if len(lines) < 2 or not lines[1].startswith("# params="):
@@ -635,15 +630,19 @@ class SolitonProfile:
         if len(lines) < 4 or tuple(lines[3].split(",")) != header:
             raise ValueError("profile CSV has an unexpected header row for "
                              f"k = {params.k}")
-        data = lines[4:]
+        data, commas = lines[4:], "," * (len(header) - 1)
+        digits = "".join(data).replace(",", "")
         try:
-            rows = (np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
-                    if data else np.empty((0, 0)))
-        except ValueError as exc:
-            raise ValueError(f"profile CSV has malformed data rows: {exc}") from exc
-        if rows.shape[1] != len(header):
+            cells = bytes.fromhex(digits)
+        except ValueError:
+            cells = b""
+        # fromhex skips whitespace and reads upper case: hex() undoes neither
+        if not data or any(len(ln) != 17 * len(header) - 1
+                           or ln[16::17] != commas for ln in data) \
+                or cells.hex() != digits:
             raise ValueError("profile CSV has malformed data rows: expected "
-                             f"rows of {len(header)} numbers")
+                             f"{len(header)} words of 16 lowercase hex digits")
+        rows = np.frombuffer(cells, ">f8").astype(float).reshape(len(data), -1)
         n = len(_state_columns(params.k))
         return cls(params=params, t_old=rows[:, 0], y_old=rows[:, 1:1 + n],
                    h=rows[:, 1 + n],
@@ -1070,7 +1069,7 @@ def _integrate(rows):
         elif run.status == 1:
             results[i] = (row_runs, outcomes[run.event], float(run.t[-1]))
         else:
-            results[i] = (row_runs, "completed", rows[i].t_max)
+            results[i] = (row_runs, "completed", float(rows[i].t_max))
     return results
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,12 @@ from ricciwarp.cli import (
 from conftest import edit_column
 from ricciwarp import GeometryError, shooting
 from ricciwarp.quotient import T_RANGE
-from ricciwarp.shooting import GRID_COLUMNS, MAX_GRID_POINTS, SolitonProfile
+from ricciwarp.shooting import (
+    GRID_COLUMNS,
+    MAX_GRID_POINTS,
+    SolitonProfile,
+    _csv_header,
+)
 
 
 def write_config(path, extra=None, **blocks):
@@ -66,6 +72,17 @@ class TestSolve:
         for name, want in (("slope_a", 1.0), ("slope_a_mid", 1.0),
                            ("slope_b", 0.0), ("slope_b_mid", 0.0)):
             assert abs(summary[name] - want) < 1e-6, name
+
+    @pytest.mark.parametrize("t_max", [3, 3.0])
+    def test_lifetime_is_a_float_for_any_t_max_literal(self, tmp_path, t_max):
+        # an integer t_max passes AnsatzParams; the summary writes the
+        # same "lifetime": 3.0 for both literals
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
+                                      "b0": 1.0, "t_max": t_max})
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        text = (tmp_path / "out" / "solve_summary.json").read_text()
+        assert '"lifetime": 3.0,' in text
 
     def test_invalid_b0_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -199,11 +216,22 @@ class TestCertify:
         write_config(cfg_path, certify={"profile": str(empty)})
         assert main(["certify", "--config", str(cfg_path)]) == 4
 
+    # a cell is 16 lowercase hex digits, one per column
     @pytest.mark.parametrize("mutate", [
-        lambda rows: rows[:1] + [rows[1] + ",0,0,0"] + rows[2:],
-        lambda rows: rows[:1] + [rows[1].replace(",", ",x", 1)] + rows[2:],
+        lambda rows: rows[:1] + [rows[1] + ",3ff0000000000000" * 3] + rows[2:],
+        lambda rows: rows[:1] + [rows[1][:17] + "x" + rows[1][18:]] + rows[2:],
         lambda rows: [],
-    ], ids=["ten-columns", "non-numeric-token", "no-data-rows"])
+        lambda rows: _set_cell(rows, 1, 3, "3ff000000000000"),
+        lambda rows: _set_cell(rows, 1, 3, "3ff00000000000000"),
+        lambda rows: _set_cell(rows, 1, 3, "3ff00000 0000000"),
+        lambda rows: _set_cell(rows, 1, 3, "3ff0000-00000000"),
+        lambda rows: _set_cell(rows, 1, 3, "3FF0000000000000"),
+        lambda rows: _set_cell(rows, 1, 3, "1.5"),
+        lambda rows: _set_cell(rows, 1, 3, "nan"),
+        lambda rows: rows[:1] + [rows[1].rsplit(",", 1)[0]] + rows[2:],
+    ], ids=["ten-columns", "non-numeric-token", "no-data-rows",
+            "15-digit-word", "17-digit-word", "space-in-word", "sign-in-word",
+            "upper-case-word", "decimal-text", "nan-token", "missing-cell"])
     def test_malformed_profile_rows_exit_4(self, tmp_path, capsys, mutate):
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, solve=cylinder_solve_block(t_max=1.0))
@@ -380,9 +408,10 @@ class TestUnfittableProfile:
         ("quotient", {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}),
     ])
     @pytest.mark.parametrize("mutate,reason", [
-        (lambda rows: _set_cell(rows, 7, 3, "nan"),
+        # the bit words of NaN and inf decode, and the table refuses them
+        (lambda rows: _set_cell(rows, 7, 3, "7ff8000000000000"),
          "column b has a non-finite value"),
-        (lambda rows: _set_cell(rows, 7, 5, "inf"),
+        (lambda rows: _set_cell(rows, 7, 5, "7ff0000000000000"),
          "column phi has a non-finite value"),
         (lambda rows: rows[:7] + [rows[8], rows[7]] + rows[9:],
          "column t is not finite and strictly increasing"),
@@ -430,12 +459,16 @@ class TestUnfittableProfile:
         capsys.readouterr()
 
 
-def _grid_text(profile, version):
-    """``profile`` in the sampled-grid layout of schema 2, or of schema 1,
-    which also stored mu, res_tt, res_sk and res_sm."""
-    names = GRID_COLUMNS + (("mu", "res_tt", "res_sk", "res_sm")
-                            if version == 1 else ())
-    table = np.column_stack([getattr(profile, name) for name in names])
+def _old_text(profile, version):
+    """``profile`` in the decimal (``%.17g``) text of an old schema: the
+    step table of schema 3, or the sampled grid of schema 2, or of schema
+    1, which also stored mu, res_tt, res_sk and res_sm."""
+    if version == 3:
+        names, table = _csv_header(profile.params.k), profile._table()
+    else:
+        names = GRID_COLUMNS + (("mu", "res_tt", "res_sk", "res_sm")
+                                if version == 1 else ())
+        table = np.column_stack([getattr(profile, name) for name in names])
     head = profile.to_csv().splitlines()[1:3]
     return "\n".join([f"# schema_version={version}", *head, ",".join(names),
                       *(",".join(f"{x:.17g}" for x in row)
@@ -443,29 +476,31 @@ def _grid_text(profile, version):
 
 
 class TestOldProfileSchemas:
-    """Schema 1 and 2 files, a sampled grid, are refused with exit 4, a
-    message that names schema 3 and says to re-run solve, and no
-    artifact; so is a grid beyond MAX_GRID_POINTS."""
+    """Schema 1 and 2 files (a sampled grid) and schema 3 files (the step
+    table in decimal text) are refused with exit 4, a message that names
+    schema 4 and says to re-run solve, and no artifact; so is a grid
+    beyond MAX_GRID_POINTS.  The test keeps its id from when schema 3 was
+    the one named."""
 
     @pytest.mark.parametrize("command,block", [
         ("certify", {}),
         ("quotient", {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}),
     ])
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_exits_4_naming_schema_3(self, tmp_path, capsys, command, block,
                                      version):
         _solved_profile(tmp_path)
         profile = SolitonProfile.from_csv(tmp_path / "out" / "profile.csv")
         old = tmp_path / "old.csv"
-        old.write_text(_grid_text(profile, version))
+        old.write_text(_old_text(profile, version))
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, **{command: dict(block, profile=str(old))})
         capsys.readouterr()
         assert main([command, "--config", str(cfg_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("I/O failure: ill-formed profile file")
-        assert (f"schema_version {version} stores a sampled grid" in err
-                and "re-run 'solve' to write schema_version 3" in err)
+        assert (f"schema_version {version} is no longer read" in err
+                and "re-run 'solve' to write schema_version 4" in err)
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "profile.csv", "solve_summary.json"]
 
@@ -1019,8 +1054,17 @@ class TestSweepFuzz:
         run()
 
 
+def _word(x):
+    """The profile cell of ``x``: its float64 bits as 16 hex digits."""
+    return struct.pack(">d", x).hex()
+
+
+def _value(word):
+    return struct.unpack(">d", bytes.fromhex(word))[0]
+
+
 class TestCertifyFuzz:
-    """Mutated schema-3 profile files and random certify keys within the
+    """Mutated schema-4 profile files and random certify keys within the
     caps end in a documented exit code; a config error or a numeric or
     I/O failure writes nothing, and a verdict writes the certificate and
     no temporary file.  Each example edits at most one part of a shot
@@ -1063,12 +1107,15 @@ class TestCertifyFuzz:
                                   "scale", "cut", "schema", "params",
                                   "status", "end_time"]),
             row=st.integers(0, 10 ** 6), column=st.integers(0, 10 ** 6),
-            token=st.sampled_from(["nan", "inf", "-0", "1e308", "x", "",
-                                   "0", "-1"]),
+            # the bit words of nan, inf, -0 and 1e308, then malformed cells
+            token=st.sampled_from(["7ff8000000000000", "7ff0000000000000",
+                                   "8000000000000000", "7fe1ccf385ebc8a0",
+                                   "x", "", "0", "-1", "1.5", "nan",
+                                   "3ff000000000000"]),
             key=st.sampled_from(sorted(params_edits)),
             status=st.sampled_from(["blowup", "hit_b_zero", "done"]),
             end_time=st.sampled_from(["nan", "0", "1e300", "1.999", "x"]),
-            schema=st.sampled_from(["1", "2", "4", "three"]),
+            schema=st.sampled_from(["1", "2", "3", "5", "three"]),
             cut=st.floats(0.0, 1.0),
             n_base=st.integers(1, 4), n_product=st.integers(1, 4),
             n_fiber=st.integers(1, 3), seed=st.integers(0, 5),
@@ -1092,7 +1139,7 @@ class TestCertifyFuzz:
                 i = min(i, len(rows) - 2)
                 rows = rows[:i] + [rows[i + 1], rows[i]] + rows[i + 2:]
             elif edit == "scale":
-                rows = [",".join(f"{float(x) * (1.05 if c == j else 1):.17g}"
+                rows = [",".join(_word(_value(x) * 1.05) if c == j else x
                                  for c, x in enumerate(r.split(",")))
                         for r in rows]
             elif edit == "schema":
