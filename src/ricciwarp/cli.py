@@ -13,9 +13,9 @@ workers of a sweep and the quotient group order are capped
 (``MAX_SAMPLES``, ``MAX_DIMENSION``, ``MAX_SWEEP_ROWS``, ``MAX_WORKERS``,
 ``MAX_GROUP_ORDER``), and a certification window or step or a quotient
 radial range that does not fit the profile is a config error too.
-Outputs are written atomically; CSV numbers carry 17 significant digits
-and JSON reports embed the tool version and a hash of the config, so
-identical configs give byte-identical outputs.
+Outputs are written atomically, ``sweep.csv`` numbers with 17 digits and
+``profile.csv`` cells as float64 hex words; JSON reports embed the tool
+version and a hash of the config: identical configs give identical bytes.
 
 Exit codes: 0 success/pass, 2 validation or certification failure,
 3 numeric failure, 4 I/O failure.

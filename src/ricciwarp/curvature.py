@@ -236,8 +236,8 @@ def soliton_residual(patch: MetricPatch, psi: ScalarField, lam: float, x,
     the metric is built from.  On profiles shot at the default integrator
     tolerances the third floor dominates: on the steady k = 1, m = 2
     profile the worst residual over ``certify_profile``'s samples is
-    4.47e-7 to 4.48e-7 for every h from 4e-3 to 5e-4, and 8.9e-9 when the
-    profile is shot at rtol = atol = 1e-12.
+    4.47e-7 to 4.48e-7 for every h from 4e-3 to 5e-4, and 4.36e-9 at
+    h = 1e-3 when the profile is shot at rtol = atol = 1e-12.
     """
     X, single = as_points(x)
     patch.require_interior(X, _MARGIN_SECOND * h)

@@ -42,7 +42,7 @@ product would not), the rest of a step is elementwise IEEE arithmetic,
 and the step-size control, whose ``pow`` an array form need not round as
 the scalar one does, runs row by row on Python floats.
 
-A profile is its integration: the step table of its DOP853 runs, one row
+A profile is its integration: the step table of its DOP853 run, one row
 per accepted step holding the step's start ``t_old``, its size ``h``, the
 state ``y_old`` at its start and the 7 rows ``F`` of its dense-output
 table.  At ``x = (t - t_old) / h`` the step's polynomial is
@@ -124,6 +124,8 @@ _N_COEFFS = 3 + len(DOP853.D)   # rows of a step's dense-output table F
 _POSITIVITY_FLOOR = 1e-6   # terminal event threshold for a, b
 _EVAL_FLOOR = 1e-7         # clamp inside the stepper so stages stay finite
 _BLOWUP_LIMIT = 1e10
+# a profile's status: completed, or the terminal event that ended it
+_STATUSES = ("completed", "hit_b_zero", "hit_a_zero", "blowup")
 
 
 class IntegrationError(GeometryError):
@@ -161,11 +163,12 @@ class AnsatzParams:
     lies in the long-lived branch for the shipped parameter ranges.
     ``rtol`` and ``atol`` are the integrator tolerances; an ``rtol`` below
     100 machine epsilons (about 2.2e-14) is raised to 100 eps, as scipy's
-    ``solve_ivp`` does, and the launch segment up to t = 0.1 runs at
+    ``solve_ivp`` does, and the launch leg up to t = 0.1 runs at
     tolerances of at most 1e-13.  ``grid_per_unit`` is the density of the
-    output grid in rows per unit of t; at the default 200 the certificate
-    residuals and ``mu_spread`` read as at twice the density, while at 100
-    the worst residual of some classes doubles.
+    output grid in rows per unit of t; it sets only the diagnostics read
+    on that grid, not the certificate, which reads the step polynomials:
+    at 100, k = 1, m = 3, lam = -0.1 reads ``mu_spread`` 4.70e-8, against
+    2.65e-8 at the default 200.
 
     Construction refuses (``ValueError``) a k, m or grid_per_unit that is
     not an integer, another field that is not a finite real (a bool is
@@ -346,9 +349,9 @@ def _horner(rows, y_old, x):
 def _locate(steps, t):
     """``(idx, x)``: the step of each time in a profile's ``_steps`` and
     ``(t - t_old) / h``.  The step ``OdeSolution`` would choose: the first
-    whose end is >= t (``searchsorted(side="left")``), so a step end and
-    the junction of two runs go to the earlier step, and times outside the
-    span go to the first or last step."""
+    whose end is >= t (``searchsorted(side="left")``), so a step end,
+    the leg switch among them, goes to the earlier step, and times outside
+    the span go to the first or last step."""
     ends, t_old, h, _ = steps
     idx = np.minimum(np.searchsorted(ends, t, side="left"), ends.size - 1)
     return idx, (t - t_old[idx]) / h[idx]
@@ -379,14 +382,14 @@ def _csv_header(k: int):
 class SolitonProfile:
     """A profile: its parameters, its step table and its outcome.
 
-    The step table of the DOP853 runs from ``params.epsilon`` to
+    The step table of the DOP853 run from ``params.epsilon`` to
     ``end_time``: step i starts at ``t_old[i]`` with the state
     ``y_old[i]`` (a, a', b, b', phi, phi' for k >= 1, the last four for
     k = 0), has the size ``h[i]`` and the coefficient rows ``F[i]`` of its
     polynomial (see :func:`_horner`), and ends where step i + 1 starts or,
     the last one, at ``end_time``.  Construction refuses (``ValueError``)
-    a table that is not one piecewise polynomial over that span: see
-    :meth:`_check_steps`.
+    a ``status`` other than those of ``_STATUSES`` and a table that is
+    not one piecewise polynomial over that span: see :meth:`_check_steps`.
 
     The grid columns ``GRID_COLUMNS`` are samples of the polynomials on
     the uniform grid of ``grid_per_unit`` rows per unit of t
@@ -407,6 +410,9 @@ class SolitonProfile:
     end_time: float
 
     def __post_init__(self):
+        if self.status not in _STATUSES:
+            raise ValueError(f"profile status {self.status!r} is not one of "
+                             f"{', '.join(_STATUSES)}")
         self._check_steps()
 
     def _check_steps(self):
@@ -545,7 +551,7 @@ class SolitonProfile:
     def interpolants(self):
         """``(a, b, phi)``: the stored polynomials of the a, b and phi
         columns as callables of t (arrays or numbers), built once and
-        cached.  They have the bits of the dense output of the runs the
+        cached.  They have the bits of the dense output of the run the
         profile was shot from.  For k = 0 the a-slot is None."""
         return self._interpolants
 
@@ -595,9 +601,9 @@ class SolitonProfile:
         :class:`AnsatzParams` accepts (which bounds the grid up to
         ``t_max``, before the data rows are read), a header row not of the
         params' k, a data row that is not one word of 16 lowercase hex
-        digits per column, or a step table that construction refuses (a
-        NaN or inf bit pattern, or an ``end_time`` past ``t_max``, among
-        them).
+        digits per column, or a status or step table that construction
+        refuses (an unknown status, a NaN or inf bit pattern, or an
+        ``end_time`` past ``t_max``, among them).
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# schema_version="):
@@ -677,31 +683,29 @@ def _diagnostics(params: AnsatzParams, t, a, ap, b, bp, phip):
 
 
 # the origin launch layer amplifies start-state errors by roughly 1/t^2
-# along a transverse mode, so the segment up to _LAUNCH_END is integrated
-# at a fixed tight tolerance regardless of the requested one
+# along a transverse mode, so the leg up to _LAUNCH_END is integrated at a
+# fixed tight tolerance regardless of the requested one
 _LAUNCH_END = 0.1
 _LAUNCH_TOL = 1e-13
 
 
 @dataclass
 class _Run:
-    """One :func:`_dop853` run.
+    """One row's :func:`_dop853` run over all of its legs.
 
     ``t`` is the start followed by the accepted step ends, the last
     replaced by a terminal event's root; step ``i`` starts at ``t[i]`` and
     carries the dense output polynomial ``t[i]``, ``h[i]``, ``F[i]``,
-    ``y_old[i]`` (see :func:`_horner`), and ``y`` is the state at the last
-    accepted step's end.  ``status`` is ``solve_ivp``'s: 0 at the end of
-    the span, 1 at the terminal event ``event`` (its index), -1 on a
-    failed step, which ``message`` names.  ``nfev`` counts the right-side
-    calls.
+    ``y_old[i]`` (see :func:`_horner`).  ``status`` is ``solve_ivp``'s: 0
+    at the end of the last leg, 1 at the terminal event ``event`` (its
+    index), -1 on a failed step, which ``message`` names.  ``nfev`` counts
+    the right-side calls of the whole run.
     """
 
     t: np.ndarray
     h: np.ndarray
     F: np.ndarray
     y_old: np.ndarray
-    y: np.ndarray
     nfev: int
     status: int
     event: int | None = None
@@ -713,18 +717,20 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
-def _check_run(t0, t1, y0):
+def _check_run(t0, legs, y0):
     """Refuse a run that :func:`_dop853` cannot start, as ``solve_ivp``
-    would: ``ValueError`` unless ``t1 > t0`` and ``y0`` is finite."""
-    if not t1 > t0:
-        raise ValueError(f"integration runs forward only: need t1 > t0, "
-                         f"got t0={t0!r}, t1={t1!r}")
+    would: ``ValueError`` unless it has a leg, each leg ends past the
+    previous end (the first past ``t0``) and ``y0`` is finite."""
+    ends = [t0] + [leg[0] for leg in legs]
+    if not legs or not all(t1 > t for t, t1 in zip(ends, ends[1:])):
+        raise ValueError(f"integration runs forward only: need each leg to "
+                         f"end past the last, got t0={t0!r}, ends {ends[1:]}")
     if not np.isfinite(y0).all():
         raise ValueError(
             "All components of the initial state `y0` must be finite.")
 
 
-def _dop853(funs, t0, t1, y0, rtol, atol, first_step, events):
+def _dop853(funs, t0, y0, legs, events):
     """Integrate a batch of rows of ``y' = f(y)`` with DOP853, in lockstep.
 
     The method of Hairer, Norsett & Wanner, *Solving ODEs I*, II.10, as
@@ -733,18 +739,20 @@ def _dop853(funs, t0, t1, y0, rtol, atol, first_step, events):
     ``rk_step``, ``_estimate_error_norm`` and ``_dense_output_impl`` in
     their order, on the coefficients of ``scipy.integrate.DOP853``, so
     every row's steps, dense output and event roots have ``solve_ivp``'s
-    bits.  Row i runs ``y' = funs[i](y)`` from ``t0[i]`` to ``t1[i]`` from
-    the state ``y0[i]`` (``y0`` is a rows x n array) at its own
-    ``rtol[i]``, ``atol[i]`` and ``first_step[i]``, and keeps its own t,
-    step size, accept/reject state and events; an ``rtol`` below 100 eps
-    is raised to 100 eps, as scipy does.  ``funs[i]`` maps the Python
-    floats of a state to its derivative, a list written into the stage
-    table as it is.  Each pass of the loop makes one step attempt for
-    every row still running.  ``events(Y)`` gives the values of the
-    terminal events (the last axis) of one state or of a stack of states;
-    a row's earliest root, located by ``brentq`` on the step's polynomial,
-    ends it.  Returns one :class:`_Run` per row, or the exception that
-    ``brentq`` raised for it.
+    bits.  Row i runs ``y' = funs[i](y)`` from ``t0[i]`` and the state
+    ``y0[i]`` (``y0`` is a rows x n array) through its ``legs[i]``, each
+    ``(t_end, rtol, atol, first_step)``, and keeps its own t, step size,
+    accept/reject state and events; an ``rtol`` below 100 eps is raised
+    to 100 eps, as scipy does.  An accepted step that ends a leg with no
+    event starts the next one, as ``solve_ivp`` restarted there would, but
+    with no right-side call: f there is already the stage table's first
+    row.  ``funs[i]`` maps the Python floats of a state to its derivative,
+    a list written into the stage table as it is.  Each pass of the loop
+    makes one step attempt for every row still running.  ``events(Y)``
+    gives the values of the terminal events (the last axis) of one state
+    or of a stack of states; a row's earliest root, located by ``brentq``
+    on the step's polynomial, ends it.  Returns one :class:`_Run` per
+    row, or the exception that ``brentq`` raised for it.
 
     A row's bits do not depend on the other rows.  The stage sums
     ``K^T a``, the error estimates and the dense-output products ``D K``
@@ -760,14 +768,24 @@ def _dop853(funs, t0, t1, y0, rtol, atol, first_step, events):
     """
     M = DOP853
     n_rows, n = y0.shape
-    for i in range(n_rows):
-        _check_run(t0[i], t1[i], y0[i])
     exponent = -1 / (M.error_estimator_order + 1)
     n_stages, n_extra = M.n_stages, len(M.C_EXTRA)
     t = [float(v) for v in t0]
-    t_end = [float(v) for v in t1]
     t_next = t[:]
-    h_abs = [float(v) for v in first_step]
+    t_end, h_abs = [0.0] * n_rows, [0.0] * n_rows
+    rtol, atol = np.empty(n_rows), np.empty(n_rows)
+    pending = [iter(row_legs) for row_legs in legs]
+
+    def start_leg(i):   # row i takes its next leg; False if it has none
+        leg = next(pending[i], None)
+        if leg is not None:
+            t_end[i], rtol[i], atol[i], h_abs[i] = map(float, leg)
+            rtol[i] = max(rtol[i], 100 * _EPS)
+        return leg is not None
+
+    for i in range(n_rows):
+        _check_run(t0[i], legs[i], y0[i])
+        start_leg(i)
     min_step = [0.0] * n_rows
     fresh = [True] * n_rows
     rejected = [False] * n_rows
@@ -775,8 +793,6 @@ def _dop853(funs, t0, t1, y0, rtol, atol, first_step, events):
     # the t, h, F and y_old of each running row's accepted steps
     records = {i: ([v], [], [], []) for i, v in enumerate(t)}
     runs = [None] * n_rows
-    rtol = np.maximum(np.asarray(rtol, dtype=float), 100 * _EPS)
-    atol = np.asarray(atol, dtype=float)
     live = list(range(n_rows))
     K_ext = np.empty((n_rows, n_stages + 1 + n_extra, n))
 
@@ -848,8 +864,7 @@ def _dop853(funs, t0, t1, y0, rtol, atol, first_step, events):
                     if h_abs[i] < min_step[i]:
                         h_abs[i] = min_step[i]
                 elif h_abs[i] < min_step[i]:
-                    runs[i] = _finish(records.pop(i), y.reshape(-1, n)[j],
-                                      nfev[i], -1, None)
+                    runs[i] = _finish(records.pop(i), nfev[i], -1, None)
                     continue
                 t_new = t[i] + h_abs[i]
                 if t_new > t_end[i]:
@@ -927,8 +942,8 @@ def _dop853(funs, t0, t1, y0, rtol, atol, first_step, events):
                 K_ext[accepted, 0] = K_ext[accepted, n_stages]
             g_old, g = g, events(y).reshape(len(live), -1).tolist()
             # each row's view of the batch
-            F, y_old, y_rows = (F.reshape(len(live), -1, n),
-                                y_old.reshape(-1, n), y.reshape(-1, n))
+            F, y_old = F.reshape(len(live), -1, n), y_old.reshape(-1, n)
+            switched = False
             for j in accepted:
                 i = live[j]
                 nfev[i] += n_extra
@@ -959,18 +974,22 @@ def _dop853(funs, t0, t1, y0, rtol, atol, first_step, events):
                     hs.append(h[j])
                     Fs.append(F[j])
                     y_olds.append(y_old[j])
-                if status is not None:
-                    runs[i] = _finish(records.pop(i), y_rows[j], nfev[i],
-                                      status, event)
+                if status == 0 and start_leg(i):
+                    switched = True
+                elif status is not None:
+                    runs[i] = _finish(records.pop(i), nfev[i], status, event)
+            if switched:   # the tolerances of the batch are its rows' legs'
+                (fun, (atol_, rtol_), steps, dot, norm2, K, shape, stages,
+                 extra, (K_last, K_B), K_E) = batch()
     return runs
 
 
-def _finish(record, y, nfev, status, event):
+def _finish(record, nfev, status, event):
     """The :class:`_Run` of a row's record ``(t, h, F, y_old)``."""
     ts, hs, Fs, y_olds = record
     return _Run(t=np.array(ts), h=np.array(hs), F=np.array(Fs),
-                y_old=np.array(y_olds), y=y.copy(), nfev=nfev, status=status,
-                event=event, message=_TOO_SMALL_STEP if status == -1 else None)
+                y_old=np.array(y_olds), nfev=nfev, status=status, event=event,
+                message=_TOO_SMALL_STEP if status == -1 else None)
 
 
 def _events(k):
@@ -993,98 +1012,77 @@ def _events(k):
         g[..., -1] = _BLOWUP_LIMIT - np.abs(Y).max(axis=-1)
         return g
 
-    return events, (["hit_b_zero", "hit_a_zero", "blowup"] if k >= 1
-                    else ["hit_b_zero", "blowup"])
+    return events, _STATUSES[1:] if k >= 1 else _STATUSES[1::2]
 
 
 def _integrate(rows):
     """The DOP853 runs of a batch of ``rows``: one outcome per row.
 
     ``rows`` are AnsatzParams sharing a state size (all k >= 1 or all
-    k = 0), each with its own epsilon, t_max, rtol and atol.  A row's
-    outcome is ``(runs, status, t_end)``: ``runs`` holds the :class:`_Run`
-    of its launch segment and, unless that run ends early, the one of the
-    rest of its span, and the last run's terminal event, if any, gives
-    ``status`` and ``t_end``.  A row that cannot run has the exception
-    instead: the ``ValueError`` of a refused series start, or the
+    k = 0), each with its own epsilon, t_max, rtol and atol.  A row's run
+    has two legs: the launch leg up to ``t_switch = min(_LAUNCH_END,
+    t_max)`` at tolerances of at most ``_LAUNCH_TOL`` and, when
+    ``t_switch < t_max``, the rest of the span at the requested ones.  Its
+    outcome is ``(run, status, t_end)``, the status and end from the
+    run's terminal event, if any; or the exception of a row that cannot
+    run: the ``ValueError`` of a refused series start, or the
     ``IntegrationError`` of a step size that underflowed or of an event
     that ``brentq`` failed to locate.  A start that ``_series_start``
     returns lies inside the blow-up box, its a and b above the positivity
     floor, and its epsilon below ``_LAUNCH_END`` and ``t_max``, so
-    :func:`_dop853` accepts every segment and every event starts positive.
-    The other rows of the batch run on unaffected; each segment is one
-    :func:`_dop853` batch, so a row's runs have the bits of the row
-    integrated alone (its stacked ``np.matmul`` products are its
-    ``np.dot`` products).
+    :func:`_dop853` accepts every row and every event starts positive.
+    The rows are one :func:`_dop853` batch, each run with the bits of its
+    row integrated alone (its stacked ``np.matmul`` products are its
+    ``np.dot`` products), whatever the other rows do.
     """
     events, outcomes = _events(rows[0].k)
     results = [None] * len(rows)
-    launch, starts = [], []
+    launch, starts, legs = [], [], []
     for i, p in enumerate(rows):
         try:
             a, ap, b, bp, phip = _series_start(p)
         except ValueError as exc:
             results[i] = exc
-        else:
-            launch.append(i)
-            starts.append([a, ap, b, bp, 0.0, phip] if p.k >= 1
-                          else [b, bp, 0.0, phip])
-
-    funs = [_rhs_with_phi(p) for p in rows]
-
-    def segment(idx, t0, t1, y0, rtol, atol):
+            continue
+        launch.append(i)
+        starts.append([a, ap, b, bp, 0.0, phip] if p.k >= 1
+                      else [b, bp, 0.0, phip])
+        t_switch = min(_LAUNCH_END, p.t_max)
+        spans = [(p.epsilon, t_switch, min(p.rtol, _LAUNCH_TOL),
+                  min(p.atol, _LAUNCH_TOL))]
+        if t_switch < p.t_max:
+            spans.append((t_switch, p.t_max, p.rtol, p.atol))
         # a capped first step keeps the dense output tight where the
         # differentiated diagnostics are most sensitive
-        return _dop853([funs[i] for i in idx], t0, t1, np.array(y0), rtol,
-                       atol,
-                       [min(1e-3, 0.01 * (b - a)) for a, b in zip(t0, t1)],
-                       events)
-
-    runs = {}
-    if launch:
-        t_switch = {i: min(_LAUNCH_END, rows[i].t_max) for i in launch}
-        for i, run in zip(launch, segment(
-                launch, [rows[i].epsilon for i in launch],
-                list(t_switch.values()), starts,
-                [min(rows[i].rtol, _LAUNCH_TOL) for i in launch],
-                [min(rows[i].atol, _LAUNCH_TOL) for i in launch])):
-            runs[i] = [run]
-        rest = [i for i in launch if not isinstance(runs[i][0], Exception)
-                and runs[i][0].status == 0 and t_switch[i] < rows[i].t_max]
-        if rest:
-            for i, run in zip(rest, segment(
-                    rest, [t_switch[i] for i in rest],
-                    [rows[i].t_max for i in rest],
-                    [runs[i][0].y for i in rest],
-                    [rows[i].rtol for i in rest],
-                    [rows[i].atol for i in rest])):
-                runs[i].append(run)
-    for i, row_runs in runs.items():
-        run = row_runs[-1]
+        legs.append([(t1, rtol, atol, min(1e-3, 0.01 * (t1 - t0)))
+                     for t0, t1, rtol, atol in spans])
+    if not launch:
+        return results
+    for i, run in zip(launch, _dop853(
+            [_rhs_with_phi(rows[i]) for i in launch],
+            [rows[i].epsilon for i in launch], np.array(starts), legs,
+            events)):
         if isinstance(run, Exception):   # raised by brentq
             results[i] = IntegrationError(f"event location failed: {run}")
         elif run.status == -1:
             results[i] = IntegrationError(
                 f"integrator failed: {_TOO_SMALL_STEP}")
         elif run.status == 1:
-            results[i] = (row_runs, outcomes[run.event], float(run.t[-1]))
+            results[i] = (run, outcomes[run.event], float(run.t[-1]))
         else:
-            results[i] = (row_runs, "completed", float(rows[i].t_max))
+            results[i] = (run, "completed", float(rows[i].t_max))
     return results
 
 
 def _profile(params: AnsatzParams, outcome) -> SolitonProfile:
     """The profile of a row's :func:`_integrate` outcome: raises the row's
-    exception, or stores the steps of its runs as one step table."""
+    exception, or stores the steps of its run as its step table."""
     if isinstance(outcome, Exception):
         raise outcome
-    runs, status, t_end = outcome
-    return SolitonProfile(
-        params=params, t_old=np.concatenate([run.t[:-1] for run in runs]),
-        h=np.concatenate([run.h for run in runs]),
-        y_old=np.concatenate([run.y_old for run in runs]),
-        F=np.concatenate([run.F for run in runs]), status=status,
-        end_time=t_end)
+    run, status, t_end = outcome
+    return SolitonProfile(params=params, t_old=run.t[:-1], h=run.h,
+                          y_old=run.y_old, F=run.F, status=status,
+                          end_time=t_end)
 
 
 def shoot(params: AnsatzParams) -> SolitonProfile:
@@ -1095,14 +1093,14 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
     profile records the outcome in ``status`` and ``end_time``.  phi is
     gauge-normalized to phi(epsilon) = 0.
 
-    A batch of one row: the DOP853 loop :func:`_dop853` runs the closure
-    of :func:`_rhs_with_phi` on the launch segment and, unless that run
-    ends early, on the rest of the span (:func:`_integrate`), with the
-    steps and bits of ``scipy.integrate.solve_ivp``.  Raises
-    ``ValueError`` for parameters it refuses (a refused series start;
-    :class:`AnsatzParams` refuses the rest when built), and
-    :class:`IntegrationError` when the step size underflows or an event
-    cannot be located.
+    A batch of one row: one run of the DOP853 loop :func:`_dop853` on the
+    closure of :func:`_rhs_with_phi`, over the launch leg and, unless
+    the row ends in it, the rest of the span (:func:`_integrate`), with
+    the steps and bits of ``scipy.integrate.solve_ivp`` restarted at the
+    leg switch.  Raises ``ValueError`` for parameters it refuses (a
+    refused series start; :class:`AnsatzParams` refuses the rest when
+    built), and :class:`IntegrationError` when the step size underflows
+    or an event cannot be located.
     """
     [outcome] = _integrate([params])
     return _profile(params, outcome)

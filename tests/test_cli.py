@@ -564,7 +564,8 @@ class TestProfileBounds:
     """A profile is bounded by its own parameters: its series start lies
     above the positivity floor and inside the blow-up box (a config error
     or an error row), its span is at least epsilon, and a file whose
-    end_time passes its t_max exits 4."""
+    end_time passes its t_max, or whose status is none that a shot profile
+    has, exits 4."""
 
     @pytest.mark.parametrize("epsilon", [5e-7, 1e-6, 1e-300])
     def test_start_at_the_floor_refused(self, tmp_path, capsys, epsilon):
@@ -641,7 +642,12 @@ class TestProfileBounds:
         (2, "end_time=3", "end_time=inf", "end_time inf is not at most"),
         (1, '"t_max": 3.0', '"t_max": 2.5', "end_time 3 is not at most its "
          "t_max = 2.5"),
-    ], ids=["end_time-3.5", "end_time-nan", "end_time-inf", "t_max-2.5"])
+        # certify read an unknown status as a numeric failure (exit 3),
+        # and quotient certified the profile
+        (2, "status=completed", "status=foo", "profile status 'foo' is not "
+         "one of completed, hit_b_zero, hit_a_zero, blowup"),
+    ], ids=["end_time-3.5", "end_time-nan", "end_time-inf", "t_max-2.5",
+            "status-foo"])
     def test_end_past_t_max_exits_4(self, tmp_path, capsys, command, block,
                                     line, old, new, reason):
         lines = _solved_profile(tmp_path)

@@ -301,8 +301,9 @@ class TestShoot:
 def _solve_ivp_runs(params):
     """``solve_ivp``'s DOP853 runs of the integration that ``_integrate``
     does: the same right side, terminal events (in the same order),
-    tolerances and first steps, on the launch segment and, unless that run
-    ends early, on the rest of the span.  The reference for ``_dop853``."""
+    tolerances and first steps, on the launch leg and, unless that run
+    ends early, restarted on the rest of the span.  The reference for
+    ``_dop853``, whose one run over both legs has their steps joined."""
     k = params.k
     a, ap, b, bp, phip = _series_start(params)
     y0 = np.array([a, ap, b, bp, 0.0, phip] if k >= 1 else [b, bp, 0.0, phip])
@@ -355,8 +356,8 @@ def _solve_ivp_outcome(params, sols):
 
 
 def _per_run_reference(solutions, ts):
-    """The grid values from ``OdeSolution.__call__`` of each run: the
-    launch run up to its end, the second run after it."""
+    """The grid values from ``OdeSolution.__call__`` of each ``solve_ivp``
+    run: the launch run up to its end, the second run after it."""
     if len(solutions) == 1:
         return solutions[0](ts)
     early = ts <= solutions[0].ts[-1]
@@ -384,6 +385,7 @@ def _same_bits(got, want):
 
 
 class TestDenseEval:
+    # runs: solve_ivp's runs, one per leg of the row's one _dop853 run
     @pytest.mark.parametrize("params,status,runs", [
         (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0), "completed", 2),
         (AnsatzParams(k=2, m=3, lam=0.0, b0=1.0, t_max=3.0), "completed", 2),
@@ -396,30 +398,40 @@ class TestDenseEval:
         # below 100 eps, where rtol is raised to 100 eps
         (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0, rtol=1e-15,
                       atol=1e-15), "completed", 2),
+        # events inside the launch leg (t about 0.081 and 0.070), and a
+        # second leg of 1e-10
+        (AnsatzParams(k=1, m=2, lam=500.0, b0=1.0), "blowup", 1),
+        (AnsatzParams(k=0, m=1, lam=500.0, b0=1.0), "hit_b_zero", 1),
+        (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=0.1000000001),
+         "completed", 2),
     ])
     def test_matches_ode_solution_bit_for_bit(self, params, status, runs):
+        # the one run has the bits of solve_ivp restarted at the leg
+        # switch: the runs' steps joined, and one right-side call fewer per
+        # further leg, since f at the switch is the last step's
         [outcome] = _integrate([params])
-        got_runs, got_status, t_end = outcome
+        run, got_status, t_end = outcome
         sols = _solve_ivp_runs(params)
-        assert (got_status, len(got_runs)) == (status, runs)
-        assert (got_status, t_end) == _solve_ivp_outcome(params, sols)
         assert len(sols) == runs
-        for run, sol in zip(got_runs, sols):
-            steps = sol.sol.interpolants
-            assert run.nfev == sol.nfev and run.status == sol.status
-            assert _same_bits(run.t, sol.t)
-            assert _same_bits(run.t[:-1], [ip.t_old for ip in steps])
-            assert _same_bits(run.h, [ip.h for ip in steps])
-            assert _same_bits(run.F, [ip.F for ip in steps])
-            assert _same_bits(run.y_old, [ip.y_old for ip in steps])
+        assert got_status == status
+        assert (got_status, t_end) == _solve_ivp_outcome(params, sols)
+        steps = [ip for sol in sols for ip in sol.sol.interpolants]
+        assert run.nfev == sum(sol.nfev for sol in sols) - (runs - 1)
+        assert run.status == sols[-1].status
+        assert _same_bits(run.t, np.concatenate(
+            [sols[0].t] + [sol.t[1:] for sol in sols[1:]]))
+        assert _same_bits(run.t[:-1], [ip.t_old for ip in steps])
+        assert _same_bits(run.h, [ip.h for ip in steps])
+        assert _same_bits(run.F, [ip.F for ip in steps])
+        assert _same_bits(run.y_old, [ip.y_old for ip in steps])
         # the profile's step table needs no column for the step ends: they
         # are the next step's start and, for the last step, end_time
         prof = _profile(params, outcome)
         assert _same_bits(np.append(prof.t_old[1:], prof.end_time),
-                          np.concatenate([run.t[1:] for run in got_runs]))
-        # every step end (the launch run's last one is t_switch), every
-        # step middle and the output grid
-        ends = np.concatenate([run.t for run in got_runs])
+                          run.t[1:])
+        # every step end (t_switch among them), every step middle and the
+        # output grid
+        ends = run.t
         ts = np.unique(np.concatenate([
             ends, 0.5 * (ends[1:] + ends[:-1]),
             np.linspace(params.epsilon, t_end, 2001)]))
@@ -428,28 +440,21 @@ class TestDenseEval:
 
     def test_step_ends_go_to_the_earlier_step(self):
         # pieces that disagree at their common ends, so the choice of the
-        # piece at a step end and at the junction of two runs shows
+        # piece at a step end shows
         from scipy.integrate import OdeSolution
         from scipy.integrate._ivp.rk import Dop853DenseOutput
 
         rng = np.random.default_rng(5)
-
-        def run(ts):
-            F, y_old = rng.normal(size=(ts.size - 1, 7, 4)), rng.normal(
-                size=(ts.size - 1, 4))
-            pieces = [Dop853DenseOutput(t0, t1, y, f)
-                      for t0, t1, y, f in zip(ts[:-1], ts[1:], y_old, F)]
-            return (_Run(t=ts, h=np.diff(ts), F=F, y_old=y_old, y=y_old[-1],
-                         nfev=0, status=0),
-                    OdeSolution(ts, pieces))
-
-        (run_a, sol_a), (run_b, sol_b) = (run(np.array([0.5, 0.8, 1.2, 1.5])),
-                                          run(np.array([1.5, 2.0, 2.5])))
+        ts = np.array([0.5, 0.8, 1.2, 1.5, 2.0, 2.5])
+        F, y_old = rng.normal(size=(ts.size - 1, 7, 4)), rng.normal(
+            size=(ts.size - 1, 4))
+        sol = OdeSolution(ts, [Dop853DenseOutput(t0, t1, y, f) for t0, t1, y, f
+                               in zip(ts[:-1], ts[1:], y_old, F)])
+        run = _Run(t=ts, h=np.diff(ts), F=F, y_old=y_old, nfev=0, status=0)
         prof = _profile(AnsatzParams(k=0, m=2, lam=0.0, b0=1.0, epsilon=0.5),
-                        ([run_a, run_b], "completed", 2.5))
+                        (run, "completed", 2.5))
         ts = np.array([0.4, 0.5, 0.6, 0.8, 1.0, 1.2, 1.5, 1.7, 2.0, 2.5, 3.0])
-        assert _same_bits(_dense(prof, ts),
-                          _per_run_reference([sol_a, sol_b], ts))
+        assert _same_bits(_dense(prof, ts), sol(ts))
 
     def test_shoot_columns_are_the_dense_output(self, steady_profile_12):
         prof = steady_profile_12
@@ -467,11 +472,12 @@ class TestIntegratorWork:
         (1, 3, -0.1, 977, 61),
     ])
     def test_work_per_shoot(self, k, m, lam, nfev, steps):
-        # solve_ivp's counts on these shoots: a change to the step control
-        # or the stage scheme moves them
-        [(runs, _, _)] = _integrate([AnsatzParams(k=k, m=m, lam=lam, b0=1.0)])
-        assert sum(run.nfev for run in runs) == nfev
-        assert sum(run.t.size - 1 for run in runs) == steps
+        # solve_ivp's counts on these shoots, its two runs summed: a change
+        # to the step control or the stage scheme moves them.  The one run
+        # makes one right-side call fewer, none at the leg switch
+        [(run, _, _)] = _integrate([AnsatzParams(k=k, m=m, lam=lam, b0=1.0)])
+        assert run.nfev == nfev - 1
+        assert run.t.size - 1 == steps
 
     def test_step_underflow_matches_solve_ivp(self):
         # y' = y^2 blows up at t = 1, where the step size underflows
@@ -480,8 +486,8 @@ class TestIntegratorWork:
 
         sol = solve_ivp(fun, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10,
                         atol=1e-10, first_step=1e-3, dense_output=True)
-        [run] = _dop853([lambda y: fun(None, y)], [0.0], [2.0],
-                        np.array([[1.0]]), [1e-10], [1e-10], [1e-3], _no_events)
+        [run] = _dop853([lambda y: fun(None, y)], [0.0], np.array([[1.0]]),
+                        [[(2.0, 1e-10, 1e-10, 1e-3)]], _no_events)
         assert (sol.status, sol.nfev) == (-1, 7255)
         assert (run.status, run.nfev, run.message) == (-1, 7255, sol.message)
         assert run.message == ("Required step size is less than spacing "
@@ -517,9 +523,9 @@ class TestIntegratorWork:
             return got
 
         monkeypatch.setattr(shooting, "_integrate", recording)
-        pinned = {AnsatzParams(k=1, m=2, lam=0.0, b0=1.0): (755, 47),
-                  AnsatzParams(k=2, m=3, lam=0.0, b0=1.0): (1526, 96),
-                  AnsatzParams(k=1, m=3, lam=-0.1, b0=1.0): (977, 61)}
+        pinned = {AnsatzParams(k=1, m=2, lam=0.0, b0=1.0): (754, 47),
+                  AnsatzParams(k=2, m=3, lam=0.0, b0=1.0): (1525, 96),
+                  AnsatzParams(k=1, m=3, lam=-0.1, b0=1.0): (976, 61)}
         others = {AnsatzParams(k=0, m=2, lam=1.0, b0=1.0): "completed",
                   AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, phi2=0.5): "blowup",
                   AnsatzParams(k=1, m=2, lam=2.0, b0=1.0): "hit_a_zero",
@@ -532,10 +538,9 @@ class TestIntegratorWork:
         assert [row.status[:len(want)] for row, want in zip(
             rows[:3] + rows[6:], others.values())] == list(others.values())
         for params, (nfev, steps) in pinned.items():
-            runs, status, _ = outcomes[params]
+            run, status, _ = outcomes[params]
             assert status == "completed"
-            assert sum(run.nfev for run in runs) == nfev
-            assert sum(run.t.size - 1 for run in runs) == steps
+            assert (run.nfev, run.t.size - 1) == (nfev, steps)
 
     def test_failed_event_location_ends_its_row_alone(self, monkeypatch):
         # brentq refuses the first bracket it gets: the hit_a_zero row's
@@ -565,9 +570,12 @@ class TestIntegratorWork:
         assert (rows[1].status, rows[1].lifetime) == ("completed", 3.5)
 
     def test_bad_runs_rejected(self):
-        with pytest.raises(ValueError, match="forward only"):
-            _dop853([lambda y: [0.0]], [1.0], [1.0],
-                    np.array([[1.0]]), [1e-10], [1e-10], [1e-3], _no_events)
+        # a leg that does not end past the start, or past the last leg
+        for ends in ([1.0], [2.0, 2.0], [2.0, 1.5], []):
+            with pytest.raises(ValueError, match="forward only"):
+                _dop853([lambda y: [0.0]], [1.0], np.array([[1.0]]),
+                        [[(t1, 1e-10, 1e-10, 1e-3) for t1 in ends]],
+                        _no_events)
         # b0 = inf, which would give a non-finite series start, is refused
         # when the params are built
         with pytest.raises(ValueError, match="b0 must be a finite number"):
@@ -594,35 +602,38 @@ def _nan_rhs_for(monkeypatch, marker):
 
 def _outcome_bits(outcome):
     """A row's ``_integrate`` outcome as comparable bits: the exception's
-    type and message, or the status, end and every run's record."""
+    type and message, or the status, end and its run's record."""
     if isinstance(outcome, Exception):
         return type(outcome).__name__, str(outcome)
-    runs, status, t_end = outcome
-    return status, np.float64(t_end).tobytes(), [
-        (run.nfev, run.status, run.event, run.message,
-         *(np.asarray(getattr(run, name), dtype=float).tobytes()
-           + str(np.shape(getattr(run, name))).encode()
-           for name in ("t", "h", "F", "y_old", "y")))
-        for run in runs]
+    run, status, t_end = outcome
+    return (status, np.float64(t_end).tobytes(), run.nfev, run.status,
+            run.event, run.message,
+            *(getattr(run, name).tobytes()
+              + str(getattr(run, name).shape).encode()
+              for name in ("t", "h", "F", "y_old")))
 
 
 class TestBatchesKeepBits:
     """A row integrated in a batch has the bits of the row integrated
     alone, whatever the other rows of the batch and however they end."""
 
-    SPECIAL = [   # rows that end every way (k, m, lam, b0, phi2)
-        (1, 2, 0.0, 1.0, 0.5), (0, 2, 0.0, 1.0, -0.5),          # blowup
-        (1, 2, 2.0, 1.0, -0.5),                                  # hit a = 0
-        (1, 2, 1.0, 3.0, -0.5), (0, 2, 0.5, 2.0, -0.5),          # hit b = 0
-        (2, 3, 0.0, 1e-5, -0.5), (0, 3, 0.0, 1e-5, -0.5),        # refused
-        (2, 2, 0.0, 1.0, _UNDERFLOW), (0, 2, 0.5, 1.2, _UNDERFLOW),
+    SPECIAL = [   # rows that end every way (k, m, lam, b0, phi2, t_max)
+        (1, 2, 0.0, 1.0, 0.5, 3.5), (0, 2, 0.0, 1.0, -0.5, 3.5),     # blowup
+        (1, 2, 2.0, 1.0, -0.5, 3.5),                              # hit a = 0
+        (1, 2, 1.0, 3.0, -0.5, 3.5), (0, 2, 0.5, 2.0, -0.5, 3.5),  # hit b = 0
+        (2, 3, 0.0, 1e-5, -0.5, 3.5), (0, 3, 0.0, 1e-5, -0.5, 3.5),  # refused
+        (2, 2, 0.0, 1.0, _UNDERFLOW, 3.5), (0, 2, 0.5, 1.2, _UNDERFLOW, 3.5),
+        # an event inside the launch leg (blowup, hit b = 0), a span of the
+        # launch leg alone, and a second leg of 1e-10
+        (1, 2, 500.0, 1.0, -0.5, 3.5), (0, 1, 500.0, 1.0, -0.5, 3.5),
+        (1, 2, 0.0, 1.0, -0.5, 0.1), (1, 2, 0.0, 1.0, -0.5, 0.1000000001),
     ]
 
     def test_random_batches(self, monkeypatch):
         _nan_rhs_for(monkeypatch, _UNDERFLOW)
         rng = np.random.default_rng(15)
-        pool = [AnsatzParams(k=k, m=m, lam=lam, b0=b0, phi2=phi2, t_max=3.5)
-                for k, m, lam, b0, phi2 in self.SPECIAL]
+        pool = [AnsatzParams(k=k, m=m, lam=lam, b0=b0, phi2=phi2, t_max=t_max)
+                for k, m, lam, b0, phi2, t_max in self.SPECIAL]
         # half of the random rows have k = 0, so batches of both state
         # sizes run with many rows
         pool += [AnsatzParams(k=int(rng.integers(1, 4)) * (i % 2),
@@ -941,8 +952,8 @@ class TestStepTable:
             edit(steady_profile_12)
 
     def test_shot_tables_pass(self):
-        # every outcome: the step ends, a terminal event in the launch or
-        # in the second run, and a span inside the launch segment
+        # every outcome: the step ends, a terminal event in the launch leg
+        # or after it, and a span inside the launch leg
         for params, status in [
                 (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=0.05),
                  "completed"),
