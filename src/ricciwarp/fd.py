@@ -2,16 +2,23 @@
 
 ``value_jet`` differentiates an array-valued function at a batch of chart
 points: first derivatives use the 5-point central stencil, pure second
-derivatives the matching 5-point stencil, and mixed second derivatives the
-nested product of first-derivative stencils (16 points per pair).  All are
+derivatives the matching 5-point stencil, and each mixed second derivative
+the two diagonals through the point (8 points per pair),
+
+    f_cd = (16 D(h) - D(2h)) / (48 h^2),
+    D(s) = f(+s, +s) - f(+s, -s) - f(-s, +s) + f(-s, -s),
+
+the Richardson extrapolation of the 4-point cross stencil ``D(h) / 4h^2``
+in the plane of axes c and d (B. Fornberg, Math. Comp. 51, 1988).  All are
 O(h^4) accurate; every stencil stays within 2h of the base point per axis.
 
 The stencils of all derivatives share their points, so each point needs
-the function at ``1 + 4 dim + 16 dim (dim - 1) / 2`` unique offsets (265
-at dim 6).  ``value_jet`` evaluates the function on all of them for all
-points in one batch call, ``func: (M, dim) -> (M,) + S``, split into
-chunks of at most ``_CHUNK_POINTS`` stencil points so memory stays bounded
-for any batch size, and contracts the values with the stencil weights.
+the function at ``1 + 4 dim + 4 dim (dim - 1)`` unique offsets (17, 37,
+65, 101 and 145 at dim 2 to 6).  ``value_jet`` evaluates the function on
+all of them for all points in one batch call, ``func: (M, dim) -> (M,) +
+S``, split into chunks of at most ``_CHUNK_POINTS`` stencil points so
+memory stays bounded for any batch size, and contracts the values with
+the stencil weights.
 The curvature engine passes ``MetricPatch.metric`` and ``ScalarField``
 objects, whose adapters call the batch callable ``g: (N, dim) ->
 (N, dim, dim)`` or ``f: (N, dim) -> (N,)`` once per chunk.
@@ -26,12 +33,15 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["value_jet", "grid_derivative"]
+__all__ = ["value_jet", "grid_derivative", "check_step"]
 
 # central first derivative: sum w_s f(x + s h) / (12 h)
 _D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 # central second derivative: sum w_s f(x + s h) / (12 h^2), s=0 term included
 _D2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))
+# mixed second derivative on the diagonals e_c + sigma e_d, sigma = +-1:
+# sum sigma w_s f(x + s h (e_c + sigma e_d)) / (144 h^2)
+_DIAG = ((-2, -3.0), (-1, 48.0), (1, 48.0), (2, -3.0))
 
 # stencil points per call of the differentiated function; bounds the memory
 # of one call for any batch size
@@ -45,7 +55,9 @@ def _stencil(dim: int):
     Returns ``(offsets, w1, w2, (iu, ju))``: offsets of shape (S, dim) with
     the zero offset first; ``w1`` (dim, S) gives the gradient as
     ``w1 @ f / (12 h)`` and ``w2`` (P, S) the Hessian entries at the
-    upper-triangle indices ``(iu, ju)`` as ``w2 @ f / (144 h^2)``.
+    upper-triangle indices ``(iu, ju)`` as ``w2 @ f / (144 h^2)``.  A
+    mixed pair's 8 diagonal offsets are its own, so S is
+    ``1 + 4 dim + 4 dim (dim - 1)``.
     """
     eye = np.eye(dim, dtype=int)
     iu, ju = np.triu_indices(dim)
@@ -54,8 +66,8 @@ def _stencil(dim: int):
         if c == d:
             terms += [(r, s * eye[c], 12.0 * w) for s, w in _D2]
         else:
-            terms += [(r, s1 * eye[c] + s2 * eye[d], w1 * w2)
-                      for s1, w1 in _D1 for s2, w2 in _D1]
+            terms += [(r, s * (eye[c] + sigma * eye[d]), sigma * w)
+                      for s, w in _DIAG for sigma in (1, -1)]
     index = {(0,) * dim: 0}
     cols = [index.setdefault(tuple(off), len(index)) for _, off, _ in terms]
     weights = np.zeros((dim + iu.size, len(index)))
@@ -67,6 +79,12 @@ def _stencil(dim: int):
     return offsets, weights[:dim], weights[dim:], (iu, ju)
 
 
+def check_step(h: float):
+    """Refuse a stencil step that is not a finite positive number."""
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be finite and positive, got {h!r}")
+
+
 def value_jet(func, X, h: float):
     """Values, gradients and Hessians of ``func`` at a batch of points.
 
@@ -74,8 +92,9 @@ def value_jet(func, X, h: float):
     an array of shape (M,) + S for a fixed shape S.  Returns
     ``(f0, grad, hess)`` with shapes ``(N,) + S``, ``(N, dim) + S`` and
     ``(N, dim, dim) + S``; ``hess`` is exactly symmetric in its two
-    derivative axes by construction.
+    derivative axes by construction.  ``h`` must be finite and positive.
     """
+    check_step(h)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"value_jet needs points of shape (N, dim), got {X.shape}")

@@ -83,7 +83,7 @@ from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .curvature import _MARGIN_SECOND
-from .fd import grid_derivative
+from .fd import check_step, grid_derivative
 from .patches import (
     GeometryError,
     ScalarField,
@@ -1183,8 +1183,10 @@ def certify_profile(profile: SolitonProfile,
     :class:`CertificationWindowError`, before any residual is computed,
     when ``t_window`` and ``h`` leave no room inside the profile span, or
     when the stencils of step ``h`` do not fit between the base-angle and
-    fiber samples and the chart boundaries.
+    fiber samples and the chart boundaries, and ``ValueError`` for a step
+    ``h`` that is not finite and positive.
     """
+    check_step(h)
     params = profile.params
     k, m = params.k, params.m
     if profile.status != "completed":

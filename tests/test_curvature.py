@@ -291,6 +291,77 @@ class TestGridDerivative:
             grid_derivative(np.ones(5), 0.1)
 
 
+class TestStencil:
+    """The jet stencil where mixed partials are nonzero, its size, and the
+    step it takes."""
+
+    def test_mixed_partial_fourth_order(self):
+        from ricciwarp.fd import value_jet
+        x, y = 0.3, 0.4
+        exact = np.cos(x) * 0.7 * np.exp(0.7 * y)
+        errs = [abs(value_jet(lambda P: np.sin(P[:, 0]) * np.exp(0.7 * P[:, 1]),
+                              np.array([[x, y]]), h)[2][0, 0, 1] - exact)
+                for h in (0.04, 0.02)]
+        assert errs[0] / errs[1] >= 12.0
+
+    def test_exact_on_quintic_polynomial(self):
+        from ricciwarp.fd import value_jet
+        x, y = 0.3, 0.4
+        _, grad, hess = value_jet(
+            lambda P: P[:, 0] ** 2 * P[:, 1] ** 3 + P[:, 0] ** 4 * P[:, 1],
+            np.array([[x, y]]), 1e-2)
+        f_xy = 6 * x * y ** 2 + 4 * x ** 3
+        assert np.abs(grad[0] - [2 * x * y ** 3 + 4 * x ** 3 * y,
+                                 3 * x ** 2 * y ** 2 + x ** 4]).max() < 1e-12
+        assert np.abs(hess[0] - [[2 * y ** 3 + 12 * x ** 2 * y, f_xy],
+                                 [f_xy, 6 * x ** 2 * y]]).max() < 1e-12
+
+    def test_ricci_fourth_order_in_a_rotated_chart(self):
+        # the rotated sphere's metric mixes both coordinates, so the mixed
+        # second derivatives of g enter Ric
+        c, s = np.cos(0.6), np.sin(0.6)
+        q = transform_chart(sphere_patch(2), np.array([[c, -s], [s, c]]))
+        y = q.center()
+        errs = [np.linalg.norm(ricci_fd(q, y, h) - q.metric(y))
+                for h in (0.04, 0.02)]
+        assert errs[0] / errs[1] >= 12.0
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_offset_count(self, dim):
+        from ricciwarp import fd
+        offsets = fd._stencil(dim)[0]
+        assert offsets.shape == (1 + 4 * dim + 4 * dim * (dim - 1), dim)
+        assert len(np.unique(offsets, axis=0)) == len(offsets)
+        assert np.abs(offsets).max() == 2
+
+    def test_metric_points_per_soliton_residual(self):
+        points = []
+        base = sphere_patch(6)
+
+        def counted(X):
+            points.append(len(X))
+            return base.g(X)
+
+        patch = MetricPatch(6, base.domain, counted, "counted")
+        X = patch.center() + np.linspace(-0.2, 0.2, 7)[:, None]
+        soliton_residual(patch, _POTENTIAL, 0.5, X, H)
+        assert sum(points) == len(X) * 145
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1e-3])
+    def test_step_must_be_finite_and_positive(self, h):
+        from ricciwarp.fd import value_jet
+        patch, u, x = graph_patch(), cubic_field(), np.array([0.1, -0.2, 0.3])
+        calls = [lambda: value_jet(u, x[None], h),
+                 lambda: christoffel(patch, x, h),
+                 lambda: ricci_fd(patch, x, h),
+                 lambda: gradient_laplacian(patch, u, x, h),
+                 lambda: hessian_fd(patch, u, x, h),
+                 lambda: soliton_residual(patch, u, 0.3, x, h)]
+        for call in calls:
+            with pytest.raises(ValueError, match="step h must be finite and positive"):
+                call()
+
+
 class TestTransformChart:
     def test_identity_map(self):
         p = sphere_patch(2)
@@ -359,7 +430,7 @@ class TestBatchedEngine:
             return base.g(X)
 
         patch = MetricPatch(3, base.domain, counted, "graph")
-        stencil_points = 1 + 4 * 3 + 8 * 3 * 2
+        stencil_points = fd._stencil(3)[0].shape[0]
         n = fd._CHUNK_POINTS // stencil_points + 5
         X = np.random.default_rng(4).uniform(-0.5, 0.5, (n, 3))
         R = ricci_fd(patch, X, H)
@@ -448,7 +519,7 @@ class TestScalingAndCovarianceProperties:
     The samples are the round 2- and 3-spheres, hyperbolic 2- and
     3-space and the graph metric, at points within 80% of each chart's
     half-widths from its center.  Differences are taken relative to
-    max(1, largest component).  Each tolerance sits 6x or more above the
+    max(1, largest component).  Each tolerance sits 4x or more above the
     largest difference measured at h = 1e-3 over 2000 uniform draws and
     600 draws at the corners of the sampled box.
     """
@@ -510,7 +581,7 @@ class TestScalingAndCovarianceProperties:
 
         # A = Q1 diag(s) Q2 with s in [0.5, 2]: condition number at most 4;
         # the pulled-back stencil samples other points, so truncation adds
-        # to rounding; measured floor 6.7e-9
+        # to rounding; measured floor 8.4e-9
         tol = 4e-8
         entries = st.floats(-1.0, 1.0)
 

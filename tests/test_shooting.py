@@ -737,6 +737,12 @@ class TestCertifyProfile:
         with pytest.raises(GeometryError):
             certify_profile(steady_profile_12, t_window=(50.0, 60.0))
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1e-3])
+    def test_step_must_be_finite_and_positive(self, steady_profile_12, h):
+        # refused before the window and chart rules read h
+        with pytest.raises(ValueError, match="step h must be finite and positive"):
+            certify_profile(steady_profile_12, h=h)
+
     @pytest.mark.parametrize("status", ["hit_a_zero", "hit_b_zero", "blowup"])
     def test_unfinished_profile_refused(self, steady_profile_12, status):
         unfinished = replace(steady_profile_12, status=status)
