@@ -285,7 +285,9 @@ def cmd_certify(cfg: dict, out_dir: str) -> int:
         kwargs["t_window"] = tuple(kwargs["t_window"])
     try:
         report = certify_profile(profile, **kwargs)
-    except CertificationWindowError as exc:
+    except (CertificationWindowError, ValueError) as exc:
+        # the window and the step are checked against the profile and its
+        # samples there; a refusal is an error of the block's values
         raise ConfigError(str(exc)) from exc
     doc = report.to_dict()
     _write(out_dir, "certification.json", _dump_json(doc, cfg))

@@ -8,16 +8,17 @@ assumed anywhere here, which is what lets these routines act as an
 independent oracle for the structured formulas elsewhere in the package.
 
 Every operator takes one chart point ``(dim,)`` or a batch ``(N, dim)``
-and returns the matching shape.  The metric is differenced once per batch
-into a :class:`MetricJet`, which ``ricci_fd``, ``hessian_fd`` and
-``gradient_laplacian`` accept through ``jet=`` so that several operators
-at the same points share it.  A field is differenced once per batch by
-``gradient_laplacian``, whose :class:`GradientData` carries everything
-the structure formulas read of it: value, differential, gradient,
-covariant Hessian, Laplacian and squared gradient norm; ``hessian_fd``
-returns its Hessian.  A batch costs one call of the patch metric
-``g: (N, dim) -> (N, dim, dim)`` per ``fd`` chunk, and one call of a field
-``f: (N, dim) -> (N,)`` per chunk for each field operator.
+and returns the matching shape.  :func:`metric_jet` differences the
+metric once per batch and is the one gate of the step and the ``2h``
+stencil margin; its :class:`MetricJet` records the patch, the points and
+the step.  The formulas read a jet alone, so operators at the same points
+share one and none can take a jet of other points or another step:
+:func:`ricci` (which needs ``4h`` of margin) and :func:`field_data`,
+which differences a field once at the jet's points into a
+:class:`GradientData`.  The public operators compose them.  A batch
+costs one call of the patch metric ``g: (N, dim) -> (N, dim, dim)`` per
+``fd`` chunk, and one call of a field ``f: (N, dim) -> (N,)`` per chunk
+for each field it differences.
 
 Index conventions.  ``christoffel`` returns ``Gamma[i, j, k]`` for
 Gamma^i_{jk}; derivative tensors are indexed with the derivative axes
@@ -50,7 +51,7 @@ DEFAULT_STEP = 1e-3
 CONDITION_LIMIT = 1e10
 
 # interior margins, in stencil steps
-_MARGIN_FIRST = 2   # christoffel, hessian, gradient
+_MARGIN_FIRST = 2   # the stencil reach: metric_jet
 _MARGIN_SECOND = 4  # ricci, soliton residual
 
 
@@ -81,8 +82,12 @@ def _inverse_metric(g0: np.ndarray, X: np.ndarray, label: str) -> np.ndarray:
 
 
 class MetricJet(NamedTuple):
-    """Metric 2-jet and Levi-Civita connection at a batch of N points."""
+    """Metric 2-jet and Levi-Civita connection of ``patch`` at a batch of
+    N points ``X``, differenced with step ``h``."""
 
+    patch: MetricPatch
+    X: np.ndarray       # (N, dim)
+    h: float
     g0: np.ndarray      # (N, dim, dim)        g_{ab}
     dg: np.ndarray      # (N, dim, dim, dim)   d_c g_{ab}
     d2g: np.ndarray     # (N, dim, dim, dim, dim)   d_c d_d g_{ab}
@@ -98,45 +103,33 @@ def _christoffel_tensor(dg: np.ndarray) -> np.ndarray:
 def metric_jet(patch: MetricPatch, x, h: float = DEFAULT_STEP) -> MetricJet:
     """Difference the metric once at a batch of points.
 
-    ``x`` has shape (N, dim) (a single point is taken as a batch of one)
-    and must keep the stencil reach ``2h`` from the boundary.  Raises
+    ``x`` has shape (N, dim) (a single point is taken as a batch of one).
+    Raises ``ValueError`` for a step that ``fd.check_step`` refuses at the
+    points, :class:`BoundaryProximityError` unless every point keeps the
+    stencil reach ``2h`` from the boundary, and
     :class:`DegenerateMetricError` naming the first point where the metric
     is not finite, symmetric, positive definite or well conditioned.
     """
-    check_step(h)
     X, _ = as_points(x)
+    check_step(h, X)
     patch.require_interior(X, _MARGIN_FIRST * h)
     g0, dg, d2g = value_jet(patch.metric, X, h)
     ginv = _inverse_metric(g0, X, patch.label)
     Gamma = 0.5 * np.einsum("nil,njkl->nijk", ginv, _christoffel_tensor(dg))
-    return MetricJet(g0, dg, d2g, ginv, Gamma)
+    return MetricJet(patch, X, h, g0, dg, d2g, ginv, Gamma)
 
 
 def christoffel(patch: MetricPatch, x, h: float = DEFAULT_STEP) -> np.ndarray:
-    """Christoffel symbols Gamma^i_{jk} of the Levi-Civita connection.
-
-    Parameters
-    ----------
-    patch : MetricPatch
-    x : array_like
-        Chart point (dim,) or batch (N, dim), at least ``2h`` inside the
-        domain.
-    h : float
-        Stencil step.
-
-    Returns
-    -------
-    ndarray, shape (dim, dim, dim) or (N, dim, dim, dim)
-        ``Gamma[i, j, k]``, symmetric in (j, k).
-    """
+    """Christoffel symbols ``Gamma[i, j, k]`` = Gamma^i_{jk} of the
+    Levi-Civita connection, symmetric in (j, k), at ``x``: one point or a
+    batch at least ``2h`` inside the domain."""
     X, single = as_points(x)
     Gamma = metric_jet(patch, X, h).Gamma
     return Gamma[0] if single else Gamma
 
 
-def ricci_fd(patch: MetricPatch, x, h: float = DEFAULT_STEP,
-             jet: MetricJet | None = None) -> np.ndarray:
-    """Ricci tensor components by finite differences.
+def ricci(jet: MetricJet) -> np.ndarray:
+    """Ricci tensor components at the points of a metric jet, (N, dim, dim).
 
     Uses the coordinate formula
     ``R_{jk} = d_i Gamma^i_{jk} - d_j Gamma^i_{ik}
@@ -144,16 +137,11 @@ def ricci_fd(patch: MetricPatch, x, h: float = DEFAULT_STEP,
     with the Gamma derivatives expanded analytically in terms of first and
     second metric derivatives, so the metric is differenced only once.
     The result is symmetrized before returning; truncation error is
-    O(h^4) on smooth metrics, with an O(eps/h^2) rounding floor.
-
-    ``x`` is one point or a batch and must be at least ``4h`` inside the
-    domain.  ``jet``, when given, is the :func:`metric_jet` of ``patch``
-    at the same points and step.
+    O(h^4) on smooth metrics, with an O(eps/h^2) rounding floor.  Every
+    point of the jet must be at least ``4h`` inside the domain.
     """
-    check_step(h)
-    X, single = as_points(x)
-    patch.require_interior(X, _MARGIN_SECOND * h)
-    _, dg, d2g, ginv, Gamma = jet if jet is not None else metric_jet(patch, X, h)
+    jet.patch.require_interior(jet.X, _MARGIN_SECOND * jet.h)
+    dg, d2g, ginv, Gamma = jet.dg, jet.d2g, jet.ginv, jet.Gamma
     # dginv[n,c,i,l] = -g^{ia} d_c g_{ab} g^{bl}
     dginv = -(ginv[:, None] @ dg @ ginv[:, None])
     # dT[n,c,j,k,l] = d_c (d_j g_{kl} + d_k g_{jl} - d_l g_{jk})
@@ -165,7 +153,15 @@ def ricci_fd(patch: MetricPatch, x, h: float = DEFAULT_STEP,
          - np.einsum("njiik->njk", dGamma)
          + np.einsum("niip,npjk->njk", Gamma, Gamma)
          - np.einsum("nijp,npik->njk", Gamma, Gamma))
-    R = 0.5 * (R + np.swapaxes(R, 1, 2))
+    return 0.5 * (R + np.swapaxes(R, 1, 2))
+
+
+def ricci_fd(patch: MetricPatch, x, h: float = DEFAULT_STEP) -> np.ndarray:
+    """Ricci tensor components by finite differences: :func:`ricci` of the
+    :func:`metric_jet` at ``x``, one point or a batch at least ``4h``
+    inside the domain."""
+    X, single = as_points(x)
+    R = ricci(metric_jet(patch, X, h))
     return R[0] if single else R
 
 
@@ -181,41 +177,37 @@ class GradientData(NamedTuple):
     hessian: np.ndarray       # covariant Hessian d^2 u - Gamma . du
 
 
-def gradient_laplacian(patch: MetricPatch, u: ScalarField, x,
-                       h: float = DEFAULT_STEP,
-                       jet: MetricJet | None = None) -> GradientData:
+def field_data(jet: MetricJet, u: ScalarField) -> GradientData:
     """Value, differential, gradient, Hessian, Laplacian and squared
-    gradient norm of ``u`` from one stencil call of the field.
-
-    ``x`` is one point or a batch, at least ``2h`` inside the domain;
-    ``jet`` is as in :func:`ricci_fd`.  At one point the scalars are
-    floats.
-    """
-    X, single = as_points(x)
-    check_step(h)
-    patch.require_interior(X, _MARGIN_FIRST * h)
-    if jet is None:
-        jet = metric_jet(patch, X, h)
-    u0, du, d2u = value_jet(u, X, h)
+    gradient norm of ``u`` at the points of a metric jet, from one stencil
+    call of the field with the jet's step; every entry is batched."""
+    u0, du, d2u = value_jet(u, jet.X, jet.h)
     hess = d2u - np.einsum("nijk,ni->njk", jet.Gamma, du)
-    data = GradientData(gradient=np.einsum("nij,nj->ni", jet.ginv, du),
+    return GradientData(gradient=np.einsum("nij,nj->ni", jet.ginv, du),
                         laplacian=np.einsum("nij,nij->n", jet.ginv, hess),
                         grad_norm_sq=np.einsum("ni,nij,nj->n", du, jet.ginv, du),
                         value=u0, differential=du, hessian=hess)
+
+
+def gradient_laplacian(patch: MetricPatch, u: ScalarField, x,
+                       h: float = DEFAULT_STEP) -> GradientData:
+    """:func:`field_data` of ``u`` at ``x``, one point or a batch at least
+    ``2h`` inside the domain.  At one point the scalars are floats."""
+    X, single = as_points(x)
+    data = field_data(metric_jet(patch, X, h), u)
     if single:
-        return GradientData(data.gradient[0], float(data.laplacian[0]),
-                            float(data.grad_norm_sq[0]), float(u0[0]),
-                            du[0], hess[0])
+        return GradientData(*(float(e[0]) if e.ndim == 1 else e[0]
+                              for e in data))
     return data
 
 
-def hessian_fd(patch: MetricPatch, u: ScalarField, x, h: float = DEFAULT_STEP,
-               jet: MetricJet | None = None) -> np.ndarray:
+def hessian_fd(patch: MetricPatch, u: ScalarField, x,
+               h: float = DEFAULT_STEP) -> np.ndarray:
     """Covariant Hessian of a scalar field: d^2 u - Gamma . du, componentwise.
 
     The ``hessian`` of :func:`gradient_laplacian`, with the same arguments.
     """
-    return gradient_laplacian(patch, u, x, h, jet).hessian
+    return gradient_laplacian(patch, u, x, h).hessian
 
 
 def soliton_residual(patch: MetricPatch, psi: ScalarField, lam: float, x,
@@ -236,12 +228,9 @@ def soliton_residual(patch: MetricPatch, psi: ScalarField, lam: float, x,
     4.49e-8 at h = 5e-4, 1e-3, 2e-3 and 4e-3: rounding below 1e-3 and
     truncation above 2e-3.
     """
-    check_step(h)
     X, single = as_points(x)
-    patch.require_interior(X, _MARGIN_SECOND * h)
     jet = metric_jet(patch, X, h)
-    res = (ricci_fd(patch, X, h, jet=jet) + hessian_fd(patch, psi, X, h, jet=jet)
-           - lam * jet.g0)
+    res = ricci(jet) + field_data(jet, psi).hessian - lam * jet.g0
     norms = np.linalg.norm(res, axis=(1, 2))
     return (res[0], float(norms[0])) if single else (res, norms)
 

@@ -79,10 +79,29 @@ def _stencil(dim: int):
     return offsets, weights[:dim], weights[dim:], (iu, ju)
 
 
-def check_step(h: float):
-    """Refuse a stencil step that is not a finite positive number."""
+# a step must exceed this many float spacings of its largest coordinate:
+# below one spacing no stencil point leaves its base point and every
+# difference is exactly 0 (zero curvature on the round sphere), and a few
+# spacings quantize the differences (at h = 1e-17 a k = 1, m = 2 profile's
+# soliton residual reads 7.7e16 while first_integral reads exactly 0)
+_STEP_FLOOR_ULPS = 2 ** 12
+
+
+def check_step(h: float, X=()):
+    """Refuse a stencil step that is not a finite positive number, or that
+    is not above ``_STEP_FLOOR_ULPS`` float spacings of the largest
+    coordinate of the points ``X`` it is applied at (of 1 at least)."""
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step h must be finite and positive, got {h!r}")
+    scale = max(1.0, float(np.abs(X).max(initial=0.0)))
+    floor = _STEP_FLOOR_ULPS * np.spacing(scale)
+    # an infinite coordinate gives a NaN floor, which passes, for the
+    # caller's margin check to refuse
+    if h <= floor:
+        raise ValueError(
+            f"step h={h!r} is below the float resolution of its points: it "
+            f"must exceed {floor:.3g}, {_STEP_FLOOR_ULPS} float spacings of "
+            f"their largest coordinate {scale:g}")
 
 
 def value_jet(func, X, h: float):
@@ -92,10 +111,11 @@ def value_jet(func, X, h: float):
     an array of shape (M,) + S for a fixed shape S.  Returns
     ``(f0, grad, hess)`` with shapes ``(N,) + S``, ``(N, dim) + S`` and
     ``(N, dim, dim) + S``; ``hess`` is exactly symmetric in its two
-    derivative axes by construction.  ``h`` must be finite and positive.
+    derivative axes by construction.  ``h`` must pass :func:`check_step`
+    at ``X``.
     """
-    check_step(h)
     X = np.asarray(X, dtype=float)
+    check_step(h, X)
     if X.ndim != 2:
         raise ValueError(f"value_jet needs points of shape (N, dim), got {X.shape}")
     n, dim = X.shape

@@ -129,8 +129,8 @@ _STATUSES = ("completed", "hit_b_zero", "hit_a_zero", "blowup")
 
 
 class IntegrationError(GeometryError):
-    """The ODE integrator failed (step underflow or a failed event
-    location)."""
+    """The ODE integrator failed (step underflow, ``MAX_STEPS`` reached or
+    a failed event location)."""
 
 
 class CertificationWindowError(GeometryError):
@@ -698,7 +698,8 @@ class _Run:
     carries the dense output polynomial ``t[i]``, ``h[i]``, ``F[i]``,
     ``y_old[i]`` (see :func:`_horner`).  ``status`` is ``solve_ivp``'s: 0
     at the end of the last leg, 1 at the terminal event ``event`` (its
-    index), -1 on a failed step, which ``message`` names.  ``nfev`` counts
+    index), -1 on a step size that underflowed or at ``MAX_STEPS``
+    accepted steps, which ``message`` names.  ``nfev`` counts
     the right-side calls of the whole run.
     """
 
@@ -715,6 +716,17 @@ class _Run:
 _EPS = np.finfo(float).eps
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# accepted steps of one row, both legs; a row that needs more ends in
+# IntegrationError.  Sized from memory and file: a k >= 1 step is 850
+# bytes of profile.csv and about 0.5 KB of records while its batch runs,
+# so a capped row writes about 8.5 MB and a full 32-row batch holds about
+# 160 MB.  Without a cap stiff and degenerating rows are unbounded: an
+# expanding row's steps grow as |lambda| t_max^2 (k1m2 with lambda -1:
+# 972 to t_max 100, 7,208 to 300, 78,301 to 1000), and k0m2 with lambda 2
+# at rtol 1e-15 takes 143,554 steps (19 s) to its hit_b_zero.  No row of
+# the test suite takes more than 703, far below it even with the 28-46%
+# more steps of the default tolerances moved to 1e-12.
+MAX_STEPS = 10_000
 
 
 def _check_run(t0, legs, y0):
@@ -751,8 +763,9 @@ def _dop853(funs, t0, y0, legs, events):
     makes one step attempt for every row still running.  ``events(Y)``
     gives the values of the terminal events (the last axis) of one state
     or of a stack of states; a row's earliest root, located by ``brentq``
-    on the step's polynomial, ends it.  Returns one :class:`_Run` per
-    row, or the exception that ``brentq`` raised for it.
+    on the step's polynomial, ends it, and so does its ``MAX_STEPS``-th
+    accepted step short of its last leg's end.  Returns one :class:`_Run`
+    per row, or the exception that ``brentq`` raised for it.
 
     A row's bits do not depend on the other rows.  The stage sums
     ``K^T a``, the error estimates and the dense-output products ``D K``
@@ -864,7 +877,8 @@ def _dop853(funs, t0, y0, legs, events):
                     if h_abs[i] < min_step[i]:
                         h_abs[i] = min_step[i]
                 elif h_abs[i] < min_step[i]:
-                    runs[i] = _finish(records.pop(i), nfev[i], -1, None)
+                    runs[i] = _finish(records.pop(i), nfev[i], -1,
+                                      message=_TOO_SMALL_STEP)
                     continue
                 t_new = t[i] + h_abs[i]
                 if t_new > t_end[i]:
@@ -978,18 +992,23 @@ def _dop853(funs, t0, y0, legs, events):
                     switched = True
                 elif status is not None:
                     runs[i] = _finish(records.pop(i), nfev[i], status, event)
+                if runs[i] is None and len(hs) >= MAX_STEPS:
+                    runs[i] = _finish(
+                        records.pop(i), nfev[i], -1, message=(
+                            f"MAX_STEPS = {MAX_STEPS} accepted steps reached "
+                            f"at t = {t[i]:.6g} before the end of the span"))
             if switched:   # the tolerances of the batch are its rows' legs'
                 (fun, (atol_, rtol_), steps, dot, norm2, K, shape, stages,
                  extra, (K_last, K_B), K_E) = batch()
     return runs
 
 
-def _finish(record, nfev, status, event):
+def _finish(record, nfev, status, event=None, message=None):
     """The :class:`_Run` of a row's record ``(t, h, F, y_old)``."""
     ts, hs, Fs, y_olds = record
     return _Run(t=np.array(ts), h=np.array(hs), F=np.array(Fs),
                 y_old=np.array(y_olds), nfev=nfev, status=status, event=event,
-                message=_TOO_SMALL_STEP if status == -1 else None)
+                message=message)
 
 
 def _events(k):
@@ -1026,10 +1045,11 @@ def _integrate(rows):
     outcome is ``(run, status, t_end)``, the status and end from the
     run's terminal event, if any; or the exception of a row that cannot
     run: the ``ValueError`` of a refused series start, or the
-    ``IntegrationError`` of a step size that underflowed or of an event
-    that ``brentq`` failed to locate.  A start that ``_series_start``
-    returns lies inside the blow-up box, its a and b above the positivity
-    floor, and its epsilon below ``_LAUNCH_END`` and ``t_max``, so
+    ``IntegrationError`` of a step size that underflowed, of a run that
+    reached ``MAX_STEPS`` or of an event that ``brentq`` failed to
+    locate.  A start that ``_series_start`` returns lies inside the
+    blow-up box, its a and b above the positivity floor, and its epsilon
+    below ``_LAUNCH_END`` and ``t_max``, so
     :func:`_dop853` accepts every row and every event starts positive.
     The rows are one :func:`_dop853` batch, each run with the bits of its
     row integrated alone (its stacked ``np.matmul`` products are its
@@ -1065,8 +1085,7 @@ def _integrate(rows):
         if isinstance(run, Exception):   # raised by brentq
             results[i] = IntegrationError(f"event location failed: {run}")
         elif run.status == -1:
-            results[i] = IntegrationError(
-                f"integrator failed: {_TOO_SMALL_STEP}")
+            results[i] = IntegrationError(f"integrator failed: {run.message}")
         elif run.status == 1:
             results[i] = (run, outcomes[run.event], float(run.t[-1]))
         else:
@@ -1099,8 +1118,9 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
     the steps and bits of ``scipy.integrate.solve_ivp`` restarted at the
     leg switch.  Raises ``ValueError`` for parameters it refuses (a
     refused series start; :class:`AnsatzParams` refuses the rest when
-    built), and :class:`IntegrationError` when the step size underflows
-    or an event cannot be located.
+    built), and :class:`IntegrationError` when the step size underflows,
+    the run reaches ``MAX_STEPS`` accepted steps short of its end, or an
+    event cannot be located.
     """
     [outcome] = _integrate([params])
     return _profile(params, outcome)
@@ -1184,7 +1204,8 @@ def certify_profile(profile: SolitonProfile,
     when ``t_window`` and ``h`` leave no room inside the profile span, or
     when the stencils of step ``h`` do not fit between the base-angle and
     fiber samples and the chart boundaries, and ``ValueError`` for a step
-    ``h`` that is not finite and positive.
+    ``h`` that is not finite and positive or, at the samples, not above
+    the float resolution (``fd.check_step``).
     """
     check_step(h)
     params = profile.params

@@ -35,8 +35,9 @@ metric, which is the end-to-end oracle.  Only lam is an input: c and mu
 are measured from the data, so each condition is checked, not assumed.
 
 ``base_structure`` evaluates all three base conditions at one base point
-or a batch of them.  It differences the base metric once and each of f
-and phi once, and every condition reads those jets.  ``certify_soliton``
+or a batch of them.  It takes one metric jet of the base and the field
+data of f and phi on it (``curvature.metric_jet``, ``ricci`` and
+``field_data``), and every condition reads those.  ``certify_soliton``
 calls it once with its whole base sample set.
 """
 
@@ -49,9 +50,9 @@ import numpy as np
 
 from .curvature import (
     DEFAULT_STEP,
-    gradient_laplacian,
+    field_data,
     metric_jet,
-    ricci_fd,
+    ricci,
     soliton_residual,
 )
 from .patches import (
@@ -190,12 +191,12 @@ def ricci_closed_form(w: WarpedGeometry, x, h: float = DEFAULT_STEP) -> BlockMat
     xb, xf = x[:n], x[n:]
     jet_b = metric_jet(w.base, xb, h)
     jet_f = metric_jet(w.fiber, xf, h)
-    gl = gradient_laplacian(w.base, w.f, xb, h, jet=jet_b)
-    fv = gl.value
+    gl = field_data(jet_b, w.f)
+    fv = gl.value[0]
 
-    hh = ricci_fd(w.base, xb, h, jet=jet_b) - (m / fv) * gl.hessian
-    vv = (ricci_fd(w.fiber, xf, h, jet=jet_f)
-          - (fv * gl.laplacian + (m - 1) * gl.grad_norm_sq) * jet_f.g0[0])
+    hh = ricci(jet_b)[0] - (m / fv) * gl.hessian[0]
+    vv = ricci(jet_f)[0] - (fv * gl.laplacian[0]
+                            + (m - 1) * gl.grad_norm_sq[0]) * jet_f.g0[0]
     return BlockMatrix(hh=hh, vv=vv, hv=np.zeros((n, m)))
 
 
@@ -216,21 +217,21 @@ def base_structure(w: WarpedGeometry, x_base, h: float = DEFAULT_STEP) -> BaseSt
     constant c along solutions (the additive normalization of phi is free,
     so c is an output of the data); ``first_integral`` is a spatial
     constant that must equal the Einstein constant of the fiber.  One
-    :func:`metric_jet` of the base and one :func:`gradient_laplacian` of
-    each of f and phi, sharing that jet, feed all three.  Raises
+    :func:`metric_jet` of the base, its :func:`ricci` and the
+    :func:`field_data` of each of f and phi on it feed all three.  Raises
     :class:`GeometryError` where f is not positive.
     """
     X, single = as_points(x_base)
     lam, m = w.lam, w.m
     jet = metric_jet(w.base, X, h)
-    gl_f = gradient_laplacian(w.base, w.f, X, h, jet=jet)
+    gl_f = field_data(jet, w.f)
     fv = gl_f.value
     bad = fv <= 0.0
     if bad.any():
         raise GeometryError(
             f"warping '{w.f.label}' is nonpositive at {X[np.argmax(bad)]}")
-    gl_phi = gradient_laplacian(w.base, w.phi, X, h, jet=jet)
-    res = (ricci_fd(w.base, X, h, jet=jet) + gl_phi.hessian - lam * jet.g0
+    gl_phi = field_data(jet, w.phi)
+    res = (ricci(jet) + gl_phi.hessian - lam * jet.g0
            - (m / fv)[:, None, None] * gl_f.hessian)
     norms = np.linalg.norm(res, axis=(1, 2))
     # g(grad phi, grad f) as dphi(grad f) and as df(grad phi); the two
@@ -252,7 +253,7 @@ def einstein_check(fiber: MetricPatch, mu: float, samples,
     """Max over samples of || Ric_F - mu g_F ||_F (0 without samples)."""
     X = np.asarray(samples, dtype=float).reshape(-1, fiber.dim)
     jet = metric_jet(fiber, X, h)
-    res = ricci_fd(fiber, X, h, jet=jet) - mu * jet.g0
+    res = ricci(jet) - mu * jet.g0
     return float(np.linalg.norm(res, axis=(1, 2)).max(initial=0.0))
 
 

@@ -133,6 +133,19 @@ class TestSolve:
                               "f(a) and f(b) must have different signs")
         assert not (tmp_path / "out").exists()
 
+    def test_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a row that needs more than MAX_STEPS accepted steps is a numeric
+        # failure with no artifact
+        monkeypatch.setattr(shooting, "MAX_STEPS", 20)
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
+                                      "b0": 1.0, "t_max": 3.0})
+        assert main(["solve", "--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: integrator failed: MAX_STEPS = 20 accepted "
+            "steps reached at t = ")
+        assert not (tmp_path / "out").exists()
+
     def test_failed_summary_writes_nothing(self, tmp_path, capsys,
                                            monkeypatch):
         # the summary, which derives the diagnostics, is made before
@@ -252,6 +265,20 @@ class TestCertify:
         assert main(["certify", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "h=0.5" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_step_below_float_resolution_is_config_error(self, tmp_path,
+                                                         capsys):
+        # at h = 1e-20 every difference is 0: without the floor certify
+        # wrote a passing certificate with every residual 0.0
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
+                                      "b0": 1.0, "t_max": 10.0},
+                     certify={"h": 1e-20})
+        assert main(["certify", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: step h=1e-20 is below the "
+                              "float resolution")
         assert not (tmp_path / "out").exists()
 
     def test_step_too_large_for_fiber_chart_is_config_error(self, tmp_path,
@@ -812,6 +839,7 @@ class TestConfigValidation:
         ("sweep", "parallel", None),
         ("solve", "grid_per_unit", 10 ** 400),
         ("sweep", "grid_per_unit", 10 ** 400),
+        ("certify", "h", 1e-20),
     ])
     def test_bad_number_exits_2_without_artifacts(self, tmp_path, command,
                                                   key, value):

@@ -24,6 +24,7 @@ from ricciwarp import (
     torus_patch,
     transform_chart,
 )
+from ricciwarp.curvature import field_data, metric_jet, ricci
 
 H = 1e-3
 
@@ -140,10 +141,28 @@ class TestRicci:
         R = ricci_fd(p, x, H)
         assert np.linalg.norm(R - (-2.0) * p.metric(x)) < 1e-7
 
-    def test_interior_margin_enforced(self):
+    # a point 3h from the boundary; the jet's own step 2H sets the margin
+    # of ricci, where the default step's 4H would keep it
+    @pytest.mark.parametrize("entry,h", [
+        (lambda p, x, h: ricci_fd(p, x, h), H),
+        (lambda p, x, h: ricci(metric_jet(p, x, h)), 2 * H),
+    ], ids=["ricci_fd", "ricci"])
+    def test_interior_margin_enforced(self, entry, h):
         p = euclidean_patch(2, half_width=1.0)
         with pytest.raises(BoundaryProximityError):
-            ricci_fd(p, np.array([1.0 - 3 * H, 0.0]), H)
+            entry(p, np.array([1.0 - 3 * h, 0.0]), h)
+
+    def test_step_below_float_resolution_refused(self):
+        # at h = 1e-20 no stencil point leaves [1, 1]: without the floor
+        # the oracle returns the zero matrix for Ric = g.  The floor is
+        # relative to the largest coordinate, so h = 1e-10 passes near the
+        # origin and is refused at x = 1000
+        with pytest.raises(ValueError, match="below the float resolution"):
+            ricci_fd(sphere_patch(2), [1.0, 1.0], 1e-20)
+        p = euclidean_patch(2, half_width=2000.0)
+        assert np.abs(ricci_fd(p, [1.0, 0.0], 1e-10)).max() == 0.0
+        with pytest.raises(ValueError, match="largest coordinate 1000"):
+            ricci_fd(p, [1000.0, 0.0], 1e-10)
 
     @pytest.mark.parametrize("entry,problem", [
         (np.nan, "is not finite"), (0.5, "is not symmetric"),
@@ -347,8 +366,12 @@ class TestStencil:
         soliton_residual(patch, _POTENTIAL, 0.5, X, H)
         assert sum(points) == len(X) * 145
 
-    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1e-3])
-    def test_step_must_be_finite_and_positive(self, h):
+    @pytest.mark.parametrize("h,message", [
+        pytest.param(h, "step h must be finite and positive", id=str(h))
+        for h in (np.nan, np.inf, 0.0, -1e-3)] + [
+        pytest.param(1e-20, "step h=1e-20 is below the float resolution",
+                     id="1e-20")])
+    def test_step_must_be_finite_and_positive(self, h, message):
         from ricciwarp.fd import value_jet
         patch, u, x = graph_patch(), cubic_field(), np.array([0.1, -0.2, 0.3])
         calls = [lambda: value_jet(u, x[None], h),
@@ -358,7 +381,7 @@ class TestStencil:
                  lambda: hessian_fd(patch, u, x, h),
                  lambda: soliton_residual(patch, u, 0.3, x, h)]
         for call in calls:
-            with pytest.raises(ValueError, match="step h must be finite and positive"):
+            with pytest.raises(ValueError, match=message):
                 call()
 
 
@@ -438,6 +461,18 @@ class TestBatchedEngine:
         singles = np.array([ricci_fd(patch, x, H) for x in X[::23]])
         assert R.shape == (n, 3, 3)
         assert np.abs(R[::23] - singles).max() <= 1e-12
+
+    def test_jet_functions_match_the_operators(self):
+        # the jet records its patch, points and step, and the formulas on
+        # it have the bits of the operators at the same points
+        patch, u = graph_patch(), cubic_field()
+        X = np.random.default_rng(5).uniform(-0.5, 0.5, (9, 3))
+        jet = metric_jet(patch, X, H)
+        assert jet.patch is patch and jet.h == H and (jet.X == X).all()
+        assert ricci(jet).tobytes() == ricci_fd(patch, X, H).tobytes()
+        for mine, theirs in zip(field_data(jet, u),
+                                gradient_laplacian(patch, u, X, H)):
+            assert mine.tobytes() == theirs.tobytes()
 
     def test_single_point_shapes(self):
         x = np.array([0.1, -0.2, 0.3])

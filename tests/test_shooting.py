@@ -1,6 +1,7 @@
 """Reduced system, series closure, shooting, diagnostics, sweeps."""
 
 import gc
+import re
 import struct
 import warnings
 import weakref
@@ -569,6 +570,42 @@ class TestIntegratorWork:
                                   "different signs")
         assert (rows[1].status, rows[1].lifetime) == ("completed", 3.5)
 
+    def test_step_cap(self, monkeypatch):
+        # a row whose run ends on its MAX_STEPS-th accepted step keeps the
+        # bits of an uncapped run; a row that needs one more ends in an
+        # IntegrationError naming the cap, alone in its batch and as a
+        # sweep's error row
+        steady = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)   # 47 steps
+        short = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0)
+        [alone], [short_alone] = _integrate([steady]), _integrate([short])
+        steps = alone[0].h.size
+        assert short_alone[0].h.size < steps - 1
+        monkeypatch.setattr(shooting, "MAX_STEPS", steps)
+        [capped] = _integrate([steady])
+        assert _outcome_bits(capped) == _outcome_bits(alone)
+        monkeypatch.setattr(shooting, "MAX_STEPS", steps - 1)
+        message = (f"integrator failed: MAX_STEPS = {steps - 1} accepted "
+                   f"steps reached at t = ")
+        with pytest.raises(IntegrationError, match=re.escape(message)):
+            shoot(steady)
+        failed, kept = _integrate([steady, short])
+        assert isinstance(failed, IntegrationError)
+        assert str(failed).startswith(message)
+        assert _outcome_bits(kept) == _outcome_bits(short_alone)
+        rows = sweep([steady, short])
+        assert rows[0].status.startswith("error:IntegrationError:" + message)
+        assert (rows[1].status, rows[1].lifetime) == ("completed", 1.0)
+
+    def test_tight_degeneration_reaches_the_cap(self):
+        # at rtol = atol 1e-15 this row takes 143,554 steps (19 s) to its
+        # hit_b_zero at t = 1.5708; the cap ends it near there
+        params = AnsatzParams(k=0, m=2, lam=2.0, b0=1.0, rtol=1e-15,
+                              atol=1e-15)
+        with pytest.raises(IntegrationError, match=(
+                f"MAX_STEPS = {shooting.MAX_STEPS} accepted steps reached "
+                r"at t = 1\.5707")):
+            shoot(params)
+
     def test_bad_runs_rejected(self):
         # a leg that does not end past the start, or past the last leg
         for ends in ([1.0], [2.0, 2.0], [2.0, 1.5], []):
@@ -737,10 +774,15 @@ class TestCertifyProfile:
         with pytest.raises(GeometryError):
             certify_profile(steady_profile_12, t_window=(50.0, 60.0))
 
-    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1e-3])
-    def test_step_must_be_finite_and_positive(self, steady_profile_12, h):
+    @pytest.mark.parametrize("h,message", [
+        pytest.param(h, "step h must be finite and positive", id=str(h))
+        for h in (np.nan, np.inf, 0.0, -1e-3)] + [
+        pytest.param(1e-20, "step h=1e-20 is below the float resolution",
+                     id="1e-20")])
+    def test_step_must_be_finite_and_positive(self, steady_profile_12, h,
+                                              message):
         # refused before the window and chart rules read h
-        with pytest.raises(ValueError, match="step h must be finite and positive"):
+        with pytest.raises(ValueError, match=message):
             certify_profile(steady_profile_12, h=h)
 
     @pytest.mark.parametrize("status", ["hit_a_zero", "hit_b_zero", "blowup"])
