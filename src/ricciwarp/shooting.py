@@ -40,7 +40,9 @@ are stacked ``np.matmul`` products over the rows' own stage tables, which
 give each row the bits of its ``np.dot`` (folding the rows into one wide
 product would not), the rest of a step is elementwise IEEE arithmetic,
 and the step-size control, whose ``pow`` an array form need not round as
-the scalar one does, runs row by row on Python floats.
+the scalar one does, runs row by row on Python floats.  A row alone, and
+the last row of a batch, steps on Python floats, with numpy only for the
+products: the same operations, so the same bits, at less cost per step.
 
 A profile is its integration: the step table of its DOP853 run, one row
 per accepted step holding the step's start ``t_old``, its size ``h``, the
@@ -305,10 +307,10 @@ def _rhs_with_phi(params: AnsatzParams):
     event localizes it, so a and b are clamped at ``_EVAL_FLOOR`` as
     ``max(a, floor)`` clamps (a NaN stays NaN) and the right side stays
     evaluable below the event floor.  The system is autonomous, so ``rhs``
-    takes no time.  :func:`_dop853` hands it the Python floats of a row of
-    ``Y.tolist()``: IEEE arithmetic gives the same bits as on
-    ``np.float64`` scalars at a fraction of the per-call cost.  It returns
-    a list, which :func:`_dop853` writes into its stage table as it is.
+    takes no time.  :func:`_dop853` hands it a state as a list of Python
+    floats: IEEE arithmetic gives the same bits as on ``np.float64``
+    scalars at a fraction of the per-call cost.  It returns a list, which
+    :func:`_dop853` writes into its stage table as it is.
     """
     floor = _EVAL_FLOOR
     if params.k >= 1:
@@ -336,7 +338,7 @@ def _horner(rows, y_old, x):
     every value has its bits (``1 - x`` is formed once; it has the same
     bits each time).  The one implementation of the polynomial: a
     profile's columns (:func:`_evaluate`) call it with one coefficient row
-    and one ``x`` per time, and :func:`_dop853` for locating events.
+    and one ``x`` per time, and :meth:`_Row.accept` for locating events.
     """
     y = np.zeros_like(y_old)
     u = 1 - x
@@ -699,8 +701,10 @@ class _Run:
     ``y_old[i]`` (see :func:`_horner`).  ``status`` is ``solve_ivp``'s: 0
     at the end of the last leg, 1 at the terminal event ``event`` (its
     index), -1 on a step size that underflowed or at ``MAX_STEPS``
-    accepted steps, which ``message`` names.  ``nfev`` counts
-    the right-side calls of the whole run.
+    accepted steps, which ``message`` names.  ``nfev`` counts the
+    right-side calls of the whole run and ``rejected`` its rejected step
+    attempts: a run of s accepted steps and no event calls the right side
+    1 + 15 s + 12 ``rejected`` times.
     """
 
     t: np.ndarray
@@ -711,10 +715,13 @@ class _Run:
     status: int
     event: int | None = None
     message: str | None = None
+    rejected: int = 0
 
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+_N_STAGES, _N_EXTRA = DOP853.n_stages, len(DOP853.C_EXTRA)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 # accepted steps of one row, both legs; a row that needs more ends in
 # IntegrationError.  Sized from memory and file: a k >= 1 step is 850
@@ -742,8 +749,151 @@ def _check_run(t0, legs, y0):
             "All components of the initial state `y0` must be finite.")
 
 
+class _Row:
+    """A row of a :func:`_dop853` run between two step attempts.
+
+    Its right side, legs, t, step size, accept/reject state, counts and
+    record, the t, h, F and y_old of its accepted steps.  Whichever loop
+    makes an attempt, the row starts it (:meth:`begin`), controls its
+    step size (:meth:`control`) and books it when accepted
+    (:meth:`accept`), so a row's steps do not depend on the loop or on
+    a move from one loop to the other between two attempts.  ``run`` is
+    None while the row runs, then its :class:`_Run`, or the exception
+    that ``brentq`` raised for it.
+    """
+
+    __slots__ = ("fun", "legs", "t", "t_new", "t_end", "rtol", "atol",
+                 "h_abs", "min_step", "fresh", "step_rejected", "nfev",
+                 "rejected", "record", "run")
+
+    def __init__(self, fun, t0, legs):
+        self.fun, self.legs, self.t = fun, iter(legs), float(t0)
+        self.fresh, self.step_rejected = True, False
+        self.nfev, self.rejected = 1, 0
+        self.record = ([self.t], [], [], [])
+        self.run = None
+        self.next_leg()
+
+    def next_leg(self) -> bool:
+        """Take the next leg ``(t_end, rtol, atol, first_step)``, its
+        ``rtol`` raised to 100 eps as scipy does; False if none is left."""
+        leg = next(self.legs, None)
+        if leg is not None:
+            self.t_end, rtol, self.atol, self.h_abs = map(float, leg)
+            self.rtol = max(rtol, 100 * _EPS)
+        return leg is not None
+
+    def begin(self) -> float:
+        """Start an attempt as ``DOP853._step_impl`` does and return its
+        size h: the first attempt of a step sets the least step size and
+        raises the step size to it, and an attempt ends at most at the
+        end of the leg."""
+        t = self.t
+        if self.fresh:
+            self.fresh = self.step_rejected = False
+            self.min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+            if self.h_abs < self.min_step:
+                self.h_abs = self.min_step
+        t_new = t + self.h_abs
+        if t_new > self.t_end:
+            t_new = self.t_end
+        self.t_new = t_new
+        h = t_new - t
+        self.h_abs = abs(h)
+        return h
+
+    def control(self, h, err5, err3, n) -> bool:
+        """The step-size control of an attempt of size ``h``: True if it
+        is accepted.  ``err5`` and ``err3`` are the squared norms of its n
+        error estimates over the scale.  On Python floats, since the
+        ``pow`` of an array form need not round as the scalar one does.
+        A rejection that leaves the step size below the least ends the
+        row, as ``solve_ivp``'s next attempt would."""
+        self.nfev += _N_STAGES
+        # np.linalg.norm's operations on a vector, squared
+        err5_norm_2 = math.sqrt(err5) ** 2
+        err3_norm_2 = math.sqrt(err3) ** 2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            error_norm = 0.0
+        else:
+            denom = err5_norm_2 + 0.01 * err3_norm_2
+            error_norm = abs(h) * err5_norm_2 / math.sqrt(denom * n)
+        if error_norm < 1:
+            if error_norm == 0:
+                factor = _MAX_FACTOR
+            else:
+                factor = min(_MAX_FACTOR,
+                             _SAFETY * error_norm ** _ERROR_EXPONENT)
+            if self.step_rejected:
+                factor = min(1, factor)
+            self.h_abs *= factor
+            return True
+        self.h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+        self.step_rejected = True
+        self.rejected += 1
+        if self.h_abs < self.min_step:
+            self._finish(-1, message=_TOO_SMALL_STEP)
+        return False
+
+    def accept(self, h, F, y_old, g_old, g, events) -> bool:
+        """Book the accepted attempt of size ``h``: its dense-output table
+        ``F``, its start ``y_old`` and the terminal event values ``g_old``
+        at its start and ``g`` at its end.  True if the row took its next
+        leg, with new tolerances.
+
+        The earliest root of an event that changed sign, located by
+        ``brentq`` on the step's polynomial, ends the row there; so do the
+        end of its last leg and its ``MAX_STEPS``-th accepted step short
+        of that.  The end of an earlier leg starts the next one, as
+        ``solve_ivp`` restarted there would, but with no right-side call:
+        f there is the step's last stage.
+        """
+        self.nfev += _N_EXTRA
+        self.fresh = True
+        t_old, self.t = self.t, self.t_new
+        status = 0 if self.t >= self.t_end else None
+        event, t_step = None, self.t
+        active = [e for e, (lo, hi) in enumerate(zip(g_old, g))
+                  if lo <= 0 <= hi or lo >= 0 >= hi]
+        if active:
+            F, y_old = np.asarray(F), np.asarray(y_old)
+            try:
+                roots = [brentq(lambda s, e=e: events(_horner(
+                                    F[::-1], y_old, (s - t_old) / h))[e],
+                                t_old, self.t, xtol=4 * _EPS, rtol=4 * _EPS)
+                         for e in active]
+            except (ValueError, RuntimeError) as exc:
+                self.run, self.record = exc, None   # this row alone ends
+                return False
+            first = np.argsort(roots)[0]
+            status, event, t_step = 1, active[first], roots[first]
+        ts, hs, Fs, y_olds = self.record
+        # solve_ivp drops a step whose root is the last end
+        if not (len(ts) > 1 and ts[-1] == t_step):
+            ts.append(t_step)
+            hs.append(h)
+            Fs.append(F)
+            y_olds.append(y_old)
+        switched = status == 0 and self.next_leg()
+        if status is not None and not switched:
+            self._finish(status, event)
+        elif len(hs) >= MAX_STEPS:
+            self._finish(-1, message=(
+                f"MAX_STEPS = {MAX_STEPS} accepted steps reached at "
+                f"t = {self.t:.6g} before the end of the span"))
+        return switched
+
+    def _finish(self, status, event=None, message=None):
+        """End the row: its :class:`_Run` from its record and counts."""
+        ts, hs, Fs, y_olds = self.record
+        self.run = _Run(t=np.array(ts), h=np.array(hs), F=np.array(Fs),
+                        y_old=np.array(y_olds), nfev=self.nfev, status=status,
+                        event=event, message=message, rejected=self.rejected)
+        self.record = None
+
+
 def _dop853(funs, t0, y0, legs, events):
-    """Integrate a batch of rows of ``y' = f(y)`` with DOP853, in lockstep.
+    """Integrate a batch of rows of ``y' = f(y)`` with DOP853.
 
     The method of Hairer, Norsett & Wanner, *Solving ODEs I*, II.10, as
     ``solve_ivp(method="DOP853", dense_output=True, events=...)`` runs it
@@ -754,261 +904,184 @@ def _dop853(funs, t0, y0, legs, events):
     bits.  Row i runs ``y' = funs[i](y)`` from ``t0[i]`` and the state
     ``y0[i]`` (``y0`` is a rows x n array) through its ``legs[i]``, each
     ``(t_end, rtol, atol, first_step)``, and keeps its own t, step size,
-    accept/reject state and events; an ``rtol`` below 100 eps is raised
-    to 100 eps, as scipy does.  An accepted step that ends a leg with no
-    event starts the next one, as ``solve_ivp`` restarted there would, but
-    with no right-side call: f there is already the stage table's first
-    row.  ``funs[i]`` maps the Python floats of a state to its derivative,
-    a list written into the stage table as it is.  Each pass of the loop
-    makes one step attempt for every row still running.  ``events(Y)``
+    accept/reject state and events (a :class:`_Row`).  ``funs[i]`` maps
+    the Python floats of a state to its derivative, a list.  ``events(Y)``
     gives the values of the terminal events (the last axis) of one state
-    or of a stack of states; a row's earliest root, located by ``brentq``
-    on the step's polynomial, ends it, and so does its ``MAX_STEPS``-th
-    accepted step short of its last leg's end.  Returns one :class:`_Run`
-    per row, or the exception that ``brentq`` raised for it.
+    or of a stack of states.  Returns one :class:`_Run` per row, or the
+    exception that ``brentq`` raised for it.
 
-    A row's bits do not depend on the other rows.  The stage sums
-    ``K^T a``, the error estimates and the dense-output products ``D K``
-    of several rows are stacked products, ``np.matmul`` over the rows' own
-    stage tables, which give each row the bits of its ``np.dot`` (one
-    BLAS call per row; folding the rows into one wide product would not);
-    a batch of one row calls ``np.dot``, which costs less.  The rest of a
-    step is elementwise IEEE arithmetic, except the step-size control,
-    whose ``pow`` an array form need not round as the scalar one does: it
-    runs row by row on Python floats.  Floating-point warnings are off
-    inside the loop, since the values that a batch computes for its
-    rejected rows are discarded.
+    Two or more rows step in lockstep (:func:`_lockstep`); a row alone,
+    and the last row of a batch, steps on Python floats (:func:`_alone`).
+    A row's bits depend neither on the other rows nor on the loop.
+    Floating-point warnings are off inside the loops, since the values
+    that a batch computes for its rejected rows are discarded.
+    """
+    for args in zip(t0, legs, y0):
+        _check_run(*args)
+    rows = [_Row(fun, t, row_legs) for fun, t, row_legs in zip(funs, t0, legs)]
+    Y = np.array(y0, dtype=float)
+    with np.errstate(all="ignore"):
+        f = np.array([row.fun(y) for row, y in zip(rows, Y.tolist())],
+                     dtype=float)
+        g = events(Y).tolist()
+        last = ((rows[0], Y[0].tolist(), f[0].tolist(), g[0])
+                if len(rows) == 1 else _lockstep(rows, Y, f, g, events))
+        if last is not None:
+            _alone(*last, events)
+    return [row.run for row in rows]
+
+
+def _lockstep(rows, Y, f, g, events):
+    """Step two or more ``rows`` in lockstep until at most one runs; return
+    that one as ``(row, y, f, g)``, its state, derivative and event values
+    as Python floats, or None if none is left.
+
+    ``Y`` holds the rows' states, ``f`` their derivatives and ``g`` their
+    event values.  Each pass makes one attempt for every running row.
+    The stage sums ``K^T a``, the error estimates and the dense-output
+    products ``D K`` are stacked products, ``np.matmul`` over the rows'
+    own stage tables, which give each row the bits of its ``np.dot`` (one
+    BLAS call per row; folding the rows into one wide product would not).
+    The rest of a step is elementwise IEEE arithmetic.
     """
     M = DOP853
-    n_rows, n = y0.shape
-    exponent = -1 / (M.error_estimator_order + 1)
-    n_stages, n_extra = M.n_stages, len(M.C_EXTRA)
-    t = [float(v) for v in t0]
-    t_next = t[:]
-    t_end, h_abs = [0.0] * n_rows, [0.0] * n_rows
-    rtol, atol = np.empty(n_rows), np.empty(n_rows)
-    pending = [iter(row_legs) for row_legs in legs]
-
-    def start_leg(i):   # row i takes its next leg; False if it has none
-        leg = next(pending[i], None)
-        if leg is not None:
-            t_end[i], rtol[i], atol[i], h_abs[i] = map(float, leg)
-            rtol[i] = max(rtol[i], 100 * _EPS)
-        return leg is not None
-
-    for i in range(n_rows):
-        _check_run(t0[i], legs[i], y0[i])
-        start_leg(i)
-    min_step = [0.0] * n_rows
-    fresh = [True] * n_rows
-    rejected = [False] * n_rows
-    nfev = [1] * n_rows
-    # the t, h, F and y_old of each running row's accepted steps
-    records = {i: ([v], [], [], []) for i, v in enumerate(t)}
-    runs = [None] * n_rows
-    live = list(range(n_rows))
-    K_ext = np.empty((n_rows, n_stages + 1 + n_extra, n))
+    n = Y.shape[1]
+    K_ext = np.empty((len(rows), _N_STAGES + 1 + _N_EXTRA, n))
+    K_ext[:, 0] = f
+    live = rows
 
     def batch():
-        """The right side, tolerances, step sizes, products and stage
-        views of the rows ``live``, and the shape of their state.
+        """The right side, tolerances and stage views of the rows
+        ``live``, whose stage tables ``K_ext`` holds."""
+        row_funs = [row.fun for row in live]
 
-        A batch of one row keeps its row alone: a 1-D state, float
-        tolerances and step and ``np.dot`` products, which cost less than
-        their stacked forms (a one-row solve integrates about a quarter
-        slower as a stack of one).  ``steps(h)`` gives the step sizes as
-        the stage sums and the dense-output block take them.  The loop
-        reads the rows of any batch through ``reshape(len(live), ...)``.
-        """
-        if len(live) == 1:
-            [f] = [funs[i] for i in live]
-            K, dot, shape = K_ext[0], np.dot, (n,)
-            tol = float(atol[live[0]]), float(rtol[live[0]])
-
-            def steps(h):
-                return h[0], h[0]
-
-            def fun(y):
-                return f(y.tolist())
-
-            def norm2(err):
-                return [err.dot(err)]
-        else:
-            row_funs = [funs[i] for i in live]
-            K, dot, shape = K_ext, np.matmul, (len(live), n)
-            tol = atol[live][:, None], rtol[live][:, None]
-
-            def steps(h):
-                H = np.array(h)[:, None]
-                return H, H[:, :, None]
-
-            def fun(Y):
-                return [f(y) for f, y in zip(row_funs, Y.tolist())]
-
-            def norm2(err):
-                return np.matmul(err[:, None, :],
-                                 err[:, :, None]).ravel().tolist()
+        def fun(Y):
+            return [f(y) for f, y in zip(row_funs, Y.tolist())]
 
         def stage(s):   # its rows, and the stage table before it as columns
-            return K[..., s, :], K[..., :s, :].swapaxes(-1, -2)
+            return K_ext[:, s], K_ext[:, :s].swapaxes(-1, -2)
 
-        stages = [(*stage(s), a[:s]) for s, a in enumerate(M.A[1:], start=1)]
-        extra = [(*stage(s), a[:s])
-                 for s, a in enumerate(M.A_EXTRA, start=n_stages + 1)]
-        return (fun, tol, steps, dot, norm2, K, shape, stages, extra,
-                stage(n_stages), stage(n_stages + 1)[1])
+        return (fun, tolerances(),
+                [(*stage(s), a[:s]) for s, a in enumerate(M.A[1:], start=1)],
+                [(*stage(s), a[:s])
+                 for s, a in enumerate(M.A_EXTRA, start=_N_STAGES + 1)],
+                stage(_N_STAGES), stage(_N_STAGES + 1)[1])
 
-    with np.errstate(all="ignore"):
-        (fun, (atol_, rtol_), steps, dot, norm2, K, shape, stages, extra,
-         (K_last, K_B), K_E) = batch()
-        y = np.array(y0, dtype=float).reshape(shape)
-        K[..., 0, :] = fun(y)
-        g = events(y).reshape(n_rows, -1).tolist()
-        while live:
-            # the start of each row's attempt, as in solve_ivp's step loop;
-            # a row whose step size underflowed finishes
-            h = []
-            for j, i in enumerate(live):
-                if runs[i] is not None:
-                    continue
-                if fresh[i]:
-                    fresh[i] = rejected[i] = False
-                    min_step[i] = 10 * abs(math.nextafter(t[i], math.inf) - t[i])
-                    if h_abs[i] < min_step[i]:
-                        h_abs[i] = min_step[i]
-                elif h_abs[i] < min_step[i]:
-                    runs[i] = _finish(records.pop(i), nfev[i], -1,
-                                      message=_TOO_SMALL_STEP)
-                    continue
-                t_new = t[i] + h_abs[i]
-                if t_new > t_end[i]:
-                    t_new = t_end[i]
-                t_next[i] = t_new
-                h.append(t_new - t[i])
-                h_abs[i] = abs(h[-1])
-            if len(h) < len(live):   # rows finished: the batch shrinks
-                keep = [j for j, i in enumerate(live) if runs[i] is None]
-                live = [live[j] for j in keep]
-                if not live:
-                    break
-                y, K_ext = y[keep], K_ext[keep]
-                g = [g[j] for j in keep]
-                (fun, (atol_, rtol_), steps, dot, norm2, K, shape, stages,
-                 extra, (K_last, K_B), K_E) = batch()
-                y = y.reshape(shape)
+    def tolerances():
+        return (np.array([[row.atol] for row in live]),
+                np.array([[row.rtol] for row in live]))
 
-            H, H_D = steps(h)
-            for Ks, K_prev, a in stages:
-                Ks[:] = fun(y + dot(K_prev, a) * H)
-            y_new = y + H * dot(K_B, M.B)
-            K_last[:] = fun(y_new)
-            scale = atol_ + np.maximum(np.abs(y), np.abs(y_new)) * rtol_
-            err5 = norm2(dot(K_E, M.E5) / scale)
-            err3 = norm2(dot(K_E, M.E3) / scale)
+    def norm2(err):
+        return np.matmul(err[:, None, :], err[:, :, None]).ravel().tolist()
 
-            # step-size control, row by row on Python floats
-            accepted = []
-            for j, i in enumerate(live):
-                nfev[i] += n_stages
-                # np.linalg.norm's operations on a vector, squared
-                err5_norm_2 = math.sqrt(err5[j]) ** 2
-                err3_norm_2 = math.sqrt(err3[j]) ** 2
-                if err5_norm_2 == 0 and err3_norm_2 == 0:
-                    error_norm = 0.0
-                else:
-                    denom = err5_norm_2 + 0.01 * err3_norm_2
-                    error_norm = (abs(h[j]) * err5_norm_2
-                                  / math.sqrt(denom * n))
-                if error_norm < 1:
-                    if error_norm == 0:
-                        factor = _MAX_FACTOR
-                    else:
-                        factor = min(_MAX_FACTOR,
-                                     _SAFETY * error_norm ** exponent)
-                    if rejected[i]:
-                        factor = min(1, factor)
-                    h_abs[i] *= factor
-                    accepted.append(j)
-                else:
-                    h_abs[i] *= max(_MIN_FACTOR,
-                                    _SAFETY * error_norm ** exponent)
-                    rejected[i] = True
-            if not accepted:
-                continue
-
-            # the dense output and events of the accepted steps
-            y_old = y
+    fun, (atol, rtol), stages, extra, (K_last, K_B), K_E = batch()
+    while True:
+        h = [row.begin() for row in live]
+        H = np.array(h)[:, None]
+        for Ks, K_prev, a in stages:
+            Ks[:] = fun(Y + np.matmul(K_prev, a) * H)
+        Y_new = Y + H * np.matmul(K_B, M.B)
+        K_last[:] = fun(Y_new)
+        scale = atol + np.maximum(np.abs(Y), np.abs(Y_new)) * rtol
+        err5 = norm2(np.matmul(K_E, M.E5) / scale)
+        err3 = norm2(np.matmul(K_E, M.E3) / scale)
+        accepted = [j for j, row in enumerate(live)
+                    if row.control(h[j], err5[j], err3[j], n)]
+        switched = False
+        if accepted:   # the dense output and events of the accepted steps
+            Y_old = Y
             for Ks, K_prev, a in extra:
-                Ks[:] = fun(y_old + dot(K_prev, a) * H)
-            F = np.empty(shape[:-1] + (3 + len(M.D), n))
-            delta_y = y_new - y_old
-            K_first = K[..., 0, :]
-            F[..., 0, :] = delta_y
-            F[..., 1, :] = H * K_first - delta_y
-            F[..., 2, :] = 2 * delta_y - H * (K_last + K_first)
-            F[..., 3:, :] = H_D * dot(M.D, K)
+                Ks[:] = fun(Y_old + np.matmul(K_prev, a) * H)
+            F = np.empty((len(live), _N_COEFFS, n))
+            delta_y = Y_new - Y_old
+            K_first = K_ext[:, 0]
+            F[:, 0] = delta_y
+            F[:, 1] = H * K_first - delta_y
+            F[:, 2] = 2 * delta_y - H * (K_last + K_first)
+            F[:, 3:] = H[:, :, None] * np.matmul(M.D, K_ext)
             if len(accepted) == len(live):
-                y = y_new
+                Y = Y_new
                 K_first[:] = K_last
             else:
-                y = y.copy()
-                y[accepted] = y_new[accepted]
-                K_ext[accepted, 0] = K_ext[accepted, n_stages]
-            g_old, g = g, events(y).reshape(len(live), -1).tolist()
-            # each row's view of the batch
-            F, y_old = F.reshape(len(live), -1, n), y_old.reshape(-1, n)
-            switched = False
+                Y = Y.copy()
+                Y[accepted] = Y_new[accepted]
+                K_ext[accepted, 0] = K_ext[accepted, _N_STAGES]
+            g_old, g = g, events(Y).tolist()
             for j in accepted:
-                i = live[j]
-                nfev[i] += n_extra
-                fresh[i] = True
-                t_old, t[i] = t[i], t_next[i]
-                status = 0 if t[i] >= t_end[i] else None
-                event, t_step = None, t[i]
-                active = [e for e, (lo, hi) in enumerate(zip(g_old[j], g[j]))
-                          if lo <= 0 <= hi or lo >= 0 >= hi]
-                if active:
-                    try:
-                        roots = [brentq(lambda s, e=e: events(_horner(
-                                            F[j, ::-1], y_old[j],
-                                            (s - t_old) / h[j]))[e],
-                                        t_old, t[i], xtol=4 * _EPS,
-                                        rtol=4 * _EPS)
-                                 for e in active]
-                    except (ValueError, RuntimeError) as exc:
-                        runs[i] = exc   # this row alone ends
-                        del records[i]
-                        continue
-                    first = np.argsort(roots)[0]
-                    status, event, t_step = 1, active[first], roots[first]
-                ts, hs, Fs, y_olds = records[i]
-                # solve_ivp drops a step whose root is the last end
-                if not (len(ts) > 1 and ts[-1] == t_step):
-                    ts.append(t_step)
-                    hs.append(h[j])
-                    Fs.append(F[j])
-                    y_olds.append(y_old[j])
-                if status == 0 and start_leg(i):
-                    switched = True
-                elif status is not None:
-                    runs[i] = _finish(records.pop(i), nfev[i], status, event)
-                if runs[i] is None and len(hs) >= MAX_STEPS:
-                    runs[i] = _finish(
-                        records.pop(i), nfev[i], -1, message=(
-                            f"MAX_STEPS = {MAX_STEPS} accepted steps reached "
-                            f"at t = {t[i]:.6g} before the end of the span"))
-            if switched:   # the tolerances of the batch are its rows' legs'
-                (fun, (atol_, rtol_), steps, dot, norm2, K, shape, stages,
-                 extra, (K_last, K_B), K_E) = batch()
-    return runs
+                switched |= live[j].accept(h[j], F[j], Y_old[j], g_old[j],
+                                           g[j], events)
+        keep = [j for j, row in enumerate(live) if row.run is None]
+        if len(keep) < 2:
+            return next(((live[j], Y[j].tolist(), K_ext[j, 0].tolist(), g[j])
+                         for j in keep), None)
+        if len(keep) < len(live):   # rows ended: the batch shrinks
+            live, Y, K_ext = [live[j] for j in keep], Y[keep], K_ext[keep]
+            g = [g[j] for j in keep]
+            fun, (atol, rtol), stages, extra, (K_last, K_B), K_E = batch()
+        elif switched:   # the tolerances of the batch are its rows' legs'
+            atol, rtol = tolerances()
 
 
-def _finish(record, nfev, status, event=None, message=None):
-    """The :class:`_Run` of a row's record ``(t, h, F, y_old)``."""
-    ts, hs, Fs, y_olds = record
-    return _Run(t=np.array(ts), h=np.array(hs), F=np.array(Fs),
-                y_old=np.array(y_olds), nfev=nfev, status=status, event=event,
-                message=message)
+def _alone(row, y, f, g, events):
+    """Step ``row`` alone to its end from the state ``y`` at its t, with
+    the derivative ``f`` and the event values ``g`` there (lists of Python
+    floats).
+
+    The elementwise part of a step is IEEE arithmetic on Python floats,
+    which round as numpy's ufuncs do: the stage states, ``y_new``, the
+    error scale (whose maximum keeps a NaN, as ``np.maximum`` does), the
+    quotients of the error estimates, and the first three rows of the
+    dense-output table.  numpy makes only the products that scipy
+    reduces, the stage sums, the error estimates, the norms' dot products
+    and ``D K``, called as bound ``ndarray.dot`` methods: ``np.dot``'s
+    routine, so they have its bits, at less cost per call.  A positive
+    ``atol`` (as :class:`AnsatzParams` requires) keeps every scale
+    positive, so no quotient divides by zero, which would raise here.
+    """
+    M = DOP853
+    n = len(y)
+    K = np.empty((_N_STAGES + 1 + _N_EXTRA, n))
+
+    def stage(s, a):   # its row, and the product of the stage table before
+        return K[s], K[:s].T.dot, a[:s]
+
+    stages = [stage(s, a) for s, a in enumerate(M.A[1:], start=1)]
+    extra = [stage(s, a)
+             for s, a in enumerate(M.A_EXTRA, start=_N_STAGES + 1)]
+    K_last = K[_N_STAGES]
+    step_sum, error_sum = K[:_N_STAGES].T.dot, K[:_N_STAGES + 1].T.dot
+    dense = M.D.dot
+    B, E5, E3 = M.B, M.E5, M.E3
+    fun = row.fun
+    K[0] = f
+    while row.run is None:
+        h = row.begin()
+        for Ks, dot, a in stages:
+            Ks[:] = fun([u + d * h for u, d in zip(y, dot(a).tolist())])
+        y_new = [u + h * d for u, d in zip(y, step_sum(B).tolist())]
+        K_last[:] = fun(y_new)
+        atol, rtol = row.atol, row.rtol
+        scale = [atol + (u if u >= v or u != u else v) * rtol
+                 for u, v in zip(map(abs, y), map(abs, y_new))]
+        err5 = np.array([e / s for e, s in zip(error_sum(E5).tolist(),
+                                                scale)])
+        err3 = np.array([e / s for e, s in zip(error_sum(E3).tolist(),
+                                                scale)])
+        if not row.control(h, err5.dot(err5), err3.dot(err3), n):
+            continue
+        for Ks, dot, a in extra:
+            Ks[:] = fun([u + d * h for u, d in zip(y, dot(a).tolist())])
+        f_new = K_last.tolist()
+        delta_y = [v - u for u, v in zip(y, y_new)]
+        F = np.empty((_N_COEFFS, n))
+        F[:3] = (delta_y, [h * p - d for p, d in zip(f, delta_y)],
+                 [2 * d - h * (q + p) for d, q, p in zip(delta_y, f_new, f)])
+        F[3:] = dense(K)
+        F[3:] *= h
+        g_old, g = g, events(np.array(y_new)).tolist()
+        row.accept(h, F, y, g_old, g, events)
+        y, f = y_new, f_new
+        K[0] = f
 
 
 def _events(k):
@@ -1052,8 +1125,7 @@ def _integrate(rows):
     below ``_LAUNCH_END`` and ``t_max``, so
     :func:`_dop853` accepts every row and every event starts positive.
     The rows are one :func:`_dop853` batch, each run with the bits of its
-    row integrated alone (its stacked ``np.matmul`` products are its
-    ``np.dot`` products), whatever the other rows do.
+    row integrated alone, whatever the other rows do.
     """
     events, outcomes = _events(rows[0].k)
     results = [None] * len(rows)
@@ -1112,15 +1184,16 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
     profile records the outcome in ``status`` and ``end_time``.  phi is
     gauge-normalized to phi(epsilon) = 0.
 
-    A batch of one row: one run of the DOP853 loop :func:`_dop853` on the
-    closure of :func:`_rhs_with_phi`, over the launch leg and, unless
-    the row ends in it, the rest of the span (:func:`_integrate`), with
-    the steps and bits of ``scipy.integrate.solve_ivp`` restarted at the
-    leg switch.  Raises ``ValueError`` for parameters it refuses (a
-    refused series start; :class:`AnsatzParams` refuses the rest when
-    built), and :class:`IntegrationError` when the step size underflows,
-    the run reaches ``MAX_STEPS`` accepted steps short of its end, or an
-    event cannot be located.
+    A batch of one row: one run of the one-row DOP853 loop
+    (:func:`_dop853`, :func:`_alone`) on the closure of
+    :func:`_rhs_with_phi`, over the launch leg and, unless the row ends in
+    it, the rest of the span (:func:`_integrate`), with the steps and bits
+    of ``scipy.integrate.solve_ivp`` restarted at the leg switch.  Raises
+    ``ValueError`` for parameters it refuses (a refused series start;
+    :class:`AnsatzParams` refuses the rest when built), and
+    :class:`IntegrationError` when the step size underflows, the run
+    reaches ``MAX_STEPS`` accepted steps short of its end, or an event
+    cannot be located.
     """
     [outcome] = _integrate([params])
     return _profile(params, outcome)
@@ -1389,9 +1462,10 @@ def sweep(param_list, parallel: bool = False, workers: int | None = None):
     (:func:`_sweep_rows`, :func:`_dop853`), and a row's numbers have the
     bits of the row shot alone, whatever the other rows of its batch: the
     batch's products are stacked ``np.matmul`` products over the rows'
-    own stage tables, which give each row the bits of its ``np.dot``, and
-    the step-size control runs row by row.  So neither the grid nor its
-    split into batches and shares changes a row.
+    own stage tables, which give each row the bits of its ``np.dot``, the
+    step-size control runs row by row, and the last row of a batch steps
+    on alone with the operations of :func:`shoot`.  So neither the grid
+    nor its split into batches and shares changes a row.
 
     ``parallel`` permits a process pool and ``workers`` caps it (default:
     the CPU count).  The pool has ``min(workers, rows // _SHARE_ROWS)``

@@ -466,6 +466,11 @@ class TestDenseEval:
         assert _same_bits(got, want)
 
 
+def _work(run):
+    """A run's right-side calls, accepted steps and rejected attempts."""
+    return run.nfev, run.t.size - 1, run.rejected
+
+
 class TestIntegratorWork:
     @pytest.mark.parametrize("k,m,lam,nfev,steps", [
         (1, 2, 0.0, 755, 47),
@@ -475,10 +480,12 @@ class TestIntegratorWork:
     def test_work_per_shoot(self, k, m, lam, nfev, steps):
         # solve_ivp's counts on these shoots, its two runs summed: a change
         # to the step control or the stage scheme moves them.  The one run
-        # makes one right-side call fewer, none at the leg switch
+        # makes one right-side call fewer, none at the leg switch: one at
+        # the start, 15 per accepted step and 12 per rejected attempt
+        rejected = {(1, 2): 4, (2, 3): 7, (1, 3): 5}[k, m]
         [(run, _, _)] = _integrate([AnsatzParams(k=k, m=m, lam=lam, b0=1.0)])
-        assert run.nfev == nfev - 1
-        assert run.t.size - 1 == steps
+        assert _work(run) == (nfev - 1, steps, rejected)
+        assert run.nfev == 1 + 15 * steps + 12 * rejected
 
     def test_step_underflow_matches_solve_ivp(self):
         # y' = y^2 blows up at t = 1, where the step size underflows
@@ -494,6 +501,35 @@ class TestIntegratorWork:
         assert run.message == ("Required step size is less than spacing "
                                "between numbers.")
         assert run.t[-1] == sol.t[-1] == 1.00000000001075
+
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_right_side_matches_solve_ivp(self, component, value):
+        # y' = y, but one component of y' is NaN or inf past y = 1.5: every
+        # attempt that reaches it is rejected until the step size underflows
+        # near t = ln 1.5, alone and in a batch whose other row runs on
+        def fun(y):
+            f = list(y)
+            if y[component] > 1.5:
+                f[component] = value
+            return f
+
+        leg = (2.0, 1e-10, 1e-10, 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sol = solve_ivp(lambda t, y: fun(y), (0.0, 2.0), [1.0, 1.0],
+                            method="DOP853", rtol=leg[1], atol=leg[2],
+                            first_step=leg[3], dense_output=True)
+        [alone] = _dop853([fun], [0.0], np.array([[1.0, 1.0]]), [[leg]],
+                          _no_events)
+        in_batch, calm = _dop853([fun, lambda y: [-v for v in y]], [0.0, 0.0],
+                                 np.ones((2, 2)), [[leg], [leg]], _no_events)
+        want = (sol.status, sol.nfev, sol.t[-1], sol.message)
+        assert want[:3] == (-1, 889, 0.40546510810816383)
+        for run in (alone, in_batch):
+            assert (run.status, run.nfev, run.t[-1], run.message) == want
+            assert _same_bits(run.F, [ip.F for ip in sol.sol.interpolants])
+        assert (calm.status, calm.t[-1]) == (0, 2.0)
 
     def test_integrate_reports_step_underflow(self, monkeypatch):
         # a right side that is never finite rejects every step until the
@@ -524,9 +560,9 @@ class TestIntegratorWork:
             return got
 
         monkeypatch.setattr(shooting, "_integrate", recording)
-        pinned = {AnsatzParams(k=1, m=2, lam=0.0, b0=1.0): (754, 47),
-                  AnsatzParams(k=2, m=3, lam=0.0, b0=1.0): (1525, 96),
-                  AnsatzParams(k=1, m=3, lam=-0.1, b0=1.0): (976, 61)}
+        pinned = {AnsatzParams(k=1, m=2, lam=0.0, b0=1.0): (754, 47, 4),
+                  AnsatzParams(k=2, m=3, lam=0.0, b0=1.0): (1525, 96, 7),
+                  AnsatzParams(k=1, m=3, lam=-0.1, b0=1.0): (976, 61, 5)}
         others = {AnsatzParams(k=0, m=2, lam=1.0, b0=1.0): "completed",
                   AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, phi2=0.5): "blowup",
                   AnsatzParams(k=1, m=2, lam=2.0, b0=1.0): "hit_a_zero",
@@ -538,10 +574,10 @@ class TestIntegratorWork:
         rows = sweep(grid)
         assert [row.status[:len(want)] for row, want in zip(
             rows[:3] + rows[6:], others.values())] == list(others.values())
-        for params, (nfev, steps) in pinned.items():
+        for params, work in pinned.items():
             run, status, _ = outcomes[params]
             assert status == "completed"
-            assert (run.nfev, run.t.size - 1) == (nfev, steps)
+            assert _work(run) == work
 
     def test_failed_event_location_ends_its_row_alone(self, monkeypatch):
         # brentq refuses the first bracket it gets: the hit_a_zero row's
@@ -588,13 +624,29 @@ class TestIntegratorWork:
                    f"steps reached at t = ")
         with pytest.raises(IntegrationError, match=re.escape(message)):
             shoot(steady)
+        # the steady row runs on alone after the short one ends, and is
+        # capped there
+        handoffs = _spy_handoffs(monkeypatch)
         failed, kept = _integrate([steady, short])
         assert isinstance(failed, IntegrationError)
         assert str(failed).startswith(message)
         assert _outcome_bits(kept) == _outcome_bits(short_alone)
+        assert [t_end for _, t_end, _, _ in handoffs] == [steady.t_max]
         rows = sweep([steady, short])
         assert rows[0].status.startswith("error:IntegrationError:" + message)
         assert (rows[1].status, rows[1].lifetime) == ("completed", 1.0)
+        # a cap that two rows reach at different passes: the steady row is
+        # capped in lockstep, the other alone, and each keeps the bits of
+        # its capped run alone
+        other = AnsatzParams(k=1, m=3, lam=-0.1, b0=1.0)
+        monkeypatch.setattr(shooting, "MAX_STEPS", short_alone[0].h.size - 1)
+        capped = [_integrate([params])[0] for params in (steady, other)]
+        handoffs.clear()
+        both = _integrate([steady, other])
+        assert [t_end for _, t_end, _, _ in handoffs] == [other.t_max]
+        for got, want in zip(both, capped):
+            assert isinstance(got, IntegrationError)
+            assert _outcome_bits(got) == _outcome_bits(want)
 
     def test_tight_degeneration_reaches_the_cap(self):
         # at rtol = atol 1e-15 this row takes 143,554 steps (19 s) to its
@@ -650,6 +702,24 @@ def _outcome_bits(outcome):
               for name in ("t", "h", "F", "y_old")))
 
 
+def _spy_handoffs(monkeypatch):
+    """Record the ``(t, t_end, fresh, step_rejected)`` of each row that a
+    batch hands to the one-row loop: its t and leg end, and whether its
+    last attempt was accepted or rejected."""
+    handoffs = []
+    lockstep = shooting._lockstep
+
+    def spy(*args):
+        last = lockstep(*args)
+        if last is not None:
+            row = last[0]
+            handoffs.append((row.t, row.t_end, row.fresh, row.step_rejected))
+        return last
+
+    monkeypatch.setattr(shooting, "_lockstep", spy)
+    return handoffs
+
+
 class TestBatchesKeepBits:
     """A row integrated in a batch has the bits of the row integrated
     alone, whatever the other rows of the batch and however they end."""
@@ -665,6 +735,29 @@ class TestBatchesKeepBits:
         (1, 2, 500.0, 1.0, -0.5, 3.5), (0, 1, 500.0, 1.0, -0.5, 3.5),
         (1, 2, 0.0, 1.0, -0.5, 0.1), (1, 2, 0.0, 1.0, -0.5, 0.1000000001),
     ]
+
+    @pytest.mark.parametrize("partner,handoff", [
+        # blows up at t = 0.0813, inside the launch leg: the survivor takes
+        # its second leg alone
+        (AnsatzParams(k=1, m=2, lam=500.0, b0=1.0),
+         (0.04404290462824772, _LAUNCH_END, True, False)),
+        # completes at t = 2.3 on the pass where the survivor's attempt was
+        # rejected
+        (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=2.3),
+         (2.2292491883669596, 10.0, False, True)),
+    ])
+    def test_last_row_runs_on_alone(self, monkeypatch, partner, handoff):
+        # the row left when its partner ends moves to the one-row loop with
+        # its t, step size, accept/reject state, leg, record, state and
+        # events, and keeps the bits of its run alone
+        steady = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)
+        [alone] = _integrate([steady])
+        handoffs = _spy_handoffs(monkeypatch)
+        ended, survivor = _integrate([partner, steady])
+        assert handoffs == [handoff]
+        assert ended[1] in ("blowup", "completed")
+        assert _outcome_bits(survivor) == _outcome_bits(alone)
+        assert _work(survivor[0]) == (754, 47, 4)
 
     def test_random_batches(self, monkeypatch):
         _nan_rhs_for(monkeypatch, _UNDERFLOW)
