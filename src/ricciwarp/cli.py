@@ -26,16 +26,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import sys
 
 import numpy as np
-# not used here: bench/tracing.py wraps scipy.interpolate.BSpline.__call__
-# and looks the module up in sys.modules, so a traced benchmark run fails
-# unless the CLI has imported it (ROADMAP item 1 removes that wrapper)
-import scipy.interpolate  # noqa: F401
 
 from . import __version__
 from .patches import GeometryError, _strict_json
@@ -55,6 +52,17 @@ from .shooting import (
     shoot,
     sweep,
 )
+
+# not used here: bench/tracing.py wraps scipy.interpolate.BSpline.__call__
+# and looks the module up in sys.modules, so a traced benchmark run fails
+# unless the module is there.  It is registered lazily: its code runs on
+# the tracer's first attribute access, and never in an untraced run
+# (ROADMAP item 1 removes this with that wrapper)
+if "scipy.interpolate" not in sys.modules:
+    _spec = importlib.util.find_spec("scipy.interpolate")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules["scipy.interpolate"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules["scipy.interpolate"])
 
 CONFIG_SCHEMA_VERSION = 1
 # the version of the sweep.csv table; 2 reports log-slopes in place of the
@@ -371,18 +379,17 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ricciwarp",
-        description="Construct and certify warped gradient Ricci solitons.")
-    parser.add_argument("command", choices=["solve", "certify", "quotient", "sweep"])
-    parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--out", default=None, help="output directory override")
-    return parser
+# built once: main() only parses with it
+_PARSER = argparse.ArgumentParser(
+    prog="ricciwarp",
+    description="Construct and certify warped gradient Ricci solitons.")
+_PARSER.add_argument("command", choices=["solve", "certify", "quotient", "sweep"])
+_PARSER.add_argument("--config", required=True, help="path to the JSON config")
+_PARSER.add_argument("--out", default=None, help="output directory override")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
         out_dir = args.out or cfg.get("out_dir", "out")

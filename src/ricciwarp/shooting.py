@@ -31,7 +31,11 @@ positive phi2 drives finite-time blowup.  Integration starts from the
 series at t = epsilon (``_series_start``, for every k) to keep the right
 side total.  It is an adaptive DOP853 loop (``_dop853``: Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.10) with the steps, dense output and event
-roots of scipy's ``solve_ivp(method="DOP853")``.  The loop advances a
+roots of scipy's ``solve_ivp(method="DOP853")``.  Its tableau is scipy's
+own: ``_dop853_tableau`` executes scipy's coefficient file
+``integrate/_ivp/dop853_coefficients.py`` by its location, so importing
+this module runs no scipy package, and ``brentq`` imports
+``scipy.optimize`` when a run first locates an event.  The loop advances a
 batch of rows in lockstep, each with its own t, step size and events:
 ``shoot`` is a batch of one row and ``sweep`` integrates its grid in
 batches.  A row keeps the bits it has alone, whatever else is in its
@@ -74,15 +78,15 @@ text, which would need a second reader.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
 from .curvature import _MARGIN_SECOND
 from .fd import check_step, grid_derivative
@@ -121,7 +125,34 @@ GRID_COLUMNS = ("t", "a", "a_prime", "b", "b_prime", "phi", "phi_prime")
 # row, and of a loaded file, whose params line sets its grid): the grid
 # and its diagnostics hold a dozen arrays of this length
 MAX_GRID_POINTS = 200_000
-_N_COEFFS = 3 + len(DOP853.D)   # rows of a step's dense-output table F
+
+
+def _dop853_tableau():
+    """The DOP853 tableau with the names and slices of
+    ``scipy.integrate.DOP853``: ``n_stages``, ``error_estimator_order``,
+    ``A``, ``B``, ``C``, ``E3``, ``E5``, ``D``, ``A_EXTRA`` and ``C_EXTRA``.
+
+    scipy's coefficient file holds only numpy literals.  It is executed
+    from its location in the scipy installation, so that neither
+    ``scipy.integrate``'s package (and the linear algebra, sparse and
+    optimize packages it imports) nor scipy's own ``__init__`` runs;
+    scipy stays the one source of the table.
+    """
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.util.spec_from_file_location(
+        "_dop853_coefficients",
+        os.path.join(root, "integrate", "_ivp", "dop853_coefficients.py"))
+    c = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(c)
+    n = c.N_STAGES
+    return SimpleNamespace(
+        n_stages=n, error_estimator_order=7, A=c.A[:n, :n], B=c.B,
+        C=c.C[:n], E3=c.E3, E5=c.E5, D=c.D, A_EXTRA=c.A[n + 1:],
+        C_EXTRA=c.C[n + 1:])
+
+
+_DOP853 = _dop853_tableau()
+_N_COEFFS = 3 + len(_DOP853.D)   # rows of a step's dense-output table F
 
 _POSITIVITY_FLOOR = 1e-6   # terminal event threshold for a, b
 _EVAL_FLOOR = 1e-7         # clamp inside the stepper so stages stay finite
@@ -720,8 +751,8 @@ class _Run:
 
 _EPS = float(np.finfo(float).eps)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
-_N_STAGES, _N_EXTRA = DOP853.n_stages, len(DOP853.C_EXTRA)
+_ERROR_EXPONENT = -1 / (_DOP853.error_estimator_order + 1)
+_N_STAGES, _N_EXTRA = _DOP853.n_stages, len(_DOP853.C_EXTRA)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 # accepted steps of one row, both legs; a row that needs more ends in
 # IntegrationError.  Sized from memory and file: a k >= 1 step is 850
@@ -734,6 +765,13 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 # the test suite takes more than 703, far below it even with the 28-46%
 # more steps of the default tolerances moved to 1e-12.
 MAX_STEPS = 10_000
+
+
+def brentq(f, a, b, **kwargs):
+    """``scipy.optimize.brentq``, whose package is imported on the first
+    call: only a run that locates an event pays for it."""
+    from scipy.optimize import brentq
+    return brentq(f, a, b, **kwargs)
 
 
 def _check_run(t0, legs, y0):
@@ -899,7 +937,8 @@ def _dop853(funs, t0, y0, legs, events):
     ``solve_ivp(method="DOP853", dense_output=True, events=...)`` runs it
     on each row alone: the operations of scipy's ``DOP853._step_impl``,
     ``rk_step``, ``_estimate_error_norm`` and ``_dense_output_impl`` in
-    their order, on the coefficients of ``scipy.integrate.DOP853``, so
+    their order, on the coefficients of ``scipy.integrate.DOP853`` (read
+    from scipy's coefficient file, :func:`_dop853_tableau`), so
     every row's steps, dense output and event roots have ``solve_ivp``'s
     bits.  Row i runs ``y' = funs[i](y)`` from ``t0[i]`` and the state
     ``y0[i]`` (``y0`` is a rows x n array) through its ``legs[i]``, each
@@ -944,7 +983,7 @@ def _lockstep(rows, Y, f, g, events):
     BLAS call per row; folding the rows into one wide product would not).
     The rest of a step is elementwise IEEE arithmetic.
     """
-    M = DOP853
+    M = _DOP853
     n = Y.shape[1]
     K_ext = np.empty((len(rows), _N_STAGES + 1 + _N_EXTRA, n))
     K_ext[:, 0] = f
@@ -1038,7 +1077,7 @@ def _alone(row, y, f, g, events):
     ``atol`` (as :class:`AnsatzParams` requires) keeps every scale
     positive, so no quotient divides by zero, which would raise here.
     """
-    M = DOP853
+    M = _DOP853
     n = len(y)
     K = np.empty((_N_STAGES + 1 + _N_EXTRA, n))
 
@@ -1278,7 +1317,8 @@ def certify_profile(profile: SolitonProfile,
     when the stencils of step ``h`` do not fit between the base-angle and
     fiber samples and the chart boundaries, and ``ValueError`` for a step
     ``h`` that is not finite and positive or, at the samples, not above
-    the float resolution (``fd.check_step``).
+    the float resolution (``fd.check_step``), and for ``n_base`` below 2
+    (:func:`certify_soliton`).
     """
     check_step(h)
     params = profile.params

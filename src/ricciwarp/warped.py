@@ -316,7 +316,9 @@ def certify_soliton(w: WarpedGeometry,
     first-integral spread is compared in the relative form
     spread/(1 + |mu|).  Sample sets not given are the chart centre and
     seeded interior points: 8 on the base, 4 on the fiber and 8 on each
-    factor of the product.
+    factor of the product.  Raises ``ValueError`` for fewer than 2 base
+    samples: the scalar-equation and first-integral checks compare the
+    samples with each other, so one sample would pass them vacuously.
     """
     if base_samples is None:
         base_samples = _default_samples(w.base, 8, 0, 0.05)
@@ -338,6 +340,10 @@ def certify_soliton(w: WarpedGeometry,
     base_samples = np.asarray(base_samples, dtype=float).reshape(-1, w.n)
     product_samples = np.asarray(product_samples, dtype=float).reshape(
         -1, w.n + w.m)
+    if len(base_samples) < 2:
+        raise ValueError(f"certification needs at least 2 base samples, got "
+                         f"{len(base_samples)}: the scalar equation and the "
+                         f"first integral compare them with each other")
 
     base = base_structure(w, base_samples, h)
     add("base_equation", base.residual_norm.max(), len(base_samples))

@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +36,28 @@ def write_config(path, extra=None, **blocks):
         cfg.update(extra)
     path.write_text(json.dumps(cfg))
     return cfg
+
+
+def test_start_up_runs_no_scipy_subpackage():
+    # a fresh interpreter that imports the CLI has executed none of scipy's
+    # integrate, optimize, sparse or linalg packages, nor scipy.interpolate,
+    # whose lazily registered module still resolves BSpline on first access
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    probe = ("import json, sys, ricciwarp, ricciwarp.cli\n"
+             "loaded = sorted(name for name in sys.modules\n"
+             "                if name.startswith('scipy.'))\n"
+             "spline = sys.modules['scipy.interpolate'].BSpline\n"
+             "print(json.dumps([loaded, spline.__module__]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, spline_module = json.loads(proc.stdout)
+    for package in ("integrate", "optimize", "sparse", "linalg",
+                    "interpolate._bsplines"):
+        assert f"scipy.{package}" not in loaded, package
+    assert spline_module == "scipy.interpolate._bsplines"
 
 
 def cylinder_solve_block(m=2, lam=0.5, t_max=6.0):
@@ -840,6 +865,7 @@ class TestConfigValidation:
         ("solve", "grid_per_unit", 10 ** 400),
         ("sweep", "grid_per_unit", 10 ** 400),
         ("certify", "h", 1e-20),
+        ("certify", "n_base", 1),
     ])
     def test_bad_number_exits_2_without_artifacts(self, tmp_path, command,
                                                   key, value):
@@ -1210,7 +1236,9 @@ class TestCertifyFuzz:
             else:
                 assert written == ["certification.json"]
             if edit is None and not flaw:
-                assert code == 0 or tolerance == 1e-8
+                # one base sample is refused; more certify the shot profile
+                assert (err.startswith("config error:") if n_base == 1
+                        else code == 0 or tolerance == 1e-8)
 
         run()
 

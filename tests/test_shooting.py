@@ -287,6 +287,23 @@ class TestShoot:
         assert AnsatzParams(k=1, m=2, lam=0.0, b0=1.0).classification == "steady"
         assert AnsatzParams(k=1, m=2, lam=-0.1, b0=1.0).classification == "expanding"
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("b0", [1.0, 1.5])
+    def test_schwarzschild_tangherlini(self, m, b0):
+        # steady k = 1 with phi2 = 0 is the Ricci-flat Euclidean
+        # Schwarzschild-Tangherlini metric (Tangherlini, 1963; Gibbons and
+        # Hawking, 1977): b' = sqrt(1 - (b0/b)^(m-1)), a = 2 b0/(m-1) b'
+        # and phi' = 0.  Measured worst deviations over the six cases: a
+        # 8.7e-9, b' 1.3e-6 and phi' 4.9e-7 (m 4, b0 1); the bounds are
+        # 4 times these
+        prof = shoot(AnsatzParams(k=1, m=m, lam=0.0, b0=b0, phi2=0.0,
+                                  t_max=20.0))
+        assert (prof.status, prof.end_time) == ("completed", 20.0)
+        b_prime = np.sqrt(1.0 - (b0 / prof.b) ** (m - 1))
+        assert np.abs(prof.a - 2 * b0 / (m - 1) * b_prime).max() < 3.5e-8
+        assert np.abs(prof.b_prime - b_prime).max() < 5e-6
+        assert np.abs(prof.phi_prime).max() < 2e-6
+
     def test_refinement_stability(self):
         base = dict(k=1, m=2, lam=-0.1, b0=1.0, t_max=2.0)
         p1 = shoot(AnsatzParams(epsilon=1e-4, rtol=1e-10, atol=1e-10, **base))
@@ -486,6 +503,17 @@ class TestIntegratorWork:
         [(run, _, _)] = _integrate([AnsatzParams(k=k, m=m, lam=lam, b0=1.0)])
         assert _work(run) == (nfev - 1, steps, rejected)
         assert run.nfev == 1 + 15 * steps + 12 * rejected
+
+    def test_tableau_is_scipys(self):
+        # the loops read scipy's DOP853 tableau from its coefficient file,
+        # with the names and slices of scipy.integrate.DOP853
+        from scipy.integrate import DOP853
+        for name in ("n_stages", "error_estimator_order", "A", "B", "C",
+                     "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+            got = np.asarray(getattr(shooting._DOP853, name))
+            want = np.asarray(getattr(DOP853, name))
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_step_underflow_matches_solve_ivp(self):
         # y' = y^2 blows up at t = 1, where the step size underflows
@@ -1408,13 +1436,18 @@ class TestSweep:
                 assert sorted(map(grid.index, mapped)) == list(range(rows))
 
     def test_parallel_matches_serial(self):
-        # a grid of 2 * _SHARE_ROWS rows runs on a real 2-process pool
-        grid = params_grid([1], [2], [0.0, -0.1], _b0s(_SHARE_ROWS),
-                           t_max=0.5, rtol=1e-9, atol=1e-9)
+        # a grid of 2 * _SHARE_ROWS rows runs on a real 2-process pool; the
+        # lambda 2 rows end in hit_a_zero before t_max, so the workers
+        # locate events through the lazily importing shooting.brentq
+        grid = params_grid([1], [2], [0.0, 2.0], _b0s(_SHARE_ROWS),
+                           t_max=3.5, rtol=1e-9, atol=1e-9)
         assert len(grid) == 2 * _SHARE_ROWS
         serial = sweep(grid, parallel=False)
         parallel = sweep(grid, parallel=True, workers=2)
         assert list(map(repr, serial)) == list(map(repr, parallel))
+        assert [row.status for row in serial] == (
+            ["completed"] * _SHARE_ROWS + ["hit_a_zero"] * _SHARE_ROWS)
+        assert all(row.lifetime < 3.5 for row in serial[_SHARE_ROWS:])
 
 
 def _b0s(count):

@@ -308,6 +308,13 @@ class TestCertifySoliton:
             assert not report.verdict
             assert not report.checks[check]["pass"], check
 
+    def test_one_base_sample_is_refused(self):
+        # the scalar equation and the first integral compare the base
+        # samples with each other: one sample would pass both at residual 0
+        with pytest.raises(ValueError, match="at least 2 base samples"):
+            certify_soliton(cylinder_geometry(2, 1.0),
+                            base_samples=np.array([[0.3]]))
+
     def test_report_json_structure(self):
         report = certify_soliton(cylinder_geometry(2, 1.0), tolerance=1e-6)
         doc = json.loads(report.to_json())
