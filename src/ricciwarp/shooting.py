@@ -15,11 +15,13 @@ first-order system in (a, a', b, b', phi'):
 For k = 0 the base is the line; the a-equation and all a-terms drop out.
 ``_reduced_kernel`` is the single place where this system is written: the
 integrator's right side ``_rhs_with_phi`` and the array diagnostics both
-call it.  These equations are not taken on faith: the test suite
-assembles the full product metric from integrated profiles and requires
-the finite-difference soliton residual to vanish to discretization
-accuracy (the closure gate), and it derives the system symbolically from
-the metric and compares it with the kernel and the right side.
+call the kernel it builds for a row's (k, m, lam).  These equations are
+not taken on faith: the test suite assembles the full product metric
+from integrated profiles and requires the finite-difference soliton
+residual to vanish to discretization accuracy (the closure gate), it
+derives the system symbolically from the metric and compares it with the
+kernel and the right side, and it checks shot profiles against the
+system's scaling and time-reversal symmetries.
 
 Smoothness of the metric across t = 0 forces a(0) = 0, a'(0) = 1,
 b'(0) = 0, phi'(0) = 0.  Matching even/odd Taylor series in the system
@@ -84,6 +86,7 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -259,23 +262,29 @@ class AnsatzParams:
         return "steady"
 
 
-def _reduced_kernel(params: AnsatzParams, a, ap, b, bp, phip):
-    """The reduced system: ``(s_a, s_b, phi'') = (a''/a, b''/b, phi'')``.
+def _reduced_kernel(params: AnsatzParams):
+    """The reduced system of ``params``' (k, m, lam): the kernel
+    ``kernel(a, a', b, b', phi') = (s_a, s_b, phi'') = (a''/a, b''/b,
+    phi'')``, with the row's constants bound once.
 
     Plain arithmetic, so the same code runs on floats (the ODE right side)
     and on arrays (the grid diagnostics).  For k = 0 the a-arguments are
     not read and ``s_a`` is 0.
     """
     k, m, lam = params.k, params.m, params.lam
-    s_b = (m - 1) * (1.0 - bp * bp) / (b * b)
-    if k < 1:
-        s_a = 0.0
-    else:
-        s_a = ((k - 1) * (1.0 - ap * ap) / (a * a)
-               - m * ap * bp / (a * b) + phip * ap / a - lam)
-        s_b = s_b - k * ap * bp / (a * b)
-    s_b = s_b + phip * bp / b - lam
-    return s_a, s_b, lam + k * s_a + m * s_b
+
+    def kernel(a, ap, b, bp, phip):
+        s_b = (m - 1) * (1.0 - bp * bp) / (b * b)
+        if k < 1:
+            s_a = 0.0
+        else:
+            s_a = ((k - 1) * (1.0 - ap * ap) / (a * a)
+                   - m * ap * bp / (a * b) + phip * ap / a - lam)
+            s_b = s_b - k * ap * bp / (a * b)
+        s_b = s_b + phip * bp / b - lam
+        return s_a, s_b, lam + k * s_a + m * s_b
+
+    return kernel
 
 
 def _series_start(params: AnsatzParams):
@@ -344,19 +353,20 @@ def _rhs_with_phi(params: AnsatzParams):
     :func:`_dop853` writes into its stage table as it is.
     """
     floor = _EVAL_FLOOR
+    kernel = _reduced_kernel(params)
     if params.k >= 1:
         def rhs(y):
             a, ap, b, bp, _, phip = y
             a = floor if floor > a else a
             b = floor if floor > b else b
-            s_a, s_b, phipp = _reduced_kernel(params, a, ap, b, bp, phip)
+            s_a, s_b, phipp = kernel(a, ap, b, bp, phip)
             return [ap, a * s_a, bp, b * s_b, phip, phipp]
         return rhs
 
     def rhs(y):
         b, bp, _, phip = y
         b = floor if floor > b else b
-        _, s_b, phipp = _reduced_kernel(params, None, None, b, bp, phip)
+        _, s_b, phipp = kernel(None, None, b, bp, phip)
         return [bp, b * s_b, phip, phipp]
     return rhs
 
@@ -387,15 +397,16 @@ def _locate(steps, t):
     the span go to the first or last step."""
     ends, t_old, h, _ = steps
     idx = np.minimum(np.searchsorted(ends, t, side="left"), ends.size - 1)
-    return idx, (t - t_old[idx]) / h[idx]
+    return idx, (t - t_old.take(idx)) / h.take(idx)
 
 
 def _evaluate(steps, name: str, idx, x):
     """State column ``name`` at the times that :func:`_locate` placed:
     :func:`_horner` with one coefficient row and one ``x`` per time, so a
-    column has the bits of ``solve_ivp``'s dense output."""
+    column has the bits of ``solve_ivp``'s dense output.  ``take`` gathers
+    the same values as fancy indexing, at half the cost."""
     y_old, rows = steps[3][name]
-    return _horner(rows[:, idx], y_old[idx], x)
+    return _horner(rows.take(idx, axis=1), y_old.take(idx), x)
 
 
 def _state_columns(k: int):
@@ -428,10 +439,12 @@ class SolitonProfile:
     the uniform grid of ``grid_per_unit`` rows per unit of t
     (``a``/``a_prime`` NaN-filled for k = 0), and ``mu``, ``res_tt``,
     ``res_sk`` (NaN for k = 0) and ``res_sm`` are derived from them by
-    :func:`_diagnostics`, so corrupted coefficients show in them.  These
-    views, the polynomials' arrays and the interpolants are each computed
-    once per object, on first read (``functools.cached_property``); a
-    ``dataclasses.replace`` copy computes its own.
+    :func:`_first_integral` and :func:`_residuals`, so corrupted
+    coefficients show in them.  These views, the polynomials' arrays and
+    the interpolants are each computed once per object, on first read
+    (``functools.cached_property``; mu apart from the residuals, which a
+    sweep row does not read); a ``dataclasses.replace`` copy computes its
+    own.
     """
 
     params: AnsatzParams
@@ -539,16 +552,17 @@ class SolitonProfile:
     phi = cached_property(lambda self: self._column("phi"))
     phi_prime = cached_property(lambda self: self._column("phi_prime"))
 
-    @cached_property
-    def _derived(self):
-        """``(mu, res_tt, res_sk, res_sm)`` of :func:`_diagnostics`."""
-        return _diagnostics(self.params, self.t, self.a, self.a_prime, self.b,
-                            self.b_prime, self.phi_prime)
+    def _derive(self, series):
+        """``series`` (:func:`_first_integral` or :func:`_residuals`) of
+        the grid columns."""
+        return series(self.params, self.t, self.a, self.a_prime, self.b,
+                      self.b_prime, self.phi_prime)
 
-    mu = property(lambda self: self._derived[0])
-    res_tt = property(lambda self: self._derived[1])
-    res_sk = property(lambda self: self._derived[2])
-    res_sm = property(lambda self: self._derived[3])
+    mu = cached_property(lambda self: self._derive(_first_integral))
+    _residual_columns = cached_property(lambda self: self._derive(_residuals))
+    res_tt = property(lambda self: self._residual_columns[0])
+    res_sk = property(lambda self: self._residual_columns[1])
+    res_sm = property(lambda self: self._residual_columns[2])
 
     @property
     def lam(self) -> float:
@@ -689,30 +703,34 @@ class SolitonProfile:
                    status=status, end_time=end_time)
 
 
-def _diagnostics(params: AnsatzParams, t, a, ap, b, bp, phip):
-    """A profile's derived series ``(mu, res_tt, res_sk, res_sm)``.
+# A profile's derived series, by grid finite differences of its state
+# arrays.  The stencils take one step, t[1] - t[0], for the whole grid: t is
+# the uniform np.linspace grid of SolitonProfile.t.
 
-    The first-integral series and the per-equation residual columns, by
-    grid finite differences of the state arrays.  b'' is obtained by
+def _first_integral(params: AnsatzParams, t, a, ap, b, bp, phip):
+    """The first-integral series mu(t).  b'' is obtained by
     differentiating the b' array; with b'' from the right side the first
     integral collapses to the constant m - 1 identically and the
-    conservation check would be vacuous.  The stencils take one step,
-    ``t[1] - t[0]``, for the whole grid: ``t`` is the uniform
-    ``np.linspace`` grid of :attr:`SolitonProfile.t`.
-    """
+    conservation check would be vacuous."""
     k, m, lam = params.k, params.m, params.lam
+    bpp_fd = grid_derivative(bp, t[1] - t[0])
+    lap_b = bpp_fd + (k * (ap / a) * bp if k >= 1 else 0.0)
+    return lam * b * b + b * lap_b + (m - 1) * bp * bp - b * phip * bp
+
+
+def _residuals(params: AnsatzParams, t, a, ap, b, bp, phip):
+    """The per-equation residual columns ``(res_tt, res_sk, res_sm)``: the
+    differenced phi', a' and b' less the kernel's phi'', a'' and b''
+    (``res_sk`` NaN for k = 0)."""
     dt = t[1] - t[0]
-    s_a, s_b, phipp_rhs = _reduced_kernel(params, a, ap, b, bp, phip)
-    bpp_fd = grid_derivative(bp, dt)
+    s_a, s_b, phipp_rhs = _reduced_kernel(params)(a, ap, b, bp, phip)
     res_tt = grid_derivative(phip, dt) - phipp_rhs
-    res_sm = bpp_fd - b * s_b
-    if k >= 1:
+    res_sm = grid_derivative(bp, dt) - b * s_b
+    if params.k >= 1:
         res_sk = grid_derivative(ap, dt) - a * s_a
     else:
         res_sk = np.full_like(t, np.nan)
-    lap_b = bpp_fd + (k * (ap / a) * bp if k >= 1 else 0.0)
-    mu = lam * b * b + b * lap_b + (m - 1) * bp * bp - b * phip * bp
-    return mu, res_tt, res_sk, res_sm
+    return res_tt, res_sk, res_sm
 
 
 # the origin launch layer amplifies start-state errors by roughly 1/t^2
@@ -930,7 +948,7 @@ class _Row:
         self.record = None
 
 
-def _dop853(funs, t0, y0, legs, events):
+def _dop853(funs, t0, y0, legs, events, event_values):
     """Integrate a batch of rows of ``y' = f(y)`` with DOP853.
 
     The method of Hairer, Norsett & Wanner, *Solving ODEs I*, II.10, as
@@ -946,8 +964,10 @@ def _dop853(funs, t0, y0, legs, events):
     accept/reject state and events (a :class:`_Row`).  ``funs[i]`` maps
     the Python floats of a state to its derivative, a list.  ``events(Y)``
     gives the values of the terminal events (the last axis) of one state
-    or of a stack of states.  Returns one :class:`_Run` per row, or the
-    exception that ``brentq`` raised for it.
+    or of a stack of states, and ``event_values(y)`` the same values, as a
+    list, of one state given as a list of Python floats.  Returns one
+    :class:`_Run` per row, or the exception that ``brentq`` raised for
+    it.
 
     Two or more rows step in lockstep (:func:`_lockstep`); a row alone,
     and the last row of a batch, steps on Python floats (:func:`_alone`).
@@ -966,7 +986,7 @@ def _dop853(funs, t0, y0, legs, events):
         last = ((rows[0], Y[0].tolist(), f[0].tolist(), g[0])
                 if len(rows) == 1 else _lockstep(rows, Y, f, g, events))
         if last is not None:
-            _alone(*last, events)
+            _alone(*last, events, event_values)
     return [row.run for row in rows]
 
 
@@ -993,9 +1013,12 @@ def _lockstep(rows, Y, f, g, events):
         """The right side, tolerances and stage views of the rows
         ``live``, whose stage tables ``K_ext`` holds."""
         row_funs = [row.fun for row in live]
+        size = len(live) * n
 
-        def fun(Y):
-            return [f(y) for f, y in zip(row_funs, Y.tolist())]
+        def fun(Y):   # one flat sequence, written into the stages at once
+            return np.fromiter(chain.from_iterable(
+                [f(y) for f, y in zip(row_funs, Y.tolist())]),
+                float, size).reshape(-1, n)
 
         def stage(s):   # its rows, and the stage table before it as columns
             return K_ext[:, s], K_ext[:, :s].swapaxes(-1, -2)
@@ -1061,10 +1084,12 @@ def _lockstep(rows, Y, f, g, events):
             atol, rtol = tolerances()
 
 
-def _alone(row, y, f, g, events):
+def _alone(row, y, f, g, events, event_values):
     """Step ``row`` alone to its end from the state ``y`` at its t, with
     the derivative ``f`` and the event values ``g`` there (lists of Python
-    floats).
+    floats).  ``event_values`` gives the event values of each accepted
+    step's end on its Python floats; ``events``, their array form, is
+    what the row's event location reads.
 
     The elementwise part of a step is IEEE arithmetic on Python floats,
     which round as numpy's ufuncs do: the stage states, ``y_new``, the
@@ -1117,23 +1142,27 @@ def _alone(row, y, f, g, events):
                  [2 * d - h * (q + p) for d, q, p in zip(delta_y, f_new, f)])
         F[3:] = dense(K)
         F[3:] *= h
-        g_old, g = g, events(np.array(y_new)).tolist()
+        g_old, g = g, event_values(y_new)
         row.accept(h, F, y, g_old, g, events)
         y, f = y_new, f_new
         K[0] = f
 
 
 def _events(k):
-    """``(events, outcomes)``: the terminal events of the state of a k row
-    and the profile status each gives.
+    """``(events, values, outcomes)``: the terminal events of the state of
+    a k row, their form on Python floats, and the profile status each
+    gives.
 
     ``events(Y)`` has one column per event, in solve_ivp's order, which
     breaks ties between equal roots: b and (for k >= 1) a reach the
     positivity floor, and the state leaves the blow-up box.  ``Y`` may be
-    one state or a rows x n array.  :func:`_series_start` refuses a start
-    at or below the floor or outside the box, so every event starts
-    positive and fires only by falling to zero: no event needs a
-    direction.
+    one state or a rows x n array.  ``values(y)`` is
+    ``events(np.array(y)).tolist()`` for one state ``y``, a list of
+    Python floats, with the same bits, NaN rule included: ``np.max`` keeps
+    a NaN, Python's ``max`` need not, so a NaN component makes the
+    blow-up value NaN.  :func:`_series_start` refuses a start at or below
+    the floor or outside the box, so every event starts positive and fires
+    only by falling to zero: no event needs a direction.
     """
     floors = slice(2, None, -2) if k >= 1 else slice(0, 1)   # (b, a) or b
 
@@ -1143,7 +1172,17 @@ def _events(k):
         g[..., -1] = _BLOWUP_LIMIT - np.abs(Y).max(axis=-1)
         return g
 
-    return events, _STATUSES[1:] if k >= 1 else _STATUSES[1::2]
+    def values(y):
+        top = max(map(abs, y))
+        # a NaN component makes the sum NaN; so do +inf and -inf together,
+        # whose top is inf either way
+        if math.isnan(sum(y)) and any(map(math.isnan, y)):
+            top = math.nan
+        g = [u - _POSITIVITY_FLOOR for u in y[floors]]
+        g.append(_BLOWUP_LIMIT - top)
+        return g
+
+    return events, values, _STATUSES[1:] if k >= 1 else _STATUSES[1::2]
 
 
 def _integrate(rows):
@@ -1166,7 +1205,7 @@ def _integrate(rows):
     The rows are one :func:`_dop853` batch, each run with the bits of its
     row integrated alone, whatever the other rows do.
     """
-    events, outcomes = _events(rows[0].k)
+    events, values, outcomes = _events(rows[0].k)
     results = [None] * len(rows)
     launch, starts, legs = [], [], []
     for i, p in enumerate(rows):
@@ -1192,7 +1231,7 @@ def _integrate(rows):
     for i, run in zip(launch, _dop853(
             [_rhs_with_phi(rows[i]) for i in launch],
             [rows[i].epsilon for i in launch], np.array(starts), legs,
-            events)):
+            events, values)):
         if isinstance(run, Exception):   # raised by brentq
             results[i] = IntegrationError(f"event location failed: {run}")
         elif run.status == -1:
@@ -1485,10 +1524,12 @@ def _sweep_rows(param_list) -> list:
 
 # the fewest rows a pool process gets.  One process against a 2-process
 # pool, start-up included, on k = 1 grids at t_max 10 (wall ms on 2
-# cores): 8 rows 48 vs 62, 16 rows 81 vs 82, 24 rows 115 vs 100, 32 rows
-# 147 vs 117, 48 rows 222 vs 155.  The pool breaks even near 8 rows a
-# process and saves a fifth from 16 on; it starts only where it clearly
-# wins
+# cores, medians of 21, a process that imports no scipy subpackage): 8
+# rows 46 vs 59, 16 rows 74 vs 78, 24 rows 105 vs 98, 32 rows 135 vs 113,
+# 48 rows 177 vs 137.  8-row shares lose: with them the benchmark's
+# 16-row sweep runs on the pool, and its sweep op_p50 read 35.3-35.9 ms
+# against 31.2-32.3.  The pool starts where it clearly wins, 16 rows a
+# process, whose grids it shortens by 16-23%
 _SHARE_ROWS = 16
 
 

@@ -178,7 +178,8 @@ class TestSolve:
         def failing(*args):
             raise GeometryError("diagnostics failed")
 
-        monkeypatch.setattr(shooting, "_diagnostics", failing)
+        monkeypatch.setattr(shooting, "_first_integral", failing)
+        monkeypatch.setattr(shooting, "_residuals", failing)
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
                                       "b0": 1.0, "t_max": 1.0})
@@ -719,18 +720,20 @@ class TestProfileBounds:
 
 
 class TestDiagnosticsCalls:
-    """A solve derives a profile's diagnostics once; a certificate and a
-    quotient, which read only the polynomials of a, b and phi, never do."""
+    """A solve derives a profile's first integral and residual columns
+    once each, and a sweep row its first integral alone; a certificate and
+    a quotient, which read only the polynomials of a, b and phi, derive
+    neither."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls, diagnostics = [], shooting._diagnostics
+        calls = []
+        for name in ("_first_integral", "_residuals"):
+            def counting(*args, name=name, series=getattr(shooting, name)):
+                calls.append((name, args[0]))
+                return series(*args)
 
-        def counting(*args):
-            calls.append(args[0])
-            return diagnostics(*args)
-
-        monkeypatch.setattr(shooting, "_diagnostics", counting)
+            monkeypatch.setattr(shooting, name, counting)
         return calls
 
     def test_per_workflow(self, tmp_path, calls):
@@ -739,26 +742,28 @@ class TestDiagnosticsCalls:
         write_config(cfg_path, solve=solve, certify={"n_base": 4,
                                                      "n_product": 4})
         assert main(["solve", "--config", str(cfg_path)]) == 0
-        assert len(calls) == 1
+        names = sorted(name for name, _ in calls)
+        assert names == ["_first_integral", "_residuals"]
         assert main(["certify", "--config", str(cfg_path)]) == 0
-        assert len(calls) == 1
+        assert len(calls) == 2
         profile = str(tmp_path / "out" / "profile.csv")
         write_config(cfg_path, certify={"profile": profile, "n_base": 4,
                                         "n_product": 4},
                      quotient={"p": 2, "k": 1, "m": 2, "kind": "antipodal",
                                "profile": profile})
         assert main(["certify", "--config", str(cfg_path)]) == 0
-        assert len(calls) == 1
+        assert len(calls) == 2
         assert main(["quotient", "--config", str(cfg_path)]) == 0
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     def test_one_per_sweep_row(self, tmp_path, calls):
         cfg_path = tmp_path / "s.json"
         write_config(cfg_path, sweep={"k": [0, 1], "m": [2], "lambda": [0.0],
                                       "b0": [0.9, 1.0], "t_max": 2.0})
         assert main(["sweep", "--config", str(cfg_path)]) == 0
-        assert [(p.k, p.b0) for p in calls] == [
-            (0, 0.9), (0, 1.0), (1, 0.9), (1, 1.0)]
+        assert [(name, p.k, p.b0) for name, p in calls] == [
+            ("_first_integral", 0, 0.9), ("_first_integral", 0, 1.0),
+            ("_first_integral", 1, 0.9), ("_first_integral", 1, 1.0)]
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Reduced system, series closure, shooting, diagnostics, sweeps."""
 
 import gc
+import math
 import re
 import struct
 import warnings
@@ -38,9 +39,11 @@ from ricciwarp.shooting import (
     _SHARE_ROWS,
     _SLOPES,
     _csv_header,
-    _diagnostics,
     _dop853,
     _evaluate,
+    _events,
+    _first_integral,
+    _horner,
     _integrate,
     _locate,
     _log_slopes,
@@ -304,6 +307,81 @@ class TestShoot:
         assert np.abs(prof.b_prime - b_prime).max() < 5e-6
         assert np.abs(prof.phi_prime).max() < 2e-6
 
+    def test_scaling(self):
+        # g -> c^2 g maps a profile to a profile: (b0, lambda, phi2,
+        # epsilon, t_max) go to (c b0, lambda / c^2, phi2 / c^2, c epsilon,
+        # c t_max) and grid_per_unit, a density per unit of t, to
+        # grid_per_unit / c; a and b scale by c and phi is unchanged.  c is
+        # drawn as 200 / g for an integer g, from 0.5 to 3, so that the
+        # scaled grid_per_unit is an integer.  Measured over every such g,
+        # the worst |difference| / max(1, |value|) of a, b and phi on the
+        # grid: k1m2 4.3e-10, k2m3 3.8e-7, k1m3 6.0e-10 and, up to 0.9 of
+        # its blow-up time, k0m2 6.7e-10; the bounds are 4 times these.
+        # End times agree within 7.1e-12 and the completed rows' mu_mean
+        # within 2.4e-12, relative
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        classes = {
+            "k1m2": (AnsatzParams(k=1, m=2, lam=-0.1, b0=1.0), 1.7e-9),
+            "k2m3": (AnsatzParams(k=2, m=3, lam=0.5, b0=1.3), 1.6e-6),
+            "k1m3": (AnsatzParams(k=1, m=3, lam=0.0, b0=1.0), 2.4e-9),
+            "k0m2": (AnsatzParams(k=0, m=2, lam=-0.3, b0=1.2), 2.7e-9)}
+        profiles = {}
+
+        @hypothesis.settings(max_examples=30, deadline=None, database=None)
+        @hypothesis.given(name=st.sampled_from(sorted(classes)),
+                          g=st.integers(67, 400))
+        def run(name, g):
+            params, bound = classes[name]
+            if name not in profiles:
+                profiles[name] = shoot(params)
+            prof, c = profiles[name], 200 / g
+            scaled = shoot(replace(
+                params, b0=c * params.b0, lam=params.lam / c ** 2,
+                phi2=params.phi2 / c ** 2, epsilon=c * params.epsilon,
+                t_max=c * params.t_max, grid_per_unit=g))
+            assert scaled.status == prof.status
+            assert scaled.end_time / c == pytest.approx(prof.end_time,
+                                                        rel=1e-4)
+            t = prof.t
+            if prof.status != "completed":
+                t = t[t <= 0.9 * prof.end_time]
+            else:
+                assert scaled.mu_mean == pytest.approx(prof.mu_mean, rel=1e-9)
+            for f, f_scaled, size in zip(prof.interpolants(),
+                                         scaled.interpolants(), (c, c, 1.0)):
+                if f is not None:
+                    want = f(t)
+                    got = f_scaled(c * t) / size
+                    assert (np.abs(got - want)
+                            / np.maximum(1.0, np.abs(want))).max() < bound
+
+        run()
+
+    def test_reversal(self):
+        # every first-derivative term of the reduced system is a product of
+        # two first derivatives, so the system is invariant under t -> T - t
+        # with a', b' and phi' negated.  A reversed _dop853 run (at 1e-12)
+        # retraces the k1m2 lambda -0.1 profile away from the pole: the
+        # worst state component at its step starts and its end measured
+        # 1.07e-8 from t = 8 back to 4 and 5.09e-9 from 3 back to 0.5; the
+        # bounds are 4 times these.  Toward the pole the launch-layer mode
+        # grows (8 back to 1: 6.2e-7; 9.9 back to 0.2: 3.2e-4)
+        params = AnsatzParams(k=1, m=2, lam=-0.1, b0=1.0)
+        prof = shoot(params)
+        flip = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        events, values, _ = _events(1)
+        for T, t_stop, bound in ((8.0, 4.0, 4.3e-8), (3.0, 0.5, 2.1e-8)):
+            start = _dense(prof, np.array([T]))[:, 0] * flip
+            [run] = _dop853([_rhs_with_phi(params)], [0.0], start[None],
+                            [[(T - t_stop, 1e-12, 1e-12, 1e-3)]], events,
+                            values)
+            assert run.status == 0
+            got = np.vstack([run.y_old,
+                             _horner(run.F[-1][::-1], run.y_old[-1], 1.0)])
+            want = _dense(prof, T - run.t).T * flip
+            assert np.abs(got - want).max() < bound
+
     def test_refinement_stability(self):
         base = dict(k=1, m=2, lam=-0.1, b0=1.0, t_max=2.0)
         p1 = shoot(AnsatzParams(epsilon=1e-4, rtol=1e-10, atol=1e-10, **base))
@@ -387,6 +465,10 @@ def _per_run_reference(solutions, ts):
 
 def _no_events(Y):
     return np.empty(Y.shape[:-1] + (0,))
+
+
+def _no_event_values(y):
+    return []
 
 
 def _dense(profile, ts):
@@ -523,7 +605,8 @@ class TestIntegratorWork:
         sol = solve_ivp(fun, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10,
                         atol=1e-10, first_step=1e-3, dense_output=True)
         [run] = _dop853([lambda y: fun(None, y)], [0.0], np.array([[1.0]]),
-                        [[(2.0, 1e-10, 1e-10, 1e-3)]], _no_events)
+                        [[(2.0, 1e-10, 1e-10, 1e-3)]], _no_events,
+                        _no_event_values)
         assert (sol.status, sol.nfev) == (-1, 7255)
         assert (run.status, run.nfev, run.message) == (-1, 7255, sol.message)
         assert run.message == ("Required step size is less than spacing "
@@ -549,9 +632,10 @@ class TestIntegratorWork:
                             method="DOP853", rtol=leg[1], atol=leg[2],
                             first_step=leg[3], dense_output=True)
         [alone] = _dop853([fun], [0.0], np.array([[1.0, 1.0]]), [[leg]],
-                          _no_events)
+                          _no_events, _no_event_values)
         in_batch, calm = _dop853([fun, lambda y: [-v for v in y]], [0.0, 0.0],
-                                 np.ones((2, 2)), [[leg], [leg]], _no_events)
+                                 np.ones((2, 2)), [[leg], [leg]], _no_events,
+                                 _no_event_values)
         want = (sol.status, sol.nfev, sol.t[-1], sol.message)
         assert want[:3] == (-1, 889, 0.40546510810816383)
         for run in (alone, in_batch):
@@ -686,13 +770,42 @@ class TestIntegratorWork:
                 r"at t = 1\.5707")):
             shoot(params)
 
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_event_values_on_floats(self, k):
+        # a row stepping alone reads each accepted step's event values on
+        # Python floats: the bits of the array form on finite and +-inf
+        # states, and a NaN in any component makes the blow-up value NaN,
+        # as np.max does (Python's max drops a NaN that does not come first)
+        events, values, _ = _events(k)
+        n = 6 if k >= 1 else 4
+        rng = np.random.default_rng(27)
+        states = [rng.normal(size=n) * 10.0 ** rng.integers(-8, 12, size=n)
+                  for _ in range(200)]
+        for special in (np.inf, -np.inf, -0.0, _BLOWUP_LIMIT,
+                        _POSITIVITY_FLOOR):
+            for i in range(n):
+                y = rng.normal(size=n)
+                y[i] = special
+                states.append(y)
+        states.append(np.array([np.inf, -np.inf] * (n // 2)))
+        for y in states:
+            assert np.array(values(y.tolist())).tobytes() == \
+                events(y).tobytes()
+        for fill in (1.0, -np.inf, np.inf):
+            for i in range(n):
+                y = np.full(n, fill)
+                y[i] = np.nan
+                got = values(y.tolist())
+                assert math.isnan(got[-1])
+                np.testing.assert_array_equal(got, events(y))
+
     def test_bad_runs_rejected(self):
         # a leg that does not end past the start, or past the last leg
         for ends in ([1.0], [2.0, 2.0], [2.0, 1.5], []):
             with pytest.raises(ValueError, match="forward only"):
                 _dop853([lambda y: [0.0]], [1.0], np.array([[1.0]]),
                         [[(t1, 1e-10, 1e-10, 1e-3) for t1 in ends]],
-                        _no_events)
+                        _no_events, _no_event_values)
         # b0 = inf, which would give a non-finite series start, is refused
         # when the params are built
         with pytest.raises(ValueError, match="b0 must be a finite number"):
@@ -837,7 +950,7 @@ class TestDiagnosticsIndependence:
                         dense_output=True)
         t = np.linspace(p.epsilon, sol.t[-1], 2001)
         a, ap, b, bp, phi, phip = sol.sol(t)
-        mu, *_ = _diagnostics(p, t, a, ap, b, bp, phip)
+        mu = _first_integral(p, t, a, ap, b, bp, phip)
         assert (mu.max() - mu.min()) > 1e-2
 
     def test_corrupted_derivative_column_detected(self, steady_profile_12):
@@ -1347,7 +1460,12 @@ class TestSweep:
     def test_rows_keep_the_bits_of_shoot(self, monkeypatch):
         # a mixed grid, k 0-2, one row of each outcome: status, lifetime,
         # mu_mean and mu_spread of every row are those of shoot(params)
-        # run alone, and its slopes those of that profile
+        # run alone, and its slopes those of that profile.  A sweep row
+        # derives mu alone, never the residual columns
+        def refusing(*args):
+            raise AssertionError("a sweep row derived the residual columns")
+
+        monkeypatch.setattr(shooting, "_residuals", refusing)
         _nan_rhs_for(monkeypatch, _UNDERFLOW)
         grid = [AnsatzParams(k=0, m=2, lam=0.5, b0=2.0, t_max=5.0),
                 AnsatzParams(k=0, m=2, lam=0.5, b0=float(np.sqrt(2.0)),

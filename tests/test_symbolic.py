@@ -82,7 +82,7 @@ def test_kernel_matches_symbolic_derivation(k, m):
         params = AnsatzParams(k=k, m=m, lam=lm, b0=1.0)
         want = second(a, ap, b, bp, phip, lm)   # [a'',] b'', phi''
 
-        s_a, s_b, phipp = _reduced_kernel(params, a, ap, b, bp, phip)
+        s_a, s_b, phipp = _reduced_kernel(params)(a, ap, b, bp, phip)
         kernel = [a * s_a, b * s_b, phipp]
         # the a'', b'' and phi'' slots of the state derivative
         if k >= 1:
