@@ -79,8 +79,8 @@ EXIT_IO = 4
 # shooting.MAX_GRID_POINTS): sample counts (the certify oracle holds a
 # stencil of values per sample), the sphere dimensions k and m of a block
 # and of a loaded profile (the certify charts have 1 + k + m
-# coordinates), rows of a sweep, its worker processes (a pool may start
-# all of them at once), and the quotient group order p (each of the p - 1
+# coordinates), rows of a sweep, its processes (a sweep may start all
+# of them at once), and the quotient group order p (each of the p - 1
 # powers visits every fiber sample; the samples hold the fixed-point
 # candidates of the powers whose exponent divides p, so the certificate
 # costs about p times the sample count)

@@ -1522,15 +1522,26 @@ def _sweep_rows(param_list) -> list:
     return out
 
 
-# the fewest rows a pool process gets.  One process against a 2-process
-# pool, start-up included, on k = 1 grids at t_max 10 (wall ms on 2
-# cores, medians of 21, a process that imports no scipy subpackage): 8
-# rows 46 vs 59, 16 rows 74 vs 78, 24 rows 105 vs 98, 32 rows 135 vs 113,
-# 48 rows 177 vs 137.  8-row shares lose: with them the benchmark's
-# 16-row sweep runs on the pool, and its sweep op_p50 read 35.3-35.9 ms
-# against 31.2-32.3.  The pool starts where it clearly wins, 16 rows a
-# process, whose grids it shortens by 16-23%
+# the fewest rows a process of a parallel sweep gets.  One process against
+# the caller plus one child, start-up included, on k = 1 grids at t_max 10
+# (wall ms on 2 cores, medians of 21 alternating calls, three runs): 8
+# rows 39-48 vs 48-50, 16 rows 79-81 vs 70-75, 24 rows 108-109 vs 87-88,
+# 32 rows 127-142 vs 105-111, 48 rows 213-218 vs 136-149.  8-row shares
+# do not clearly win: on the 16-row grid alone the child won 20 and 21 of
+# 41 calls in two later runs, and with them the benchmark's sweep read
+# within its own spread (4 pairs).  Children start at 16 rows a process,
+# where they shorten a grid by 17-37%
 _SHARE_ROWS = 16
+
+
+def _share_child(conn, rows) -> None:
+    """A share process's target: sends ``(True, sweep rows)`` of ``rows``
+    over ``conn``, or ``(False, exception)`` if they raise."""
+    try:
+        reply = (True, _sweep_rows(rows))
+    except Exception as exc:
+        reply = (False, exc)
+    conn.send(reply)
 
 
 def sweep(param_list, parallel: bool = False, workers: int | None = None):
@@ -1548,22 +1559,52 @@ def sweep(param_list, parallel: bool = False, workers: int | None = None):
     on alone with the operations of :func:`shoot`.  So neither the grid
     nor its split into batches and shares changes a row.
 
-    ``parallel`` permits a process pool and ``workers`` caps it (default:
-    the CPU count).  The pool has ``min(workers, rows // _SHARE_ROWS)``
-    processes, so each gets at least ``_SHARE_ROWS`` rows; below two the
-    grid runs serially in the calling process.  Each process integrates
-    one share of the grid, every n-th row of n shares, as one batch
-    per state size (:func:`_sweep_rows`).
+    ``parallel`` permits processes and ``workers`` caps them, the caller
+    among them (default: the CPU count).  A parallel sweep runs in
+    ``min(workers, rows // _SHARE_ROWS)`` processes, so each gets at
+    least ``_SHARE_ROWS`` rows; below two the grid runs serially in the
+    calling process.  Each process integrates one share of the grid,
+    every n-th row of n shares, as one batch per state size
+    (:func:`_sweep_rows`): the caller integrates share 0 and each other
+    share runs in a daemonic child process (:func:`_share_child`) that
+    sends its rows back over a pipe.  A child's exception is raised again
+    in the caller, a child that ends without a reply raises
+    ``RuntimeError``, and no child outlives the call.
     """
     param_list = list(param_list)
-    n_shares = (min(workers or os.cpu_count() or 1,
-                    len(param_list) // _SHARE_ROWS) if parallel else 1)
-    if n_shares < 2:
+    n = (min(workers or os.cpu_count() or 1, len(param_list) // _SHARE_ROWS)
+         if parallel else 1)
+    if n < 2:
         return _sweep_rows(param_list)
-    import concurrent.futures as cf
-    shares = [param_list[i::n_shares] for i in range(n_shares)]
+    import multiprocessing as mp
     out = [None] * len(param_list)
-    with cf.ProcessPoolExecutor(max_workers=n_shares) as ex:
-        for i, rows in enumerate(ex.map(_sweep_rows, shares)):
-            out[i::n_shares] = rows
+    children = []                # (read end, process) of shares 1 to n - 1
+    try:
+        for i in range(1, n):
+            recv, send = mp.Pipe(duplex=False)
+            child = mp.Process(target=_share_child,
+                               args=(send, param_list[i::n]), daemon=True)
+            child.start()
+            children.append((recv, child))
+            # the child now holds the only write end, so a child that ends
+            # without a reply ends the read with EOFError
+            send.close()
+        out[0::n] = _sweep_rows(param_list[0::n])
+        for i, (recv, child) in enumerate(children, start=1):
+            try:
+                ok, reply = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"sweep share {i} process exited with code "
+                    f"{child.exitcode} before it replied") from None
+            if not ok:
+                raise reply
+            out[i::n] = reply
+    finally:
+        for recv, child in children:
+            recv.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
     return out

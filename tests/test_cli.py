@@ -38,26 +38,41 @@ def write_config(path, extra=None, **blocks):
     return cfg
 
 
+def _start_up_probe(code):
+    """The JSON printed by ``code`` in a fresh interpreter that has just
+    imported ``ricciwarp`` and ``ricciwarp.cli``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, ricciwarp, ricciwarp.cli\n"
+         + code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_start_up_runs_no_scipy_subpackage():
     # a fresh interpreter that imports the CLI has executed none of scipy's
     # integrate, optimize, sparse or linalg packages, nor scipy.interpolate,
     # whose lazily registered module still resolves BSpline on first access
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    probe = ("import json, sys, ricciwarp, ricciwarp.cli\n"
-             "loaded = sorted(name for name in sys.modules\n"
-             "                if name.startswith('scipy.'))\n"
-             "spline = sys.modules['scipy.interpolate'].BSpline\n"
-             "print(json.dumps([loaded, spline.__module__]))\n")
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    loaded, spline_module = json.loads(proc.stdout)
+    loaded, spline_module = _start_up_probe(
+        "loaded = sorted(name for name in sys.modules\n"
+        "                if name.startswith('scipy.'))\n"
+        "spline = sys.modules['scipy.interpolate'].BSpline\n"
+        "print(json.dumps([loaded, spline.__module__]))\n")
     for package in ("integrate", "optimize", "sparse", "linalg",
                     "interpolate._bsplines"):
         assert f"scipy.{package}" not in loaded, package
     assert spline_module == "scipy.interpolate._bsplines"
+
+
+def test_start_up_loads_no_process_machinery():
+    # sweep imports multiprocessing only when it starts child processes
+    loaded = _start_up_probe("print(json.dumps(sorted(sys.modules)))\n")
+    for package in ("multiprocessing", "concurrent.futures"):
+        assert not [name for name in loaded
+                    if name == package or name.startswith(package + ".")]
 
 
 def cylinder_solve_block(m=2, lam=0.5, t_max=6.0):
@@ -818,7 +833,7 @@ _QUOTIENT = {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}
 class TestConfigValidation:
     """Ill-typed numbers and numbers beyond the resource bounds exit 2
     before any work, and write nothing.  Only the rejection of a large
-    sweep or pool is run here, never the sweep or the pool itself."""
+    sweep or of many processes is run here, never the sweep itself."""
 
     @pytest.mark.parametrize("command,key,value", [
         ("solve", "lambda", "x"),
@@ -1060,8 +1075,8 @@ class TestSweepFuzz:
     """Random sweep grids of at most 8 rows end in exit 0 or a config
     error; a config error writes nothing, a sweep writes one row per grid
     point, and a parallel sweep writes the serial sweep's bytes (grids
-    this small run in the calling process either way: ``sweep`` builds no
-    pool below 2 * ``_SHARE_ROWS`` rows).  The grids hold refused starts
+    this small run in the calling process either way: ``sweep`` starts no
+    child below 2 * ``_SHARE_ROWS`` rows).  The grids hold refused starts
     (b0 = 1e-5 on a sphere fiber) among their rows; an example may carry
     one flaw: a grid below 40 rows per unit or a non-boolean ``parallel``
     (config errors), or an epsilon that every row's series refuses (an

@@ -1,13 +1,18 @@
 """Reduced system, series closure, shooting, diagnostics, sweeps."""
 
+import contextlib
 import gc
 import math
+import multiprocessing
+import os
 import re
+import signal
 import struct
 import warnings
 import weakref
 from dataclasses import replace
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1513,8 +1518,9 @@ class TestSweep:
         assert rows[0].status == "error:GeometryError:a; b c d"
 
     def test_pool_has_at_most_one_worker_per_row(self, monkeypatch):
-        # the pool gets min(workers, rows // _SHARE_ROWS) processes, so
-        # each gets at least _SHARE_ROWS rows
+        # a parallel sweep runs in min(workers, rows // _SHARE_ROWS)
+        # processes, the caller counted, so each gets at least _SHARE_ROWS
+        # rows
         pools = _stand_in_pools(monkeypatch)
         grid = params_grid([1], [2], [0.0], _b0s(3 * _SHARE_ROWS), t_max=0.1)
         serial = sweep(grid)
@@ -1525,7 +1531,7 @@ class TestSweep:
         assert [pool.size for pool in pools] == [3, 2, 2]
 
     def test_small_grid_runs_without_a_pool(self, monkeypatch):
-        # below 2 * _SHARE_ROWS rows, or with one worker, no pool is built
+        # below 2 * _SHARE_ROWS rows, or with one worker, no child is started
         pools = _stand_in_pools(monkeypatch)
         grid = params_grid([0, 1], [2], [0.0], _b0s(_SHARE_ROWS), t_max=0.1)
         serial = sweep(grid)
@@ -1534,7 +1540,9 @@ class TestSweep:
             assert sweep(grid[:rows], parallel=True,
                          workers=workers) == serial[:rows]
         assert pools == []
-        assert sweep(grid, parallel=True, workers=64) == serial
+        # the rows came through a pipe, so their NaN slopes are new objects
+        got = sweep(grid, parallel=True, workers=64)
+        assert list(map(repr, got)) == list(map(repr, serial))
         assert [pool.size for pool in pools] == [2]
 
     def test_pool_gets_one_batch_per_process(self, monkeypatch):
@@ -1554,8 +1562,8 @@ class TestSweep:
                 assert sorted(map(grid.index, mapped)) == list(range(rows))
 
     def test_parallel_matches_serial(self):
-        # a grid of 2 * _SHARE_ROWS rows runs on a real 2-process pool; the
-        # lambda 2 rows end in hit_a_zero before t_max, so the workers
+        # a grid of 2 * _SHARE_ROWS rows runs in the caller and one real
+        # child; the lambda 2 rows end in hit_a_zero before t_max, so both
         # locate events through the lazily importing shooting.brentq
         grid = params_grid([1], [2], [0.0, 2.0], _b0s(_SHARE_ROWS),
                            t_max=3.5, rtol=1e-9, atol=1e-9)
@@ -1566,6 +1574,54 @@ class TestSweep:
         assert [row.status for row in serial] == (
             ["completed"] * _SHARE_ROWS + ["hit_a_zero"] * _SHARE_ROWS)
         assert all(row.lifetime < 3.5 for row in serial[_SHARE_ROWS:])
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched _sweep_rows reaches a child by fork")
+class TestSweepChildFailures:
+    """A parallel sweep on real children of a 2 * _SHARE_ROWS-row grid,
+    with ``_sweep_rows`` patched to fail in the caller or in the child."""
+
+    @property
+    def grid(self):
+        return params_grid([1], [2], [0.0], _b0s(2 * _SHARE_ROWS), t_max=0.1)
+
+    def _fail_in(self, monkeypatch, where, fail):
+        parent, sweep_rows = os.getpid(), shooting._sweep_rows
+
+        def patched(rows):
+            if (os.getpid() == parent) == (where == "caller"):
+                fail()
+            return sweep_rows(rows)
+
+        monkeypatch.setattr(shooting, "_sweep_rows", patched)
+
+    def test_child_exception_reaches_the_caller(self, monkeypatch):
+        def fail():
+            raise GeometryError("share lost in the child")
+
+        self._fail_in(monkeypatch, "child", fail)
+        with _deadline(60), pytest.raises(GeometryError,
+                                          match="^share lost in the child$"):
+            sweep(self.grid, parallel=True, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_exits_without_a_reply(self, monkeypatch):
+        self._fail_in(monkeypatch, "child", lambda: os._exit(3))
+        with _deadline(60), pytest.raises(RuntimeError, match="code 3 "):
+            sweep(self.grid, parallel=True, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_exception_leaves_no_child(self, monkeypatch):
+        def fail():
+            raise ZeroDivisionError("share lost in the caller")
+
+        self._fail_in(monkeypatch, "caller", fail)
+        with _deadline(60), pytest.raises(ZeroDivisionError,
+                                          match="in the caller"):
+            sweep(self.grid, parallel=True, workers=2)
+        assert multiprocessing.active_children() == []
 
 
 def _b0s(count):
@@ -1573,26 +1629,55 @@ def _b0s(count):
     return [0.9 + 0.2 * i / count for i in range(count)]
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError, rather than hang, after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _stand_in_pools(monkeypatch):
-    """Replace the process pool of ``sweep`` with a stand-in that starts
-    no process; returns the list of the pools built, each recording its
-    size and the batches it maps."""
-    pools = []
+    """Replace the child processes of a parallel ``sweep`` with stand-ins
+    that start no process: each runs its target in process when started,
+    so its reply waits in the pipe.  Returns the list of the parallel
+    sweeps made, each recording its process count (the caller counted)
+    and the share each process integrated (``batches``)."""
+    pools, child_shares = [], []
+    sweep_rows = shooting._sweep_rows
 
-    class Pool:
-        def __init__(self, max_workers):
-            self.size, self.batches = max_workers, []
-            pools.append(self)
+    class Child:
+        def __init__(self, target, args, daemon):
+            assert daemon
+            self.target, self.args = target, args
 
-        def __enter__(self):
-            return self
+        def start(self):
+            child_shares.append(None)
+            self.target(*self.args)
 
-        def __exit__(self, *exc):
+        def is_alive(self):
             return False
 
-        def map(self, fn, items):
-            self.batches = list(items)
-            return map(fn, self.batches)
+        def join(self):
+            pass
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+    def recording(rows):
+        if child_shares and child_shares[-1] is None:
+            child_shares[-1] = rows     # a stand-in child's share
+        elif child_shares:
+            # the caller's share ends the parallel sweep's record
+            pools.append(SimpleNamespace(size=1 + len(child_shares),
+                                         batches=[rows, *child_shares]))
+            child_shares.clear()
+        return sweep_rows(rows)
+
+    monkeypatch.setattr("multiprocessing.Process", Child)
+    monkeypatch.setattr(shooting, "_sweep_rows", recording)
     return pools
