@@ -188,7 +188,10 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise OSError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, text that is not UTF-8 or an integer past
+        # Python's digit limit; RecursionError: arrays or objects nested
+        # past the decoder's depth
         raise OSError(f"config is not valid JSON: {exc}") from exc
     _check_block(cfg, _TOP, "top level")
     version = cfg.get("schema_version")

@@ -31,24 +31,11 @@ reproduces the sphere-block relation at leading order instead of fixing
 phi2.  Profiles with phi2 <= 0 are long lived with slowly growing a, b;
 positive phi2 drives finite-time blowup.  Integration starts from the
 series at t = epsilon (``_series_start``, for every k) to keep the right
-side total.  It is an adaptive DOP853 loop (``_dop853``: Hairer, Norsett &
-Wanner, *Solving ODEs I*, II.10) with the steps, dense output and event
-roots of scipy's ``solve_ivp(method="DOP853")``.  Its tableau is scipy's
-own: ``_dop853_tableau`` executes scipy's coefficient file
-``integrate/_ivp/dop853_coefficients.py`` by its location, so importing
-this module runs no scipy package, and ``brentq`` imports
-``scipy.optimize`` when a run first locates an event.  The loop advances a
-batch of rows in lockstep, each with its own t, step size and events:
-``shoot`` is a batch of one row and ``sweep`` integrates its grid in
-batches.  A row keeps the bits it has alone, whatever else is in its
-batch: the batch's stage sums, error estimates and dense-output products
-are stacked ``np.matmul`` products over the rows' own stage tables, which
-give each row the bits of its ``np.dot`` (folding the rows into one wide
-product would not), the rest of a step is elementwise IEEE arithmetic,
-and the step-size control, whose ``pow`` an array form need not round as
-the scalar one does, runs row by row on Python floats.  A row alone, and
-the last row of a batch, steps on Python floats, with numpy only for the
-products: the same operations, so the same bits, at less cost per step.
+side total, with the DOP853 loop of :mod:`ricciwarp.dop853`, which has the
+steps, dense output and event roots of scipy's
+``solve_ivp(method="DOP853")`` and advances a batch of rows in lockstep,
+each with the bits it has alone: ``shoot`` is a batch of one row and
+``sweep`` integrates its grid in batches.
 
 A profile is its integration: the step table of its DOP853 run, one row
 per accepted step holding the step's start ``t_old``, its size ``h``, the
@@ -80,18 +67,17 @@ text, which would need a second reader.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import math
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain
-from types import SimpleNamespace
 
 import numpy as np
 
+from . import dop853
 from .curvature import _MARGIN_SECOND
+from .dop853 import _N_COEFFS, _dop853, _horner
 from .fd import check_step, grid_derivative
 from .patches import (
     GeometryError,
@@ -128,34 +114,10 @@ GRID_COLUMNS = ("t", "a", "a_prime", "b", "b_prime", "phi", "phi_prime")
 # row, and of a loaded file, whose params line sets its grid): the grid
 # and its diagnostics hold a dozen arrays of this length
 MAX_GRID_POINTS = 200_000
-
-
-def _dop853_tableau():
-    """The DOP853 tableau with the names and slices of
-    ``scipy.integrate.DOP853``: ``n_stages``, ``error_estimator_order``,
-    ``A``, ``B``, ``C``, ``E3``, ``E5``, ``D``, ``A_EXTRA`` and ``C_EXTRA``.
-
-    scipy's coefficient file holds only numpy literals.  It is executed
-    from its location in the scipy installation, so that neither
-    ``scipy.integrate``'s package (and the linear algebra, sparse and
-    optimize packages it imports) nor scipy's own ``__init__`` runs;
-    scipy stays the one source of the table.
-    """
-    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    spec = importlib.util.spec_from_file_location(
-        "_dop853_coefficients",
-        os.path.join(root, "integrate", "_ivp", "dop853_coefficients.py"))
-    c = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(c)
-    n = c.N_STAGES
-    return SimpleNamespace(
-        n_stages=n, error_estimator_order=7, A=c.A[:n, :n], B=c.B,
-        C=c.C[:n], E3=c.E3, E5=c.E5, D=c.D, A_EXTRA=c.A[n + 1:],
-        C_EXTRA=c.C[n + 1:])
-
-
-_DOP853 = _dop853_tableau()
-_N_COEFFS = 3 + len(_DOP853.D)   # rows of a step's dense-output table F
+# room for the four header lines of a profile file: the params line of any
+# AnsatzParams is under 12,000 characters, since Python prints at most 4,300
+# digits of an int by default (k, m) and a finite field is under 1.8e308
+_CSV_HEAD_CHARS = 2 ** 16
 
 _POSITIVITY_FLOOR = 1e-6   # terminal event threshold for a, b
 _EVAL_FLOOR = 1e-7         # clamp inside the stepper so stages stay finite
@@ -369,24 +331,6 @@ def _rhs_with_phi(params: AnsatzParams):
         _, s_b, phipp = kernel(None, None, b, bp, phip)
         return [bp, b * s_b, phip, phipp]
     return rhs
-
-
-def _horner(rows, y_old, x):
-    """The DOP853 dense-output polynomial of a step at ``x = (t - t_old)/h``.
-
-    ``rows`` yields the rows ``F[-1], ..., F[0]`` of the step's coefficient
-    table.  ``Dop853DenseOutput._call_impl``'s operations in its order, so
-    every value has its bits (``1 - x`` is formed once; it has the same
-    bits each time).  The one implementation of the polynomial: a
-    profile's columns (:func:`_evaluate`) call it with one coefficient row
-    and one ``x`` per time, and :meth:`_Row.accept` for locating events.
-    """
-    y = np.zeros_like(y_old)
-    u = 1 - x
-    for i, f in enumerate(rows):
-        y += f
-        y *= x if i % 2 == 0 else u
-    return y + y_old
 
 
 def _locate(steps, t):
@@ -633,10 +577,19 @@ class SolitonProfile:
         """Read a profile file written by :meth:`to_csv`.
 
         Raises ``OSError`` when the file cannot be read and ``ValueError``
-        on a malformed or wrong-version profile (see :meth:`parse_csv`).
+        on a malformed or wrong-version profile (see :meth:`parse_csv`), or
+        on a file larger than :meth:`to_csv` writes for a table of
+        ``dop853.MAX_STEPS`` steps, which it stops reading past that size.
         """
+        # a data row takes 17 characters a column, and k >= 1 has the most
+        limit = _CSV_HEAD_CHARS + dop853.MAX_STEPS * 17 * len(_csv_header(1))
         with open(path) as fh:
-            return cls.parse_csv(fh.read())
+            text = fh.read(limit + 1)
+        if len(text) > limit:
+            raise ValueError(f"profile file larger than {limit} characters, "
+                             f"the most that a table of MAX_STEPS = "
+                             f"{dop853.MAX_STEPS} steps takes")
+        return cls.parse_csv(text)
 
     @classmethod
     def parse_csv(cls, text: str) -> "SolitonProfile":
@@ -644,13 +597,15 @@ class SolitonProfile:
 
         Raises ``ValueError`` on a malformed or wrong-version profile: a
         missing or bad header line, a schema 1, 2 or 3 file (re-run
-        ``solve``), a params line that is not an object of fields that
+        ``solve``), a params line that is not a JSON object (one nested past
+        the decoder's depth among them) of fields that
         :class:`AnsatzParams` accepts (which bounds the grid up to
         ``t_max``, before the data rows are read), a header row not of the
-        params' k, a data row that is not one word of 16 lowercase hex
-        digits per column, or a status or step table that construction
-        refuses (an unknown status, a NaN or inf bit pattern, or an
-        ``end_time`` past ``t_max``, among them).
+        params' k, more data rows than ``dop853.MAX_STEPS``, the most steps
+        of a shot profile (before they are decoded), a data row that is not
+        one word of 16 lowercase hex digits per column, or a status or step
+        table that construction refuses (an unknown status, a NaN or inf
+        bit pattern, or an ``end_time`` past ``t_max``, among them).
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# schema_version="):
@@ -665,7 +620,11 @@ class SolitonProfile:
             raise ValueError(f"unsupported profile schema_version {version}")
         if len(lines) < 2 or not lines[1].startswith("# params="):
             raise ValueError("profile CSV missing params line")
-        raw = json.loads(lines[1].split("=", 1)[1])
+        try:
+            raw = json.loads(lines[1].split("=", 1)[1])
+        except RecursionError as exc:
+            raise ValueError(f"profile CSV has a malformed params line: "
+                             f"{exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError("profile CSV params line is not an object")
         try:
@@ -684,6 +643,10 @@ class SolitonProfile:
             raise ValueError("profile CSV has an unexpected header row for "
                              f"k = {params.k}")
         data, commas = lines[4:], "," * (len(header) - 1)
+        if len(data) > dop853.MAX_STEPS:
+            raise ValueError(f"profile CSV has {len(data)} data rows, more "
+                             f"than the MAX_STEPS = {dop853.MAX_STEPS} steps "
+                             f"of any shot profile")
         digits = "".join(data).replace(",", "")
         try:
             cells = bytes.fromhex(digits)
@@ -740,414 +703,6 @@ _LAUNCH_END = 0.1
 _LAUNCH_TOL = 1e-13
 
 
-@dataclass
-class _Run:
-    """One row's :func:`_dop853` run over all of its legs.
-
-    ``t`` is the start followed by the accepted step ends, the last
-    replaced by a terminal event's root; step ``i`` starts at ``t[i]`` and
-    carries the dense output polynomial ``t[i]``, ``h[i]``, ``F[i]``,
-    ``y_old[i]`` (see :func:`_horner`).  ``status`` is ``solve_ivp``'s: 0
-    at the end of the last leg, 1 at the terminal event ``event`` (its
-    index), -1 on a step size that underflowed or at ``MAX_STEPS``
-    accepted steps, which ``message`` names.  ``nfev`` counts the
-    right-side calls of the whole run and ``rejected`` its rejected step
-    attempts: a run of s accepted steps and no event calls the right side
-    1 + 15 s + 12 ``rejected`` times.
-    """
-
-    t: np.ndarray
-    h: np.ndarray
-    F: np.ndarray
-    y_old: np.ndarray
-    nfev: int
-    status: int
-    event: int | None = None
-    message: str | None = None
-    rejected: int = 0
-
-
-_EPS = float(np.finfo(float).eps)
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_ERROR_EXPONENT = -1 / (_DOP853.error_estimator_order + 1)
-_N_STAGES, _N_EXTRA = _DOP853.n_stages, len(_DOP853.C_EXTRA)
-_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-# accepted steps of one row, both legs; a row that needs more ends in
-# IntegrationError.  Sized from memory and file: a k >= 1 step is 850
-# bytes of profile.csv and about 0.5 KB of records while its batch runs,
-# so a capped row writes about 8.5 MB and a full 32-row batch holds about
-# 160 MB.  Without a cap stiff and degenerating rows are unbounded: an
-# expanding row's steps grow as |lambda| t_max^2 (k1m2 with lambda -1:
-# 972 to t_max 100, 7,208 to 300, 78,301 to 1000), and k0m2 with lambda 2
-# at rtol 1e-15 takes 143,554 steps (19 s) to its hit_b_zero.  No row of
-# the test suite takes more than 703, far below it even with the 28-46%
-# more steps of the default tolerances moved to 1e-12.
-MAX_STEPS = 10_000
-
-
-def brentq(f, a, b, **kwargs):
-    """``scipy.optimize.brentq``, whose package is imported on the first
-    call: only a run that locates an event pays for it."""
-    from scipy.optimize import brentq
-    return brentq(f, a, b, **kwargs)
-
-
-def _check_run(t0, legs, y0):
-    """Refuse a run that :func:`_dop853` cannot start, as ``solve_ivp``
-    would: ``ValueError`` unless it has a leg, each leg ends past the
-    previous end (the first past ``t0``) and ``y0`` is finite."""
-    ends = [t0] + [leg[0] for leg in legs]
-    if not legs or not all(t1 > t for t, t1 in zip(ends, ends[1:])):
-        raise ValueError(f"integration runs forward only: need each leg to "
-                         f"end past the last, got t0={t0!r}, ends {ends[1:]}")
-    if not np.isfinite(y0).all():
-        raise ValueError(
-            "All components of the initial state `y0` must be finite.")
-
-
-class _Row:
-    """A row of a :func:`_dop853` run between two step attempts.
-
-    Its right side, legs, t, step size, accept/reject state, counts and
-    record, the t, h, F and y_old of its accepted steps.  Whichever loop
-    makes an attempt, the row starts it (:meth:`begin`), controls its
-    step size (:meth:`control`) and books it when accepted
-    (:meth:`accept`), so a row's steps do not depend on the loop or on
-    a move from one loop to the other between two attempts.  ``run`` is
-    None while the row runs, then its :class:`_Run`, or the exception
-    that ``brentq`` raised for it.
-    """
-
-    __slots__ = ("fun", "legs", "t", "t_new", "t_end", "rtol", "atol",
-                 "h_abs", "min_step", "fresh", "step_rejected", "nfev",
-                 "rejected", "record", "run")
-
-    def __init__(self, fun, t0, legs):
-        self.fun, self.legs, self.t = fun, iter(legs), float(t0)
-        self.fresh, self.step_rejected = True, False
-        self.nfev, self.rejected = 1, 0
-        self.record = ([self.t], [], [], [])
-        self.run = None
-        self.next_leg()
-
-    def next_leg(self) -> bool:
-        """Take the next leg ``(t_end, rtol, atol, first_step)``, its
-        ``rtol`` raised to 100 eps as scipy does; False if none is left."""
-        leg = next(self.legs, None)
-        if leg is not None:
-            self.t_end, rtol, self.atol, self.h_abs = map(float, leg)
-            self.rtol = max(rtol, 100 * _EPS)
-        return leg is not None
-
-    def begin(self) -> float:
-        """Start an attempt as ``DOP853._step_impl`` does and return its
-        size h: the first attempt of a step sets the least step size and
-        raises the step size to it, and an attempt ends at most at the
-        end of the leg."""
-        t = self.t
-        if self.fresh:
-            self.fresh = self.step_rejected = False
-            self.min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-            if self.h_abs < self.min_step:
-                self.h_abs = self.min_step
-        t_new = t + self.h_abs
-        if t_new > self.t_end:
-            t_new = self.t_end
-        self.t_new = t_new
-        h = t_new - t
-        self.h_abs = abs(h)
-        return h
-
-    def control(self, h, err5, err3, n) -> bool:
-        """The step-size control of an attempt of size ``h``: True if it
-        is accepted.  ``err5`` and ``err3`` are the squared norms of its n
-        error estimates over the scale.  On Python floats, since the
-        ``pow`` of an array form need not round as the scalar one does.
-        A rejection that leaves the step size below the least ends the
-        row, as ``solve_ivp``'s next attempt would."""
-        self.nfev += _N_STAGES
-        # np.linalg.norm's operations on a vector, squared
-        err5_norm_2 = math.sqrt(err5) ** 2
-        err3_norm_2 = math.sqrt(err3) ** 2
-        if err5_norm_2 == 0 and err3_norm_2 == 0:
-            error_norm = 0.0
-        else:
-            denom = err5_norm_2 + 0.01 * err3_norm_2
-            error_norm = abs(h) * err5_norm_2 / math.sqrt(denom * n)
-        if error_norm < 1:
-            if error_norm == 0:
-                factor = _MAX_FACTOR
-            else:
-                factor = min(_MAX_FACTOR,
-                             _SAFETY * error_norm ** _ERROR_EXPONENT)
-            if self.step_rejected:
-                factor = min(1, factor)
-            self.h_abs *= factor
-            return True
-        self.h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-        self.step_rejected = True
-        self.rejected += 1
-        if self.h_abs < self.min_step:
-            self._finish(-1, message=_TOO_SMALL_STEP)
-        return False
-
-    def accept(self, h, F, y_old, g_old, g, events) -> bool:
-        """Book the accepted attempt of size ``h``: its dense-output table
-        ``F``, its start ``y_old`` and the terminal event values ``g_old``
-        at its start and ``g`` at its end.  True if the row took its next
-        leg, with new tolerances.
-
-        The earliest root of an event that changed sign, located by
-        ``brentq`` on the step's polynomial, ends the row there; so do the
-        end of its last leg and its ``MAX_STEPS``-th accepted step short
-        of that.  The end of an earlier leg starts the next one, as
-        ``solve_ivp`` restarted there would, but with no right-side call:
-        f there is the step's last stage.
-        """
-        self.nfev += _N_EXTRA
-        self.fresh = True
-        t_old, self.t = self.t, self.t_new
-        status = 0 if self.t >= self.t_end else None
-        event, t_step = None, self.t
-        active = [e for e, (lo, hi) in enumerate(zip(g_old, g))
-                  if lo <= 0 <= hi or lo >= 0 >= hi]
-        if active:
-            F, y_old = np.asarray(F), np.asarray(y_old)
-            try:
-                roots = [brentq(lambda s, e=e: events(_horner(
-                                    F[::-1], y_old, (s - t_old) / h))[e],
-                                t_old, self.t, xtol=4 * _EPS, rtol=4 * _EPS)
-                         for e in active]
-            except (ValueError, RuntimeError) as exc:
-                self.run, self.record = exc, None   # this row alone ends
-                return False
-            first = np.argsort(roots)[0]
-            status, event, t_step = 1, active[first], roots[first]
-        ts, hs, Fs, y_olds = self.record
-        # solve_ivp drops a step whose root is the last end
-        if not (len(ts) > 1 and ts[-1] == t_step):
-            ts.append(t_step)
-            hs.append(h)
-            Fs.append(F)
-            y_olds.append(y_old)
-        switched = status == 0 and self.next_leg()
-        if status is not None and not switched:
-            self._finish(status, event)
-        elif len(hs) >= MAX_STEPS:
-            self._finish(-1, message=(
-                f"MAX_STEPS = {MAX_STEPS} accepted steps reached at "
-                f"t = {self.t:.6g} before the end of the span"))
-        return switched
-
-    def _finish(self, status, event=None, message=None):
-        """End the row: its :class:`_Run` from its record and counts."""
-        ts, hs, Fs, y_olds = self.record
-        self.run = _Run(t=np.array(ts), h=np.array(hs), F=np.array(Fs),
-                        y_old=np.array(y_olds), nfev=self.nfev, status=status,
-                        event=event, message=message, rejected=self.rejected)
-        self.record = None
-
-
-def _dop853(funs, t0, y0, legs, events, event_values):
-    """Integrate a batch of rows of ``y' = f(y)`` with DOP853.
-
-    The method of Hairer, Norsett & Wanner, *Solving ODEs I*, II.10, as
-    ``solve_ivp(method="DOP853", dense_output=True, events=...)`` runs it
-    on each row alone: the operations of scipy's ``DOP853._step_impl``,
-    ``rk_step``, ``_estimate_error_norm`` and ``_dense_output_impl`` in
-    their order, on the coefficients of ``scipy.integrate.DOP853`` (read
-    from scipy's coefficient file, :func:`_dop853_tableau`), so
-    every row's steps, dense output and event roots have ``solve_ivp``'s
-    bits.  Row i runs ``y' = funs[i](y)`` from ``t0[i]`` and the state
-    ``y0[i]`` (``y0`` is a rows x n array) through its ``legs[i]``, each
-    ``(t_end, rtol, atol, first_step)``, and keeps its own t, step size,
-    accept/reject state and events (a :class:`_Row`).  ``funs[i]`` maps
-    the Python floats of a state to its derivative, a list.  ``events(Y)``
-    gives the values of the terminal events (the last axis) of one state
-    or of a stack of states, and ``event_values(y)`` the same values, as a
-    list, of one state given as a list of Python floats.  Returns one
-    :class:`_Run` per row, or the exception that ``brentq`` raised for
-    it.
-
-    Two or more rows step in lockstep (:func:`_lockstep`); a row alone,
-    and the last row of a batch, steps on Python floats (:func:`_alone`).
-    A row's bits depend neither on the other rows nor on the loop.
-    Floating-point warnings are off inside the loops, since the values
-    that a batch computes for its rejected rows are discarded.
-    """
-    for args in zip(t0, legs, y0):
-        _check_run(*args)
-    rows = [_Row(fun, t, row_legs) for fun, t, row_legs in zip(funs, t0, legs)]
-    Y = np.array(y0, dtype=float)
-    with np.errstate(all="ignore"):
-        f = np.array([row.fun(y) for row, y in zip(rows, Y.tolist())],
-                     dtype=float)
-        g = events(Y).tolist()
-        last = ((rows[0], Y[0].tolist(), f[0].tolist(), g[0])
-                if len(rows) == 1 else _lockstep(rows, Y, f, g, events))
-        if last is not None:
-            _alone(*last, events, event_values)
-    return [row.run for row in rows]
-
-
-def _lockstep(rows, Y, f, g, events):
-    """Step two or more ``rows`` in lockstep until at most one runs; return
-    that one as ``(row, y, f, g)``, its state, derivative and event values
-    as Python floats, or None if none is left.
-
-    ``Y`` holds the rows' states, ``f`` their derivatives and ``g`` their
-    event values.  Each pass makes one attempt for every running row.
-    The stage sums ``K^T a``, the error estimates and the dense-output
-    products ``D K`` are stacked products, ``np.matmul`` over the rows'
-    own stage tables, which give each row the bits of its ``np.dot`` (one
-    BLAS call per row; folding the rows into one wide product would not).
-    The rest of a step is elementwise IEEE arithmetic.
-    """
-    M = _DOP853
-    n = Y.shape[1]
-    K_ext = np.empty((len(rows), _N_STAGES + 1 + _N_EXTRA, n))
-    K_ext[:, 0] = f
-    live = rows
-
-    def batch():
-        """The right side, tolerances and stage views of the rows
-        ``live``, whose stage tables ``K_ext`` holds."""
-        row_funs = [row.fun for row in live]
-        size = len(live) * n
-
-        def fun(Y):   # one flat sequence, written into the stages at once
-            return np.fromiter(chain.from_iterable(
-                [f(y) for f, y in zip(row_funs, Y.tolist())]),
-                float, size).reshape(-1, n)
-
-        def stage(s):   # its rows, and the stage table before it as columns
-            return K_ext[:, s], K_ext[:, :s].swapaxes(-1, -2)
-
-        return (fun, tolerances(),
-                [(*stage(s), a[:s]) for s, a in enumerate(M.A[1:], start=1)],
-                [(*stage(s), a[:s])
-                 for s, a in enumerate(M.A_EXTRA, start=_N_STAGES + 1)],
-                stage(_N_STAGES), stage(_N_STAGES + 1)[1])
-
-    def tolerances():
-        return (np.array([[row.atol] for row in live]),
-                np.array([[row.rtol] for row in live]))
-
-    def norm2(err):
-        return np.matmul(err[:, None, :], err[:, :, None]).ravel().tolist()
-
-    fun, (atol, rtol), stages, extra, (K_last, K_B), K_E = batch()
-    while True:
-        h = [row.begin() for row in live]
-        H = np.array(h)[:, None]
-        for Ks, K_prev, a in stages:
-            Ks[:] = fun(Y + np.matmul(K_prev, a) * H)
-        Y_new = Y + H * np.matmul(K_B, M.B)
-        K_last[:] = fun(Y_new)
-        scale = atol + np.maximum(np.abs(Y), np.abs(Y_new)) * rtol
-        err5 = norm2(np.matmul(K_E, M.E5) / scale)
-        err3 = norm2(np.matmul(K_E, M.E3) / scale)
-        accepted = [j for j, row in enumerate(live)
-                    if row.control(h[j], err5[j], err3[j], n)]
-        switched = False
-        if accepted:   # the dense output and events of the accepted steps
-            Y_old = Y
-            for Ks, K_prev, a in extra:
-                Ks[:] = fun(Y_old + np.matmul(K_prev, a) * H)
-            F = np.empty((len(live), _N_COEFFS, n))
-            delta_y = Y_new - Y_old
-            K_first = K_ext[:, 0]
-            F[:, 0] = delta_y
-            F[:, 1] = H * K_first - delta_y
-            F[:, 2] = 2 * delta_y - H * (K_last + K_first)
-            F[:, 3:] = H[:, :, None] * np.matmul(M.D, K_ext)
-            if len(accepted) == len(live):
-                Y = Y_new
-                K_first[:] = K_last
-            else:
-                Y = Y.copy()
-                Y[accepted] = Y_new[accepted]
-                K_ext[accepted, 0] = K_ext[accepted, _N_STAGES]
-            g_old, g = g, events(Y).tolist()
-            for j in accepted:
-                switched |= live[j].accept(h[j], F[j], Y_old[j], g_old[j],
-                                           g[j], events)
-        keep = [j for j, row in enumerate(live) if row.run is None]
-        if len(keep) < 2:
-            return next(((live[j], Y[j].tolist(), K_ext[j, 0].tolist(), g[j])
-                         for j in keep), None)
-        if len(keep) < len(live):   # rows ended: the batch shrinks
-            live, Y, K_ext = [live[j] for j in keep], Y[keep], K_ext[keep]
-            g = [g[j] for j in keep]
-            fun, (atol, rtol), stages, extra, (K_last, K_B), K_E = batch()
-        elif switched:   # the tolerances of the batch are its rows' legs'
-            atol, rtol = tolerances()
-
-
-def _alone(row, y, f, g, events, event_values):
-    """Step ``row`` alone to its end from the state ``y`` at its t, with
-    the derivative ``f`` and the event values ``g`` there (lists of Python
-    floats).  ``event_values`` gives the event values of each accepted
-    step's end on its Python floats; ``events``, their array form, is
-    what the row's event location reads.
-
-    The elementwise part of a step is IEEE arithmetic on Python floats,
-    which round as numpy's ufuncs do: the stage states, ``y_new``, the
-    error scale (whose maximum keeps a NaN, as ``np.maximum`` does), the
-    quotients of the error estimates, and the first three rows of the
-    dense-output table.  numpy makes only the products that scipy
-    reduces, the stage sums, the error estimates, the norms' dot products
-    and ``D K``, called as bound ``ndarray.dot`` methods: ``np.dot``'s
-    routine, so they have its bits, at less cost per call.  A positive
-    ``atol`` (as :class:`AnsatzParams` requires) keeps every scale
-    positive, so no quotient divides by zero, which would raise here.
-    """
-    M = _DOP853
-    n = len(y)
-    K = np.empty((_N_STAGES + 1 + _N_EXTRA, n))
-
-    def stage(s, a):   # its row, and the product of the stage table before
-        return K[s], K[:s].T.dot, a[:s]
-
-    stages = [stage(s, a) for s, a in enumerate(M.A[1:], start=1)]
-    extra = [stage(s, a)
-             for s, a in enumerate(M.A_EXTRA, start=_N_STAGES + 1)]
-    K_last = K[_N_STAGES]
-    step_sum, error_sum = K[:_N_STAGES].T.dot, K[:_N_STAGES + 1].T.dot
-    dense = M.D.dot
-    B, E5, E3 = M.B, M.E5, M.E3
-    fun = row.fun
-    K[0] = f
-    while row.run is None:
-        h = row.begin()
-        for Ks, dot, a in stages:
-            Ks[:] = fun([u + d * h for u, d in zip(y, dot(a).tolist())])
-        y_new = [u + h * d for u, d in zip(y, step_sum(B).tolist())]
-        K_last[:] = fun(y_new)
-        atol, rtol = row.atol, row.rtol
-        scale = [atol + (u if u >= v or u != u else v) * rtol
-                 for u, v in zip(map(abs, y), map(abs, y_new))]
-        err5 = np.array([e / s for e, s in zip(error_sum(E5).tolist(),
-                                                scale)])
-        err3 = np.array([e / s for e, s in zip(error_sum(E3).tolist(),
-                                                scale)])
-        if not row.control(h, err5.dot(err5), err3.dot(err3), n):
-            continue
-        for Ks, dot, a in extra:
-            Ks[:] = fun([u + d * h for u, d in zip(y, dot(a).tolist())])
-        f_new = K_last.tolist()
-        delta_y = [v - u for u, v in zip(y, y_new)]
-        F = np.empty((_N_COEFFS, n))
-        F[:3] = (delta_y, [h * p - d for p, d in zip(f, delta_y)],
-                 [2 * d - h * (q + p) for d, q, p in zip(delta_y, f_new, f)])
-        F[3:] = dense(K)
-        F[3:] *= h
-        g_old, g = g, event_values(y_new)
-        row.accept(h, F, y, g_old, g, events)
-        y, f = y_new, f_new
-        K[0] = f
-
-
 def _events(k):
     """``(events, values, outcomes)``: the terminal events of the state of
     a k row, their form on Python floats, and the profile status each
@@ -1193,9 +748,10 @@ def _integrate(rows):
     has two legs: the launch leg up to ``t_switch = min(_LAUNCH_END,
     t_max)`` at tolerances of at most ``_LAUNCH_TOL`` and, when
     ``t_switch < t_max``, the rest of the span at the requested ones.  Its
-    outcome is ``(run, status, t_end)``, the status and end from the
-    run's terminal event, if any; or the exception of a row that cannot
-    run: the ``ValueError`` of a refused series start, or the
+    outcome is ``(run, status)``, the status from the run's terminal
+    event, if any, its end the run's last step end ``run.t[-1]``
+    (exactly ``t_max`` when completed); or the exception of a row that
+    cannot run: the ``ValueError`` of a refused series start, or the
     ``IntegrationError`` of a step size that underflowed, of a run that
     reached ``MAX_STEPS`` or of an event that ``brentq`` failed to
     locate.  A start that ``_series_start`` returns lies inside the
@@ -1236,10 +792,9 @@ def _integrate(rows):
             results[i] = IntegrationError(f"event location failed: {run}")
         elif run.status == -1:
             results[i] = IntegrationError(f"integrator failed: {run.message}")
-        elif run.status == 1:
-            results[i] = (run, outcomes[run.event], float(run.t[-1]))
         else:
-            results[i] = (run, "completed", float(rows[i].t_max))
+            results[i] = (run, "completed" if run.status == 0
+                          else outcomes[run.event])
     return results
 
 
@@ -1248,10 +803,10 @@ def _profile(params: AnsatzParams, outcome) -> SolitonProfile:
     exception, or stores the steps of its run as its step table."""
     if isinstance(outcome, Exception):
         raise outcome
-    run, status, t_end = outcome
+    run, status = outcome
     return SolitonProfile(params=params, t_old=run.t[:-1], h=run.h,
                           y_old=run.y_old, F=run.F, status=status,
-                          end_time=t_end)
+                          end_time=float(run.t[-1]))
 
 
 def shoot(params: AnsatzParams) -> SolitonProfile:
@@ -1263,7 +818,7 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
     gauge-normalized to phi(epsilon) = 0.
 
     A batch of one row: one run of the one-row DOP853 loop
-    (:func:`_dop853`, :func:`_alone`) on the closure of
+    (:func:`ricciwarp.dop853._dop853`) on the closure of
     :func:`_rhs_with_phi`, over the launch leg and, unless the row ends in
     it, the rest of the span (:func:`_integrate`), with the steps and bits
     of ``scipy.integrate.solve_ivp`` restarted at the leg switch.  Raises
@@ -1522,16 +1077,17 @@ def _sweep_rows(param_list) -> list:
     return out
 
 
-# the fewest rows a process of a parallel sweep gets.  One process against
-# the caller plus one child, start-up included, on k = 1 grids at t_max 10
-# (wall ms on 2 cores, medians of 21 alternating calls, three runs): 8
-# rows 39-48 vs 48-50, 16 rows 79-81 vs 70-75, 24 rows 108-109 vs 87-88,
-# 32 rows 127-142 vs 105-111, 48 rows 213-218 vs 136-149.  8-row shares
-# do not clearly win: on the 16-row grid alone the child won 20 and 21 of
-# 41 calls in two later runs, and with them the benchmark's sweep read
-# within its own spread (4 pairs).  Children start at 16 rows a process,
-# where they shorten a grid by 17-37%
-_SHARE_ROWS = 16
+# the fewest rows a process of a parallel sweep gets, so that a grid of 24
+# rows or more can start a child and a 16-row grid runs serially.  One
+# process against the caller plus one child, start-up included, on k = 1
+# grids at t_max 10 (wall ms on 2 cores, medians of 21 alternating calls,
+# three runs): 8 rows 44-48 vs 45-47, 16 rows 74-79 vs 61-62, 24 rows
+# 104-110 vs 78-82, 32 rows 133-136 vs 94-100.  A child shortens a 24-row
+# grid by 23-26%.  8-row shares are not taken: the child wins 14 to 20 of
+# 21 calls on the 16-row grid alone, but with 8-row shares the benchmark's
+# 16-row grid goes to a child, and its sweep read op_p50_ms 35.3-35.9
+# against 31.2-32.3 ms serially (2 pairs) and throughput within its spread
+_SHARE_ROWS = 12
 
 
 def _share_child(conn, rows) -> None:
@@ -1562,12 +1118,12 @@ def sweep(param_list, parallel: bool = False, workers: int | None = None):
     ``parallel`` permits processes and ``workers`` caps them, the caller
     among them (default: the CPU count).  A parallel sweep runs in
     ``min(workers, rows // _SHARE_ROWS)`` processes, so each gets at
-    least ``_SHARE_ROWS`` rows; below two the grid runs serially in the
-    calling process.  Each process integrates one share of the grid,
-    every n-th row of n shares, as one batch per state size
-    (:func:`_sweep_rows`): the caller integrates share 0 and each other
-    share runs in a daemonic child process (:func:`_share_child`) that
-    sends its rows back over a pipe.  A child's exception is raised again
+    least ``_SHARE_ROWS`` (12) rows; below two the grid runs serially in
+    the calling process, as every grid of under 24 rows does.  Each
+    process integrates one share of the grid, every n-th row of n shares,
+    as one batch per state size (:func:`_sweep_rows`): the caller
+    integrates share 0 and each other share runs in a daemonic child
+    process (:func:`_share_child`) that sends its rows back over a pipe.  A child's exception is raised again
     in the caller, a child that ends without a reply raises
     ``RuntimeError``, and no child outlives the call.
     """

@@ -12,7 +12,8 @@ from ricciwarp import (
     shoot,
     sphere_patch,
 )
-from ricciwarp.shooting import _state_columns
+from ricciwarp import shooting
+from ricciwarp.shooting import _evaluate, _locate, _state_columns
 
 
 def cylinder_geometry(m: int, b0: float, lam: float | None = None) -> WarpedGeometry:
@@ -48,6 +49,37 @@ def edit_column(profile, column, scale=1.0, shift=0.0, bump=0.0,
     t_old, h = profile.t_old, profile.h
     F[(t_old < window[1]) & (t_old + h > window[0]), 1, c] += bump
     return replace(profile, y_old=y_old, F=F)
+
+
+def _dense(profile, ts):
+    """Every state column's stored polynomial at the times ``ts``."""
+    steps = profile._steps
+    return np.array([_evaluate(steps, name, *_locate(steps, ts))
+                     for name in _state_columns(profile.params.k)])
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return (got.shape == want.shape
+            and np.array_equal(got.view(np.uint64), want.view(np.uint64)))
+
+
+# the phi2 of rows whose right side _nan_rhs_for makes NaN: every step is
+# rejected until the step size underflows
+_UNDERFLOW = -0.123
+
+
+def _nan_rhs_for(monkeypatch, marker):
+    """Patch ``_rhs_with_phi`` so that rows whose phi2 is ``marker`` get a
+    NaN right side; the other rows keep theirs."""
+    real = shooting._rhs_with_phi
+
+    def patched(params):
+        if params.phi2 == marker:
+            return lambda y: [np.nan] * len(y)
+        return real(params)
+
+    monkeypatch.setattr(shooting, "_rhs_with_phi", patched)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """The package namespace exports names, not submodules, and every
-exported name resolves."""
+exported name resolves; the integrator imports nothing of the package."""
 
+import ast
 import importlib
 import pathlib
 import types
@@ -17,12 +18,27 @@ def test_all_names_resolve_and_none_is_a_module():
 
 
 @pytest.mark.parametrize("module", ["patches", "fd", "curvature", "warped",
-                                    "shooting", "quotient"])
+                                    "dop853", "shooting", "quotient"])
 def test_submodule_all_names_resolve(module):
     mod = importlib.import_module(f"ricciwarp.{module}")
     assert len(mod.__all__) == len(set(mod.__all__))
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
+
+
+def test_integrator_imports_nothing_of_the_package():
+    # the DOP853 loop knows nothing of solitons: no import of ricciwarp,
+    # relative or absolute, anywhere in its module
+    import ricciwarp.dop853 as dop853
+    tree = ast.parse(pathlib.Path(dop853.__file__).read_text())
+    sources = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    sources += ["." * node.level + (node.module or "")
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert sources and "numpy" in sources
+    assert not [name for name in sources
+                if name.startswith(".") or name.split(".")[0] == "ricciwarp"]
+    assert dop853.__all__ == []
 
 
 # the names the CLI, the demos and the tests use

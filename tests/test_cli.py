@@ -19,7 +19,7 @@ from ricciwarp.cli import (
     main,
 )
 from conftest import edit_column
-from ricciwarp import GeometryError, shooting
+from ricciwarp import GeometryError, dop853, shooting
 from ricciwarp.quotient import T_RANGE
 from ricciwarp.shooting import (
     GRID_COLUMNS,
@@ -144,6 +144,19 @@ class TestSolve:
         assert "config is not valid JSON" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg_path]
 
+    @pytest.mark.parametrize("text", [
+        b"\xff\xfe{",                                 # not UTF-8
+        b"[" * 200_000 + b"]" * 200_000,              # past the decoder's depth
+        b"1" * 5000,                                  # past the digit limit
+    ], ids=["not-utf-8", "nested", "long-integer"])
+    def test_undecodable_config_exits_4(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_bytes(text)
+        assert main(["solve", "--config", str(cfg_path)]) == 4
+        assert capsys.readouterr().err.startswith(
+            "I/O failure: config is not valid JSON: ")
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_wrong_schema_version_exits_2(self, tmp_path):
         cfg_path = tmp_path / "v.json"
         cfg_path.write_text(json.dumps({"schema_version": 99, "solve": {}}))
@@ -163,7 +176,7 @@ class TestSolve:
         def refusing(*args, **kwargs):
             raise ValueError("f(a) and f(b) must have different signs")
 
-        monkeypatch.setattr(shooting, "brentq", refusing)
+        monkeypatch.setattr(dop853, "brentq", refusing)
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 2.0,
                                       "b0": 1.0, "t_max": 3.5})
@@ -176,7 +189,7 @@ class TestSolve:
     def test_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
         # a row that needs more than MAX_STEPS accepted steps is a numeric
         # failure with no artifact
-        monkeypatch.setattr(shooting, "MAX_STEPS", 20)
+        monkeypatch.setattr(dop853, "MAX_STEPS", 20)
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
                                       "b0": 1.0, "t_max": 3.0})
@@ -598,6 +611,27 @@ class TestLoadedParams:
     """A profile file's params line passes the checks of AnsatzParams, and
     its sphere dimensions the cap of a config: a number beyond the float
     range or a dimension past MAX_DIMENSION exits 4 and writes nothing."""
+
+    @pytest.mark.parametrize("command,block", [
+        ("certify", {}),
+        ("quotient", {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}),
+    ])
+    def test_nested_params_line_exits_4(self, tmp_path, capsys, command,
+                                        block):
+        # JSON nested past the decoder's depth is a malformed params line
+        lines = _solved_profile(tmp_path)
+        lines[1] = "# params=" + "[" * 200_000 + "]" * 200_000
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, **{command: dict(block, profile=str(bad))})
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O failure: ill-formed profile file")
+        assert "malformed params line" in err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "profile.csv", "solve_summary.json"]
 
     @pytest.mark.parametrize("command,block", [
         ("certify", {}),

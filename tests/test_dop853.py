@@ -1,0 +1,540 @@
+"""The DOP853 loop: solve_ivp's steps, dense output and event roots, its
+work counts and step cap, and batches in which each row keeps the bits it
+has alone."""
+
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from ricciwarp import AnsatzParams, IntegrationError, shoot, sweep
+from conftest import _UNDERFLOW, _dense, _nan_rhs_for, _same_bits
+from ricciwarp import dop853, shooting
+from ricciwarp.dop853 import _dop853, _Run
+from ricciwarp.shooting import (
+    _BLOWUP_LIMIT,
+    _LAUNCH_END,
+    _LAUNCH_TOL,
+    _POSITIVITY_FLOOR,
+    _events,
+    _integrate,
+    _profile,
+    _rhs_with_phi,
+    _series_start,
+)
+
+
+def _solve_ivp_runs(params):
+    """``solve_ivp``'s DOP853 runs of the integration that ``_integrate``
+    does: the same right side, terminal events (in the same order),
+    tolerances and first steps, on the launch leg and, unless that run
+    ends early, restarted on the rest of the span.  The reference for
+    ``_dop853``, whose one run over both legs has their steps joined."""
+    k = params.k
+    a, ap, b, bp, phip = _series_start(params)
+    y0 = np.array([a, ap, b, bp, 0.0, phip] if k >= 1 else [b, bp, 0.0, phip])
+    i_a, i_b = (0, 2) if k >= 1 else (None, 0)
+
+    def hit_b(t, y):
+        return y[i_b] - _POSITIVITY_FLOOR
+
+    def hit_a(t, y):
+        return y[i_a] - _POSITIVITY_FLOOR
+
+    def blow(t, y):
+        return _BLOWUP_LIMIT - float(np.abs(y).max())
+
+    events = [hit_b, hit_a, blow] if k >= 1 else [hit_b, blow]
+    for event in events:
+        event.terminal = True
+    row_rhs = _rhs_with_phi(params)
+
+    def rhs(t, y):
+        return row_rhs(y.tolist())
+
+    def run(t0, t1, y, rtol, atol):
+        with warnings.catch_warnings():
+            # solve_ivp warns where it raises rtol to 100 eps
+            warnings.simplefilter("ignore", UserWarning)
+            return solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=rtol,
+                             atol=atol, dense_output=True, events=events,
+                             first_step=min(1e-3, 0.01 * (t1 - t0)))
+
+    t_switch = min(_LAUNCH_END, params.t_max)
+    sols = [run(params.epsilon, t_switch, y0, min(params.rtol, _LAUNCH_TOL),
+                min(params.atol, _LAUNCH_TOL))]
+    if sols[0].status == 0 and t_switch < params.t_max:
+        sols.append(run(t_switch, params.t_max, sols[0].y[:, -1],
+                        params.rtol, params.atol))
+    return sols
+
+
+def _solve_ivp_outcome(params, sols):
+    """``(status, t_end)`` of a profile from its ``solve_ivp`` runs."""
+    sol = sols[-1]
+    if sol.status != 1:
+        return "completed", params.t_max
+    if params.k >= 1 and sol.t_events[1].size:
+        return "hit_a_zero", float(sol.t[-1])
+    if sol.t_events[0].size:
+        return "hit_b_zero", float(sol.t[-1])
+    return "blowup", float(sol.t[-1])
+
+
+def _per_run_reference(solutions, ts):
+    """The grid values from ``OdeSolution.__call__`` of each ``solve_ivp``
+    run: the launch run up to its end, the second run after it."""
+    if len(solutions) == 1:
+        return solutions[0](ts)
+    early = ts <= solutions[0].ts[-1]
+    out = np.empty((solutions[0](ts[0]).size, ts.size))
+    out[:, early] = solutions[0](ts[early])
+    out[:, ~early] = solutions[1](ts[~early])
+    return out
+
+
+def _no_events(Y):
+    return np.empty(Y.shape[:-1] + (0,))
+
+
+def _no_event_values(y):
+    return []
+
+
+class TestDenseEval:
+    # runs: solve_ivp's runs, one per leg of the row's one _dop853 run
+    @pytest.mark.parametrize("params,status,runs", [
+        (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0), "completed", 2),
+        (AnsatzParams(k=2, m=3, lam=0.0, b0=1.0, t_max=3.0), "completed", 2),
+        (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=0.1), "completed", 1),
+        (AnsatzParams(k=0, m=2, lam=0.5, b0=float(np.sqrt(2.0)), t_max=3.0),
+         "completed", 2),
+        (AnsatzParams(k=0, m=2, lam=0.5, b0=2.0, t_max=5.0), "hit_b_zero", 2),
+        (AnsatzParams(k=3, m=2, lam=0.0, b0=1.0, phi2=0.3), "blowup", 2),
+        (AnsatzParams(k=1, m=2, lam=0.5, b0=1.0, t_max=5.0), "hit_a_zero", 2),
+        # below 100 eps, where rtol is raised to 100 eps
+        (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0, rtol=1e-15,
+                      atol=1e-15), "completed", 2),
+        # events inside the launch leg (t about 0.081 and 0.070), and a
+        # second leg of 1e-10
+        (AnsatzParams(k=1, m=2, lam=500.0, b0=1.0), "blowup", 1),
+        (AnsatzParams(k=0, m=1, lam=500.0, b0=1.0), "hit_b_zero", 1),
+        (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=0.1000000001),
+         "completed", 2),
+    ])
+    def test_matches_ode_solution_bit_for_bit(self, params, status, runs):
+        # the one run has the bits of solve_ivp restarted at the leg
+        # switch: the runs' steps joined, and one right-side call fewer per
+        # further leg, since f at the switch is the last step's
+        [outcome] = _integrate([params])
+        run, got_status = outcome
+        t_end = float(run.t[-1])
+        sols = _solve_ivp_runs(params)
+        assert len(sols) == runs
+        assert got_status == status
+        assert (got_status, t_end) == _solve_ivp_outcome(params, sols)
+        steps = [ip for sol in sols for ip in sol.sol.interpolants]
+        assert run.nfev == sum(sol.nfev for sol in sols) - (runs - 1)
+        assert run.status == sols[-1].status
+        assert _same_bits(run.t, np.concatenate(
+            [sols[0].t] + [sol.t[1:] for sol in sols[1:]]))
+        assert _same_bits(run.t[:-1], [ip.t_old for ip in steps])
+        assert _same_bits(run.h, [ip.h for ip in steps])
+        assert _same_bits(run.F, [ip.F for ip in steps])
+        assert _same_bits(run.y_old, [ip.y_old for ip in steps])
+        # the profile's step table needs no column for the step ends: they
+        # are the next step's start and, for the last step, end_time
+        prof = _profile(params, outcome)
+        assert _same_bits(np.append(prof.t_old[1:], prof.end_time),
+                          run.t[1:])
+        # every step end (t_switch among them), every step middle and the
+        # output grid
+        ends = run.t
+        ts = np.unique(np.concatenate([
+            ends, 0.5 * (ends[1:] + ends[:-1]),
+            np.linspace(params.epsilon, t_end, 2001)]))
+        want = _per_run_reference([sol.sol for sol in sols], ts)
+        assert _same_bits(_dense(prof, ts), want)
+
+    def test_step_ends_go_to_the_earlier_step(self):
+        # pieces that disagree at their common ends, so the choice of the
+        # piece at a step end shows
+        from scipy.integrate import OdeSolution
+        from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+        rng = np.random.default_rng(5)
+        ts = np.array([0.5, 0.8, 1.2, 1.5, 2.0, 2.5])
+        F, y_old = rng.normal(size=(ts.size - 1, 7, 4)), rng.normal(
+            size=(ts.size - 1, 4))
+        sol = OdeSolution(ts, [Dop853DenseOutput(t0, t1, y, f) for t0, t1, y, f
+                               in zip(ts[:-1], ts[1:], y_old, F)])
+        run = _Run(t=ts, h=np.diff(ts), F=F, y_old=y_old, nfev=0, status=0)
+        prof = _profile(AnsatzParams(k=0, m=2, lam=0.0, b0=1.0, epsilon=0.5),
+                        (run, "completed"))
+        ts = np.array([0.4, 0.5, 0.6, 0.8, 1.0, 1.2, 1.5, 1.7, 2.0, 2.5, 3.0])
+        assert _same_bits(_dense(prof, ts), sol(ts))
+
+    def test_shoot_columns_are_the_dense_output(self, steady_profile_12):
+        prof = steady_profile_12
+        sols = _solve_ivp_runs(prof.params)
+        want = _per_run_reference([sol.sol for sol in sols], prof.t)
+        got = np.array([prof.a, prof.a_prime, prof.b, prof.b_prime,
+                        prof.phi, prof.phi_prime])
+        assert _same_bits(got, want)
+
+
+def _work(run):
+    """A run's right-side calls, accepted steps and rejected attempts."""
+    return run.nfev, run.t.size - 1, run.rejected
+
+
+class TestIntegratorWork:
+    @pytest.mark.parametrize("k,m,lam,nfev,steps", [
+        (1, 2, 0.0, 755, 47),
+        (2, 3, 0.0, 1526, 96),
+        (1, 3, -0.1, 977, 61),
+    ])
+    def test_work_per_shoot(self, k, m, lam, nfev, steps):
+        # solve_ivp's counts on these shoots, its two runs summed: a change
+        # to the step control or the stage scheme moves them.  The one run
+        # makes one right-side call fewer, none at the leg switch: one at
+        # the start, 15 per accepted step and 12 per rejected attempt
+        rejected = {(1, 2): 4, (2, 3): 7, (1, 3): 5}[k, m]
+        [(run, _)] = _integrate([AnsatzParams(k=k, m=m, lam=lam, b0=1.0)])
+        assert _work(run) == (nfev - 1, steps, rejected)
+        assert run.nfev == 1 + 15 * steps + 12 * rejected
+
+    def test_tableau_is_scipys(self):
+        # the loops read scipy's DOP853 tableau from its coefficient file,
+        # with the names and slices of scipy.integrate.DOP853
+        from scipy.integrate import DOP853
+        for name in ("n_stages", "error_estimator_order", "A", "B", "C",
+                     "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+            got = np.asarray(getattr(dop853._DOP853, name))
+            want = np.asarray(getattr(DOP853, name))
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_step_underflow_matches_solve_ivp(self):
+        # y' = y^2 blows up at t = 1, where the step size underflows
+        def fun(t, y):
+            return [y[0] * y[0]]
+
+        sol = solve_ivp(fun, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10,
+                        atol=1e-10, first_step=1e-3, dense_output=True)
+        [run] = _dop853([lambda y: fun(None, y)], [0.0], np.array([[1.0]]),
+                        [[(2.0, 1e-10, 1e-10, 1e-3)]], _no_events,
+                        _no_event_values)
+        assert (sol.status, sol.nfev) == (-1, 7255)
+        assert (run.status, run.nfev, run.message) == (-1, 7255, sol.message)
+        assert run.message == ("Required step size is less than spacing "
+                               "between numbers.")
+        assert run.t[-1] == sol.t[-1] == 1.00000000001075
+
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_right_side_matches_solve_ivp(self, component, value):
+        # y' = y, but one component of y' is NaN or inf past y = 1.5: every
+        # attempt that reaches it is rejected until the step size underflows
+        # near t = ln 1.5, alone and in a batch whose other row runs on
+        def fun(y):
+            f = list(y)
+            if y[component] > 1.5:
+                f[component] = value
+            return f
+
+        leg = (2.0, 1e-10, 1e-10, 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sol = solve_ivp(lambda t, y: fun(y), (0.0, 2.0), [1.0, 1.0],
+                            method="DOP853", rtol=leg[1], atol=leg[2],
+                            first_step=leg[3], dense_output=True)
+        [alone] = _dop853([fun], [0.0], np.array([[1.0, 1.0]]), [[leg]],
+                          _no_events, _no_event_values)
+        in_batch, calm = _dop853([fun, lambda y: [-v for v in y]], [0.0, 0.0],
+                                 np.ones((2, 2)), [[leg], [leg]], _no_events,
+                                 _no_event_values)
+        want = (sol.status, sol.nfev, sol.t[-1], sol.message)
+        assert want[:3] == (-1, 889, 0.40546510810816383)
+        for run in (alone, in_batch):
+            assert (run.status, run.nfev, run.t[-1], run.message) == want
+            assert _same_bits(run.F, [ip.F for ip in sol.sol.interpolants])
+        assert (calm.status, calm.t[-1]) == (0, 2.0)
+
+    def test_integrate_reports_step_underflow(self, monkeypatch):
+        # a right side that is never finite rejects every step until the
+        # step size underflows
+        monkeypatch.setattr(shooting, "_rhs_with_phi",
+                            lambda params: lambda y: [np.nan] * len(y))
+        params = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)
+        message = ("integrator failed: Required step size is less than "
+                   "spacing between numbers.")
+        with pytest.raises(IntegrationError) as info:
+            shoot(params)
+        assert str(info.value) == message
+        [row] = sweep([params])
+        assert row.status == "error:IntegrationError:" + message
+
+    def test_work_per_shoot_in_a_mixed_batch(self, monkeypatch):
+        # the three pinned classes keep their counts inside one sweep of
+        # rows that end every other way: a k = 0 row (its own batch),
+        # rows that blow up, hit a = 0 and hit b = 0, a refused start and
+        # a row whose step size underflows
+        _nan_rhs_for(monkeypatch, _UNDERFLOW)
+        outcomes = {}
+        integrate = shooting._integrate
+
+        def recording(rows):
+            got = integrate(rows)
+            outcomes.update(zip(rows, got))
+            return got
+
+        monkeypatch.setattr(shooting, "_integrate", recording)
+        pinned = {AnsatzParams(k=1, m=2, lam=0.0, b0=1.0): (754, 47, 4),
+                  AnsatzParams(k=2, m=3, lam=0.0, b0=1.0): (1525, 96, 7),
+                  AnsatzParams(k=1, m=3, lam=-0.1, b0=1.0): (976, 61, 5)}
+        others = {AnsatzParams(k=0, m=2, lam=1.0, b0=1.0): "completed",
+                  AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, phi2=0.5): "blowup",
+                  AnsatzParams(k=1, m=2, lam=2.0, b0=1.0): "hit_a_zero",
+                  AnsatzParams(k=1, m=2, lam=1.0, b0=3.0): "hit_b_zero",
+                  AnsatzParams(k=2, m=2, lam=0.0, b0=1e-5): "error:ValueError",
+                  AnsatzParams(k=2, m=2, lam=0.0, b0=1.0, phi2=_UNDERFLOW):
+                      "error:IntegrationError"}
+        grid = list(others)[:3] + list(pinned) + list(others)[3:]
+        rows = sweep(grid)
+        assert [row.status[:len(want)] for row, want in zip(
+            rows[:3] + rows[6:], others.values())] == list(others.values())
+        for params, work in pinned.items():
+            run, status = outcomes[params]
+            assert status == "completed"
+            assert _work(run) == work
+
+    def test_failed_event_location_ends_its_row_alone(self, monkeypatch):
+        # brentq refuses the first bracket it gets: the hit_a_zero row's
+        # event; that row alone ends, with the error, and the other row of
+        # the batch runs on to its end
+        calls = []
+
+        def refusing(*args, **kwargs):
+            calls.append(args[1:])
+            if len(calls) == 1:
+                raise ValueError("f(a) and f(b) must have different signs")
+            return brentq(*args, **kwargs)
+
+        from scipy.optimize import brentq
+        collapse = AnsatzParams(k=1, m=2, lam=2.0, b0=1.0, t_max=3.5)
+        steady = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=3.5)
+        [alone] = _integrate([steady])
+        monkeypatch.setattr(dop853, "brentq", refusing)
+        failed, completed = _integrate([collapse, steady])
+        assert isinstance(failed, IntegrationError) and len(calls) == 1
+        assert _outcome_bits(completed) == _outcome_bits(alone)
+        calls.clear()
+        rows = sweep([collapse, steady])
+        assert rows[0].status == ("error:IntegrationError:event location "
+                                  "failed: f(a) and f(b) must have "
+                                  "different signs")
+        assert (rows[1].status, rows[1].lifetime) == ("completed", 3.5)
+
+    def test_step_cap(self, monkeypatch):
+        # a row whose run ends on its MAX_STEPS-th accepted step keeps the
+        # bits of an uncapped run; a row that needs one more ends in an
+        # IntegrationError naming the cap, alone in its batch and as a
+        # sweep's error row
+        steady = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)   # 47 steps
+        short = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0)
+        [alone], [short_alone] = _integrate([steady]), _integrate([short])
+        steps = alone[0].h.size
+        assert short_alone[0].h.size < steps - 1
+        monkeypatch.setattr(dop853, "MAX_STEPS", steps)
+        [capped] = _integrate([steady])
+        assert _outcome_bits(capped) == _outcome_bits(alone)
+        monkeypatch.setattr(dop853, "MAX_STEPS", steps - 1)
+        message = (f"integrator failed: MAX_STEPS = {steps - 1} accepted "
+                   f"steps reached at t = ")
+        with pytest.raises(IntegrationError, match=re.escape(message)):
+            shoot(steady)
+        # the steady row runs on alone after the short one ends, and is
+        # capped there
+        handoffs = _spy_handoffs(monkeypatch)
+        failed, kept = _integrate([steady, short])
+        assert isinstance(failed, IntegrationError)
+        assert str(failed).startswith(message)
+        assert _outcome_bits(kept) == _outcome_bits(short_alone)
+        assert [t_end for _, t_end, _, _ in handoffs] == [steady.t_max]
+        rows = sweep([steady, short])
+        assert rows[0].status.startswith("error:IntegrationError:" + message)
+        assert (rows[1].status, rows[1].lifetime) == ("completed", 1.0)
+        # a cap that two rows reach at different passes: the steady row is
+        # capped in lockstep, the other alone, and each keeps the bits of
+        # its capped run alone
+        other = AnsatzParams(k=1, m=3, lam=-0.1, b0=1.0)
+        monkeypatch.setattr(dop853, "MAX_STEPS", short_alone[0].h.size - 1)
+        capped = [_integrate([params])[0] for params in (steady, other)]
+        handoffs.clear()
+        both = _integrate([steady, other])
+        assert [t_end for _, t_end, _, _ in handoffs] == [other.t_max]
+        for got, want in zip(both, capped):
+            assert isinstance(got, IntegrationError)
+            assert _outcome_bits(got) == _outcome_bits(want)
+
+    def test_tight_degeneration_reaches_the_cap(self):
+        # at rtol = atol 1e-15 this row takes 143,554 steps (19 s) to its
+        # hit_b_zero at t = 1.5708; the cap ends it near there
+        params = AnsatzParams(k=0, m=2, lam=2.0, b0=1.0, rtol=1e-15,
+                              atol=1e-15)
+        with pytest.raises(IntegrationError, match=(
+                f"MAX_STEPS = {dop853.MAX_STEPS} accepted steps reached "
+                r"at t = 1\.5707")):
+            shoot(params)
+
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_event_values_on_floats(self, k):
+        # a row stepping alone reads each accepted step's event values on
+        # Python floats: the bits of the array form on finite and +-inf
+        # states, and a NaN in any component makes the blow-up value NaN,
+        # as np.max does (Python's max drops a NaN that does not come first)
+        events, values, _ = _events(k)
+        n = 6 if k >= 1 else 4
+        rng = np.random.default_rng(27)
+        states = [rng.normal(size=n) * 10.0 ** rng.integers(-8, 12, size=n)
+                  for _ in range(200)]
+        for special in (np.inf, -np.inf, -0.0, _BLOWUP_LIMIT,
+                        _POSITIVITY_FLOOR):
+            for i in range(n):
+                y = rng.normal(size=n)
+                y[i] = special
+                states.append(y)
+        states.append(np.array([np.inf, -np.inf] * (n // 2)))
+        for y in states:
+            assert np.array(values(y.tolist())).tobytes() == \
+                events(y).tobytes()
+        for fill in (1.0, -np.inf, np.inf):
+            for i in range(n):
+                y = np.full(n, fill)
+                y[i] = np.nan
+                got = values(y.tolist())
+                assert math.isnan(got[-1])
+                np.testing.assert_array_equal(got, events(y))
+
+    def test_bad_runs_rejected(self):
+        # a leg that does not end past the start, or past the last leg
+        for ends in ([1.0], [2.0, 2.0], [2.0, 1.5], []):
+            with pytest.raises(ValueError, match="forward only"):
+                _dop853([lambda y: [0.0]], [1.0], np.array([[1.0]]),
+                        [[(t1, 1e-10, 1e-10, 1e-3) for t1 in ends]],
+                        _no_events, _no_event_values)
+        # b0 = inf, which would give a non-finite series start, is refused
+        # when the params are built
+        with pytest.raises(ValueError, match="b0 must be a finite number"):
+            AnsatzParams(k=1, m=2, lam=0.0, b0=float("inf"))
+
+
+def _outcome_bits(outcome):
+    """A row's ``_integrate`` outcome as comparable bits: the exception's
+    type and message, or the status and its run's record, whose last t is
+    the row's end."""
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    run, status = outcome
+    return (status, run.nfev, run.status,
+            run.event, run.message,
+            *(getattr(run, name).tobytes()
+              + str(getattr(run, name).shape).encode()
+              for name in ("t", "h", "F", "y_old")))
+
+
+def _spy_handoffs(monkeypatch):
+    """Record the ``(t, t_end, fresh, step_rejected)`` of each row that a
+    batch hands to the one-row loop: its t and leg end, and whether its
+    last attempt was accepted or rejected."""
+    handoffs = []
+    lockstep = dop853._lockstep
+
+    def spy(*args):
+        last = lockstep(*args)
+        if last is not None:
+            row = last[0]
+            handoffs.append((row.t, row.t_end, row.fresh, row.step_rejected))
+        return last
+
+    monkeypatch.setattr(dop853, "_lockstep", spy)
+    return handoffs
+
+
+class TestBatchesKeepBits:
+    """A row integrated in a batch has the bits of the row integrated
+    alone, whatever the other rows of the batch and however they end."""
+
+    SPECIAL = [   # rows that end every way (k, m, lam, b0, phi2, t_max)
+        (1, 2, 0.0, 1.0, 0.5, 3.5), (0, 2, 0.0, 1.0, -0.5, 3.5),     # blowup
+        (1, 2, 2.0, 1.0, -0.5, 3.5),                              # hit a = 0
+        (1, 2, 1.0, 3.0, -0.5, 3.5), (0, 2, 0.5, 2.0, -0.5, 3.5),  # hit b = 0
+        (2, 3, 0.0, 1e-5, -0.5, 3.5), (0, 3, 0.0, 1e-5, -0.5, 3.5),  # refused
+        (2, 2, 0.0, 1.0, _UNDERFLOW, 3.5), (0, 2, 0.5, 1.2, _UNDERFLOW, 3.5),
+        # an event inside the launch leg (blowup, hit b = 0), a span of the
+        # launch leg alone, and a second leg of 1e-10
+        (1, 2, 500.0, 1.0, -0.5, 3.5), (0, 1, 500.0, 1.0, -0.5, 3.5),
+        (1, 2, 0.0, 1.0, -0.5, 0.1), (1, 2, 0.0, 1.0, -0.5, 0.1000000001),
+    ]
+
+    @pytest.mark.parametrize("partner,handoff", [
+        # blows up at t = 0.0813, inside the launch leg: the survivor takes
+        # its second leg alone
+        (AnsatzParams(k=1, m=2, lam=500.0, b0=1.0),
+         (0.04404290462824772, _LAUNCH_END, True, False)),
+        # completes at t = 2.3 on the pass where the survivor's attempt was
+        # rejected
+        (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=2.3),
+         (2.2292491883669596, 10.0, False, True)),
+    ])
+    def test_last_row_runs_on_alone(self, monkeypatch, partner, handoff):
+        # the row left when its partner ends moves to the one-row loop with
+        # its t, step size, accept/reject state, leg, record, state and
+        # events, and keeps the bits of its run alone
+        steady = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)
+        [alone] = _integrate([steady])
+        handoffs = _spy_handoffs(monkeypatch)
+        ended, survivor = _integrate([partner, steady])
+        assert handoffs == [handoff]
+        assert ended[1] in ("blowup", "completed")
+        assert _outcome_bits(survivor) == _outcome_bits(alone)
+        assert _work(survivor[0]) == (754, 47, 4)
+
+    def test_random_batches(self, monkeypatch):
+        _nan_rhs_for(monkeypatch, _UNDERFLOW)
+        rng = np.random.default_rng(15)
+        pool = [AnsatzParams(k=k, m=m, lam=lam, b0=b0, phi2=phi2, t_max=t_max)
+                for k, m, lam, b0, phi2, t_max in self.SPECIAL]
+        # half of the random rows have k = 0, so batches of both state
+        # sizes run with many rows
+        pool += [AnsatzParams(k=int(rng.integers(1, 4)) * (i % 2),
+                              m=int(rng.integers(1, 4)),
+                              lam=float(rng.choice([0.0, -0.1, 0.3])),
+                              b0=float(rng.uniform(0.7, 1.5)),
+                              phi2=float(rng.uniform(-1.0, 0.2)),
+                              t_max=float(rng.choice([0.05, 1.0, 3.0])))
+                 for i in range(50)]
+        alone, seen, largest = {}, set(), {False: 0, True: 0}
+        for _ in range(20):
+            rows = [pool[i] for i in rng.choice(
+                len(pool), size=rng.choice([2, 3, 5, 9, 17, len(pool)]),
+                replace=False)]
+            for line in (False, True):
+                batch = [p for p in rows if (p.k < 1) == line]
+                if not batch:
+                    continue
+                largest[line] = max(largest[line], len(batch))
+                for params, outcome in zip(batch, _integrate(batch)):
+                    if params not in alone:
+                        [alone[params]] = _integrate([params])
+                    assert (_outcome_bits(outcome)
+                            == _outcome_bits(alone[params])), params
+                    seen.add(type(outcome).__name__
+                             if isinstance(outcome, Exception) else outcome[1])
+        assert seen == {"completed", "blowup", "hit_a_zero", "hit_b_zero",
+                        "ValueError", "IntegrationError"}
+        assert min(largest.values()) >= 24, largest
