@@ -32,8 +32,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .patches import GeometryError, _strict_json
 from .quotient import T_RANGE, certify_quotient, make_cyclic_action
@@ -44,7 +42,7 @@ from .shooting import (
     SweepRow,
     _is_int,
     _is_real,
-    _log_slopes,
+    _summary,
     ambient_geometry,
     ambient_radial_range,
     certify_profile,
@@ -233,26 +231,6 @@ def _shoot(block: dict) -> SolitonProfile:
         return shoot(AnsatzParams(**_ansatz_kwargs(block)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _summary(profile: SolitonProfile) -> dict:
-    interior = slice(2, -2)   # a profile's grid has at least 16 rows
-    res_max = {
-        "tt": float(np.nanmax(np.abs(profile.res_tt[interior]))),
-        "sk": float(np.nanmax(np.abs(profile.res_sk[interior])))
-              if profile.params.k >= 1 else float("nan"),
-        "sm": float(np.nanmax(np.abs(profile.res_sm[interior]))),
-    }
-    return {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "classification": profile.classification,
-        "status": profile.status,
-        "lifetime": profile.end_time,
-        "mu_mean": profile.mu_mean,
-        "mu_spread": profile.mu_spread,
-        **_log_slopes(profile),
-        "reduced_equation_residual_max": res_max,
-    }
 
 
 def cmd_solve(cfg: dict, out_dir: str) -> int:

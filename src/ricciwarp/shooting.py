@@ -70,13 +70,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import dop853
-from .curvature import _MARGIN_SECOND
+from .curvature import _MARGIN_SECOND, DEFAULT_STEP
 from .dop853 import _N_COEFFS, _dop853, _horner
 from .fd import check_step, grid_derivative
 from .patches import (
@@ -169,12 +169,13 @@ class AnsatzParams:
     2.65e-8 at the default 200.
 
     Construction refuses (``ValueError``) a k, m or grid_per_unit that is
-    not an integer, another field that is not a finite real (a bool is
-    neither), values out of range, a span shorter than epsilon
-    (``t_max < 2 epsilon``: across a few ulps of t the grid's differences
-    are rounding, and its diagnostics meaningless) and an output grid of
-    more than ``MAX_GRID_POINTS`` points up to ``t_max``, past which no
-    profile ends: a config, a file and Python alike.
+    not an integer, a k or m beyond the float range, another field that is
+    not a finite real (a bool is neither), values out of range, a span
+    shorter than epsilon (``t_max < 2 epsilon``: across a few ulps of t
+    the grid's differences are rounding, and its diagnostics meaningless)
+    and an output grid of more than ``MAX_GRID_POINTS`` points up to
+    ``t_max``, past which no profile ends: a config, a file and Python
+    alike.
     """
 
     k: int
@@ -194,6 +195,10 @@ class AnsatzParams:
             if not (_is_int if name in _INT_FIELDS else _is_real)(value):
                 raise ValueError(f"AnsatzParams {name} must be {kind}, got "
                                  f"{value!r}")
+            # _series_start reads k + 1 and m as floats
+            if name in ("k", "m") and not _is_real(value + 1):
+                raise ValueError(f"AnsatzParams {name} is beyond the float "
+                                 f"range")
         if self.k < 0:
             raise ValueError("base sphere dimension k must be >= 0")
         if self.m < 1:
@@ -696,6 +701,29 @@ def _residuals(params: AnsatzParams, t, a, ap, b, bp, phip):
     return res_tt, res_sk, res_sm
 
 
+# the version of the solve_summary.json document
+_SUMMARY_SCHEMA_VERSION = 1
+
+
+def _summary(profile: SolitonProfile) -> dict:
+    """The numbers of a profile's ``solve_summary.json``: its
+    classification, its :func:`_report` and the largest size of each
+    residual column of :func:`_residuals` (``sk`` NaN for k = 0), the
+    two rows at either end of the grid left out: their one-sided stencils
+    are less accurate than the centred ones inside (a profile's grid has
+    at least 16 rows).  ``np.fmax`` skips NaN, as ``np.nanmax`` does, but
+    reads the all-NaN ``sk`` column of k = 0 as NaN without a warning."""
+    return {
+        "schema_version": _SUMMARY_SCHEMA_VERSION,
+        "classification": profile.classification,
+        **_report(profile),
+        "reduced_equation_residual_max": {
+            name: float(np.fmax.reduce(np.abs(column[2:-2])))
+            for name, column in zip(("tt", "sk", "sm"),
+                                    profile._residual_columns)},
+    }
+
+
 # the origin launch layer amplifies start-state errors by roughly 1/t^2
 # along a transverse mode, so the leg up to _LAUNCH_END is integrated at a
 # fixed tight tolerance regardless of the requested one
@@ -836,7 +864,7 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
 # certification of profiles
 # ---------------------------------------------------------------------------
 
-def profile_geometry(profile: SolitonProfile, h: float = 1e-3):
+def profile_geometry(profile: SolitonProfile, h: float = DEFAULT_STEP):
     """Warped geometry carrying a profile's data: the ansatz itself.
 
     The base patch is dt^2 + a^2 g_{S^k} over the profile span, the fiber
@@ -891,7 +919,7 @@ _FIBER_MARGIN = 0.2
 
 
 def certify_profile(profile: SolitonProfile,
-                    h: float = 1e-3,
+                    h: float = DEFAULT_STEP,
                     tolerance: float = 1e-5,
                     t_window=(0.2, 5.0),
                     n_base: int = 10,
@@ -912,7 +940,7 @@ def certify_profile(profile: SolitonProfile,
     fiber samples and the chart boundaries, and ``ValueError`` for a step
     ``h`` that is not finite and positive or, at the samples, not above
     the float resolution (``fd.check_step``), and for ``n_base`` below 2
-    (:func:`certify_soliton`).
+    or ``n_fiber`` or ``n_product`` below 1 (:func:`certify_soliton`).
     """
     check_step(h)
     params = profile.params
@@ -978,8 +1006,9 @@ def certify_profile(profile: SolitonProfile,
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep result: shooting data, outcome, the first-integral
-    statistics and the log-slopes of :func:`_log_slopes`."""
+    """One sweep result: the shooting datum (k, m, lam, b0) and the numbers
+    of :func:`_report`, which ``solve_summary.json`` reports too, or those
+    of an error row (:func:`_sweep_row`)."""
 
     k: int
     m: int
@@ -1006,49 +1035,55 @@ def params_grid(ks, ms, lams, b0s, **common):
     return out
 
 
-# the names of the log-slopes, in the order of SweepRow and sweep.csv
-_SLOPES = ("slope_a", "slope_b", "slope_a_mid", "slope_b_mid")
+# the fields of a row that _report sets: SweepRow's after (k, m, lam, b0)
+_REPORT_FIELDS = tuple(f.name for f in fields(SweepRow))[4:]
 
 
-def _log_slopes(profile: SolitonProfile) -> dict:
-    """The local log-slopes ``t y'/y`` of a and b on a profile's grid, by
-    name (``_SLOPES``): ``slope_a`` and ``slope_b`` at its last row
+def _report(profile: SolitonProfile) -> dict:
+    """The numbers of a profile that ``solve_summary.json`` and its sweep
+    row both report, by name in the order of ``_REPORT_FIELDS``: its
+    ``status``, its ``end_time`` as ``lifetime``, the mean and spread of
+    its first integral mu, and the local log-slopes ``t y'/y`` of a and b
+    on its grid: ``slope_a`` and ``slope_b`` at its last row
     (``end_time``), ``slope_a_mid`` and ``slope_b_mid`` at its middle row
     (t about ``end_time / 2``).
 
-    All are NaN unless the profile is ``completed``, and the a-slopes are
-    NaN for k = 0, which has no a.  ``y ~ t^p`` has the slope p at every
-    t; a negative end slope says the coefficient is shrinking at
-    ``t_max``, and a drift between the middle and end slopes that the
-    growth has not settled.  They read grid columns that the diagnostics
-    derive anyway.
+    The slopes are NaN unless the profile is ``completed``, and the
+    a-slopes are NaN for k = 0, which has no a.  ``y ~ t^p`` has the slope
+    p at every t; a negative end slope says the coefficient is shrinking
+    at ``t_max``, and a drift between the middle and end slopes that the
+    growth has not settled.  The report derives mu but not the residual
+    columns, and reads grid columns that mu derives anyway.
     """
-    slopes = dict.fromkeys(_SLOPES, math.nan)
+    report = {**dict.fromkeys(_REPORT_FIELDS, math.nan),
+              "status": profile.status, "lifetime": profile.end_time,
+              "mu_mean": profile.mu_mean, "mu_spread": profile.mu_spread}
     if profile.status == "completed":
         t = profile.t
         for suffix, i in (("", t.size - 1), ("_mid", (t.size - 1) // 2)):
-            slopes["slope_b" + suffix] = float(
+            report["slope_b" + suffix] = float(
                 t[i] * profile.b_prime[i] / profile.b[i])
             if profile.params.k >= 1:
-                slopes["slope_a" + suffix] = float(
+                report["slope_a" + suffix] = float(
                     t[i] * profile.a_prime[i] / profile.a[i])
-    return slopes
+    return report
 
 
 def _sweep_row(params: AnsatzParams, outcome) -> SweepRow:
-    """The sweep row of a row's :func:`_integrate` outcome."""
+    """The sweep row of a row's :func:`_integrate` outcome: the
+    :func:`_report` of its profile or, when :func:`_profile` raises, the
+    status ``error:<Type>:<message>``, lifetime 0.0 and NaN numbers."""
     try:
         prof = _profile(params, outcome)
-    except (IntegrationError, GeometryError, ValueError) as exc:
+    except (GeometryError, ValueError) as exc:
         # one CSV field: whitespace runs (newlines included) become one
         # space and commas semicolons
         reason = " ".join(str(exc).split()).replace(",", ";")
-        return SweepRow(params.k, params.m, params.lam, params.b0,
-                        f"error:{type(exc).__name__}:{reason}", 0.0,
-                        math.nan, math.nan, **dict.fromkeys(_SLOPES, math.nan))
-    return SweepRow(params.k, params.m, params.lam, params.b0, prof.status,
-                    prof.end_time, prof.mu_mean, prof.mu_spread,
-                    **_log_slopes(prof))
+        report = {**dict.fromkeys(_REPORT_FIELDS, math.nan), "lifetime": 0.0,
+                  "status": f"error:{type(exc).__name__}:{reason}"}
+    else:
+        report = _report(prof)
+    return SweepRow(params.k, params.m, params.lam, params.b0, **report)
 
 
 # rows of one lockstep batch: bounds the stage tables and run records that
@@ -1103,17 +1138,19 @@ def _share_child(conn, rows) -> None:
 def sweep(param_list, parallel: bool = False, workers: int | None = None):
     """Run the grid; rows come back in grid order regardless of mode.
 
-    A row whose shooting raises has the status ``error:<Type>:<message>``,
-    the message on one line and without commas, and NaN numbers.  A
-    completed row reports the log-slopes of :func:`_log_slopes`; the
-    others report NaN slopes.  Rows integrate in lockstep batches
-    (:func:`_sweep_rows`, :func:`_dop853`), and a row's numbers have the
-    bits of the row shot alone, whatever the other rows of its batch: the
-    batch's products are stacked ``np.matmul`` products over the rows'
-    own stage tables, which give each row the bits of its ``np.dot``, the
-    step-size control runs row by row, and the last row of a batch steps
-    on alone with the operations of :func:`shoot`.  So neither the grid
-    nor its split into batches and shares changes a row.
+    A row reports the numbers of its profile that :func:`_report` gives,
+    the same numbers as its ``solve_summary.json``: its status and
+    lifetime, the mean and spread of mu and, when completed, the
+    log-slopes of a and b (NaN otherwise).  A row whose shooting raises
+    has the status ``error:<Type>:<message>``, the message on one line and
+    without commas, lifetime 0.0 and NaN numbers.  Rows integrate in
+    lockstep batches (:func:`_sweep_rows`, :func:`_dop853`), and a row's
+    numbers have the bits of the row shot alone, whatever the other rows
+    of its batch: the batch's products are stacked ``np.matmul`` products
+    over the rows' own stage tables, which give each row the bits of its
+    ``np.dot``, the step-size control runs row by row, and the last row of
+    a batch steps on alone with the operations of :func:`shoot`.  So
+    neither the grid nor its split into batches and shares changes a row.
 
     ``parallel`` permits processes and ``workers`` caps them, the caller
     among them (default: the CPU count).  A parallel sweep runs in

@@ -316,9 +316,11 @@ def certify_soliton(w: WarpedGeometry,
     first-integral spread is compared in the relative form
     spread/(1 + |mu|).  Sample sets not given are the chart centre and
     seeded interior points: 8 on the base, 4 on the fiber and 8 on each
-    factor of the product.  Raises ``ValueError`` for fewer than 2 base
-    samples: the scalar-equation and first-integral checks compare the
-    samples with each other, so one sample would pass them vacuously.
+    factor of the product.  Raises ``ValueError``, before any residual is
+    computed, for fewer than 2 base samples (the scalar-equation and
+    first-integral checks compare the samples with each other, so one
+    sample would pass them vacuously) and for no fiber or no product
+    sample, which would pass their checks vacuously.
     """
     if base_samples is None:
         base_samples = _default_samples(w.base, 8, 0, 0.05)
@@ -338,12 +340,18 @@ def certify_soliton(w: WarpedGeometry,
         }
 
     base_samples = np.asarray(base_samples, dtype=float).reshape(-1, w.n)
+    fiber_samples = np.asarray(fiber_samples, dtype=float).reshape(-1, w.m)
     product_samples = np.asarray(product_samples, dtype=float).reshape(
         -1, w.n + w.m)
-    if len(base_samples) < 2:
-        raise ValueError(f"certification needs at least 2 base samples, got "
-                         f"{len(base_samples)}: the scalar equation and the "
-                         f"first integral compare them with each other")
+    # fewer samples would pass the checks that read them vacuously: the
+    # scalar equation and the first integral compare the base samples with
+    # each other
+    for name, samples, least in (("base", base_samples, 2),
+                                 ("fiber", fiber_samples, 1),
+                                 ("product", product_samples, 1)):
+        if len(samples) < least:
+            raise ValueError(f"certification needs at least {least} {name} "
+                             f"sample{'s' * (least > 1)}, got {len(samples)}")
 
     base = base_structure(w, base_samples, h)
     add("base_equation", base.residual_norm.max(), len(base_samples))

@@ -642,6 +642,8 @@ class TestLoadedParams:
         ("b0", 10 ** 400, "b0 must be a finite number"),
         ("k", MAX_DIMENSION + 1, "sphere dimensions k = 7, m = 2"),
         ("m", MAX_DIMENSION + 1, "sphere dimensions k = 1, m = 7"),
+        ("k", 10 ** 400, "k is beyond the float range"),
+        ("m", 10 ** 400, "m is beyond the float range"),
     ])
     def test_exits_4_without_artifact(self, tmp_path, capsys, command, block,
                                       key, value, reason):
@@ -847,6 +849,40 @@ class TestSweep:
         assert fields[4] == ("error:ValueError:epsilon=0.0001 too large: "
                              "series tail estimate 1.67e-03 > 1e-8")
         assert rows[1].split(",")[4] == "completed"
+
+    @pytest.mark.parametrize("block,status", [
+        ({"k": 1, "m": 2, "lambda": 0.0, "b0": 1.0, "t_max": 3.0},
+         "completed"),
+        (cylinder_solve_block(t_max=3.0), "completed"),
+        ({"k": 1, "m": 2, "lambda": 0.0, "b0": 1.0, "phi2": 0.3}, "blowup"),
+    ], ids=["k1m2", "cylinder", "blowup"])
+    def test_row_reports_the_solve_summary(self, tmp_path, block, status):
+        # the eight numbers that solve_summary.json shares with sweep.csv
+        # are those of the row of a one-row sweep of the same params, run
+        # serially and on 2 processes: the same floats, a NaN written as
+        # null in the JSON and as nan in the CSV
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve=block)
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        summary = json.loads((tmp_path / "out" / "solve_summary.json")
+                             .read_text())
+        assert summary["status"] == status
+        grid = {key: [value] if key in ("k", "m", "lambda", "b0") else value
+                for key, value in block.items()}
+        for mode in ({}, {"parallel": True, "workers": 2}):
+            write_config(cfg_path, sweep={**grid, **mode})
+            assert main(["sweep", "--config", str(cfg_path)]) == 0
+            lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+            header, [line] = lines[1].split(","), lines[2:]
+            row = dict(zip(header[4:], line.split(",")[4:]))
+            assert len(row) == 8 and row["status"] == status
+            numbers = list(row)[1:]
+            assert ([row[name] == "nan" for name in numbers]
+                    == [summary[name] is None for name in numbers])
+            got = [float(row[name]) for name in numbers]
+            want = [np.nan if summary[name] is None else summary[name]
+                    for name in numbers]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "s.json"

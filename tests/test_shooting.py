@@ -39,12 +39,12 @@ from ricciwarp.shooting import (
     _EVAL_FLOOR,
     _LAUNCH_END,
     _POSITIVITY_FLOOR,
+    _REPORT_FIELDS,
     _SHARE_ROWS,
-    _SLOPES,
     _csv_header,
     _events,
     _first_integral,
-    _log_slopes,
+    _report,
     _rhs_with_phi,
     _series_start,
     _state_columns,
@@ -112,6 +112,8 @@ class TestReducedRhs:
         ({"rtol": 0.0}, "integrator tolerances must be positive"),
         ({"atol": -1e-10}, "integrator tolerances must be positive"),
         ({"epsilon": 1e-4, "t_max": 1.5e-4}, r"2 epsilon <= t_max"),
+        ({"k": 10 ** 400}, "k is beyond the float range"),
+        ({"m": 10 ** 400}, "m is beyond the float range"),
     ])
     def test_construction_refuses(self, change, reason):
         # refused when built, before anything integrates: an infinite
@@ -949,10 +951,11 @@ class TestSweep:
         assert np.isnan(rows[0].slope_b) and np.isnan(rows[0].slope_b_mid)
 
     def test_rows_keep_the_bits_of_shoot(self, monkeypatch):
-        # a mixed grid, k 0-2, one row of each outcome: status, lifetime,
-        # mu_mean and mu_spread of every row are those of shoot(params)
-        # run alone, and its slopes those of that profile.  A sweep row
-        # derives mu alone, never the residual columns
+        # a mixed grid, k 0-2, one row of each outcome: every field of a
+        # row after its shooting datum is that of _report(shoot(params))
+        # run alone, or, when shoot raises, its error status, lifetime 0.0
+        # and NaNs.  A sweep row derives mu alone, never the residual
+        # columns
         def refusing(*args):
             raise AssertionError("a sweep row derived the residual columns")
 
@@ -970,19 +973,17 @@ class TestSweep:
         statuses = []
         for params, row in zip(grid, sweep(grid)):
             try:
-                prof = shoot(params)
+                report = _report(shoot(params))
             except (ValueError, IntegrationError) as exc:
-                status = f"error:{type(exc).__name__}:{exc}"
-                want = [0.0] + [np.nan] * (2 + len(_SLOPES))
-            else:
-                status = prof.status
-                want = [prof.end_time, prof.mu_mean, prof.mu_spread,
-                        *_log_slopes(prof).values()]
-            got = [row.lifetime, row.mu_mean, row.mu_spread,
-                   *(getattr(row, name) for name in _SLOPES)]
-            assert row.status == status
-            assert np.array(got).tobytes() == np.array(want).tobytes()
-            statuses.append(status.split(":")[0])
+                report = {"status": f"error:{type(exc).__name__}:{exc}",
+                          "lifetime": 0.0,
+                          **dict.fromkeys(_REPORT_FIELDS[2:], np.nan)}
+            assert tuple(report) == _REPORT_FIELDS
+            got = [getattr(row, name) for name in _REPORT_FIELDS]
+            assert got[0] == report["status"]
+            assert (np.array(got[1:]).tobytes()
+                    == np.array(list(report.values())[1:]).tobytes())
+            statuses.append(got[0].split(":")[0])
         assert statuses == ["hit_b_zero", "completed", "completed",
                             "completed", "error", "blowup", "completed",
                             "error"]

@@ -31,6 +31,7 @@ from ricciwarp import (
     sphere_patch,
     torus_patch,
 )
+from ricciwarp import warped
 
 H = 1e-3
 
@@ -314,6 +315,24 @@ class TestCertifySoliton:
         with pytest.raises(ValueError, match="at least 2 base samples"):
             certify_soliton(cylinder_geometry(2, 1.0),
                             base_samples=np.array([[0.3]]))
+
+    @pytest.mark.parametrize("name", ["fiber", "product"])
+    def test_empty_sample_set_is_refused(self, name, steady_profile_12,
+                                         monkeypatch):
+        # with no fiber or product sample the Einstein check or the soliton
+        # residual would pass vacuously: refused before any residual is
+        # computed, given the samples or their count
+        def refusing(*args):
+            raise AssertionError("a residual was computed")
+
+        monkeypatch.setattr(warped, "base_structure", refusing)
+        w = cylinder_geometry(2, 1.0)
+        dim = w.m if name == "fiber" else w.n + w.m
+        message = f"at least 1 {name} sample, got 0"
+        with pytest.raises(ValueError, match=message):
+            certify_soliton(w, **{f"{name}_samples": np.zeros((0, dim))})
+        with pytest.raises(ValueError, match=message):
+            certify_profile(steady_profile_12, **{f"n_{name}": 0})
 
     def test_report_json_structure(self):
         report = certify_soliton(cylinder_geometry(2, 1.0), tolerance=1e-6)
