@@ -66,7 +66,7 @@ _DOP853 = _dop853_tableau()
 _N_COEFFS = 3 + len(_DOP853.D)   # rows of a step's dense-output table F
 
 
-def _horner(rows, y_old, x):
+def _horner(rows, y_old, x, dx=False):
     """The DOP853 dense-output polynomial of a step at ``x = (t - t_old)/h``.
 
     ``rows`` yields the rows ``F[-1], ..., F[0]`` of the step's coefficient
@@ -76,13 +76,26 @@ def _horner(rows, y_old, x):
     profile's columns (``shooting._evaluate``) call it with one
     coefficient row and one ``x`` per time, and :meth:`_Row.accept` for
     locating events.
+
+    With ``dx`` it returns the pair of the value, with the same bits, and
+    its derivative d/dx, formed in the same loop by the product rule: each
+    factor ``x`` or ``1 - x`` adds the sum it multiplies, with the sign of
+    its own derivative.  d/dt is d/dx over ``h``.
     """
     y = np.zeros_like(y_old)
+    d = np.zeros_like(y_old) if dx else None
     u = 1 - x
     for i, f in enumerate(rows):
         y += f
-        y *= x if i % 2 == 0 else u
-    return y + y_old
+        w = x if i % 2 == 0 else u
+        if dx:   # the product rule in place: x' = 1 and (1 - x)' = -1
+            d *= w
+            if i % 2 == 0:
+                d += y
+            else:
+                d -= y
+        y *= w
+    return (y + y_old, d) if dx else y + y_old
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Fourth-order finite-difference stencils for batched jets and grid arrays.
+"""Fourth-order finite-difference stencils for batched jets.
 
 ``value_jet`` differentiates an array-valued function at a batch of chart
 points: first derivatives use the 5-point central stencil, pure second
@@ -23,8 +23,11 @@ The curvature engine passes ``MetricPatch.metric`` and ``ScalarField``
 objects, whose adapters call the batch callable ``g: (N, dim) ->
 (N, dim, dim)`` or ``f: (N, dim) -> (N,)`` once per chunk.
 
-``grid_derivative`` differentiates uniformly sampled arrays with the same
-interior stencil and one-sided fourth-order stencils at the edges.
+This is the package's one stencil engine.  A shot profile's diagnostics
+use none: they are defects of its stored step polynomials, each
+polynomial's exact derivative against the reduced system
+(``ricciwarp.shooting``), read away from the step ends, where that
+derivative is the right side at a stored state.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["value_jet", "grid_derivative", "check_step"]
+__all__ = ["value_jet", "check_step"]
 
 # central first derivative: sum w_s f(x + s h) / (12 h)
 _D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
@@ -146,40 +149,3 @@ def value_jet(func, X, h: float):
         hess[sl, ju, iu] = packed
     return f0, grad, hess
 
-
-def _derivative_weights(offsets):
-    """First-derivative weights on integer offsets (Vandermonde solve)."""
-    offs = np.asarray(offsets, dtype=float)
-    V = np.vander(offs, increasing=True).T
-    rhs = np.zeros(offs.size)
-    rhs[1] = 1.0
-    return np.linalg.solve(V, rhs)
-
-
-# fifth-order edge stencils on six nodes; errors stay below the interior
-# stencil's so the edges never dominate differentiated diagnostics
-_EDGE0 = _derivative_weights(range(0, 6))    # derivative at node 0
-_EDGE1 = _derivative_weights(range(-1, 5))   # derivative at node 1
-_MIN_SAMPLES = _EDGE0.size                   # the shortest grid it takes
-
-
-def grid_derivative(values, dt: float) -> np.ndarray:
-    """High-order first derivative of a uniformly spaced sample array.
-
-    Fourth-order central stencil inside, fifth-order one-sided stencils on
-    the outermost two nodes of each end.  The edge nodes are dot products,
-    whose last bits depend on the memory layout of their operands, so a
-    strided input (a column of a row-major table) is copied first: the
-    result depends on the values only.
-    """
-    y = np.ascontiguousarray(values, dtype=float)
-    n = y.size
-    if n < _MIN_SAMPLES:
-        raise ValueError(f"grid_derivative needs {_MIN_SAMPLES} samples or more")
-    d = np.empty(n)
-    d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * dt)
-    d[0] = np.dot(_EDGE0, y[:6]) / dt
-    d[1] = np.dot(_EDGE1, y[:6]) / dt
-    d[n - 1] = -np.dot(_EDGE0, y[n - 6:][::-1]) / dt
-    d[n - 2] = -np.dot(_EDGE1, y[n - 6:][::-1]) / dt
-    return d

@@ -49,10 +49,18 @@ evaluated by Horner's rule (``_horner``).  A step ends where the next one
 starts and the last one at ``end_time``.  The certificate and the quotient
 check read a, b and phi from these polynomials (``interpolants``); the
 uniform grid columns (``GRID_COLUMNS``) are samples of them, derived on
-first read, and the diagnostics (the first-integral series mu(t) and the
-per-equation residual columns) difference those samples with grid
-stencils, never substituting the right side back in; substituting would
+first read.  The diagnostics (the first-integral series mu(t) and the
+per-equation residual columns) are *defects* of the stored solution: the
+exact time derivative of the stored a', b' and phi' polynomials less the
+reduced system's a'', b'' and phi'' at the stored state, the standard
+backward-error measure of a continuous extension (W. H. Enright, Appl.
+Math. Comput., 1989; D. J. Higham, SIAM J. Numer. Anal., 1989).  They
+never substitute the right side back in for a derivative, which would
 cancel algebraically and report conservation even for corrupted data.
+At both ends of a step the derivative of DOP853's polynomial is the right
+side at the stored state, so a defect read there is exactly that
+substitution: mu's mean and spread and the residual maxima read only the
+grid rows at a step fraction x in (0.05, 0.95) (``_NODE_GAP``).
 
 ``profile.csv`` (schema 4) is the step table, each cell the 16 hex
 digits of its float64 bits, so it round-trips bit for bit with no
@@ -78,7 +86,7 @@ import numpy as np
 from . import dop853
 from .curvature import _MARGIN_SECOND, DEFAULT_STEP
 from .dop853 import _N_COEFFS, _dop853, _horner
-from .fd import check_step, grid_derivative
+from .fd import check_step
 from .patches import (
     GeometryError,
     ScalarField,
@@ -124,6 +132,11 @@ _EVAL_FLOOR = 1e-7         # clamp inside the stepper so stages stay finite
 _BLOWUP_LIMIT = 1e10
 # a profile's status: completed, or the terminal event that ended it
 _STATUSES = ("completed", "hit_b_zero", "hit_a_zero", "blowup")
+# the share of a step at either end whose grid rows the diagnostics'
+# reductions leave out: a step polynomial's derivative equals the right side
+# at its stored ends (k1m2 at lam 0: |mu - (m-1)| <= 2.2e-16 at x = 0 and 1
+# of every step, against up to 9.1e-9 inside them, at x = 0.94)
+_NODE_GAP = 0.05
 
 
 class IntegrationError(GeometryError):
@@ -163,19 +176,20 @@ class AnsatzParams:
     100 machine epsilons (about 2.2e-14) is raised to 100 eps, as scipy's
     ``solve_ivp`` does, and the launch leg up to t = 0.1 runs at
     tolerances of at most 1e-13.  ``grid_per_unit`` is the density of the
-    output grid in rows per unit of t; it sets only the diagnostics read
-    on that grid, not the certificate, which reads the step polynomials:
-    at 100, k = 1, m = 3, lam = -0.1 reads ``mu_spread`` 4.70e-8, against
-    2.65e-8 at the default 200.
+    output grid in rows per unit of t; it sets only where the diagnostics
+    sample the defects of the step polynomials, not the certificate,
+    which reads the polynomials themselves: k = 1, m = 3, lam = -0.1
+    reads ``mu_spread`` 2.68e-8 at 100, 200 and 400.
 
     Construction refuses (``ValueError``) a k, m or grid_per_unit that is
     not an integer, a k or m beyond the float range, another field that is
-    not a finite real (a bool is neither), values out of range, a span
-    shorter than epsilon (``t_max < 2 epsilon``: across a few ulps of t
-    the grid's differences are rounding, and its diagnostics meaningless)
-    and an output grid of more than ``MAX_GRID_POINTS`` points up to
-    ``t_max``, past which no profile ends: a config, a file and Python
-    alike.
+    not a finite real (a bool is neither; an integer is named without its
+    digits, which may pass Python's limit for converting it to text),
+    values out of range, a span shorter than epsilon (``t_max < 2
+    epsilon``: across a few ulps of t the grid's rows are rounding, and
+    its diagnostics meaningless) and an output grid of more than
+    ``MAX_GRID_POINTS`` points up to ``t_max``, past which no profile
+    ends: a config, a file and Python alike.
     """
 
     k: int
@@ -193,8 +207,12 @@ class AnsatzParams:
         for name, value in vars(self).items():
             kind = "an integer" if name in _INT_FIELDS else "a finite number"
             if not (_is_int if name in _INT_FIELDS else _is_real)(value):
+                # an int refused here lies beyond the float range, and its
+                # digits may pass Python's limit for converting it to text
+                got = ("an integer beyond the float range" if _is_int(value)
+                       else repr(value))
                 raise ValueError(f"AnsatzParams {name} must be {kind}, got "
-                                 f"{value!r}")
+                                 f"{got}")
             # _series_start reads k + 1 and m as floats
             if name in ("k", "m") and not _is_real(value + 1):
                 raise ValueError(f"AnsatzParams {name} is beyond the float "
@@ -349,13 +367,16 @@ def _locate(steps, t):
     return idx, (t - t_old.take(idx)) / h.take(idx)
 
 
-def _evaluate(steps, name: str, idx, x):
+def _evaluate(steps, name: str, idx, x, dt=False):
     """State column ``name`` at the times that :func:`_locate` placed:
     :func:`_horner` with one coefficient row and one ``x`` per time, so a
-    column has the bits of ``solve_ivp``'s dense output.  ``take`` gathers
-    the same values as fancy indexing, at half the cost."""
+    column has the bits of ``solve_ivp``'s dense output.  With ``dt``, the
+    pair of the column and its time derivative, the polynomials' d/dx over
+    their steps' ``h``.  ``take`` gathers the same values as fancy
+    indexing, at half the cost."""
     y_old, rows = steps[3][name]
-    return _horner(rows.take(idx, axis=1), y_old.take(idx), x)
+    out = _horner(rows.take(idx, axis=1), y_old.take(idx), x, dt)
+    return (out[0], out[1] / steps[2].take(idx)) if dt else out
 
 
 def _state_columns(k: int):
@@ -387,13 +408,17 @@ class SolitonProfile:
     The grid columns ``GRID_COLUMNS`` are samples of the polynomials on
     the uniform grid of ``grid_per_unit`` rows per unit of t
     (``a``/``a_prime`` NaN-filled for k = 0), and ``mu``, ``res_tt``,
-    ``res_sk`` (NaN for k = 0) and ``res_sm`` are derived from them by
-    :func:`_first_integral` and :func:`_residuals`, so corrupted
-    coefficients show in them.  These views, the polynomials' arrays and
-    the interpolants are each computed once per object, on first read
-    (``functools.cached_property``; mu apart from the residuals, which a
-    sweep row does not read); a ``dataclasses.replace`` copy computes its
-    own.
+    ``res_sk`` (NaN for k = 0) and ``res_sm`` are their defects on that
+    grid, :func:`_first_integral` and :func:`_residuals` of the columns
+    and the time derivatives of the a', b' and phi' polynomials, so
+    corrupted coefficients show in them.  These arrays keep every row;
+    ``mu_mean`` and ``mu_spread`` read the rows inside their steps
+    (``_interior``), and are NaN when no row is.  These views, the
+    polynomials' arrays and the interpolants are each computed once per
+    object, on first read (``functools.cached_property``; b' with its
+    derivative, which mu reads, and mu apart from the residuals, whose
+    a' and phi' derivatives a sweep row does not compute); a
+    ``dataclasses.replace`` copy computes its own.
     """
 
     params: AnsatzParams
@@ -488,27 +513,43 @@ class SolitonProfile:
         """The grid's steps (:func:`_locate`), which its columns share."""
         return _locate(self._steps, self.t)
 
-    def _column(self, name: str) -> np.ndarray:
-        """Column ``name`` sampled on the grid; NaN where k lacks it."""
+    @cached_property
+    def _interior(self):
+        """The grid rows that mu_mean, mu_spread and the residual maxima
+        read: those at a step fraction x in ``(_NODE_GAP, 1 - _NODE_GAP)``
+        of their step.  At a step's ends the derivative of its polynomial
+        is the right side at a stored state, so a defect read there is
+        the right side substituted back in."""
+        x = self._grid_steps[1]
+        return (x > _NODE_GAP) & (x < 1 - _NODE_GAP)
+
+    def _column(self, name: str, dt: bool = False):
+        """Column ``name`` sampled on the grid, NaN where k lacks it; with
+        ``dt``, the pair of it and its time derivative."""
         if name not in self._steps[3]:
-            return np.full_like(self.t, np.nan)
-        return _evaluate(self._steps, name, *self._grid_steps)
+            nan = np.full_like(self.t, np.nan)
+            return (nan, nan) if dt else nan
+        return _evaluate(self._steps, name, *self._grid_steps, dt=dt)
 
     a = cached_property(lambda self: self._column("a"))
     a_prime = cached_property(lambda self: self._column("a_prime"))
     b = cached_property(lambda self: self._column("b"))
-    b_prime = cached_property(lambda self: self._column("b_prime"))
+    # b' and its derivative in one pass: mu reads both
+    _b_prime_dt = cached_property(lambda self: self._column("b_prime", True))
+    b_prime = property(lambda self: self._b_prime_dt[0])
     phi = cached_property(lambda self: self._column("phi"))
     phi_prime = cached_property(lambda self: self._column("phi_prime"))
 
-    def _derive(self, series):
-        """``series`` (:func:`_first_integral` or :func:`_residuals`) of
-        the grid columns."""
-        return series(self.params, self.t, self.a, self.a_prime, self.b,
-                      self.b_prime, self.phi_prime)
+    def _state(self):
+        """The params and the grid columns a, a', b, b' and phi'."""
+        return (self.params, self.a, self.a_prime, self.b, self.b_prime,
+                self.phi_prime)
 
-    mu = cached_property(lambda self: self._derive(_first_integral))
-    _residual_columns = cached_property(lambda self: self._derive(_residuals))
+    mu = cached_property(lambda self: _first_integral(
+        *self._state(), self._b_prime_dt[1]))
+    _residual_columns = cached_property(lambda self: _residuals(
+        *self._state(), self._column("a_prime", True)[1],
+        self._b_prime_dt[1], self._column("phi_prime", True)[1]))
     res_tt = property(lambda self: self._residual_columns[0])
     res_sk = property(lambda self: self._residual_columns[1])
     res_sm = property(lambda self: self._residual_columns[2])
@@ -519,11 +560,13 @@ class SolitonProfile:
 
     @property
     def mu_mean(self) -> float:
-        return float(self.mu.mean())
+        mu = self.mu[self._interior]
+        return float(mu.mean()) if mu.size else math.nan
 
     @property
     def mu_spread(self) -> float:
-        return float(self.mu.max() - self.mu.min())
+        mu = self.mu[self._interior]
+        return float(mu.max() - mu.min()) if mu.size else math.nan
 
     @property
     def classification(self) -> str:
@@ -671,34 +714,26 @@ class SolitonProfile:
                    status=status, end_time=end_time)
 
 
-# A profile's derived series, by grid finite differences of its state
-# arrays.  The stencils take one step, t[1] - t[0], for the whole grid: t is
-# the uniform np.linspace grid of SolitonProfile.t.
+# A profile's derived series: the defects of its stored polynomials on the
+# grid, each polynomial's own time derivative against the reduced system.
 
-def _first_integral(params: AnsatzParams, t, a, ap, b, bp, phip):
-    """The first-integral series mu(t).  b'' is obtained by
-    differentiating the b' array; with b'' from the right side the first
+def _first_integral(params: AnsatzParams, a, ap, b, bp, phip, bpp):
+    """The first-integral series mu(t), with ``bpp`` the time derivative of
+    the stored b' polynomial; with b'' from the right side the first
     integral collapses to the constant m - 1 identically and the
     conservation check would be vacuous."""
     k, m, lam = params.k, params.m, params.lam
-    bpp_fd = grid_derivative(bp, t[1] - t[0])
-    lap_b = bpp_fd + (k * (ap / a) * bp if k >= 1 else 0.0)
+    lap_b = bpp + (k * (ap / a) * bp if k >= 1 else 0.0)
     return lam * b * b + b * lap_b + (m - 1) * bp * bp - b * phip * bp
 
 
-def _residuals(params: AnsatzParams, t, a, ap, b, bp, phip):
+def _residuals(params: AnsatzParams, a, ap, b, bp, phip, app, bpp, phipp):
     """The per-equation residual columns ``(res_tt, res_sk, res_sm)``: the
-    differenced phi', a' and b' less the kernel's phi'', a'' and b''
-    (``res_sk`` NaN for k = 0)."""
-    dt = t[1] - t[0]
+    time derivatives of the stored phi', a' and b' polynomials less the
+    kernel's phi'', a'' and b'' (``res_sk`` NaN for k = 0, whose a
+    columns are NaN)."""
     s_a, s_b, phipp_rhs = _reduced_kernel(params)(a, ap, b, bp, phip)
-    res_tt = grid_derivative(phip, dt) - phipp_rhs
-    res_sm = grid_derivative(bp, dt) - b * s_b
-    if params.k >= 1:
-        res_sk = grid_derivative(ap, dt) - a * s_a
-    else:
-        res_sk = np.full_like(t, np.nan)
-    return res_tt, res_sk, res_sm
+    return phipp - phipp_rhs, app - a * s_a, bpp - b * s_b
 
 
 # the version of the solve_summary.json document
@@ -708,17 +743,18 @@ _SUMMARY_SCHEMA_VERSION = 1
 def _summary(profile: SolitonProfile) -> dict:
     """The numbers of a profile's ``solve_summary.json``: its
     classification, its :func:`_report` and the largest size of each
-    residual column of :func:`_residuals` (``sk`` NaN for k = 0), the
-    two rows at either end of the grid left out: their one-sided stencils
-    are less accurate than the centred ones inside (a profile's grid has
-    at least 16 rows).  ``np.fmax`` skips NaN, as ``np.nanmax`` does, but
-    reads the all-NaN ``sk`` column of k = 0 as NaN without a warning."""
+    residual column of :func:`_residuals` (``sk`` NaN for k = 0) on the
+    rows that mu_mean and mu_spread read too, away from the step ends
+    (``SolitonProfile._interior``).  ``np.fmax`` skips NaN, as
+    ``np.nanmax`` does, but reads the all-NaN ``sk`` column of k = 0, and
+    a grid with no such row, as NaN without a warning."""
     return {
         "schema_version": _SUMMARY_SCHEMA_VERSION,
         "classification": profile.classification,
         **_report(profile),
         "reduced_equation_residual_max": {
-            name: float(np.fmax.reduce(np.abs(column[2:-2])))
+            name: float(np.fmax.reduce(np.abs(column[profile._interior]),
+                                       initial=math.nan))
             for name, column in zip(("tt", "sk", "sm"),
                                     profile._residual_columns)},
     }

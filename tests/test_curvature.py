@@ -279,37 +279,6 @@ class TestSolitonResidual:
         assert np.linalg.norm(r12 - r1 - r2 + r0) < 1e-8
 
 
-class TestGridDerivative:
-    def test_matches_analytic_derivative(self):
-        from ricciwarp.fd import grid_derivative
-        t = np.linspace(0.0, 1.0, 201)
-        y = np.sin(3 * t) + t ** 4
-        d = grid_derivative(y, t[1] - t[0])
-        exact = 3 * np.cos(3 * t) + 4 * t ** 3
-        assert np.abs(d - exact).max() < 1e-8
-        # edges use one-sided stencils of at least the interior accuracy
-        assert np.abs(d - exact)[[0, 1, -2, -1]].max() < 1e-8
-
-    def test_strided_input_same_bits_as_contiguous(self):
-        from ricciwarp.fd import grid_derivative
-        t = np.linspace(0.0, 3.0, 301)
-        table = np.column_stack([np.exp(np.sin(t) * k) for k in range(1, 4)])
-        for col in table.T:
-            assert not col.flags.c_contiguous
-            got = grid_derivative(col, t[1] - t[0])
-            want = grid_derivative(col.copy(), t[1] - t[0])
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        # a reversed view too
-        rev = table[::-1, 0]
-        assert np.array_equal(grid_derivative(rev, 0.01),
-                              grid_derivative(rev.copy(), 0.01))
-
-    def test_needs_enough_samples(self):
-        from ricciwarp.fd import grid_derivative
-        with pytest.raises(ValueError):
-            grid_derivative(np.ones(5), 0.1)
-
-
 class TestStencil:
     """The jet stencil where mixed partials are nonzero, its size, and the
     step it takes."""

@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 from ricciwarp import AnsatzParams, IntegrationError, shoot, sweep
 from conftest import _UNDERFLOW, _dense, _nan_rhs_for, _same_bits
 from ricciwarp import dop853, shooting
-from ricciwarp.dop853 import _dop853, _Run
+from ricciwarp.dop853 import _dop853, _horner, _Run
 from ricciwarp.shooting import (
     _BLOWUP_LIMIT,
     _LAUNCH_END,
@@ -184,6 +184,52 @@ class TestDenseEval:
         got = np.array([prof.a, prof.a_prime, prof.b, prof.b_prime,
                         prof.phi, prof.phi_prime])
         assert _same_bits(got, want)
+
+
+class TestHornerDerivative:
+    """``_horner``'s derivative form on the step table of a shot k1m2
+    profile: all its steps at once, one x per step."""
+
+    @staticmethod
+    def _table(prof):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.05, 0.95, size=(prof.h.size, 1))
+        return np.moveaxis(prof.F[:, ::-1], 1, 0), prof.y_old, x
+
+    def test_value_keeps_its_bits(self, steady_profile_12):
+        rows, y_old, x = self._table(steady_profile_12)
+        for at in (x, np.zeros_like(x), np.ones_like(x)):
+            value, _ = _horner(rows, y_old, at, dx=True)
+            assert _same_bits(value, _horner(rows, y_old, at))
+        # one step and a scalar x, as an event root is located
+        F, y = steady_profile_12.F[3], steady_profile_12.y_old[3]
+        assert _same_bits(_horner(F[::-1], y, 0.3, dx=True)[0],
+                          _horner(F[::-1], y, 0.3))
+
+    def test_matches_a_central_difference(self, steady_profile_12):
+        # inside the steps, against (p(x + d) - p(x - d)) / 2d of the value
+        # form, d = 1e-4; measured 1.7e-10 of each column's largest size
+        rows, y_old, x = self._table(steady_profile_12)
+        h = steady_profile_12.h[:, None]
+        _, dx = _horner(rows, y_old, x, dx=True)
+        d = 1e-4
+        central = (_horner(rows, y_old, x + d)
+                   - _horner(rows, y_old, x - d)) / (2 * d * h)
+        scale = np.abs(dx / h).max(axis=0)
+        assert (np.abs(dx / h - central) <= 1e-8 * scale).all()
+
+    def test_step_start_is_the_right_side(self, steady_profile_12):
+        # at x = 0 the polynomial's d/dt is F0 + F1 over h, which is the
+        # right side at y_old to rounding: a defect read there is the right
+        # side substituted back, which is why the diagnostics leave such
+        # rows out (measured: within 1 ulp)
+        prof = steady_profile_12
+        rows, y_old, x = self._table(prof)
+        _, dx = _horner(rows, y_old, np.zeros_like(x), dx=True)
+        rhs = _rhs_with_phi(prof.params)
+        f = np.array([rhs(y.tolist()) for y in y_old])
+        assert (np.abs(dx / prof.h[:, None] - f)
+                <= 4 * np.spacing(np.abs(f))).all()
 
 
 def _work(run):

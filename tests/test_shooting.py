@@ -3,10 +3,12 @@
 import contextlib
 import gc
 import io
+import math
 import multiprocessing
 import os
 import signal
 import struct
+import warnings
 import weakref
 from dataclasses import replace
 from functools import cached_property
@@ -14,7 +16,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from ricciwarp import (
     AnsatzParams,
@@ -43,11 +44,12 @@ from ricciwarp.shooting import (
     _SHARE_ROWS,
     _csv_header,
     _events,
-    _first_integral,
+    _locate,
     _report,
     _rhs_with_phi,
     _series_start,
     _state_columns,
+    _summary,
 )
 
 
@@ -114,6 +116,8 @@ class TestReducedRhs:
         ({"epsilon": 1e-4, "t_max": 1.5e-4}, r"2 epsilon <= t_max"),
         ({"k": 10 ** 400}, "k is beyond the float range"),
         ({"m": 10 ** 400}, "m is beyond the float range"),
+        # last, so that the ids of the cases above keep their indices
+        ({"lam": 10 ** 5000}, "lam must be a finite number"),
     ])
     def test_construction_refuses(self, change, reason):
         # refused when built, before anything integrates: an infinite
@@ -261,11 +265,11 @@ class TestShoot:
         assert abs(prof.mu_mean - 1.0) < 1e-6
 
     def test_residual_columns_small_on_solutions(self, steady_profile_12):
+        # on every grid row, those at step ends included
         prof = steady_profile_12
-        inner = slice(2, -2)
-        assert np.abs(prof.res_tt[inner]).max() < 1e-6
-        assert np.abs(prof.res_sk[inner]).max() < 1e-6
-        assert np.abs(prof.res_sm[inner]).max() < 1e-6
+        assert np.abs(prof.res_tt).max() < 1e-6
+        assert np.abs(prof.res_sk).max() < 1e-6
+        assert np.abs(prof.res_sm).max() < 1e-6
 
     def test_degeneration_reported_with_hitting_time(self):
         prof = shoot(AnsatzParams(k=0, m=2, lam=0.5, b0=2.0))
@@ -393,21 +397,25 @@ class TestShoot:
 
 
 class TestDiagnosticsIndependence:
-    def test_perturbed_start_reported_nonconserved(self):
-        # a start violating the smooth-closure series produces a profile
-        # whose reported first integral is visibly non-constant
-        p = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)
-        state = list(_series_start(p))
-        state[3] += 0.01  # b'(eps) off the series value
-        y0 = np.array(state[:4] + [0.0, state[4]])
-        rhs = _rhs_with_phi(p)
-        sol = solve_ivp(lambda t, y: rhs(y), (p.epsilon, 10.0), y0,
-                        method="DOP853", rtol=1e-10, atol=1e-10,
-                        dense_output=True)
-        t = np.linspace(p.epsilon, sol.t[-1], 2001)
-        a, ap, b, bp, phi, phip = sol.sol(t)
-        mu = _first_integral(p, t, a, ap, b, bp, phip)
-        assert (mu.max() - mu.min()) > 1e-2
+    def test_perturbed_start_reported_nonconserved(self, monkeypatch):
+        # a start off the smooth-closure series (b'(eps) + 0.01) is still
+        # a start of the reduced system, and its b-equation alone makes
+        # mu = m - 1 an identity of every solution: mu is conserved
+        # whatever the start.  Smoothness at the origin is the series
+        # start's to enforce; mu measures the defect of the stored b'
+        # polynomial, also across a launch layer that DOP853 crosses in
+        # steps far shorter than the grid spacing
+        series_start = shooting._series_start
+
+        def perturbed(params):
+            a, ap, b, bp, phip = series_start(params)
+            return a, ap, b, bp + 0.01, phip
+
+        monkeypatch.setattr(shooting, "_series_start", perturbed)
+        prof = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0))
+        assert prof.b_prime[0] == series_start(prof.params)[3] + 0.01
+        assert prof.status == "completed"
+        assert prof.mu_spread <= 1e-6 * (1 + abs(prof.mu_mean))
 
     def test_corrupted_derivative_column_detected(self, steady_profile_12):
         # a dataclasses.replace copy derives its own diagnostics rather
@@ -437,6 +445,67 @@ class TestDiagnosticsIndependence:
         assert float(tampered.interpolants()[1](3.0)) == pytest.approx(
             1.05 * float(b_poly(3.0)), rel=1e-12)
         assert not certify_profile(tampered, n_base=6, n_product=6).verdict
+
+
+class TestDefectsAwayFromStepEnds:
+    """mu and the residual columns are defects of the stored polynomials,
+    reduced over the grid rows inside their steps, so they hold where the
+    steps are far shorter than the grid spacing: near an event and across
+    the launch layer."""
+
+    @pytest.mark.parametrize("params,status,check", [
+        (AnsatzParams(k=1, m=2, lam=0.5, b0=1.0, t_max=5.0), "hit_a_zero",
+         lambda p: abs(p.mu_mean - 1.0) <= 0.01),
+        (AnsatzParams(k=0, m=2, lam=0.5, b0=2.0, t_max=5.0), "hit_b_zero",
+         lambda p: p.mu_spread <= 1e-7),
+        (AnsatzParams(k=1, m=3, lam=0.5, b0=1.0, t_max=5.0), "completed",
+         lambda p: p.mu_spread <= 1e-6),
+    ], ids=["hit_a_zero-mu_mean", "hit_b_zero-mu_spread",
+            "completed-mu_spread"])
+    def test_short_steps_and_launch_layer(self, params, status, check):
+        prof = shoot(params)
+        assert prof.status == status
+        assert check(prof), (prof.mu_mean, prof.mu_spread)
+
+    def test_grid_density_does_not_move_mu_spread(self):
+        # the grid only samples the defect: 100 rows per unit reads within
+        # 2% of 200
+        params = AnsatzParams(k=1, m=3, lam=-0.1, b0=1.0)
+        coarse = shoot(replace(params, grid_per_unit=100)).mu_spread
+        fine = shoot(params).mu_spread
+        assert abs(coarse - fine) <= 0.02 * fine
+
+    def test_arrays_keep_every_row(self, steady_profile_12):
+        prof = steady_profile_12
+        n = prof.t.size
+        assert 0 < prof._interior.sum() < n
+        for column in (prof.b_prime, prof.mu, *prof._residual_columns):
+            assert column.shape == (n,)
+        x = _locate(prof._steps, prof.t)[1]
+        assert np.array_equal(prof._interior, (x > 0.05) & (x < 0.95))
+
+    def test_no_row_inside_a_step_reads_nan(self):
+        # a table built in Python whose steps end on the grid's rows: each
+        # row sits at x = 0 or 1 of its step, so the reductions read no
+        # row, and give NaN without an exception or a warning
+        params = AnsatzParams(k=0, m=2, lam=0.0, b0=1.0, epsilon=0.5,
+                              t_max=1.0, grid_per_unit=40)
+        ts = np.linspace(0.5, 1.0, 21)
+        rng = np.random.default_rng(3)
+        prof = SolitonProfile(params=params, t_old=ts[:-1], h=np.diff(ts),
+                              y_old=1.0 + rng.random((20, 4)),
+                              F=0.01 * rng.normal(size=(20, _N_COEFFS, 4)),
+                              status="completed", end_time=1.0)
+        assert _same_bits(prof.t, ts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not prof._interior.any()
+            assert np.isfinite(prof.mu).all() and prof.mu.size == ts.size
+            assert math.isnan(prof.mu_mean) and math.isnan(prof.mu_spread)
+            summary = _summary(prof)
+        assert math.isnan(summary["mu_mean"])
+        assert all(math.isnan(v) for v in
+                   summary["reduced_equation_residual_max"].values())
 
 
 class TestCertifyProfile:
