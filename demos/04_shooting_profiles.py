@@ -17,10 +17,12 @@ cases = [
 
 for params in cases:
     prof = shoot(params)
+    a, b, _ = prof.interpolants()
     print(f"== k={params.k} m={params.m} lambda={params.lam} "
           f"b0={params.b0} ({prof.classification}) ==")
     print(f"  status {prof.status}, lifetime {prof.end_time:g}, "
-          f"a(T)={prof.a[-1]:.4f}, b(T)={prof.b[-1]:.4f}")
+          f"a(T)={float(a(prof.end_time)):.4f}, "
+          f"b(T)={float(b(prof.end_time)):.4f}")
     print(f"  first integral: mean {prof.mu_mean:.9f}, "
           f"spread {prof.mu_spread:.2e}")
     report = certify_profile(prof)

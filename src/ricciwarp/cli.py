@@ -7,9 +7,10 @@ integer keys take integers, real keys finite numbers, booleans are
 neither, and the sweep's ``parallel`` takes a boolean.  The config is
 the only source of a run's settings (``--out`` only moves the outputs),
 and ``AnsatzParams`` checks the shooting parameters of a solve or sweep
-block and of a loaded profile alike, bounding the output grid.  Sample
-counts, the sphere dimensions (of a loaded profile too), the rows and
-workers of a sweep and the quotient group order are capped
+block and of a loaded profile alike; the integrator bounds every run by
+``dop853.MAX_STEPS`` accepted steps.  Sample counts, the sphere
+dimensions (of a loaded profile too), the rows and workers of a sweep
+and the quotient group order are capped
 (``MAX_SAMPLES``, ``MAX_DIMENSION``, ``MAX_SWEEP_ROWS``, ``MAX_WORKERS``,
 ``MAX_GROUP_ORDER``), and a certification window or step or a quotient
 radial range that does not fit the profile is a config error too.
@@ -73,13 +74,13 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-# resource bounds (AnsatzParams bounds the output grid of every profile by
-# shooting.MAX_GRID_POINTS): sample counts (the certify oracle holds a
-# stencil of values per sample), the sphere dimensions k and m of a block
-# and of a loaded profile (the certify charts have 1 + k + m
-# coordinates), rows of a sweep, its processes (a sweep may start all
-# of them at once), and the quotient group order p (each of the p - 1
-# powers visits every fiber sample; the samples hold the fixed-point
+# resource bounds (dop853.MAX_STEPS bounds the steps of every profile, shot
+# or loaded, and so its samples and their diagnostics): sample counts (the
+# certify oracle holds a stencil of values per sample), the sphere
+# dimensions k and m of a block and of a loaded profile (the certify charts
+# have 1 + k + m coordinates), rows of a sweep, its processes (a sweep may
+# start all of them at once), and the quotient group order p (each of the
+# p - 1 powers visits every fiber sample; the samples hold the fixed-point
 # candidates of the powers whose exponent divides p, so the certificate
 # costs about p times the sample count)
 MAX_SAMPLES = 1024
@@ -104,7 +105,6 @@ _ANSATZ = {
     "lambda": (_REAL, None), "b0": (_REAL, "positive"), "phi2": (_REAL, None),
     "epsilon": (_REAL, "positive"), "t_max": (_REAL, "positive"),
     "rtol": (_REAL, "positive"), "atol": (_REAL, "positive"),
-    "grid_per_unit": (_INT, "positive"),
 }
 _SCHEMA = {
     "solve": _ANSATZ,

@@ -48,29 +48,32 @@ table.  At ``x = (t - t_old) / h`` the step's polynomial is
 evaluated by Horner's rule (``_horner``).  A step ends where the next one
 starts and the last one at ``end_time``.  The certificate and the quotient
 check read a, b and phi from these polynomials (``interpolants``); the
-uniform grid columns (``GRID_COLUMNS``) are samples of them, derived on
-first read.  The diagnostics (the first-integral series mu(t) and the
-per-equation residual columns) are *defects* of the stored solution: the
-exact time derivative of the stored a', b' and phi' polynomials less the
-reduced system's a'', b'' and phi'' at the stored state, the standard
-backward-error measure of a continuous extension (W. H. Enright, Appl.
-Math. Comput., 1989; D. J. Higham, SIAM J. Numer. Anal., 1989).  They
-never substitute the right side back in for a derivative, which would
-cancel algebraically and report conservation even for corrupted data.
-At both ends of a step the derivative of DOP853's polynomial is the right
-side at the stored state, so a defect read there is exactly that
-substitution: mu's mean and spread and the residual maxima read only the
-grid rows at a step fraction x in (0.05, 0.95) (``_NODE_GAP``).
+sample columns (``GRID_COLUMNS``) are their values at the fixed fractions
+``_SAMPLE_X`` of every step, derived on first read.  The diagnostics (the
+first-integral series mu(t) and the per-equation residual columns) are
+*defects* of the stored solution at those samples: the exact time
+derivative of the stored a', b' and phi' polynomials less the reduced
+system's a'', b'' and phi'' at the stored state, the standard
+backward-error measure of a continuous extension, sampled at fixed points
+of each step (W. H. Enright, Appl. Math. Comput., 1989; D. J. Higham, SIAM
+J. Numer. Anal., 1989).  They never substitute the right side back in for
+a derivative, which would cancel algebraically and report conservation
+even for corrupted data.  At both ends of a step the derivative of
+DOP853's polynomial is the right side at the stored state, so a defect
+read there is exactly that substitution: the samples keep to x in [0.05,
+0.95].
 
-``profile.csv`` (schema 4) is the step table, each cell the 16 hex
+``profile.csv`` (schema 5) is the step table, each cell the 16 hex
 digits of its float64 bits, so it round-trips bit for bit with no
 decimal conversion: 2 + 8n cells per step, n = 6 state columns for
 k >= 1 and 4 for k = 0.  A completed ``t_max = 10`` profile of the
 README's classes takes 47 to 96 steps, 41 to 82 KB; a profile that ends
 in a blow-up takes many short steps.  Older files are refused with a
 message to re-run ``solve``: schemas 1 and 2 stored a sampled grid, which
-would need a spline fit beside the polynomials, and schema 3 decimal
-text, which would need a second reader.
+would need a spline fit beside the polynomials, schema 3 decimal text,
+which would need a second reader, and schema 4 a params line with the
+density of a uniform sample grid, a field that :class:`AnsatzParams`
+does not take.
 """
 
 from __future__ import annotations
@@ -116,12 +119,8 @@ __all__ = [
     "GRID_COLUMNS",
 ]
 
-PROFILE_SCHEMA_VERSION = 4
+PROFILE_SCHEMA_VERSION = 5
 GRID_COLUMNS = ("t", "a", "a_prime", "b", "b_prime", "phi", "phi_prime")
-# the most points of the output grid of a profile (of solve, of each sweep
-# row, and of a loaded file, whose params line sets its grid): the grid
-# and its diagnostics hold a dozen arrays of this length
-MAX_GRID_POINTS = 200_000
 # room for the four header lines of a profile file: the params line of any
 # AnsatzParams is under 12,000 characters, since Python prints at most 4,300
 # digits of an int by default (k, m) and a finite field is under 1.8e308
@@ -132,11 +131,11 @@ _EVAL_FLOOR = 1e-7         # clamp inside the stepper so stages stay finite
 _BLOWUP_LIMIT = 1e10
 # a profile's status: completed, or the terminal event that ended it
 _STATUSES = ("completed", "hit_b_zero", "hit_a_zero", "blowup")
-# the share of a step at either end whose grid rows the diagnostics'
-# reductions leave out: a step polynomial's derivative equals the right side
-# at its stored ends (k1m2 at lam 0: |mu - (m-1)| <= 2.2e-16 at x = 0 and 1
-# of every step, against up to 9.1e-9 inside them, at x = 0.94)
-_NODE_GAP = 0.05
+# the step fractions x = (t - t_old) / h at which the diagnostics sample
+# every step, away from its ends: a step polynomial's derivative equals the
+# right side at its stored ends (k1m2 at lam 0: |mu - (m-1)| <= 2.2e-16 at
+# x = 0 and 1 of every step, against up to 9.1e-9 inside them, at x = 0.94)
+_SAMPLE_X = np.linspace(0.05, 0.95, 8)
 
 
 class IntegrationError(GeometryError):
@@ -162,7 +161,7 @@ def _is_real(value) -> bool:
         return False
 
 
-_INT_FIELDS = ("k", "m", "grid_per_unit")
+_INT_FIELDS = ("k", "m")
 
 
 @dataclass(frozen=True)
@@ -175,21 +174,16 @@ class AnsatzParams:
     ``rtol`` and ``atol`` are the integrator tolerances; an ``rtol`` below
     100 machine epsilons (about 2.2e-14) is raised to 100 eps, as scipy's
     ``solve_ivp`` does, and the launch leg up to t = 0.1 runs at
-    tolerances of at most 1e-13.  ``grid_per_unit`` is the density of the
-    output grid in rows per unit of t; it sets only where the diagnostics
-    sample the defects of the step polynomials, not the certificate,
-    which reads the polynomials themselves: k = 1, m = 3, lam = -0.1
-    reads ``mu_spread`` 2.68e-8 at 100, 200 and 400.
+    tolerances of at most 1e-13.  No field bounds the work of a run: the
+    integrator stops every run at ``dop853.MAX_STEPS`` accepted steps.
 
-    Construction refuses (``ValueError``) a k, m or grid_per_unit that is
-    not an integer, a k or m beyond the float range, another field that is
-    not a finite real (a bool is neither; an integer is named without its
-    digits, which may pass Python's limit for converting it to text),
-    values out of range, a span shorter than epsilon (``t_max < 2
-    epsilon``: across a few ulps of t the grid's rows are rounding, and
-    its diagnostics meaningless) and an output grid of more than
-    ``MAX_GRID_POINTS`` points up to ``t_max``, past which no profile
-    ends: a config, a file and Python alike.
+    Construction refuses (``ValueError``) a k or m that is not an integer
+    or lies beyond the float range, another field that is not a finite
+    real (a bool is neither; an integer is named without its digits,
+    which may pass Python's limit for converting it to text), values out
+    of range and a span shorter than epsilon (``t_max < 2 epsilon``:
+    across a few ulps of t the steps and their samples are rounding, and
+    the diagnostics meaningless): a config, a file and Python alike.
     """
 
     k: int
@@ -201,7 +195,6 @@ class AnsatzParams:
     t_max: float = 10.0
     rtol: float = 1e-10
     atol: float = 1e-10
-    grid_per_unit: int = 200
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -227,16 +220,6 @@ class AnsatzParams:
             raise ValueError("need 0 < epsilon and 2 epsilon <= t_max")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("integrator tolerances must be positive")
-        if self.grid_per_unit < 40:
-            raise ValueError("grid_per_unit too coarse for the diagnostics")
-        try:
-            points = (self.t_max - self.epsilon) * self.grid_per_unit
-        except OverflowError:   # a grid_per_unit beyond the float range
-            points = math.inf
-        if not points <= MAX_GRID_POINTS:
-            raise ValueError(f"output grid too large: (t_max - epsilon) * "
-                             f"grid_per_unit = {points:.6g} points, at most "
-                             f"{MAX_GRID_POINTS}")
 
     @property
     def classification(self) -> str:
@@ -253,7 +236,7 @@ def _reduced_kernel(params: AnsatzParams):
     phi'')``, with the row's constants bound once.
 
     Plain arithmetic, so the same code runs on floats (the ODE right side)
-    and on arrays (the grid diagnostics).  For k = 0 the a-arguments are
+    and on arrays (the sampled diagnostics).  For k = 0 the a-arguments are
     not read and ``s_a`` is 0.
     """
     k, m, lam = params.k, params.m, params.lam
@@ -278,11 +261,13 @@ def _series_start(params: AnsatzParams):
     The odd/even series a = t + a3 t^3, b = b0 + b2 t^2, phi' = 2 phi2 t
     of the smooth closure at t = 0; for k = 0, a3 = 0 and phi2 is fixed by
     the b-series, and the a-slots are meaningless.  Raises ``ValueError``
-    when epsilon is too large for the truncated series to be trustworthy,
-    when the start is not finite or not inside the blow-up box, every
-    component below ``_BLOWUP_LIMIT`` in size (an epsilon whose cube
-    underflows hides huge coefficients from the tail estimate, and a huge
-    b0 starts outside the box, where the blow-up event cannot fire), or
+    when a coefficient is not finite (a tiny b0 overflows b2 / b0), naming
+    it, since no epsilon can mend that; when epsilon is too large for the
+    truncated series to be trustworthy; when the start is not finite or
+    not inside the blow-up box, every component below ``_BLOWUP_LIMIT`` in
+    size (an epsilon whose cube underflows hides huge coefficients from
+    the tail estimate, and a huge b0 starts outside the box, where the
+    blow-up event cannot fire); or
     when its b or (for k >= 1) its a is at or below ``_POSITIVITY_FLOOR``:
     the right side clamps them at ``_EVAL_FLOOR`` and the events read them
     as a degeneration, so such a start would integrate another system.  A
@@ -298,8 +283,15 @@ def _series_start(params: AnsatzParams):
     else:
         a3 = 0.0
         phi2 = 0.5 * (lam + 2.0 * m * b2 / b0)
+    for name, value in (("b2", b2), ("a3", a3), ("phi2", phi2)):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"the series coefficient {name} = {value} of (k, m, lambda, "
+                f"b0) = ({k}, {m}, {lam:g}, {b0:g}) is not finite: no "
+                f"epsilon gives a series start")
     eps = params.epsilon
-    tail = max(abs(a3), abs(b2), abs(phi2), 1.0) * eps ** 3
+    # a product, not eps ** 3, which raises OverflowError past eps ~ 5.6e102
+    tail = max(abs(a3), abs(b2), abs(phi2), 1.0) * (eps * eps * eps)
     if tail > 1e-8:
         raise ValueError(
             f"epsilon={eps:g} too large: series tail estimate {tail:.2e} > 1e-8")
@@ -405,20 +397,19 @@ class SolitonProfile:
     a ``status`` other than those of ``_STATUSES`` and a table that is
     not one piecewise polynomial over that span: see :meth:`_check_steps`.
 
-    The grid columns ``GRID_COLUMNS`` are samples of the polynomials on
-    the uniform grid of ``grid_per_unit`` rows per unit of t
-    (``a``/``a_prime`` NaN-filled for k = 0), and ``mu``, ``res_tt``,
-    ``res_sk`` (NaN for k = 0) and ``res_sm`` are their defects on that
-    grid, :func:`_first_integral` and :func:`_residuals` of the columns
-    and the time derivatives of the a', b' and phi' polynomials, so
-    corrupted coefficients show in them.  These arrays keep every row;
-    ``mu_mean`` and ``mu_spread`` read the rows inside their steps
-    (``_interior``), and are NaN when no row is.  These views, the
-    polynomials' arrays and the interpolants are each computed once per
-    object, on first read (``functools.cached_property``; b' with its
-    derivative, which mu reads, and mu apart from the residuals, whose
-    a' and phi' derivatives a sweep row does not compute); a
-    ``dataclasses.replace`` copy computes its own.
+    The sample columns ``GRID_COLUMNS`` are the polynomials' values at
+    the fractions ``_SAMPLE_X`` of every step, step by step
+    (``a``/``a_prime`` NaN-filled for k = 0): ``len(_SAMPLE_X)`` samples
+    a step, so ``dop853.MAX_STEPS`` bounds them.  ``mu``, ``res_tt``,
+    ``res_sk`` (NaN for k = 0) and ``res_sm`` are their defects there,
+    :func:`_first_integral` and :func:`_residuals` of the columns and the
+    time derivatives of the a', b' and phi' polynomials, so corrupted
+    coefficients show in them.  These views, the polynomials' arrays and
+    the interpolants are each computed once per object, on first read
+    (``functools.cached_property``; b' with its derivative, which mu
+    reads, and mu apart from the residuals, whose a' and phi' derivatives
+    a sweep row does not compute); a ``dataclasses.replace`` copy
+    computes its own.
     """
 
     params: AnsatzParams
@@ -441,10 +432,8 @@ class SolitonProfile:
         of the shapes of the params' k, finite numbers, ``t`` strictly
         increasing from epsilon, ``h`` positive, each step ending within 4
         ulps of where the next starts, and ``end_time`` in the last step
-        and at most ``t_max``.  Every shot profile ends by ``t_max``, and
-        :class:`AnsatzParams` bounds the grid up to ``t_max``, so this
-        bounds the grid of every table, shot or loaded.  The messages name
-        the columns of :meth:`to_csv`."""
+        and at most ``t_max``, as every shot profile ends.  The messages
+        name the columns of :meth:`to_csv`."""
         k, eps = self.params.k, self.params.epsilon
         n = len(_state_columns(k))
         shapes = [np.shape(x) for x in (self.t_old, self.h, self.y_old, self.F)]
@@ -500,36 +489,31 @@ class SolitonProfile:
                  for c, name in enumerate(_state_columns(self.params.k))})
 
     @cached_property
-    def t(self) -> np.ndarray:
-        """The uniform grid of ``grid_per_unit`` rows per unit from epsilon
-        to ``end_time``, at least 16 rows; ``np.linspace`` stores both
-        ends exactly."""
-        eps, per_unit = self.params.epsilon, self.params.grid_per_unit
-        rows = int(np.ceil((self.end_time - eps) * per_unit)) + 1
-        return np.linspace(eps, self.end_time, max(rows, 16))
+    def _samples(self):
+        """``(t, idx, x)``: the sample times, at the fractions ``_SAMPLE_X``
+        of every step, step by step, and the step of each and ``x = (t -
+        t_old) / h`` there, formed from ``t`` as the dense output forms it,
+        so that a column has its bits at ``t``.  A terminal event ends a
+        profile inside its last step, whose fractions shrink to its part up
+        to ``end_time``; a step that ends there, as a completed profile's
+        does, keeps them (the factor is exactly 1)."""
+        t_old, h, n = self.t_old, self.h, self.t_old.size
+        fractions = np.tile(_SAMPLE_X, (n, 1))
+        fractions[-1] *= (self.end_time - t_old[-1]) / h[-1]
+        idx = np.repeat(np.arange(n), _SAMPLE_X.size)
+        start, size = t_old.take(idx), h.take(idx)
+        t = start + fractions.ravel() * size
+        return t, idx, (t - start) / size
 
-    @cached_property
-    def _grid_steps(self):
-        """The grid's steps (:func:`_locate`), which its columns share."""
-        return _locate(self._steps, self.t)
-
-    @cached_property
-    def _interior(self):
-        """The grid rows that mu_mean, mu_spread and the residual maxima
-        read: those at a step fraction x in ``(_NODE_GAP, 1 - _NODE_GAP)``
-        of their step.  At a step's ends the derivative of its polynomial
-        is the right side at a stored state, so a defect read there is
-        the right side substituted back in."""
-        x = self._grid_steps[1]
-        return (x > _NODE_GAP) & (x < 1 - _NODE_GAP)
+    t = property(lambda self: self._samples[0])
 
     def _column(self, name: str, dt: bool = False):
-        """Column ``name`` sampled on the grid, NaN where k lacks it; with
+        """Column ``name`` at the samples, NaN where k lacks it; with
         ``dt``, the pair of it and its time derivative."""
         if name not in self._steps[3]:
             nan = np.full_like(self.t, np.nan)
             return (nan, nan) if dt else nan
-        return _evaluate(self._steps, name, *self._grid_steps, dt=dt)
+        return _evaluate(self._steps, name, *self._samples[1:], dt=dt)
 
     a = cached_property(lambda self: self._column("a"))
     a_prime = cached_property(lambda self: self._column("a_prime"))
@@ -541,7 +525,7 @@ class SolitonProfile:
     phi_prime = cached_property(lambda self: self._column("phi_prime"))
 
     def _state(self):
-        """The params and the grid columns a, a', b, b' and phi'."""
+        """The params and the sample columns a, a', b, b' and phi'."""
         return (self.params, self.a, self.a_prime, self.b, self.b_prime,
                 self.phi_prime)
 
@@ -560,13 +544,16 @@ class SolitonProfile:
 
     @property
     def mu_mean(self) -> float:
-        mu = self.mu[self._interior]
-        return float(mu.mean()) if mu.size else math.nan
+        """The time average of mu: its samples weighted by the spans of
+        their steps, so that the many short steps near an event weigh no
+        more than their time."""
+        ends, t_old = self._steps[:2]
+        return float(np.average(self.mu, weights=np.repeat(
+            ends - t_old, _SAMPLE_X.size)))
 
     @property
     def mu_spread(self) -> float:
-        mu = self.mu[self._interior]
-        return float(mu.max() - mu.min()) if mu.size else math.nan
+        return float(self.mu.max() - self.mu.min())
 
     @property
     def classification(self) -> str:
@@ -644,11 +631,10 @@ class SolitonProfile:
         """Parse profile CSV text written by :meth:`to_csv`.
 
         Raises ``ValueError`` on a malformed or wrong-version profile: a
-        missing or bad header line, a schema 1, 2 or 3 file (re-run
+        missing or bad header line, a schema 1 to 4 file (re-run
         ``solve``), a params line that is not a JSON object (one nested past
         the decoder's depth among them) of fields that
-        :class:`AnsatzParams` accepts (which bounds the grid up to
-        ``t_max``, before the data rows are read), a header row not of the
+        :class:`AnsatzParams` accepts, a header row not of the
         params' k, more data rows than ``dop853.MAX_STEPS``, the most steps
         of a shot profile (before they are decoded), a data row that is not
         one word of 16 lowercase hex digits per column, or a status or step
@@ -659,7 +645,7 @@ class SolitonProfile:
         if not lines or not lines[0].startswith("# schema_version="):
             raise ValueError("not a profile CSV: missing schema_version line")
         version = int(lines[0].split("=", 1)[1])
-        if version in (1, 2, 3):
+        if version in (1, 2, 3, 4):
             raise ValueError(
                 f"profile schema_version {version} is no longer read; re-run "
                 f"'solve' to write schema_version {PROFILE_SCHEMA_VERSION}, "
@@ -714,8 +700,8 @@ class SolitonProfile:
                    status=status, end_time=end_time)
 
 
-# A profile's derived series: the defects of its stored polynomials on the
-# grid, each polynomial's own time derivative against the reduced system.
+# A profile's derived series: the defects of its stored polynomials at the
+# samples, each polynomial's own time derivative against the reduced system.
 
 def _first_integral(params: AnsatzParams, a, ap, b, bp, phip, bpp):
     """The first-integral series mu(t), with ``bpp`` the time derivative of
@@ -743,18 +729,15 @@ _SUMMARY_SCHEMA_VERSION = 1
 def _summary(profile: SolitonProfile) -> dict:
     """The numbers of a profile's ``solve_summary.json``: its
     classification, its :func:`_report` and the largest size of each
-    residual column of :func:`_residuals` (``sk`` NaN for k = 0) on the
-    rows that mu_mean and mu_spread read too, away from the step ends
-    (``SolitonProfile._interior``).  ``np.fmax`` skips NaN, as
-    ``np.nanmax`` does, but reads the all-NaN ``sk`` column of k = 0, and
-    a grid with no such row, as NaN without a warning."""
+    residual column of :func:`_residuals` (``sk`` NaN for k = 0) over the
+    samples.  ``np.fmax`` skips NaN, as ``np.nanmax`` does, but reads the
+    all-NaN ``sk`` column of k = 0 as NaN without a warning."""
     return {
         "schema_version": _SUMMARY_SCHEMA_VERSION,
         "classification": profile.classification,
         **_report(profile),
         "reduced_equation_residual_max": {
-            name: float(np.fmax.reduce(np.abs(column[profile._interior]),
-                                       initial=math.nan))
+            name: float(np.fmax.reduce(np.abs(column), initial=math.nan))
             for name, column in zip(("tt", "sk", "sm"),
                                     profile._residual_columns)},
     }
@@ -1079,29 +1062,30 @@ def _report(profile: SolitonProfile) -> dict:
     """The numbers of a profile that ``solve_summary.json`` and its sweep
     row both report, by name in the order of ``_REPORT_FIELDS``: its
     ``status``, its ``end_time`` as ``lifetime``, the mean and spread of
-    its first integral mu, and the local log-slopes ``t y'/y`` of a and b
-    on its grid: ``slope_a`` and ``slope_b`` at its last row
-    (``end_time``), ``slope_a_mid`` and ``slope_b_mid`` at its middle row
-    (t about ``end_time / 2``).
+    its first integral mu, and the local log-slopes ``t y'/y`` of a and b,
+    read from the step polynomials: ``slope_a`` and ``slope_b`` at
+    ``end_time``, ``slope_a_mid`` and ``slope_b_mid`` in the middle of the
+    span, at ``(epsilon + end_time) / 2``.
 
     The slopes are NaN unless the profile is ``completed``, and the
     a-slopes are NaN for k = 0, which has no a.  ``y ~ t^p`` has the slope
     p at every t; a negative end slope says the coefficient is shrinking
     at ``t_max``, and a drift between the middle and end slopes that the
     growth has not settled.  The report derives mu but not the residual
-    columns, and reads grid columns that mu derives anyway.
+    columns.
     """
     report = {**dict.fromkeys(_REPORT_FIELDS, math.nan),
               "status": profile.status, "lifetime": profile.end_time,
               "mu_mean": profile.mu_mean, "mu_spread": profile.mu_spread}
     if profile.status == "completed":
-        t = profile.t
-        for suffix, i in (("", t.size - 1), ("_mid", (t.size - 1) // 2)):
-            report["slope_b" + suffix] = float(
-                t[i] * profile.b_prime[i] / profile.b[i])
-            if profile.params.k >= 1:
-                report["slope_a" + suffix] = float(
-                    t[i] * profile.a_prime[i] / profile.a[i])
+        steps, end = profile._steps, profile.end_time
+        t = np.array([end, 0.5 * (profile.params.epsilon + end)])
+        at = _locate(steps, t)
+        for y in ("a", "b") if profile.params.k >= 1 else ("b",):
+            slope = (t * _evaluate(steps, y + "_prime", *at)
+                     / _evaluate(steps, y, *at))
+            report["slope_" + y] = float(slope[0])
+            report["slope_" + y + "_mid"] = float(slope[1])
     return report
 
 

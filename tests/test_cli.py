@@ -1,5 +1,6 @@
 """CLI workflows: configs, outputs, exit codes, determinism."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -16,6 +17,7 @@ from ricciwarp.cli import (
     MAX_SAMPLES,
     MAX_SWEEP_ROWS,
     MAX_WORKERS,
+    _ANSATZ,
     main,
 )
 from conftest import edit_column
@@ -23,7 +25,7 @@ from ricciwarp import GeometryError, dop853, shooting
 from ricciwarp.quotient import T_RANGE
 from ricciwarp.shooting import (
     GRID_COLUMNS,
-    MAX_GRID_POINTS,
+    AnsatzParams,
     SolitonProfile,
     _csv_header,
 )
@@ -350,14 +352,12 @@ class TestCertify:
         assert "sphere-2d-r1" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("grid_per_unit", [50, 100, 200, 400, 800])
-    def test_warping_dip_exits_3(self, tmp_path, capsys, grid_per_unit):
+    def test_warping_dip_exits_3(self, tmp_path, capsys):
         # this profile blows up at t = 1.95; a profile that is not
-        # completed is refused at every grid before any geometry is built
+        # completed is refused before any geometry is built
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, solve={"k": 0, "m": 2, "lambda": 0.0,
-                                      "b0": 1.0,
-                                      "grid_per_unit": grid_per_unit},
+                                      "b0": 1.0},
                      certify={})
         assert main(["certify", "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
@@ -541,9 +541,16 @@ class TestUnfittableProfile:
 
 
 def _old_text(profile, version):
-    """``profile`` in the decimal (``%.17g``) text of an old schema: the
-    step table of schema 3, or the sampled grid of schema 2, or of schema
-    1, which also stored mu, res_tt, res_sk and res_sm."""
+    """``profile`` in the text of an old schema: schema 4, the bit words of
+    schema 5 under a params line that holds the density ``grid_per_unit``
+    of a uniform sample grid; or decimal (``%.17g``) text, the step table
+    of schema 3, or the sampled grid of schema 2, or of schema 1, which
+    also stored mu, res_tt, res_sk and res_sm."""
+    if version == 4:
+        lines = profile.to_csv().splitlines()
+        lines[0] = "# schema_version=4"
+        lines[1] = lines[1].replace("}", ', "grid_per_unit": 200}')
+        return "\n".join(lines) + "\n"
     if version == 3:
         names, table = _csv_header(profile.params.k), profile._table()
     else:
@@ -557,17 +564,17 @@ def _old_text(profile, version):
 
 
 class TestOldProfileSchemas:
-    """Schema 1 and 2 files (a sampled grid) and schema 3 files (the step
-    table in decimal text) are refused with exit 4, a message that names
-    schema 4 and says to re-run solve, and no artifact; so is a grid
-    beyond MAX_GRID_POINTS.  The test keeps its id from when schema 3 was
-    the one named."""
+    """Schema 1 and 2 files (a sampled grid), schema 3 files (the step
+    table in decimal text) and schema 4 files (a params line with a grid
+    density) are refused with exit 4, a message that names schema 5 and
+    says to re-run solve, and no artifact.  The test keeps its id from
+    when schema 3 was the one named."""
 
     @pytest.mark.parametrize("command,block", [
         ("certify", {}),
         ("quotient", {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}),
     ])
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_exits_4_naming_schema_3(self, tmp_path, capsys, command, block,
                                      version):
         _solved_profile(tmp_path)
@@ -581,30 +588,9 @@ class TestOldProfileSchemas:
         err = capsys.readouterr().err
         assert err.startswith("I/O failure: ill-formed profile file")
         assert (f"schema_version {version} is no longer read" in err
-                and "re-run 'solve' to write schema_version 4" in err)
+                and "re-run 'solve' to write schema_version 5" in err)
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "profile.csv", "solve_summary.json"]
-
-    @pytest.mark.parametrize("grid_per_unit", [
-        int(MAX_GRID_POINTS / 2.9999) + 1, 10 ** 12, 10 ** 400])
-    def test_grid_beyond_the_cap_exits_4(self, tmp_path, capsys,
-                                         grid_per_unit):
-        # the params line sets the grid of a loaded profile: a t_max 3
-        # profile at more than a third of the cap per unit is refused
-        lines = _solved_profile(tmp_path)
-        assert '"grid_per_unit": 200' in lines[1]
-        lines[1] = lines[1].replace('"grid_per_unit": 200',
-                                    f'"grid_per_unit": {grid_per_unit}')
-        big = tmp_path / "big.csv"
-        big.write_text("\n".join(lines) + "\n")
-        cfg_path = tmp_path / "c.json"
-        write_config(cfg_path, certify={"profile": str(big)})
-        capsys.readouterr()
-        assert main(["certify", "--config", str(cfg_path)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("I/O failure: ill-formed profile file")
-        assert "output grid too large" in err
-        assert not (tmp_path / "out" / "certification.json").exists()
 
 
 class TestLoadedParams:
@@ -724,7 +710,7 @@ class TestProfileBounds:
 
     def test_span_just_past_epsilon(self, tmp_path, capsys):
         # a span shorter than epsilon is refused, solve and sweep alike:
-        # across a few ulps of t the grid's differences are rounding
+        # across a few ulps of t the steps and their samples are rounding
         span = {"epsilon": 1e-4, "t_max": 1e-4 + 1e-10}
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, solve=dict(_SOLVE, **span),
@@ -733,6 +719,46 @@ class TestProfileBounds:
             assert main([command, "--config", str(cfg_path)]) == 2
             assert ("need 0 < epsilon and 2 epsilon <= t_max"
                     in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_long_horizon_completes(self, tmp_path):
+        # no sample grid caps the span: the steady k1m2 row integrates to
+        # t = 10,000 in a few thousand steps, 8 samples each
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve=dict(_SOLVE, t_max=10_000.0))
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        summary = json.loads((tmp_path / "out" / "solve_summary.json")
+                             .read_text())
+        assert (summary["status"], summary["lifetime"]) == ("completed",
+                                                            10_000.0)
+        assert abs(summary["mu_mean"] - 1.0) < 1e-6
+
+    def test_step_cap_bounds_the_span(self, tmp_path, capsys):
+        # the expanding k1m2 row's steps shrink as its horizon grows: it
+        # reaches MAX_STEPS long before t = 1e6, a numeric failure with no
+        # artifact
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve=dict(_SOLVE, **{"lambda": -0.1,
+                                                     "t_max": 1e6}))
+        assert main(["solve", "--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"numeric failure: integrator failed: MAX_STEPS = "
+            f"{dop853.MAX_STEPS} accepted steps reached at t = ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("k,name,value", [(1, "a3", "-inf"),
+                                              (0, "phi2", "inf")])
+    def test_non_finite_series_coefficient_named(self, tmp_path, capsys, k,
+                                                 name, value):
+        # b2 / b0 overflows for a tiny b0: no epsilon can mend that, so the
+        # message names the coefficient and the row, not the epsilon
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve=dict(_SOLVE, k=k, b0=1e-300))
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: the series coefficient {name} = {value} of (k, "
+            f"m, lambda, b0) = ({k}, 2, 0, 1e-300) is not finite: no epsilon "
+            f"gives a series start\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,block", [
@@ -912,7 +938,7 @@ class TestConfigValidation:
         ("solve", "k", 1.5),
         ("solve", "k", True),
         ("solve", "b0", True),
-        ("solve", "grid_per_unit", 40.5),
+        ("solve", "rtol", 0.0),
         ("sweep", "b0", [1.0, float("nan")]),
         ("sweep", "m", [2, 2.5]),
         ("sweep", "workers", 1.5),
@@ -936,9 +962,9 @@ class TestConfigValidation:
         ("certify", "n_base", MAX_SAMPLES + 1),
         ("certify", "n_product", MAX_SAMPLES + 1),
         ("quotient", "n_samples", MAX_SAMPLES + 1),
-        ("solve", "t_max", 1e9),
-        ("solve", "grid_per_unit", 10 ** 6),
-        ("sweep", "t_max", 1e9),
+        ("solve", "t_max", -1.0),
+        ("solve", "atol", "1e-10"),
+        ("sweep", "rtol", float("inf")),
         ("sweep", "workers", MAX_WORKERS + 1),
         ("sweep", "workers", 10 ** 6),
         ("sweep", "b0", [1.0 + i / MAX_SWEEP_ROWS
@@ -952,8 +978,6 @@ class TestConfigValidation:
         ("sweep", "parallel", 0),
         ("sweep", "parallel", 1),
         ("sweep", "parallel", None),
-        ("solve", "grid_per_unit", 10 ** 400),
-        ("sweep", "grid_per_unit", 10 ** 400),
         ("certify", "h", 1e-20),
         ("certify", "n_base", 1),
     ])
@@ -966,6 +990,13 @@ class TestConfigValidation:
         write_config(cfg_path, **blocks)
         assert main([command, "--config", str(cfg_path)]) == 2
         assert not (tmp_path / "out").exists()
+
+    def test_ansatz_keys_are_the_params_fields(self):
+        # the solve and sweep keys, 'lambda' as 'lam', are the fields of
+        # AnsatzParams: a key it does not take would raise TypeError, a
+        # traceback, and a field without a key would be out of reach
+        assert ({"lam" if key == "lambda" else key for key in _ANSATZ}
+                == {f.name for f in dataclasses.fields(AnsatzParams)})
 
     @pytest.mark.parametrize("command,edit,reason", [
         ("solve", lambda cfg: cfg.update(solve=[1.0]),
@@ -1024,6 +1055,9 @@ class TestRefusedSeriesStart:
     @pytest.mark.parametrize("solve", [
         {"k": 1, "m": 2, "lambda": 0, "b0": 1, "epsilon": 0.01},
         {"k": 1, "m": 2, "lambda": 0, "b0": 1e-5},
+        # eps ** 3 overflows: the tail estimate reads inf
+        {"k": 1, "m": 2, "lambda": 0, "b0": 1, "epsilon": 1e103,
+         "t_max": 1e104},
     ])
     def test_exits_2_without_artifacts(self, tmp_path, capsys, command, solve):
         cfg_path = tmp_path / "c.json"
@@ -1038,10 +1072,10 @@ class TestQuotientFuzz:
     """Random quotient configs end in a documented exit code, and a config
     error or a numeric or I/O failure writes nothing.  Each example carries
     at most one deliberate flaw: a refused series start (epsilon too large
-    or b0 too small), too coarse a grid, or a radial range past the
-    profile; the action arguments are drawn valid (p = 2 for the antipodal
-    map and on the line, odd m for Hopf), since their refusals are pinned
-    above and would otherwise stop most examples before the shooting."""
+    or b0 too small) or a radial range past the profile; the action
+    arguments are drawn valid (p = 2 for the antipodal map and on the line,
+    odd m for Hopf), since their refusals are pinned above and would
+    otherwise stop most examples before the shooting."""
 
     def test_exit_codes_and_artifacts(self, tmp_path, capsys):
         hypothesis = pytest.importorskip("hypothesis")
@@ -1054,28 +1088,24 @@ class TestQuotientFuzz:
             lam=st.sampled_from([0.0, -0.5, 0.5]),
             b0=st.sampled_from([1.0, 0.3, 2.0]),
             t_max=st.floats(0.2, 2.0),
-            grid_per_unit=st.sampled_from([100, 64, 40]),
             p=st.integers(2, 7),
             kind=st.sampled_from(["hopf", "antipodal", "axis_rotation"]),
             n_samples=st.integers(0, 16), seed=st.integers(0, 3),
             lo=st.sampled_from([0.1, 0.3]),
             flaw=st.sampled_from([None, None, None, "epsilon", "b0",
-                                  "grid_per_unit", "t_range"]))
-        def run(k, m, lam, b0, t_max, grid_per_unit, p, kind, n_samples,
-                seed, lo, flaw):
+                                  "t_range"]))
+        def run(k, m, lam, b0, t_max, p, kind, n_samples, seed, lo, flaw):
             if kind == "antipodal" or k == 0:
                 p = 2
             if kind == "hopf":
                 m |= 1
-            solve = {"k": k, "m": m, "lambda": lam, "b0": b0, "t_max": t_max,
-                     "grid_per_unit": grid_per_unit}
+            solve = {"k": k, "m": m, "lambda": lam, "b0": b0, "t_max": t_max}
             # the profile's radial range is [0.05, 0.95 t_end], t_end <= t_max
             t_range = [lo, 0.9 * t_max]
             if flaw == "t_range":
                 t_range = [0.02, 0.5] if lo < 0.2 else [lo, 1.2 * t_max]
             elif flaw:
-                solve[flaw] = {"epsilon": 0.01, "b0": 1e-5,
-                               "grid_per_unit": 30}[flaw]
+                solve[flaw] = {"epsilon": 0.01, "b0": 1e-5}[flaw]
             work = tmp_path / str(next(runs))
             work.mkdir()
             write_config(work / "q.json", solve=solve, quotient={
@@ -1096,34 +1126,31 @@ class TestSolveFuzz:
     """Random solve configs end in a documented exit code, and only a
     successful solve writes its outputs: both of them.  Each example
     carries at most one deliberate flaw, which must be a config error: a
-    refused series start (epsilon too large or b0 too small), too coarse a
-    grid, or a value of the wrong type under one key."""
+    refused series start (epsilon too large or b0 too small), a span
+    shorter than 2 epsilon, or a value of the wrong type under one key."""
 
     def test_exit_codes_and_artifacts(self, tmp_path, capsys):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         runs = itertools.count()
-        keys = ("k", "m", "lambda", "b0", "phi2", "t_max", "grid_per_unit")
+        keys = ("k", "m", "lambda", "b0", "phi2", "t_max")
 
         @hypothesis.settings(max_examples=30, deadline=None, database=None)
         @hypothesis.given(
             k=st.integers(0, 3), m=st.integers(1, 4),
             lam=st.floats(-1.0, 1.0), b0=st.floats(0.3, 3.0),
             phi2=st.floats(-1.0, 0.5), t_max=st.floats(0.2, 3.0),
-            grid_per_unit=st.integers(40, 200),
             flaw=st.sampled_from([None, None, None, "epsilon", "b0",
-                                  "grid_per_unit", "type"]),
-            coarse=st.integers(1, 39), key=st.sampled_from(keys),
+                                  "t_max", "type"]),
+            short=st.floats(1e-6, 1.9e-4), key=st.sampled_from(keys),
             wrong=st.sampled_from(["1", True, None, [1]]))
-        def run(k, m, lam, b0, phi2, t_max, grid_per_unit, flaw, coarse,
-                key, wrong):
-            solve = dict(zip(keys, (k, m, lam, b0, phi2, t_max,
-                                    grid_per_unit)))
+        def run(k, m, lam, b0, phi2, t_max, flaw, short, key, wrong):
+            solve = dict(zip(keys, (k, m, lam, b0, phi2, t_max)))
             if flaw == "type":
                 solve[key] = wrong
             elif flaw:
                 solve[flaw] = {"epsilon": 0.01, "b0": 1e-5,
-                               "grid_per_unit": coarse}[flaw]
+                               "t_max": short}[flaw]
                 if flaw == "b0":   # the circle fiber (m = 1) takes any b0
                     solve["m"] = max(m, 2)
             work = tmp_path / str(next(runs))
@@ -1148,7 +1175,7 @@ class TestSweepFuzz:
     this small run in the calling process either way: ``sweep`` starts no
     child below 2 * ``_SHARE_ROWS`` rows).  The grids hold refused starts
     (b0 = 1e-5 on a sphere fiber) among their rows; an example may carry
-    one flaw: a grid below 40 rows per unit or a non-boolean ``parallel``
+    one flaw: a span shorter than 2 epsilon or a non-boolean ``parallel``
     (config errors), or an epsilon that every row's series refuses (an
     error row each)."""
 
@@ -1165,19 +1192,17 @@ class TestSweepFuzz:
             ks=pair(st.integers(0, 3)), ms=pair(st.integers(1, 4)),
             lam=st.floats(-1.0, 1.0),
             b0s=pair(st.sampled_from([1e-5, 0.5, 1.0, 1.7])),
-            t_max=st.floats(0.2, 2.0), grid_per_unit=st.integers(40, 200),
+            t_max=st.floats(0.2, 2.0),
             parallel=st.booleans(), workers=st.sampled_from([None, 1, 2]),
-            flaw=st.sampled_from([None, None, None, "grid_per_unit",
-                                  "parallel", "epsilon"]))
-        def run(ks, ms, lam, b0s, t_max, grid_per_unit, parallel, workers,
-                flaw):
+            flaw=st.sampled_from([None, None, None, "t_max", "parallel",
+                                  "epsilon"]))
+        def run(ks, ms, lam, b0s, t_max, parallel, workers, flaw):
             block = {"k": ks, "m": ms, "lambda": [lam], "b0": b0s,
-                     "t_max": t_max, "grid_per_unit": grid_per_unit,
-                     "parallel": parallel}
+                     "t_max": t_max, "parallel": parallel}
             if workers is not None:
                 block["workers"] = workers
             if flaw:
-                block[flaw] = {"grid_per_unit": 39, "parallel": "false",
+                block[flaw] = {"t_max": 1.5e-4, "parallel": "false",
                                "epsilon": 0.01}[flaw]
             work = tmp_path / str(next(runs))
             work.mkdir()
@@ -1188,7 +1213,7 @@ class TestSweepFuzz:
             if code == 2:
                 assert err.startswith("config error:")
                 assert not (work / "out").exists()
-                assert flaw in ("grid_per_unit", "parallel")
+                assert flaw in ("t_max", "parallel")
                 return
             text = (work / "out" / "sweep.csv").read_bytes()
             rows = text.decode().splitlines()[2:]
@@ -1214,7 +1239,7 @@ def _value(word):
 
 
 class TestCertifyFuzz:
-    """Mutated schema-4 profile files and random certify keys within the
+    """Mutated schema-5 profile files and random certify keys within the
     caps end in a documented exit code; a config error or a numeric or
     I/O failure writes nothing, and a verdict writes the certificate and
     no temporary file.  Each example edits at most one part of a shot
@@ -1246,7 +1271,6 @@ class TestCertifyFuzz:
         runs = itertools.count()
         params_edits = {"lam": lambda v: 1.05 * v, "k": lambda v: v + 1,
                         "epsilon": lambda v: 2 * v,
-                        "grid_per_unit": lambda v: 10 ** 6 * v,
                         "t_max": lambda v: 0.5 * v,
                         "b0": lambda v: 10 ** 400}
 
@@ -1265,7 +1289,7 @@ class TestCertifyFuzz:
             key=st.sampled_from(sorted(params_edits)),
             status=st.sampled_from(["blowup", "hit_b_zero", "done"]),
             end_time=st.sampled_from(["nan", "0", "1e300", "1.999", "x"]),
-            schema=st.sampled_from(["1", "2", "3", "5", "three"]),
+            schema=st.sampled_from(["1", "2", "3", "4", "6", "three"]),
             cut=st.floats(0.0, 1.0),
             n_base=st.integers(1, 4), n_product=st.integers(1, 4),
             n_fiber=st.integers(1, 3), seed=st.integers(0, 5),

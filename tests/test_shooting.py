@@ -3,12 +3,10 @@
 import contextlib
 import gc
 import io
-import math
 import multiprocessing
 import os
 import signal
 import struct
-import warnings
 import weakref
 from dataclasses import replace
 from functools import cached_property
@@ -49,7 +47,6 @@ from ricciwarp.shooting import (
     _rhs_with_phi,
     _series_start,
     _state_columns,
-    _summary,
 )
 
 
@@ -109,7 +106,7 @@ class TestReducedRhs:
         ({"lam": 10 ** 400}, "lam must be a finite number"),
         ({"k": True}, "k must be an integer"),
         ({"k": 1.5}, "k must be an integer"),
-        ({"t_max": 1e9}, "output grid too large"),
+        ({"b0": 0.0}, "b0 must be positive"),
         ({"k": -1}, "base sphere dimension k must be >= 0"),
         ({"rtol": 0.0}, "integrator tolerances must be positive"),
         ({"atol": -1e-10}, "integrator tolerances must be positive"),
@@ -312,15 +309,13 @@ class TestShoot:
     def test_scaling(self):
         # g -> c^2 g maps a profile to a profile: (b0, lambda, phi2,
         # epsilon, t_max) go to (c b0, lambda / c^2, phi2 / c^2, c epsilon,
-        # c t_max) and grid_per_unit, a density per unit of t, to
-        # grid_per_unit / c; a and b scale by c and phi is unchanged.  c is
-        # drawn as 200 / g for an integer g, from 0.5 to 3, so that the
-        # scaled grid_per_unit is an integer.  Measured over every such g,
-        # the worst |difference| / max(1, |value|) of a, b and phi on the
-        # grid: k1m2 4.3e-10, k2m3 3.8e-7, k1m3 6.0e-10 and, up to 0.9 of
-        # its blow-up time, k0m2 6.7e-10; the bounds are 4 times these.
+        # c t_max); a and b scale by c and phi is unchanged.  c is any real
+        # from 0.5 to 3.  Measured over 65 values of c, the worst
+        # |difference| / max(1, |value|) of a, b and phi at the samples:
+        # k1m2 4.2e-10, k2m3 2.9e-7, k1m3 5.3e-10 and, up to 0.9 of its
+        # blow-up time, k0m2 6.6e-10; the bounds are 4 to 5.5 times these.
         # End times agree within 7.1e-12 and the completed rows' mu_mean
-        # within 2.4e-12, relative
+        # within 1.4e-11, relative
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         classes = {
@@ -332,16 +327,16 @@ class TestShoot:
 
         @hypothesis.settings(max_examples=30, deadline=None, database=None)
         @hypothesis.given(name=st.sampled_from(sorted(classes)),
-                          g=st.integers(67, 400))
-        def run(name, g):
+                          c=st.floats(0.5, 3.0))
+        def run(name, c):
             params, bound = classes[name]
             if name not in profiles:
                 profiles[name] = shoot(params)
-            prof, c = profiles[name], 200 / g
+            prof = profiles[name]
             scaled = shoot(replace(
                 params, b0=c * params.b0, lam=params.lam / c ** 2,
                 phi2=params.phi2 / c ** 2, epsilon=c * params.epsilon,
-                t_max=c * params.t_max, grid_per_unit=g))
+                t_max=c * params.t_max))
             assert scaled.status == prof.status
             assert scaled.end_time / c == pytest.approx(prof.end_time,
                                                         rel=1e-4)
@@ -403,8 +398,8 @@ class TestDiagnosticsIndependence:
         # mu = m - 1 an identity of every solution: mu is conserved
         # whatever the start.  Smoothness at the origin is the series
         # start's to enforce; mu measures the defect of the stored b'
-        # polynomial, also across a launch layer that DOP853 crosses in
-        # steps far shorter than the grid spacing
+        # polynomial, also across the launch layer that DOP853 crosses in
+        # steps of about 1e-5
         series_start = shooting._series_start
 
         def perturbed(params):
@@ -413,7 +408,8 @@ class TestDiagnosticsIndependence:
 
         monkeypatch.setattr(shooting, "_series_start", perturbed)
         prof = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0))
-        assert prof.b_prime[0] == series_start(prof.params)[3] + 0.01
+        b_prime = _state_columns(1).index("b_prime")
+        assert prof.y_old[0, b_prime] == series_start(prof.params)[3] + 0.01
         assert prof.status == "completed"
         assert prof.mu_spread <= 1e-6 * (1 + abs(prof.mu_mean))
 
@@ -449,9 +445,9 @@ class TestDiagnosticsIndependence:
 
 class TestDefectsAwayFromStepEnds:
     """mu and the residual columns are defects of the stored polynomials,
-    reduced over the grid rows inside their steps, so they hold where the
-    steps are far shorter than the grid spacing: near an event and across
-    the launch layer."""
+    sampled at the fractions ``_SAMPLE_X`` inside every step, so they hold
+    where the steps are short: near an event and across the launch
+    layer."""
 
     @pytest.mark.parametrize("params,status,check", [
         (AnsatzParams(k=1, m=2, lam=0.5, b0=1.0, t_max=5.0), "hit_a_zero",
@@ -467,45 +463,46 @@ class TestDefectsAwayFromStepEnds:
         assert prof.status == status
         assert check(prof), (prof.mu_mean, prof.mu_spread)
 
-    def test_grid_density_does_not_move_mu_spread(self):
-        # the grid only samples the defect: 100 rows per unit reads within
-        # 2% of 200
+    def test_grid_density_does_not_move_mu_spread(self, monkeypatch):
+        # the samples only read the defect: twice as many a step read
+        # within 2% of the default (measured 1.1%)
         params = AnsatzParams(k=1, m=3, lam=-0.1, b0=1.0)
-        coarse = shoot(replace(params, grid_per_unit=100)).mu_spread
+        default = shoot(params).mu_spread
+        monkeypatch.setattr(shooting, "_SAMPLE_X", np.linspace(0.05, 0.95, 16))
         fine = shoot(params).mu_spread
-        assert abs(coarse - fine) <= 0.02 * fine
+        assert abs(default - fine) <= 0.02 * fine
 
     def test_arrays_keep_every_row(self, steady_profile_12):
+        # every step holds len(_SAMPLE_X) samples, strictly inside it, and
+        # every column has one row per sample
         prof = steady_profile_12
         n = prof.t.size
-        assert 0 < prof._interior.sum() < n
-        for column in (prof.b_prime, prof.mu, *prof._residual_columns):
+        assert n == prof.t_old.size * len(shooting._SAMPLE_X)
+        for column in (prof.a, prof.b_prime, prof.mu, *prof._residual_columns):
             assert column.shape == (n,)
-        x = _locate(prof._steps, prof.t)[1]
-        assert np.array_equal(prof._interior, (x > 0.05) & (x < 0.95))
+        idx, x = _locate(prof._steps, prof.t)
+        assert np.array_equal(idx, np.repeat(np.arange(prof.t_old.size),
+                                             len(shooting._SAMPLE_X)))
+        assert ((0 < x) & (x < 1)).all()
+        assert np.abs(x.reshape(-1, len(shooting._SAMPLE_X))
+                      - shooting._SAMPLE_X).max() < 1e-9
 
-    def test_no_row_inside_a_step_reads_nan(self):
-        # a table built in Python whose steps end on the grid's rows: each
-        # row sits at x = 0 or 1 of its step, so the reductions read no
-        # row, and give NaN without an exception or a warning
-        params = AnsatzParams(k=0, m=2, lam=0.0, b0=1.0, epsilon=0.5,
-                              t_max=1.0, grid_per_unit=40)
-        ts = np.linspace(0.5, 1.0, 21)
-        rng = np.random.default_rng(3)
-        prof = SolitonProfile(params=params, t_old=ts[:-1], h=np.diff(ts),
-                              y_old=1.0 + rng.random((20, 4)),
-                              F=0.01 * rng.normal(size=(20, _N_COEFFS, 4)),
-                              status="completed", end_time=1.0)
-        assert _same_bits(prof.t, ts)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert not prof._interior.any()
-            assert np.isfinite(prof.mu).all() and prof.mu.size == ts.size
-            assert math.isnan(prof.mu_mean) and math.isnan(prof.mu_spread)
-            summary = _summary(prof)
-        assert math.isnan(summary["mu_mean"])
-        assert all(math.isnan(v) for v in
-                   summary["reduced_equation_residual_max"].values())
+    def test_event_step_sampled_up_to_the_event(self):
+        # a terminal event ends the profile inside its last step: its
+        # samples keep to the part up to end_time
+        prof = shoot(AnsatzParams(k=1, m=2, lam=0.5, b0=1.0, t_max=5.0))
+        assert prof.status == "hit_a_zero"
+        assert prof.t_old[-1] + prof.h[-1] > prof.end_time
+        last = prof.t[-len(shooting._SAMPLE_X):]
+        assert prof.t_old[-1] < last[0] and last[-1] < prof.end_time
+        assert prof.a.min() > 0
+
+    def test_launch_layer_sampled(self, steady_profile_23):
+        # k2m3 takes dozens of steps below t = 0.1, and its largest phi''
+        # defect lies among their samples (t = 2.0e-4)
+        prof = steady_profile_23
+        assert (prof.t_old < 0.1).sum() > 40
+        assert prof.t[np.abs(prof.res_tt).argmax()] < 0.1
 
 
 class TestCertifyProfile:
@@ -564,19 +561,21 @@ class TestCertifyProfile:
 
     @pytest.mark.parametrize("k, m, lam", [(1, 2, 0.0), (2, 3, 0.0),
                                            (1, 3, -0.1)])
-    def test_default_grid_resolves_the_certificate(self, k, m, lam):
-        # the default grid density against twice of it, on the same shot:
-        # the certificate reads the stored polynomials, not the grid, so it
-        # is the same report, and mu_spread moves by less than 10%
+    def test_default_grid_resolves_the_certificate(self, k, m, lam,
+                                                   monkeypatch):
+        # the default samples against twice as many a step, on the same
+        # shot: the certificate reads the stored polynomials, not the
+        # samples, so it is the same report, and mu_spread moves by less
+        # than 10% (measured 1.1% at most)
         params = AnsatzParams(k=k, m=m, lam=lam, b0=1.0)
-        fine = replace(params, grid_per_unit=2 * params.grid_per_unit)
-        report, spread = {}, {}
-        for p in (params, fine):
-            prof = shoot(p)
-            report[p] = certify_profile(prof).to_json()
-            spread[p] = prof.mu_spread
-        assert report[params] == report[fine]
-        assert abs(spread[params] - spread[fine]) <= 0.10 * spread[fine]
+        report, spread = [], []
+        for fractions in (shooting._SAMPLE_X, np.linspace(0.05, 0.95, 16)):
+            monkeypatch.setattr(shooting, "_SAMPLE_X", fractions)
+            prof = shoot(params)
+            report.append(certify_profile(prof).to_json())
+            spread.append(prof.mu_spread)
+        assert report[0] == report[1]
+        assert abs(spread[0] - spread[1]) <= 0.10 * spread[1]
 
     @pytest.mark.parametrize("column", ["a_prime", "b_prime", "phi_prime"])
     def test_derivative_columns_do_not_reach_the_certificate(
@@ -717,13 +716,14 @@ class TestInterpolants:
     def test_too_few_rows_rejected(self, steady_profile_12, rows):
         # the first steps of a table alone do not reach its end_time; with
         # the end of their last step as end_time they are a profile, whose
-        # grid keeps at least 16 rows
+        # samples are the first ones of the whole table
         prof = steady_profile_12
         with pytest.raises(ValueError, match="does not lie in its last step"):
             _steps(prof, slice(rows))
         short = _steps(prof, slice(rows), end_time=float(prof.t_old[rows]))
-        assert short.t[-1] == prof.t_old[rows]
-        assert short.mu.size == short.t.size == 16
+        n = rows * len(shooting._SAMPLE_X)
+        assert _same_bits(short.t, prof.t[:n])
+        assert _same_bits(short.mu, prof.mu[:n])
 
 
 class TestStepTable:
@@ -771,7 +771,8 @@ class TestStepTable:
             prof = shoot(params)
             assert prof.status == status
             again = SolitonProfile.parse_csv(prof.to_csv())
-            assert again.end_time == prof.end_time == prof.t[-1]
+            assert again.end_time == prof.end_time
+            assert prof.t_old[-1] < prof.t[-1] < prof.end_time
 
 
 class TestCsvRoundTrip:
@@ -922,8 +923,8 @@ class TestCsvRoundTrip:
             SolitonProfile.parse_csv(text)
 
     @pytest.mark.parametrize("text", [
-        "# schema_version=4\n",
-        "# schema_version=4\n# params=[1, 2]\n",
+        "# schema_version=5\n",
+        "# schema_version=5\n# params=[1, 2]\n",
     ], ids=["no-params-line", "params-not-an-object"])
     def test_truncated_header_rejected(self, text):
         with pytest.raises(ValueError):
@@ -943,30 +944,26 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             SolitonProfile.parse_csv(text.replace(old, new))
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_schema_refused(self, version):
         # schema 1 and 2 stored a sampled grid, schema 3 the step table in
-        # decimal text: the message says what to do
+        # decimal text and schema 4 a grid density in its params line: the
+        # message says what to do
         text = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0)).to_csv()
-        old = text.replace("# schema_version=4", f"# schema_version={version}")
+        old = text.replace("# schema_version=5", f"# schema_version={version}")
         with pytest.raises(ValueError, match=f"schema_version {version} is no "
                            "longer read; re-run 'solve' to write "
-                           "schema_version 4"):
+                           "schema_version 5"):
             SolitonProfile.parse_csv(old)
 
-    @pytest.mark.parametrize("old,new", [
-        ('"grid_per_unit": 200', '"grid_per_unit": 300000'),
-        ('"grid_per_unit": 200', '"grid_per_unit": ' + "9" * 400),
-        ("end_time=1\n", "end_time=1e300\n")])
-    def test_grid_beyond_the_cap_refused(self, old, new):
-        # the params line bounds the grid up to t_max before the rows are
-        # read, and an end_time past t_max is refused with the step table
+    def test_end_past_t_max_refused(self):
+        # an end_time past t_max is refused with the step table
         text = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0)).to_csv()
-        assert old in text
+        assert "end_time=1\n" in text
         with pytest.raises(ValueError, match=(
-                "output grid too large" if "grid_per_unit" in old
-                else "end_time 1.0*1e[+]300 is not at most its t_max = 1$")):
-            SolitonProfile.parse_csv(text.replace(old, new))
+                "end_time 1.0*1e[+]300 is not at most its t_max = 1$")):
+            SolitonProfile.parse_csv(text.replace("end_time=1\n",
+                                                  "end_time=1e300\n"))
 
     def test_from_csv_reads_a_path(self, tmp_path):
         prof = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0))
