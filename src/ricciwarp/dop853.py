@@ -14,14 +14,18 @@ batch's stage sums, error estimates and dense-output products are stacked
 row the bits of its ``np.dot`` (folding the rows into one wide product
 would not), the rest of a step is elementwise IEEE arithmetic, and the
 step-size control, whose ``pow`` an array form need not round as the
-scalar one does, runs row by row on Python floats.  A row alone, and the
-last row of a batch, steps on Python floats, with numpy only for the
-products: the same operations, so the same bits, at less cost per step.
+scalar one does, runs row by row on Python floats, as do the terminal
+events, which each row reads at its accepted steps' ends and on their
+polynomials (II.6) with the one event function it is given.  A row
+alone, and the last row of a batch, steps on Python floats, with numpy
+only for the products: the same operations, so the same bits, at less
+cost per step.
 
 The module knows nothing of the rows it integrates and imports nothing
-of the package: a caller hands it right sides, starts, legs and terminal
-events, and reads back one ``_Run`` per row, its step table and its
-counts.  Its ``__all__`` is empty; the package exports none of its names.
+of the package: a caller hands it right sides, starts, legs and a
+terminal-event function, and reads back one ``_Run`` per row, its step
+table and its counts.  Its ``__all__`` is empty; the package exports
+none of its names.
 """
 
 from __future__ import annotations
@@ -167,22 +171,25 @@ def _check_run(t0, legs, y0):
 class _Row:
     """A row of a :func:`_dop853` run between two step attempts.
 
-    Its right side, legs, t, step size, accept/reject state, counts and
-    record, the t, h, F and y_old of its accepted steps.  Whichever loop
-    makes an attempt, the row starts it (:meth:`begin`), controls its
-    step size (:meth:`control`) and books it when accepted
-    (:meth:`accept`), so a row's steps do not depend on the loop or on
-    a move from one loop to the other between two attempts.  ``run`` is
-    None while the row runs, then its :class:`_Run`, or the exception
-    that ``brentq`` raised for it.
+    Its right side, terminal events and their values ``g`` at its t,
+    legs, t, step size, accept/reject state, counts and record, the t, h,
+    F and y_old of its accepted steps.  ``events`` maps the Python floats
+    of a state to its event values, a list.  Whichever loop makes an
+    attempt, the row starts it (:meth:`begin`), controls its step size
+    (:meth:`control`) and books it when accepted (:meth:`accept`), so a
+    row's steps do not depend on the loop or on a move from one loop to
+    the other between two attempts.  ``run`` is None while the row runs,
+    then its :class:`_Run`, or the exception that ``brentq`` raised for
+    it.
     """
 
-    __slots__ = ("fun", "legs", "t", "t_new", "t_end", "rtol", "atol",
-                 "h_abs", "min_step", "fresh", "step_rejected", "nfev",
-                 "rejected", "record", "run")
+    __slots__ = ("fun", "events", "g", "legs", "t", "t_new", "t_end",
+                 "rtol", "atol", "h_abs", "min_step", "fresh",
+                 "step_rejected", "nfev", "rejected", "record", "run")
 
-    def __init__(self, fun, t0, legs):
+    def __init__(self, fun, events, t0, y0, legs):
         self.fun, self.legs, self.t = fun, iter(legs), float(t0)
+        self.events, self.g = events, events(y0)
         self.fresh, self.step_rejected = True, False
         self.nfev, self.rejected = 1, 0
         self.record = ([self.t], [], [], [])
@@ -250,31 +257,34 @@ class _Row:
             self._finish(-1, message=_TOO_SMALL_STEP)
         return False
 
-    def accept(self, h, F, y_old, g_old, g, events) -> bool:
+    def accept(self, h, F, y_old, y_new) -> bool:
         """Book the accepted attempt of size ``h``: its dense-output table
-        ``F``, its start ``y_old`` and the terminal event values ``g_old``
-        at its start and ``g`` at its end.  True if the row took its next
-        leg, with new tolerances.
+        ``F``, its start ``y_old`` and its end ``y_new`` (Python floats),
+        where the row reads its event values.  True if the row took its
+        next leg, with new tolerances.
 
-        The earliest root of an event that changed sign, located by
-        ``brentq`` on the step's polynomial, ends the row there; so do the
-        end of its last leg and its ``MAX_STEPS``-th accepted step short
-        of that.  The end of an earlier leg starts the next one, as
-        ``solve_ivp`` restarted there would, but with no right-side call:
-        f there is the step's last stage.
+        The earliest root of an event that changed sign over the step,
+        located by ``brentq`` on the step's polynomial (Hairer, Norsett &
+        Wanner, II.6), ends the row there; so do the end of its last leg
+        and its ``MAX_STEPS``-th accepted step short of that.  The end of
+        an earlier leg starts the next one, as ``solve_ivp`` restarted
+        there would, but with no right-side call: f there is the step's
+        last stage.
         """
         self.nfev += _N_EXTRA
         self.fresh = True
         t_old, self.t = self.t, self.t_new
         status = 0 if self.t >= self.t_end else None
         event, t_step = None, self.t
-        active = [e for e, (lo, hi) in enumerate(zip(g_old, g))
+        g_old, self.g = self.g, self.events(y_new)
+        active = [e for e, (lo, hi) in enumerate(zip(g_old, self.g))
                   if lo <= 0 <= hi or lo >= 0 >= hi]
         if active:
             F, y_old = np.asarray(F), np.asarray(y_old)
             try:
-                roots = [brentq(lambda s, e=e: events(_horner(
-                                    F[::-1], y_old, (s - t_old) / h))[e],
+                roots = [brentq(lambda s, e=e: self.events(_horner(
+                                    F[::-1], y_old, (s - t_old) / h
+                                    ).tolist())[e],
                                 t_old, self.t, xtol=4 * _EPS, rtol=4 * _EPS)
                          for e in active]
             except (ValueError, RuntimeError) as exc:
@@ -307,7 +317,7 @@ class _Row:
         self.record = None
 
 
-def _dop853(funs, t0, y0, legs, events, event_values):
+def _dop853(funs, t0, y0, legs, events):
     """Integrate a batch of rows of ``y' = f(y)`` with DOP853.
 
     The method of Hairer, Norsett & Wanner, *Solving ODEs I*, II.10, as
@@ -321,10 +331,9 @@ def _dop853(funs, t0, y0, legs, events, event_values):
     ``y0[i]`` (``y0`` is a rows x n array) through its ``legs[i]``, each
     ``(t_end, rtol, atol, first_step)``, and keeps its own t, step size,
     accept/reject state and events (a :class:`_Row`).  ``funs[i]`` maps
-    the Python floats of a state to its derivative, a list.  ``events(Y)``
-    gives the values of the terminal events (the last axis) of one state
-    or of a stack of states, and ``event_values(y)`` the same values, as a
-    list, of one state given as a list of Python floats.  Returns one
+    the Python floats of a state to its derivative, a list, and
+    ``events`` maps them to the values of the terminal events, a list,
+    which every row reads at each accepted step's end.  Returns one
     :class:`_Run` per row, or the exception that ``brentq`` raised for
     it.
 
@@ -336,26 +345,27 @@ def _dop853(funs, t0, y0, legs, events, event_values):
     """
     for args in zip(t0, legs, y0):
         _check_run(*args)
-    rows = [_Row(fun, t, row_legs) for fun, t, row_legs in zip(funs, t0, legs)]
     Y = np.array(y0, dtype=float)
+    ys = Y.tolist()
+    rows = [_Row(fun, events, t, y, row_legs)
+            for fun, t, y, row_legs in zip(funs, t0, ys, legs)]
     with np.errstate(all="ignore"):
-        f = np.array([row.fun(y) for row, y in zip(rows, Y.tolist())],
-                     dtype=float)
-        g = events(Y).tolist()
-        last = ((rows[0], Y[0].tolist(), f[0].tolist(), g[0])
-                if len(rows) == 1 else _lockstep(rows, Y, f, g, events))
+        f = np.array([row.fun(y) for row, y in zip(rows, ys)], dtype=float)
+        last = ((rows[0], ys[0], f[0].tolist())
+                if len(rows) == 1 else _lockstep(rows, Y, f))
         if last is not None:
-            _alone(*last, events, event_values)
+            _alone(*last)
     return [row.run for row in rows]
 
 
-def _lockstep(rows, Y, f, g, events):
+def _lockstep(rows, Y, f):
     """Step two or more ``rows`` in lockstep until at most one runs; return
-    that one as ``(row, y, f, g)``, its state, derivative and event values
-    as Python floats, or None if none is left.
+    that one as ``(row, y, f)``, its state and derivative as Python
+    floats, or None if none is left.
 
-    ``Y`` holds the rows' states, ``f`` their derivatives and ``g`` their
-    event values.  Each pass makes one attempt for every running row.
+    ``Y`` holds the rows' states and ``f`` their derivatives.  Each pass
+    makes one attempt for every running row, and each row of an accepted
+    attempt reads its event values at the attempt's end on Python floats.
     The stage sums ``K^T a``, the error estimates and the dense-output
     products ``D K`` are stacked products, ``np.matmul`` over the rows'
     own stage tables, which give each row the bits of its ``np.dot`` (one
@@ -427,28 +437,23 @@ def _lockstep(rows, Y, f, g, events):
                 Y = Y.copy()
                 Y[accepted] = Y_new[accepted]
                 K_ext[accepted, 0] = K_ext[accepted, _N_STAGES]
-            g_old, g = g, events(Y).tolist()
+            ys = Y.tolist()
             for j in accepted:
-                switched |= live[j].accept(h[j], F[j], Y_old[j], g_old[j],
-                                           g[j], events)
+                switched |= live[j].accept(h[j], F[j], Y_old[j], ys[j])
         keep = [j for j, row in enumerate(live) if row.run is None]
         if len(keep) < 2:
-            return next(((live[j], Y[j].tolist(), K_ext[j, 0].tolist(), g[j])
+            return next(((live[j], Y[j].tolist(), K_ext[j, 0].tolist())
                          for j in keep), None)
         if len(keep) < len(live):   # rows ended: the batch shrinks
             live, Y, K_ext = [live[j] for j in keep], Y[keep], K_ext[keep]
-            g = [g[j] for j in keep]
             fun, (atol, rtol), stages, extra, (K_last, K_B), K_E = batch()
         elif switched:   # the tolerances of the batch are its rows' legs'
             atol, rtol = tolerances()
 
 
-def _alone(row, y, f, g, events, event_values):
+def _alone(row, y, f):
     """Step ``row`` alone to its end from the state ``y`` at its t, with
-    the derivative ``f`` and the event values ``g`` there (lists of Python
-    floats).  ``event_values`` gives the event values of each accepted
-    step's end on its Python floats; ``events``, their array form, is
-    what the row's event location reads.
+    the derivative ``f`` there (lists of Python floats).
 
     The elementwise part of a step is IEEE arithmetic on Python floats,
     which round as numpy's ufuncs do: the stage states, ``y_new``, the
@@ -501,7 +506,6 @@ def _alone(row, y, f, g, events, event_values):
                  [2 * d - h * (q + p) for d, q, p in zip(delta_y, f_new, f)])
         F[3:] = dense(K)
         F[3:] *= h
-        g_old, g = g, event_values(y_new)
-        row.accept(h, F, y, g_old, g, events)
+        row.accept(h, F, y, y_new)
         y, f = y_new, f_new
         K[0] = f

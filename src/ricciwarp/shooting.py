@@ -751,30 +751,21 @@ _LAUNCH_TOL = 1e-13
 
 
 def _events(k):
-    """``(events, values, outcomes)``: the terminal events of the state of
-    a k row, their form on Python floats, and the profile status each
-    gives.
+    """``(events, outcomes)``: the terminal events of the state of a k row
+    and the profile status each gives.
 
-    ``events(Y)`` has one column per event, in solve_ivp's order, which
-    breaks ties between equal roots: b and (for k >= 1) a reach the
-    positivity floor, and the state leaves the blow-up box.  ``Y`` may be
-    one state or a rows x n array.  ``values(y)`` is
-    ``events(np.array(y)).tolist()`` for one state ``y``, a list of
-    Python floats, with the same bits, NaN rule included: ``np.max`` keeps
-    a NaN, Python's ``max`` need not, so a NaN component makes the
-    blow-up value NaN.  :func:`_series_start` refuses a start at or below
-    the floor or outside the box, so every event starts positive and fires
-    only by falling to zero: no event needs a direction.
+    ``events(y)`` maps a state ``y``, a list of Python floats, to the list
+    of its event values, in solve_ivp's order, which breaks ties between
+    equal roots: b and (for k >= 1) a reach the positivity floor, and the
+    state leaves the blow-up box.  The blow-up value keeps ``np.max``'s
+    NaN rule: ``np.max`` keeps a NaN, Python's ``max`` need not, so a NaN
+    component makes it NaN.  :func:`_series_start` refuses a start at or
+    below the floor or outside the box, so every event starts positive
+    and fires only by falling to zero: no event needs a direction.
     """
     floors = slice(2, None, -2) if k >= 1 else slice(0, 1)   # (b, a) or b
 
-    def events(Y):
-        g = np.empty(Y.shape[:-1] + (3 if k >= 1 else 2,))
-        g[..., :-1] = Y[..., floors] - _POSITIVITY_FLOOR
-        g[..., -1] = _BLOWUP_LIMIT - np.abs(Y).max(axis=-1)
-        return g
-
-    def values(y):
+    def events(y):
         top = max(map(abs, y))
         # a NaN component makes the sum NaN; so do +inf and -inf together,
         # whose top is inf either way
@@ -784,7 +775,7 @@ def _events(k):
         g.append(_BLOWUP_LIMIT - top)
         return g
 
-    return events, values, _STATUSES[1:] if k >= 1 else _STATUSES[1::2]
+    return events, _STATUSES[1:] if k >= 1 else _STATUSES[1::2]
 
 
 def _integrate(rows):
@@ -805,10 +796,11 @@ def _integrate(rows):
     blow-up box, its a and b above the positivity floor, and its epsilon
     below ``_LAUNCH_END`` and ``t_max``, so
     :func:`_dop853` accepts every row and every event starts positive.
-    The rows are one :func:`_dop853` batch, each run with the bits of its
-    row integrated alone, whatever the other rows do.
+    The rows are one :func:`_dop853` batch with the one event function of
+    their state size (:func:`_events`), each run with the bits of its row
+    integrated alone, whatever the other rows do.
     """
-    events, values, outcomes = _events(rows[0].k)
+    events, outcomes = _events(rows[0].k)
     results = [None] * len(rows)
     launch, starts, legs = [], [], []
     for i, p in enumerate(rows):
@@ -834,7 +826,7 @@ def _integrate(rows):
     for i, run in zip(launch, _dop853(
             [_rhs_with_phi(rows[i]) for i in launch],
             [rows[i].epsilon for i in launch], np.array(starts), legs,
-            events, values)):
+            events)):
         if isinstance(run, Exception):   # raised by brentq
             results[i] = IntegrationError(f"event location failed: {run}")
         elif run.status == -1:
@@ -1180,9 +1172,10 @@ def sweep(param_list, parallel: bool = False, workers: int | None = None):
     process integrates one share of the grid, every n-th row of n shares,
     as one batch per state size (:func:`_sweep_rows`): the caller
     integrates share 0 and each other share runs in a daemonic child
-    process (:func:`_share_child`) that sends its rows back over a pipe.  A child's exception is raised again
-    in the caller, a child that ends without a reply raises
-    ``RuntimeError``, and no child outlives the call.
+    process (:func:`_share_child`) that sends its rows back over a pipe.
+    A child's exception is raised again in the caller, a child that ends
+    without a reply raises ``ChildProcessError`` (an ``OSError``, so the
+    CLI reports an I/O failure), and no child outlives the call.
     """
     param_list = list(param_list)
     n = (min(workers or os.cpu_count() or 1, len(param_list) // _SHARE_ROWS)
@@ -1208,7 +1201,7 @@ def sweep(param_list, parallel: bool = False, workers: int | None = None):
                 ok, reply = recv.recv()
             except EOFError:
                 child.join()
-                raise RuntimeError(
+                raise ChildProcessError(
                     f"sweep share {i} process exited with code "
                     f"{child.exitcode} before it replied") from None
             if not ok:

@@ -188,6 +188,19 @@ class TestSolve:
                               "f(a) and f(b) must have different signs")
         assert not (tmp_path / "out").exists()
 
+    def test_event_location_on_an_overflowed_step_exits_3(self, tmp_path,
+                                                          capsys):
+        # at tolerances of 1e10 the last step of k1m2 overflows to inf and
+        # its polynomial reads NaN, where brentq cannot locate the blow-up
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
+                                      "b0": 1.0, "rtol": 1e10, "atol": 1e10})
+        assert main(["solve", "--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: event location failed: The function value at "
+            "x=1.211000000000001 is NaN")
+        assert not (tmp_path / "out").exists()
+
     def test_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
         # a row that needs more than MAX_STEPS accepted steps is a numeric
         # failure with no artifact
@@ -931,6 +944,8 @@ class TestConfigValidation:
     before any work, and write nothing.  Only the rejection of a large
     sweep or of many processes is run here, never the sweep itself."""
 
+    # a list value has an explicit id, the name pytest gave the case by its
+    # position, so that removing a case renames no other
     @pytest.mark.parametrize("command,key,value", [
         ("solve", "lambda", "x"),
         ("solve", "lambda", float("nan")),
@@ -939,8 +954,9 @@ class TestConfigValidation:
         ("solve", "k", True),
         ("solve", "b0", True),
         ("solve", "rtol", 0.0),
-        ("sweep", "b0", [1.0, float("nan")]),
-        ("sweep", "m", [2, 2.5]),
+        pytest.param("sweep", "b0", [1.0, float("nan")],
+                     id="sweep-b0-value7"),
+        pytest.param("sweep", "m", [2, 2.5], id="sweep-m-value8"),
         ("sweep", "workers", 1.5),
         ("certify", "h", float("inf")),
         ("certify", "tolerance", "1e-5"),
@@ -952,9 +968,10 @@ class TestConfigValidation:
         ("quotient", "n_samples", True),
         ("quotient", "tolerance", "x"),
         ("quotient", "freeness_tolerance", float("nan")),
-        ("certify", "t_window", [1]),
+        pytest.param("certify", "t_window", [1], id="certify-t_window-value20"),
         ("certify", "t_window", "ab"),
-        ("certify", "t_window", [0.2, "x"]),
+        pytest.param("certify", "t_window", [0.2, "x"],
+                     id="certify-t_window-value22"),
         ("quotient", "seed", -1),
         ("certify", "tolerance", float("nan")),
         ("quotient", "tolerance", float("nan")),
@@ -967,10 +984,12 @@ class TestConfigValidation:
         ("sweep", "rtol", float("inf")),
         ("sweep", "workers", MAX_WORKERS + 1),
         ("sweep", "workers", 10 ** 6),
-        ("sweep", "b0", [1.0 + i / MAX_SWEEP_ROWS
-                         for i in range(MAX_SWEEP_ROWS + 1)]),
-        ("sweep", "k", [1, MAX_DIMENSION + 1]),
-        ("sweep", "m", [MAX_DIMENSION + 1]),
+        pytest.param("sweep", "b0", [1.0 + i / MAX_SWEEP_ROWS
+                                     for i in range(MAX_SWEEP_ROWS + 1)],
+                     id="sweep-b0-value35"),
+        pytest.param("sweep", "k", [1, MAX_DIMENSION + 1],
+                     id="sweep-k-value36"),
+        pytest.param("sweep", "m", [MAX_DIMENSION + 1], id="sweep-m-value37"),
         ("solve", "k", MAX_DIMENSION + 1),
         ("solve", "m", 10 ** 400),
         ("quotient", "p", MAX_GROUP_ORDER + 1),

@@ -27,15 +27,11 @@ from ricciwarp.shooting import (
 )
 
 
-def _solve_ivp_runs(params):
-    """``solve_ivp``'s DOP853 runs of the integration that ``_integrate``
-    does: the same right side, terminal events (in the same order),
-    tolerances and first steps, on the launch leg and, unless that run
-    ends early, restarted on the rest of the span.  The reference for
-    ``_dop853``, whose one run over both legs has their steps joined."""
-    k = params.k
-    a, ap, b, bp, phip = _series_start(params)
-    y0 = np.array([a, ap, b, bp, 0.0, phip] if k >= 1 else [b, bp, 0.0, phip])
+def _reference_events(k):
+    """The terminal events of a k row as ``solve_ivp`` takes them, one
+    function ``(t, y) -> float`` each, in its order: b and (for k >= 1) a
+    reach the positivity floor, and the state leaves the blow-up box, as
+    ``np.max`` reads it."""
     i_a, i_b = (0, 2) if k >= 1 else (None, 0)
 
     def hit_b(t, y):
@@ -50,6 +46,19 @@ def _solve_ivp_runs(params):
     events = [hit_b, hit_a, blow] if k >= 1 else [hit_b, blow]
     for event in events:
         event.terminal = True
+    return events
+
+
+def _solve_ivp_runs(params):
+    """``solve_ivp``'s DOP853 runs of the integration that ``_integrate``
+    does: the same right side, terminal events (in the same order),
+    tolerances and first steps, on the launch leg and, unless that run
+    ends early, restarted on the rest of the span.  The reference for
+    ``_dop853``, whose one run over both legs has their steps joined."""
+    k = params.k
+    a, ap, b, bp, phip = _series_start(params)
+    y0 = np.array([a, ap, b, bp, 0.0, phip] if k >= 1 else [b, bp, 0.0, phip])
+    events = _reference_events(k)
     row_rhs = _rhs_with_phi(params)
 
     def rhs(t, y):
@@ -96,11 +105,7 @@ def _per_run_reference(solutions, ts):
     return out
 
 
-def _no_events(Y):
-    return np.empty(Y.shape[:-1] + (0,))
-
-
-def _no_event_values(y):
+def _no_events(y):
     return []
 
 
@@ -272,8 +277,7 @@ class TestIntegratorWork:
         sol = solve_ivp(fun, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10,
                         atol=1e-10, first_step=1e-3, dense_output=True)
         [run] = _dop853([lambda y: fun(None, y)], [0.0], np.array([[1.0]]),
-                        [[(2.0, 1e-10, 1e-10, 1e-3)]], _no_events,
-                        _no_event_values)
+                        [[(2.0, 1e-10, 1e-10, 1e-3)]], _no_events)
         assert (sol.status, sol.nfev) == (-1, 7255)
         assert (run.status, run.nfev, run.message) == (-1, 7255, sol.message)
         assert run.message == ("Required step size is less than spacing "
@@ -299,10 +303,9 @@ class TestIntegratorWork:
                             method="DOP853", rtol=leg[1], atol=leg[2],
                             first_step=leg[3], dense_output=True)
         [alone] = _dop853([fun], [0.0], np.array([[1.0, 1.0]]), [[leg]],
-                          _no_events, _no_event_values)
+                          _no_events)
         in_batch, calm = _dop853([fun, lambda y: [-v for v in y]], [0.0, 0.0],
-                                 np.ones((2, 2)), [[leg], [leg]], _no_events,
-                                 _no_event_values)
+                                 np.ones((2, 2)), [[leg], [leg]], _no_events)
         want = (sol.status, sol.nfev, sol.t[-1], sol.message)
         assert want[:3] == (-1, 889, 0.40546510810816383)
         for run in (alone, in_batch):
@@ -385,6 +388,24 @@ class TestIntegratorWork:
                                   "different signs")
         assert (rows[1].status, rows[1].lifetime) == ("completed", 3.5)
 
+    def test_event_location_on_an_overflowed_step(self):
+        # at tolerances of 1e10 the last step of k1m2 overflows to inf: the
+        # blow-up event changes sign over it, but its polynomial evaluates
+        # inf * 0 = NaN at x = 1, where brentq stops.  The row ends in the
+        # error alone and beside a steady row, which keeps its bits alone
+        message = ("event location failed: The function value at "
+                   "x=1.211000000000001 is NaN; solver cannot continue.")
+        overflow = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, rtol=1e10,
+                                atol=1e10)
+        steady = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)
+        with pytest.raises(IntegrationError, match=f"^{re.escape(message)}$"):
+            shoot(overflow)
+        [alone] = _integrate([steady])
+        failed, completed = _integrate([overflow, steady])
+        assert isinstance(failed, IntegrationError)
+        assert str(failed) == message
+        assert _outcome_bits(completed) == _outcome_bits(alone)
+
     def test_step_cap(self, monkeypatch):
         # a row whose run ends on its MAX_STEPS-th accepted step keeps the
         # bits of an uncapped run; a row that needs one more ends in an
@@ -439,11 +460,12 @@ class TestIntegratorWork:
 
     @pytest.mark.parametrize("k", [1, 0])
     def test_event_values_on_floats(self, k):
-        # a row stepping alone reads each accepted step's event values on
-        # Python floats: the bits of the array form on finite and +-inf
-        # states, and a NaN in any component makes the blow-up value NaN,
-        # as np.max does (Python's max drops a NaN that does not come first)
-        events, values, _ = _events(k)
+        # every row reads its event values on Python floats: the bits of
+        # solve_ivp's reference events on finite and +-inf states, and a
+        # NaN in any component makes the blow-up value NaN, as np.max does
+        # (Python's max drops a NaN that does not come first)
+        events, _ = _events(k)
+        reference = _reference_events(k)
         n = 6 if k >= 1 else 4
         rng = np.random.default_rng(27)
         states = [rng.normal(size=n) * 10.0 ** rng.integers(-8, 12, size=n)
@@ -456,15 +478,16 @@ class TestIntegratorWork:
                 states.append(y)
         states.append(np.array([np.inf, -np.inf] * (n // 2)))
         for y in states:
-            assert np.array(values(y.tolist())).tobytes() == \
-                events(y).tobytes()
+            assert np.array(events(y.tolist())).tobytes() == \
+                np.array([event(None, y) for event in reference]).tobytes()
         for fill in (1.0, -np.inf, np.inf):
             for i in range(n):
                 y = np.full(n, fill)
                 y[i] = np.nan
-                got = values(y.tolist())
+                got = events(y.tolist())
                 assert math.isnan(got[-1])
-                np.testing.assert_array_equal(got, events(y))
+                np.testing.assert_array_equal(
+                    got, [event(None, y) for event in reference])
 
     def test_bad_runs_rejected(self):
         # a leg that does not end past the start, or past the last leg
@@ -472,7 +495,7 @@ class TestIntegratorWork:
             with pytest.raises(ValueError, match="forward only"):
                 _dop853([lambda y: [0.0]], [1.0], np.array([[1.0]]),
                         [[(t1, 1e-10, 1e-10, 1e-3) for t1 in ends]],
-                        _no_events, _no_event_values)
+                        _no_events)
         # b0 = inf, which would give a non-finite series start, is refused
         # when the params are built
         with pytest.raises(ValueError, match="b0 must be a finite number"):

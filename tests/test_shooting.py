@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import io
+import json
 import multiprocessing
 import os
 import signal
@@ -31,6 +32,7 @@ from ricciwarp import (
 )
 from conftest import _UNDERFLOW, _dense, _nan_rhs_for, _same_bits, edit_column
 from ricciwarp import dop853, shooting
+from ricciwarp.cli import main
 from ricciwarp.dop853 import _N_COEFFS, _dop853, _horner
 from ricciwarp.shooting import (
     _BLOWUP_LIMIT,
@@ -100,21 +102,36 @@ class TestReducedRhs:
         with pytest.raises(ValueError):
             AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, epsilon=0.0)
 
+    # explicit ids, the names pytest gave the cases by their position, so
+    # that removing a case renames no other
     @pytest.mark.parametrize("change,reason", [
-        ({"t_max": float("inf")}, "t_max must be a finite number"),
-        ({"lam": float("nan")}, "lam must be a finite number"),
-        ({"lam": 10 ** 400}, "lam must be a finite number"),
-        ({"k": True}, "k must be an integer"),
-        ({"k": 1.5}, "k must be an integer"),
-        ({"b0": 0.0}, "b0 must be positive"),
-        ({"k": -1}, "base sphere dimension k must be >= 0"),
-        ({"rtol": 0.0}, "integrator tolerances must be positive"),
-        ({"atol": -1e-10}, "integrator tolerances must be positive"),
-        ({"epsilon": 1e-4, "t_max": 1.5e-4}, r"2 epsilon <= t_max"),
-        ({"k": 10 ** 400}, "k is beyond the float range"),
-        ({"m": 10 ** 400}, "m is beyond the float range"),
-        # last, so that the ids of the cases above keep their indices
-        ({"lam": 10 ** 5000}, "lam must be a finite number"),
+        pytest.param({"t_max": float("inf")}, "t_max must be a finite number",
+                     id="change0-t_max must be a finite number"),
+        pytest.param({"lam": float("nan")}, "lam must be a finite number",
+                     id="change1-lam must be a finite number"),
+        pytest.param({"lam": 10 ** 400}, "lam must be a finite number",
+                     id="change2-lam must be a finite number"),
+        pytest.param({"k": True}, "k must be an integer",
+                     id="change3-k must be an integer"),
+        pytest.param({"k": 1.5}, "k must be an integer",
+                     id="change4-k must be an integer"),
+        pytest.param({"b0": 0.0}, "b0 must be positive",
+                     id="change5-b0 must be positive"),
+        pytest.param({"k": -1}, "base sphere dimension k must be >= 0",
+                     id="change6-base sphere dimension k must be >= 0"),
+        pytest.param({"rtol": 0.0}, "integrator tolerances must be positive",
+                     id="change7-integrator tolerances must be positive"),
+        pytest.param({"atol": -1e-10},
+                     "integrator tolerances must be positive",
+                     id="change8-integrator tolerances must be positive"),
+        pytest.param({"epsilon": 1e-4, "t_max": 1.5e-4}, r"2 epsilon <= t_max",
+                     id="change9-2 epsilon <= t_max"),
+        pytest.param({"k": 10 ** 400}, "k is beyond the float range",
+                     id="change10-k is beyond the float range"),
+        pytest.param({"m": 10 ** 400}, "m is beyond the float range",
+                     id="change11-m is beyond the float range"),
+        pytest.param({"lam": 10 ** 5000}, "lam must be a finite number",
+                     id="change12-lam must be a finite number"),
     ])
     def test_construction_refuses(self, change, reason):
         # refused when built, before anything integrates: an infinite
@@ -367,12 +384,11 @@ class TestShoot:
         params = AnsatzParams(k=1, m=2, lam=-0.1, b0=1.0)
         prof = shoot(params)
         flip = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-        events, values, _ = _events(1)
+        events, _ = _events(1)
         for T, t_stop, bound in ((8.0, 4.0, 4.3e-8), (3.0, 0.5, 2.1e-8)):
             start = _dense(prof, np.array([T]))[:, 0] * flip
             [run] = _dop853([_rhs_with_phi(params)], [0.0], start[None],
-                            [[(T - t_stop, 1e-12, 1e-12, 1e-3)]], events,
-                            values)
+                            [[(T - t_stop, 1e-12, 1e-12, 1e-3)]], events)
             assert run.status == 0
             got = np.vstack([run.y_old,
                              _horner(run.F[-1][::-1], run.y_old[-1], 1.0)])
@@ -1162,8 +1178,26 @@ class TestSweepChildFailures:
 
     def test_child_that_exits_without_a_reply(self, monkeypatch):
         self._fail_in(monkeypatch, "child", lambda: os._exit(3))
-        with _deadline(60), pytest.raises(RuntimeError, match="code 3 "):
+        with _deadline(60), pytest.raises(ChildProcessError,
+                                          match="code 3 "):
             sweep(self.grid, parallel=True, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_cli_reports_a_child_without_a_reply(self, monkeypatch,
+                                                 tmp_path, capsys):
+        # the sweep command exits 4, an I/O failure, and writes no table
+        self._fail_in(monkeypatch, "child", lambda: os._exit(3))
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "schema_version": 1, "out_dir": str(tmp_path / "out"),
+            "sweep": {"k": [1], "m": [2], "lambda": [0.0],
+                      "b0": _b0s(2 * _SHARE_ROWS), "t_max": 0.1,
+                      "parallel": True, "workers": 2}}))
+        with _deadline(60):
+            assert main(["sweep", "--config", str(config)]) == 4
+        assert capsys.readouterr().err.startswith(
+            "I/O failure: sweep share 1 process exited with code 3 ")
+        assert not (tmp_path / "out" / "sweep.csv").exists()
         assert multiprocessing.active_children() == []
 
     def test_caller_exception_leaves_no_child(self, monkeypatch):
