@@ -9,7 +9,7 @@ its middle (t about t_end / 2).
 from ricciwarp import params_grid, sweep
 
 grid = params_grid(ks=[1, 2], ms=[2, 3], lams=[0.0, -0.1, 0.5],
-                   b0s=[1.0], t_max=6.0, rtol=1e-9, atol=1e-9)
+                   b0s=[1.0], t_max=6.0, tol=1e-9)
 rows = sweep(grid)
 
 hdr = f"{'k':>2} {'m':>2} {'lambda':>7} {'b0':>4} {'status':<12} " \

@@ -104,7 +104,7 @@ _ANSATZ = {
     "k": (_INT, "nonnegative"), "m": (_INT, "positive"),
     "lambda": (_REAL, None), "b0": (_REAL, "positive"), "phi2": (_REAL, None),
     "epsilon": (_REAL, "positive"), "t_max": (_REAL, "positive"),
-    "rtol": (_REAL, "positive"), "atol": (_REAL, "positive"),
+    "tol": (_REAL, "positive"),
 }
 _SCHEMA = {
     "solve": _ANSATZ,
@@ -119,7 +119,6 @@ _SCHEMA = {
         "m": (_INT, "positive"), "kind": (_STR, None),
         "n_samples": (_INT, "nonnegative"), "seed": (_INT, "nonnegative"),
         "profile": (_STR, None), "tolerance": (_REAL, "positive"),
-        "freeness_tolerance": (_REAL, "nonnegative"),
         "t_range": (_REAL, "pair"),
     },
     "sweep": {**_ANSATZ, "parallel": (_BOOL, None),
@@ -315,10 +314,8 @@ def cmd_quotient(cfg: dict, out_dir: str) -> int:
             f"[{valid[0]:g}, {valid[1]:g}]")
     base, f, phi = ambient_geometry(profile)
 
-    cert = certify_quotient(
-        action, base, f, phi,
-        **{key: block[key] for key in ("tolerance", "freeness_tolerance")
-           if key in block})
+    cert = certify_quotient(action, base, f, phi, **{
+        key: block[key] for key in ("tolerance",) if key in block})
     doc = cert.to_dict()
     _write(out_dir, "quotient_certificate.json", _dump_json(doc, cfg))
     print(f"quotient: {doc['verdict']} freeness_margin={cert.freeness_margin:.6g}")

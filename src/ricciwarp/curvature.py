@@ -224,7 +224,7 @@ def soliton_residual(patch: MetricPatch, psi: ScalarField, lam: float, x,
     tolerances the third floor dominates: on the steady k = 1, m = 2
     profile the worst residual over ``certify_profile``'s samples is
     4.47e-7 to 4.48e-7 for every h from 4e-3 to 5e-4.  Shot at
-    rtol = atol = 1e-12 the profile reads 1.60e-8, 4.36e-9, 4.41e-9 and
+    tol = 1e-12 the profile reads 1.60e-8, 4.36e-9, 4.41e-9 and
     4.49e-8 at h = 5e-4, 1e-3, 2e-3 and 4e-3: rounding below 1e-3 and
     truncation above 2e-3.
     """

@@ -216,17 +216,6 @@ def polar_plane_patch(t_range=(0.3, 3.0)) -> MetricPatch:
     return MetricPatch(2, dom, g, "polar-plane")
 
 
-def _round_sphere_components(m: int, radius: float, Y: np.ndarray) -> np.ndarray:
-    """Round-sphere components at a batch Y of shape (N, m): (N, m, m)."""
-    G = np.zeros((len(Y), m, m))
-    s = np.full(len(Y), radius * radius)
-    for i in range(m):
-        G[:, i, i] = s
-        if i < m - 1:
-            s = s * np.sin(Y[:, i]) ** 2
-    return G
-
-
 def sphere_patch(m: int, radius: float = 1.0, pad: float = 0.35) -> MetricPatch:
     """Round m-sphere of the given radius in nested spherical coordinates.
 
@@ -236,9 +225,17 @@ def sphere_patch(m: int, radius: float = 1.0, pad: float = 0.35) -> MetricPatch:
     if m < 1:
         raise ValueError("sphere dimension must be >= 1")
     dom = [[pad, np.pi - pad]] * (m - 1) + [[pad, 2 * np.pi - pad]]
-    return MetricPatch(m, np.array(dom),
-                       lambda Y: _round_sphere_components(m, radius, Y),
-                       f"sphere-{m}d-r{radius:g}")
+
+    def g(Y):
+        G = np.zeros((len(Y), m, m))
+        s = np.full(len(Y), radius * radius)
+        for i in range(m):
+            G[:, i, i] = s
+            if i < m - 1:
+                s = s * np.sin(Y[:, i]) ** 2
+        return G
+
+    return MetricPatch(m, np.array(dom), g, f"sphere-{m}d-r{radius:g}")
 
 
 def torus_patch(m: int, half_width: float = np.pi) -> MetricPatch:
@@ -270,17 +267,16 @@ def radial_profile_base(a, k: int, t_range, label: str = "radial-base") -> Metri
     """
     if k == 0:
         return MetricPatch(1, np.array([list(t_range)]), _identity_metric(1), label)
-    sphere_dom = [[0.35, np.pi - 0.35]] * (k - 1) + [[0.35, 2 * np.pi - 0.35]]
-    dom = np.array([list(t_range)] + sphere_dom)
+    sphere = sphere_patch(k)
 
     def g(X):
         G = np.zeros((len(X), 1 + k, 1 + k))
         G[:, 0, 0] = 1.0
         a2 = np.asarray(a(X[:, 0]), dtype=float) ** 2
-        G[:, 1:, 1:] = a2[:, None, None] * _round_sphere_components(k, 1.0, X[:, 1:])
+        G[:, 1:, 1:] = a2[:, None, None] * sphere.g(X[:, 1:])
         return G
 
-    return MetricPatch(1 + k, dom, g, label)
+    return MetricPatch(1 + k, np.vstack([t_range, sphere.domain]), g, label)
 
 
 def cartesian_profile_base(a, k: int, t_range, label: str = "cartesian-base") -> MetricPatch:

@@ -40,6 +40,7 @@ __all__ = [
 
 CERTIFICATE_SCHEMA_VERSION = 1
 _GROUP_LAW_TOL = 1e-12
+_FREENESS_TOLERANCE = 1e-6   # the least margin of a free action
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,8 @@ def _tangent_projector(Y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class QuotientCertificate:
-    """Hypothesis residuals for a quotient construction."""
+    """Hypothesis residuals for a quotient construction; its document
+    records the fixed ``_FREENESS_TOLERANCE`` as ``freeness_tolerance``."""
 
     label: str
     order: int
@@ -235,19 +237,19 @@ class QuotientCertificate:
     n_base_samples: int
     n_fiber_samples: int
     tolerance: float
-    freeness_tolerance: float
 
     @property
     def verdict(self) -> bool:
         residuals = (self.base_isometry_residual, self.fiber_isometry_residual,
                      self.f_invariance, self.phi_invariance,
                      self.diagonal_isometry_residual)
-        return (self.freeness_margin > self.freeness_tolerance
-                and self.diagonal_freeness_margin > self.freeness_tolerance
+        return (self.freeness_margin > _FREENESS_TOLERANCE
+                and self.diagonal_freeness_margin > _FREENESS_TOLERANCE
                 and all(r <= self.tolerance for r in residuals))
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "schema_version": CERTIFICATE_SCHEMA_VERSION,
+        return {**asdict(self), "freeness_tolerance": _FREENESS_TOLERANCE,
+                "schema_version": CERTIFICATE_SCHEMA_VERSION,
                 "verdict": "pass" if self.verdict else "fail"}
 
     def to_json(self) -> str:
@@ -258,8 +260,7 @@ def certify_quotient(action: GroupAction,
                      base_patch: MetricPatch,
                      f: ScalarField,
                      phi: ScalarField,
-                     tolerance: float = 1e-10,
-                     freeness_tolerance: float = 1e-6) -> QuotientCertificate:
+                     tolerance: float = 1e-10) -> QuotientCertificate:
     """Certify the quotient hypotheses for a warped product.
 
     One pass over the non-identity powers g^j = (B^j, F^j), j = 1..p-1,
@@ -278,7 +279,8 @@ def certify_quotient(action: GroupAction,
       metric, and its margin as a fixed-point free map.
 
     A NaN in the metric, f or phi makes the residuals it enters NaN, and a
-    NaN residual or margin fails the verdict.
+    NaN residual or margin fails the verdict, which needs every residual at
+    most ``tolerance`` and both margins above ``_FREENESS_TOLERANCE``.
 
     The base patch must be an ambient-coordinate chart (the generators are
     linear maps of those coordinates), and a sample that a power maps
@@ -334,5 +336,4 @@ def certify_quotient(action: GroupAction,
         n_base_samples=len(X),
         n_fiber_samples=len(Y),
         tolerance=tolerance,
-        freeness_tolerance=freeness_tolerance,
     )

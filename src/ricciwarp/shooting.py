@@ -63,7 +63,7 @@ DOP853's polynomial is the right side at the stored state, so a defect
 read there is exactly that substitution: the samples keep to x in [0.05,
 0.95].
 
-``profile.csv`` (schema 5) is the step table, each cell the 16 hex
+``profile.csv`` (schema 6) is the step table, each cell the 16 hex
 digits of its float64 bits, so it round-trips bit for bit with no
 decimal conversion: 2 + 8n cells per step, n = 6 state columns for
 k >= 1 and 4 for k = 0.  A completed ``t_max = 10`` profile of the
@@ -71,9 +71,9 @@ README's classes takes 47 to 96 steps, 41 to 82 KB; a profile that ends
 in a blow-up takes many short steps.  Older files are refused with a
 message to re-run ``solve``: schemas 1 and 2 stored a sampled grid, which
 would need a spline fit beside the polynomials, schema 3 decimal text,
-which would need a second reader, and schema 4 a params line with the
-density of a uniform sample grid, a field that :class:`AnsatzParams`
-does not take.
+which would need a second reader, schema 4 a params line with the
+density of a uniform sample grid and schema 5 one with two tolerances,
+fields that :class:`AnsatzParams` does not take.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ __all__ = [
     "GRID_COLUMNS",
 ]
 
-PROFILE_SCHEMA_VERSION = 5
+PROFILE_SCHEMA_VERSION = 6
 GRID_COLUMNS = ("t", "a", "a_prime", "b", "b_prime", "phi", "phi_prime")
 # room for the four header lines of a profile file: the params line of any
 # AnsatzParams is under 12,000 characters, since Python prints at most 4,300
@@ -171,11 +171,12 @@ class AnsatzParams:
     ``phi2`` is the free closure coefficient phi''(0)/2 (ignored for k = 0,
     where the even-series start is fully determined).  The default -0.5
     lies in the long-lived branch for the shipped parameter ranges.
-    ``rtol`` and ``atol`` are the integrator tolerances; an ``rtol`` below
-    100 machine epsilons (about 2.2e-14) is raised to 100 eps, as scipy's
-    ``solve_ivp`` does, and the launch leg up to t = 0.1 runs at
-    tolerances of at most 1e-13.  No field bounds the work of a run: the
-    integrator stops every run at ``dop853.MAX_STEPS`` accepted steps.
+    ``tol`` is the integrator's relative and absolute tolerance (a step's
+    error is scaled by ``tol (1 + max |y|)``), raised to 100 eps (about
+    2.2e-14) as a relative tolerance, as scipy's ``solve_ivp`` does; the
+    launch leg up to t = 0.1 runs at a tolerance of at most 1e-13.  No
+    field bounds the work of a run: the integrator stops every run at
+    ``dop853.MAX_STEPS`` accepted steps.
 
     Construction refuses (``ValueError``) a k or m that is not an integer
     or lies beyond the float range, another field that is not a finite
@@ -193,8 +194,7 @@ class AnsatzParams:
     phi2: float = -0.5
     epsilon: float = 1e-4
     t_max: float = 10.0
-    rtol: float = 1e-10
-    atol: float = 1e-10
+    tol: float = 1e-10
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -218,7 +218,7 @@ class AnsatzParams:
             raise ValueError("b0 must be positive")
         if not 0 < 2 * self.epsilon <= self.t_max:
             raise ValueError("need 0 < epsilon and 2 epsilon <= t_max")
-        if self.rtol <= 0 or self.atol <= 0:
+        if self.tol <= 0:
             raise ValueError("integrator tolerances must be positive")
 
     @property
@@ -548,12 +548,14 @@ class SolitonProfile:
         their steps, so that the many short steps near an event weigh no
         more than their time."""
         ends, t_old = self._steps[:2]
-        return float(np.average(self.mu, weights=np.repeat(
-            ends - t_old, _SAMPLE_X.size)))
+        with np.errstate(all="ignore"):   # see _first_integral
+            return float(np.average(self.mu, weights=np.repeat(
+                ends - t_old, _SAMPLE_X.size)))
 
     @property
     def mu_spread(self) -> float:
-        return float(self.mu.max() - self.mu.min())
+        with np.errstate(all="ignore"):   # see _first_integral
+            return float(self.mu.max() - self.mu.min())
 
     @property
     def classification(self) -> str:
@@ -631,7 +633,7 @@ class SolitonProfile:
         """Parse profile CSV text written by :meth:`to_csv`.
 
         Raises ``ValueError`` on a malformed or wrong-version profile: a
-        missing or bad header line, a schema 1 to 4 file (re-run
+        missing or bad header line, a schema 1 to 5 file (re-run
         ``solve``), a params line that is not a JSON object (one nested past
         the decoder's depth among them) of fields that
         :class:`AnsatzParams` accepts, a header row not of the
@@ -645,7 +647,7 @@ class SolitonProfile:
         if not lines or not lines[0].startswith("# schema_version="):
             raise ValueError("not a profile CSV: missing schema_version line")
         version = int(lines[0].split("=", 1)[1])
-        if version in (1, 2, 3, 4):
+        if version in (1, 2, 3, 4, 5):
             raise ValueError(
                 f"profile schema_version {version} is no longer read; re-run "
                 f"'solve' to write schema_version {PROFILE_SCHEMA_VERSION}, "
@@ -702,6 +704,8 @@ class SolitonProfile:
 
 # A profile's derived series: the defects of its stored polynomials at the
 # samples, each polynomial's own time derivative against the reduced system.
+# Huge states overflow to inf or NaN here: np.errstate keeps numpy's warnings
+# about it off stderr, as in the DOP853 loops.
 
 def _first_integral(params: AnsatzParams, a, ap, b, bp, phip, bpp):
     """The first-integral series mu(t), with ``bpp`` the time derivative of
@@ -709,8 +713,9 @@ def _first_integral(params: AnsatzParams, a, ap, b, bp, phip, bpp):
     integral collapses to the constant m - 1 identically and the
     conservation check would be vacuous."""
     k, m, lam = params.k, params.m, params.lam
-    lap_b = bpp + (k * (ap / a) * bp if k >= 1 else 0.0)
-    return lam * b * b + b * lap_b + (m - 1) * bp * bp - b * phip * bp
+    with np.errstate(all="ignore"):
+        lap_b = bpp + (k * (ap / a) * bp if k >= 1 else 0.0)
+        return lam * b * b + b * lap_b + (m - 1) * bp * bp - b * phip * bp
 
 
 def _residuals(params: AnsatzParams, a, ap, b, bp, phip, app, bpp, phipp):
@@ -718,8 +723,9 @@ def _residuals(params: AnsatzParams, a, ap, b, bp, phip, app, bpp, phipp):
     time derivatives of the stored phi', a' and b' polynomials less the
     kernel's phi'', a'' and b'' (``res_sk`` NaN for k = 0, whose a
     columns are NaN)."""
-    s_a, s_b, phipp_rhs = _reduced_kernel(params)(a, ap, b, bp, phip)
-    return phipp - phipp_rhs, app - a * s_a, bpp - b * s_b
+    with np.errstate(all="ignore"):
+        s_a, s_b, phipp_rhs = _reduced_kernel(params)(a, ap, b, bp, phip)
+        return phipp - phipp_rhs, app - a * s_a, bpp - b * s_b
 
 
 # the version of the solve_summary.json document
@@ -782,10 +788,10 @@ def _integrate(rows):
     """The DOP853 runs of a batch of ``rows``: one outcome per row.
 
     ``rows`` are AnsatzParams sharing a state size (all k >= 1 or all
-    k = 0), each with its own epsilon, t_max, rtol and atol.  A row's run
-    has two legs: the launch leg up to ``t_switch = min(_LAUNCH_END,
-    t_max)`` at tolerances of at most ``_LAUNCH_TOL`` and, when
-    ``t_switch < t_max``, the rest of the span at the requested ones.  Its
+    k = 0), each with its own epsilon, t_max and tol.  A row's run has two
+    legs, each with one relative and absolute tolerance: the launch leg up
+    to ``t_switch = min(_LAUNCH_END, t_max)`` at most ``_LAUNCH_TOL`` and,
+    when ``t_switch < t_max``, the rest of the span at ``tol``.  Its
     outcome is ``(run, status)``, the status from the run's terminal
     event, if any, its end the run's last step end ``run.t[-1]``
     (exactly ``t_max`` when completed); or the exception of a row that
@@ -813,14 +819,13 @@ def _integrate(rows):
         starts.append([a, ap, b, bp, 0.0, phip] if p.k >= 1
                       else [b, bp, 0.0, phip])
         t_switch = min(_LAUNCH_END, p.t_max)
-        spans = [(p.epsilon, t_switch, min(p.rtol, _LAUNCH_TOL),
-                  min(p.atol, _LAUNCH_TOL))]
+        spans = [(p.epsilon, t_switch, min(p.tol, _LAUNCH_TOL))]
         if t_switch < p.t_max:
-            spans.append((t_switch, p.t_max, p.rtol, p.atol))
+            spans.append((t_switch, p.t_max, p.tol))
         # a capped first step keeps the dense output tight where the
         # differentiated diagnostics are most sensitive
-        legs.append([(t1, rtol, atol, min(1e-3, 0.01 * (t1 - t0)))
-                     for t0, t1, rtol, atol in spans])
+        legs.append([(t1, tol, tol, min(1e-3, 0.01 * (t1 - t0)))
+                     for t0, t1, tol in spans])
     if not launch:
         return results
     for i, run in zip(launch, _dop853(

@@ -101,7 +101,7 @@ def test_criterion_3_first_integral_conservation(steady_profile_12,
     """First-integral spread stays within 1e-6 relative along shot profiles."""
     t0 = time.time()
     for prof in (steady_profile_12, steady_profile_23, expanding_profile_12):
-        assert prof.params.rtol == 1e-10 and prof.params.atol == 1e-10
+        assert prof.params.tol == 1e-10
         assert prof.status == "completed" and prof.end_time == 10.0
         assert prof.mu_spread <= 1e-6 * (1 + abs(prof.mu_mean)), prof.params
     _announce(3, "first-integral conservation, 3 profiles", t0, 20)
@@ -177,8 +177,8 @@ def test_criterion_6_refinement_stability():
 
     for (k, m, lam) in ((1, 2, 0.0), (2, 3, 0.0), (1, 2, -0.1)):
         base = dict(k=k, m=m, lam=lam, b0=1.0, t_max=2.0)
-        p1 = shoot(AnsatzParams(epsilon=1e-4, rtol=1e-10, atol=1e-10, **base))
-        p2 = shoot(AnsatzParams(epsilon=5e-5, rtol=5e-11, atol=5e-11, **base))
+        p1 = shoot(AnsatzParams(epsilon=1e-4, tol=1e-10, **base))
+        p2 = shoot(AnsatzParams(epsilon=5e-5, tol=5e-11, **base))
         a1, b1, f1 = p1.interpolants()
         a2, b2, f2 = p2.interpolants()
         delta = max(abs(float(a1(1.0)) - float(a2(1.0))),
@@ -192,7 +192,7 @@ def test_criterion_7_sweep_determinism(tmp_path):
     """A 12-point sweep is byte-identical across runs and execution modes."""
     t0 = time.time()
     grids = {"k": [1], "m": [2, 3], "lambda": [0.0, -0.1],
-             "b0": [0.9, 1.0, 1.1], "t_max": 4.0, "rtol": 1e-9, "atol": 1e-9}
+             "b0": [0.9, 1.0, 1.1], "t_max": 4.0, "tol": 1e-9}
     outputs = {}
     for mode in ("serial", "parallel"):
         cfg = {"schema_version": 1,

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ class TestSolve:
         # its polynomial reads NaN, where brentq cannot locate the blow-up
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
-                                      "b0": 1.0, "rtol": 1e10, "atol": 1e10})
+                                      "b0": 1.0, "tol": 1e10})
         assert main(["solve", "--config", str(cfg_path)]) == 3
         assert capsys.readouterr().err.startswith(
             "numeric failure: event location failed: The function value at "
@@ -213,6 +214,33 @@ class TestSolve:
             "numeric failure: integrator failed: MAX_STEPS = 20 accepted "
             "steps reached at t = ")
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_diagnostics_warn_nothing(self, tmp_path, capsys):
+        # at tol 1e10 the states of k2m2 (lambda 2, b0 0.9) are huge when a
+        # degenerates: mu overflows to -inf, written as null, with no
+        # floating-point warning on stderr
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve={"k": 2, "m": 2, "lambda": 2.0,
+                                      "b0": 0.9, "tol": 1e10})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(cfg_path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == ("solve: status=hit_a_zero lifetime=3.20399 mu=-inf "
+                       "(shrinking)\n")
+        doc = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
+        for key in ("config_hash", "tool_version"):
+            doc.pop(key)
+        assert doc == {
+            "schema_version": 1, "classification": "shrinking",
+            "status": "hit_a_zero", "lifetime": 3.203993043473322,
+            "mu_mean": None, "mu_spread": None,
+            **dict.fromkeys(("slope_a", "slope_a_mid", "slope_b",
+                             "slope_b_mid")),
+            "reduced_equation_residual_max": {
+                "sk": 1.6187441686521412e+241, "sm": 2.2642258545793616e+252,
+                "tt": 1.6765479310633825e+193}}
 
     def test_failed_summary_writes_nothing(self, tmp_path, capsys,
                                            monkeypatch):
@@ -451,12 +479,11 @@ class TestQuotient:
     def test_unset_keys_take_the_library_defaults(self, tmp_path):
         # a block without the optional keys gives the certificate of the
         # block that spells out the defaults of make_cyclic_action and
-        # certify_quotient
+        # certify_quotient, whose freeness threshold is a constant
         solve = {"k": 1, "m": 3, "lambda": 0.0, "b0": 1.0, "t_max": 3.0}
         docs = []
         for extra in ({}, {"n_samples": 64, "seed": 0,
-                           "t_range": list(T_RANGE), "tolerance": 1e-10,
-                           "freeness_tolerance": 1e-6}):
+                           "t_range": list(T_RANGE), "tolerance": 1e-10}):
             cfg_path = tmp_path / "q.json"
             write_config(cfg_path, solve=solve, quotient={
                 "p": 3, "k": 1, "m": 3, "kind": "hopf", **extra})
@@ -467,6 +494,7 @@ class TestQuotient:
             docs.append(doc)
         assert docs[0] == docs[1]
         assert docs[0]["n_fiber_samples"] > 0
+        assert docs[0]["freeness_tolerance"] == 1e-6
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         cfg_path = tmp_path / "q.json"
@@ -554,15 +582,21 @@ class TestUnfittableProfile:
 
 
 def _old_text(profile, version):
-    """``profile`` in the text of an old schema: schema 4, the bit words of
-    schema 5 under a params line that holds the density ``grid_per_unit``
-    of a uniform sample grid; or decimal (``%.17g``) text, the step table
-    of schema 3, or the sampled grid of schema 2, or of schema 1, which
-    also stored mu, res_tt, res_sk and res_sm."""
-    if version == 4:
+    """``profile`` in the text of an old schema: schema 5, the bit words of
+    schema 6 under a params line that holds ``rtol`` and ``atol`` in place
+    of ``tol``; schema 4, those words under a params line that also holds
+    the density ``grid_per_unit`` of a uniform sample grid; or decimal
+    (``%.17g``) text, the step table of schema 3, or the sampled grid of
+    schema 2, or of schema 1, which also stored mu, res_tt, res_sk and
+    res_sm."""
+    if version in (4, 5):
         lines = profile.to_csv().splitlines()
-        lines[0] = "# schema_version=4"
-        lines[1] = lines[1].replace("}", ', "grid_per_unit": 200}')
+        params = json.loads(lines[1].split("=", 1)[1])
+        tol = params.pop("tol")
+        params.update(rtol=tol, atol=tol,
+                      **({"grid_per_unit": 200} if version == 4 else {}))
+        lines[:2] = [f"# schema_version={version}",
+                     "# params=" + json.dumps(params, sort_keys=True)]
         return "\n".join(lines) + "\n"
     if version == 3:
         names, table = _csv_header(profile.params.k), profile._table()
@@ -578,16 +612,17 @@ def _old_text(profile, version):
 
 class TestOldProfileSchemas:
     """Schema 1 and 2 files (a sampled grid), schema 3 files (the step
-    table in decimal text) and schema 4 files (a params line with a grid
-    density) are refused with exit 4, a message that names schema 5 and
-    says to re-run solve, and no artifact.  The test keeps its id from
+    table in decimal text), schema 4 files (a params line with a grid
+    density) and schema 5 files (a params line with rtol and atol) are
+    refused with exit 4, a message that names schema 6 and says to re-run
+    solve, and no artifact.  The test keeps its id from
     when schema 3 was the one named."""
 
     @pytest.mark.parametrize("command,block", [
         ("certify", {}),
         ("quotient", {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}),
     ])
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_exits_4_naming_schema_3(self, tmp_path, capsys, command, block,
                                      version):
         _solved_profile(tmp_path)
@@ -601,7 +636,7 @@ class TestOldProfileSchemas:
         err = capsys.readouterr().err
         assert err.startswith("I/O failure: ill-formed profile file")
         assert (f"schema_version {version} is no longer read" in err
-                and "re-run 'solve' to write schema_version 5" in err)
+                and "re-run 'solve' to write schema_version 6" in err)
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "profile.csv", "solve_summary.json"]
 
@@ -927,7 +962,7 @@ class TestSweep:
         cfg_path = tmp_path / "s.json"
         write_config(cfg_path, sweep={"k": [1], "m": [2], "lambda": [0.0],
                                       "b0": [0.9, 1.1], "t_max": 2.0,
-                                      "rtol": 1e-9, "atol": 1e-9})
+                                      "tol": 1e-9})
         assert main(["sweep", "--config", str(cfg_path)]) == 0
         first = (tmp_path / "out" / "sweep.csv").read_bytes()
         assert main(["sweep", "--config", str(cfg_path)]) == 0
@@ -953,7 +988,10 @@ class TestConfigValidation:
         ("solve", "k", 1.5),
         ("solve", "k", True),
         ("solve", "b0", True),
-        ("solve", "rtol", 0.0),
+        ("solve", "tol", 0.0),
+        pytest.param("solve", "rtol", 1e-10, id="solve-rtol-unknown-key"),
+        pytest.param("solve", "atol", 1e-10, id="solve-atol-unknown-key"),
+        pytest.param("sweep", "rtol", 1e-10, id="sweep-rtol-unknown-key"),
         pytest.param("sweep", "b0", [1.0, float("nan")],
                      id="sweep-b0-value7"),
         pytest.param("sweep", "m", [2, 2.5], id="sweep-m-value8"),
@@ -967,7 +1005,8 @@ class TestConfigValidation:
         ("quotient", "n_samples", "x"),
         ("quotient", "n_samples", True),
         ("quotient", "tolerance", "x"),
-        ("quotient", "freeness_tolerance", float("nan")),
+        pytest.param("quotient", "freeness_tolerance", 1e-6,
+                     id="quotient-freeness_tolerance-unknown-key"),
         pytest.param("certify", "t_window", [1], id="certify-t_window-value20"),
         ("certify", "t_window", "ab"),
         pytest.param("certify", "t_window", [0.2, "x"],
@@ -980,8 +1019,8 @@ class TestConfigValidation:
         ("certify", "n_product", MAX_SAMPLES + 1),
         ("quotient", "n_samples", MAX_SAMPLES + 1),
         ("solve", "t_max", -1.0),
-        ("solve", "atol", "1e-10"),
-        ("sweep", "rtol", float("inf")),
+        ("solve", "tol", "1e-10"),
+        ("sweep", "tol", float("inf")),
         ("sweep", "workers", MAX_WORKERS + 1),
         ("sweep", "workers", 10 ** 6),
         pytest.param("sweep", "b0", [1.0 + i / MAX_SWEEP_ROWS

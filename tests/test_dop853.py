@@ -64,20 +64,18 @@ def _solve_ivp_runs(params):
     def rhs(t, y):
         return row_rhs(y.tolist())
 
-    def run(t0, t1, y, rtol, atol):
+    def run(t0, t1, y, tol):
         with warnings.catch_warnings():
             # solve_ivp warns where it raises rtol to 100 eps
             warnings.simplefilter("ignore", UserWarning)
-            return solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=rtol,
-                             atol=atol, dense_output=True, events=events,
+            return solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=tol,
+                             atol=tol, dense_output=True, events=events,
                              first_step=min(1e-3, 0.01 * (t1 - t0)))
 
     t_switch = min(_LAUNCH_END, params.t_max)
-    sols = [run(params.epsilon, t_switch, y0, min(params.rtol, _LAUNCH_TOL),
-                min(params.atol, _LAUNCH_TOL))]
+    sols = [run(params.epsilon, t_switch, y0, min(params.tol, _LAUNCH_TOL))]
     if sols[0].status == 0 and t_switch < params.t_max:
-        sols.append(run(t_switch, params.t_max, sols[0].y[:, -1],
-                        params.rtol, params.atol))
+        sols.append(run(t_switch, params.t_max, sols[0].y[:, -1], params.tol))
     return sols
 
 
@@ -121,8 +119,8 @@ class TestDenseEval:
         (AnsatzParams(k=3, m=2, lam=0.0, b0=1.0, phi2=0.3), "blowup", 2),
         (AnsatzParams(k=1, m=2, lam=0.5, b0=1.0, t_max=5.0), "hit_a_zero", 2),
         # below 100 eps, where rtol is raised to 100 eps
-        (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0, rtol=1e-15,
-                      atol=1e-15), "completed", 2),
+        (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0, tol=1e-15),
+         "completed", 2),
         # events inside the launch leg (t about 0.081 and 0.070), and a
         # second leg of 1e-10
         (AnsatzParams(k=1, m=2, lam=500.0, b0=1.0), "blowup", 1),
@@ -395,8 +393,7 @@ class TestIntegratorWork:
         # error alone and beside a steady row, which keeps its bits alone
         message = ("event location failed: The function value at "
                    "x=1.211000000000001 is NaN; solver cannot continue.")
-        overflow = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, rtol=1e10,
-                                atol=1e10)
+        overflow = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, tol=1e10)
         steady = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)
         with pytest.raises(IntegrationError, match=f"^{re.escape(message)}$"):
             shoot(overflow)
@@ -449,10 +446,9 @@ class TestIntegratorWork:
             assert _outcome_bits(got) == _outcome_bits(want)
 
     def test_tight_degeneration_reaches_the_cap(self):
-        # at rtol = atol 1e-15 this row takes 143,554 steps (19 s) to its
+        # at tol 1e-15 this row takes 143,554 steps (19 s) to its
         # hit_b_zero at t = 1.5708; the cap ends it near there
-        params = AnsatzParams(k=0, m=2, lam=2.0, b0=1.0, rtol=1e-15,
-                              atol=1e-15)
+        params = AnsatzParams(k=0, m=2, lam=2.0, b0=1.0, tol=1e-15)
         with pytest.raises(IntegrationError, match=(
                 f"MAX_STEPS = {dop853.MAX_STEPS} accepted steps reached "
                 r"at t = 1\.5707")):

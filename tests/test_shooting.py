@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import signal
 import struct
+import warnings
 import weakref
 from dataclasses import replace
 from functools import cached_property
@@ -119,9 +120,9 @@ class TestReducedRhs:
                      id="change5-b0 must be positive"),
         pytest.param({"k": -1}, "base sphere dimension k must be >= 0",
                      id="change6-base sphere dimension k must be >= 0"),
-        pytest.param({"rtol": 0.0}, "integrator tolerances must be positive",
+        pytest.param({"tol": 0.0}, "integrator tolerances must be positive",
                      id="change7-integrator tolerances must be positive"),
-        pytest.param({"atol": -1e-10},
+        pytest.param({"tol": -1e-10},
                      "integrator tolerances must be positive",
                      id="change8-integrator tolerances must be positive"),
         pytest.param({"epsilon": 1e-4, "t_max": 1.5e-4}, r"2 epsilon <= t_max",
@@ -397,8 +398,8 @@ class TestShoot:
 
     def test_refinement_stability(self):
         base = dict(k=1, m=2, lam=-0.1, b0=1.0, t_max=2.0)
-        p1 = shoot(AnsatzParams(epsilon=1e-4, rtol=1e-10, atol=1e-10, **base))
-        p2 = shoot(AnsatzParams(epsilon=5e-5, rtol=5e-11, atol=5e-11, **base))
+        p1 = shoot(AnsatzParams(epsilon=1e-4, tol=1e-10, **base))
+        p2 = shoot(AnsatzParams(epsilon=5e-5, tol=5e-11, **base))
         a1, b1, f1 = p1.interpolants()
         a2, b2, f2 = p2.interpolants()
         delta = max(abs(float(a1(1.0)) - float(a2(1.0))),
@@ -939,8 +940,8 @@ class TestCsvRoundTrip:
             SolitonProfile.parse_csv(text)
 
     @pytest.mark.parametrize("text", [
-        "# schema_version=5\n",
-        "# schema_version=5\n# params=[1, 2]\n",
+        "# schema_version=6\n",
+        "# schema_version=6\n# params=[1, 2]\n",
     ], ids=["no-params-line", "params-not-an-object"])
     def test_truncated_header_rejected(self, text):
         with pytest.raises(ValueError):
@@ -960,16 +961,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             SolitonProfile.parse_csv(text.replace(old, new))
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_old_schema_refused(self, version):
         # schema 1 and 2 stored a sampled grid, schema 3 the step table in
-        # decimal text and schema 4 a grid density in its params line: the
-        # message says what to do
+        # decimal text, schema 4 a grid density in its params line and
+        # schema 5 rtol and atol in place of tol: the message says what to do
         text = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0)).to_csv()
-        old = text.replace("# schema_version=5", f"# schema_version={version}")
+        old = text.replace("# schema_version=6", f"# schema_version={version}")
         with pytest.raises(ValueError, match=f"schema_version {version} is no "
                            "longer read; re-run 'solve' to write "
-                           "schema_version 5"):
+                           "schema_version 6"):
             SolitonProfile.parse_csv(old)
 
     def test_end_past_t_max_refused(self):
@@ -1020,6 +1021,25 @@ class TestSweep:
         assert row.status == "completed"
         assert row.slope_a < row.slope_a_mid < 0
         assert abs(row.slope_a + 1.47) < 0.01
+
+    def test_overflowing_rows_warn_nothing(self):
+        # at tol 1e10 most rows of this grid fail to locate an event, and
+        # the others' states grow huge: a row's mu overflows without a
+        # floating-point warning, and the rows keep their outcomes
+        grid = params_grid([1, 2], [2, 3], [0.0, 2.0], [0.9, 1.0, 1.1],
+                           tol=1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = sweep(grid)
+        ends = {i: ("completed", "0x1.4000000000000p+3") for i in (6, 7, 8)}
+        ends.update({15: ("hit_a_zero", "0x1.9a1c71ad2a2a9p+1"),
+                     17: ("blowup", "0x1.3604189374bcbp+0"),
+                     22: ("blowup", "0x1.7c01a36e2eb1ep+1")})
+        assert [(row.status.split(":", 2)[:2], row.lifetime.hex())
+                for row in rows] == [
+            ([ends[i][0]], ends[i][1]) if i in ends
+            else (["error", "IntegrationError"], "0x0.0p+0")
+            for i in range(len(grid))]
 
     def test_steady_family_long_lived_growing(self, steady_profile_12):
         prof = steady_profile_12
@@ -1135,7 +1155,7 @@ class TestSweep:
         # child; the lambda 2 rows end in hit_a_zero before t_max, so both
         # locate events through the lazily importing dop853.brentq
         grid = params_grid([1], [2], [0.0, 2.0], _b0s(_SHARE_ROWS),
-                           t_max=3.5, rtol=1e-9, atol=1e-9)
+                           t_max=3.5, tol=1e-9)
         assert len(grid) == 2 * _SHARE_ROWS
         serial = sweep(grid, parallel=False)
         parallel = sweep(grid, parallel=True, workers=2)
