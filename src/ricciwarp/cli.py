@@ -309,9 +309,9 @@ def cmd_quotient(cfg: dict, out_dir: str) -> int:
     valid = ambient_radial_range(profile)
     if not valid[0] <= t_range[0] < t_range[1] <= valid[1]:
         raise ConfigError(
-            f"quotient t_range [{t_range[0]:g}, {t_range[1]:g}] is not an "
+            f"quotient t_range [{t_range[0]!r}, {t_range[1]!r}] is not an "
             f"interval inside the profile's radial range "
-            f"[{valid[0]:g}, {valid[1]:g}]")
+            f"[{valid[0]!r}, {valid[1]!r}]")
     base, f, phi = ambient_geometry(profile)
 
     cert = certify_quotient(action, base, f, phi, **{

@@ -172,13 +172,13 @@ class _Row:
     """A row of a :func:`_dop853` run between two step attempts.
 
     Its right side, terminal events and their values ``g`` at its t,
-    legs, t, step size, accept/reject state, counts and record, the t, h,
-    F and y_old of its accepted steps.  ``events`` maps the Python floats
-    of a state to its event values, a list.  Whichever loop makes an
-    attempt, the row starts it (:meth:`begin`), controls its step size
-    (:meth:`control`) and books it when accepted (:meth:`accept`), so a
-    row's steps do not depend on the loop or on a move from one loop to
-    the other between two attempts.  ``run`` is None while the row runs,
+    legs (one tolerance each, :meth:`next_leg`), t, step size,
+    accept/reject state, counts and record, the t, h, F and y_old of its
+    accepted steps.  ``events`` maps the Python floats of a state to its
+    event values, a list.  Whichever loop makes an attempt, the row starts
+    it (:meth:`begin`), controls its step size (:meth:`control`) and books
+    it when accepted (:meth:`accept`), so a row's steps do not depend on
+    the loop or on a move from one loop to the other between two attempts.  ``run`` is None while the row runs,
     then its :class:`_Run`, or the exception that ``brentq`` raised for
     it.
     """
@@ -197,12 +197,13 @@ class _Row:
         self.next_leg()
 
     def next_leg(self) -> bool:
-        """Take the next leg ``(t_end, rtol, atol, first_step)``, its
-        ``rtol`` raised to 100 eps as scipy does; False if none is left."""
+        """Take the next leg ``(t_end, tol, first_step)``: ``atol = tol``
+        and ``rtol = tol`` raised to 100 eps, as scipy raises its
+        ``rtol``; False if none is left."""
         leg = next(self.legs, None)
         if leg is not None:
-            self.t_end, rtol, self.atol, self.h_abs = map(float, leg)
-            self.rtol = max(rtol, 100 * _EPS)
+            self.t_end, self.atol, self.h_abs = map(float, leg)
+            self.rtol = max(self.atol, 100 * _EPS)
         return leg is not None
 
     def begin(self) -> float:
@@ -329,7 +330,8 @@ def _dop853(funs, t0, y0, legs, events):
     every row's steps, dense output and event roots have ``solve_ivp``'s
     bits.  Row i runs ``y' = funs[i](y)`` from ``t0[i]`` and the state
     ``y0[i]`` (``y0`` is a rows x n array) through its ``legs[i]``, each
-    ``(t_end, rtol, atol, first_step)``, and keeps its own t, step size,
+    ``(t_end, tol, first_step)``: ``solve_ivp``'s ``rtol = atol = tol``
+    (:meth:`_Row.next_leg`).  Each row keeps its own t, step size,
     accept/reject state and events (a :class:`_Row`).  ``funs[i]`` maps
     the Python floats of a state to its derivative, a list, and
     ``events`` maps them to the values of the terminal events, a list,
@@ -463,7 +465,7 @@ def _alone(row, y, f):
     reduces, the stage sums, the error estimates, the norms' dot products
     and ``D K``, called as bound ``ndarray.dot`` methods: ``np.dot``'s
     routine, so they have its bits, at less cost per call.  A positive
-    ``atol`` (as a leg must have) keeps every scale positive, so no
+    ``tol`` (as a leg must have) keeps every scale positive, so no
     quotient divides by zero, which would raise here.
     """
     M = _DOP853

@@ -15,7 +15,10 @@ first-order system in (a, a', b, b', phi'):
 For k = 0 the base is the line; the a-equation and all a-terms drop out.
 ``_reduced_kernel`` is the single place where this system is written: the
 integrator's right side ``_rhs_with_phi`` and the array diagnostics both
-call the kernel it builds for a row's (k, m, lam).  These equations are
+call the kernel it builds for a row's (k, m, lam).  The paper's warped
+first integral, mu = lam b^2 + b (b'' + k (a'/a) b') + (m-1) b'^2 -
+b phi' b', is the b-equation read as a defect: mu = m - 1 + b (b'' -
+b s_b) term by term, with s_b the kernel's b''/b.  These equations are
 not taken on faith: the test suite assembles the full product metric
 from integrated profiles and requires the finite-difference soliton
 residual to vanish to discretization accuracy (the closure gate), it
@@ -50,10 +53,10 @@ starts and the last one at ``end_time``.  The certificate and the quotient
 check read a, b and phi from these polynomials (``interpolants``); the
 sample columns (``GRID_COLUMNS``) are their values at the fixed fractions
 ``_SAMPLE_X`` of every step, derived on first read.  The diagnostics (the
-first-integral series mu(t) and the per-equation residual columns) are
-*defects* of the stored solution at those samples: the exact time
-derivative of the stored a', b' and phi' polynomials less the reduced
-system's a'', b'' and phi'' at the stored state, the standard
+per-equation residual columns, and the first-integral series mu(t) =
+m - 1 + b res_sm) are *defects* of the stored solution at those samples:
+the exact time derivative of the stored a', b' and phi' polynomials less
+the reduced system's a'', b'' and phi'' at the stored state, the standard
 backward-error measure of a continuous extension, sampled at fixed points
 of each step (W. H. Enright, Appl. Math. Comput., 1989; D. J. Higham, SIAM
 J. Numer. Anal., 1989).  They never substitute the right side back in for
@@ -384,6 +387,17 @@ def _csv_header(k: int):
             *(f"F{j}.{name}" for j in range(_N_COEFFS) for name in names))
 
 
+def _quiet(get):
+    """A cached property that computes ``get(self)`` with numpy's
+    floating-point warnings off: the diagnostics of a profile whose states
+    are huge overflow to inf or NaN, as the DOP853 loops do, and that is
+    no cause for a warning on stderr."""
+    def quiet(self):
+        with np.errstate(all="ignore"):
+            return get(self)
+    return cached_property(quiet)
+
+
 @dataclass
 class SolitonProfile:
     """A profile: its parameters, its step table and its outcome.
@@ -400,16 +414,19 @@ class SolitonProfile:
     The sample columns ``GRID_COLUMNS`` are the polynomials' values at
     the fractions ``_SAMPLE_X`` of every step, step by step
     (``a``/``a_prime`` NaN-filled for k = 0): ``len(_SAMPLE_X)`` samples
-    a step, so ``dop853.MAX_STEPS`` bounds them.  ``mu``, ``res_tt``,
-    ``res_sk`` (NaN for k = 0) and ``res_sm`` are their defects there,
-    :func:`_first_integral` and :func:`_residuals` of the columns and the
-    time derivatives of the a', b' and phi' polynomials, so corrupted
-    coefficients show in them.  These views, the polynomials' arrays and
-    the interpolants are each computed once per object, on first read
-    (``functools.cached_property``; b' with its derivative, which mu
-    reads, and mu apart from the residuals, whose a' and phi' derivatives
-    a sweep row does not compute); a ``dataclasses.replace`` copy
-    computes its own.
+    a step, so ``dop853.MAX_STEPS`` bounds them.  ``res_tt``, ``res_sk``
+    (NaN for k = 0) and ``res_sm`` are their defects there: the time
+    derivatives of the phi', a' and b' polynomials less the phi'', a s_a
+    and b s_b of one evaluation of :func:`_reduced_kernel` at the
+    samples, so corrupted coefficients show in them.  The first integral
+    ``mu`` is ``m - 1 + b res_sm``, which is ``lam b^2 + b (b'' + k (a'/a)
+    b') + (m-1) b'^2 - b phi' b'`` term by term; with b'' from the right
+    side it would collapse to m - 1 identically.  These views, the
+    polynomials' arrays and the interpolants are each computed once per
+    object, on first read (``functools.cached_property``: b' with its
+    derivative, and each residual column apart, so mu, which a sweep row
+    reads, computes no a' or phi' derivative); a ``dataclasses.replace``
+    copy computes its own.
     """
 
     params: AnsatzParams
@@ -518,44 +535,32 @@ class SolitonProfile:
     a = cached_property(lambda self: self._column("a"))
     a_prime = cached_property(lambda self: self._column("a_prime"))
     b = cached_property(lambda self: self._column("b"))
-    # b' and its derivative in one pass: mu reads both
+    # b' and its derivative in one pass: mu reads both, through res_sm
     _b_prime_dt = cached_property(lambda self: self._column("b_prime", True))
     b_prime = property(lambda self: self._b_prime_dt[0])
     phi = cached_property(lambda self: self._column("phi"))
     phi_prime = cached_property(lambda self: self._column("phi_prime"))
 
-    def _state(self):
-        """The params and the sample columns a, a', b, b' and phi'."""
-        return (self.params, self.a, self.a_prime, self.b, self.b_prime,
-                self.phi_prime)
-
-    mu = cached_property(lambda self: _first_integral(
-        *self._state(), self._b_prime_dt[1]))
-    _residual_columns = cached_property(lambda self: _residuals(
-        *self._state(), self._column("a_prime", True)[1],
-        self._b_prime_dt[1], self._column("phi_prime", True)[1]))
-    res_tt = property(lambda self: self._residual_columns[0])
-    res_sk = property(lambda self: self._residual_columns[1])
-    res_sm = property(lambda self: self._residual_columns[2])
+    # the defects, each a derivative of a stored polynomial against the
+    # reduced system (see _quiet)
+    _kernel = _quiet(lambda self: _reduced_kernel(self.params)(
+        self.a, self.a_prime, self.b, self.b_prime, self.phi_prime))
+    res_tt = _quiet(lambda self: self._column("phi_prime", True)[1]
+                    - self._kernel[2])
+    res_sk = _quiet(lambda self: self._column("a_prime", True)[1]
+                    - self.a * self._kernel[0])
+    res_sm = _quiet(lambda self: self._b_prime_dt[1] - self.b * self._kernel[1])
+    mu = _quiet(lambda self: self.params.m - 1 + self.b * self.res_sm)
+    # the time average of mu: its samples weighted by the spans of their
+    # steps, so that the many short steps near an event weigh no more than
+    # their time
+    mu_mean = _quiet(lambda self: float(np.average(self.mu, weights=np.repeat(
+        self._steps[0] - self._steps[1], _SAMPLE_X.size))))
+    mu_spread = _quiet(lambda self: float(self.mu.max() - self.mu.min()))
 
     @property
     def lam(self) -> float:
         return self.params.lam
-
-    @property
-    def mu_mean(self) -> float:
-        """The time average of mu: its samples weighted by the spans of
-        their steps, so that the many short steps near an event weigh no
-        more than their time."""
-        ends, t_old = self._steps[:2]
-        with np.errstate(all="ignore"):   # see _first_integral
-            return float(np.average(self.mu, weights=np.repeat(
-                ends - t_old, _SAMPLE_X.size)))
-
-    @property
-    def mu_spread(self) -> float:
-        with np.errstate(all="ignore"):   # see _first_integral
-            return float(self.mu.max() - self.mu.min())
 
     @property
     def classification(self) -> str:
@@ -633,27 +638,26 @@ class SolitonProfile:
         """Parse profile CSV text written by :meth:`to_csv`.
 
         Raises ``ValueError`` on a malformed or wrong-version profile: a
-        missing or bad header line, a schema 1 to 5 file (re-run
-        ``solve``), a params line that is not a JSON object (one nested past
-        the decoder's depth among them) of fields that
-        :class:`AnsatzParams` accepts, a header row not of the
-        params' k, more data rows than ``dop853.MAX_STEPS``, the most steps
-        of a shot profile (before they are decoded), a data row that is not
-        one word of 16 lowercase hex digits per column, or a status or step
-        table that construction refuses (an unknown status, a NaN or inf
-        bit pattern, or an ``end_time`` past ``t_max``, among them).
+        missing or bad header line, a schema version other than
+        ``PROFILE_SCHEMA_VERSION`` (re-run ``solve``), a params line that
+        is not a JSON object (one nested past the decoder's depth among
+        them) of fields that :class:`AnsatzParams` accepts, a header row
+        not of the params' k, more data rows than ``dop853.MAX_STEPS``,
+        the most steps of a shot profile (before they are decoded), a data
+        row that is not one word of 16 lowercase hex digits per column, or
+        a status or step table that construction refuses (an unknown
+        status, a NaN or inf bit pattern, or an ``end_time`` past
+        ``t_max``, among them).
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# schema_version="):
             raise ValueError("not a profile CSV: missing schema_version line")
         version = int(lines[0].split("=", 1)[1])
-        if version in (1, 2, 3, 4, 5):
+        if version != PROFILE_SCHEMA_VERSION:
             raise ValueError(
-                f"profile schema_version {version} is no longer read; re-run "
+                f"profile schema_version {version} is not read; re-run "
                 f"'solve' to write schema_version {PROFILE_SCHEMA_VERSION}, "
                 "the DOP853 step table in float64 bit words")
-        if version != PROFILE_SCHEMA_VERSION:
-            raise ValueError(f"unsupported profile schema_version {version}")
         if len(lines) < 2 or not lines[1].startswith("# params="):
             raise ValueError("profile CSV missing params line")
         try:
@@ -702,32 +706,6 @@ class SolitonProfile:
                    status=status, end_time=end_time)
 
 
-# A profile's derived series: the defects of its stored polynomials at the
-# samples, each polynomial's own time derivative against the reduced system.
-# Huge states overflow to inf or NaN here: np.errstate keeps numpy's warnings
-# about it off stderr, as in the DOP853 loops.
-
-def _first_integral(params: AnsatzParams, a, ap, b, bp, phip, bpp):
-    """The first-integral series mu(t), with ``bpp`` the time derivative of
-    the stored b' polynomial; with b'' from the right side the first
-    integral collapses to the constant m - 1 identically and the
-    conservation check would be vacuous."""
-    k, m, lam = params.k, params.m, params.lam
-    with np.errstate(all="ignore"):
-        lap_b = bpp + (k * (ap / a) * bp if k >= 1 else 0.0)
-        return lam * b * b + b * lap_b + (m - 1) * bp * bp - b * phip * bp
-
-
-def _residuals(params: AnsatzParams, a, ap, b, bp, phip, app, bpp, phipp):
-    """The per-equation residual columns ``(res_tt, res_sk, res_sm)``: the
-    time derivatives of the stored phi', a' and b' polynomials less the
-    kernel's phi'', a'' and b'' (``res_sk`` NaN for k = 0, whose a
-    columns are NaN)."""
-    with np.errstate(all="ignore"):
-        s_a, s_b, phipp_rhs = _reduced_kernel(params)(a, ap, b, bp, phip)
-        return phipp - phipp_rhs, app - a * s_a, bpp - b * s_b
-
-
 # the version of the solve_summary.json document
 _SUMMARY_SCHEMA_VERSION = 1
 
@@ -735,17 +713,17 @@ _SUMMARY_SCHEMA_VERSION = 1
 def _summary(profile: SolitonProfile) -> dict:
     """The numbers of a profile's ``solve_summary.json``: its
     classification, its :func:`_report` and the largest size of each
-    residual column of :func:`_residuals` (``sk`` NaN for k = 0) over the
-    samples.  ``np.fmax`` skips NaN, as ``np.nanmax`` does, but reads the
-    all-NaN ``sk`` column of k = 0 as NaN without a warning."""
+    residual column (``sk`` NaN for k = 0) over the samples.  ``np.fmax``
+    skips NaN, as ``np.nanmax`` does, but reads the all-NaN ``sk`` column
+    of k = 0 as NaN without a warning."""
     return {
         "schema_version": _SUMMARY_SCHEMA_VERSION,
         "classification": profile.classification,
         **_report(profile),
         "reduced_equation_residual_max": {
-            name: float(np.fmax.reduce(np.abs(column), initial=math.nan))
-            for name, column in zip(("tt", "sk", "sm"),
-                                    profile._residual_columns)},
+            name: float(np.fmax.reduce(np.abs(getattr(profile, "res_" + name)),
+                                       initial=math.nan))
+            for name in ("tt", "sk", "sm")},
     }
 
 
@@ -789,8 +767,8 @@ def _integrate(rows):
 
     ``rows`` are AnsatzParams sharing a state size (all k >= 1 or all
     k = 0), each with its own epsilon, t_max and tol.  A row's run has two
-    legs, each with one relative and absolute tolerance: the launch leg up
-    to ``t_switch = min(_LAUNCH_END, t_max)`` at most ``_LAUNCH_TOL`` and,
+    legs, each with one tolerance (:func:`_dop853`): the launch leg up to
+    ``t_switch = min(_LAUNCH_END, t_max)`` at most ``_LAUNCH_TOL`` and,
     when ``t_switch < t_max``, the rest of the span at ``tol``.  Its
     outcome is ``(run, status)``, the status from the run's terminal
     event, if any, its end the run's last step end ``run.t[-1]``
@@ -824,7 +802,7 @@ def _integrate(rows):
             spans.append((t_switch, p.t_max, p.tol))
         # a capped first step keeps the dense output tight where the
         # differentiated diagnostics are most sensitive
-        legs.append([(t1, tol, tol, min(1e-3, 0.01 * (t1 - t0)))
+        legs.append([(t1, tol, min(1e-3, 0.01 * (t1 - t0)))
                      for t0, t1, tol in spans])
     if not launch:
         return results
@@ -1068,8 +1046,9 @@ def _report(profile: SolitonProfile) -> dict:
     a-slopes are NaN for k = 0, which has no a.  ``y ~ t^p`` has the slope
     p at every t; a negative end slope says the coefficient is shrinking
     at ``t_max``, and a drift between the middle and end slopes that the
-    growth has not settled.  The report derives mu but not the residual
-    columns.
+    growth has not settled.  The report derives mu, and with it the
+    kernel at the samples and ``res_sm``, but not ``res_tt`` or
+    ``res_sk``.
     """
     report = {**dict.fromkeys(_REPORT_FIELDS, math.nan),
               "status": profile.status, "lifetime": profile.end_time,

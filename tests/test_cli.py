@@ -245,12 +245,15 @@ class TestSolve:
     def test_failed_summary_writes_nothing(self, tmp_path, capsys,
                                            monkeypatch):
         # the summary, which derives the diagnostics, is made before
-        # either file is written
-        def failing(*args):
-            raise GeometryError("diagnostics failed")
+        # either file is written: differentiating a stored polynomial fails
+        evaluate = shooting._evaluate
 
-        monkeypatch.setattr(shooting, "_first_integral", failing)
-        monkeypatch.setattr(shooting, "_residuals", failing)
+        def failing(steps, name, idx, x, dt=False):
+            if dt:
+                raise GeometryError("diagnostics failed")
+            return evaluate(steps, name, idx, x)
+
+        monkeypatch.setattr(shooting, "_evaluate", failing)
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
                                       "b0": 1.0, "t_max": 1.0})
@@ -457,7 +460,9 @@ class TestQuotient:
         assert main(["quotient", "--config", str(cfg_path)]) == 2
 
     @pytest.mark.parametrize("t_max,t_range", [
-        (2.0, None), (6.0, [0.0, 1.0]), (6.0, [1.0, 5.8]), (6.0, [2.0, 1.0])])
+        (2.0, None), (6.0, [0.0, 1.0]), (6.0, [1.0, 5.8]), (6.0, [2.0, 1.0]),
+        # 0.95 * 3 is 2.8499999999999996, which :g would print as 2.85
+        (3.0, [0.06, 2.85])])
     def test_t_range_outside_radial_range_is_config_error(
             self, tmp_path, capsys, t_max, t_range):
         quotient = {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}
@@ -470,10 +475,10 @@ class TestQuotient:
                      quotient=quotient)
         assert main(["quotient", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        valid = f"[0.05, {0.95 * t_max:g}]"
+        valid = f"[0.05, {0.95 * t_max!r}]"
         assert err.startswith("config error:") and valid in err
         lo, hi = t_range or T_RANGE
-        assert f"[{lo:g}, {hi:g}]" in err
+        assert f"[{lo!r}, {hi!r}]" in err
         assert not (tmp_path / "out").exists()
 
     def test_unset_keys_take_the_library_defaults(self, tmp_path):
@@ -635,7 +640,7 @@ class TestOldProfileSchemas:
         assert main([command, "--config", str(cfg_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("I/O failure: ill-formed profile file")
-        assert (f"schema_version {version} is no longer read" in err
+        assert (f"schema_version {version} is not read" in err
                 and "re-run 'solve' to write schema_version 6" in err)
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "profile.csv", "solve_summary.json"]
@@ -845,20 +850,33 @@ class TestProfileBounds:
 
 
 class TestDiagnosticsCalls:
-    """A solve derives a profile's first integral and residual columns
-    once each, and a sweep row its first integral alone; a certificate and
-    a quotient, which read only the polynomials of a, b and phi, derive
-    neither."""
+    """A solve evaluates the reduced kernel at a profile's samples once and
+    differentiates its a', b' and phi' polynomials once each; a sweep row,
+    which reads mu = m - 1 + b res_sm alone, evaluates the kernel once and
+    differentiates b' alone; a certificate and a quotient, which read only
+    the polynomials of a, b and phi, do neither."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
-        for name in ("_first_integral", "_residuals"):
-            def counting(*args, name=name, series=getattr(shooting, name)):
-                calls.append((name, args[0]))
-                return series(*args)
+        reduced_kernel, evaluate = shooting._reduced_kernel, shooting._evaluate
 
-            monkeypatch.setattr(shooting, name, counting)
+        def counting_kernel(params):
+            kernel = reduced_kernel(params)
+
+            def counted(a, ap, b, bp, phip):
+                if isinstance(b, np.ndarray):   # the samples, not a state
+                    calls.append(("kernel", params.k, params.b0))
+                return kernel(a, ap, b, bp, phip)
+            return counted
+
+        def counting_evaluate(steps, name, idx, x, dt=False):
+            if dt:
+                calls.append(("dt", name))
+            return evaluate(steps, name, idx, x, dt)
+
+        monkeypatch.setattr(shooting, "_reduced_kernel", counting_kernel)
+        monkeypatch.setattr(shooting, "_evaluate", counting_evaluate)
         return calls
 
     def test_per_workflow(self, tmp_path, calls):
@@ -867,28 +885,27 @@ class TestDiagnosticsCalls:
         write_config(cfg_path, solve=solve, certify={"n_base": 4,
                                                      "n_product": 4})
         assert main(["solve", "--config", str(cfg_path)]) == 0
-        names = sorted(name for name, _ in calls)
-        assert names == ["_first_integral", "_residuals"]
+        assert sorted(calls) == [("dt", "a_prime"), ("dt", "b_prime"),
+                                 ("dt", "phi_prime"), ("kernel", 1, 1.0)]
         assert main(["certify", "--config", str(cfg_path)]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 4
         profile = str(tmp_path / "out" / "profile.csv")
         write_config(cfg_path, certify={"profile": profile, "n_base": 4,
                                         "n_product": 4},
                      quotient={"p": 2, "k": 1, "m": 2, "kind": "antipodal",
                                "profile": profile})
         assert main(["certify", "--config", str(cfg_path)]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 4
         assert main(["quotient", "--config", str(cfg_path)]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 4
 
     def test_one_per_sweep_row(self, tmp_path, calls):
         cfg_path = tmp_path / "s.json"
         write_config(cfg_path, sweep={"k": [0, 1], "m": [2], "lambda": [0.0],
                                       "b0": [0.9, 1.0], "t_max": 2.0})
         assert main(["sweep", "--config", str(cfg_path)]) == 0
-        assert [(name, p.k, p.b0) for name, p in calls] == [
-            ("_first_integral", 0, 0.9), ("_first_integral", 0, 1.0),
-            ("_first_integral", 1, 0.9), ("_first_integral", 1, 1.0)]
+        assert calls == [call for k in (0, 1) for b0 in (0.9, 1.0)
+                         for call in (("dt", "b_prime"), ("kernel", k, b0))]
 
 
 class TestSweep:

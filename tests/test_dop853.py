@@ -275,7 +275,7 @@ class TestIntegratorWork:
         sol = solve_ivp(fun, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10,
                         atol=1e-10, first_step=1e-3, dense_output=True)
         [run] = _dop853([lambda y: fun(None, y)], [0.0], np.array([[1.0]]),
-                        [[(2.0, 1e-10, 1e-10, 1e-3)]], _no_events)
+                        [[(2.0, 1e-10, 1e-3)]], _no_events)
         assert (sol.status, sol.nfev) == (-1, 7255)
         assert (run.status, run.nfev, run.message) == (-1, 7255, sol.message)
         assert run.message == ("Required step size is less than spacing "
@@ -294,12 +294,12 @@ class TestIntegratorWork:
                 f[component] = value
             return f
 
-        leg = (2.0, 1e-10, 1e-10, 1e-3)
+        leg = (2.0, 1e-10, 1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             sol = solve_ivp(lambda t, y: fun(y), (0.0, 2.0), [1.0, 1.0],
-                            method="DOP853", rtol=leg[1], atol=leg[2],
-                            first_step=leg[3], dense_output=True)
+                            method="DOP853", rtol=leg[1], atol=leg[1],
+                            first_step=leg[2], dense_output=True)
         [alone] = _dop853([fun], [0.0], np.array([[1.0, 1.0]]), [[leg]],
                           _no_events)
         in_batch, calm = _dop853([fun, lambda y: [-v for v in y]], [0.0, 0.0],
@@ -490,7 +490,7 @@ class TestIntegratorWork:
         for ends in ([1.0], [2.0, 2.0], [2.0, 1.5], []):
             with pytest.raises(ValueError, match="forward only"):
                 _dop853([lambda y: [0.0]], [1.0], np.array([[1.0]]),
-                        [[(t1, 1e-10, 1e-10, 1e-3) for t1 in ends]],
+                        [[(t1, 1e-10, 1e-3) for t1 in ends]],
                         _no_events)
         # b0 = inf, which would give a non-finite series start, is refused
         # when the params are built

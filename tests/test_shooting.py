@@ -389,7 +389,7 @@ class TestShoot:
         for T, t_stop, bound in ((8.0, 4.0, 4.3e-8), (3.0, 0.5, 2.1e-8)):
             start = _dense(prof, np.array([T]))[:, 0] * flip
             [run] = _dop853([_rhs_with_phi(params)], [0.0], start[None],
-                            [[(T - t_stop, 1e-12, 1e-12, 1e-3)]], events)
+                            [[(T - t_stop, 1e-12, 1e-3)]], events)
             assert run.status == 0
             got = np.vstack([run.y_old,
                              _horner(run.F[-1][::-1], run.y_old[-1], 1.0)])
@@ -495,7 +495,8 @@ class TestDefectsAwayFromStepEnds:
         prof = steady_profile_12
         n = prof.t.size
         assert n == prof.t_old.size * len(shooting._SAMPLE_X)
-        for column in (prof.a, prof.b_prime, prof.mu, *prof._residual_columns):
+        for column in (prof.a, prof.b_prime, prof.mu, prof.res_tt, prof.res_sk,
+                       prof.res_sm):
             assert column.shape == (n,)
         idx, x = _locate(prof._steps, prof.t)
         assert np.array_equal(idx, np.repeat(np.arange(prof.t_old.size),
@@ -961,15 +962,17 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             SolitonProfile.parse_csv(text.replace(old, new))
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 0, 7])
     def test_old_schema_refused(self, version):
         # schema 1 and 2 stored a sampled grid, schema 3 the step table in
         # decimal text, schema 4 a grid density in its params line and
-        # schema 5 rtol and atol in place of tol: the message says what to do
+        # schema 5 rtol and atol in place of tol; 0 and 7 were never
+        # written.  Every version but 6 gets the one message, which says
+        # what to do
         text = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0)).to_csv()
         old = text.replace("# schema_version=6", f"# schema_version={version}")
-        with pytest.raises(ValueError, match=f"schema_version {version} is no "
-                           "longer read; re-run 'solve' to write "
+        with pytest.raises(ValueError, match=f"schema_version {version} is "
+                           "not read; re-run 'solve' to write "
                            "schema_version 6"):
             SolitonProfile.parse_csv(old)
 
@@ -1056,12 +1059,16 @@ class TestSweep:
         # a mixed grid, k 0-2, one row of each outcome: every field of a
         # row after its shooting datum is that of _report(shoot(params))
         # run alone, or, when shoot raises, its error status, lifetime 0.0
-        # and NaNs.  A sweep row derives mu alone, never the residual
-        # columns
-        def refusing(*args):
-            raise AssertionError("a sweep row derived the residual columns")
+        # and NaNs.  A sweep row derives mu = m - 1 + b res_sm alone: it
+        # differentiates the b' polynomial, never those of a' or phi'
+        evaluate = shooting._evaluate
 
-        monkeypatch.setattr(shooting, "_residuals", refusing)
+        def refusing(steps, name, idx, x, dt=False):
+            if dt and name != "b_prime":
+                raise AssertionError(f"a sweep row differentiated {name}")
+            return evaluate(steps, name, idx, x, dt)
+
+        monkeypatch.setattr(shooting, "_evaluate", refusing)
         _nan_rhs_for(monkeypatch, _UNDERFLOW)
         grid = [AnsatzParams(k=0, m=2, lam=0.5, b0=2.0, t_max=5.0),
                 AnsatzParams(k=0, m=2, lam=0.5, b0=float(np.sqrt(2.0)),

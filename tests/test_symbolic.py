@@ -4,8 +4,11 @@ Derives Ric + Hess(phi) - lam g for dt^2 + a(t)^2 g_{S^k} + b(t)^2 g_{S^m}
 in spherical coordinates from the metric alone, solves the t-, S^k- and
 S^m-components for a'', b'' and phi'', and compares the result with the
 kernel and with the integrator's right side ``_rhs_with_phi`` at seeded
-random states.
+random states, and shows that the kernel's fiber equation is the textbook
+warped first integral.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -94,3 +97,18 @@ def test_kernel_matches_symbolic_derivation(k, m):
         np.testing.assert_allclose(kernel[3 - len(want):], want,
                                    rtol=1e-12, atol=0)
         np.testing.assert_allclose(rhs, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("k,m", [(k, m) for k in (0, 1, 2) for m in (2, 3)])
+def test_first_integral_is_the_fiber_defect(k, m):
+    # lam b^2 + b (b'' + k (a'/a) b') + (m-1) b'^2 - b phi' b', with b'' any
+    # value (the derivative of the stored b'), is m - 1 + b (b'' - b s_b)
+    # for the kernel's s_b: the identity by which SolitonProfile reads mu
+    # from its res_sm.  The kernel is plain arithmetic, so it runs on the
+    # symbols of a params stand-in
+    _, s_b, _ = _reduced_kernel(SimpleNamespace(k=k, m=m, lam=lam))(
+        a0, a1, b0, b1, p1)
+    first_integral = (lam * b0 ** 2 + b0 * (b2 + k * (a1 / a0) * b1)
+                      + (m - 1) * b1 ** 2 - b0 * p1 * b1)
+    defect = first_integral - (m - 1) - b0 * (b2 - b0 * s_b)
+    assert sp.simplify(sp.nsimplify(defect)) == 0
