@@ -22,7 +22,7 @@ only for the products: the same operations, so the same bits, at less
 cost per step.
 
 The module knows nothing of the rows it integrates and imports nothing
-of the package: a caller hands it right sides, starts, legs and a
+of the package: a caller hands it right sides, starts, spans and a
 terminal-event function, and reads back one ``_Run`` per row, its step
 table and its counts.  Its ``__all__`` is empty; the package exports
 none of its names.
@@ -104,13 +104,13 @@ def _horner(rows, y_old, x, dx=False):
 
 @dataclass
 class _Run:
-    """One row's :func:`_dop853` run over all of its legs.
+    """One row's :func:`_dop853` run over its span.
 
     ``t`` is the start followed by the accepted step ends, the last
     replaced by a terminal event's root; step ``i`` starts at ``t[i]`` and
     carries the dense output polynomial ``t[i]``, ``h[i]``, ``F[i]``,
     ``y_old[i]`` (see :func:`_horner`).  ``status`` is ``solve_ivp``'s: 0
-    at the end of the last leg, 1 at the terminal event ``event`` (its
+    at the end of the span, 1 at the terminal event ``event`` (its
     index), -1 on a step size that underflowed or at ``MAX_STEPS``
     accepted steps, which ``message`` names.  ``nfev`` counts the
     right-side calls of the whole run and ``rejected`` its rejected step
@@ -134,17 +134,16 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / (_DOP853.error_estimator_order + 1)
 _N_STAGES, _N_EXTRA = _DOP853.n_stages, len(_DOP853.C_EXTRA)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-# accepted steps of one row, both legs; a row that needs more ends with
-# status -1 (an IntegrationError in shooting).  Sized from memory and file:
+# accepted steps of one row; a row that needs more ends with status -1 (an
+# IntegrationError in shooting).  Sized from memory and file:
 # a k >= 1 soliton step is 850 bytes of profile.csv and about 0.5 KB of
 # records while its batch runs, so a capped row writes about 8.5 MB and a
 # full 32-row batch holds about 160 MB.  Without a cap stiff and
 # degenerating rows are unbounded: an expanding row's steps grow as
-# |lambda| t_max^2 (k1m2 with lambda -1: 972 to t_max 100, 7,208 to 300,
-# 78,301 to 1000), and k0m2 with lambda 2 at rtol 1e-15 takes 143,554
-# steps (19 s) to its hit_b_zero.  No row of the test suite takes more
-# than 703, far below it even with the 28-46% more steps of the default
-# tolerances moved to 1e-12.
+# |lambda| t_max^2 (k1m2 with lambda -1: 955 to t_max 100, 7,191 to 300,
+# about 78,300 to 1000), and k0m2 with lambda 2 at rtol 1e-15 takes
+# 143,554 steps (19 s) to its hit_b_zero.  No row of the test suite that
+# ends short of the cap takes more than 2,628 (k1m2 to t_max 10,000).
 MAX_STEPS = 10_000
 
 
@@ -155,14 +154,13 @@ def brentq(f, a, b, **kwargs):
     return brentq(f, a, b, **kwargs)
 
 
-def _check_run(t0, legs, y0):
+def _check_run(t0, span, y0):
     """Refuse a run that :func:`_dop853` cannot start, as ``solve_ivp``
-    would: ``ValueError`` unless it has a leg, each leg ends past the
-    previous end (the first past ``t0``) and ``y0`` is finite."""
-    ends = [t0] + [leg[0] for leg in legs]
-    if not legs or not all(t1 > t for t, t1 in zip(ends, ends[1:])):
-        raise ValueError(f"integration runs forward only: need each leg to "
-                         f"end past the last, got t0={t0!r}, ends {ends[1:]}")
+    would: ``ValueError`` unless its span ends past ``t0`` and ``y0`` is
+    finite."""
+    if not span[0] > t0:
+        raise ValueError(f"integration runs forward only: need t_end past "
+                         f"t0, got t0={t0!r}, t_end={span[0]!r}")
     if not np.isfinite(y0).all():
         raise ValueError(
             "All components of the initial state `y0` must be finite.")
@@ -171,46 +169,39 @@ def _check_run(t0, legs, y0):
 class _Row:
     """A row of a :func:`_dop853` run between two step attempts.
 
-    Its right side, terminal events and their values ``g`` at its t,
-    legs (one tolerance each, :meth:`next_leg`), t, step size,
-    accept/reject state, counts and record, the t, h, F and y_old of its
-    accepted steps.  ``events`` maps the Python floats of a state to its
-    event values, a list.  Whichever loop makes an attempt, the row starts
-    it (:meth:`begin`), controls its step size (:meth:`control`) and books
-    it when accepted (:meth:`accept`), so a row's steps do not depend on
-    the loop or on a move from one loop to the other between two attempts.  ``run`` is None while the row runs,
+    Its right side, terminal events and their values ``g`` at its t, span
+    end and tolerances, t, step size, accept/reject state, counts and
+    record, the t, h, F and y_old of its accepted steps.  Its span
+    ``(t_end, tol, first_step)`` sets ``atol = tol`` and ``rtol = tol``
+    raised to 100 eps, as scipy raises its ``rtol``.  ``events`` maps the
+    Python floats of a state to its event values, a list.  Whichever loop
+    makes an attempt, the row starts it (:meth:`begin`), controls its step
+    size (:meth:`control`) and books it when accepted (:meth:`accept`), so
+    a row's steps do not depend on the loop or on a move from one loop to
+    the other between two attempts.  ``run`` is None while the row runs,
     then its :class:`_Run`, or the exception that ``brentq`` raised for
     it.
     """
 
-    __slots__ = ("fun", "events", "g", "legs", "t", "t_new", "t_end",
-                 "rtol", "atol", "h_abs", "min_step", "fresh",
-                 "step_rejected", "nfev", "rejected", "record", "run")
+    __slots__ = ("fun", "events", "g", "t", "t_new", "t_end", "rtol",
+                 "atol", "h_abs", "min_step", "fresh", "step_rejected",
+                 "nfev", "rejected", "record", "run")
 
-    def __init__(self, fun, events, t0, y0, legs):
-        self.fun, self.legs, self.t = fun, iter(legs), float(t0)
+    def __init__(self, fun, events, t0, y0, span):
+        self.fun, self.t = fun, float(t0)
         self.events, self.g = events, events(y0)
+        self.t_end, self.atol, self.h_abs = map(float, span)
+        self.rtol = max(self.atol, 100 * _EPS)
         self.fresh, self.step_rejected = True, False
         self.nfev, self.rejected = 1, 0
         self.record = ([self.t], [], [], [])
         self.run = None
-        self.next_leg()
-
-    def next_leg(self) -> bool:
-        """Take the next leg ``(t_end, tol, first_step)``: ``atol = tol``
-        and ``rtol = tol`` raised to 100 eps, as scipy raises its
-        ``rtol``; False if none is left."""
-        leg = next(self.legs, None)
-        if leg is not None:
-            self.t_end, self.atol, self.h_abs = map(float, leg)
-            self.rtol = max(self.atol, 100 * _EPS)
-        return leg is not None
 
     def begin(self) -> float:
         """Start an attempt as ``DOP853._step_impl`` does and return its
         size h: the first attempt of a step sets the least step size and
         raises the step size to it, and an attempt ends at most at the
-        end of the leg."""
+        end of the span."""
         t = self.t
         if self.fresh:
             self.fresh = self.step_rejected = False
@@ -258,19 +249,15 @@ class _Row:
             self._finish(-1, message=_TOO_SMALL_STEP)
         return False
 
-    def accept(self, h, F, y_old, y_new) -> bool:
+    def accept(self, h, F, y_old, y_new) -> None:
         """Book the accepted attempt of size ``h``: its dense-output table
         ``F``, its start ``y_old`` and its end ``y_new`` (Python floats),
-        where the row reads its event values.  True if the row took its
-        next leg, with new tolerances.
+        where the row reads its event values.
 
         The earliest root of an event that changed sign over the step,
         located by ``brentq`` on the step's polynomial (Hairer, Norsett &
-        Wanner, II.6), ends the row there; so do the end of its last leg
-        and its ``MAX_STEPS``-th accepted step short of that.  The end of
-        an earlier leg starts the next one, as ``solve_ivp`` restarted
-        there would, but with no right-side call: f there is the step's
-        last stage.
+        Wanner, II.6), ends the row there; so do the end of its span and
+        its ``MAX_STEPS``-th accepted step short of that.
         """
         self.nfev += _N_EXTRA
         self.fresh = True
@@ -290,7 +277,7 @@ class _Row:
                          for e in active]
             except (ValueError, RuntimeError) as exc:
                 self.run, self.record = exc, None   # this row alone ends
-                return False
+                return
             first = np.argsort(roots)[0]
             status, event, t_step = 1, active[first], roots[first]
         ts, hs, Fs, y_olds = self.record
@@ -300,14 +287,12 @@ class _Row:
             hs.append(h)
             Fs.append(F)
             y_olds.append(y_old)
-        switched = status == 0 and self.next_leg()
-        if status is not None and not switched:
+        if status is not None:
             self._finish(status, event)
         elif len(hs) >= MAX_STEPS:
             self._finish(-1, message=(
                 f"MAX_STEPS = {MAX_STEPS} accepted steps reached at "
                 f"t = {self.t:.6g} before the end of the span"))
-        return switched
 
     def _finish(self, status, event=None, message=None):
         """End the row: its :class:`_Run` from its record and counts."""
@@ -318,7 +303,7 @@ class _Row:
         self.record = None
 
 
-def _dop853(funs, t0, y0, legs, events):
+def _dop853(funs, t0, y0, spans, events):
     """Integrate a batch of rows of ``y' = f(y)`` with DOP853.
 
     The method of Hairer, Norsett & Wanner, *Solving ODEs I*, II.10, as
@@ -329,10 +314,11 @@ def _dop853(funs, t0, y0, legs, events):
     from scipy's coefficient file, :func:`_dop853_tableau`), so
     every row's steps, dense output and event roots have ``solve_ivp``'s
     bits.  Row i runs ``y' = funs[i](y)`` from ``t0[i]`` and the state
-    ``y0[i]`` (``y0`` is a rows x n array) through its ``legs[i]``, each
-    ``(t_end, tol, first_step)``: ``solve_ivp``'s ``rtol = atol = tol``
-    (:meth:`_Row.next_leg`).  Each row keeps its own t, step size,
-    accept/reject state and events (a :class:`_Row`).  ``funs[i]`` maps
+    ``y0[i]`` (``y0`` is a rows x n array) over its span ``spans[i] =
+    (t_end, tol, first_step)``: ``solve_ivp``'s ``t_span = (t0[i],
+    t_end)``, ``rtol = atol = tol`` and ``first_step``.  Each row keeps
+    its own t, step size, accept/reject state and events (a
+    :class:`_Row`).  ``funs[i]`` maps
     the Python floats of a state to its derivative, a list, and
     ``events`` maps them to the values of the terminal events, a list,
     which every row reads at each accepted step's end.  Returns one
@@ -345,12 +331,12 @@ def _dop853(funs, t0, y0, legs, events):
     Floating-point warnings are off inside the loops, since the values
     that a batch computes for its rejected rows are discarded.
     """
-    for args in zip(t0, legs, y0):
+    for args in zip(t0, spans, y0):
         _check_run(*args)
     Y = np.array(y0, dtype=float)
     ys = Y.tolist()
-    rows = [_Row(fun, events, t, y, row_legs)
-            for fun, t, y, row_legs in zip(funs, t0, ys, legs)]
+    rows = [_Row(fun, events, t, y, span)
+            for fun, t, y, span in zip(funs, t0, ys, spans)]
     with np.errstate(all="ignore"):
         f = np.array([row.fun(y) for row, y in zip(rows, ys)], dtype=float)
         last = ((rows[0], ys[0], f[0].tolist())
@@ -394,15 +380,12 @@ def _lockstep(rows, Y, f):
         def stage(s):   # its rows, and the stage table before it as columns
             return K_ext[:, s], K_ext[:, :s].swapaxes(-1, -2)
 
-        return (fun, tolerances(),
+        return (fun, (np.array([[row.atol] for row in live]),
+                      np.array([[row.rtol] for row in live])),
                 [(*stage(s), a[:s]) for s, a in enumerate(M.A[1:], start=1)],
                 [(*stage(s), a[:s])
                  for s, a in enumerate(M.A_EXTRA, start=_N_STAGES + 1)],
                 stage(_N_STAGES), stage(_N_STAGES + 1)[1])
-
-    def tolerances():
-        return (np.array([[row.atol] for row in live]),
-                np.array([[row.rtol] for row in live]))
 
     def norm2(err):
         return np.matmul(err[:, None, :], err[:, :, None]).ravel().tolist()
@@ -420,7 +403,6 @@ def _lockstep(rows, Y, f):
         err3 = norm2(np.matmul(K_E, M.E3) / scale)
         accepted = [j for j, row in enumerate(live)
                     if row.control(h[j], err5[j], err3[j], n)]
-        switched = False
         if accepted:   # the dense output and events of the accepted steps
             Y_old = Y
             for Ks, K_prev, a in extra:
@@ -441,7 +423,7 @@ def _lockstep(rows, Y, f):
                 K_ext[accepted, 0] = K_ext[accepted, _N_STAGES]
             ys = Y.tolist()
             for j in accepted:
-                switched |= live[j].accept(h[j], F[j], Y_old[j], ys[j])
+                live[j].accept(h[j], F[j], Y_old[j], ys[j])
         keep = [j for j, row in enumerate(live) if row.run is None]
         if len(keep) < 2:
             return next(((live[j], Y[j].tolist(), K_ext[j, 0].tolist())
@@ -449,8 +431,6 @@ def _lockstep(rows, Y, f):
         if len(keep) < len(live):   # rows ended: the batch shrinks
             live, Y, K_ext = [live[j] for j in keep], Y[keep], K_ext[keep]
             fun, (atol, rtol), stages, extra, (K_last, K_B), K_E = batch()
-        elif switched:   # the tolerances of the batch are its rows' legs'
-            atol, rtol = tolerances()
 
 
 def _alone(row, y, f):
@@ -465,7 +445,7 @@ def _alone(row, y, f):
     reduces, the stage sums, the error estimates, the norms' dot products
     and ``D K``, called as bound ``ndarray.dot`` methods: ``np.dot``'s
     routine, so they have its bits, at less cost per call.  A positive
-    ``tol`` (as a leg must have) keeps every scale positive, so no
+    ``tol`` (as a span must have) keeps every scale positive, so no
     quotient divides by zero, which would raise here.
     """
     M = _DOP853

@@ -14,11 +14,12 @@ first-order system in (a, a', b, b', phi'):
 
 For k = 0 the base is the line; the a-equation and all a-terms drop out.
 ``_reduced_kernel`` is the single place where this system is written: the
-integrator's right side ``_rhs_with_phi`` and the array diagnostics both
-call the kernel it builds for a row's (k, m, lam).  The paper's warped
-first integral, mu = lam b^2 + b (b'' + k (a'/a) b') + (m-1) b'^2 -
-b phi' b', is the b-equation read as a defect: mu = m - 1 + b (b'' -
-b s_b) term by term, with s_b the kernel's b''/b.  These equations are
+integrator's right side ``_rhs_with_phi``, the array diagnostics and the
+series start all call the kernel it builds for a row's (k, m, lam).  The
+paper's warped first integral, mu = lam b^2 + b (b'' + k (a'/a) b') +
+(m-1) b'^2 - b phi' b', is the b-equation read as a defect: mu = m - 1 +
+b (b'' - b s_b) term by term, with s_b the kernel's b''/b.  These
+equations are
 not taken on faith: the test suite assembles the full product metric
 from integrated profiles and requires the finite-difference soliton
 residual to vanish to discretization accuracy (the closure gate), it
@@ -28,17 +29,20 @@ system's scaling and time-reversal symmetries.
 
 Smoothness of the metric across t = 0 forces a(0) = 0, a'(0) = 1,
 b'(0) = 0, phi'(0) = 0.  Matching even/odd Taylor series in the system
-determines the quadratic/cubic coefficients up to one genuine shooting
-degree of freedom, the half Hessian phi2 = phi''(0)/2: the trace equation
+determines every coefficient up to one genuine shooting degree of
+freedom, the half Hessian phi2 = phi''(0)/2: the trace equation
 reproduces the sphere-block relation at leading order instead of fixing
 phi2.  Profiles with phi2 <= 0 are long lived with slowly growing a, b;
-positive phi2 drives finite-time blowup.  Integration starts from the
-series at t = epsilon (``_series_start``, for every k) to keep the right
-side total, with the DOP853 loop of :mod:`ricciwarp.dop853`, which has the
-steps, dense output and event roots of scipy's
-``solve_ivp(method="DOP853")`` and advances a batch of rows in lockstep,
-each with the bits it has alone: ``shoot`` is a batch of one row and
-``sweep`` integrates its grid in batches.
+positive phi2 drives finite-time blowup.  The series (``_series``: the
+kernel run on :class:`ricciwarp.taylor.Series` and solved order by order)
+converges, and a row starts from it at t = min(epsilon, t_conv), where its
+tail falls to rounding (``_series_start``, for every k; epsilon 0.1 by
+default), with phi gauged to phi(0) = 0.  It is integrated from there in
+one span at the row's tolerance, with the DOP853 loop of
+:mod:`ricciwarp.dop853`, which has the steps, dense output and event roots
+of scipy's ``solve_ivp(method="DOP853")`` and advances a batch of rows in
+lockstep, each with the bits it has alone: ``shoot`` is a batch of one row
+and ``sweep`` integrates its grid in batches.
 
 A profile is its integration: the step table of its DOP853 run, one row
 per accepted step holding the step's start ``t_old``, its size ``h``, the
@@ -66,17 +70,20 @@ DOP853's polynomial is the right side at the stored state, so a defect
 read there is exactly that substitution: the samples keep to x in [0.05,
 0.95].
 
-``profile.csv`` (schema 6) is the step table, each cell the 16 hex
+``profile.csv`` (schema 7) is the step table, each cell the 16 hex
 digits of its float64 bits, so it round-trips bit for bit with no
 decimal conversion: 2 + 8n cells per step, n = 6 state columns for
-k >= 1 and 4 for k = 0.  A completed ``t_max = 10`` profile of the
-README's classes takes 47 to 96 steps, 41 to 82 KB; a profile that ends
-in a blow-up takes many short steps.  Older files are refused with a
-message to re-run ``solve``: schemas 1 and 2 stored a sampled grid, which
-would need a spline fit beside the polynomials, schema 3 decimal text,
-which would need a second reader, schema 4 a params line with the
-density of a uniform sample grid and schema 5 one with two tolerances,
-fields that :class:`AnsatzParams` does not take.
+k >= 1 and 4 for k = 0.  Its status line records the series start's time
+beside the end time, so reading a profile solves no series.  A completed
+``t_max = 10`` profile of the README's classes takes 32 to 42 steps, 28
+to 36 KB; a profile that ends in a blow-up takes many short steps.  Older
+files are refused with a message to re-run ``solve``: schemas 1 and 2
+stored a sampled grid, which would need a spline fit beside the
+polynomials, schema 3 decimal text, which would need a second reader,
+schema 4 a params line with the density of a uniform sample grid, schema
+5 one with two tolerances, fields that :class:`AnsatzParams` does not
+take, and schema 6 no start time, which only a series solve could
+restore.
 """
 
 from __future__ import annotations
@@ -86,10 +93,11 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import dop853
+from . import dop853, taylor
 from .curvature import _MARGIN_SECOND, DEFAULT_STEP
 from .dop853 import _N_COEFFS, _dop853, _horner
 from .fd import check_step
@@ -122,7 +130,7 @@ __all__ = [
     "GRID_COLUMNS",
 ]
 
-PROFILE_SCHEMA_VERSION = 6
+PROFILE_SCHEMA_VERSION = 7
 GRID_COLUMNS = ("t", "a", "a_prime", "b", "b_prime", "phi", "phi_prime")
 # room for the four header lines of a profile file: the params line of any
 # AnsatzParams is under 12,000 characters, since Python prints at most 4,300
@@ -174,11 +182,14 @@ class AnsatzParams:
     ``phi2`` is the free closure coefficient phi''(0)/2 (ignored for k = 0,
     where the even-series start is fully determined).  The default -0.5
     lies in the long-lived branch for the shipped parameter ranges.
-    ``tol`` is the integrator's relative and absolute tolerance (a step's
-    error is scaled by ``tol (1 + max |y|)``), raised to 100 eps (about
-    2.2e-14) as a relative tolerance, as scipy's ``solve_ivp`` does; the
-    launch leg up to t = 0.1 runs at a tolerance of at most 1e-13.  No
-    field bounds the work of a run: the integrator stops every run at
+    ``epsilon`` is the latest start: a row starts from its series at
+    ``min(epsilon, t_conv)``, t_conv where the series tail falls to
+    rounding (:func:`_series_start`), which is past the default 0.1 for
+    the README's classes at b0 1.  ``tol`` is the integrator's relative
+    and absolute tolerance (a step's error is scaled by ``tol (1 + max
+    |y|)``) from the start on, raised to 100 eps (about 2.2e-14) as a
+    relative tolerance, as scipy's ``solve_ivp`` does.  No field bounds
+    the work of a run: the integrator stops every run at
     ``dop853.MAX_STEPS`` accepted steps.
 
     Construction refuses (``ValueError``) a k or m that is not an integer
@@ -195,7 +206,7 @@ class AnsatzParams:
     lam: float
     b0: float
     phi2: float = -0.5
-    epsilon: float = 1e-4
+    epsilon: float = 0.1
     t_max: float = 10.0
     tol: float = 1e-10
 
@@ -209,7 +220,7 @@ class AnsatzParams:
                        else repr(value))
                 raise ValueError(f"AnsatzParams {name} must be {kind}, got "
                                  f"{got}")
-            # _series_start reads k + 1 and m as floats
+            # the kernel reads k - 1, k, m - 1 and m as floats
             if name in ("k", "m") and not _is_real(value + 1):
                 raise ValueError(f"AnsatzParams {name} is beyond the float "
                                  f"range")
@@ -245,76 +256,169 @@ def _reduced_kernel(params: AnsatzParams):
     k, m, lam = params.k, params.m, params.lam
 
     def kernel(a, ap, b, bp, phip):
-        s_b = (m - 1) * (1.0 - bp * bp) / (b * b)
+        u = bp / b
+        s_b = (m - 1) * (1.0 - bp * bp) / (b * b) + phip * u - lam
         if k < 1:
             s_a = 0.0
         else:
-            s_a = ((k - 1) * (1.0 - ap * ap) / (a * a)
-                   - m * ap * bp / (a * b) + phip * ap / a - lam)
-            s_b = s_b - k * ap * bp / (a * b)
-        s_b = s_b + phip * bp / b - lam
+            v = ap / a
+            s_a = (phip - m * u) * v - lam
+            if k > 1:   # the curvature of the base sphere S^k
+                s_a = s_a + (k - 1) * (1.0 - ap * ap) / (a * a)
+            s_b = s_b - k * v * u
         return s_a, s_b, lam + k * s_a + m * s_b
 
     return kernel
 
 
-def _series_start(params: AnsatzParams):
-    """Series state (a, a', b, b', phi') at t = epsilon for any k.
+# the most orders of the series start: order K fixes the coefficients of
+# t^(2K+1) in a, t^(2K) in b and t^(2K-1) in phi'.  At b0 1 the ratio of
+# consecutive orders per t^2 tends to about 0.45, 0.65 and 1.0 for k1m2, k2m3
+# (lambda 0) and k1m3 (lambda -0.1), and 9 orders keep the last order's terms
+# at rounding up to t = 0.17, 0.14 and 0.11, past the default epsilon
+_SERIES_ORDERS = 9
+_SERIES_ROUNDING = 2.0 ** -52   # the size of a last-order term at the start
 
-    The odd/even series a = t + a3 t^3, b = b0 + b2 t^2, phi' = 2 phi2 t
-    of the smooth closure at t = 0; for k = 0, a3 = 0 and phi2 is fixed by
-    the b-series, and the a-slots are meaningless.  Raises ``ValueError``
-    when a coefficient is not finite (a tiny b0 overflows b2 / b0), naming
-    it, since no epsilon can mend that; when epsilon is too large for the
-    truncated series to be trustworthy; when the start is not finite or
-    not inside the blow-up box, every component below ``_BLOWUP_LIMIT`` in
-    size (an epsilon whose cube underflows hides huge coefficients from
-    the tail estimate, and a huge b0 starts outside the box, where the
-    blow-up event cannot fire); or
-    when its b or (for k >= 1) its a is at or below ``_POSITIVITY_FLOOR``:
-    the right side clamps them at ``_EVAL_FLOOR`` and the events read them
-    as a degeneration, so such a start would integrate another system.  A
-    start it returns lies inside the box with a and b above the floor, at
-    an epsilon of at most 1e-8 ** (1/3), about 2.2e-3 (and, for k >= 1,
-    above about 1e-6).
+
+def _series(params: AnsatzParams):
+    """``(alpha, beta, phi, t_conv)``: the Taylor series of the smooth
+    closure at t = 0 of ``params``' row, a = t sum(alpha[i] t^(2i)), b =
+    sum(beta[i] t^(2i)) and phi = t^2 sum(phi[i] t^(2i)) (alpha empty for
+    k = 0), and t_conv, where its tail falls to rounding.
+
+    The closure, a = t + a3 t^3 + ..., b = b0 + b2 t^2 + ... and phi =
+    phi2 t^2 + ... (the gauge phi(0) = 0), is a convergent power series
+    fixed by (b0, phi2) (J.-H. Eschenburg and M. Y. Wang, J. Geom. Anal.,
+    2000; M. Buzano, J. Geom. Phys., 2011); for k = 0 the b-series fixes
+    phi2.  Its coefficients are those of :func:`_reduced_kernel` run on
+    :class:`ricciwarp.taylor.Series` and solved order by order
+    (:func:`ricciwarp.taylor.solve`), so the kernel is the one writing of
+    the system, the start included.  A row of b0 < 1 is solved at b0 = 1,
+    with lambda b0^2 and phi2 b0^2, and scaled back: the system is
+    scale-covariant, and a tiny b0 then overflows a coefficient to inf
+    instead of dividing by an underflowed b0^2.  t_conv is the largest t
+    at which every term of the last order, of a, a', b, b' and phi' in
+    those units, is at most ``_SERIES_ROUNDING``; a row of small
+    convergence radius (small b0, large |phi2| or |lambda|) has a t_conv
+    smaller in proportion.  The orders stop at the first whose t_conv
+    reaches epsilon, or at ``_SERIES_ORDERS``.
+
+    Raises ``ValueError`` when a coefficient is not finite (a tiny b0
+    overflows b2 / b0), naming it, since no epsilon can mend that.
     """
     k, m, lam, b0 = params.k, params.m, params.lam, params.b0
-    b2 = ((m - 1) / b0 - lam * b0) / (2.0 * (k + 1))
+    c = min(b0, 1.0)   # the length the series is solved in units of
+    tape = []
+    a = taylor.Series(tape, 1, [1.0]) if k >= 1 else None   # t (1 + ...)
+    b = taylor.Series(tape, 0, [b0 / c])
+    phip = taylor.Series(tape, 1, [])                       # t (2 phi2 + ...)
+    ap = a.derivative() if k >= 1 else None
+    bp = b.derivative()
+    s_a, s_b, phipp = _reduced_kernel(
+        SimpleNamespace(k=k, m=m, lam=lam * c * c))(a, ap, b, bp, phip)
+    # a'' = a s_a, b'' = b s_b and phi'' = phipp, at t^(2K-1), t^(2K-2) and
+    # t^(2K-2) in order K
+    leaves = [(b, 0), (phip, -1)]
+    equations = [(bp.derivative() - b * s_b, -2),
+                 (phip.derivative() - phipp, -2)]
+    given = None
     if k >= 1:
-        phi2 = params.phi2
-        a3 = (2.0 * phi2 - 2.0 * m * b2 / b0 - lam) / (6.0 * k)
-    else:
-        a3 = 0.0
-        phi2 = 0.5 * (lam + 2.0 * m * b2 / b0)
-    for name, value in (("b2", b2), ("a3", a3), ("phi2", phi2)):
-        if not math.isfinite(value):
-            raise ValueError(
-                f"the series coefficient {name} = {value} of (k, m, lambda, "
-                f"b0) = ({k}, {m}, {lam:g}, {b0:g}) is not finite: no "
-                f"epsilon gives a series start")
-    eps = params.epsilon
-    # a product, not eps ** 3, which raises OverflowError past eps ~ 5.6e102
-    tail = max(abs(a3), abs(b2), abs(phi2), 1.0) * (eps * eps * eps)
-    if tail > 1e-8:
+        leaves.insert(0, (a, 0))
+        equations.insert(0, (ap.derivative() - a * s_a, -1))
+        given = {(1, 2): 2.0 * params.phi2 * c * c}   # phi''(0), free
+    try:
+        for n in taylor.solve(leaves, equations, given):
+            # the last order's terms of a, a', b, b' and phi'
+            last = [(b.c[n], 2 * n), (2 * n * b.c[n], 2 * n - 1),
+                    (phip.c[n - 1], 2 * n - 1)]
+            if k >= 1:
+                last += [(a.c[n], 2 * n + 1), ((2 * n + 1) * a.c[n], 2 * n)]
+            t_conv = min([math.inf] + [(_SERIES_ROUNDING / abs(x)) ** (1 / q)
+                                       for x, q in last if x])
+            if n == _SERIES_ORDERS or c * t_conv >= params.epsilon:
+                break
+    except ZeroDivisionError:   # a singular order of non-finite data
+        raise ValueError(f"the series of (k, m, lambda, b0) = ({k}, {m}, "
+                         f"{lam:g}, {b0:g}) is not finite: no epsilon gives "
+                         f"a series start") from None
+    # back to the unit length: the coefficients of t^(2i+1) in a, t^(2i)
+    # in b and t^(2i+2) in phi scale by c^-2i, c^(1-2i) and c^(-2i-2); as
+    # products of 1/c, since a power past the float range raises
+    alpha, beta, phi = [], [], []
+    odd, even, inv = c, 1.0, 1.0 / c   # c^(1-2i) and c^-2i
+    for i in range(n + 1):
+        if i:
+            odd = even * inv
+            even = odd * inv
+            phi.append(phip.c[i - 1] * even / (2 * i))
+        if k >= 1:
+            alpha.append(a.c[i] * even)
+        beta.append(b.c[i] * odd)
+    if not all(map(math.isfinite, alpha + beta + phi)):
+        # the first in the order of the series: a_(2i+1), b_(2i), phi_(2i)
+        name, value = next(
+            (name, value) for i in range(n + 1)
+            for name, value in ([(f"a{2 * i + 1}", alpha[i])] if k >= 1
+                                else []) + [(f"b{2 * i}", beta[i])]
+            + ([(f"phi{2 * i}", phi[i - 1])] if i else [])
+            if not math.isfinite(value))
         raise ValueError(
-            f"epsilon={eps:g} too large: series tail estimate {tail:.2e} > 1e-8")
-    start = (eps + a3 * eps ** 3,
-             1.0 + 3.0 * a3 * eps ** 2,
-             b0 + b2 * eps ** 2,
-             2.0 * b2 * eps,
-             2.0 * phi2 * eps)
+            f"the series coefficient {name} = {value} of (k, m, lambda, b0) "
+            f"= ({k}, {m}, {lam:g}, {b0:g}) is not finite: no epsilon gives "
+            f"a series start")
+    return alpha, beta, phi, c * t_conv
+
+
+def _series_start(params: AnsatzParams):
+    """``(t, state)``: the series start of ``params`` for any k, the state
+    (a, a', b, b', phi, phi') for k >= 1 and (b, b', phi, phi') for k = 0
+    of the Taylor series :func:`_series` at t = min(epsilon, t_conv),
+    where its tail is below rounding.
+
+    Raises ``ValueError`` when a coefficient is not finite (from
+    :func:`_series`); when the start is not inside the blow-up box, every
+    component below ``_BLOWUP_LIMIT`` in size (a huge b0 starts outside
+    the box, where the blow-up event cannot fire); or when its b or (for
+    k >= 1) its a is at or below ``_POSITIVITY_FLOOR``: the right side
+    clamps them at ``_EVAL_FLOOR`` and the events read them as a
+    degeneration, so such a start would integrate another system.  A start
+    it returns lies inside the box with a and b above the floor, at a t in
+    (0, epsilon].
+    """
+    alpha, beta, phi, t_conv = _series(params)
+    t = min(params.epsilon, t_conv)
+    s = t * t
+    start = [_power_series(beta, s),
+             t * _power_series([2 * i * x for i, x in enumerate(beta)][1:], s),
+             s * _power_series(phi, s),
+             t * _power_series([(2 * i + 2) * x for i, x in enumerate(phi)],
+                               s)]
+    if alpha:
+        start = [t * _power_series(alpha, s),
+                 _power_series([(2 * i + 1) * x for i, x in enumerate(alpha)],
+                               s)] + start
+    eps = params.epsilon
     if not all(abs(value) < _BLOWUP_LIMIT for value in start):
-        raise ValueError(f"epsilon={eps:g}: the series start {start} is not "
-                         f"inside the blow-up box |y| < {_BLOWUP_LIMIT:g}")
-    coefficients = ({"a": start[0], "b": start[2]} if k >= 1
-                    else {"b": start[2]})
-    if min(coefficients.values()) <= _POSITIVITY_FLOOR:
+        raise ValueError(f"epsilon={eps:g}: the series start {start} at "
+                         f"t = {t:.6g} is not inside the blow-up box "
+                         f"|y| < {_BLOWUP_LIMIT:g}")
+    positive = ({"a": start[0], "b": start[2]} if alpha
+                else {"b": start[0]})
+    if min(positive.values()) <= _POSITIVITY_FLOOR:
         values = ", ".join(f"{name} = {value:.6g}"
-                           for name, value in coefficients.items())
-        raise ValueError(f"epsilon={eps:g}: the series start ({values}) is "
-                         f"not above the positivity floor "
+                           for name, value in positive.items())
+        raise ValueError(f"epsilon={eps:g}: the series start at t = {t:.6g} "
+                         f"({values}) is not above the positivity floor "
                          f"{_POSITIVITY_FLOOR:g}, where a profile degenerates")
-    return start
+    return t, start
+
+
+def _power_series(coefficients, s):
+    """``sum(c[i] s^i)`` by Horner's rule."""
+    value = 0.0
+    for x in reversed(coefficients):
+        value = value * s + x
+    return value
 
 
 def _rhs_with_phi(params: AnsatzParams):
@@ -402,8 +506,8 @@ def _quiet(get):
 class SolitonProfile:
     """A profile: its parameters, its step table and its outcome.
 
-    The step table of the DOP853 run from ``params.epsilon`` to
-    ``end_time``: step i starts at ``t_old[i]`` with the state
+    The step table of the DOP853 run from ``start_time``, its series
+    start, to ``end_time``: step i starts at ``t_old[i]`` with the state
     ``y_old[i]`` (a, a', b, b', phi, phi' for k >= 1, the last four for
     k = 0), has the size ``h[i]`` and the coefficient rows ``F[i]`` of its
     polynomial (see :func:`_horner`), and ends where step i + 1 starts or,
@@ -435,6 +539,7 @@ class SolitonProfile:
     y_old: np.ndarray
     F: np.ndarray
     status: str
+    start_time: float
     end_time: float
 
     def __post_init__(self):
@@ -445,12 +550,13 @@ class SolitonProfile:
 
     def _check_steps(self):
         """Raise ``ValueError`` unless the step table is one piecewise
-        polynomial from epsilon to ``end_time``: at least one step, arrays
-        of the shapes of the params' k, finite numbers, ``t`` strictly
-        increasing from epsilon, ``h`` positive, each step ending within 4
-        ulps of where the next starts, and ``end_time`` in the last step
-        and at most ``t_max``, as every shot profile ends.  The messages
-        name the columns of :meth:`to_csv`."""
+        polynomial from ``start_time`` to ``end_time``: at least one step,
+        arrays of the shapes of the params' k, finite numbers, ``t``
+        strictly increasing from ``start_time``, which lies in (0,
+        epsilon], as every series start does, ``h`` positive, each step
+        ending within 4 ulps of where the next starts, and ``end_time`` in
+        the last step and at most ``t_max``, as every shot profile ends.
+        The messages name the columns of :meth:`to_csv`."""
         k, eps = self.params.k, self.params.epsilon
         n = len(_state_columns(k))
         shapes = [np.shape(x) for x in (self.t_old, self.h, self.y_old, self.F)]
@@ -470,9 +576,13 @@ class SolitonProfile:
                              " has a non-finite value")
         if not (h > 0).all():
             raise ValueError("profile column h is not positive")
-        if t_old[0] != eps:
+        if not 0 < self.start_time <= eps:
+            raise ValueError(f"profile start_time {self.start_time:.17g} is "
+                             f"not in (0, epsilon = {eps:.17g}]")
+        if t_old[0] != self.start_time:
             raise ValueError(f"profile column t starts at {t_old[0]:.17g}, "
-                             f"not at epsilon = {eps:.17g}")
+                             f"not at its start_time = "
+                             f"{self.start_time:.17g}")
         ends = t_old + h
         apart = np.abs(ends[:-1] - t_old[1:]) > 4 * np.spacing(np.abs(t_old[1:]))
         if apart.any():
@@ -603,7 +713,8 @@ class SolitonProfile:
         parts = [
             f"# schema_version={PROFILE_SCHEMA_VERSION}\n",
             "# params=" + json.dumps(asdict(self.params), sort_keys=True) + "\n",
-            f"# status={self.status} end_time={self.end_time:.17g}\n",
+            f"# status={self.status} start_time={self.start_time:.17g} "
+            f"end_time={self.end_time:.17g}\n",
             ",".join(header) + "\n",
         ]
         parts += (bytes(row).hex(",", 8) + "\n"
@@ -673,11 +784,12 @@ class SolitonProfile:
             raise ValueError(f"profile CSV has bad params: {exc}") from exc
         status_line = lines[2] if len(lines) > 2 else ""
         part = status_line[2:].split()
-        if (not status_line.startswith("# status=") or len(part) != 2
-                or not part[1].startswith("end_time=")):
+        if (not status_line.startswith("# status=") or len(part) != 3
+                or not part[1].startswith("start_time=")
+                or not part[2].startswith("end_time=")):
             raise ValueError("profile CSV has a missing or malformed status line")
         status = part[0].split("=", 1)[1]
-        end_time = float(part[1].split("=", 1)[1])
+        start_time, end_time = (float(x.split("=", 1)[1]) for x in part[1:])
         header = _csv_header(params.k)
         if len(lines) < 4 or tuple(lines[3].split(",")) != header:
             raise ValueError("profile CSV has an unexpected header row for "
@@ -703,7 +815,7 @@ class SolitonProfile:
         return cls(params=params, t_old=rows[:, 0], y_old=rows[:, 1:1 + n],
                    h=rows[:, 1 + n],
                    F=rows[:, 2 + n:].reshape(len(rows), _N_COEFFS, n),
-                   status=status, end_time=end_time)
+                   status=status, start_time=start_time, end_time=end_time)
 
 
 # the version of the solve_summary.json document
@@ -725,13 +837,6 @@ def _summary(profile: SolitonProfile) -> dict:
                                        initial=math.nan))
             for name in ("tt", "sk", "sm")},
     }
-
-
-# the origin launch layer amplifies start-state errors by roughly 1/t^2
-# along a transverse mode, so the leg up to _LAUNCH_END is integrated at a
-# fixed tight tolerance regardless of the requested one
-_LAUNCH_END = 0.1
-_LAUNCH_TOL = 1e-13
 
 
 def _events(k):
@@ -766,50 +871,42 @@ def _integrate(rows):
     """The DOP853 runs of a batch of ``rows``: one outcome per row.
 
     ``rows`` are AnsatzParams sharing a state size (all k >= 1 or all
-    k = 0), each with its own epsilon, t_max and tol.  A row's run has two
-    legs, each with one tolerance (:func:`_dop853`): the launch leg up to
-    ``t_switch = min(_LAUNCH_END, t_max)`` at most ``_LAUNCH_TOL`` and,
-    when ``t_switch < t_max``, the rest of the span at ``tol``.  Its
-    outcome is ``(run, status)``, the status from the run's terminal
-    event, if any, its end the run's last step end ``run.t[-1]``
-    (exactly ``t_max`` when completed); or the exception of a row that
-    cannot run: the ``ValueError`` of a refused series start, or the
-    ``IntegrationError`` of a step size that underflowed, of a run that
-    reached ``MAX_STEPS`` or of an event that ``brentq`` failed to
-    locate.  A start that ``_series_start`` returns lies inside the
-    blow-up box, its a and b above the positivity floor, and its epsilon
-    below ``_LAUNCH_END`` and ``t_max``, so
-    :func:`_dop853` accepts every row and every event starts positive.
-    The rows are one :func:`_dop853` batch with the one event function of
-    their state size (:func:`_events`), each run with the bits of its row
-    integrated alone, whatever the other rows do.
+    k = 0), each with its own epsilon, t_max and tol.  A row's run is one
+    :func:`_dop853` span at ``tol`` from its series start
+    (:func:`_series_start`) to t_max.  Its outcome is ``(run, status)``,
+    the status from the run's terminal event, if any, its end the run's
+    last step end ``run.t[-1]`` (exactly ``t_max`` when completed); or the
+    exception of a row that cannot run: the ``ValueError`` of a refused
+    series start, or the ``IntegrationError`` of a step size that
+    underflowed, of a run that reached ``MAX_STEPS`` or of an event that
+    ``brentq`` failed to locate.  A start that ``_series_start`` returns
+    lies inside the blow-up box, its a and b above the positivity floor,
+    at a t of at most epsilon, below ``t_max``, so :func:`_dop853` accepts
+    every row and every event starts positive.  The rows are one
+    :func:`_dop853` batch with the one event function of their state size
+    (:func:`_events`), each run with the bits of its row integrated alone,
+    whatever the other rows do.
     """
     events, outcomes = _events(rows[0].k)
     results = [None] * len(rows)
-    launch, starts, legs = [], [], []
+    started, t0, starts, spans = [], [], [], []
     for i, p in enumerate(rows):
         try:
-            a, ap, b, bp, phip = _series_start(p)
+            t, start = _series_start(p)
         except ValueError as exc:
             results[i] = exc
             continue
-        launch.append(i)
-        starts.append([a, ap, b, bp, 0.0, phip] if p.k >= 1
-                      else [b, bp, 0.0, phip])
-        t_switch = min(_LAUNCH_END, p.t_max)
-        spans = [(p.epsilon, t_switch, min(p.tol, _LAUNCH_TOL))]
-        if t_switch < p.t_max:
-            spans.append((t_switch, p.t_max, p.tol))
+        started.append(i)
+        t0.append(t)
+        starts.append(start)
         # a capped first step keeps the dense output tight where the
         # differentiated diagnostics are most sensitive
-        legs.append([(t1, tol, min(1e-3, 0.01 * (t1 - t0)))
-                     for t0, t1, tol in spans])
-    if not launch:
+        spans.append((p.t_max, p.tol, min(1e-3, 0.01 * (p.t_max - t))))
+    if not started:
         return results
-    for i, run in zip(launch, _dop853(
-            [_rhs_with_phi(rows[i]) for i in launch],
-            [rows[i].epsilon for i in launch], np.array(starts), legs,
-            events)):
+    for i, run in zip(started, _dop853(
+            [_rhs_with_phi(rows[i]) for i in started], t0, np.array(starts),
+            spans, events)):
         if isinstance(run, Exception):   # raised by brentq
             results[i] = IntegrationError(f"event location failed: {run}")
         elif run.status == -1:
@@ -828,6 +925,7 @@ def _profile(params: AnsatzParams, outcome) -> SolitonProfile:
     run, status = outcome
     return SolitonProfile(params=params, t_old=run.t[:-1], h=run.h,
                           y_old=run.y_old, F=run.F, status=status,
+                          start_time=float(run.t[0]),
                           end_time=float(run.t[-1]))
 
 
@@ -836,14 +934,16 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
 
     Adaptive eighth-order explicit integration to ``t_max`` or until a
     metric coefficient degenerates or the state blows up; the returned
-    profile records the outcome in ``status`` and ``end_time``.  phi is
-    gauge-normalized to phi(epsilon) = 0.
+    profile records the outcome in ``status`` and ``end_time``, and its
+    series start in ``start_time``.  phi is gauge-normalized to phi(0) =
+    0: the start's phi is the series' phi at ``start_time``, so phi does
+    not depend on where the row starts.
 
     A batch of one row: one run of the one-row DOP853 loop
     (:func:`ricciwarp.dop853._dop853`) on the closure of
-    :func:`_rhs_with_phi`, over the launch leg and, unless the row ends in
-    it, the rest of the span (:func:`_integrate`), with the steps and bits
-    of ``scipy.integrate.solve_ivp`` restarted at the leg switch.  Raises
+    :func:`_rhs_with_phi` over the span from the series start to t_max
+    (:func:`_integrate`), with the steps and bits of
+    ``scipy.integrate.solve_ivp`` on that span.  Raises
     ``ValueError`` for parameters it refuses (a refused series start;
     :class:`AnsatzParams` refuses the rest when built), and
     :class:`IntegrationError` when the step size underflows, the run
@@ -873,7 +973,7 @@ def profile_geometry(profile: SolitonProfile, h: float = DEFAULT_STEP):
     k = params.k
     a_s, b_s, phi_s = profile.interpolants()
     base = radial_profile_base(
-        a_s, k, (float(params.epsilon) + 8 * h,
+        a_s, k, (float(profile.start_time) + 8 * h,
                  float(profile.end_time) - 8 * h),
         label=f"profile-base-k{k}")
     warp = ScalarField(lambda X: b_s(X[:, 0]), "b-warping")
@@ -884,9 +984,9 @@ def profile_geometry(profile: SolitonProfile, h: float = DEFAULT_STEP):
 
 def ambient_radial_range(profile: SolitonProfile):
     """``(lo, hi)`` = (max(1.1 t_0, 0.05), 0.95 t_end): the radii of the
-    profile span [epsilon, end_time] on which :func:`ambient_geometry` is
-    valid."""
-    return (max(float(profile.params.epsilon) * 1.1, 0.05),
+    profile span [start_time, end_time] on which :func:`ambient_geometry`
+    is valid."""
+    return (max(float(profile.start_time) * 1.1, 0.05),
             float(profile.end_time) * 0.95)
 
 
@@ -945,7 +1045,7 @@ def certify_profile(profile: SolitonProfile,
             f"{profile.end_time:g}); only completed profiles are certified")
     # checked before any patch is built: the base chart of
     # profile_geometry needs the span minus 8 h at either end
-    span = (float(params.epsilon), float(profile.end_time))
+    span = (float(profile.start_time), float(profile.end_time))
     t_lo = max(t_window[0], span[0] + 16 * h)
     t_hi = min(t_window[1], span[1] - 16 * h)
     if t_hi <= t_lo:
@@ -1040,7 +1140,7 @@ def _report(profile: SolitonProfile) -> dict:
     its first integral mu, and the local log-slopes ``t y'/y`` of a and b,
     read from the step polynomials: ``slope_a`` and ``slope_b`` at
     ``end_time``, ``slope_a_mid`` and ``slope_b_mid`` in the middle of the
-    span, at ``(epsilon + end_time) / 2``.
+    span, at ``(start_time + end_time) / 2``.
 
     The slopes are NaN unless the profile is ``completed``, and the
     a-slopes are NaN for k = 0, which has no a.  ``y ~ t^p`` has the slope
@@ -1055,7 +1155,7 @@ def _report(profile: SolitonProfile) -> dict:
               "mu_mean": profile.mu_mean, "mu_spread": profile.mu_spread}
     if profile.status == "completed":
         steps, end = profile._steps, profile.end_time
-        t = np.array([end, 0.5 * (profile.params.epsilon + end)])
+        t = np.array([end, 0.5 * (profile.start_time + end)])
         at = _locate(steps, t)
         for y in ("a", "b") if profile.params.k >= 1 else ("b",):
             slope = (t * _evaluate(steps, y + "_prime", *at)

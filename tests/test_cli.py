@@ -205,13 +205,14 @@ class TestSolve:
     def test_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
         # a row that needs more than MAX_STEPS accepted steps is a numeric
         # failure with no artifact
-        monkeypatch.setattr(dop853, "MAX_STEPS", 20)
+        # (k1m2 to t_max 3 takes 18 steps from its series start at 0.1)
+        monkeypatch.setattr(dop853, "MAX_STEPS", 10)
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0.0,
                                       "b0": 1.0, "t_max": 3.0})
         assert main(["solve", "--config", str(cfg_path)]) == 3
         assert capsys.readouterr().err.startswith(
-            "numeric failure: integrator failed: MAX_STEPS = 20 accepted "
+            "numeric failure: integrator failed: MAX_STEPS = 10 accepted "
             "steps reached at t = ")
         assert not (tmp_path / "out").exists()
 
@@ -239,8 +240,8 @@ class TestSolve:
             **dict.fromkeys(("slope_a", "slope_a_mid", "slope_b",
                              "slope_b_mid")),
             "reduced_equation_residual_max": {
-                "sk": 1.6187441686521412e+241, "sm": 2.2642258545793616e+252,
-                "tt": 1.6765479310633825e+193}}
+                "sk": 1.6187133362486335e+241, "sm": 2.2641827599334333e+252,
+                "tt": 1.6765239929234977e+193}}
 
     def test_failed_summary_writes_nothing(self, tmp_path, capsys,
                                            monkeypatch):
@@ -475,7 +476,8 @@ class TestQuotient:
                      quotient=quotient)
         assert main(["quotient", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        valid = f"[0.05, {0.95 * t_max!r}]"
+        # the radii from 1.1 times the series start, 0.1, to 0.95 t_max
+        valid = f"[{1.1 * 0.1!r}, {0.95 * t_max!r}]"
         assert err.startswith("config error:") and valid in err
         lo, hi = t_range or T_RANGE
         assert f"[{lo!r}, {hi!r}]" in err
@@ -587,13 +589,19 @@ class TestUnfittableProfile:
 
 
 def _old_text(profile, version):
-    """``profile`` in the text of an old schema: schema 5, the bit words of
-    schema 6 under a params line that holds ``rtol`` and ``atol`` in place
-    of ``tol``; schema 4, those words under a params line that also holds
-    the density ``grid_per_unit`` of a uniform sample grid; or decimal
-    (``%.17g``) text, the step table of schema 3, or the sampled grid of
-    schema 2, or of schema 1, which also stored mu, res_tt, res_sk and
-    res_sm."""
+    """``profile`` in the text of an old schema: schema 6, the bit words of
+    schema 7 under a status line without ``start_time``; schema 5, those
+    words under a params line that holds ``rtol`` and ``atol`` in place of
+    ``tol``; schema 4, under a params line that also holds the density
+    ``grid_per_unit`` of a uniform sample grid; or decimal (``%.17g``)
+    text, the step table of schema 3, or the sampled grid of schema 2, or
+    of schema 1, which also stored mu, res_tt, res_sk and res_sm."""
+    if version == 6:
+        lines = profile.to_csv().splitlines()
+        lines[0] = "# schema_version=6"
+        lines[2] = (f"# status={profile.status} "
+                    f"end_time={profile.end_time:.17g}")
+        return "\n".join(lines) + "\n"
     if version in (4, 5):
         lines = profile.to_csv().splitlines()
         params = json.loads(lines[1].split("=", 1)[1])
@@ -618,16 +626,16 @@ def _old_text(profile, version):
 class TestOldProfileSchemas:
     """Schema 1 and 2 files (a sampled grid), schema 3 files (the step
     table in decimal text), schema 4 files (a params line with a grid
-    density) and schema 5 files (a params line with rtol and atol) are
-    refused with exit 4, a message that names schema 6 and says to re-run
-    solve, and no artifact.  The test keeps its id from
-    when schema 3 was the one named."""
+    density), schema 5 files (a params line with rtol and atol) and schema
+    6 files (no start time) are refused with exit 4, a message that names
+    schema 7 and says to re-run solve, and no artifact.  The test keeps
+    its id from when schema 3 was the one named."""
 
     @pytest.mark.parametrize("command,block", [
         ("certify", {}),
         ("quotient", {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}),
     ])
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_exits_4_naming_schema_3(self, tmp_path, capsys, command, block,
                                      version):
         _solved_profile(tmp_path)
@@ -641,7 +649,7 @@ class TestOldProfileSchemas:
         err = capsys.readouterr().err
         assert err.startswith("I/O failure: ill-formed profile file")
         assert (f"schema_version {version} is not read" in err
-                and "re-run 'solve' to write schema_version 6" in err)
+                and "re-run 'solve' to write schema_version 7" in err)
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "profile.csv", "solve_summary.json"]
 
@@ -929,16 +937,19 @@ class TestSweep:
         assert "hit_b_zero" in rows[0]
 
     def test_error_row_keeps_the_message(self, tmp_path):
+        # b0 1e-7 starts at t = 2.0e-8, where a and b lie below the floor
         cfg_path = tmp_path / "s.json"
         write_config(cfg_path, sweep={"k": [1], "m": [2], "lambda": [0.0],
-                                      "b0": [1e-5, 1.0], "t_max": 2.0})
+                                      "b0": [1e-7, 1.0], "t_max": 2.0})
         assert main(["sweep", "--config", str(cfg_path)]) == 0
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
         assert len(rows) == 2
         fields = rows[0].split(",")
         assert len(fields) == 12
-        assert fields[4] == ("error:ValueError:epsilon=0.0001 too large: "
-                             "series tail estimate 1.67e-03 > 1e-8")
+        assert fields[4] == (
+            "error:ValueError:epsilon=0.1: the series start at t = "
+            "2.03939e-08 (a = 2.02541e-08; b = 1.01036e-07) is not above the "
+            "positivity floor 1e-06; where a profile degenerates")
         assert rows[1].split(",")[4] == "completed"
 
     @pytest.mark.parametrize("block,status", [
@@ -1122,32 +1133,38 @@ class TestConfigValidation:
 
 
 class TestRefusedSeriesStart:
-    """A solve block whose series start is refused (epsilon too large for
-    the truncated series) is a config error in every command that shoots,
-    before any output is written."""
+    """A solve block whose series start is refused (a start at the
+    positivity floor, or a coefficient past the float range) is a config
+    error in every command that shoots, before any output is written."""
 
     @pytest.mark.parametrize("command", ["solve", "certify", "quotient"])
-    @pytest.mark.parametrize("solve", [
-        {"k": 1, "m": 2, "lambda": 0, "b0": 1, "epsilon": 0.01},
-        {"k": 1, "m": 2, "lambda": 0, "b0": 1e-5},
-        # eps ** 3 overflows: the tail estimate reads inf
-        {"k": 1, "m": 2, "lambda": 0, "b0": 1, "epsilon": 1e103,
-         "t_max": 1e104},
-    ])
-    def test_exits_2_without_artifacts(self, tmp_path, capsys, command, solve):
+    @pytest.mark.parametrize("solve,reason", [
+        # an epsilon at the floor starts a there
+        ({"k": 1, "m": 2, "lambda": 0, "b0": 1, "epsilon": 5e-7},
+         "(a = 5e-07, b = 1) is not above the positivity floor"),
+        # a small b0 starts early, in proportion: at t = 2.0e-8 for 1e-7
+        ({"k": 1, "m": 2, "lambda": 0, "b0": 1e-7},
+         "(a = 2.02541e-08, b = 1.01036e-07) is not above the positivity"),
+        ({"k": 1, "m": 2, "lambda": 0, "b0": 1e-300},
+         "a3 = -inf of (k, m, lambda, b0) = (1, 2, 0, 1e-300) is not "
+         "finite"),
+    ], ids=["solve0", "solve1", "solve2"])
+    def test_exits_2_without_artifacts(self, tmp_path, capsys, command, solve,
+                                       reason):
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, solve=solve, quotient=dict(_QUOTIENT))
         assert main([command, "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "too large" in err
+        assert err.startswith("config error:") and reason in err
         assert not (tmp_path / "out").exists()
 
 
 class TestQuotientFuzz:
     """Random quotient configs end in a documented exit code, and a config
     error or a numeric or I/O failure writes nothing.  Each example carries
-    at most one deliberate flaw: a refused series start (epsilon too large
-    or b0 too small) or a radial range past the profile; the action
+    at most one deliberate flaw: a refused series start (at the
+    positivity floor, or with a coefficient past the float range) or a
+    radial range past the profile; the action
     arguments are drawn valid (p = 2 for the antipodal map and on the line,
     odd m for Hopf), since their refusals are pinned above and would
     otherwise stop most examples before the shooting."""
@@ -1166,7 +1183,7 @@ class TestQuotientFuzz:
             p=st.integers(2, 7),
             kind=st.sampled_from(["hopf", "antipodal", "axis_rotation"]),
             n_samples=st.integers(0, 16), seed=st.integers(0, 3),
-            lo=st.sampled_from([0.1, 0.3]),
+            lo=st.sampled_from([0.15, 0.3]),
             flaw=st.sampled_from([None, None, None, "epsilon", "b0",
                                   "t_range"]))
         def run(k, m, lam, b0, t_max, p, kind, n_samples, seed, lo, flaw):
@@ -1175,12 +1192,13 @@ class TestQuotientFuzz:
             if kind == "hopf":
                 m |= 1
             solve = {"k": k, "m": m, "lambda": lam, "b0": b0, "t_max": t_max}
-            # the profile's radial range is [0.05, 0.95 t_end], t_end <= t_max
+            # the profile's radial range is [1.1 t_start, 0.95 t_end], with
+            # t_start <= epsilon = 0.1 and t_end <= t_max
             t_range = [lo, 0.9 * t_max]
             if flaw == "t_range":
                 t_range = [0.02, 0.5] if lo < 0.2 else [lo, 1.2 * t_max]
             elif flaw:
-                solve[flaw] = {"epsilon": 0.01, "b0": 1e-5}[flaw]
+                solve[flaw] = {"epsilon": 5e-7, "b0": 1e-300}[flaw]
             work = tmp_path / str(next(runs))
             work.mkdir()
             write_config(work / "q.json", solve=solve, quotient={
@@ -1201,8 +1219,9 @@ class TestSolveFuzz:
     """Random solve configs end in a documented exit code, and only a
     successful solve writes its outputs: both of them.  Each example
     carries at most one deliberate flaw, which must be a config error: a
-    refused series start (epsilon too large or b0 too small), a span
-    shorter than 2 epsilon, or a value of the wrong type under one key."""
+    refused series start (b0 at the positivity floor, or so small that a
+    coefficient passes the float range), a span shorter than 2 epsilon, or
+    a value of the wrong type under one key."""
 
     def test_exit_codes_and_artifacts(self, tmp_path, capsys):
         hypothesis = pytest.importorskip("hypothesis")
@@ -1215,19 +1234,19 @@ class TestSolveFuzz:
             k=st.integers(0, 3), m=st.integers(1, 4),
             lam=st.floats(-1.0, 1.0), b0=st.floats(0.3, 3.0),
             phi2=st.floats(-1.0, 0.5), t_max=st.floats(0.2, 3.0),
-            flaw=st.sampled_from([None, None, None, "epsilon", "b0",
+            flaw=st.sampled_from([None, None, None, "floor", "overflow",
                                   "t_max", "type"]),
-            short=st.floats(1e-6, 1.9e-4), key=st.sampled_from(keys),
+            short=st.floats(1e-6, 0.19), key=st.sampled_from(keys),
             wrong=st.sampled_from(["1", True, None, [1]]))
         def run(k, m, lam, b0, phi2, t_max, flaw, short, key, wrong):
             solve = dict(zip(keys, (k, m, lam, b0, phi2, t_max)))
             if flaw == "type":
                 solve[key] = wrong
             elif flaw:
-                solve[flaw] = {"epsilon": 0.01, "b0": 1e-5,
-                               "t_max": short}[flaw]
-                if flaw == "b0":   # the circle fiber (m = 1) takes any b0
-                    solve["m"] = max(m, 2)
+                key, value = {"floor": ("b0", 1e-7),
+                              "overflow": ("b0", 1e-300),
+                              "t_max": ("t_max", short)}[flaw]
+                solve[key] = value
             work = tmp_path / str(next(runs))
             work.mkdir()
             write_config(work / "s.json", solve=solve)
@@ -1249,10 +1268,10 @@ class TestSweepFuzz:
     point, and a parallel sweep writes the serial sweep's bytes (grids
     this small run in the calling process either way: ``sweep`` starts no
     child below 2 * ``_SHARE_ROWS`` rows).  The grids hold refused starts
-    (b0 = 1e-5 on a sphere fiber) among their rows; an example may carry
-    one flaw: a span shorter than 2 epsilon or a non-boolean ``parallel``
-    (config errors), or an epsilon that every row's series refuses (an
-    error row each)."""
+    (b0 = 1e-7, at the positivity floor) among their rows; an example may
+    carry one flaw: a span shorter than 2 epsilon or a non-boolean
+    ``parallel`` (config errors), or a b0 whose series passes the float
+    range in every row (an error row each)."""
 
     def test_exit_codes_and_artifacts(self, tmp_path, capsys):
         hypothesis = pytest.importorskip("hypothesis")
@@ -1266,19 +1285,19 @@ class TestSweepFuzz:
         @hypothesis.given(
             ks=pair(st.integers(0, 3)), ms=pair(st.integers(1, 4)),
             lam=st.floats(-1.0, 1.0),
-            b0s=pair(st.sampled_from([1e-5, 0.5, 1.0, 1.7])),
+            b0s=pair(st.sampled_from([1e-7, 0.5, 1.0, 1.7])),
             t_max=st.floats(0.2, 2.0),
             parallel=st.booleans(), workers=st.sampled_from([None, 1, 2]),
             flaw=st.sampled_from([None, None, None, "t_max", "parallel",
-                                  "epsilon"]))
+                                  "b0"]))
         def run(ks, ms, lam, b0s, t_max, parallel, workers, flaw):
             block = {"k": ks, "m": ms, "lambda": [lam], "b0": b0s,
                      "t_max": t_max, "parallel": parallel}
             if workers is not None:
                 block["workers"] = workers
             if flaw:
-                block[flaw] = {"t_max": 1.5e-4, "parallel": "false",
-                               "epsilon": 0.01}[flaw]
+                block[flaw] = {"t_max": 0.15, "parallel": "false",
+                               "b0": [1e-300]}[flaw]
             work = tmp_path / str(next(runs))
             work.mkdir()
             write_config(work / "s.json", sweep=block)
@@ -1292,8 +1311,8 @@ class TestSweepFuzz:
                 return
             text = (work / "out" / "sweep.csv").read_bytes()
             rows = text.decode().splitlines()[2:]
-            assert len(rows) == len(ks) * len(ms) * len(b0s)
-            if flaw == "epsilon":
+            assert len(rows) == len(ks) * len(ms) * len(block["b0"])
+            if flaw == "b0":
                 assert all(",error:ValueError:" in row for row in rows)
             if block["parallel"] is True:
                 write_config(work / "s.json", sweep=dict(block, parallel=False),

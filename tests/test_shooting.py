@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -39,7 +40,6 @@ from ricciwarp.shooting import (
     _BLOWUP_LIMIT,
     _CSV_HEAD_CHARS,
     _EVAL_FLOOR,
-    _LAUNCH_END,
     _POSITIVITY_FLOOR,
     _REPORT_FIELDS,
     _SHARE_ROWS,
@@ -48,8 +48,10 @@ from ricciwarp.shooting import (
     _locate,
     _report,
     _rhs_with_phi,
+    _series,
     _series_start,
     _state_columns,
+    ambient_geometry,
 )
 
 
@@ -144,15 +146,17 @@ class TestReducedRhs:
 class TestTaylorInit:
     def test_epsilon_to_zero_limit(self):
         # the start nears the closure a = t, a' = 1, b = b0, b' = phi' = 0
-        # down to an epsilon just above the positivity floor, and below it
-        # the start is refused
+        # and phi = 0 down to an epsilon just above the positivity floor,
+        # and below it the start is refused
         eps = 2e-6
         p = AnsatzParams(k=1, m=2, lam=0.0, b0=1.3, epsilon=eps)
-        a, ap, b, bp, phip = _series_start(p)
+        t, (a, ap, b, bp, phi, phip) = _series_start(p)
+        assert t == eps
         assert abs(a - eps) < eps ** 3
         assert abs(ap - 1.0) < eps ** 2
         assert abs(b - 1.3) < eps ** 2
         assert abs(bp) < 10 * eps
+        assert abs(phi) < eps ** 2
         assert abs(phip) < 10 * eps
         with pytest.raises(ValueError, match="not above the positivity floor"):
             _series_start(replace(p, epsilon=1e-7))
@@ -177,26 +181,47 @@ class TestTaylorInit:
 
     def test_k0_start(self):
         # for k = 0 the b-series fixes phi2 = (lam + 2 m b2 / b0) / 2,
-        # whatever params.phi2 says, and phi' = 2 phi2 eps
+        # whatever params.phi2 says: the start is that of any phi2, and its
+        # leading terms are b0 + b2 t^2, 2 b2 t, phi2 t^2 and 2 phi2 t, to
+        # a relative t^2
         m, lam, b0 = 2, 0.3, 1.2
-        p = AnsatzParams(k=0, m=m, lam=lam, b0=b0, phi2=7.0)
-        _, _, b, bp, phip = _series_start(p)
-        eps = p.epsilon
+        p = AnsatzParams(k=0, m=m, lam=lam, b0=b0, phi2=7.0, epsilon=1e-4)
+        t, (b, bp, phi, phip) = _series_start(p)
+        assert (t, [b, bp, phi, phip]) == _series_start(replace(p, phi2=-1.0))
         b2 = ((m - 1) / b0 - lam * b0) / 2.0
         phi2 = (lam + 2.0 * m * b2 / b0) / 2.0
-        assert b == pytest.approx(b0 + b2 * eps ** 2, rel=1e-15)
-        assert bp == pytest.approx(2.0 * b2 * eps, rel=1e-15)
-        assert phip == pytest.approx(2.0 * phi2 * eps, rel=1e-15)
+        assert b == pytest.approx(b0 + b2 * t ** 2, rel=1e-15)
+        assert bp == pytest.approx(2.0 * b2 * t, rel=t ** 2)
+        assert phi == pytest.approx(phi2 * t ** 2, rel=t ** 2)
+        assert phip == pytest.approx(2.0 * phi2 * t, rel=t ** 2)
 
-    def test_epsilon_too_large_rejected(self):
-        with pytest.raises(ValueError):
-            _series_start(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, epsilon=0.5))
+    def test_epsilon_past_the_radius_starts_earlier(self):
+        # past t_conv, where the last order's terms fall to rounding, the
+        # series starts at t_conv (0.167 for k1m2 at b0 1); a row of small
+        # convergence radius starts earlier in proportion, and a tail at
+        # rounding is below the start's last bits
+        params = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, epsilon=0.5)
+        t, start = _series_start(params)
+        assert 0.15 < t < 0.5
+        small, scaled = _series_start(replace(params, b0=0.01, phi2=-5000.0))
+        assert small == pytest.approx(0.01 * t, rel=1e-14)
+        assert scaled == pytest.approx([0.01 * start[0], start[1],
+                                        0.01 * start[2], start[3], start[4],
+                                        start[5] / 0.01], rel=1e-13)
+        # the round sphere S^3 (lambda 3, phi2 0: a = sin t, b = cos t)
+        # starts at its t_conv with the exact state to rounding
+        sphere = AnsatzParams(k=1, m=2, lam=3.0, b0=1.0, phi2=0.0,
+                              epsilon=0.9)
+        t, start = _series_start(sphere)
+        assert 0.5 < t < 0.9
+        exact = [np.sin(t), np.cos(t), np.cos(t), -np.sin(t), 0.0, 0.0]
+        assert np.abs(np.array(start) - exact).max() < 4e-16
 
     def test_accepted_start_can_run(self):
-        # what lets _integrate launch without checking the run: finite
+        # what lets _integrate start without checking the run: finite
         # params whose series start is accepted give a start inside the
         # blow-up box, its a (k >= 1) and b above the positivity floor, at
-        # an epsilon below the end of the launch segment
+        # a t in (0, epsilon], below t_max
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         reals = st.floats(allow_nan=False, allow_infinity=False)
@@ -221,38 +246,113 @@ class TestTaylorInit:
             try:
                 p = AnsatzParams(k=k, m=m, lam=lam, b0=b0, phi2=phi2,
                                  epsilon=epsilon, t_max=t_max)
-                start = _series_start(p)
+                t, start = _series_start(p)
             except ValueError:
                 return
             accepted.append(p)
             # inside the blow-up box, so finite
             assert max(map(abs, start)) < _BLOWUP_LIMIT
-            assert min(_LAUNCH_END, p.t_max) > p.epsilon
-            a, _, b, _, _ = start
-            assert b > _POSITIVITY_FLOOR
-            assert k == 0 or a > _POSITIVITY_FLOOR
+            assert 0 < t <= p.epsilon < p.t_max
+            assert start[-4] > _POSITIVITY_FLOOR   # b
+            assert k == 0 or start[0] > _POSITIVITY_FLOOR
 
         run()
         assert len(accepted) >= 20
 
     @pytest.mark.parametrize("k,m", [(1, 2), (2, 3)])
     def test_epsilon_halving_consistency(self, k, m):
-        # the series start is consistent: halving epsilon barely moves the
-        # profile downstream
+        # the series start is consistent: starting at the default epsilon
+        # 0.1 or at 0.05 barely moves the profile downstream, phi included,
+        # since phi is gauged to phi(0) = 0 wherever the row starts.
+        # Measured at t = 1: a, b and phi move by at most 3.1e-11 (k1m2)
+        # and 1.1e-11 (k2m3).  An epsilon of 1e-4 integrates the origin
+        # layer at the row's tol, which acceptance criterion 6 bounds
         base = dict(k=k, m=m, lam=0.0, b0=1.0, t_max=2.0)
-        p1 = shoot(AnsatzParams(epsilon=1e-4, **base))
-        p2 = shoot(AnsatzParams(epsilon=5e-5, **base))
+        p1 = shoot(AnsatzParams(epsilon=0.1, **base))
+        p2 = shoot(AnsatzParams(epsilon=0.05, **base))
+        assert (p1.start_time, p2.start_time) == (0.1, 0.05)
         a1, b1, f1 = p1.interpolants()
         a2, b2, f2 = p2.interpolants()
         delta = max(abs(float(a1(1.0)) - float(a2(1.0))),
                     abs(float(b1(1.0)) - float(b2(1.0))),
                     abs(float(f1(1.0)) - float(f2(1.0))))
-        assert delta < 1e-8
+        assert delta < 1e-9
 
     def test_k2_m3_smoke(self):
         prof = shoot(AnsatzParams(k=2, m=3, lam=0.0, b0=1.0, t_max=1.5))
         assert prof.status == "completed"
         assert np.all(np.isfinite(prof.b))
+
+
+class TestSeriesReferees:
+    """Exact smooth closures that the series start must reproduce
+    coefficient by coefficient: a = t sum(alpha[i] t^2i), b = sum(beta[i]
+    t^2i), phi = t^2 sum(phi[i] t^2i)."""
+
+    def test_round_sphere(self, monkeypatch):
+        # S^(k+m+1) = dt^2 + sin^2 t g_(S^k) + cos^2 t g_(S^m), lambda = k +
+        # m: a = sin t, b = cos t and phi = 0, through 12 orders (t^25 in
+        # a).  Each coefficient is within rounding of the O(1) terms of its
+        # recurrence (measured: at most 6.9e-18 from the exact one in a and
+        # b, 2.2e-17 from 0 in phi), so its relative error grows as the
+        # coefficients fall to 1/25!; through order 4 it is at most 2.0e-13
+        monkeypatch.setattr(shooting, "_SERIES_ORDERS", 12)
+        for k, m in ((1, 2), (2, 3), (1, 3)):
+            alpha, beta, phi, _ = _series(AnsatzParams(
+                k=k, m=m, lam=float(k + m), b0=1.0, phi2=0.0, epsilon=10.0,
+                t_max=20.0))
+            sin = [(-1) ** i / math.factorial(2 * i + 1) for i in range(13)]
+            cos = [(-1) ** i / math.factorial(2 * i) for i in range(13)]
+            assert len(alpha) == len(beta) == len(phi) + 1 == 13
+            for got, want in ((alpha, sin), (beta, cos)):
+                assert np.abs(np.subtract(got, want)).max() < 4e-17
+                assert np.abs(np.subtract(got, want)
+                              / np.array(want))[:5].max() < 1e-12
+            assert np.abs(phi).max() < 4e-17
+
+    def test_einstein_product(self):
+        # S^(k+1)(r) x S^m(b0) with lambda = k / r^2 = (m - 1) / b0^2 and
+        # phi2 0: a = r sin(t / r), b = b0 and phi = 0
+        for k, m, b0 in ((1, 2, 1.0), (1, 3, 2.0), (2, 3, 1.5)):
+            lam = (m - 1) / b0 ** 2
+            r = math.sqrt(k / lam)
+            alpha, beta, phi, _ = _series(AnsatzParams(
+                k=k, m=m, lam=lam, b0=b0, phi2=0.0, epsilon=10.0,
+                t_max=20.0))
+            want = [(-1) ** i / (math.factorial(2 * i + 1) * r ** (2 * i))
+                    for i in range(len(alpha))]
+            np.testing.assert_allclose(alpha, want, rtol=1e-10, atol=1e-22)
+            assert beta[0] == b0 and np.abs(beta[1:]).max() < 1e-15
+            assert np.abs(phi).max() < 1e-15
+
+    def test_cylinder_at_its_exact_radius(self):
+        # k0m2 at b0 = sqrt((m - 1) / lambda): b = b0 and phi = lambda
+        # t^2 / 2, every coefficient past b0 and phi2 0 to rounding (b0 is
+        # rounded), so the series stops at its second order and starts at
+        # epsilon
+        params = AnsatzParams(k=0, m=2, lam=0.5, b0=math.sqrt(2.0))
+        alpha, beta, phi, t_conv = _series(params)
+        assert alpha == [] and len(beta) == len(phi) + 1 == 3
+        assert beta[0] == math.sqrt(2.0)
+        assert phi[0] == pytest.approx(0.25, rel=1e-15)
+        assert np.abs(beta[1:] + phi[1:]).max() < 1e-16
+        t, start = _series_start(params)
+        assert t == 0.1 < t_conv
+        assert start == pytest.approx([math.sqrt(2.0), 0.0, 0.25 * 0.1 ** 2,
+                                       0.5 * 0.1], rel=1e-15, abs=1e-16)
+
+    def test_loading_a_profile_solves_no_series(self, monkeypatch,
+                                                steady_profile_12):
+        # a profile records its start: reading it back, certifying it and
+        # its quotient geometry run no series solve
+        def refuse(params):
+            raise AssertionError("a series solve")
+
+        monkeypatch.setattr(shooting, "_series", refuse)
+        loaded = SolitonProfile.parse_csv(steady_profile_12.to_csv())
+        assert loaded.start_time == steady_profile_12.start_time == 0.1
+        assert certify_profile(loaded, n_base=4, n_product=4).verdict
+        ambient_geometry(loaded)
 
 
 class TestShoot:
@@ -380,7 +480,7 @@ class TestShoot:
         # retraces the k1m2 lambda -0.1 profile away from the pole: the
         # worst state component at its step starts and its end measured
         # 1.07e-8 from t = 8 back to 4 and 5.09e-9 from 3 back to 0.5; the
-        # bounds are 4 times these.  Toward the pole the launch-layer mode
+        # bounds are 4 times these.  Toward the pole the origin-layer mode
         # grows (8 back to 1: 6.2e-7; 9.9 back to 0.2: 3.2e-4)
         params = AnsatzParams(k=1, m=2, lam=-0.1, b0=1.0)
         prof = shoot(params)
@@ -389,7 +489,7 @@ class TestShoot:
         for T, t_stop, bound in ((8.0, 4.0, 4.3e-8), (3.0, 0.5, 2.1e-8)):
             start = _dense(prof, np.array([T]))[:, 0] * flip
             [run] = _dop853([_rhs_with_phi(params)], [0.0], start[None],
-                            [[(T - t_stop, 1e-12, 1e-3)]], events)
+                            [(T - t_stop, 1e-12, 1e-3)], events)
             assert run.status == 0
             got = np.vstack([run.y_old,
                              _horner(run.F[-1][::-1], run.y_old[-1], 1.0)])
@@ -415,18 +515,19 @@ class TestDiagnosticsIndependence:
         # mu = m - 1 an identity of every solution: mu is conserved
         # whatever the start.  Smoothness at the origin is the series
         # start's to enforce; mu measures the defect of the stored b'
-        # polynomial, also across the launch layer that DOP853 crosses in
-        # steps of about 1e-5
+        # polynomial
         series_start = shooting._series_start
+        b_prime = _state_columns(1).index("b_prime")
 
         def perturbed(params):
-            a, ap, b, bp, phip = series_start(params)
-            return a, ap, b, bp + 0.01, phip
+            t, start = series_start(params)
+            start[b_prime] += 0.01
+            return t, start
 
         monkeypatch.setattr(shooting, "_series_start", perturbed)
         prof = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0))
-        b_prime = _state_columns(1).index("b_prime")
-        assert prof.y_old[0, b_prime] == series_start(prof.params)[3] + 0.01
+        assert (prof.y_old[0, b_prime]
+                == series_start(prof.params)[1][b_prime] + 0.01)
         assert prof.status == "completed"
         assert prof.mu_spread <= 1e-6 * (1 + abs(prof.mu_mean))
 
@@ -463,8 +564,8 @@ class TestDiagnosticsIndependence:
 class TestDefectsAwayFromStepEnds:
     """mu and the residual columns are defects of the stored polynomials,
     sampled at the fractions ``_SAMPLE_X`` inside every step, so they hold
-    where the steps are short: near an event and across the launch
-    layer."""
+    where the steps are short: near an event and after an early series
+    start."""
 
     @pytest.mark.parametrize("params,status,check", [
         (AnsatzParams(k=1, m=2, lam=0.5, b0=1.0, t_max=5.0), "hit_a_zero",
@@ -473,12 +574,16 @@ class TestDefectsAwayFromStepEnds:
          lambda p: p.mu_spread <= 1e-7),
         (AnsatzParams(k=1, m=3, lam=0.5, b0=1.0, t_max=5.0), "completed",
          lambda p: p.mu_spread <= 1e-6),
+        # k1m2 scaled by 0.05: its series starts at t = 0.0084, and its 233
+        # steps read mu_spread 1.8e-8, as k1m2's 32 do
+        (AnsatzParams(k=1, m=2, lam=0.0, b0=0.05, phi2=-200.0), "completed",
+         lambda p: p.start_time < 0.01 and p.mu_spread <= 1e-7),
     ], ids=["hit_a_zero-mu_mean", "hit_b_zero-mu_spread",
-            "completed-mu_spread"])
-    def test_short_steps_and_launch_layer(self, params, status, check):
+            "completed-mu_spread", "early-start-mu_spread"])
+    def test_short_steps_and_early_start(self, params, status, check):
         prof = shoot(params)
         assert prof.status == status
-        assert check(prof), (prof.mu_mean, prof.mu_spread)
+        assert check(prof), (prof.start_time, prof.mu_mean, prof.mu_spread)
 
     def test_grid_density_does_not_move_mu_spread(self, monkeypatch):
         # the samples only read the defect: twice as many a step read
@@ -515,12 +620,15 @@ class TestDefectsAwayFromStepEnds:
         assert prof.t_old[-1] < last[0] and last[-1] < prof.end_time
         assert prof.a.min() > 0
 
-    def test_launch_layer_sampled(self, steady_profile_23):
-        # k2m3 takes dozens of steps below t = 0.1, and its largest phi''
-        # defect lies among their samples (t = 2.0e-4)
+    def test_series_start_sampled(self, steady_profile_23):
+        # k2m3 starts from its series at t = 0.1, its first step is sampled
+        # inside itself like every other, and its largest phi'' defect,
+        # 2.4e-8, lies at t = 0.89, away from the start
         prof = steady_profile_23
-        assert (prof.t_old < 0.1).sum() > 40
-        assert prof.t[np.abs(prof.res_tt).argmax()] < 0.1
+        assert prof.t_old[0] == prof.start_time == 0.1
+        assert prof.start_time < prof.t.min() < prof.t_old[1]
+        assert np.abs(prof.res_tt).max() < 1e-7
+        assert prof.t[np.abs(prof.res_tt).argmax()] > 0.5
 
 
 class TestCertifyProfile:
@@ -746,7 +854,8 @@ class TestInterpolants:
 
 class TestStepTable:
     """Construction (and so every reader) refuses a step table that is not
-    one piecewise polynomial from epsilon to end_time."""
+    one piecewise polynomial from its start time, in (0, epsilon], to
+    end_time."""
 
     @pytest.mark.parametrize("edit,message", [
         (lambda p: _steps(p, [0, 2, 1, *range(3, p.t_old.size)]),
@@ -755,13 +864,18 @@ class TestStepTable:
          "steps 19 and 20 do not meet"),
         (lambda p: replace(p, h=np.where(np.arange(p.h.size) == 9, -p.h, p.h)),
          "column h is not positive"),
-        (lambda p: replace(p, h=p.h * (1 + 1e-15)), "do not meet"),
+        (lambda p: replace(p, h=p.h * (1 + 1e-13)), "do not meet"),
         (lambda p: replace(p, end_time=p.end_time + 1e-12),
          "end_time 10.00000000000.* is not at most its t_max = 10$"),
         (lambda p: replace(p, end_time=float(p.t_old[-1])),
          "does not lie in its last step"),
-        (lambda p: replace(p, params=replace(p.params, epsilon=2e-4)),
-         "starts at 0.0001, not at epsilon = 0.0002"),
+        (lambda p: replace(p, params=replace(p.params, epsilon=0.05)),
+         r"start_time 0.10000000000000001 is not in \(0, epsilon = "
+         r"0.050000000000000003\]"),
+        (lambda p: replace(p, start_time=0.09),
+         "starts at 0.10000000000000001, not at its start_time = 0.0899"),
+        (lambda p: replace(p, t_old=p.t_old - 0.1, start_time=0.0),
+         r"start_time 0 is not in \(0, epsilon"),
         (lambda p: replace(p, params=replace(p.params, k=0)),
          "profile step table of a k = 0 profile needs"),
         (lambda p: _steps(p, slice(0)), "at least one step"),
@@ -771,17 +885,19 @@ class TestStepTable:
          "column F6.a has a non-finite value"),
     ], ids=["swapped-rows", "dropped-row", "negative-h", "long-steps",
             "end-past-last-step", "end-at-last-start", "other-epsilon",
-            "other-k", "no-steps", "six-coefficient-rows", "nan-in-F6"])
+            "other-start", "start-at-zero", "other-k", "no-steps",
+            "six-coefficient-rows", "nan-in-F6"])
     def test_refused(self, steady_profile_12, edit, message):
         with pytest.raises(ValueError, match=message):
             edit(steady_profile_12)
 
     def test_shot_tables_pass(self):
-        # every outcome: the step ends, a terminal event in the launch leg
-        # or after it, and a span inside the launch leg
+        # every outcome: the step ends, a terminal event soon after an
+        # early series start or later, and the shortest span, 2 epsilon
         for params, status in [
-                (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=0.05),
+                (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=0.2),
                  "completed"),
+                (AnsatzParams(k=1, m=2, lam=500.0, b0=1.0), "blowup"),
                 (AnsatzParams(k=0, m=2, lam=0.0, b0=1.0), "blowup"),
                 (AnsatzParams(k=3, m=2, lam=0.0, b0=1.0, phi2=0.3), "blowup"),
                 (AnsatzParams(k=0, m=2, lam=0.5, b0=2.0), "hit_b_zero"),
@@ -789,7 +905,8 @@ class TestStepTable:
             prof = shoot(params)
             assert prof.status == status
             again = SolitonProfile.parse_csv(prof.to_csv())
-            assert again.end_time == prof.end_time
+            assert ((again.start_time, again.end_time)
+                    == (prof.start_time, prof.end_time))
             assert prof.t_old[-1] < prof.t[-1] < prof.end_time
 
 
@@ -805,6 +922,7 @@ class TestCsvRoundTrip:
             assert _same_bits(back, orig), name
         assert loaded.params == steady_profile_12.params
         assert loaded.status == steady_profile_12.status
+        assert loaded.start_time == steady_profile_12.start_time == 0.1
         assert loaded.end_time == steady_profile_12.end_time
 
     @pytest.mark.parametrize("k,m", [(1, 2), (2, 3), (0, 2)])
@@ -837,7 +955,7 @@ class TestCsvRoundTrip:
         # rows is refused before it is decoded, and a file larger than
         # to_csv writes for MAX_STEPS steps is refused unread past that size
         text = steady_profile_12.to_csv()
-        steps = steady_profile_12.h.size                     # 47
+        steps = steady_profile_12.h.size                     # 32
         monkeypatch.setattr(dop853, "MAX_STEPS", steps)
         assert SolitonProfile.parse_csv(text).h.size == steps
         limit = _CSV_HEAD_CHARS + steps * 17 * len(_csv_header(1))
@@ -911,11 +1029,12 @@ class TestCsvRoundTrip:
             prof = SolitonProfile(
                 params=params, t_old=np.array(t_old), h=np.array(steps),
                 y_old=data[:s, 0].copy(), F=data[:s, 1:].copy(),
-                status="completed",
+                status="completed", start_time=params.epsilon,
                 end_time=t_old[-1] + steps[-1] * share)
             back = SolitonProfile.parse_csv(prof.to_csv())
             for name in ("t_old", "h", "y_old", "F"):
                 assert _same_bits(getattr(back, name), getattr(prof, name)), name
+            assert _same_bits(back.start_time, prof.start_time)
             assert _same_bits(back.end_time, prof.end_time)
 
         round_trip()
@@ -941,8 +1060,8 @@ class TestCsvRoundTrip:
             SolitonProfile.parse_csv(text)
 
     @pytest.mark.parametrize("text", [
-        "# schema_version=6\n",
-        "# schema_version=6\n# params=[1, 2]\n",
+        "# schema_version=7\n",
+        "# schema_version=7\n# params=[1, 2]\n",
     ], ids=["no-params-line", "params-not-an-object"])
     def test_truncated_header_rejected(self, text):
         with pytest.raises(ValueError):
@@ -950,6 +1069,7 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("old,new", [
         ("# params=", "# parameters="), (" end_time=1\n", "\n"),
+        (" start_time=", " start="),
         ("t,a,a_prime,", "t,a,"),
         ('"k": 1,', '"k": 1.5,'), ('"k": 1,', '"k": true,'),
         ('"lam": 0.0,', '"lam": "x",'), ('"b0": 1.0,', '"b0": NaN,'),
@@ -962,18 +1082,18 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             SolitonProfile.parse_csv(text.replace(old, new))
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 0, 7])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 0, 8])
     def test_old_schema_refused(self, version):
         # schema 1 and 2 stored a sampled grid, schema 3 the step table in
-        # decimal text, schema 4 a grid density in its params line and
-        # schema 5 rtol and atol in place of tol; 0 and 7 were never
-        # written.  Every version but 6 gets the one message, which says
-        # what to do
+        # decimal text, schema 4 a grid density in its params line, schema
+        # 5 rtol and atol in place of tol and schema 6 no start time; 0 and
+        # 8 were never written.  Every version but 7 gets the one message,
+        # which says what to do
         text = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0)).to_csv()
-        old = text.replace("# schema_version=6", f"# schema_version={version}")
+        old = text.replace("# schema_version=7", f"# schema_version={version}")
         with pytest.raises(ValueError, match=f"schema_version {version} is "
                            "not read; re-run 'solve' to write "
-                           "schema_version 6"):
+                           "schema_version 7"):
             SolitonProfile.parse_csv(old)
 
     def test_end_past_t_max_refused(self):
@@ -1075,7 +1195,7 @@ class TestSweep:
                              t_max=3.0),
                 AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=3.0),
                 AnsatzParams(k=1, m=2, lam=0.1, b0=1.0),
-                AnsatzParams(k=2, m=3, lam=0.0, b0=1e-5),
+                AnsatzParams(k=2, m=3, lam=0.0, b0=1e-7),
                 AnsatzParams(k=2, m=2, lam=0.0, b0=1.0, phi2=0.3),
                 AnsatzParams(k=2, m=3, lam=-0.1, b0=1.0, t_max=3.0),
                 AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, phi2=_UNDERFLOW)]
@@ -1084,7 +1204,9 @@ class TestSweep:
             try:
                 report = _report(shoot(params))
             except (ValueError, IntegrationError) as exc:
-                report = {"status": f"error:{type(exc).__name__}:{exc}",
+                # a row's error is one CSV field: commas become semicolons
+                reason = str(exc).replace(",", ";")
+                report = {"status": f"error:{type(exc).__name__}:{reason}",
                           "lifetime": 0.0,
                           **dict.fromkeys(_REPORT_FIELDS[2:], np.nan)}
             assert tuple(report) == _REPORT_FIELDS
@@ -1098,10 +1220,13 @@ class TestSweep:
                             "error"]
 
     def test_error_row_keeps_the_message(self):
-        # b0 = 1e-5 makes the series tail too large at the default epsilon
-        rows = sweep(params_grid([1], [2], [0.0], [1e-5, 1.0], t_max=2.0))
-        assert rows[0].status == ("error:ValueError:epsilon=0.0001 too large: "
-                                  "series tail estimate 1.67e-03 > 1e-8")
+        # b0 = 1e-7 starts the series at t = 2.0e-8, in proportion to its
+        # radius, where a and b lie below the positivity floor
+        rows = sweep(params_grid([1], [2], [0.0], [1e-7, 1.0], t_max=2.0))
+        assert rows[0].status == (
+            "error:ValueError:epsilon=0.1: the series start at t = "
+            "2.03939e-08 (a = 2.02541e-08; b = 1.01036e-07) is not above the "
+            "positivity floor 1e-06; where a profile degenerates")
         assert rows[0].lifetime == 0.0 and np.isnan(rows[0].mu_mean)
         assert rows[1].status == "completed"
 
@@ -1118,7 +1243,7 @@ class TestSweep:
         # processes, the caller counted, so each gets at least _SHARE_ROWS
         # rows
         pools = _stand_in_pools(monkeypatch)
-        grid = params_grid([1], [2], [0.0], _b0s(3 * _SHARE_ROWS), t_max=0.1)
+        grid = params_grid([1], [2], [0.0], _b0s(3 * _SHARE_ROWS), t_max=0.2)
         serial = sweep(grid)
         assert sweep(grid, parallel=True, workers=10_000) == serial
         assert sweep(grid, parallel=True, workers=2) == serial
@@ -1129,7 +1254,7 @@ class TestSweep:
     def test_small_grid_runs_without_a_pool(self, monkeypatch):
         # below 2 * _SHARE_ROWS rows, or with one worker, no child is started
         pools = _stand_in_pools(monkeypatch)
-        grid = params_grid([0, 1], [2], [0.0], _b0s(_SHARE_ROWS), t_max=0.1)
+        grid = params_grid([0, 1], [2], [0.0], _b0s(_SHARE_ROWS), t_max=0.2)
         serial = sweep(grid)
         for rows, workers in ((2 * _SHARE_ROWS - 1, 64), (3, 2), (2, None),
                               (len(grid), 1)):
@@ -1144,7 +1269,7 @@ class TestSweep:
     def test_pool_gets_one_batch_per_process(self, monkeypatch):
         pools = _stand_in_pools(monkeypatch)
         grid = params_grid([0, 1], [2], [0.0, -0.1], _b0s(_SHARE_ROWS),
-                           t_max=0.1)
+                           t_max=0.2)
         serial = sweep(grid)
         for rows in (2 * _SHARE_ROWS, 3 * _SHARE_ROWS - 1, 3 * _SHARE_ROWS,
                      len(grid)):
@@ -1181,7 +1306,7 @@ class TestSweepChildFailures:
 
     @property
     def grid(self):
-        return params_grid([1], [2], [0.0], _b0s(2 * _SHARE_ROWS), t_max=0.1)
+        return params_grid([1], [2], [0.0], _b0s(2 * _SHARE_ROWS), t_max=0.2)
 
     def _fail_in(self, monkeypatch, where, fail):
         parent, sweep_rows = os.getpid(), shooting._sweep_rows
@@ -1218,7 +1343,7 @@ class TestSweepChildFailures:
         config.write_text(json.dumps({
             "schema_version": 1, "out_dir": str(tmp_path / "out"),
             "sweep": {"k": [1], "m": [2], "lambda": [0.0],
-                      "b0": _b0s(2 * _SHARE_ROWS), "t_max": 0.1,
+                      "b0": _b0s(2 * _SHARE_ROWS), "t_max": 0.2,
                       "parallel": True, "workers": 2}}))
         with _deadline(60):
             assert main(["sweep", "--config", str(config)]) == 4
