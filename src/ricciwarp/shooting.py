@@ -70,20 +70,21 @@ DOP853's polynomial is the right side at the stored state, so a defect
 read there is exactly that substitution: the samples keep to x in [0.05,
 0.95].
 
-``profile.csv`` (schema 7) is the step table, each cell the 16 hex
+``profile.csv`` (schema 8) is the step table, each cell the 16 hex
 digits of its float64 bits, so it round-trips bit for bit with no
 decimal conversion: 2 + 8n cells per step, n = 6 state columns for
-k >= 1 and 4 for k = 0.  Its status line records the series start's time
-beside the end time, so reading a profile solves no series.  A completed
-``t_max = 10`` profile of the README's classes takes 32 to 42 steps, 28
-to 36 KB; a profile that ends in a blow-up takes many short steps.  Older
-files are refused with a message to re-run ``solve``: schemas 1 and 2
-stored a sampled grid, which would need a spline fit beside the
-polynomials, schema 3 decimal text, which would need a second reader,
-schema 4 a params line with the density of a uniform sample grid, schema
-5 one with two tolerances, fields that :class:`AnsatzParams` does not
-take, and schema 6 no start time, which only a series solve could
-restore.
+k >= 1 and 4 for k = 0.  The table's first ``t`` is the series start's
+time, so reading a profile solves no series.  A completed ``t_max = 10``
+profile of the README's classes takes 32 to 42 steps, 28 to 36 KB; a
+profile that ends in a blow-up takes many short steps.  Older files are
+refused with a message to re-run ``solve``: schemas 1 and 2 stored a
+sampled grid, which would need a spline fit beside the polynomials,
+schema 3 decimal text, which would need a second reader, schema 4 a
+params line with the density of a uniform sample grid, schema 5 one with
+two tolerances, fields that :class:`AnsatzParams` does not take, schema
+6 no start time, which only a series solve could restore, and schema 7
+a status line that also held the start time, a repeat of the table's
+first ``t`` that a second status-line reader would have to check.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -130,7 +131,7 @@ __all__ = [
     "GRID_COLUMNS",
 ]
 
-PROFILE_SCHEMA_VERSION = 7
+PROFILE_SCHEMA_VERSION = 8
 GRID_COLUMNS = ("t", "a", "a_prime", "b", "b_prime", "phi", "phi_prime")
 # room for the four header lines of a profile file: the params line of any
 # AnsatzParams is under 12,000 characters, since Python prints at most 4,300
@@ -185,10 +186,12 @@ class AnsatzParams:
     ``epsilon`` is the latest start: a row starts from its series at
     ``min(epsilon, t_conv)``, t_conv where the series tail falls to
     rounding (:func:`_series_start`), which is past the default 0.1 for
-    the README's classes at b0 1.  ``tol`` is the integrator's relative
-    and absolute tolerance (a step's error is scaled by ``tol (1 + max
-    |y|)``) from the start on, raised to 100 eps (about 2.2e-14) as a
-    relative tolerance, as scipy's ``solve_ivp`` does.  No field bounds
+    the README's classes at b0 1.  An explicit epsilon below t_conv
+    integrates the origin layer at ``tol``, so a smaller epsilon alone
+    does not make a row more accurate.  ``tol`` is the integrator's
+    relative and absolute tolerance (a step's error is scaled by ``tol (1
+    + max |y|)``) from the start on, raised to 100 eps (about 2.2e-14) as
+    a relative tolerance, as scipy's ``solve_ivp`` does.  No field bounds
     the work of a run: the integrator stops every run at
     ``dop853.MAX_STEPS`` accepted steps.
 
@@ -458,9 +461,9 @@ def _rhs_with_phi(params: AnsatzParams):
 def _locate(steps, t):
     """``(idx, x)``: the step of each time in a profile's ``_steps`` and
     ``(t - t_old) / h``.  The step ``OdeSolution`` would choose: the first
-    whose end is >= t (``searchsorted(side="left")``), so a step end,
-    the leg switch among them, goes to the earlier step, and times outside
-    the span go to the first or last step."""
+    whose end is >= t (``searchsorted(side="left")``), so a step end goes
+    to the earlier step, and times outside the span go to the first or
+    last step."""
     ends, t_old, h, _ = steps
     idx = np.minimum(np.searchsorted(ends, t, side="left"), ends.size - 1)
     return idx, (t - t_old.take(idx)) / h.take(idx)
@@ -483,9 +486,11 @@ def _state_columns(k: int):
     return GRID_COLUMNS[1:] if k >= 1 else GRID_COLUMNS[3:]
 
 
+@cache
 def _csv_header(k: int):
     """The header row of a k step table: each step's start ``t`` and state
-    there, its size ``h``, then the coefficient rows ``F0`` to ``F6``."""
+    there, its size ``h``, then the coefficient rows ``F0`` to ``F6``;
+    built once per k, since every profile checks its table against it."""
     names = _state_columns(k)
     return ("t", *names, "h",
             *(f"F{j}.{name}" for j in range(_N_COEFFS) for name in names))
@@ -506,14 +511,18 @@ def _quiet(get):
 class SolitonProfile:
     """A profile: its parameters, its step table and its outcome.
 
-    The step table of the DOP853 run from ``start_time``, its series
-    start, to ``end_time``: step i starts at ``t_old[i]`` with the state
-    ``y_old[i]`` (a, a', b, b', phi, phi' for k >= 1, the last four for
-    k = 0), has the size ``h[i]`` and the coefficient rows ``F[i]`` of its
-    polynomial (see :func:`_horner`), and ends where step i + 1 starts or,
-    the last one, at ``end_time``.  Construction refuses (``ValueError``)
-    a ``status`` other than those of ``_STATUSES`` and a table that is
-    not one piecewise polynomial over that span: see :meth:`_check_steps`.
+    ``table`` is the step table of the DOP853 run, one row per step in the
+    columns of :func:`_csv_header`, the data rows of :meth:`to_csv`: step
+    i starts at ``t_old[i]``, the first at the series start
+    ``start_time``, with the state ``y_old[i]`` (a, a', b, b', phi, phi'
+    for k >= 1, the last four for k = 0), has the size ``h[i]`` and the
+    coefficient rows ``F[i]`` of its polynomial (see :func:`_horner`), and
+    ends where step i + 1 starts or, the last one, at ``end_time``.
+    ``t_old``, ``y_old``, ``h`` and ``F`` are views of the table's
+    columns, ``start_time`` its first ``t``.  Construction refuses
+    (``ValueError``) a ``status`` other than those of ``_STATUSES`` and a
+    table that is not one piecewise polynomial over that span: see
+    :meth:`_check_steps`.
 
     The sample columns ``GRID_COLUMNS`` are the polynomials' values at
     the fractions ``_SAMPLE_X`` of every step, step by step
@@ -534,12 +543,8 @@ class SolitonProfile:
     """
 
     params: AnsatzParams
-    t_old: np.ndarray
-    h: np.ndarray
-    y_old: np.ndarray
-    F: np.ndarray
+    table: np.ndarray
     status: str
-    start_time: float
     end_time: float
 
     def __post_init__(self):
@@ -548,41 +553,46 @@ class SolitonProfile:
                              f"{', '.join(_STATUSES)}")
         self._check_steps()
 
+    # the table's columns (see _csv_header) as views of it; n state columns
+    _n = property(lambda self: len(_state_columns(self.params.k)))
+    t_old = property(lambda self: self.table[:, 0])
+    y_old = property(lambda self: self.table[:, 1:1 + self._n])
+    h = property(lambda self: self.table[:, 1 + self._n])
+    F = property(lambda self: self.table[:, 2 + self._n:].reshape(
+        len(self.table), _N_COEFFS, self._n))
+    start_time = property(lambda self: float(self.table[0, 0]))
+
     def _check_steps(self):
-        """Raise ``ValueError`` unless the step table is one piecewise
-        polynomial from ``start_time`` to ``end_time``: at least one step,
-        arrays of the shapes of the params' k, finite numbers, ``t``
-        strictly increasing from ``start_time``, which lies in (0,
-        epsilon], as every series start does, ``h`` positive, each step
-        ending within 4 ulps of where the next starts, and ``end_time`` in
-        the last step and at most ``t_max``, as every shot profile ends.
-        The messages name the columns of :meth:`to_csv`."""
+        """Raise ``ValueError`` unless the table is one piecewise
+        polynomial from its first ``t``, ``start_time``, to ``end_time``:
+        at least one step, the columns of :func:`_csv_header` for the
+        params' k, finite numbers, ``t`` strictly increasing from a
+        ``start_time`` in (0, epsilon], as every series start is, ``h``
+        positive, each step ending within 4 ulps of where the next starts,
+        and ``end_time`` in the last step and at most ``t_max``, as every
+        shot profile ends.  The messages name the columns of
+        :meth:`to_csv`."""
         k, eps = self.params.k, self.params.epsilon
-        n = len(_state_columns(k))
-        shapes = [np.shape(x) for x in (self.t_old, self.h, self.y_old, self.F)]
-        s = shapes[0][0] if len(shapes[0]) == 1 else 0
-        if s < 1 or shapes != [(s,), (s,), (s, n), (s, _N_COEFFS, n)]:
+        header, n, shape = _csv_header(k), self._n, np.shape(self.table)
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != len(header):
             raise ValueError(
-                f"profile step table of a k = {k} profile needs t_old, h, "
-                f"y_old of {n} and F of {_N_COEFFS} x {n} values per step, "
-                f"at least one step; got the shapes {shapes}")
+                f"profile step table of a k = {k} profile needs "
+                f"{len(header)} columns, t, {n} state values, h and F of "
+                f"{_N_COEFFS} x {n} values per step, and at least one step; "
+                f"got the shape {shape}")
         t_old, h = self.t_old, self.h
         if not (np.isfinite(t_old).all() and (np.diff(t_old) > 0).all()):
             raise ValueError("profile column t is not finite and strictly "
                              "increasing")
-        finite = np.isfinite(self._table()).all(axis=0)
+        finite = np.isfinite(self.table).all(axis=0)
         if not finite.all():
-            raise ValueError(f"profile column {_csv_header(k)[finite.argmin()]}"
-                             " has a non-finite value")
+            raise ValueError(f"profile column {header[finite.argmin()]} has "
+                             "a non-finite value")
         if not (h > 0).all():
             raise ValueError("profile column h is not positive")
         if not 0 < self.start_time <= eps:
             raise ValueError(f"profile start_time {self.start_time:.17g} is "
                              f"not in (0, epsilon = {eps:.17g}]")
-        if t_old[0] != self.start_time:
-            raise ValueError(f"profile column t starts at {t_old[0]:.17g}, "
-                             f"not at its start_time = "
-                             f"{self.start_time:.17g}")
         ends = t_old + h
         apart = np.abs(ends[:-1] - t_old[1:]) > 4 * np.spacing(np.abs(t_old[1:]))
         if apart.any():
@@ -598,20 +608,14 @@ class SolitonProfile:
                              f"lie in its last step [{t_old[-1]:.17g}, "
                              f"{ends[-1]:.17g}]")
 
-    def _table(self) -> np.ndarray:
-        """The step table as the rows of :meth:`to_csv`: per step t_old,
-        y_old, h and F (row by row)."""
-        return np.column_stack([self.t_old, self.y_old, self.h,
-                                self.F.reshape(len(self.t_old), -1)])
-
     @cached_property
     def _steps(self):
         """``(ends, t_old, h, columns)``: the step ends, starts and sizes,
         and by name each state column's ``y_old`` and rows ``F[-1], ...,
         F[0]``, contiguous over the steps."""
-        rows = self.F[:, ::-1].T   # column, F[-1] ... F[0], step
+        rows, y_old = self.F[:, ::-1].T, self.y_old  # column, F6 ... F0, step
         return (np.append(self.t_old[1:], self.end_time), self.t_old, self.h,
-                {name: (np.ascontiguousarray(self.y_old[:, c]),
+                {name: (np.ascontiguousarray(y_old[:, c]),
                         np.ascontiguousarray(rows[c]))
                  for c, name in enumerate(_state_columns(self.params.k))})
 
@@ -704,7 +708,7 @@ class SolitonProfile:
         """Profile as CSV text (written to ``path`` when given).
 
         Three header lines (schema version, params, status and end time),
-        the header row of :func:`_csv_header` and one row per step.  A
+        the header row of :func:`_csv_header` and the rows of ``table``.  A
         cell is the 16 lowercase hex digits of its float64 bits, most
         significant first (``struct.pack(">d", x).hex()``), so the round
         trip is exact.
@@ -713,12 +717,11 @@ class SolitonProfile:
         parts = [
             f"# schema_version={PROFILE_SCHEMA_VERSION}\n",
             "# params=" + json.dumps(asdict(self.params), sort_keys=True) + "\n",
-            f"# status={self.status} start_time={self.start_time:.17g} "
-            f"end_time={self.end_time:.17g}\n",
+            f"# status={self.status} end_time={self.end_time:.17g}\n",
             ",".join(header) + "\n",
         ]
         parts += (bytes(row).hex(",", 8) + "\n"
-                  for row in self._table().astype(">f8"))
+                  for row in self.table.astype(">f8"))
         text = "".join(parts)
         if path is not None:
             with open(path, "w") as fh:
@@ -784,12 +787,11 @@ class SolitonProfile:
             raise ValueError(f"profile CSV has bad params: {exc}") from exc
         status_line = lines[2] if len(lines) > 2 else ""
         part = status_line[2:].split()
-        if (not status_line.startswith("# status=") or len(part) != 3
-                or not part[1].startswith("start_time=")
-                or not part[2].startswith("end_time=")):
+        if (not status_line.startswith("# status=") or len(part) != 2
+                or not part[1].startswith("end_time=")):
             raise ValueError("profile CSV has a missing or malformed status line")
         status = part[0].split("=", 1)[1]
-        start_time, end_time = (float(x.split("=", 1)[1]) for x in part[1:])
+        end_time = float(part[1].split("=", 1)[1])
         header = _csv_header(params.k)
         if len(lines) < 4 or tuple(lines[3].split(",")) != header:
             raise ValueError("profile CSV has an unexpected header row for "
@@ -810,12 +812,9 @@ class SolitonProfile:
                 or cells.hex() != digits:
             raise ValueError("profile CSV has malformed data rows: expected "
                              f"{len(header)} words of 16 lowercase hex digits")
-        rows = np.frombuffer(cells, ">f8").astype(float).reshape(len(data), -1)
-        n = len(_state_columns(params.k))
-        return cls(params=params, t_old=rows[:, 0], y_old=rows[:, 1:1 + n],
-                   h=rows[:, 1 + n],
-                   F=rows[:, 2 + n:].reshape(len(rows), _N_COEFFS, n),
-                   status=status, start_time=start_time, end_time=end_time)
+        table = np.frombuffer(cells, ">f8").astype(float)
+        return cls(params=params, table=table.reshape(len(data), -1),
+                   status=status, end_time=end_time)
 
 
 # the version of the solve_summary.json document
@@ -919,13 +918,13 @@ def _integrate(rows):
 
 def _profile(params: AnsatzParams, outcome) -> SolitonProfile:
     """The profile of a row's :func:`_integrate` outcome: raises the row's
-    exception, or stores the steps of its run as its step table."""
+    exception, or stacks the steps of its run into its step table."""
     if isinstance(outcome, Exception):
         raise outcome
     run, status = outcome
-    return SolitonProfile(params=params, t_old=run.t[:-1], h=run.h,
-                          y_old=run.y_old, F=run.F, status=status,
-                          start_time=float(run.t[0]),
+    table = np.column_stack([run.t[:-1], run.y_old, run.h,
+                             run.F.reshape(len(run.h), -1)])
+    return SolitonProfile(params=params, table=table, status=status,
                           end_time=float(run.t[-1]))
 
 
@@ -935,9 +934,9 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
     Adaptive eighth-order explicit integration to ``t_max`` or until a
     metric coefficient degenerates or the state blows up; the returned
     profile records the outcome in ``status`` and ``end_time``, and its
-    series start in ``start_time``.  phi is gauge-normalized to phi(0) =
-    0: the start's phi is the series' phi at ``start_time``, so phi does
-    not depend on where the row starts.
+    table starts at the series start, ``start_time``.  phi is
+    gauge-normalized to phi(0) = 0: the start's phi is the series' phi at
+    ``start_time``, so phi does not depend on where the row starts.
 
     A batch of one row: one run of the one-row DOP853 loop
     (:func:`ricciwarp.dop853._dop853`) on the closure of

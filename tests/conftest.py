@@ -13,7 +13,13 @@ from ricciwarp import (
     sphere_patch,
 )
 from ricciwarp import shooting
-from ricciwarp.shooting import _evaluate, _locate, _state_columns
+from ricciwarp.dop853 import _N_COEFFS
+from ricciwarp.shooting import (
+    _csv_header,
+    _evaluate,
+    _locate,
+    _state_columns,
+)
 
 
 def cylinder_geometry(m: int, b0: float, lam: float | None = None) -> WarpedGeometry:
@@ -42,13 +48,15 @@ def edit_column(profile, column, scale=1.0, shift=0.0, bump=0.0,
     which adds ``bump * x (1 - x)`` to each such step (x = (t - t_old)/h)
     and leaves the step ends where they were.
     """
-    c = _state_columns(profile.params.k).index(column)
-    y_old, F = profile.y_old.copy(), profile.F.copy()
-    y_old[:, c] = scale * y_old[:, c] + shift
-    F[:, :, c] *= scale
+    header = _csv_header(profile.params.k)
+    y = header.index(column)
+    F = [header.index(f"F{j}.{column}") for j in range(_N_COEFFS)]
+    table = profile.table.copy()
+    table[:, y] = scale * table[:, y] + shift
+    table[:, F] *= scale
     t_old, h = profile.t_old, profile.h
-    F[(t_old < window[1]) & (t_old + h > window[0]), 1, c] += bump
-    return replace(profile, y_old=y_old, F=F)
+    table[(t_old < window[1]) & (t_old + h > window[0]), F[1]] += bump
+    return replace(profile, table=table)
 
 
 def _dense(profile, ts):

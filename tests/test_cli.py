@@ -43,14 +43,15 @@ def write_config(path, extra=None, **blocks):
 
 def _start_up_probe(code):
     """The JSON printed by ``code`` in a fresh interpreter that has just
-    imported ``ricciwarp`` and ``ricciwarp.cli``."""
+    imported ``ricciwarp`` and ``ricciwarp.cli``, where a warning is an
+    error, as it is in the test process."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, sys, ricciwarp, ricciwarp.cli\n"
-         + code],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-        text=True, timeout=120)
+        [sys.executable, "-W", "error", "-c",
+         "import json, sys, ricciwarp, ricciwarp.cli\n" + code],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error"),
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -589,18 +590,21 @@ class TestUnfittableProfile:
 
 
 def _old_text(profile, version):
-    """``profile`` in the text of an old schema: schema 6, the bit words of
-    schema 7 under a status line without ``start_time``; schema 5, those
-    words under a params line that holds ``rtol`` and ``atol`` in place of
-    ``tol``; schema 4, under a params line that also holds the density
+    """``profile`` in the text of an old schema: schema 7, the text of
+    schema 8 with ``start_time``, the table's first ``t``, in its status
+    line; schema 6, the text of schema 8; schema 5, its bit words under a
+    params line that holds ``rtol`` and ``atol`` in place of ``tol``;
+    schema 4, under a params line that also holds the density
     ``grid_per_unit`` of a uniform sample grid; or decimal (``%.17g``)
     text, the step table of schema 3, or the sampled grid of schema 2, or
     of schema 1, which also stored mu, res_tt, res_sk and res_sm."""
-    if version == 6:
+    if version in (6, 7):
         lines = profile.to_csv().splitlines()
-        lines[0] = "# schema_version=6"
-        lines[2] = (f"# status={profile.status} "
-                    f"end_time={profile.end_time:.17g}")
+        lines[0] = f"# schema_version={version}"
+        if version == 7:
+            lines[2] = (f"# status={profile.status} "
+                        f"start_time={profile.start_time:.17g} "
+                        f"end_time={profile.end_time:.17g}")
         return "\n".join(lines) + "\n"
     if version in (4, 5):
         lines = profile.to_csv().splitlines()
@@ -612,7 +616,7 @@ def _old_text(profile, version):
                      "# params=" + json.dumps(params, sort_keys=True)]
         return "\n".join(lines) + "\n"
     if version == 3:
-        names, table = _csv_header(profile.params.k), profile._table()
+        names, table = _csv_header(profile.params.k), profile.table
     else:
         names = GRID_COLUMNS + (("mu", "res_tt", "res_sk", "res_sm")
                                 if version == 1 else ())
@@ -626,16 +630,17 @@ def _old_text(profile, version):
 class TestOldProfileSchemas:
     """Schema 1 and 2 files (a sampled grid), schema 3 files (the step
     table in decimal text), schema 4 files (a params line with a grid
-    density), schema 5 files (a params line with rtol and atol) and schema
-    6 files (no start time) are refused with exit 4, a message that names
-    schema 7 and says to re-run solve, and no artifact.  The test keeps
-    its id from when schema 3 was the one named."""
+    density), schema 5 files (a params line with rtol and atol), schema 6
+    files (no start time) and schema 7 files (the start time in the status
+    line) are refused with exit 4, a message that names schema 8 and says
+    to re-run solve, and no artifact.  The test keeps its id from when
+    schema 3 was the one named."""
 
     @pytest.mark.parametrize("command,block", [
         ("certify", {}),
         ("quotient", {"p": 2, "k": 1, "m": 2, "kind": "antipodal"}),
     ])
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_exits_4_naming_schema_3(self, tmp_path, capsys, command, block,
                                      version):
         _solved_profile(tmp_path)
@@ -649,7 +654,7 @@ class TestOldProfileSchemas:
         err = capsys.readouterr().err
         assert err.startswith("I/O failure: ill-formed profile file")
         assert (f"schema_version {version} is not read" in err
-                and "re-run 'solve' to write schema_version 7" in err)
+                and "re-run 'solve' to write schema_version 8" in err)
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "profile.csv", "solve_summary.json"]
 

@@ -736,8 +736,15 @@ class TestOracleClosure:
 def _steps(profile, index, **changes):
     """A copy of ``profile`` with the step rows ``index`` of its table (and
     any other ``changes``): the construction checks the new table."""
-    return replace(profile, t_old=profile.t_old[index], h=profile.h[index],
-                   y_old=profile.y_old[index], F=profile.F[index], **changes)
+    return replace(profile, table=profile.table[index], **changes)
+
+
+def _edit(profile, column, values):
+    """A copy of ``profile`` whose table column ``column`` (a name of
+    :func:`_csv_header`) holds ``values``."""
+    table = profile.table.copy()
+    table[:, _csv_header(profile.params.k).index(column)] = values
+    return replace(profile, table=table)
 
 
 class TestInterpolants:
@@ -829,14 +836,10 @@ class TestInterpolants:
     def test_unfittable_column_rejected(self, steady_profile_12, column,
                                         value, message):
         # a step table that is no piecewise polynomial is refused
-        prof = steady_profile_12
-        t_old, y_old = prof.t_old.copy(), prof.y_old.copy()
-        if column == "t":
-            t_old[7] = value
-        else:
-            y_old[7, _state_columns(1).index(column)] = value
+        table = steady_profile_12.table.copy()
+        table[7, _csv_header(1).index(column)] = value
         with pytest.raises(ValueError, match=message):
-            replace(prof, t_old=t_old, y_old=y_old)
+            replace(steady_profile_12, table=table)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
     def test_too_few_rows_rejected(self, steady_profile_12, rows):
@@ -862,9 +865,10 @@ class TestStepTable:
          "column t is not finite and strictly increasing"),
         (lambda p: _steps(p, np.r_[0:20, 21:p.t_old.size]),
          "steps 19 and 20 do not meet"),
-        (lambda p: replace(p, h=np.where(np.arange(p.h.size) == 9, -p.h, p.h)),
+        (lambda p: _edit(p, "h", np.where(np.arange(p.h.size) == 9, -p.h,
+                                          p.h)),
          "column h is not positive"),
-        (lambda p: replace(p, h=p.h * (1 + 1e-13)), "do not meet"),
+        (lambda p: _edit(p, "h", p.h * (1 + 1e-13)), "do not meet"),
         (lambda p: replace(p, end_time=p.end_time + 1e-12),
          "end_time 10.00000000000.* is not at most its t_max = 10$"),
         (lambda p: replace(p, end_time=float(p.t_old[-1])),
@@ -872,21 +876,18 @@ class TestStepTable:
         (lambda p: replace(p, params=replace(p.params, epsilon=0.05)),
          r"start_time 0.10000000000000001 is not in \(0, epsilon = "
          r"0.050000000000000003\]"),
-        (lambda p: replace(p, start_time=0.09),
-         "starts at 0.10000000000000001, not at its start_time = 0.0899"),
-        (lambda p: replace(p, t_old=p.t_old - 0.1, start_time=0.0),
+        (lambda p: _edit(p, "t", p.t_old - 0.1),
          r"start_time 0 is not in \(0, epsilon"),
         (lambda p: replace(p, params=replace(p.params, k=0)),
          "profile step table of a k = 0 profile needs"),
         (lambda p: _steps(p, slice(0)), "at least one step"),
-        (lambda p: replace(p, F=p.F[:, :6]), "F of 7 x 6 values"),
-        (lambda p: replace(p, F=np.where(np.arange(7)[:, None] == 6, np.nan,
-                                         p.F)),
+        (lambda p: replace(p, table=p.table[:, :-6]), "F of 7 x 6 values"),
+        (lambda p: _edit(p, "F6.a", np.nan),
          "column F6.a has a non-finite value"),
     ], ids=["swapped-rows", "dropped-row", "negative-h", "long-steps",
             "end-past-last-step", "end-at-last-start", "other-epsilon",
-            "other-start", "start-at-zero", "other-k", "no-steps",
-            "six-coefficient-rows", "nan-in-F6"])
+            "start-at-zero", "other-k", "no-steps", "six-coefficient-rows",
+            "nan-in-F6"])
     def test_refused(self, steady_profile_12, edit, message):
         with pytest.raises(ValueError, match=message):
             edit(steady_profile_12)
@@ -908,6 +909,30 @@ class TestStepTable:
             assert ((again.start_time, again.end_time)
                     == (prof.start_time, prof.end_time))
             assert prof.t_old[-1] < prof.t[-1] < prof.end_time
+
+
+class TestTableIsTheFile:
+    """A profile's ``table`` is its file's data rows, bit for bit, both
+    ways, and its step columns are views of it, not copies."""
+
+    @pytest.mark.parametrize("params,status", [
+        (AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=3.0), "completed"),
+        (AnsatzParams(k=1, m=2, lam=2.0, b0=1.0), "hit_a_zero"),
+        (AnsatzParams(k=0, m=2, lam=0.5, b0=2.0), "hit_b_zero"),
+        (AnsatzParams(k=1, m=2, lam=500.0, b0=1.0), "blowup"),
+        (AnsatzParams(k=0, m=2, lam=1.0, b0=1.0, t_max=3.0), "completed"),
+    ], ids=["completed", "hit_a_zero", "hit_b_zero", "blowup", "k0-completed"])
+    def test_table_is_the_file(self, params, status):
+        prof = shoot(params)
+        assert prof.status == status
+        text = prof.to_csv()
+        rows = [[struct.unpack(">d", bytes.fromhex(word))[0]
+                 for word in line.split(",")]
+                for line in text.splitlines()[4:]]
+        assert _same_bits(rows, prof.table)
+        assert _same_bits(SolitonProfile.parse_csv(text).table, prof.table)
+        for name in ("t_old", "y_old", "h", "F"):
+            assert np.shares_memory(getattr(prof, name), prof.table), name
 
 
 class TestCsvRoundTrip:
@@ -1027,12 +1052,11 @@ class TestCsvRoundTrip:
                 t_old.append(t_old[-1] + h)
             s = len(steps)
             prof = SolitonProfile(
-                params=params, t_old=np.array(t_old), h=np.array(steps),
-                y_old=data[:s, 0].copy(), F=data[:s, 1:].copy(),
-                status="completed", start_time=params.epsilon,
-                end_time=t_old[-1] + steps[-1] * share)
+                params=params, table=np.column_stack(
+                    [t_old, data[:s, 0], steps, data[:s, 1:].reshape(s, -1)]),
+                status="completed", end_time=t_old[-1] + steps[-1] * share)
             back = SolitonProfile.parse_csv(prof.to_csv())
-            for name in ("t_old", "h", "y_old", "F"):
+            for name in ("table", "t_old", "h", "y_old", "F"):
                 assert _same_bits(getattr(back, name), getattr(prof, name)), name
             assert _same_bits(back.start_time, prof.start_time)
             assert _same_bits(back.end_time, prof.end_time)
@@ -1060,8 +1084,8 @@ class TestCsvRoundTrip:
             SolitonProfile.parse_csv(text)
 
     @pytest.mark.parametrize("text", [
-        "# schema_version=7\n",
-        "# schema_version=7\n# params=[1, 2]\n",
+        "# schema_version=8\n",
+        "# schema_version=8\n# params=[1, 2]\n",
     ], ids=["no-params-line", "params-not-an-object"])
     def test_truncated_header_rejected(self, text):
         with pytest.raises(ValueError):
@@ -1069,7 +1093,7 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("old,new", [
         ("# params=", "# parameters="), (" end_time=1\n", "\n"),
-        (" start_time=", " start="),
+        (" end_time=", " end="),
         ("t,a,a_prime,", "t,a,"),
         ('"k": 1,', '"k": 1.5,'), ('"k": 1,', '"k": true,'),
         ('"lam": 0.0,', '"lam": "x",'), ('"b0": 1.0,', '"b0": NaN,'),
@@ -1082,18 +1106,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             SolitonProfile.parse_csv(text.replace(old, new))
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 0, 8])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 0, 9])
     def test_old_schema_refused(self, version):
         # schema 1 and 2 stored a sampled grid, schema 3 the step table in
         # decimal text, schema 4 a grid density in its params line, schema
-        # 5 rtol and atol in place of tol and schema 6 no start time; 0 and
-        # 8 were never written.  Every version but 7 gets the one message,
-        # which says what to do
+        # 5 rtol and atol in place of tol, schema 6 no start time and
+        # schema 7 the start time in its status line; 0 and 9 were never
+        # written.  Every version but 8 gets the one message, which says
+        # what to do
         text = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0)).to_csv()
-        old = text.replace("# schema_version=7", f"# schema_version={version}")
+        old = text.replace("# schema_version=8", f"# schema_version={version}")
         with pytest.raises(ValueError, match=f"schema_version {version} is "
                            "not read; re-run 'solve' to write "
-                           "schema_version 7"):
+                           "schema_version 8"):
             SolitonProfile.parse_csv(old)
 
     def test_end_past_t_max_refused(self):
