@@ -23,7 +23,7 @@ cost per step.
 
 The module knows nothing of the rows it integrates and imports nothing
 of the package: a caller hands it right sides, starts, spans and a
-terminal-event function, and reads back one ``_Run`` per row, its step
+terminal-event function, and reads back each finished ``_Row``, its step
 table and its counts.  Its ``__all__`` is empty; the package exports
 none of its names.
 """
@@ -33,7 +33,6 @@ from __future__ import annotations
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
 from itertools import chain
 from types import SimpleNamespace
 
@@ -70,16 +69,17 @@ _DOP853 = _dop853_tableau()
 _N_COEFFS = 3 + len(_DOP853.D)   # rows of a step's dense-output table F
 
 
-def _horner(rows, y_old, x, dx=False):
+def _horner(F, y_old, x, dx=False):
     """The DOP853 dense-output polynomial of a step at ``x = (t - t_old)/h``.
 
-    ``rows`` yields the rows ``F[-1], ..., F[0]`` of the step's coefficient
-    table.  ``Dop853DenseOutput._call_impl``'s operations in its order, so
-    every value has its bits (``1 - x`` is formed once; it has the same
-    bits each time).  The one implementation of the polynomial: a
-    profile's columns (``shooting._evaluate``) call it with one
-    coefficient row and one ``x`` per time, and :meth:`_Row.accept` for
-    locating events.
+    ``F`` holds the rows ``F0, ..., F6`` of the step's coefficient table
+    in their stored order, an array whose first axis they index; Horner's
+    rule reads them from the last.  ``Dop853DenseOutput._call_impl``'s
+    operations in its order, so every value has its bits (``1 - x`` is
+    formed once; it has the same bits each time).  The one implementation
+    of the polynomial: a profile's columns (``shooting._evaluate``) call
+    it with one coefficient row and one ``x`` per time, and
+    :meth:`_Row.accept` for locating events.
 
     With ``dx`` it returns the pair of the value, with the same bits, and
     its derivative d/dx, formed in the same loop by the product rule: each
@@ -89,7 +89,7 @@ def _horner(rows, y_old, x, dx=False):
     y = np.zeros_like(y_old)
     d = np.zeros_like(y_old) if dx else None
     u = 1 - x
-    for i, f in enumerate(rows):
+    for i, f in enumerate(F[::-1]):
         y += f
         w = x if i % 2 == 0 else u
         if dx:   # the product rule in place: x' = 1 and (1 - x)' = -1
@@ -100,33 +100,6 @@ def _horner(rows, y_old, x, dx=False):
                 d -= y
         y *= w
     return (y + y_old, d) if dx else y + y_old
-
-
-@dataclass
-class _Run:
-    """One row's :func:`_dop853` run over its span.
-
-    ``t`` is the start followed by the accepted step ends, the last
-    replaced by a terminal event's root; step ``i`` starts at ``t[i]`` and
-    carries the dense output polynomial ``t[i]``, ``h[i]``, ``F[i]``,
-    ``y_old[i]`` (see :func:`_horner`).  ``status`` is ``solve_ivp``'s: 0
-    at the end of the span, 1 at the terminal event ``event`` (its
-    index), -1 on a step size that underflowed or at ``MAX_STEPS``
-    accepted steps, which ``message`` names.  ``nfev`` counts the
-    right-side calls of the whole run and ``rejected`` its rejected step
-    attempts: a run of s accepted steps and no event calls the right side
-    1 + 15 s + 12 ``rejected`` times.
-    """
-
-    t: np.ndarray
-    h: np.ndarray
-    F: np.ndarray
-    y_old: np.ndarray
-    nfev: int
-    status: int
-    event: int | None = None
-    message: str | None = None
-    rejected: int = 0
 
 
 _EPS = float(np.finfo(float).eps)
@@ -167,25 +140,41 @@ def _check_run(t0, span, y0):
 
 
 class _Row:
-    """A row of a :func:`_dop853` run between two step attempts.
+    """A row of a :func:`_dop853` run, between two step attempts or done.
 
     Its right side, terminal events and their values ``g`` at its t, span
     end and tolerances, t, step size, accept/reject state, counts and
-    record, the t, h, F and y_old of its accepted steps.  Its span
-    ``(t_end, tol, first_step)`` sets ``atol = tol`` and ``rtol = tol``
-    raised to 100 eps, as scipy raises its ``rtol``.  ``events`` maps the
-    Python floats of a state to its event values, a list.  Whichever loop
-    makes an attempt, the row starts it (:meth:`begin`), controls its step
-    size (:meth:`control`) and books it when accepted (:meth:`accept`), so
-    a row's steps do not depend on the loop or on a move from one loop to
-    the other between two attempts.  ``run`` is None while the row runs,
-    then its :class:`_Run`, or the exception that ``brentq`` raised for
-    it.
+    ``record``, the t_old, y_old, h and F of its accepted steps, four
+    lists, while it runs (None once it ends).  Its span ``(t_end, tol,
+    first_step)`` sets ``atol = tol`` and ``rtol = tol`` raised to 100
+    eps, as scipy raises its ``rtol``.  ``events`` maps the Python floats
+    of a state to its event values, a list.  Whichever loop makes an
+    attempt, the row starts it (:meth:`begin`), controls its step size
+    (:meth:`control`) and books it when accepted (:meth:`accept`), so a
+    row's steps do not depend on the loop or on a move from one loop to
+    the other between two attempts.
+
+    A finished row (:meth:`_finish`) holds its run.  ``table`` is its
+    step table, one row per accepted step in the columns ``t_old``,
+    ``y_old``, ``h`` and ``F0``-``F6`` (each of n values), those of
+    ``profile.csv``: step i carries the dense output polynomial of
+    :func:`_horner`, and ends where step i + 1 starts or, the last one,
+    at ``t``, the end of the run, a terminal event's root.  ``status`` is
+    ``solve_ivp``'s: 0 at the end of the span, 1 at the terminal event
+    ``event`` (its index), -1 on a step size that underflowed or at
+    ``MAX_STEPS`` accepted steps, which ``message`` names; a row that
+    fails before its first accepted step has an empty table.  ``nfev``
+    counts the right-side calls of the whole run and ``rejected`` its
+    rejected step attempts: a run of s accepted steps and no event calls
+    the right side 1 + 15 s + 12 ``rejected`` times.  ``error`` is None,
+    or the exception that ``brentq`` raised for the row, which ends it
+    without a table.
     """
 
     __slots__ = ("fun", "events", "g", "t", "t_new", "t_end", "rtol",
                  "atol", "h_abs", "min_step", "fresh", "step_rejected",
-                 "nfev", "rejected", "record", "run")
+                 "nfev", "rejected", "record", "status", "event",
+                 "message", "table", "error")
 
     def __init__(self, fun, events, t0, y0, span):
         self.fun, self.t = fun, float(t0)
@@ -194,8 +183,8 @@ class _Row:
         self.rtol = max(self.atol, 100 * _EPS)
         self.fresh, self.step_rejected = True, False
         self.nfev, self.rejected = 1, 0
-        self.record = ([self.t], [], [], [])
-        self.run = None
+        self.record = ([], [], [], [])
+        self.error = None
 
     def begin(self) -> float:
         """Start an attempt as ``DOP853._step_impl`` does and return its
@@ -263,30 +252,29 @@ class _Row:
         self.fresh = True
         t_old, self.t = self.t, self.t_new
         status = 0 if self.t >= self.t_end else None
-        event, t_step = None, self.t
+        event = None
         g_old, self.g = self.g, self.events(y_new)
         active = [e for e, (lo, hi) in enumerate(zip(g_old, self.g))
                   if lo <= 0 <= hi or lo >= 0 >= hi]
         if active:
-            F, y_old = np.asarray(F), np.asarray(y_old)
+            y_old = np.asarray(y_old)
             try:
                 roots = [brentq(lambda s, e=e: self.events(_horner(
-                                    F[::-1], y_old, (s - t_old) / h
-                                    ).tolist())[e],
+                                    F, y_old, (s - t_old) / h).tolist())[e],
                                 t_old, self.t, xtol=4 * _EPS, rtol=4 * _EPS)
                          for e in active]
             except (ValueError, RuntimeError) as exc:
-                self.run, self.record = exc, None   # this row alone ends
+                self.error, self.record = exc, None   # this row alone ends
                 return
             first = np.argsort(roots)[0]
-            status, event, t_step = 1, active[first], roots[first]
-        ts, hs, Fs, y_olds = self.record
-        # solve_ivp drops a step whose root is the last end
-        if not (len(ts) > 1 and ts[-1] == t_step):
-            ts.append(t_step)
-            hs.append(h)
-            Fs.append(F)
+            status, event, self.t = 1, active[first], roots[first]
+        t_olds, y_olds, hs, Fs = self.record
+        # solve_ivp drops a step whose root is its start, the last end
+        if not (hs and self.t == t_old):
+            t_olds.append(t_old)
             y_olds.append(y_old)
+            hs.append(h)
+            Fs.append(F.ravel())
         if status is not None:
             self._finish(status, event)
         elif len(hs) >= MAX_STEPS:
@@ -295,12 +283,10 @@ class _Row:
                 f"t = {self.t:.6g} before the end of the span"))
 
     def _finish(self, status, event=None, message=None):
-        """End the row: its :class:`_Run` from its record and counts."""
-        ts, hs, Fs, y_olds = self.record
-        self.run = _Run(t=np.array(ts), h=np.array(hs), F=np.array(Fs),
-                        y_old=np.array(y_olds), nfev=self.nfev, status=status,
-                        event=event, message=message, rejected=self.rejected)
-        self.record = None
+        """End the row with its outcome and its step table, stacked once
+        from its record."""
+        self.status, self.event, self.message = status, event, message
+        self.table, self.record = np.column_stack(self.record), None
 
 
 def _dop853(funs, t0, y0, spans, events):
@@ -321,9 +307,9 @@ def _dop853(funs, t0, y0, spans, events):
     :class:`_Row`).  ``funs[i]`` maps
     the Python floats of a state to its derivative, a list, and
     ``events`` maps them to the values of the terminal events, a list,
-    which every row reads at each accepted step's end.  Returns one
-    :class:`_Run` per row, or the exception that ``brentq`` raised for
-    it.
+    which every row reads at each accepted step's end.  Returns each
+    finished :class:`_Row`, with its step table, end t and counts, or the
+    exception that ``brentq`` raised for it.
 
     Two or more rows step in lockstep (:func:`_lockstep`); a row alone,
     and the last row of a batch, steps on Python floats (:func:`_alone`).
@@ -343,7 +329,7 @@ def _dop853(funs, t0, y0, spans, events):
                 if len(rows) == 1 else _lockstep(rows, Y, f))
         if last is not None:
             _alone(*last)
-    return [row.run for row in rows]
+    return [row if row.error is None else row.error for row in rows]
 
 
 def _lockstep(rows, Y, f):
@@ -424,7 +410,7 @@ def _lockstep(rows, Y, f):
             ys = Y.tolist()
             for j in accepted:
                 live[j].accept(h[j], F[j], Y_old[j], ys[j])
-        keep = [j for j, row in enumerate(live) if row.run is None]
+        keep = [j for j, row in enumerate(live) if row.record is not None]
         if len(keep) < 2:
             return next(((live[j], Y[j].tolist(), K_ext[j, 0].tolist())
                          for j in keep), None)
@@ -464,7 +450,7 @@ def _alone(row, y, f):
     B, E5, E3 = M.B, M.E5, M.E3
     fun = row.fun
     K[0] = f
-    while row.run is None:
+    while row.record is not None:
         h = row.begin()
         for Ks, dot, a in stages:
             Ks[:] = fun([u + d * h for u, d in zip(y, dot(a).tolist())])

@@ -461,11 +461,12 @@ def _rhs_with_phi(params: AnsatzParams):
 def _locate(steps, t):
     """``(idx, x)``: the step of each time in a profile's ``_steps`` and
     ``(t - t_old) / h``.  The step ``OdeSolution`` would choose: the first
-    whose end is >= t (``searchsorted(side="left")``), so a step end goes
-    to the earlier step, and times outside the span go to the first or
-    last step."""
-    ends, t_old, h, _ = steps
-    idx = np.minimum(np.searchsorted(ends, t, side="left"), ends.size - 1)
+    whose end is >= t, so a step end goes to the earlier step, and times
+    outside the span go to the first or last step.  A step ends where the
+    next starts, so that is the count of the later steps' starts below t
+    (``searchsorted(side="left")``, which places NaN last)."""
+    t_old, h, _ = steps
+    idx = np.searchsorted(t_old[1:], t, side="left")
     return idx, (t - t_old.take(idx)) / h.take(idx)
 
 
@@ -476,9 +477,9 @@ def _evaluate(steps, name: str, idx, x, dt=False):
     pair of the column and its time derivative, the polynomials' d/dx over
     their steps' ``h``.  ``take`` gathers the same values as fancy
     indexing, at half the cost."""
-    y_old, rows = steps[3][name]
-    out = _horner(rows.take(idx, axis=1), y_old.take(idx), x, dt)
-    return (out[0], out[1] / steps[2].take(idx)) if dt else out
+    y_old, F = steps[2][name]
+    out = _horner(F.take(idx, axis=1), y_old.take(idx), x, dt)
+    return (out[0], out[1] / steps[1].take(idx)) if dt else out
 
 
 def _state_columns(k: int):
@@ -610,13 +611,13 @@ class SolitonProfile:
 
     @cached_property
     def _steps(self):
-        """``(ends, t_old, h, columns)``: the step ends, starts and sizes,
-        and by name each state column's ``y_old`` and rows ``F[-1], ...,
-        F[0]``, contiguous over the steps."""
-        rows, y_old = self.F[:, ::-1].T, self.y_old  # column, F6 ... F0, step
-        return (np.append(self.t_old[1:], self.end_time), self.t_old, self.h,
+        """``(t_old, h, columns)``: the step starts and sizes, and by name
+        each state column's ``y_old`` and rows ``F0, ..., F6`` in their
+        stored order, contiguous over the steps."""
+        F, y_old = self.F.T, self.y_old   # column, F0 ... F6, step
+        return (self.t_old, self.h,
                 {name: (np.ascontiguousarray(y_old[:, c]),
-                        np.ascontiguousarray(rows[c]))
+                        np.ascontiguousarray(F[c]))
                  for c, name in enumerate(_state_columns(self.params.k))})
 
     @cached_property
@@ -641,7 +642,7 @@ class SolitonProfile:
     def _column(self, name: str, dt: bool = False):
         """Column ``name`` at the samples, NaN where k lacks it; with
         ``dt``, the pair of it and its time derivative."""
-        if name not in self._steps[3]:
+        if name not in self._steps[2]:
             nan = np.full_like(self.t, np.nan)
             return (nan, nan) if dt else nan
         return _evaluate(self._steps, name, *self._samples[1:], dt=dt)
@@ -669,7 +670,7 @@ class SolitonProfile:
     # steps, so that the many short steps near an event weigh no more than
     # their time
     mu_mean = _quiet(lambda self: float(np.average(self.mu, weights=np.repeat(
-        self._steps[0] - self._steps[1], _SAMPLE_X.size))))
+        np.diff(self.t_old, append=self.end_time), _SAMPLE_X.size))))
     mu_spread = _quiet(lambda self: float(self.mu.max() - self.mu.min()))
 
     @property
@@ -692,7 +693,7 @@ class SolitonProfile:
                                  *_locate(steps, np.asarray(t, dtype=float)))
             return evaluate
 
-        return (function("a") if "a" in steps[3] else None, function("b"),
+        return (function("a") if "a" in steps[2] else None, function("b"),
                 function("phi"))
 
     def interpolants(self):
@@ -872,16 +873,17 @@ def _integrate(rows):
     ``rows`` are AnsatzParams sharing a state size (all k >= 1 or all
     k = 0), each with its own epsilon, t_max and tol.  A row's run is one
     :func:`_dop853` span at ``tol`` from its series start
-    (:func:`_series_start`) to t_max.  Its outcome is ``(run, status)``,
-    the status from the run's terminal event, if any, its end the run's
-    last step end ``run.t[-1]`` (exactly ``t_max`` when completed); or the
-    exception of a row that cannot run: the ``ValueError`` of a refused
-    series start, or the ``IntegrationError`` of a step size that
-    underflowed, of a run that reached ``MAX_STEPS`` or of an event that
-    ``brentq`` failed to locate.  A start that ``_series_start`` returns
-    lies inside the blow-up box, its a and b above the positivity floor,
-    at a t of at most epsilon, below ``t_max``, so :func:`_dop853` accepts
-    every row and every event starts positive.  The rows are one
+    (:func:`_series_start`) to t_max.  Its outcome is ``(row, status)``,
+    the finished ``dop853._Row`` with its step table ``row.table`` and its
+    end ``row.t`` (exactly ``t_max`` when completed), and the status from
+    its terminal event, if any; or the exception of a row that cannot
+    run: the ``ValueError`` of a refused series start, or the
+    ``IntegrationError`` of a step size that underflowed, of a run that
+    reached ``MAX_STEPS`` or of an event that ``brentq`` failed to
+    locate.  A start that ``_series_start`` returns lies inside the
+    blow-up box, its a and b above the positivity floor, at a t of at
+    most epsilon, below ``t_max``, so :func:`_dop853` accepts every row
+    and every event starts positive.  The rows are one
     :func:`_dop853` batch with the one event function of their state size
     (:func:`_events`), each run with the bits of its row integrated alone,
     whatever the other rows do.
@@ -903,29 +905,28 @@ def _integrate(rows):
         spans.append((p.t_max, p.tol, min(1e-3, 0.01 * (p.t_max - t))))
     if not started:
         return results
-    for i, run in zip(started, _dop853(
+    for i, row in zip(started, _dop853(
             [_rhs_with_phi(rows[i]) for i in started], t0, np.array(starts),
             spans, events)):
-        if isinstance(run, Exception):   # raised by brentq
-            results[i] = IntegrationError(f"event location failed: {run}")
-        elif run.status == -1:
-            results[i] = IntegrationError(f"integrator failed: {run.message}")
+        if isinstance(row, Exception):   # raised by brentq
+            results[i] = IntegrationError(f"event location failed: {row}")
+        elif row.status == -1:
+            results[i] = IntegrationError(f"integrator failed: {row.message}")
         else:
-            results[i] = (run, "completed" if run.status == 0
-                          else outcomes[run.event])
+            results[i] = (row, "completed" if row.status == 0
+                          else outcomes[row.event])
     return results
 
 
 def _profile(params: AnsatzParams, outcome) -> SolitonProfile:
     """The profile of a row's :func:`_integrate` outcome: raises the row's
-    exception, or stacks the steps of its run into its step table."""
+    exception, or holds the step table of its run, not a copy, and ends
+    at the run's end."""
     if isinstance(outcome, Exception):
         raise outcome
-    run, status = outcome
-    table = np.column_stack([run.t[:-1], run.y_old, run.h,
-                             run.F.reshape(len(run.h), -1)])
-    return SolitonProfile(params=params, table=table, status=status,
-                          end_time=float(run.t[-1]))
+    row, status = outcome
+    return SolitonProfile(params=params, table=row.table, status=status,
+                          end_time=row.t)
 
 
 def shoot(params: AnsatzParams) -> SolitonProfile:
@@ -942,7 +943,8 @@ def shoot(params: AnsatzParams) -> SolitonProfile:
     (:func:`ricciwarp.dop853._dop853`) on the closure of
     :func:`_rhs_with_phi` over the span from the series start to t_max
     (:func:`_integrate`), with the steps and bits of
-    ``scipy.integrate.solve_ivp`` on that span.  Raises
+    ``scipy.integrate.solve_ivp`` on that span; the profile's ``table`` is
+    the step table that the run stacked as it ended, not a copy.  Raises
     ``ValueError`` for parameters it refuses (a refused series start;
     :class:`AnsatzParams` refuses the rest when built), and
     :class:`IntegrationError` when the step size underflows, the run

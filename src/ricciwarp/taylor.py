@@ -200,7 +200,10 @@ class Series:
 
 
 def _solve(J, e):
-    """``x`` with ``J x + e = 0`` for 2 or 3 unknowns, by Cramer's rule."""
+    """``x`` with ``J x + e = 0`` for at most 3 unknowns, by Cramer's
+    rule: ``-e / J`` for one, none for none."""
+    if len(e) < 2:
+        return [-e[0] / J[0][0]] if e else []
     if len(e) == 2:
         (a, b), (c, d) = J
         det = a * d - b * c

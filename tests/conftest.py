@@ -66,6 +66,18 @@ def _dense(profile, ts):
                      for name in _state_columns(profile.params.k)])
 
 
+def _run_arrays(row):
+    """``(t, h, F, y_old)`` of a finished ``dop853._Row``, read from its
+    step table: its start and step ends, the last its end ``row.t``, and
+    its steps' sizes, dense-output tables (``F0`` to ``F6`` each) and
+    start states."""
+    table = row.table
+    n = (table.shape[1] - 2) // (1 + _N_COEFFS)
+    return (np.append(table[:, 0], row.t), table[:, 1 + n],
+            table[:, 2 + n:].reshape(len(table), _N_COEFFS, n),
+            table[:, 1:1 + n])
+
+
 def _same_bits(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     return (got.shape == want.shape

@@ -5,15 +5,22 @@ has alone."""
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from ricciwarp import AnsatzParams, IntegrationError, shoot, sweep
-from conftest import _UNDERFLOW, _dense, _nan_rhs_for, _same_bits
+from conftest import (
+    _UNDERFLOW,
+    _dense,
+    _nan_rhs_for,
+    _run_arrays,
+    _same_bits,
+)
 from ricciwarp import dop853, shooting
-from ricciwarp.dop853 import _dop853, _horner, _Run
+from ricciwarp.dop853 import _dop853, _horner
 from ricciwarp.shooting import (
     _BLOWUP_LIMIT,
     _POSITIVITY_FLOOR,
@@ -119,26 +126,26 @@ class TestDenseEval:
     def test_matches_ode_solution_bit_for_bit(self, params, status):
         # the one run has the bits of solve_ivp over the one span
         [outcome] = _integrate([params])
-        run, got_status = outcome
-        t_end = float(run.t[-1])
+        row, got_status = outcome
+        t, h, F, y_old = _run_arrays(row)
+        t_end = row.t
         sol = _solve_ivp_run(params)
         assert got_status == status
         assert (got_status, t_end) == _solve_ivp_outcome(params, sol)
         steps = sol.sol.interpolants
-        assert run.nfev == sol.nfev
-        assert run.status == sol.status
-        assert _same_bits(run.t, sol.t)
-        assert _same_bits(run.t[:-1], [ip.t_old for ip in steps])
-        assert _same_bits(run.h, [ip.h for ip in steps])
-        assert _same_bits(run.F, [ip.F for ip in steps])
-        assert _same_bits(run.y_old, [ip.y_old for ip in steps])
+        assert row.nfev == sol.nfev
+        assert row.status == sol.status
+        assert _same_bits(t, sol.t)
+        assert _same_bits(t[:-1], [ip.t_old for ip in steps])
+        assert _same_bits(h, [ip.h for ip in steps])
+        assert _same_bits(F, [ip.F for ip in steps])
+        assert _same_bits(y_old, [ip.y_old for ip in steps])
         # the profile's step table needs no column for the step ends: they
         # are the next step's start and, for the last step, end_time
         prof = _profile(params, outcome)
-        assert _same_bits(np.append(prof.t_old[1:], prof.end_time),
-                          run.t[1:])
+        assert _same_bits(np.append(prof.t_old[1:], prof.end_time), t[1:])
         # every step end, every step middle and the output grid
-        ends = run.t
+        ends = t
         ts = np.unique(np.concatenate([
             ends, 0.5 * (ends[1:] + ends[:-1]),
             np.linspace(prof.start_time, t_end, 2001)]))
@@ -156,9 +163,10 @@ class TestDenseEval:
             size=(ts.size - 1, 4))
         sol = OdeSolution(ts, [Dop853DenseOutput(t0, t1, y, f) for t0, t1, y, f
                                in zip(ts[:-1], ts[1:], y_old, F)])
-        run = _Run(t=ts, h=np.diff(ts), F=F, y_old=y_old, nfev=0, status=0)
+        row = SimpleNamespace(t=float(ts[-1]), table=np.column_stack(
+            [ts[:-1], y_old, np.diff(ts), F.reshape(len(F), -1)]))
         prof = _profile(AnsatzParams(k=0, m=2, lam=0.0, b0=1.0, epsilon=0.5),
-                        (run, "completed"))
+                        (row, "completed"))
         ts = np.array([0.4, 0.5, 0.6, 0.8, 1.0, 1.2, 1.5, 1.7, 2.0, 2.5, 3.0])
         assert _same_bits(_dense(prof, ts), sol(ts))
 
@@ -178,27 +186,26 @@ class TestHornerDerivative:
     def _table(prof):
         rng = np.random.default_rng(11)
         x = rng.uniform(0.05, 0.95, size=(prof.h.size, 1))
-        return np.moveaxis(prof.F[:, ::-1], 1, 0), prof.y_old, x
+        return np.moveaxis(prof.F, 1, 0), prof.y_old, x
 
     def test_value_keeps_its_bits(self, steady_profile_12):
-        rows, y_old, x = self._table(steady_profile_12)
+        F, y_old, x = self._table(steady_profile_12)
         for at in (x, np.zeros_like(x), np.ones_like(x)):
-            value, _ = _horner(rows, y_old, at, dx=True)
-            assert _same_bits(value, _horner(rows, y_old, at))
+            value, _ = _horner(F, y_old, at, dx=True)
+            assert _same_bits(value, _horner(F, y_old, at))
         # one step and a scalar x, as an event root is located
         F, y = steady_profile_12.F[3], steady_profile_12.y_old[3]
-        assert _same_bits(_horner(F[::-1], y, 0.3, dx=True)[0],
-                          _horner(F[::-1], y, 0.3))
+        assert _same_bits(_horner(F, y, 0.3, dx=True)[0], _horner(F, y, 0.3))
 
     def test_matches_a_central_difference(self, steady_profile_12):
         # inside the steps, against (p(x + d) - p(x - d)) / 2d of the value
         # form, d = 1e-4; measured 1.7e-10 of each column's largest size
-        rows, y_old, x = self._table(steady_profile_12)
+        F, y_old, x = self._table(steady_profile_12)
         h = steady_profile_12.h[:, None]
-        _, dx = _horner(rows, y_old, x, dx=True)
+        _, dx = _horner(F, y_old, x, dx=True)
         d = 1e-4
-        central = (_horner(rows, y_old, x + d)
-                   - _horner(rows, y_old, x - d)) / (2 * d * h)
+        central = (_horner(F, y_old, x + d)
+                   - _horner(F, y_old, x - d)) / (2 * d * h)
         scale = np.abs(dx / h).max(axis=0)
         assert (np.abs(dx / h - central) <= 1e-8 * scale).all()
 
@@ -208,17 +215,18 @@ class TestHornerDerivative:
         # side substituted back, which is why the diagnostics leave such
         # rows out (measured: within 1 ulp)
         prof = steady_profile_12
-        rows, y_old, x = self._table(prof)
-        _, dx = _horner(rows, y_old, np.zeros_like(x), dx=True)
+        F, y_old, x = self._table(prof)
+        _, dx = _horner(F, y_old, np.zeros_like(x), dx=True)
         rhs = _rhs_with_phi(prof.params)
         f = np.array([rhs(y.tolist()) for y in y_old])
         assert (np.abs(dx / prof.h[:, None] - f)
                 <= 4 * np.spacing(np.abs(f))).all()
 
 
-def _work(run):
-    """A run's right-side calls, accepted steps and rejected attempts."""
-    return run.nfev, run.t.size - 1, run.rejected
+def _work(row):
+    """A finished row's right-side calls, accepted steps and rejected
+    attempts."""
+    return row.nfev, len(row.table), row.rejected
 
 
 class TestIntegratorWork:
@@ -234,9 +242,9 @@ class TestIntegratorWork:
         # step and 12 per rejected attempt
         rejected = {(1, 2): 1, (2, 3): 0, (1, 3): 1}[k, m]
         params = AnsatzParams(k=k, m=m, lam=lam, b0=1.0)
-        [(run, _)] = _integrate([params])
-        assert _work(run) == (nfev, steps, rejected)
-        assert run.nfev == 1 + 15 * steps + 12 * rejected
+        [(row, _)] = _integrate([params])
+        assert _work(row) == (nfev, steps, rejected)
+        assert row.nfev == 1 + 15 * steps + 12 * rejected
         assert _solve_ivp_run(params).nfev == nfev
 
     def test_tableau_is_scipys(self):
@@ -257,13 +265,13 @@ class TestIntegratorWork:
 
         sol = solve_ivp(fun, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10,
                         atol=1e-10, first_step=1e-3, dense_output=True)
-        [run] = _dop853([lambda y: fun(None, y)], [0.0], np.array([[1.0]]),
+        [row] = _dop853([lambda y: fun(None, y)], [0.0], np.array([[1.0]]),
                         [(2.0, 1e-10, 1e-3)], _no_events)
         assert (sol.status, sol.nfev) == (-1, 7255)
-        assert (run.status, run.nfev, run.message) == (-1, 7255, sol.message)
-        assert run.message == ("Required step size is less than spacing "
+        assert (row.status, row.nfev, row.message) == (-1, 7255, sol.message)
+        assert row.message == ("Required step size is less than spacing "
                                "between numbers.")
-        assert run.t[-1] == sol.t[-1] == 1.00000000001075
+        assert row.t == sol.t[-1] == 1.00000000001075
 
     @pytest.mark.parametrize("component", [0, 1])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -289,10 +297,40 @@ class TestIntegratorWork:
                                  np.ones((2, 2)), [span, span], _no_events)
         want = (sol.status, sol.nfev, sol.t[-1], sol.message)
         assert want[:3] == (-1, 889, 0.40546510810816383)
-        for run in (alone, in_batch):
-            assert (run.status, run.nfev, run.t[-1], run.message) == want
-            assert _same_bits(run.F, [ip.F for ip in sol.sol.interpolants])
-        assert (calm.status, calm.t[-1]) == (0, 2.0)
+        for row in (alone, in_batch):
+            assert (row.status, row.nfev, row.t, row.message) == want
+            assert _same_bits(_run_arrays(row)[2],
+                              [ip.F for ip in sol.sol.interpolants])
+        assert (calm.status, calm.t) == (0, 2.0)
+
+    def test_underflow_before_a_step_leaves_an_empty_table(self):
+        # a right side that is never finite rejects every attempt: the row
+        # ends at its start with no accepted step, alone and in a batch
+        span = (2.0, 1e-10, 1e-3)
+        for funs in ([lambda y: [np.nan]],
+                     [lambda y: [np.nan], lambda y: [-y[0]]]):
+            row = _dop853(funs, [0.5] * len(funs), np.ones((len(funs), 1)),
+                          [span] * len(funs), _no_events)[0]
+            assert (row.status, row.message, row.t) == (
+                -1, "Required step size is less than spacing between "
+                "numbers.", 0.5)
+            assert row.table.size == 0 and row.rejected > 0
+
+    def test_shoot_holds_the_run_table(self, monkeypatch):
+        # the profile's table is the table that the finished row stacked,
+        # not a copy of it
+        rows = []
+
+        def recording(*args):
+            rows.extend(dop853._dop853(*args))
+            return rows
+
+        monkeypatch.setattr(shooting, "_dop853", recording)
+        prof = shoot(AnsatzParams(k=1, m=2, lam=0.0, b0=1.0))
+        [row] = rows
+        assert prof.table is row.table
+        assert np.shares_memory(prof.table, row.table)
+        assert prof.end_time == row.t == 10.0
 
     def test_integrate_reports_step_underflow(self, monkeypatch):
         # a right side that is never finite rejects every step until the
@@ -394,8 +432,8 @@ class TestIntegratorWork:
         steady = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)   # 32 steps
         short = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=1.0)
         [alone], [short_alone] = _integrate([steady]), _integrate([short])
-        steps = alone[0].h.size
-        assert short_alone[0].h.size < steps - 1
+        steps = len(alone[0].table)
+        assert len(short_alone[0].table) < steps - 1
         monkeypatch.setattr(dop853, "MAX_STEPS", steps)
         [capped] = _integrate([steady])
         assert _outcome_bits(capped) == _outcome_bits(alone)
@@ -470,11 +508,28 @@ class TestIntegratorWork:
                     got, [event(None, y) for event in reference])
 
     def test_bad_runs_rejected(self):
-        # a span that does not end past the start
-        for t1 in (1.0, 0.5, -np.inf, np.nan):
-            with pytest.raises(ValueError, match="forward only"):
-                _dop853([lambda y: [0.0]], [1.0], np.array([[1.0]]),
-                        [(t1, 1e-10, 1e-3)], _no_events)
+        # a span that does not end past the start, and a start that is not
+        # finite, each refuse the call, alone and wherever the row stands
+        # in a batch, before any right side is called
+        calls = []
+
+        def fun(y):
+            calls.append(y)
+            return [0.0]
+
+        good = (2.0, 1.0)
+        bad = [((t1, 1.0), "forward only")
+               for t1 in (1.0, 0.5, -np.inf, np.nan)]
+        bad += [((2.0, y0), "`y0` must be finite")
+                for y0 in (np.nan, np.inf, -np.inf)]
+        for row, match in bad:
+            for batch in ([row], [good, row], [row, good, good]):
+                with pytest.raises(ValueError, match=match):
+                    _dop853([fun] * len(batch), [1.0] * len(batch),
+                            np.array([[y0] for _, y0 in batch]),
+                            [(t1, 1e-10, 1e-3) for t1, _ in batch],
+                            _no_events)
+        assert calls == []
         # b0 = inf, which would give a non-finite series start, is refused
         # when the params are built
         with pytest.raises(ValueError, match="b0 must be a finite number"):
@@ -483,16 +538,13 @@ class TestIntegratorWork:
 
 def _outcome_bits(outcome):
     """A row's ``_integrate`` outcome as comparable bits: the exception's
-    type and message, or the status and its run's record, whose last t is
-    the row's end."""
+    type and message, or the status and its finished row's counts and
+    steps, whose last t is the row's end."""
     if isinstance(outcome, Exception):
         return type(outcome).__name__, str(outcome)
-    run, status = outcome
-    return (status, run.nfev, run.status,
-            run.event, run.message,
-            *(getattr(run, name).tobytes()
-              + str(getattr(run, name).shape).encode()
-              for name in ("t", "h", "F", "y_old")))
+    row, status = outcome
+    return (status, row.nfev, row.status, row.event, row.message,
+            *(a.tobytes() + str(a.shape).encode() for a in _run_arrays(row)))
 
 
 def _spy_handoffs(monkeypatch):

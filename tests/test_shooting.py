@@ -32,7 +32,14 @@ from ricciwarp import (
     soliton_residual,
     sweep,
 )
-from conftest import _UNDERFLOW, _dense, _nan_rhs_for, _same_bits, edit_column
+from conftest import (
+    _UNDERFLOW,
+    _dense,
+    _nan_rhs_for,
+    _run_arrays,
+    _same_bits,
+    edit_column,
+)
 from ricciwarp import dop853, shooting
 from ricciwarp.cli import main
 from ricciwarp.dop853 import _N_COEFFS, _dop853, _horner
@@ -488,12 +495,12 @@ class TestShoot:
         events, _ = _events(1)
         for T, t_stop, bound in ((8.0, 4.0, 4.3e-8), (3.0, 0.5, 2.1e-8)):
             start = _dense(prof, np.array([T]))[:, 0] * flip
-            [run] = _dop853([_rhs_with_phi(params)], [0.0], start[None],
+            [row] = _dop853([_rhs_with_phi(params)], [0.0], start[None],
                             [(T - t_stop, 1e-12, 1e-3)], events)
-            assert run.status == 0
-            got = np.vstack([run.y_old,
-                             _horner(run.F[-1][::-1], run.y_old[-1], 1.0)])
-            want = _dense(prof, T - run.t).T * flip
+            assert row.status == 0
+            t, _, F, y_old = _run_arrays(row)
+            got = np.vstack([y_old, _horner(F[-1], y_old[-1], 1.0)])
+            want = _dense(prof, T - t).T * flip
             assert np.abs(got - want).max() < bound
 
     def test_refinement_stability(self):
