@@ -53,10 +53,12 @@ table.  At ``x = (t - t_old) / h`` the step's polynomial is
                  + x (F4 + (1-x) (F5 + x F6))))))
 
 evaluated by Horner's rule (``_horner``).  A step ends where the next one
-starts and the last one at ``end_time``.  The certificate and the quotient
-check read a, b and phi from these polynomials (``interpolants``); the
-sample columns (``GRID_COLUMNS``) are their values at the fixed fractions
-``_SAMPLE_X`` of every step, derived on first read.  The diagnostics (the
+starts and the last one at ``end_time``.  ``_at`` is the one reader of a
+column at given times: the certificate and the quotient check read a, b
+and phi through it (``interpolants``), and so do the log-slopes of a
+profile's report (``_report``).  The sample columns (``GRID_COLUMNS``)
+are the polynomials' values at the fixed fractions ``_SAMPLE_X`` of every
+step, derived on first read.  The diagnostics (the
 per-equation residual columns, and the first-integral series mu(t) =
 m - 1 + b res_sm) are *defects* of the stored solution at those samples:
 the exact time derivative of the stored a', b' and phi' polynomials less
@@ -93,7 +95,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -306,8 +308,11 @@ def _series(params: AnsatzParams):
     smaller in proportion.  The orders stop at the first whose t_conv
     reaches epsilon, or at ``_SERIES_ORDERS``.
 
-    Raises ``ValueError`` when a coefficient is not finite (a tiny b0
-    overflows b2 / b0), naming it, since no epsilon can mend that.
+    Raises ``ValueError``, since no epsilon can mend either, when an order
+    is singular, or when a coefficient is not finite (a tiny b0 overflows
+    b2 / b0): each is checked as it is scaled back to the unit length, in
+    the order of the series, a_(2i+1), b_(2i), phi_(2i), and the first
+    that is not finite is named.
     """
     k, m, lam, b0 = params.k, params.m, params.lam, params.b0
     c = min(b0, 1.0)   # the length the series is solved in units of
@@ -353,22 +358,18 @@ def _series(params: AnsatzParams):
         if i:
             odd = even * inv
             even = odd * inv
-            phi.append(phip.c[i - 1] * even / (2 * i))
-        if k >= 1:
-            alpha.append(a.c[i] * even)
-        beta.append(b.c[i] * odd)
-    if not all(map(math.isfinite, alpha + beta + phi)):
-        # the first in the order of the series: a_(2i+1), b_(2i), phi_(2i)
-        name, value = next(
-            (name, value) for i in range(n + 1)
-            for name, value in ([(f"a{2 * i + 1}", alpha[i])] if k >= 1
-                                else []) + [(f"b{2 * i}", beta[i])]
-            + ([(f"phi{2 * i}", phi[i - 1])] if i else [])
-            if not math.isfinite(value))
-        raise ValueError(
-            f"the series coefficient {name} = {value} of (k, m, lambda, b0) "
-            f"= ({k}, {m}, {lam:g}, {b0:g}) is not finite: no epsilon gives "
-            f"a series start")
+        # in the order of the series: a_(2i+1), b_(2i), phi_(2i)
+        terms = [(alpha, "a", 2 * i + 1, a.c[i] * even)] if k >= 1 else []
+        terms.append((beta, "b", 2 * i, b.c[i] * odd))
+        if i:
+            terms.append((phi, "phi", 2 * i, phip.c[i - 1] * even / (2 * i)))
+        for out, name, power, value in terms:
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"the series coefficient {name}{power} = {value} of (k, "
+                    f"m, lambda, b0) = ({k}, {m}, {lam:g}, {b0:g}) is not "
+                    f"finite: no epsilon gives a series start")
+            out.append(value)
     return alpha, beta, phi, c * t_conv
 
 
@@ -459,11 +460,12 @@ def _rhs_with_phi(params: AnsatzParams):
 
 
 def _locate(steps, t):
-    """``(idx, x)``: the step of each time in a profile's ``_steps`` and
-    ``(t - t_old) / h``.  The step ``OdeSolution`` would choose: the first
-    whose end is >= t, so a step end goes to the earlier step, and times
-    outside the span go to the first or last step.  A step ends where the
-    next starts, so that is the count of the later steps' starts below t
+    """``(idx, x)``: the step of each time of the float array ``t`` in a
+    profile's ``_steps`` and ``(t - t_old) / h``, for :func:`_at`.  The
+    step ``OdeSolution`` would choose: the first whose end is >= t, so a
+    step end goes to the earlier step, and times outside the span go to
+    the first or last step.  A step ends where the next starts, so that is
+    the count of the later steps' starts below t
     (``searchsorted(side="left")``, which places NaN last)."""
     t_old, h, _ = steps
     idx = np.searchsorted(t_old[1:], t, side="left")
@@ -471,15 +473,24 @@ def _locate(steps, t):
 
 
 def _evaluate(steps, name: str, idx, x, dt=False):
-    """State column ``name`` at the times that :func:`_locate` placed:
-    :func:`_horner` with one coefficient row and one ``x`` per time, so a
-    column has the bits of ``solve_ivp``'s dense output.  With ``dt``, the
-    pair of the column and its time derivative, the polynomials' d/dx over
-    their steps' ``h``.  ``take`` gathers the same values as fancy
-    indexing, at half the cost."""
+    """State column ``name`` at the steps ``idx`` and fractions ``x``:
+    those that :func:`_locate` gives for :func:`_at`, or those that a
+    profile's samples keep.  :func:`_horner` with one coefficient row and
+    one ``x`` per time, so a column has the bits of ``solve_ivp``'s dense
+    output.  With ``dt``, the pair of the column and its time derivative,
+    the polynomials' d/dx over their steps' ``h``.  ``take`` gathers the
+    same values as fancy indexing, at half the cost."""
     y_old, F = steps[2][name]
     out = _horner(F.take(idx, axis=1), y_old.take(idx), x, dt)
     return (out[0], out[1] / steps[1].take(idx)) if dt else out
+
+
+def _at(steps, name: str, t):
+    """State column ``name`` of a profile's ``_steps`` at the times ``t``
+    (a number or an array, read as floats): the one reader of a column at
+    given times, :func:`_evaluate` at the steps that :func:`_locate`
+    places them in."""
+    return _evaluate(steps, name, *_locate(steps, np.asarray(t, dtype=float)))
 
 
 def _state_columns(k: int):
@@ -683,24 +694,19 @@ class SolitonProfile:
 
     @cached_property
     def _interpolants(self):
-        # closures over the step arrays: one over self, cached in self,
-        # would hold each profile in a cycle until the cyclic collector runs
+        # partials that hold the step arrays, not the profile: a callable
+        # over self, cached in self, would hold each profile in a cycle
+        # until the cyclic collector runs
         steps = self._steps
-
-        def function(name):
-            def evaluate(t):
-                return _evaluate(steps, name,
-                                 *_locate(steps, np.asarray(t, dtype=float)))
-            return evaluate
-
-        return (function("a") if "a" in steps[2] else None, function("b"),
-                function("phi"))
+        return tuple(partial(_at, steps, name) if name in steps[2] else None
+                     for name in ("a", "b", "phi"))
 
     def interpolants(self):
         """``(a, b, phi)``: the stored polynomials of the a, b and phi
-        columns as callables of t (arrays or numbers), built once and
-        cached.  They have the bits of the dense output of the run the
-        profile was shot from.  For k = 0 the a-slot is None."""
+        columns as callables of t (arrays or numbers), partials of
+        :func:`_at`, built once and cached.  They have the bits of the
+        dense output of the run the profile was shot from.  For k = 0 the
+        a-slot is None."""
         return self._interpolants
 
     # -- serialization ------------------------------------------------------
@@ -1139,9 +1145,9 @@ def _report(profile: SolitonProfile) -> dict:
     row both report, by name in the order of ``_REPORT_FIELDS``: its
     ``status``, its ``end_time`` as ``lifetime``, the mean and spread of
     its first integral mu, and the local log-slopes ``t y'/y`` of a and b,
-    read from the step polynomials: ``slope_a`` and ``slope_b`` at
-    ``end_time``, ``slope_a_mid`` and ``slope_b_mid`` in the middle of the
-    span, at ``(start_time + end_time) / 2``.
+    read from the step polynomials of y and y' by :func:`_at`: ``slope_a``
+    and ``slope_b`` at ``end_time``, ``slope_a_mid`` and ``slope_b_mid``
+    in the middle of the span, at ``(start_time + end_time) / 2``.
 
     The slopes are NaN unless the profile is ``completed``, and the
     a-slopes are NaN for k = 0, which has no a.  ``y ~ t^p`` has the slope
@@ -1157,10 +1163,8 @@ def _report(profile: SolitonProfile) -> dict:
     if profile.status == "completed":
         steps, end = profile._steps, profile.end_time
         t = np.array([end, 0.5 * (profile.start_time + end)])
-        at = _locate(steps, t)
         for y in ("a", "b") if profile.params.k >= 1 else ("b",):
-            slope = (t * _evaluate(steps, y + "_prime", *at)
-                     / _evaluate(steps, y, *at))
+            slope = t * _at(steps, y + "_prime", t) / _at(steps, y, t)
             report["slope_" + y] = float(slope[0])
             report["slope_" + y + "_mid"] = float(slope[1])
     return report

@@ -15,9 +15,8 @@ from ricciwarp import (
 from ricciwarp import shooting
 from ricciwarp.dop853 import _N_COEFFS
 from ricciwarp.shooting import (
+    _at,
     _csv_header,
-    _evaluate,
-    _locate,
     _state_columns,
 )
 
@@ -61,8 +60,7 @@ def edit_column(profile, column, scale=1.0, shift=0.0, bump=0.0,
 
 def _dense(profile, ts):
     """Every state column's stored polynomial at the times ``ts``."""
-    steps = profile._steps
-    return np.array([_evaluate(steps, name, *_locate(steps, ts))
+    return np.array([_at(profile._steps, name, ts)
                      for name in _state_columns(profile.params.k)])
 
 

@@ -3,12 +3,16 @@ exported name resolves; the integrator imports nothing of the package."""
 
 import ast
 import importlib
+import json
 import pathlib
 import types
 
+import numpy as np
 import pytest
 
 import ricciwarp
+from ricciwarp import fd
+from ricciwarp.patches import _strict_json
 
 
 def test_all_names_resolve_and_none_is_a_module():
@@ -102,3 +106,37 @@ def test_bench_tracer_profile_targets_resolve(monkeypatch):
                 if attr not in vars(getattr(importlib.import_module(module),
                                             cls))}
     assert missing <= _DEAD_TRACER_TARGETS, missing - _DEAD_TRACER_TARGETS
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ricciwarp.MetricPatch(0, np.zeros((0, 2)), None),
+     "patch dimension must be >= 1"),
+    (lambda: ricciwarp.MetricPatch(2, [[0.0, 1.0], [1.0, 1.0]], None),
+     "domain box must have hi > lo on every axis"),
+    (lambda: ricciwarp.sphere_patch(0), "sphere dimension must be >= 1"),
+    (lambda: ricciwarp.hyperbolic_patch(1),
+     "hyperbolic model needs dimension >= 2"),
+    (lambda: ricciwarp.GroupAction(1, np.eye(2), np.eye(3),
+                                   np.zeros((0, 2)), np.zeros((0, 3))),
+     "group order must be >= 2"),
+    (lambda: fd.value_jet(np.sum, np.zeros(2), 1e-3),
+     "value_jet needs points of shape (N, dim), got (2,)"),
+    (lambda: ricciwarp.transform_chart(ricciwarp.euclidean_patch(2),
+                                       np.eye(3)),
+     "chart map must be 2x2"),
+], ids=["patch-dimension-0", "patch-empty-box", "sphere-0", "hyperbolic-1",
+        "group-order-1", "value-jet-1d-points", "chart-map-3x3"])
+def test_public_input_refused(call, message):
+    # each public constructor or function refuses an input it cannot take
+    # with its ValueError and message
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_strict_json_nulls_non_finite_in_lists():
+    # NaN and +-inf are written as null inside lists and tuples too, as in
+    # dicts, so a report's list of numbers stays strict JSON
+    doc = {"a": [1.0, float("nan"), (float("inf"), -float("inf"), 2)]}
+    assert json.loads(_strict_json(doc)) == {"a": [1.0, None,
+                                                   [None, None, 2]]}

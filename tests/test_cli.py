@@ -22,7 +22,7 @@ from ricciwarp.cli import (
     main,
 )
 from conftest import edit_column
-from ricciwarp import GeometryError, dop853, shooting
+from ricciwarp import GeometryError, dop853, shoot, shooting, sweep, taylor
 from ricciwarp.quotient import T_RANGE
 from ricciwarp.shooting import (
     GRID_COLUMNS,
@@ -69,6 +69,29 @@ def test_start_up_runs_no_scipy_subpackage():
                     "interpolate._bsplines"):
         assert f"scipy.{package}" not in loaded, package
     assert spline_module == "scipy.interpolate._bsplines"
+
+
+@pytest.mark.parametrize("block,code,err", [
+    ({"k": 1, "m": 2, "lambda": 0.0, "b0": 1.0, "t_max": 1.0}, 0, ""),
+    ({"k": 1, "m": 2, "lambda": 0.0},
+     2, "config error: solve block is missing 'b0'\n"),
+], ids=["solve", "missing-b0"])
+def test_module_entry_point(tmp_path, block, code, err):
+    # python -m ricciwarp.cli runs main and exits with its code, where a
+    # warning is an error, as it is in the test process
+    cfg_path = tmp_path / "c.json"
+    write_config(cfg_path, solve=block)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ricciwarp.cli", "solve",
+         "--config", str(cfg_path)],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error"),
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    # a missing out directory globs nothing
+    assert sorted(p.name for p in (tmp_path / "out").glob("*")) == (
+        ["profile.csv", "solve_summary.json"] if code == 0 else [])
 
 
 def test_start_up_loads_no_process_machinery():
@@ -1161,6 +1184,28 @@ class TestRefusedSeriesStart:
         assert main([command, "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and reason in err
+        assert not (tmp_path / "out").exists()
+
+    def test_singular_order_refused(self, tmp_path, capsys, monkeypatch):
+        # an order whose equations are singular, as non-finite data makes
+        # them, refuses the series: shoot raises, the sweep row reports it
+        # and solve is a config error that writes nothing
+        def singular(J, e):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(taylor, "_solve", singular)
+        message = ("the series of (k, m, lambda, b0) = (1, 2, 0, 1) is not "
+                   "finite: no epsilon gives a series start")
+        params = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)
+        with pytest.raises(ValueError) as info:
+            shoot(params)
+        assert str(info.value) == message
+        [row] = sweep([params])
+        assert row.status == "error:ValueError:" + message.replace(",", ";")
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve={"k": 1, "m": 2, "lambda": 0, "b0": 1})
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -273,6 +273,36 @@ class TestIntegratorWork:
                                "between numbers.")
         assert row.t == sol.t[-1] == 1.00000000001075
 
+    @pytest.mark.parametrize("t0,first_step,least", [
+        (1.0, 1e-300, 2.220446049250313e-15),
+        (0.5, 1e-20, 1.1102230246251565e-15),
+    ], ids=["t0-1", "t0-0.5"])
+    def test_first_step_raised_to_the_least(self, t0, first_step, least):
+        # a first step below 10 ulps of t0 is raised to that least step
+        # size, as solve_ivp raises it: y0' = -y0, y1' = y0 - y1/2 over 2
+        # time units, alone and as the first row of a two-row batch
+        def fun(y):
+            return [-y[0], y[0] - 0.5 * y[1]]
+
+        span = (t0 + 2.0, 1e-10, first_step)
+        sol = solve_ivp(lambda t, y: fun(y), (t0, span[0]), [1.0, 0.3],
+                        method="DOP853", rtol=span[1], atol=span[1],
+                        first_step=first_step, dense_output=True)
+        [alone] = _dop853([fun], [t0], np.array([[1.0, 0.3]]), [span],
+                          _no_events)
+        in_batch, _ = _dop853([fun, lambda y: [-v for v in y]], [t0, 0.0],
+                              np.array([[1.0, 0.3], [1.0, 1.0]]),
+                              [span, (2.0, 1e-10, 1e-3)], _no_events)
+        assert least == 10 * math.ulp(t0)
+        assert (sol.status, sol.nfev, sol.sol.interpolants[0].h) == (
+            0, 316, least)
+        for row in (alone, in_batch):
+            t, h, F, _ = _run_arrays(row)
+            assert h[0] == least
+            assert (row.status, row.nfev) == (0, 316)
+            assert _same_bits(row.t, sol.t[-1]) and _same_bits(t, sol.t)
+            assert _same_bits(F, [ip.F for ip in sol.sol.interpolants])
+
     @pytest.mark.parametrize("component", [0, 1])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_right_side_matches_solve_ivp(self, component, value):
