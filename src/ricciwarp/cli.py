@@ -38,7 +38,6 @@ from .patches import GeometryError, _strict_json
 from .quotient import T_RANGE, certify_quotient, make_cyclic_action
 from .shooting import (
     AnsatzParams,
-    CertificationWindowError,
     SolitonProfile,
     SweepRow,
     _is_int,
@@ -130,9 +129,9 @@ _CAPS = {**dict.fromkeys(("n_base", "n_product", "n_fiber", "n_samples"),
          "k": MAX_DIMENSION, "m": MAX_DIMENSION, "workers": MAX_WORKERS,
          "p": MAX_GROUP_ORDER}
 _TOP = dict.fromkeys(("schema_version", "out_dir", *_SCHEMA), (None, None))
-# a sweep runs the grid of the lists under these keys, each element
-# checked by the key's row
-_SWEEP_LISTS = ("k", "m", "lambda", "b0")
+# the shooting datum: the keys that a solve block must hold, and the lists
+# of a sweep, whose grid it runs, each element checked by the key's row
+_DATUM = ("k", "m", "lambda", "b0")
 
 
 _IS = {
@@ -154,7 +153,7 @@ def _check_block(block, schema: dict, where: str):
     for name, value in block.items():
         kind, rule = schema[name]
         values = [value]
-        if rule == "pair" or (where == "sweep" and name in _SWEEP_LISTS):
+        if rule == "pair" or (where == "sweep" and name in _DATUM):
             if not isinstance(value, list) or (rule == "pair" and len(value) != 2):
                 raise ConfigError(
                     f"'{name}' in '{where}' must be a list"
@@ -220,12 +219,22 @@ def _dump_json(doc: dict, cfg: dict) -> str:
     return _strict_json(doc) + "\n"
 
 
-def _shoot(block: dict) -> SolitonProfile:
-    """The profile of a solve block; parameters that ``shoot`` refuses
-    (``ValueError``) are a config error."""
-    for req in ("k", "m", "lambda", "b0"):
-        if req not in block:
-            raise ConfigError(f"solve block is missing '{req}'")
+def _block(cfg: dict, name: str, required) -> dict:
+    """The config's ``name`` block; a config error unless it is there and
+    holds the keys ``required``."""
+    if name not in cfg:
+        raise ConfigError(f"config has no '{name}' block")
+    block = cfg[name]
+    for key in required:
+        if key not in block:
+            raise ConfigError(f"{name} block is missing '{key}'")
+    return block
+
+
+def _shoot(cfg: dict) -> SolitonProfile:
+    """The profile of the config's solve block; parameters that ``shoot``
+    refuses (``ValueError``) are a config error."""
+    block = _block(cfg, "solve", _DATUM)
     try:
         return shoot(AnsatzParams(**_ansatz_kwargs(block)))
     except ValueError as exc:
@@ -233,9 +242,7 @@ def _shoot(block: dict) -> SolitonProfile:
 
 
 def cmd_solve(cfg: dict, out_dir: str) -> int:
-    if "solve" not in cfg:
-        raise ConfigError("config has no 'solve' block")
-    profile = _shoot(cfg["solve"])
+    profile = _shoot(cfg)
     # the summary derives the diagnostics, which may fail: nothing is
     # written until it is made
     summary = _dump_json(_summary(profile), cfg)
@@ -261,7 +268,7 @@ def _load_profile_for(cfg: dict, block: dict) -> SolitonProfile:
             raise OSError(f"ill-formed profile file {path}: {exc}") from exc
         return profile
     if "solve" in cfg:
-        return _shoot(cfg["solve"])
+        return _shoot(cfg)
     raise ConfigError("no 'profile' path given and no 'solve' block to run")
 
 
@@ -269,11 +276,9 @@ def cmd_certify(cfg: dict, out_dir: str) -> int:
     block = cfg.get("certify", {})
     profile = _load_profile_for(cfg, block)
     kwargs = {key: value for key, value in block.items() if key != "profile"}
-    if "t_window" in kwargs:
-        kwargs["t_window"] = tuple(kwargs["t_window"])
     try:
         report = certify_profile(profile, **kwargs)
-    except (CertificationWindowError, ValueError) as exc:
+    except ValueError as exc:
         # the window and the step are checked against the profile and its
         # samples there; a refusal is an error of the block's values
         raise ConfigError(str(exc)) from exc
@@ -285,12 +290,7 @@ def cmd_certify(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_quotient(cfg: dict, out_dir: str) -> int:
-    if "quotient" not in cfg:
-        raise ConfigError("config has no 'quotient' block")
-    block = cfg["quotient"]
-    for req in ("p", "k", "m", "kind"):
-        if req not in block:
-            raise ConfigError(f"quotient block is missing '{req}'")
+    block = _block(cfg, "quotient", ("p", "k", "m", "kind"))
     t_range = tuple(block.get("t_range", T_RANGE))
     try:
         action = make_cyclic_action(
@@ -327,21 +327,15 @@ _SWEEP_HEADER = tuple("lambda" if f.name == "lam" else f.name
 
 
 def cmd_sweep(cfg: dict, out_dir: str) -> int:
-    if "sweep" not in cfg:
-        raise ConfigError("config has no 'sweep' block")
-    block = cfg["sweep"]
-    for req in _SWEEP_LISTS:
-        if req not in block:
-            raise ConfigError(f"sweep block needs a list under '{req}'")
-    rows = math.prod(len(block[key]) for key in _SWEEP_LISTS)
+    block = _block(cfg, "sweep", _DATUM)
+    rows = math.prod(len(block[key]) for key in _DATUM)
     if rows > MAX_SWEEP_ROWS:
         raise ConfigError(f"sweep grid too large: {rows} rows, at most "
                           f"{MAX_SWEEP_ROWS}")
-    common = {key: value for key, value in _ansatz_kwargs(block).items()
-              if key not in ("k", "m", "lam", "b0")}
+    common = _ansatz_kwargs({key: value for key, value in block.items()
+                             if key not in _DATUM})
     try:
-        grid = params_grid(block["k"], block["m"], block["lambda"], block["b0"],
-                           **common)
+        grid = params_grid(*(block[key] for key in _DATUM), **common)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = sweep(grid, parallel=block.get("parallel", False),
@@ -357,11 +351,14 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"solve": cmd_solve, "certify": cmd_certify,
+             "quotient": cmd_quotient, "sweep": cmd_sweep}
+
 # built once: main() only parses with it
 _PARSER = argparse.ArgumentParser(
     prog="ricciwarp",
     description="Construct and certify warped gradient Ricci solitons.")
-_PARSER.add_argument("command", choices=["solve", "certify", "quotient", "sweep"])
+_PARSER.add_argument("command", choices=_COMMANDS)
 _PARSER.add_argument("--config", required=True, help="path to the JSON config")
 _PARSER.add_argument("--out", default=None, help="output directory override")
 
@@ -370,16 +367,10 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out_dir = args.out or cfg.get("out_dir", "out")
+        out_dir = cfg.get("out_dir", "out") if args.out is None else args.out
         if not isinstance(out_dir, str) or not out_dir:
             raise ConfigError("'out_dir' must be a non-empty string")
-        if args.command == "solve":
-            return cmd_solve(cfg, out_dir)
-        if args.command == "certify":
-            return cmd_certify(cfg, out_dir)
-        if args.command == "quotient":
-            return cmd_quotient(cfg, out_dir)
-        return cmd_sweep(cfg, out_dir)
+        return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -161,20 +161,20 @@ class _Row:
     :func:`_horner`, and ends where step i + 1 starts or, the last one,
     at ``t``, the end of the run, a terminal event's root.  ``status`` is
     ``solve_ivp``'s: 0 at the end of the span, 1 at the terminal event
-    ``event`` (its index), -1 on a step size that underflowed or at
-    ``MAX_STEPS`` accepted steps, which ``message`` names; a row that
-    fails before its first accepted step has an empty table.  ``nfev``
-    counts the right-side calls of the whole run and ``rejected`` its
-    rejected step attempts: a run of s accepted steps and no event calls
-    the right side 1 + 15 s + 12 ``rejected`` times.  ``error`` is None,
-    or the exception that ``brentq`` raised for the row, which ends it
-    without a table.
+    ``event`` (its index), -1 on a step size that underflowed, at
+    ``MAX_STEPS`` accepted steps, or on an event that ``brentq`` failed to
+    locate, which ``message`` names; a failed row's table holds the steps
+    it accepted before, none if it fails before its first, and the step
+    whose event failed is not among them (``t`` is that step's end).
+    ``nfev`` counts the right-side calls of the whole run and
+    ``rejected`` its rejected step attempts: a run of s accepted steps
+    and no event calls the right side 1 + 15 s + 12 ``rejected`` times.
     """
 
     __slots__ = ("fun", "events", "g", "t", "t_new", "t_end", "rtol",
                  "atol", "h_abs", "min_step", "fresh", "step_rejected",
                  "nfev", "rejected", "record", "status", "event",
-                 "message", "table", "error")
+                 "message", "table")
 
     def __init__(self, fun, events, t0, y0, span):
         self.fun, self.t = fun, float(t0)
@@ -184,7 +184,6 @@ class _Row:
         self.fresh, self.step_rejected = True, False
         self.nfev, self.rejected = 1, 0
         self.record = ([], [], [], [])
-        self.error = None
 
     def begin(self) -> float:
         """Start an attempt as ``DOP853._step_impl`` does and return its
@@ -246,7 +245,9 @@ class _Row:
         The earliest root of an event that changed sign over the step,
         located by ``brentq`` on the step's polynomial (Hairer, Norsett &
         Wanner, II.6), ends the row there; so do the end of its span and
-        its ``MAX_STEPS``-th accepted step short of that.
+        its ``MAX_STEPS``-th accepted step short of that.  An event that
+        ``brentq`` cannot locate ends this row alone, with status -1 and
+        without the step.
         """
         self.nfev += _N_EXTRA
         self.fresh = True
@@ -264,7 +265,7 @@ class _Row:
                                 t_old, self.t, xtol=4 * _EPS, rtol=4 * _EPS)
                          for e in active]
             except (ValueError, RuntimeError) as exc:
-                self.error, self.record = exc, None   # this row alone ends
+                self._finish(-1, message=f"event location failed: {exc}")
                 return
             first = np.argsort(roots)[0]
             status, event, self.t = 1, active[first], roots[first]
@@ -308,8 +309,8 @@ def _dop853(funs, t0, y0, spans, events):
     the Python floats of a state to its derivative, a list, and
     ``events`` maps them to the values of the terminal events, a list,
     which every row reads at each accepted step's end.  Returns each
-    finished :class:`_Row`, with its step table, end t and counts, or the
-    exception that ``brentq`` raised for it.
+    finished :class:`_Row`, with its status, step table, end t and counts,
+    a row that failed included.
 
     Two or more rows step in lockstep (:func:`_lockstep`); a row alone,
     and the last row of a batch, steps on Python floats (:func:`_alone`).
@@ -329,7 +330,7 @@ def _dop853(funs, t0, y0, spans, events):
                 if len(rows) == 1 else _lockstep(rows, Y, f))
         if last is not None:
             _alone(*last)
-    return [row if row.error is None else row.error for row in rows]
+    return rows
 
 
 def _lockstep(rows, Y, f):

@@ -157,10 +157,6 @@ class IntegrationError(GeometryError):
     a failed event location)."""
 
 
-class CertificationWindowError(GeometryError):
-    """A certification window or step does not fit the profile span."""
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -883,13 +879,14 @@ def _integrate(rows):
     the finished ``dop853._Row`` with its step table ``row.table`` and its
     end ``row.t`` (exactly ``t_max`` when completed), and the status from
     its terminal event, if any; or the exception of a row that cannot
-    run: the ``ValueError`` of a refused series start, or the
-    ``IntegrationError`` of a step size that underflowed, of a run that
-    reached ``MAX_STEPS`` or of an event that ``brentq`` failed to
-    locate.  A start that ``_series_start`` returns lies inside the
-    blow-up box, its a and b above the positivity floor, at a t of at
-    most epsilon, below ``t_max``, so :func:`_dop853` accepts every row
-    and every event starts positive.  The rows are one
+    run: the ``ValueError`` of a refused series start, or, for every row
+    that :func:`_dop853` ends with status -1, the ``IntegrationError``
+    "integrator failed: " and the row's message, which names a step size
+    that underflowed, a run that reached ``MAX_STEPS`` or an event that
+    ``brentq`` failed to locate.  A start that ``_series_start`` returns
+    lies inside the blow-up box, its a and b above the positivity floor,
+    at a t of at most epsilon, below ``t_max``, so :func:`_dop853` accepts
+    every row and every event starts positive.  The rows are one
     :func:`_dop853` batch with the one event function of their state size
     (:func:`_events`), each run with the bits of its row integrated alone,
     whatever the other rows do.
@@ -914,9 +911,7 @@ def _integrate(rows):
     for i, row in zip(started, _dop853(
             [_rhs_with_phi(rows[i]) for i in started], t0, np.array(starts),
             spans, events)):
-        if isinstance(row, Exception):   # raised by brentq
-            results[i] = IntegrationError(f"event location failed: {row}")
-        elif row.status == -1:
+        if row.status == -1:
             results[i] = IntegrationError(f"integrator failed: {row.message}")
         else:
             results[i] = (row, "completed" if row.status == 0
@@ -1034,13 +1029,13 @@ def certify_profile(profile: SolitonProfile,
     of the full product metric, at sample points whose radial coordinates
     lie in ``t_window``.  Raises :class:`GeometryError` for a profile whose
     ``status`` is not ``completed``: near a degeneration or blow-up its
-    polynomials need not keep b (or a) positive.  Raises
-    :class:`CertificationWindowError`, before any residual is computed,
-    when ``t_window`` and ``h`` leave no room inside the profile span, or
-    when the stencils of step ``h`` do not fit between the base-angle and
-    fiber samples and the chart boundaries, and ``ValueError`` for a step
+    polynomials need not keep b (or a) positive.  Raises ``ValueError``
+    for every value that does not fit the profile: before any residual is
+    computed, when ``t_window`` and ``h`` leave no room inside the profile
+    span, or when the stencils of step ``h`` do not fit between the
+    base-angle and fiber samples and the chart boundaries; for a step
     ``h`` that is not finite and positive or, at the samples, not above
-    the float resolution (``fd.check_step``), and for ``n_base`` below 2
+    the float resolution (``fd.check_step``); and for ``n_base`` below 2
     or ``n_fiber`` or ``n_product`` below 1 (:func:`certify_soliton`).
     """
     check_step(h)
@@ -1056,7 +1051,7 @@ def certify_profile(profile: SolitonProfile,
     t_lo = max(t_window[0], span[0] + 16 * h)
     t_hi = min(t_window[1], span[1] - 16 * h)
     if t_hi <= t_lo:
-        raise CertificationWindowError(
+        raise ValueError(
             f"certification window {tuple(t_window)} with step h={h:g} does "
             f"not fit the profile span [{span[0]:g}, {span[1]:g}] (the "
             f"samples keep 16 h = {16 * h:g} from either end)")
@@ -1068,7 +1063,7 @@ def certify_profile(profile: SolitonProfile,
                 for lo, hi in base.domain[1:]]
                + [_FIBER_MARGIN * (hi - lo) for lo, hi in fiber.domain])
     if _MARGIN_SECOND * h >= room:
-        raise CertificationWindowError(
+        raise ValueError(
             f"certification step h={h:g} too large for the sample charts: "
             f"the stencils need {_MARGIN_SECOND} h = {_MARGIN_SECOND * h:g} "
             f"of room from the chart boundary, the base-angle and fiber "

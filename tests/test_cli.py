@@ -196,6 +196,16 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg_path), "--out", str(alt)]) == 0
         assert (alt / "profile.csv").exists()
 
+    def test_empty_out_flag_refused(self, tmp_path, capsys):
+        # an empty --out is refused as an empty out_dir is, not dropped for
+        # the config's out_dir
+        cfg_path = tmp_path / "c.json"
+        write_config(cfg_path, solve=cylinder_solve_block(t_max=2.0))
+        assert main(["solve", "--config", str(cfg_path), "--out", ""]) == 2
+        assert capsys.readouterr().err == (
+            "config error: 'out_dir' must be a non-empty string\n")
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_failed_event_location_exits_3(self, tmp_path, capsys,
                                            monkeypatch):
         # brentq refuses the bracket of the hit_a_zero event: a numeric
@@ -209,8 +219,9 @@ class TestSolve:
                                       "b0": 1.0, "t_max": 3.5})
         assert main(["solve", "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numeric failure: event location failed: "
-                              "f(a) and f(b) must have different signs")
+        assert err.startswith("numeric failure: integrator failed: event "
+                              "location failed: f(a) and f(b) must have "
+                              "different signs")
         assert not (tmp_path / "out").exists()
 
     def test_event_location_on_an_overflowed_step_exits_3(self, tmp_path,
@@ -222,8 +233,8 @@ class TestSolve:
                                       "b0": 1.0, "tol": 1e10})
         assert main(["solve", "--config", str(cfg_path)]) == 3
         assert capsys.readouterr().err.startswith(
-            "numeric failure: event location failed: The function value at "
-            "x=1.211000000000001 is NaN")
+            "numeric failure: integrator failed: event location failed: The "
+            "function value at x=1.211000000000001 is NaN")
         assert not (tmp_path / "out").exists()
 
     def test_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
@@ -812,7 +823,8 @@ class TestProfileBounds:
 
     def test_long_horizon_completes(self, tmp_path):
         # no sample grid caps the span: the steady k1m2 row integrates to
-        # t = 10,000 in a few thousand steps, 8 samples each
+        # t = 10,000 in 2,628 steps, 8 samples each, the figure that README
+        # and the MAX_STEPS comment quote
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, solve=dict(_SOLVE, t_max=10_000.0))
         assert main(["solve", "--config", str(cfg_path)]) == 0
@@ -821,6 +833,9 @@ class TestProfileBounds:
         assert (summary["status"], summary["lifetime"]) == ("completed",
                                                             10_000.0)
         assert abs(summary["mu_mean"] - 1.0) < 1e-6
+        lines = (tmp_path / "out" / "profile.csv").read_text().splitlines()
+        # one data row a step, after the comment lines and the column header
+        assert sum(not line.startswith("#") for line in lines) - 1 == 2_628
 
     def test_step_cap_bounds_the_span(self, tmp_path, capsys):
         # the expanding k1m2 row's steps shrink as its horizon grows: it
@@ -1124,7 +1139,7 @@ class TestConfigValidation:
         ("quotient", lambda cfg: cfg["quotient"].pop("kind"),
          "quotient block is missing 'kind'"),
         ("sweep", lambda cfg: cfg["sweep"].pop("lambda"),
-         "sweep block needs a list under 'lambda'"),
+         "sweep block is missing 'lambda'"),
         ("solve", lambda cfg: cfg.update(out_dir=""),
          "'out_dir' must be a non-empty string"),
         ("solve", lambda cfg: cfg.update(out_dir=7),

@@ -432,18 +432,50 @@ class TestIntegratorWork:
         assert _outcome_bits(completed) == _outcome_bits(alone)
         calls.clear()
         rows = sweep([collapse, steady])
-        assert rows[0].status == ("error:IntegrationError:event location "
-                                  "failed: f(a) and f(b) must have "
-                                  "different signs")
+        assert rows[0].status == ("error:IntegrationError:integrator "
+                                  "failed: event location failed: f(a) and "
+                                  "f(b) must have different signs")
         assert (rows[1].status, rows[1].lifetime) == ("completed", 3.5)
+
+    def test_failed_event_location_keeps_its_row(self, monkeypatch):
+        # brentq refuses the collapse row's first bracket: _dop853 ends the
+        # row as a _Row with status -1, the message, its counts, and the
+        # table of the steps before the one whose event failed, alone and
+        # as the first row of a two-row batch
+        collapse = AnsatzParams(k=1, m=2, lam=2.0, b0=1.0, t_max=3.5)
+        steady = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, t_max=3.5)
+        [(whole, status)] = _integrate([collapse])
+        assert (status, len(whole.table)) == ("hit_a_zero", 109)
+        returned = []
+
+        def recording(*args):
+            rows = dop853._dop853(*args)
+            returned.append(rows)
+            return rows
+
+        def refusing(*args, **kwargs):
+            raise ValueError("f(a) and f(b) must have different signs")
+
+        monkeypatch.setattr(shooting, "_dop853", recording)
+        monkeypatch.setattr(dop853, "brentq", refusing)
+        for batch in ([collapse], [collapse, steady]):
+            _integrate(batch)
+            row = returned.pop()[0]
+            assert isinstance(row, dop853._Row)
+            assert (row.status, row.event, row.message) == (
+                -1, None, "event location failed: f(a) and f(b) must have "
+                "different signs")
+            assert (row.nfev, row.rejected) == (2824, 99)
+            assert row.table.tobytes() == whole.table[:108].tobytes()
 
     def test_event_location_on_an_overflowed_step(self):
         # at tolerances of 1e10 the last step of k1m2 overflows to inf: the
         # blow-up event changes sign over it, but its polynomial evaluates
         # inf * 0 = NaN at x = 1, where brentq stops.  The row ends in the
         # error alone and beside a steady row, which keeps its bits alone
-        message = ("event location failed: The function value at "
-                   "x=1.211000000000001 is NaN; solver cannot continue.")
+        message = ("integrator failed: event location failed: The function "
+                   "value at x=1.211000000000001 is NaN; solver cannot "
+                   "continue.")
         overflow = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0, tol=1e10)
         steady = AnsatzParams(k=1, m=2, lam=0.0, b0=1.0)
         with pytest.raises(IntegrationError, match=f"^{re.escape(message)}$"):

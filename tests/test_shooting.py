@@ -660,7 +660,7 @@ class TestCertifyProfile:
         assert report.checks["scalar_equation"]["residual"] <= 1e-6 * (1 + abs(c))
 
     def test_window_must_fit(self, steady_profile_12):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="does not fit the profile span"):
             certify_profile(steady_profile_12, t_window=(50.0, 60.0))
 
     @pytest.mark.parametrize("h,message", [
