@@ -30,6 +30,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import operator
 import os
 import sys
 
@@ -322,8 +323,11 @@ def cmd_quotient(cfg: dict, out_dir: str) -> int:
     return EXIT_OK if cert.verdict else EXIT_FAIL
 
 
-_SWEEP_HEADER = tuple("lambda" if f.name == "lam" else f.name
-                      for f in dataclasses.fields(SweepRow))
+_SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
+_SWEEP_HEADER = tuple("lambda" if name == "lam" else name
+                      for name in _SWEEP_FIELDS)
+# a row's values in the header's order; dataclasses.astuple would deep-copy
+_sweep_values = operator.attrgetter(*_SWEEP_FIELDS)
 
 
 def cmd_sweep(cfg: dict, out_dir: str) -> int:
@@ -345,7 +349,7 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     for r in rows:
         # .17g writes the small ints k and m as str does
         lines.append(",".join(v if isinstance(v, str) else f"{v:.17g}"
-                              for v in dataclasses.astuple(r)))
+                              for v in _sweep_values(r)))
     _write(out_dir, "sweep.csv", "\n".join(lines) + "\n")
     print(f"sweep: {len(rows)} rows")
     return EXIT_OK
@@ -369,7 +373,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = cfg.get("out_dir", "out") if args.out is None else args.out
         if not isinstance(out_dir, str) or not out_dir:
-            raise ConfigError("'out_dir' must be a non-empty string")
+            source = "'out_dir'" if args.out is None else "--out"
+            raise ConfigError(f"{source} must be a non-empty string")
         return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

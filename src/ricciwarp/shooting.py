@@ -42,7 +42,8 @@ one span at the row's tolerance, with the DOP853 loop of
 :mod:`ricciwarp.dop853`, which has the steps, dense output and event roots
 of scipy's ``solve_ivp(method="DOP853")`` and advances a batch of rows in
 lockstep, each with the bits it has alone: ``shoot`` is a batch of one row
-and ``sweep`` integrates its grid in batches.
+and ``sweep`` integrates its grid in batches, whose rows of a shared k
+solve their series together on numpy lanes (``_series_lanes``).
 
 A profile is its integration: the step table of its DOP853 run, one row
 per accepted step holding the step's start ``t_old``, its size ``h``, the
@@ -94,6 +95,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 from functools import cache, cached_property, partial
 from types import SimpleNamespace
@@ -279,9 +281,64 @@ def _reduced_kernel(params: AnsatzParams):
 # at rounding up to t = 0.17, 0.14 and 0.11, past the default epsilon
 _SERIES_ORDERS = 9
 _SERIES_ROUNDING = 2.0 ** -52   # the size of a last-order term at the start
+# the fewest rows of one k whose series solve on lanes (_series_lanes): a
+# lane tape costs about as much as 6 to 8 float tapes, whatever its lanes
+# (k = 1 rows of the benchmark's grids, in process, medians of 21 calls):
+# 4 rows take 2.7 ms on lanes against 1.7 ms row by row, 8 rows 2.9
+# against 3.4, 12 rows 3.4 against 5.1 and 16 rows 3.4 against 7.4.
+# Python's sum adds floats in order before 3.12, as numpy adds lanes; from
+# 3.12 on it compensates a sum of floats, so there every row solves alone
+_LANE_ROWS = 8 if sys.version_info < (3, 12) else math.inf
 
 
-def _series(params: AnsatzParams):
+def _closure(k, m, lam, b0, phipp):
+    """``((b, phi', a), orders)``: the series of the smooth closure of a k
+    row on one :mod:`ricciwarp.taylor` tape, in the units of
+    :func:`_series` (``a`` None for k = 0), and the generator of
+    :func:`ricciwarp.taylor.solve` that extends them order by order.  The
+    row's constants m, lambda c^2, b(0) / c and phi''(0) c^2 = 2 phi2 c^2
+    (free for k >= 1, not read for k = 0) are each a number or an array
+    with one lane per row."""
+    tape = []
+    a = taylor.Series(tape, 1, [1.0]) if k >= 1 else None   # t (1 + ...)
+    b = taylor.Series(tape, 0, [b0])
+    phip = taylor.Series(tape, 1, [])                       # t (2 phi2 + ...)
+    ap = a.derivative() if k >= 1 else None
+    bp = b.derivative()
+    s_a, s_b, phipp_of = _reduced_kernel(
+        SimpleNamespace(k=k, m=m, lam=lam))(a, ap, b, bp, phip)
+    # a'' = a s_a, b'' = b s_b and phi'' = phipp_of, at t^(2K-1), t^(2K-2)
+    # and t^(2K-2) in order K
+    leaves = [(b, 0), (phip, -1)]
+    equations = [(bp.derivative() - b * s_b, -2),
+                 (phip.derivative() - phipp_of, -2)]
+    given = None
+    if k >= 1:
+        leaves.insert(0, (a, 0))
+        equations.insert(0, (ap.derivative() - a * s_a, -1))
+        given = {(1, 2): phipp}
+    return (b, phip, a), taylor.solve(leaves, equations, given)
+
+
+def _last_order(params: AnsatzParams, n: int, b, phip, a):
+    """``t_conv`` if order ``n`` is the last of ``params``' series, else
+    None.  ``b``, ``phip`` and ``a`` (empty for k = 0) are the series'
+    coefficient lists through order n, Python floats: numpy's pow need not
+    round as Python's does.  t_conv is the largest t at which every term of
+    order n of a, a', b, b' and phi' is at most ``_SERIES_ROUNDING``, in
+    the units of :func:`_series`; order n is the last at ``_SERIES_ORDERS``
+    or once c t_conv reaches epsilon."""
+    last = [(b[n], 2 * n), (2 * n * b[n], 2 * n - 1), (phip[n - 1], 2 * n - 1)]
+    if a:
+        last += [(a[n], 2 * n + 1), ((2 * n + 1) * a[n], 2 * n)]
+    t_conv = min([math.inf] + [(_SERIES_ROUNDING / abs(x)) ** (1 / q)
+                               for x, q in last if x])
+    if n == _SERIES_ORDERS or min(params.b0, 1.0) * t_conv >= params.epsilon:
+        return t_conv
+    return None
+
+
+def _series(params: AnsatzParams, lane=None):
     """``(alpha, beta, phi, t_conv)``: the Taylor series of the smooth
     closure at t = 0 of ``params``' row, a = t sum(alpha[i] t^(2i)), b =
     sum(beta[i] t^(2i)) and phi = t^2 sum(phi[i] t^(2i)) (alpha empty for
@@ -293,16 +350,21 @@ def _series(params: AnsatzParams):
     2000; M. Buzano, J. Geom. Phys., 2011); for k = 0 the b-series fixes
     phi2.  Its coefficients are those of :func:`_reduced_kernel` run on
     :class:`ricciwarp.taylor.Series` and solved order by order
-    (:func:`ricciwarp.taylor.solve`), so the kernel is the one writing of
-    the system, the start included.  A row of b0 < 1 is solved at b0 = 1,
-    with lambda b0^2 and phi2 b0^2, and scaled back: the system is
-    scale-covariant, and a tiny b0 then overflows a coefficient to inf
-    instead of dividing by an underflowed b0^2.  t_conv is the largest t
-    at which every term of the last order, of a, a', b, b' and phi' in
-    those units, is at most ``_SERIES_ROUNDING``; a row of small
-    convergence radius (small b0, large |phi2| or |lambda|) has a t_conv
-    smaller in proportion.  The orders stop at the first whose t_conv
-    reaches epsilon, or at ``_SERIES_ORDERS``.
+    (:func:`_closure`), so the kernel is the one writing of the system,
+    the start included.  A row of b0 < 1 is solved at b0 = 1, with lambda
+    b0^2 and phi2 b0^2, and scaled back: the system is scale-covariant,
+    and a tiny b0 then overflows a coefficient to inf instead of dividing
+    by an underflowed b0^2.  t_conv is the largest t at which every term
+    of the last order, of a, a', b, b' and phi' in those units, is at most
+    ``_SERIES_ROUNDING``; a row of small convergence radius (small b0,
+    large |phi2| or |lambda|) has a t_conv smaller in proportion.  The
+    orders stop at the first whose t_conv reaches epsilon, or at
+    ``_SERIES_ORDERS`` (:func:`_last_order`).
+
+    A row solves on its own float tape, unless ``lane`` holds its solution
+    from a lane tape (:func:`_series_lanes`): its last order, its t_conv
+    and its coefficient lists of b, phi' and a in those units, with the
+    bits of its float tape, which are then only scaled back.
 
     Raises ``ValueError``, since no epsilon can mend either, when an order
     is singular, or when a coefficient is not finite (a tiny b0 overflows
@@ -312,39 +374,21 @@ def _series(params: AnsatzParams):
     """
     k, m, lam, b0 = params.k, params.m, params.lam, params.b0
     c = min(b0, 1.0)   # the length the series is solved in units of
-    tape = []
-    a = taylor.Series(tape, 1, [1.0]) if k >= 1 else None   # t (1 + ...)
-    b = taylor.Series(tape, 0, [b0 / c])
-    phip = taylor.Series(tape, 1, [])                       # t (2 phi2 + ...)
-    ap = a.derivative() if k >= 1 else None
-    bp = b.derivative()
-    s_a, s_b, phipp = _reduced_kernel(
-        SimpleNamespace(k=k, m=m, lam=lam * c * c))(a, ap, b, bp, phip)
-    # a'' = a s_a, b'' = b s_b and phi'' = phipp, at t^(2K-1), t^(2K-2) and
-    # t^(2K-2) in order K
-    leaves = [(b, 0), (phip, -1)]
-    equations = [(bp.derivative() - b * s_b, -2),
-                 (phip.derivative() - phipp, -2)]
-    given = None
-    if k >= 1:
-        leaves.insert(0, (a, 0))
-        equations.insert(0, (ap.derivative() - a * s_a, -1))
-        given = {(1, 2): 2.0 * params.phi2 * c * c}   # phi''(0), free
-    try:
-        for n in taylor.solve(leaves, equations, given):
-            # the last order's terms of a, a', b, b' and phi'
-            last = [(b.c[n], 2 * n), (2 * n * b.c[n], 2 * n - 1),
-                    (phip.c[n - 1], 2 * n - 1)]
-            if k >= 1:
-                last += [(a.c[n], 2 * n + 1), ((2 * n + 1) * a.c[n], 2 * n)]
-            t_conv = min([math.inf] + [(_SERIES_ROUNDING / abs(x)) ** (1 / q)
-                                       for x, q in last if x])
-            if n == _SERIES_ORDERS or c * t_conv >= params.epsilon:
-                break
-    except ZeroDivisionError:   # a singular order of non-finite data
-        raise ValueError(f"the series of (k, m, lambda, b0) = ({k}, {m}, "
-                         f"{lam:g}, {b0:g}) is not finite: no epsilon gives "
-                         f"a series start") from None
+    if lane is None:
+        (b, phip, a), orders = _closure(k, m, lam * c * c, b0 / c,
+                                        2.0 * params.phi2 * c * c)
+        columns = [b.c, phip.c, a.c if k >= 1 else []]
+        try:
+            for n in orders:
+                t_conv = _last_order(params, n, *columns)
+                if t_conv is not None:
+                    break
+        except ZeroDivisionError:   # a singular order of non-finite data
+            raise ValueError(f"the series of (k, m, lambda, b0) = ({k}, {m}, "
+                             f"{lam:g}, {b0:g}) is not finite: no epsilon "
+                             f"gives a series start") from None
+        lane = (n, t_conv, *columns)
+    n, t_conv, b, phip, a = lane
     # back to the unit length: the coefficients of t^(2i+1) in a, t^(2i)
     # in b and t^(2i+2) in phi scale by c^-2i, c^(1-2i) and c^(-2i-2); as
     # products of 1/c, since a power past the float range raises
@@ -355,10 +399,10 @@ def _series(params: AnsatzParams):
             odd = even * inv
             even = odd * inv
         # in the order of the series: a_(2i+1), b_(2i), phi_(2i)
-        terms = [(alpha, "a", 2 * i + 1, a.c[i] * even)] if k >= 1 else []
-        terms.append((beta, "b", 2 * i, b.c[i] * odd))
+        terms = [(alpha, "a", 2 * i + 1, a[i] * even)] if k >= 1 else []
+        terms.append((beta, "b", 2 * i, b[i] * odd))
         if i:
-            terms.append((phi, "phi", 2 * i, phip.c[i - 1] * even / (2 * i)))
+            terms.append((phi, "phi", 2 * i, phip[i - 1] * even / (2 * i)))
         for out, name, power, value in terms:
             if not math.isfinite(value):
                 raise ValueError(
@@ -369,7 +413,62 @@ def _series(params: AnsatzParams):
     return alpha, beta, phi, c * t_conv
 
 
-def _series_start(params: AnsatzParams):
+def _series_lanes(rows) -> dict:
+    """``{i: lane}``: the solutions, as :func:`_series` takes them, of the
+    series of the rows ``rows[i]`` whose k at least ``_LANE_ROWS`` rows
+    share, solved on one tape per k whose coefficients are arrays with one
+    lane per row (:func:`_closure`).
+
+    A lane is its row's float tape in elementwise IEEE arithmetic, so its
+    coefficients have that tape's bits, and each row stops at its own
+    order (:func:`_last_order`, on its lane's floats) while the tape goes
+    on for the others.  A row is left out, to solve alone and so to refuse
+    as it does alone, when its lane is not finite within its own orders
+    (its float tape may have divided by zero), when it is still open as
+    the tape raises, or when its m is past the float's integers, since a
+    lane holds m as a float.
+    """
+    groups = {}
+    for i, p in enumerate(rows):
+        if float(p.m) == p.m:
+            groups.setdefault(p.k, []).append(i)
+    lanes = {}
+    for k, idx in groups.items():
+        if len(idx) < _LANE_ROWS:
+            continue
+        ps = [rows[i] for i in idx]
+        cs = [min(p.b0, 1.0) for p in ps]
+        (b, phip, a), orders = _closure(k, *map(np.array, zip(*[
+            (float(p.m), p.lam * c * c, p.b0 / c, 2.0 * p.phi2 * c * c)
+            for p, c in zip(ps, cs)])))
+        # each row's coefficient lists of b, phi' and a, as _last_order
+        # reads them, and the rows still open
+        own = {j: ([p.b0 / c], [], [1.0] if k >= 1 else [])
+               for j, (p, c) in enumerate(zip(ps, cs))}
+        with np.errstate(all="ignore"):
+            try:
+                for n in orders:
+                    # each lane's coefficients of order n, as Python floats
+                    tops = [b.c[n], phip.c[n - 1]]
+                    tops += [a.c[n]] if k >= 1 else []
+                    tops = np.transpose(np.broadcast_arrays(*tops)).tolist()
+                    for j in list(own):
+                        if not all(map(math.isfinite, tops[j])):
+                            del own[j]
+                            continue
+                        for column, x in zip(own[j], tops[j]):
+                            column.append(x)
+                        t_conv = _last_order(ps[j], n, *own[j])
+                        if t_conv is not None:
+                            lanes[idx[j]] = (n, t_conv, *own.pop(j))
+                    if not own:
+                        break
+            except ZeroDivisionError:   # of a number no lane holds
+                pass                     # the open rows solve alone
+    return lanes
+
+
+def _series_start(params: AnsatzParams, lane=None):
     """``(t, state)``: the series start of ``params`` for any k, the state
     (a, a', b, b', phi, phi') for k >= 1 and (b, b', phi, phi') for k = 0
     of the Taylor series :func:`_series` at t = min(epsilon, t_conv),
@@ -383,9 +482,10 @@ def _series_start(params: AnsatzParams):
     clamps them at ``_EVAL_FLOOR`` and the events read them as a
     degeneration, so such a start would integrate another system.  A start
     it returns lies inside the box with a and b above the floor, at a t in
-    (0, epsilon].
+    (0, epsilon].  ``lane`` is the row's solution from
+    :func:`_series_lanes`, if it has one.
     """
-    alpha, beta, phi, t_conv = _series(params)
+    alpha, beta, phi, t_conv = _series(params, lane)
     t = min(params.epsilon, t_conv)
     s = t * t
     start = [_power_series(beta, s),
@@ -504,6 +604,55 @@ def _csv_header(k: int):
             *(f"F{j}.{name}" for j in range(_N_COEFFS) for name in names))
 
 
+def _steps_of(table, k: int):
+    """``(t_old, h, columns)`` of a step table of k rows, a profile's or
+    several stacked: the step starts and sizes, and by name each state
+    column's ``y_old`` and rows ``F0, ..., F6`` in their stored order,
+    contiguous over the steps."""
+    names = _state_columns(k)
+    n = len(names)
+    # by column, the rows F0 ... F6 over the steps
+    F = table[:, 2 + n:].reshape(len(table), _N_COEFFS, n).T
+    return (table[:, 0], table[:, 1 + n],
+            {name: (np.ascontiguousarray(table[:, 1 + c]),
+                    np.ascontiguousarray(F[c]))
+             for c, name in enumerate(names)})
+
+
+def _samples_of(t_old, h, last, end):
+    """``(t, idx, x)``: the sample times of the steps that start at
+    ``t_old`` with the sizes ``h``, at the fractions ``_SAMPLE_X`` of every
+    step, step by step, and the step of each and ``x = (t - t_old) / h``
+    there, formed from ``t`` as the dense output forms it, so that a column
+    has its bits at ``t``.  The steps are those of one profile or of
+    several stacked, whose last steps are ``last`` and end at ``end``.  A
+    terminal event ends a profile inside its last step, whose fractions
+    shrink to its part up to its end; a step that ends there, as a
+    completed profile's does, keeps them (the factor is exactly 1)."""
+    last, end = np.asarray(last), np.asarray(end)
+    fractions = np.tile(_SAMPLE_X, (t_old.size, 1))
+    fractions[last] *= ((end - t_old[last]) / h[last])[:, None]
+    idx = np.repeat(np.arange(t_old.size), _SAMPLE_X.size)
+    start, size = t_old.take(idx), h.take(idx)
+    t = start + fractions.ravel() * size
+    return t, idx, (t - start) / size
+
+
+def _mu(m, b, res_sm):
+    """The first integral mu = m - 1 + b res_sm at samples of the b and
+    res_sm columns (``m`` a number or one per sample)."""
+    return m - 1 + b * res_sm
+
+
+def _mu_mean_spread(mu, t_old, end):
+    """``(mu_mean, mu_spread)`` of one profile's mu samples, its steps'
+    starts ``t_old`` and its end: the time average of mu, its samples
+    weighted by the spans of their steps, so that the many short steps
+    near an event weigh no more than their time, and ``max - min``."""
+    weights = np.repeat(np.diff(t_old, append=end), _SAMPLE_X.size)
+    return float(np.average(mu, weights=weights)), float(mu.max() - mu.min())
+
+
 def _quiet(get):
     """A cached property that computes ``get(self)`` with numpy's
     floating-point warnings off: the diagnostics of a profile whose states
@@ -545,9 +694,10 @@ class SolitonProfile:
     side it would collapse to m - 1 identically.  These views, the
     polynomials' arrays and the interpolants are each computed once per
     object, on first read (``functools.cached_property``: b' with its
-    derivative, and each residual column apart, so mu, which a sweep row
-    reads, computes no a' or phi' derivative); a ``dataclasses.replace``
-    copy computes its own.
+    derivative, and each residual column apart, so mu computes no a' or
+    phi' derivative); a ``dataclasses.replace`` copy computes its own.  A
+    sweep reads mu_mean and mu_spread of its rows with the same bits in
+    one pass per batch (:func:`_batch_mu`).
     """
 
     params: AnsatzParams
@@ -616,33 +766,9 @@ class SolitonProfile:
                              f"lie in its last step [{t_old[-1]:.17g}, "
                              f"{ends[-1]:.17g}]")
 
-    @cached_property
-    def _steps(self):
-        """``(t_old, h, columns)``: the step starts and sizes, and by name
-        each state column's ``y_old`` and rows ``F0, ..., F6`` in their
-        stored order, contiguous over the steps."""
-        F, y_old = self.F.T, self.y_old   # column, F0 ... F6, step
-        return (self.t_old, self.h,
-                {name: (np.ascontiguousarray(y_old[:, c]),
-                        np.ascontiguousarray(F[c]))
-                 for c, name in enumerate(_state_columns(self.params.k))})
-
-    @cached_property
-    def _samples(self):
-        """``(t, idx, x)``: the sample times, at the fractions ``_SAMPLE_X``
-        of every step, step by step, and the step of each and ``x = (t -
-        t_old) / h`` there, formed from ``t`` as the dense output forms it,
-        so that a column has its bits at ``t``.  A terminal event ends a
-        profile inside its last step, whose fractions shrink to its part up
-        to ``end_time``; a step that ends there, as a completed profile's
-        does, keeps them (the factor is exactly 1)."""
-        t_old, h, n = self.t_old, self.h, self.t_old.size
-        fractions = np.tile(_SAMPLE_X, (n, 1))
-        fractions[-1] *= (self.end_time - t_old[-1]) / h[-1]
-        idx = np.repeat(np.arange(n), _SAMPLE_X.size)
-        start, size = t_old.take(idx), h.take(idx)
-        t = start + fractions.ravel() * size
-        return t, idx, (t - start) / size
+    _steps = cached_property(lambda self: _steps_of(self.table, self.params.k))
+    _samples = cached_property(lambda self: _samples_of(
+        self.t_old, self.h, [len(self.table) - 1], [self.end_time]))
 
     t = property(lambda self: self._samples[0])
 
@@ -672,13 +798,11 @@ class SolitonProfile:
     res_sk = _quiet(lambda self: self._column("a_prime", True)[1]
                     - self.a * self._kernel[0])
     res_sm = _quiet(lambda self: self._b_prime_dt[1] - self.b * self._kernel[1])
-    mu = _quiet(lambda self: self.params.m - 1 + self.b * self.res_sm)
-    # the time average of mu: its samples weighted by the spans of their
-    # steps, so that the many short steps near an event weigh no more than
-    # their time
-    mu_mean = _quiet(lambda self: float(np.average(self.mu, weights=np.repeat(
-        np.diff(self.t_old, append=self.end_time), _SAMPLE_X.size))))
-    mu_spread = _quiet(lambda self: float(self.mu.max() - self.mu.min()))
+    mu = _quiet(lambda self: _mu(self.params.m, self.b, self.res_sm))
+    _mu_stats = _quiet(lambda self: _mu_mean_spread(self.mu, self.t_old,
+                                                    self.end_time))
+    mu_mean = property(lambda self: self._mu_stats[0])
+    mu_spread = property(lambda self: self._mu_stats[1])
 
     @property
     def lam(self) -> float:
@@ -875,28 +999,33 @@ def _integrate(rows):
     ``rows`` are AnsatzParams sharing a state size (all k >= 1 or all
     k = 0), each with its own epsilon, t_max and tol.  A row's run is one
     :func:`_dop853` span at ``tol`` from its series start
-    (:func:`_series_start`) to t_max.  Its outcome is ``(row, status)``,
-    the finished ``dop853._Row`` with its step table ``row.table`` and its
-    end ``row.t`` (exactly ``t_max`` when completed), and the status from
-    its terminal event, if any; or the exception of a row that cannot
-    run: the ``ValueError`` of a refused series start, or, for every row
-    that :func:`_dop853` ends with status -1, the ``IntegrationError``
-    "integrator failed: " and the row's message, which names a step size
-    that underflowed, a run that reached ``MAX_STEPS`` or an event that
-    ``brentq`` failed to locate.  A start that ``_series_start`` returns
-    lies inside the blow-up box, its a and b above the positivity floor,
-    at a t of at most epsilon, below ``t_max``, so :func:`_dop853` accepts
-    every row and every event starts positive.  The rows are one
-    :func:`_dop853` batch with the one event function of their state size
-    (:func:`_events`), each run with the bits of its row integrated alone,
-    whatever the other rows do.
+    (:func:`_series_start`) to t_max.  The rows that share a k with
+    ``_LANE_ROWS`` rows or more solve their series on lanes
+    (:func:`_series_lanes`), each with the bits of its own series; the
+    others, a lone row among them, solve row by row.  A row's outcome is
+    ``(row, status)``, the finished ``dop853._Row`` with its step table
+    ``row.table`` and its end ``row.t`` (exactly ``t_max`` when
+    completed), and the status from its terminal event, if any; or the
+    exception of a row that cannot run: the ``ValueError`` of a refused
+    series start, or, for every row that :func:`_dop853` ends with status
+    -1, the ``IntegrationError`` "integrator failed: " and the row's
+    message, which names a step size that underflowed, a run that reached
+    ``MAX_STEPS`` or an event that ``brentq`` failed to locate.  A start
+    that ``_series_start`` returns lies inside the blow-up box, its a and
+    b above the positivity floor, at a t of at most epsilon, below
+    ``t_max``, so :func:`_dop853` accepts every row and every event starts
+    positive.  The rows are one :func:`_dop853` batch with the one event
+    function of their state size (:func:`_events`), each run with the bits
+    of its row integrated alone, whatever the other rows do.
     """
     events, outcomes = _events(rows[0].k)
     results = [None] * len(rows)
     started, t0, starts, spans = [], [], [], []
+    lanes = _series_lanes(rows)
     for i, p in enumerate(rows):
         try:
-            t, start = _series_start(p)
+            t, start = (_series_start(p, lanes[i]) if i in lanes
+                        else _series_start(p))
         except ValueError as exc:
             results[i] = exc
             continue
@@ -1135,7 +1264,7 @@ def params_grid(ks, ms, lams, b0s, **common):
 _REPORT_FIELDS = tuple(f.name for f in fields(SweepRow))[4:]
 
 
-def _report(profile: SolitonProfile) -> dict:
+def _report(profile: SolitonProfile, mu_stats=None) -> dict:
     """The numbers of a profile that ``solve_summary.json`` and its sweep
     row both report, by name in the order of ``_REPORT_FIELDS``: its
     ``status``, its ``end_time`` as ``lifetime``, the mean and spread of
@@ -1150,11 +1279,14 @@ def _report(profile: SolitonProfile) -> dict:
     at ``t_max``, and a drift between the middle and end slopes that the
     growth has not settled.  The report derives mu, and with it the
     kernel at the samples and ``res_sm``, but not ``res_tt`` or
-    ``res_sk``.
+    ``res_sk``, unless ``mu_stats`` gives its ``(mu_mean, mu_spread)``,
+    read by :func:`_batch_mu` with the same bits.
     """
+    mu_mean, mu_spread = (mu_stats if mu_stats is not None
+                          else (profile.mu_mean, profile.mu_spread))
     report = {**dict.fromkeys(_REPORT_FIELDS, math.nan),
               "status": profile.status, "lifetime": profile.end_time,
-              "mu_mean": profile.mu_mean, "mu_spread": profile.mu_spread}
+              "mu_mean": mu_mean, "mu_spread": mu_spread}
     if profile.status == "completed":
         steps, end = profile._steps, profile.end_time
         t = np.array([end, 0.5 * (profile.start_time + end)])
@@ -1165,10 +1297,75 @@ def _report(profile: SolitonProfile) -> dict:
     return report
 
 
-def _sweep_row(params: AnsatzParams, outcome) -> SweepRow:
+def _batch_mu(rows, outcomes) -> dict:
+    """``{i: (mu_mean, mu_spread)}`` of the rows ``rows[i]`` that ran, from
+    their :func:`_integrate` outcomes, read in one pass per k over their
+    stacked samples.
+
+    A pass evaluates the columns at the samples of the stacked step tables
+    (:func:`_steps_of`, :func:`_samples_of`, :func:`_evaluate`,
+    differentiating b' alone), runs :func:`_reduced_kernel` on them with
+    each sample's m and lambda, forms mu (:func:`_mu`) and reduces each
+    row on its own slice (:func:`_mu_mean_spread`): elementwise IEEE
+    arithmetic and the profile's reductions, so every row has the bits of
+    its profile's mu_mean and mu_spread.  A pass stacks at most
+    ``dop853.MAX_STEPS`` steps, so that it holds no more than the samples
+    of one capped profile: the rows of a k that take more read in several
+    passes.  Rows of an m or lambda that a float does not hold exactly are
+    left out, since a pass holds them as floats.
+    """
+    passes = {}   # by k, its passes in order: [rows, steps] each
+    for i, (p, outcome) in enumerate(zip(rows, outcomes)):
+        if isinstance(outcome, Exception) or float(p.m) != p.m \
+                or float(p.lam) != p.lam:
+            continue
+        size = len(outcome[0].table)
+        group = passes.setdefault(p.k, [[[], 0]])
+        if group[-1][1] + size > dop853.MAX_STEPS:
+            group.append([[], 0])
+        group[-1][0].append(i)
+        group[-1][1] += size
+    stats = {}
+    for k, group in passes.items():
+        for idx, _ in group:
+            stats.update(zip(idx, _mu_pass(
+                k, [rows[i] for i in idx], [outcomes[i][0] for i in idx])))
+    return stats
+
+
+def _mu_pass(k: int, rows, runs) -> list:
+    """The ``(mu_mean, mu_spread)`` of each of the finished ``dop853._Row``
+    ``runs`` of the k ``rows``, in one pass over their stacked samples (see
+    :func:`_batch_mu`)."""
+    sizes = [len(run.table) for run in runs]
+    ends = np.cumsum(sizes)
+    steps = _steps_of(np.concatenate([run.table for run in runs]), k)
+    t_old, h, _ = steps
+    _, at, x = _samples_of(t_old, h, ends - 1, [run.t for run in runs])
+    samples = np.multiply(sizes, _SAMPLE_X.size)
+    params = SimpleNamespace(k=k, **{
+        name: np.repeat([float(getattr(p, name)) for p in rows], samples)
+        for name in ("m", "lam")})
+    with np.errstate(all="ignore"):
+        b = _evaluate(steps, "b", at, x)
+        bp, bpp = _evaluate(steps, "b_prime", at, x, dt=True)
+        a, ap = ((_evaluate(steps, "a", at, x),
+                  _evaluate(steps, "a_prime", at, x)) if k >= 1
+                 else (None, None))
+        s_b = _reduced_kernel(params)(
+            a, ap, b, bp, _evaluate(steps, "phi_prime", at, x))[1]
+        mu = _mu(params.m, b, bpp - b * s_b)
+        return [_mu_mean_spread(mu[(stop - size) * _SAMPLE_X.size:
+                                   stop * _SAMPLE_X.size],
+                                t_old[stop - size:stop], run.t)
+                for run, stop, size in zip(runs, ends, sizes)]
+
+
+def _sweep_row(params: AnsatzParams, outcome, mu_stats=None) -> SweepRow:
     """The sweep row of a row's :func:`_integrate` outcome: the
-    :func:`_report` of its profile or, when :func:`_profile` raises, the
-    status ``error:<Type>:<message>``, lifetime 0.0 and NaN numbers."""
+    :func:`_report` of its profile, with its ``(mu_mean, mu_spread)`` from
+    ``mu_stats`` when given, or, when :func:`_profile` raises, the status
+    ``error:<Type>:<message>``, lifetime 0.0 and NaN numbers."""
     try:
         prof = _profile(params, outcome)
     except (GeometryError, ValueError) as exc:
@@ -1178,7 +1375,7 @@ def _sweep_row(params: AnsatzParams, outcome) -> SweepRow:
         report = {**dict.fromkeys(_REPORT_FIELDS, math.nan), "lifetime": 0.0,
                   "status": f"error:{type(exc).__name__}:{reason}"}
     else:
-        report = _report(prof)
+        report = _report(prof, mu_stats)
     return SweepRow(params.k, params.m, params.lam, params.b0, **report)
 
 
@@ -1193,7 +1390,10 @@ def _sweep_rows(param_list) -> list:
 
     The rows that share a state size (k >= 1, or k = 0) integrate in
     batches of up to ``_BATCH_ROWS`` rows, in the order of their first
-    row; each batch's runs become sweep rows before the next batch starts.
+    row (:func:`_integrate`, which solves the series of the rows of a
+    shared k on lanes); each batch's runs become sweep rows before the
+    next batch starts, with the mu_mean and mu_spread of the rows that ran
+    read in one pass per k (:func:`_batch_mu`).
     """
     out = [None] * len(param_list)
     groups = {}
@@ -1203,8 +1403,10 @@ def _sweep_rows(param_list) -> list:
         for start in range(0, len(idx), _BATCH_ROWS):
             chunk = idx[start:start + _BATCH_ROWS]
             rows = [param_list[i] for i in chunk]
-            for i, params, outcome in zip(chunk, rows, _integrate(rows)):
-                out[i] = _sweep_row(params, outcome)
+            outcomes = _integrate(rows)
+            stats = _batch_mu(rows, outcomes)
+            for j, (i, params) in enumerate(zip(chunk, rows)):
+                out[i] = _sweep_row(params, outcomes[j], stats.get(j))
     return out
 
 

@@ -19,6 +19,15 @@ derivative in the unknowns (its tangent, one lane per unknown), so an
 order costs one pass over the tape, a linear solve of at most three
 unknowns and an update of each new coefficient.
 
+A coefficient, and a number in the arithmetic, may also be a numpy
+array with one entry per series, its lanes (not the tangent's): one tape
+then solves as many series as the arrays are long.  Each lane does the
+elementwise IEEE arithmetic of its own tape of floats, so it has that
+tape's bits, as long as Python's ``sum`` adds floats in order, as it
+does before 3.12 and as numpy adds arrays.  A number that is not an
+array enters the tape as a float.  A lane that divides by zero raises
+no ``ZeroDivisionError``: it turns inf or NaN.
+
 The module knows nothing of the rows whose series it solves and imports
 nothing of the package.  Its ``__all__`` is empty.
 """
@@ -26,6 +35,8 @@ nothing of the package.  Its ``__all__`` is empty.
 from __future__ import annotations
 
 from operator import mul
+
+import numpy as np
 
 __all__ = []
 
@@ -173,30 +184,39 @@ class Series:
         w.inputs, w.step = ((u, 0),), step
         return w
 
+    # an array's operators defer to the series: ``lanes + series`` is the
+    # series' __radd__, not an array of series
+    __array_ufunc__ = None
+
     def __add__(self, other):
         if isinstance(other, Series):
             return self._sum(other, 1.0)
-        return self._plus(float(other), 1.0)
+        return self._plus(_number(other), 1.0)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Series):
             return self._sum(other, -1.0)
-        return self._plus(-float(other), 1.0)
+        return self._plus(-_number(other), 1.0)
 
     def __rsub__(self, other):
-        return self._plus(float(other), -1.0)
+        return self._plus(_number(other), -1.0)
 
     def __mul__(self, other):
         if isinstance(other, Series):
             return self._product(other)
-        return self._scale(float(other))
+        return self._scale(_number(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         return self._quotient(other)
+
+
+def _number(x):
+    """A number of the tape: lanes as they are, anything else a float."""
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 def _solve(J, e):

@@ -198,12 +198,12 @@ class TestSolve:
 
     def test_empty_out_flag_refused(self, tmp_path, capsys):
         # an empty --out is refused as an empty out_dir is, not dropped for
-        # the config's out_dir
+        # the config's out_dir, and the message names the flag
         cfg_path = tmp_path / "c.json"
         write_config(cfg_path, solve=cylinder_solve_block(t_max=2.0))
         assert main(["solve", "--config", str(cfg_path), "--out", ""]) == 2
         assert capsys.readouterr().err == (
-            "config error: 'out_dir' must be a non-empty string\n")
+            "config error: --out must be a non-empty string\n")
         assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_failed_event_location_exits_3(self, tmp_path, capsys,
@@ -902,10 +902,11 @@ class TestProfileBounds:
 
 class TestDiagnosticsCalls:
     """A solve evaluates the reduced kernel at a profile's samples once and
-    differentiates its a', b' and phi' polynomials once each; a sweep row,
-    which reads mu = m - 1 + b res_sm alone, evaluates the kernel once and
-    differentiates b' alone; a certificate and a quotient, which read only
-    the polynomials of a, b and phi, do neither."""
+    differentiates its a', b' and phi' polynomials once each; a sweep
+    batch, which reads mu = m - 1 + b res_sm alone, evaluates the kernel
+    once per k at the samples of all its rows and differentiates b' alone;
+    a certificate and a quotient, which read only the polynomials of a, b
+    and phi, do neither."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -917,7 +918,7 @@ class TestDiagnosticsCalls:
 
             def counted(a, ap, b, bp, phip):
                 if isinstance(b, np.ndarray):   # the samples, not a state
-                    calls.append(("kernel", params.k, params.b0))
+                    calls.append(("kernel", params.k, len(b)))
                 return kernel(a, ap, b, bp, phip)
             return counted
 
@@ -936,8 +937,10 @@ class TestDiagnosticsCalls:
         write_config(cfg_path, solve=solve, certify={"n_base": 4,
                                                      "n_product": 4})
         assert main(["solve", "--config", str(cfg_path)]) == 0
+        samples = len(shooting.SolitonProfile.from_csv(
+            tmp_path / "out" / "profile.csv").t)
         assert sorted(calls) == [("dt", "a_prime"), ("dt", "b_prime"),
-                                 ("dt", "phi_prime"), ("kernel", 1, 1.0)]
+                                 ("dt", "phi_prime"), ("kernel", 1, samples)]
         assert main(["certify", "--config", str(cfg_path)]) == 0
         assert len(calls) == 4
         profile = str(tmp_path / "out" / "profile.csv")
@@ -950,13 +953,19 @@ class TestDiagnosticsCalls:
         assert main(["quotient", "--config", str(cfg_path)]) == 0
         assert len(calls) == 4
 
-    def test_one_per_sweep_row(self, tmp_path, calls):
+    def test_one_per_k_of_a_sweep_batch(self, tmp_path, calls):
+        # k = 0 and k >= 1 rows integrate in batches of their own, and the
+        # k >= 1 batch holds two values of k
         cfg_path = tmp_path / "s.json"
-        write_config(cfg_path, sweep={"k": [0, 1], "m": [2], "lambda": [0.0],
-                                      "b0": [0.9, 1.0], "t_max": 2.0})
+        write_config(cfg_path, sweep={"k": [0, 1, 2], "m": [2],
+                                      "lambda": [0.0], "b0": [0.9, 1.0],
+                                      "t_max": 2.0})
         assert main(["sweep", "--config", str(cfg_path)]) == 0
-        assert calls == [call for k in (0, 1) for b0 in (0.9, 1.0)
-                         for call in (("dt", "b_prime"), ("kernel", k, b0))]
+        samples = {k: sum(len(shoot(AnsatzParams(
+            k=k, m=2, lam=0.0, b0=b0, t_max=2.0)).t) for b0 in (0.9, 1.0))
+            for k in (0, 1, 2)}
+        assert calls == [call for k in (0, 1, 2) for call in
+                         (("dt", "b_prime"), ("kernel", k, samples[k]))]
 
 
 class TestSweep:

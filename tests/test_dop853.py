@@ -669,6 +669,15 @@ class TestBatchesKeepBits:
 
     def test_random_batches(self, monkeypatch):
         _nan_rhs_for(monkeypatch, _UNDERFLOW)
+        # the rows that solve their series on lanes, by state size
+        laned, series_lanes = {False: 0, True: 0}, shooting._series_lanes
+
+        def spy(rows):
+            lanes = series_lanes(rows)
+            laned[rows[0].k < 1] += len(lanes)
+            return lanes
+
+        monkeypatch.setattr(shooting, "_series_lanes", spy)
         rng = np.random.default_rng(15)
         pool = [AnsatzParams(k=k, m=m, lam=lam, b0=b0, phi2=phi2, t_max=t_max)
                 for k, m, lam, b0, phi2, t_max in self.SPECIAL]
@@ -701,3 +710,5 @@ class TestBatchesKeepBits:
         assert seen == {"completed", "blowup", "hit_a_zero", "hit_b_zero",
                         "ValueError", "IntegrationError"}
         assert min(largest.values()) >= 24, largest
+        if not math.isinf(shooting._LANE_ROWS):
+            assert min(laned.values()) >= 2 * shooting._LANE_ROWS, laned

@@ -52,10 +52,12 @@ from ricciwarp.shooting import (
     _SHARE_ROWS,
     _csv_header,
     _events,
+    _integrate,
     _locate,
     _report,
     _rhs_with_phi,
     _series,
+    _series_lanes,
     _series_start,
     _state_columns,
     ambient_geometry,
@@ -360,6 +362,87 @@ class TestSeriesReferees:
         assert loaded.start_time == steady_profile_12.start_time == 0.1
         assert certify_profile(loaded, n_base=4, n_product=4).verdict
         ambient_geometry(loaded)
+
+
+def _series_or_refusal(params, lane=None):
+    """The repr of ``_series``' result, whose floats print their bits, or
+    the message of its refusal."""
+    try:
+        return repr(_series(params, lane))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.skipif(math.isinf(shooting._LANE_ROWS),
+                    reason="Python's sum compensates floats from 3.12 on")
+class TestSeriesLanes:
+    """The rows of a batch that share k solve their series on one tape of
+    lanes, each with the bits of its own float tape, and a lane that is
+    not finite solves alone."""
+
+    def test_random_groups_keep_the_bits(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        closures, closure = [], shooting._closure
+
+        def spy(k, m, *constants):
+            closures.append((k, isinstance(m, np.ndarray)))
+            return closure(k, m, *constants)
+
+        monkeypatch.setattr(shooting, "_closure", spy)
+        for k in range(4):
+            group = [AnsatzParams(
+                k=k, m=int(rng.integers(1, 5)),
+                lam=float(rng.uniform(-0.5, 0.5)),
+                b0=float(rng.uniform(0.05, 1.0) if i % 2
+                         else rng.uniform(1.0, 4.0)),
+                phi2=float(rng.uniform(-1.0, 0.2)),
+                epsilon=float(rng.choice([0.1, 0.02, 0.3])), t_max=1.0)
+                for i in range(shooting._LANE_ROWS + 2)]
+            # a b0 of 1e-300 is finite on its lane, in the units of b0, and
+            # overflows as it is scaled back; lambda 1e300 overflows on its
+            # lane, which then solves alone
+            group += [AnsatzParams(k=k, m=2, lam=0.0, b0=1e-300),
+                      AnsatzParams(k=k, m=2, lam=1e300, b0=1.0)]
+            lanes = _series_lanes(group)
+            assert sorted(lanes) == list(range(len(group) - 1))
+            assert closures[-1] == (k, True)
+            for i, params in enumerate(group[:-1]):
+                assert (_series_or_refusal(params, lanes[i])
+                        == _series_or_refusal(params)), params
+            assert _series_or_refusal(group[-2]).startswith(
+                f"ValueError: the series coefficient {'a3' if k else 'phi2'}"
+                f" = {'-inf' if k else 'inf'} of (k, m, lambda, b0) = ({k}, "
+                "2, 0, 1e-300) is not finite")
+            assert _series_or_refusal(group[-1]).startswith(
+                "ValueError: the series coefficient")
+            # the batch's runs and refusals are those of the rows alone,
+            # whose float series a rounding of the constants would move
+            del closures[:]
+            outcomes = _integrate(group)
+            assert closures.count((k, True)) == 1
+            for params, outcome in zip(group, outcomes):
+                [alone] = _integrate([params])
+                if isinstance(alone, Exception):
+                    assert type(outcome) is type(alone)
+                    assert str(outcome) == str(alone)
+                else:
+                    assert outcome[1] == alone[1]
+                    assert (outcome[0].table.tobytes()
+                            == alone[0].table.tobytes()), params
+            assert [type(outcome) for outcome in outcomes[-2:]] == [
+                ValueError, ValueError]
+
+    def test_small_groups_solve_row_by_row(self, monkeypatch):
+        # a k shared by fewer than _LANE_ROWS rows, and an m past the
+        # float's integers, solve on float tapes
+        group = [AnsatzParams(k=1, m=2, lam=0.0, b0=1.0 + 0.01 * i)
+                 for i in range(shooting._LANE_ROWS - 1)]
+        assert _series_lanes(group) == {}
+        group.append(AnsatzParams(k=1, m=2 ** 60 + 1, lam=0.0, b0=1.0))
+        assert _series_lanes(group) == {}
+        group.append(AnsatzParams(k=1, m=3, lam=0.0, b0=1.0))
+        assert sorted(_series_lanes(group)) == [
+            i for i in range(len(group)) if i != len(group) - 2]
 
 
 class TestShoot:
@@ -1250,6 +1333,65 @@ class TestSweep:
         assert statuses == ["hit_b_zero", "completed", "completed",
                             "completed", "error", "blowup", "completed",
                             "error"]
+
+
+    @pytest.mark.parametrize("cap", [None, 160])
+    def test_batched_reports_keep_the_bits_of_shoot(self, monkeypatch, cap):
+        # one batch of two k groups of _LANE_ROWS rows or more, with an
+        # error row, a blow-up and a hit_a_zero among them: each row's
+        # report is that of _report(shoot(params)) run alone, and its mu
+        # comes from a pass over its k group, which differentiates b'
+        # alone.  A pass stacks at most MAX_STEPS steps: a cap of 160
+        # steps, past the 155 of the blow-up, splits each group into passes
+        # of a few rows
+        evaluate, mu_pass = shooting._evaluate, shooting._mu_pass
+        passes = []
+
+        def refusing(steps, name, idx, x, dt=False):
+            if dt and name != "b_prime":
+                raise AssertionError(f"a sweep batch differentiated {name}")
+            return evaluate(steps, name, idx, x, dt)
+
+        def spy(k, rows, runs):
+            assert sum(len(run.table) for run in runs) <= dop853.MAX_STEPS
+            passes.append((k, len(rows)))
+            return mu_pass(k, rows, runs)
+
+        monkeypatch.setattr(shooting, "_evaluate", refusing)
+        monkeypatch.setattr(shooting, "_mu_pass", spy)
+        if cap:
+            monkeypatch.setattr(dop853, "MAX_STEPS", cap)
+        lane_rows = shooting._LANE_ROWS
+        size = 8 if math.isinf(lane_rows) else lane_rows
+        grid = [AnsatzParams(k=k, m=2 + i % 2, lam=(0.0, -0.1, 0.3)[i % 3],
+                             b0=0.8 + 0.05 * i, t_max=3.0)
+                for k in (1, 2) for i in range(size - 1)]
+        grid[3:3] = [AnsatzParams(k=1, m=2, lam=0.0, b0=1e-7, t_max=3.0),
+                     AnsatzParams(k=1, m=2, lam=2.0, b0=1.0, t_max=3.0)]
+        grid.append(AnsatzParams(k=2, m=2, lam=0.0, b0=1.0, phi2=0.3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = sweep(grid)
+        statuses = set()
+        for params, row in zip(grid, rows):
+            try:
+                report = _report(shoot(params))
+            except ValueError as exc:
+                report = {"status": "error:ValueError:"
+                          + str(exc).replace(",", ";"), "lifetime": 0.0,
+                          **dict.fromkeys(_REPORT_FIELDS[2:], np.nan)}
+            got = [getattr(row, name) for name in _REPORT_FIELDS]
+            assert got[0] == report["status"]
+            assert (np.array(got[1:]).tobytes()
+                    == np.array(list(report.values())[1:]).tobytes())
+            statuses.add(got[0].split(":")[0])
+        assert statuses == {"completed", "error", "blowup", "hit_a_zero"}
+        if cap is None:
+            assert passes == [(1, size), (2, size)]
+        else:
+            assert len(passes) > 4
+            assert [sum(n for k, n in passes if k == kk) for kk in (1, 2)] \
+                == [size, size]
 
     def test_error_row_keeps_the_message(self):
         # b0 = 1e-7 starts the series at t = 2.0e-8, in proportion to its
